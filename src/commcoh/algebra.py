@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .gf2 import BitMatrix, GF2Error, Subspace, inverse, solve
+from .gf2 import BitMatrix, GF2Error, Subspace, inverse
 
 __all__ = [
     "BracketTable",
@@ -437,14 +437,6 @@ def quotient_algebra(
         q_table=q_table,
         h_action_on_q=h_action_on_q,
     )
-
-
-def rows_in_basis(basis: BitMatrix, rows: BitMatrix) -> BitMatrix:
-    """Coefficients of row vectors in a (row-)basis: coeff @ basis = rows."""
-    x = solve(basis.transpose(), rows.transpose())
-    if x is None:
-        raise GF2Error("rows are not in the span of the basis")
-    return x.transpose()
 
 
 def change_basis(t: BracketTable, p: BitMatrix) -> BracketTable:

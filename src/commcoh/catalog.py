@@ -377,6 +377,9 @@ class SurveyResult:
         return [BracketTable(c) for c in src]
 
 
+SURVEY_MAX_DIM = 3
+
+
 def survey_enumerate(d: int, up_to_iso: bool = False, jobs: int = 1) -> SurveyResult:
     """Enumerate symmetric bracket tables and filter by the Jacobi identity.
 
@@ -385,8 +388,8 @@ def survey_enumerate(d: int, up_to_iso: bool = False, jobs: int = 1) -> SurveyRe
     Chunked workers merge in index order, so counts do not depend on the
     worker count.
     """
-    if d > 3:
-        raise GF2Error("enumeration bound: dim at most 3")
+    if not 1 <= d <= SURVEY_MAX_DIM:
+        raise GF2Error(f"enumeration bound: dim from 1 to {SURVEY_MAX_DIM}")
     total = 1 << (len(_free_pairs(d)) * d)
     chunks = max(1, min(jobs, 8))
     bounds = np.linspace(0, total, chunks + 1, dtype=np.int64)

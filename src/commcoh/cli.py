@@ -28,6 +28,7 @@ from .algebra import (
     make_module,
 )
 from .catalog import (
+    SURVEY_MAX_DIM,
     AlgebraFileError,
     CatalogEntry,
     line_module_instances,
@@ -393,12 +394,24 @@ def build_parser():
     return ap
 
 
+def _check_ranges(args):
+    """Refuse out-of-range numeric arguments before any work starts."""
+    if args.command == "survey":
+        if not 1 <= args.dim <= SURVEY_MAX_DIM:
+            raise InputError(f"--dim must be from 1 to {SURVEY_MAX_DIM}")
+        if args.betti_degree < 0:
+            raise InputError("--betti-degree must be at least 0")
+    elif args.max_degree < 0:
+        raise InputError("--max-degree must be at least 0")
+
+
 def run(argv=None):
     """Run one command; returns (report dict, exit code)."""
     args = build_parser().parse_args(argv)
     checks: list = []
     info: list = []
     try:
+        _check_ranges(args)
         if args.command == "survey":
             payload = cmd_survey(args, checks, info)
             digest = _digest("survey", args.dim, args.up_to_iso)

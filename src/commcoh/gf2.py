@@ -132,11 +132,19 @@ class BitMatrix:
             raise GF2Error(
                 f"product shape mismatch: {self.shape} @ {other.shape}"
             )
+        # Four Russians: byte g of a row indexes a table of XORs of other's rows 8g..8g+7
         out = np.zeros((self.rows, other.words.shape[1]), dtype=np.uint64)
-        for j in range(self.cols):
-            mask = _column_bits(self.words, j)
-            if mask.any():
-                out[mask] ^= other.words[j]
+        left = np.ascontiguousarray(self.words).view(np.uint8)
+        for g in range((self.cols + 7) // 8):
+            idx = left[:, g]
+            hit = np.flatnonzero(idx)
+            if hit.size == 0:
+                continue
+            block = other.words[8 * g : 8 * g + 8]
+            table = np.zeros((1 << len(block), out.shape[1]), dtype=np.uint64)
+            for k, row in enumerate(block):
+                table[1 << k : 2 << k] = table[: 1 << k] ^ row
+            out[hit] ^= table[idx[hit]]
         return BitMatrix(self.rows, other.cols, out)
 
     def mul_vector(self, vec: np.ndarray) -> np.ndarray:
@@ -182,11 +190,6 @@ class BitMatrix:
             pivots.append(c)
             r += 1
         return BitMatrix(self.rows, self.cols, work), r, tuple(pivots)
-
-
-def rref_rank(m: BitMatrix):
-    """Convenience wrapper returning (reduced, rank, pivots)."""
-    return m.rref()
 
 
 def solve(a: BitMatrix, b: BitMatrix):
@@ -322,28 +325,17 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     return Subspace.from_rows(a.ambient_dim, coeff_a @ a.basis)
 
 
-def subspace_combine(a: Subspace, b: Subspace, mode: str) -> Subspace:
-    if mode == "sum":
-        return subspace_sum(a, b)
-    if mode == "intersect":
-        return subspace_intersect(a, b)
-    raise GF2Error(f"unknown combine mode {mode!r}")
-
-
 def kernel_basis(m: BitMatrix) -> Subspace:
     """Right null space {x : m @ x = 0} with canonical basis."""
-    red, _, pivots = m.rref()
+    red, rank, pivots = m.rref()
     n = m.cols
-    pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
-    if not free:
+    free = np.delete(np.arange(n), pivots)
+    if free.size == 0:
         return Subspace.zero(n)
-    dense_red = red.to_dense()
-    basis = np.zeros((len(free), n), dtype=np.uint8)
-    for t, f in enumerate(free):
-        basis[t, f] = 1
-        for i, p in enumerate(pivots):
-            basis[t, p] = dense_red[i, f]
+    # free variable t set to one: pivot variable i takes red[i, free[t]]
+    basis = np.zeros((free.size, n), dtype=np.uint8)
+    basis[np.arange(free.size), free] = 1
+    basis[:, list(pivots)] = _unpack(red.words[:rank], rank, n)[:, free].T
     return Subspace.from_rows(n, basis)
 
 

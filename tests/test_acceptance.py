@@ -324,6 +324,12 @@ def test_c09_long_exact_sequences():
 
 
 def test_c10_second_page_products():
+    """Red by design on one sub-check: abelian2, ext-in-sym, trivial coefficients.
+
+    1. E_2 there sits in the p = 0 column, (2, 4, 5, 6, 7) for q = 0..4: the relative cohomology.
+    2. hr = (2, 0, 0, ...), so the predicted diagonal sum at n is hr[0]*partner[n] = 2(n+1).
+    3. The sums differ for every n >= 2, and no graded factor G helps: 2*G[2] = 5 is unsolvable.
+    """
     failures = []
     # both sides vanish identically on the one-dimensional abelian algebra
     for pair in InclusionPair:

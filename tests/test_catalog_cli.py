@@ -247,6 +247,24 @@ class TestCLI:
         assert out.splitlines()[0] == "comparison,node,ok"
         assert "False" not in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cohomology", "--algebra", "catalog:a", "--max-degree", "-1"],
+            ["hs-ss", "--algebra", "catalog:a", "--ideal", "e", "--max-degree", "-1"],
+            ["compare", "--algebra", "catalog:a", "--max-degree", "-1"],
+            ["les", "--algebra", "catalog:a", "--max-degree", "-1"],
+            ["survey", "--dim", "4"],
+            ["survey", "--dim", "-1"],
+            ["survey", "--dim", "0", "--up-to-iso"],
+            ["survey", "--dim", "1", "--up-to-iso", "--betti-degree", "-1"],
+        ],
+    )
+    def test_out_of_range_argument_is_input_error(self, argv, capsys):
+        assert main(argv) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert "must be" in err and "internal" not in err
+
     def test_survey_cli(self):
         report, code = run(["survey", "--dim", "2", "--up-to-iso"])
         assert code == 0

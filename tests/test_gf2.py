@@ -16,9 +16,7 @@ from commcoh.gf2 import (
     kernel_basis,
     preimage,
     quotient_dim,
-    rref_rank,
     solve,
-    subspace_combine,
     subspace_intersect,
     subspace_sum,
 )
@@ -38,32 +36,92 @@ def dense_matrices(max_rows=6, max_cols=8):
     )
 
 
+def matmul_column_oracle(a: BitMatrix, b: BitMatrix) -> np.ndarray:
+    """Packed words of a @ b by the column loop: bit j of a row adds row j of b."""
+    out = np.zeros((a.rows, b.words.shape[1]), dtype=np.uint64)
+    for j in range(a.cols):
+        w, s = divmod(j, 64)
+        mask = ((a.words[:, w] >> np.uint64(s)) & np.uint64(1)).astype(bool)
+        if mask.any():
+            out[mask] ^= b.words[j]
+    return out
+
+
+def kernel_loop_oracle(m: BitMatrix) -> Subspace:
+    """Null space spanned entry by entry over free x pivot columns."""
+    red, _, pivots = m.rref()
+    n = m.cols
+    pivot_set = set(pivots)
+    free = [c for c in range(n) if c not in pivot_set]
+    if not free:
+        return Subspace.zero(n)
+    dense_red = red.to_dense()
+    basis = np.zeros((len(free), n), dtype=np.uint8)
+    for t, f in enumerate(free):
+        basis[t, f] = 1
+        for i, p in enumerate(pivots):
+            basis[t, p] = dense_red[i, f]
+    return Subspace.from_rows(n, basis)
+
+
+def padding_is_zero(m: BitMatrix) -> bool:
+    tail = m.cols % 64
+    return tail == 0 or not (m.words[:, -1] >> np.uint64(tail)).any()
+
+
+# widths around the byte and word boundaries of the packed layout
+EDGE_WIDTHS = st.sampled_from([0, 1, 7, 8, 9, 63, 64, 65, 71, 128, 131])
+FILLS = st.sampled_from([0.03, 0.5, 0.97])
+
+
+@st.composite
+def filled_matrix(draw, rows, cols, fill):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return (rng.random((rows, cols)) < fill).astype(np.uint8)
+
+
+@st.composite
+def product_operands(draw):
+    rows = draw(st.integers(0, 24))
+    inner = draw(EDGE_WIDTHS | st.integers(0, 140))
+    cols = draw(EDGE_WIDTHS | st.integers(0, 140))
+    fill = draw(FILLS)
+    return draw(filled_matrix(rows, inner, fill)), draw(filled_matrix(inner, cols, fill))
+
+
+@st.composite
+def kernel_operands(draw):
+    rows = draw(st.integers(0, 24))
+    cols = draw(EDGE_WIDTHS | st.integers(0, 140))
+    return draw(filled_matrix(rows, cols, draw(FILLS)))
+
+
 class TestRref:
     def test_identity(self):
-        _, rank, pivots = rref_rank(BitMatrix.identity(3))
+        _, rank, pivots = BitMatrix.identity(3).rref()
         assert rank == 3 and pivots == (0, 1, 2)
 
     def test_zero(self):
-        _, rank, pivots = rref_rank(BitMatrix.zeros(4, 5))
+        _, rank, pivots = BitMatrix.zeros(4, 5).rref()
         assert rank == 0 and pivots == ()
 
     def test_dependent_rows(self):
         m = BitMatrix.from_dense([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
-        _, rank, _ = rref_rank(m)
+        _, rank, _ = m.rref()
         assert rank == 2
 
     @settings(max_examples=60, deadline=None)
     @given(dense_matrices())
     def test_idempotent(self, arr):
-        red, rank, pivots = rref_rank(BitMatrix.from_dense(arr))
-        red2, rank2, pivots2 = rref_rank(red)
+        red, rank, pivots = BitMatrix.from_dense(arr).rref()
+        red2, rank2, pivots2 = red.rref()
         assert red2 == red and rank2 == rank and pivots2 == pivots
 
     @settings(max_examples=60, deadline=None)
     @given(dense_matrices())
     def test_rank_nullity(self, arr):
         m = BitMatrix.from_dense(arr)
-        _, rank, _ = rref_rank(m)
+        _, rank, _ = m.rref()
         assert rank + kernel_basis(m).dim == m.cols
 
 
@@ -80,21 +138,27 @@ class TestKernel:
         assert k.dim == 1
         assert k.basis.to_dense().tolist() == [[1, 1]]
 
-    @settings(max_examples=40, deadline=None)
-    @given(dense_matrices())
+    @settings(max_examples=80, deadline=None)
+    @given(kernel_operands())
     def test_kernel_members(self, arr):
         m = BitMatrix.from_dense(arr)
         k = kernel_basis(m)
+        _, rank, _ = m.rref()
+        assert k.dim == m.cols - rank
         for row in k.basis.to_dense():
             assert not m.mul_vector(row).any()
+        want = kernel_loop_oracle(m)
+        assert k.pivots == want.pivots
+        assert k.basis.words.tobytes() == want.basis.words.tobytes()
+        assert padding_is_zero(k.basis)
 
 
 class TestCombine:
     def test_axis_spans(self):
         a = Subspace.from_rows(3, np.array([[1, 0, 0]], dtype=np.uint8))
         b = Subspace.from_rows(3, np.array([[0, 1, 0]], dtype=np.uint8))
-        assert subspace_combine(a, b, "sum").dim == 2
-        assert subspace_combine(a, b, "intersect").dim == 0
+        assert subspace_sum(a, b).dim == 2
+        assert subspace_intersect(a, b).dim == 0
 
     def test_idempotence(self):
         a = Subspace.from_rows(3, np.array([[1, 1, 0], [0, 0, 1]], dtype=np.uint8))
@@ -209,15 +273,26 @@ class TestCanonicality:
 
 
 class TestArithmetic:
-    @settings(max_examples=40, deadline=None)
-    @given(dense_matrices(max_rows=5, max_cols=6), dense_matrices(max_rows=6, max_cols=4))
-    def test_matmul_against_dense(self, a, b):
-        b = b[: a.shape[1]]
-        if b.shape[0] < a.shape[1]:
-            b = np.pad(b, ((0, a.shape[1] - b.shape[0]), (0, 0)))
-        got = BitMatrix.from_dense(a) @ BitMatrix.from_dense(b)
-        want = (a.astype(int) @ b.astype(int)) % 2
-        assert np.array_equal(got.to_dense(), want.astype(np.uint8))
+    @settings(max_examples=80, deadline=None)
+    @given(product_operands())
+    def test_matmul_against_dense(self, ab):
+        a, b = (BitMatrix.from_dense(x) for x in ab)
+        got = a @ b
+        assert np.array_equal(got.to_dense(), (ab[0].astype(int) @ ab[1]) % 2)
+        assert np.array_equal(got.words, matmul_column_oracle(a, b))
+        assert padding_is_zero(got)
+
+    @pytest.mark.parametrize(
+        "rows, inner, cols",
+        [(0, 5, 3), (0, 0, 0), (4, 0, 3), (4, 0, 0), (5, 7, 0), (3, 70, 0), (2, 9, 65)],
+    )
+    def test_matmul_degenerate_shapes(self, rows, inner, cols):
+        a = BitMatrix.from_dense(np.ones((rows, inner), dtype=np.uint8))
+        b = BitMatrix.from_dense(np.ones((inner, cols), dtype=np.uint8))
+        got = a @ b
+        assert got.shape == (rows, cols)
+        assert np.array_equal(got.words, matmul_column_oracle(a, b))
+        assert np.array_equal(got.to_dense(), np.full((rows, cols), inner % 2, dtype=np.uint8))
 
     def test_solve_and_inverse(self):
         rng = np.random.default_rng(3)
