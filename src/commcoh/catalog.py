@@ -319,7 +319,7 @@ def _gl_group(d):
         m = np.array(
             [(code >> k) & 1 for k in range(d * d)], dtype=np.uint8
         ).reshape(d, d)
-        if BitMatrix.from_dense(m).rref()[1] == d:
+        if BitMatrix.from_dense(m).rank() == d:
             mats.append(m)
     return mats
 

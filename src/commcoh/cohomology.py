@@ -66,7 +66,7 @@ def betti_table(tower: ComplexTower) -> BettiTable:
     dims = []
     prev_rank = 0
     for n in range(tower.n_max):
-        _, rank, _ = tower.differential(n).rref()
+        rank = tower.differential(n).rank()
         dims.append(tower.dims[n] - rank - prev_rank)
         prev_rank = rank
     return BettiTable(tower.label, tower.flavor, tuple(dims))

@@ -313,10 +313,6 @@ class LESReport:
         return [desc for desc, ok in self.nodes if not ok]
 
 
-def _rank(m: BitMatrix) -> int:
-    return m.rref()[1]
-
-
 def long_exact_sequence_check(
     rel: RelativeTower, max_degree: int | None = None
 ) -> LESReport:
@@ -364,22 +360,22 @@ def long_exact_sequence_check(
     nodes = []
     for m in range(limit + 1):
         h_t = QuotientCoords(zt[m], bt_[m]).dim
-        ok = (p_star[m] @ i_star[m]).is_zero() and _rank(i_star[m]) + _rank(
-            p_star[m]
-        ) == h_t
+        ok = (p_star[m] @ i_star[m]).is_zero() and (
+            i_star[m].rank() + p_star[m].rank() == h_t
+        )
         nodes.append((f"H^{m}(total)", ok))
     for m in range(limit):
         h_q = QuotientCoords(zq[m], bq[m]).dim
-        ok = (connecting[m] @ p_star[m]).is_zero() and _rank(p_star[m]) + _rank(
-            connecting[m]
-        ) == h_q
+        ok = (connecting[m] @ p_star[m]).is_zero() and (
+            p_star[m].rank() + connecting[m].rank() == h_q
+        )
         nodes.append((f"H^{m}(quotient)", ok))
-    nodes.append(("H^0(sub)", _rank(i_star[0]) == QuotientCoords(zs[0], bs[0]).dim))
+    nodes.append(("H^0(sub)", i_star[0].rank() == QuotientCoords(zs[0], bs[0]).dim))
     for m in range(limit):
         h_s = QuotientCoords(zs[m + 1], bs[m + 1]).dim
-        ok = (i_star[m + 1] @ connecting[m]).is_zero() and _rank(
-            connecting[m]
-        ) + _rank(i_star[m + 1]) == h_s
+        ok = (i_star[m + 1] @ connecting[m]).is_zero() and (
+            connecting[m].rank() + i_star[m + 1].rank() == h_s
+        )
         nodes.append((f"H^{m + 1}(sub)", ok))
 
     return LESReport(tuple(nodes), tuple(connecting[m] for m in sorted(connecting)))
@@ -498,7 +494,7 @@ def build_cr_complex(pair: InclusionPair, table: BracketTable, n_cr_max: int) ->
 
     mus = [_insert_pullback(flavor, d, p) for p in range(n_cr_max + 1)]
     for p in range(n_cr_max + 1):
-        if _rank(mus[p]) != mus[p].cols:
+        if mus[p].rank() != mus[p].cols:
             raise GF2Error(f"product pullback not injective at degree {p}")
     for p in range(n_cr_max):
         lhs = a_tower.differential(p + 1) @ mus[p]
@@ -580,7 +576,7 @@ def _build_cr_mixed(pair, table: BracketTable, coad, n_cr_max: int) -> CRTower:
             dense[cl_index(w), ext_rank[cls]] ^= 1
         cols = a_sub[p].row_coefficients(BitMatrix.from_dense(dense).transpose())
         mus.append(cols.transpose())
-        if _rank(mus[p]) != mus[p].cols:
+        if mus[p].rank() != mus[p].cols:
             raise GF2Error(f"product pullback not injective at degree {p}")
     for p in range(n_cr_max):
         if restr[p] @ mus[p] != mus[p + 1] @ triv.differential(p + 2):

@@ -265,6 +265,41 @@ class TestCLI:
         err = json.loads(capsys.readouterr().err)["error"]
         assert "must be" in err and "internal" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cohomology", "--algebra", "catalog:a", "--max-degree", "x"],
+            ["check", "--algebra", "catalog:a", "--no-such-option"],
+            ["compare", "--max-degree", "3"],
+            ["survey", "--dim", "2", "--format", "xml"],
+            ["no-such-command"],
+            [],
+        ],
+    )
+    def test_usage_error_is_input_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: commcoh") and "error:" in err
+
+    def test_input_digest_covers_exactly_the_payload_arguments(self):
+        def digest(*argv):
+            report, code = run(list(argv))
+            assert code == 0
+            return report["input_digest"], report["payload"]
+
+        d2, p2 = digest("survey", "--dim", "2", "--up-to-iso", "--betti-degree", "2")
+        d3, p3 = digest("survey", "--dim", "2", "--up-to-iso", "--betti-degree", "3")
+        assert p2 != p3 and d2 != d3
+        plain = digest("survey", "--dim", "2", "--betti-degree", "2")
+        assert plain == digest("survey", "--dim", "2", "--betti-degree", "3")
+        check = ["check", "--algebra", "catalog:N"]
+        assert digest(*check) == digest(*check, "--jobs", "3", "--format", "csv")
+        assert digest(*check)[0] != digest("check", "--algebra", "catalog:a")[0]
+        coh = ["cohomology", "--algebra", "catalog:a", "--max-degree", "3"]
+        assert digest(*coh)[0] != digest(*coh, "--flavor", "tensor")[0]
+
     def test_survey_cli(self):
         report, code = run(["survey", "--dim", "2", "--up-to-iso"])
         assert code == 0

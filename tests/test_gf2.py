@@ -21,7 +21,10 @@ from commcoh.gf2 import (
     subspace_sum,
 )
 
-from conftest import subspace_vectors
+from commcoh.catalog import catalog_names
+from commcoh.cochain import Flavor, PreconditionError, build_tower
+
+from conftest import catalog, subspace_vectors
 
 
 def dense_matrices(max_rows=6, max_cols=8):
@@ -36,14 +39,46 @@ def dense_matrices(max_rows=6, max_cols=8):
     )
 
 
+def _column_mask(words: np.ndarray, col: int) -> np.ndarray:
+    w, s = divmod(col, 64)
+    return ((words[:, w] >> np.uint64(s)) & np.uint64(1)).astype(bool)
+
+
+def rref_numpy_oracle(m: BitMatrix):
+    """(words, rank, pivots) of the RREF by column-by-column numpy elimination."""
+    work = m.words.copy()
+    pivots = []
+    r = 0
+    for c in range(m.cols):
+        if r == m.rows:
+            break
+        nz = np.nonzero(_column_mask(work[r:], c))[0]
+        if nz.size == 0:
+            continue
+        p = r + int(nz[0])
+        if p != r:
+            work[[r, p]] = work[[p, r]]
+        mask = _column_mask(work, c)
+        mask[r] = False
+        work[mask] ^= work[r]
+        pivots.append(c)
+        r += 1
+    return work, r, tuple(pivots)
+
+
+def reduce_rows_loop_oracle(s: Subspace, mat: BitMatrix) -> np.ndarray:
+    """Words of mat reduced modulo s, one numpy pass per pivot column."""
+    work = mat.words.copy()
+    for i, p in enumerate(s.pivots):
+        work[_column_mask(work, p)] ^= s.basis.words[i]
+    return work
+
+
 def matmul_column_oracle(a: BitMatrix, b: BitMatrix) -> np.ndarray:
     """Packed words of a @ b by the column loop: bit j of a row adds row j of b."""
     out = np.zeros((a.rows, b.words.shape[1]), dtype=np.uint64)
     for j in range(a.cols):
-        w, s = divmod(j, 64)
-        mask = ((a.words[:, w] >> np.uint64(s)) & np.uint64(1)).astype(bool)
-        if mask.any():
-            out[mask] ^= b.words[j]
+        out[_column_mask(a.words, j)] ^= b.words[j]
     return out
 
 
@@ -94,6 +129,91 @@ def kernel_operands(draw):
     rows = draw(st.integers(0, 24))
     cols = draw(EDGE_WIDTHS | st.integers(0, 140))
     return draw(filled_matrix(rows, cols, draw(FILLS)))
+
+
+# widths around the 64-bit word boundaries of the int-row conversion
+WORD_WIDTHS = st.sampled_from([0, 1, 63, 64, 65, 127, 128, 129])
+ELIMINATION_FILLS = st.sampled_from([0.01, 0.5, 0.97])
+
+
+@st.composite
+def elimination_matrix(draw):
+    rows = draw(st.integers(0, 40))
+    cols = draw(WORD_WIDTHS | st.integers(0, 140))
+    return draw(filled_matrix(rows, cols, draw(ELIMINATION_FILLS)))
+
+
+@st.composite
+def tall_deficient_matrix(draw):
+    """Sums of a few base rows, some repeated verbatim: rank at most k < rows."""
+    cols = draw(WORD_WIDTHS | st.integers(1, 140))
+    k = draw(st.integers(0, 6))
+    base = draw(filled_matrix(k, cols, draw(ELIMINATION_FILLS)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = draw(st.integers(k + 1, 60))
+    arr = (rng.integers(0, 2, (rows, k)) @ base % 2).astype(np.uint8)
+    if k:
+        arr[rng.integers(0, rows, rows // 2)] = base[rng.integers(0, k, rows // 2)]
+    return arr
+
+
+def assert_rref_matches_oracle(m: BitMatrix):
+    red, rank, pivots = m.rref()
+    want_words, want_rank, want_pivots = rref_numpy_oracle(m)
+    assert (rank, pivots) == (want_rank, want_pivots)
+    assert red.shape == m.shape
+    assert red.words.tobytes() == want_words.tobytes()
+    assert padding_is_zero(red)
+    assert m.rank() == rank
+
+
+def assert_reduce_rows_matches_oracle(s: Subspace, mat: BitMatrix):
+    got = s.reduce_rows(mat)
+    assert got.shape == mat.shape
+    assert got.words.tobytes() == reduce_rows_loop_oracle(s, mat).tobytes()
+    assert padding_is_zero(got)
+
+
+class TestEliminationKernel:
+    """rref, rank and reduce_rows against the numpy elimination they replaced."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(elimination_matrix() | tall_deficient_matrix())
+    def test_rref_and_rank(self, arr):
+        assert_rref_matches_oracle(BitMatrix.from_dense(arr))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_reduce_rows(self, data):
+        span = data.draw(elimination_matrix() | tall_deficient_matrix())
+        cols = span.shape[1]
+        fill = data.draw(ELIMINATION_FILLS)
+        mat = data.draw(filled_matrix(data.draw(st.integers(0, 30)), cols, fill))
+        s = Subspace.from_rows(cols, BitMatrix.from_dense(span))
+        assert_reduce_rows_matches_oracle(s, BitMatrix.from_dense(mat))
+
+    @pytest.mark.parametrize("rows, cols", [(0, 0), (0, 65), (5, 0), (1, 129), (130, 3)])
+    def test_degenerate_shapes(self, rows, cols):
+        m = BitMatrix.from_dense(np.ones((rows, cols), dtype=np.uint8))
+        assert_rref_matches_oracle(m)
+        assert m.rank() == min(rows, cols, 1)
+        assert_reduce_rows_matches_oracle(Subspace.from_rows(cols, m), m)
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_catalog_tower_differentials(self, name):
+        entry = catalog(name)
+        for flavor in Flavor:
+            for mod in entry.modules.values():
+                try:
+                    tower = build_tower(flavor, entry.table, mod, 5)
+                except PreconditionError:
+                    continue
+                for n in range(tower.n_max):
+                    d = tower.differential(n)
+                    assert_rref_matches_oracle(d)
+                    half = d.rows // 2
+                    top = BitMatrix(half, d.cols, d.words[:half].copy())
+                    assert_reduce_rows_matches_oracle(Subspace.from_rows(d.cols, top), d)
 
 
 class TestRref:
