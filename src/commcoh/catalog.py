@@ -356,11 +356,18 @@ def _canonical_ints(cands, d, transforms):
     return best.astype(np.uint64)
 
 
+# Candidates per Jacobi evaluation: _jacobi_mask builds three
+# candidates x d^5 int32 cubes, so a block bounds its memory.
+SURVEY_BLOCK = 8192
+
+
 def _survey_chunk(args):
     d, start, stop = args
-    c = _candidate_block(d, start, stop)
-    mask = _jacobi_mask(c)
-    return c[mask]
+    parts = []
+    for lo in range(start, stop, SURVEY_BLOCK):
+        c = _candidate_block(d, lo, min(lo + SURVEY_BLOCK, stop))
+        parts.append(c[_jacobi_mask(c)])
+    return np.concatenate(parts, axis=0)
 
 
 @dataclass(frozen=True)

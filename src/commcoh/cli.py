@@ -433,6 +433,23 @@ def _payload_args(args) -> dict:
     return {name: getattr(args, name) for name in names}
 
 
+def _file_parts(entry: CatalogEntry, args) -> tuple:
+    """What an algebra file defines that its table does not, as far as the
+    payload reads it; a catalog name already fixes its modules and spans."""
+    if args.algebra.startswith("catalog:"):
+        return ()
+    if args.command == "check":  # reports every module and subspace
+        mods = [(k, m.dim, m.rho.tobytes()) for k, m in sorted(entry.modules.items())]
+        subs = [(k, h.basis.words.tobytes()) for k, h in sorted(entry.subspaces.items())]
+        return mods, subs
+    mod = _resolve_module(entry, args.module)
+    parts = (mod.dim, mod.left.tobytes(), mod.right.tobytes())
+    if args.command == "hs-ss" and (args.ideal or args.subalgebra):
+        h = _resolve_subspace(entry, args.ideal or args.subalgebra)
+        parts += (h.basis.words.tobytes(),)
+    return parts
+
+
 def run(argv=None):
     """Run one command; returns (report dict, exit code)."""
     args = build_parser().parse_args(argv)
@@ -445,7 +462,12 @@ def run(argv=None):
             digest = _digest("survey", _payload_args(args))
         else:
             entry = _load_algebra(args.algebra)
-            digest = _digest(args.command, entry.table.c.tobytes(), _payload_args(args))
+            digest = _digest(
+                args.command,
+                entry.table.c.tobytes(),
+                _payload_args(args),
+                *_file_parts(entry, args),
+            )
             handler = {
                 "check": cmd_check,
                 "cohomology": cmd_cohomology,

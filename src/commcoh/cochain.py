@@ -4,6 +4,24 @@ Cochains are coordinate vectors over (monomial basis x coefficient
 basis), monomial-major with colexicographic monomial ranking, so every
 matrix layout is deterministic.
 
+Every matrix is built as a coordinate list: for all monomials at once,
+numpy computes one (block row, block column) pair per term of the
+defining formula, and BitMatrix.from_coords XOR-scatters the entries
+into packed words.  A coordinate listed twice therefore cancels, as two
+equal terms of a GF(2) sum do, and no dense matrix is ever allocated.
+With m-dimensional coefficients each block coordinate expands once, in
+_kron_coords, to the nonzeros of an m x m block: the action matrix
+rho(letter) for the module terms, the identity for the others.
+
+Words are held as int arrays, one letter per column, and ranked by
+arithmetic rather than lookup (a_0 <= a_1 <= ... are the sorted letters):
+  TENSOR  rank(w) = sum_i w_i d^i        (mixed radix; colex puts the
+                                          last letter highest)
+  EXT     rank(a) = sum_i C(a_i, i+1)    (combinatorial number system)
+  SYM     rank(a) = sum_i C(a_i + i, i+1) (a_i + i strictly increases)
+Canonicalising a word is a sort along its row; for EXT a word with two
+equal letters has a zero class and its term is dropped.
+
 Flavors:
   SYM    -- functionals on symmetric powers; monomials are non-decreasing
             index tuples.  Needs a commutative Jacobi table.
@@ -69,6 +87,14 @@ class InclusionPair(Enum):
     SYM_IN_TENSOR = "sym-in-tensor"  # symmetric cochains inside tensor ones
 
 
+# (sub flavor, total flavor) of each inclusion
+INCLUSION_FLAVORS = {
+    InclusionPair.EXT_IN_TENSOR: (Flavor.EXT, Flavor.TENSOR),
+    InclusionPair.EXT_IN_SYM: (Flavor.EXT, Flavor.SYM),
+    InclusionPair.SYM_IN_TENSOR: (Flavor.SYM, Flavor.TENSOR),
+}
+
+
 class PreconditionError(ValueError):
     """An algebra or module fails the axioms a flavor requires."""
 
@@ -99,16 +125,59 @@ def monomial_rank(flavor: Flavor, d: int, n: int):
     return {t: i for i, t in enumerate(basis_tuples(flavor, d, n))}
 
 
-def canonical(flavor: Flavor, word):
-    """Canonical monomial of a word, or None when the Ext class is zero."""
+def _monomials(flavor: Flavor, d: int, n: int) -> np.ndarray:
+    """Degree-n basis monomials as the rows of an int array, in colex order."""
     if flavor is Flavor.TENSOR:
-        return tuple(word)
-    srt = tuple(sorted(word))
-    if flavor is Flavor.EXT:
-        for a, b in zip(srt, srt[1:]):
-            if a == b:
-                return None
-    return srt
+        return np.arange(d**n)[:, None] // d ** np.arange(n) % d
+    monos = basis_tuples(flavor, d, n)
+    return np.array(monos, dtype=np.int64).reshape(len(monos), n)
+
+
+def _binom(a: np.ndarray, k: np.ndarray) -> np.ndarray:
+    top = int(a.max(initial=0)) + 1
+    width = int(k.max(initial=0)) + 1
+    table = np.array([[comb(x, y) for y in range(width)] for x in range(top)], dtype=np.int64)
+    return table[a, k]
+
+
+def _index(flavor: Flavor, d: int, words: np.ndarray) -> np.ndarray:
+    """Colex rank of each word's canonical monomial; -1 where its Ext class is zero."""
+    slot = np.arange(words.shape[1])
+    if flavor is Flavor.TENSOR:
+        return words @ d**slot
+    srt = np.sort(words, axis=1)
+    if flavor is Flavor.SYM:
+        return _binom(srt + slot, slot + 1).sum(axis=1)
+    rank = _binom(srt, slot + 1).sum(axis=1)
+    rank[(srt[:, 1:] == srt[:, :-1]).any(axis=1)] = -1
+    return rank
+
+
+def _kron_coords(rows: np.ndarray, cols: np.ndarray, m: int, blocks=None):
+    """Entries of the m x m blocks at block coordinates (rows[i], cols[i]).
+
+    Block i is blocks[i], or the identity when blocks is None.
+    """
+    if blocks is None:
+        t = np.arange(m)
+        return (rows[:, None] * m + t).ravel(), (cols[:, None] * m + t).ravel()
+    i, a, b = np.nonzero(blocks)
+    return rows[i] * m + a, cols[i] * m + b
+
+
+def _block_matrix(shape, m: int, terms) -> BitMatrix:
+    """Sum of block terms (rows, cols, blocks) on a grid of m x m blocks."""
+    rows, cols = zip(*(_kron_coords(r, c, m, b) for r, c, b in terms))
+    return BitMatrix.from_coords(
+        shape[0] * m, shape[1] * m, np.concatenate(rows), np.concatenate(cols)
+    )
+
+
+def _to_columns(flavor: Flavor, d: int, rows: np.ndarray, words: np.ndarray, blocks=None):
+    """Block term from each row to its word's monomial, dropping zero Ext classes."""
+    cols = _index(flavor, d, words)
+    keep = cols >= 0
+    return rows[keep], cols[keep], None if blocks is None else blocks[keep]
 
 
 def _require_flavor(flavor: Flavor, table: BracketTable, coeffs: BimoduleSpec):
@@ -128,44 +197,32 @@ def _require_flavor(flavor: Flavor, table: BracketTable, coeffs: BimoduleSpec):
         raise PreconditionError(f"coefficients fail axiom {check.axiom} at {check.pair}")
 
 
-def _differential_dense(flavor, table, coeffs, n, rep_of=None):
+def _differential(flavor, table, coeffs, n, rep_of=None) -> BitMatrix:
+    """Degree-n coboundary, evaluated on rep_of(monomial) when given."""
     d, m = table.dim, coeffs.dim
-    src = basis_tuples(flavor, d, n)
-    dst = basis_tuples(flavor, d, n + 1)
-    srank = monomial_rank(flavor, d, n)
-    rho = coeffs.left
-    eye = np.eye(m, dtype=np.uint8)
-    out = np.zeros((len(dst) * m, len(src) * m), dtype=np.uint8)
-    for r, mono in enumerate(dst):
-        word = mono if rep_of is None else rep_of(mono)
-        r0 = r * m
-        for i in range(n + 1):
-            sub = canonical(flavor, word[:i] + word[i + 1 :])
-            if sub is None:
-                continue
-            c0 = srank[sub] * m
-            out[r0 : r0 + m, c0 : c0 + m] ^= rho[word[i]]
-        for i in range(n + 1):
-            for j in range(i + 1, n + 1):
-                vec = table.c[word[i], word[j]]
-                ks = np.nonzero(vec)[0]
-                if not ks.size:
-                    continue
-                if flavor is Flavor.TENSOR:
-                    base = word[:i] + word[i + 1 :]
-                    for k in ks:
-                        arg = base[: j - 1] + (int(k),) + base[j:]
-                        c0 = srank[arg] * m
-                        out[r0 : r0 + m, c0 : c0 + m] ^= eye
-                else:
-                    rest = word[:i] + word[i + 1 : j] + word[j + 1 :]
-                    for k in ks:
-                        arg = canonical(flavor, (int(k),) + rest)
-                        if arg is None:
-                            continue
-                        c0 = srank[arg] * m
-                        out[r0 : r0 + m, c0 : c0 + m] ^= eye
-    return out
+    if rep_of is None:
+        words = _monomials(flavor, d, n + 1)
+    else:
+        reps = [rep_of(mono) for mono in basis_tuples(flavor, d, n + 1)]
+        words = np.array(reps, dtype=np.int64).reshape(len(reps), n + 1)
+    rows = np.arange(len(words))
+    terms = []
+    for i in range(n + 1):
+        # rho(w_i) f(w without w_i)
+        rest = np.delete(words, i, axis=1)
+        terms.append(_to_columns(flavor, d, rows, rest, coeffs.left[words[:, i]]))
+    for i in range(n + 1):
+        for j in range(i + 1, n + 1):
+            hit, k = np.nonzero(table.c[words[:, i], words[:, j]])
+            if flavor is Flavor.TENSOR:
+                # f(..., [w_i, w_j] in the slot of w_j, ...)
+                arg = np.delete(words[hit], i, axis=1)
+                arg[:, j - 1] = k
+            else:
+                # f([w_i, w_j], rest)
+                arg = np.column_stack([k, np.delete(words[hit], [i, j], axis=1)])
+            terms.append(_to_columns(flavor, d, hit, arg))
+    return _block_matrix((len(words), basis_dim(flavor, d, n)), m, terms)
 
 
 def differential_matrix(
@@ -174,7 +231,7 @@ def differential_matrix(
     """Matrix of the degree-n coboundary, cochain degree n to n+1."""
     coeffs = as_coefficients(table, coeffs)
     _require_flavor(flavor, table, coeffs)
-    return BitMatrix.from_dense(_differential_dense(flavor, table, coeffs, n, _rep_of))
+    return _differential(flavor, table, coeffs, n, _rep_of)
 
 
 def insertion_matrix(flavor: Flavor, d: int, mdim: int, x, n: int) -> BitMatrix:
@@ -182,20 +239,12 @@ def insertion_matrix(flavor: Flavor, d: int, mdim: int, x, n: int) -> BitMatrix:
     x = np.asarray(x, dtype=np.uint8) & 1
     if n == 0:
         return BitMatrix.zeros(0, basis_dim(flavor, d, 0) * mdim)
-    src = basis_tuples(flavor, d, n)
-    dst = basis_tuples(flavor, d, n - 1)
-    srank = monomial_rank(flavor, d, n)
-    eye = np.eye(mdim, dtype=np.uint8)
-    out = np.zeros((len(dst) * mdim, len(src) * mdim), dtype=np.uint8)
-    for r, mono in enumerate(dst):
-        r0 = r * mdim
-        for u in np.nonzero(x)[0]:
-            arg = canonical(flavor, (int(u),) + mono)
-            if arg is None:
-                continue
-            c0 = srank[arg] * mdim
-            out[r0 : r0 + mdim, c0 : c0 + mdim] ^= eye
-    return BitMatrix.from_dense(out)
+    monos = _monomials(flavor, d, n - 1)
+    us = np.flatnonzero(x)
+    rows = np.repeat(np.arange(len(monos)), len(us))
+    words = np.column_stack([np.tile(us, len(monos)), monos[rows]])
+    terms = [_to_columns(flavor, d, rows, words)]
+    return _block_matrix((len(monos), basis_dim(flavor, d, n)), mdim, terms)
 
 
 def derivation_operator_matrix(
@@ -209,21 +258,16 @@ def derivation_operator_matrix(
     """
     a = np.asarray(value_action, dtype=np.uint8) & 1
     b = np.asarray(slot_action, dtype=np.uint8) & 1
-    monos = basis_tuples(flavor, d, n)
-    rank = monomial_rank(flavor, d, n)
-    eye = np.eye(mdim, dtype=np.uint8)
-    out = np.zeros((len(monos) * mdim, len(monos) * mdim), dtype=np.uint8)
-    for r, mono in enumerate(monos):
-        r0 = r * mdim
-        out[r0 : r0 + mdim, r0 : r0 + mdim] ^= a
-        for i in range(n):
-            for k in np.nonzero(b[:, mono[i]])[0]:
-                arg = canonical(flavor, mono[:i] + (int(k),) + mono[i + 1 :])
-                if arg is None:
-                    continue
-                c0 = rank[arg] * mdim
-                out[r0 : r0 + mdim, c0 : c0 + mdim] ^= eye
-    return BitMatrix.from_dense(out)
+    monos = _monomials(flavor, d, n)
+    rows = np.arange(len(monos))
+    terms = [(rows, rows, np.broadcast_to(a, (len(monos), mdim, mdim)))]
+    for i in range(n):
+        # f(..., B x_i, ...): column x_i of B gives the new letters
+        hit, k = np.nonzero(b[:, monos[:, i]].T)
+        arg = monos[hit]
+        arg[:, i] = k
+        terms.append(_to_columns(flavor, d, hit, arg))
+    return _block_matrix((len(monos), len(monos)), mdim, terms)
 
 
 def lie_derivative_matrix(
@@ -248,26 +292,10 @@ def inclusion_matrix(pair: InclusionPair, d: int, mdim: int, n: int) -> BitMatri
     a functional on the quotient argument space becomes the functional
     w -> f(class of w).  Each matrix is injective.
     """
-    if pair is InclusionPair.EXT_IN_TENSOR:
-        big, small = Flavor.TENSOR, Flavor.EXT
-        squash = lambda w: canonical(Flavor.EXT, w)
-    elif pair is InclusionPair.EXT_IN_SYM:
-        big, small = Flavor.SYM, Flavor.EXT
-        squash = lambda w: canonical(Flavor.EXT, w)
-    else:
-        big, small = Flavor.TENSOR, Flavor.SYM
-        squash = lambda w: canonical(Flavor.SYM, w)
-    rows = basis_tuples(big, d, n)
-    srank = monomial_rank(small, d, n)
-    eye = np.eye(mdim, dtype=np.uint8)
-    out = np.zeros((len(rows) * mdim, len(srank) * mdim), dtype=np.uint8)
-    for r, w in enumerate(rows):
-        cls = squash(w)
-        if cls is None:
-            continue
-        c0 = srank[cls] * mdim
-        out[r * mdim : (r + 1) * mdim, c0 : c0 + mdim] ^= eye
-    return BitMatrix.from_dense(out)
+    small, big = INCLUSION_FLAVORS[pair]
+    words = _monomials(big, d, n)
+    terms = [_to_columns(small, d, np.arange(len(words)), words)]
+    return _block_matrix((len(words), basis_dim(small, d, n)), mdim, terms)
 
 
 @dataclass(frozen=True)
@@ -306,8 +334,5 @@ def build_tower(
     coeffs = as_coefficients(table, coeffs)
     _require_flavor(flavor, table, coeffs)
     dims = tuple(basis_dim(flavor, table.dim, n) * coeffs.dim for n in range(n_max + 1))
-    diffs = tuple(
-        BitMatrix.from_dense(_differential_dense(flavor, table, coeffs, n))
-        for n in range(n_max)
-    )
+    diffs = tuple(_differential(flavor, table, coeffs, n) for n in range(n_max))
     return ComplexTower(dims, diffs, flavor, label, table, coeffs)

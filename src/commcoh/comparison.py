@@ -35,15 +35,18 @@ from .algebra import (
     trivial_module,
 )
 from .cochain import (
+    INCLUSION_FLAVORS,
     ComplexTower,
     Flavor,
     InclusionPair,
+    _block_matrix,
+    _index,
+    _monomials,
+    _to_columns,
     basis_dim,
     basis_tuples,
     build_tower,
-    canonical,
     inclusion_matrix,
-    monomial_rank,
 )
 from .cohomology import (
     BettiTable,
@@ -94,8 +97,15 @@ def _words(d, n):
     return basis_tuples(Flavor.TENSOR, d, n)
 
 
-def _sorted_prefix(word, p):
-    return tuple(sorted(word[:p])) + word[p:]
+def _word_array(rows, n):
+    """The words of span generators as the rows of an int array."""
+    return np.array([w for _, w in rows], dtype=np.int64).reshape(len(rows), n)
+
+
+def _sort_prefix(words, p):
+    out = words.copy()
+    out[:, :p] = np.sort(words[:, :p], axis=1)
+    return out
 
 
 def _has_repeat(seq) -> bool:
@@ -127,22 +137,29 @@ def swap_span_rows(d: int, n: int, p: int | None = None):
     return [("pair", w) for w in _words(d, n) if w[:p] != tuple(sorted(w[:p]))]
 
 
+def _span_terms(rows, p_sort: int, n: int, index_fn):
+    """Block terms of span generators: row t has a one at the coordinate of
+    its word and, for a pair, of its prefix-sorted word; index_fn maps an
+    int array of words to coordinates, and a negative one is dropped."""
+    words = _word_array(rows, n)
+    pair = np.flatnonzero([kind == "pair" for kind, _ in rows])
+    terms = []
+    for gen, w in ((np.arange(len(rows)), words), (pair, _sort_prefix(words[pair], p_sort))):
+        cols = index_fn(w)
+        keep = cols >= 0
+        terms.append((gen[keep], cols[keep], None))
+    return terms
+
+
 def span_matrix(rows, p_sort: int, d: int, n: int, mdim: int = 1, index_fn=None):
     """Materialize span generators as rows of a packed matrix.
 
-    index_fn maps a word to the coordinate of its unit vector; the
-    default is the colexicographic tensor rank.
+    index_fn maps an int array of words, one per row, to the coordinates
+    of their unit vectors; the default is the colexicographic tensor rank.
     """
-    rank = monomial_rank(Flavor.TENSOR, d, n)
     if index_fn is None:
-        index_fn = lambda w: rank[w]
-    out = np.zeros((len(rows) * mdim, d**n * mdim), dtype=np.uint8)
-    for t, (kind, w) in enumerate(rows):
-        for k in range(mdim):
-            out[t * mdim + k, index_fn(w) * mdim + k] ^= 1
-            if kind == "pair":
-                out[t * mdim + k, index_fn(_sorted_prefix(w, p_sort)) * mdim + k] ^= 1
-    return BitMatrix.from_dense(out)
+        index_fn = lambda words: _index(Flavor.TENSOR, d, words)
+    return _block_matrix((len(rows), d**n), mdim, _span_terms(rows, p_sort, n, index_fn))
 
 
 @dataclass(frozen=True)
@@ -179,13 +196,6 @@ class RelativeTower:
         return ComplexTower(dims, diffs, None, label=f"{self.tower.label}/word")
 
 
-_PAIR_FLAVORS = {
-    InclusionPair.EXT_IN_TENSOR: (Flavor.EXT, Flavor.TENSOR),
-    InclusionPair.EXT_IN_SYM: (Flavor.EXT, Flavor.SYM),
-    InclusionPair.SYM_IN_TENSOR: (Flavor.SYM, Flavor.TENSOR),
-}
-
-
 def _require_pair(pair: InclusionPair, table: BracketTable):
     cls = classify_algebra(table)
     if pair in (InclusionPair.EXT_IN_TENSOR, InclusionPair.EXT_IN_SYM):
@@ -201,39 +211,28 @@ def _word_projection(pair, d, m, mdim):
     sigma extends a functional on the span by its raw coordinates on the
     generator words and zero on sorted words: an explicit right inverse.
     """
-    rank = monomial_rank(Flavor.TENSOR, d, m)
     rows = (
         repeat_span_rows(d, m)
         if pair is InclusionPair.EXT_IN_TENSOR
         else swap_span_rows(d, m)
     )
     pi = span_matrix(rows, m, d, m, mdim)
-    sig = np.zeros((d**m * mdim, len(rows) * mdim), dtype=np.uint8)
-    for t, (_, w) in enumerate(rows):
-        for k in range(mdim):
-            sig[rank[w] * mdim + k, t * mdim + k] = 1
-    return rows, pi, BitMatrix.from_dense(sig)
+    coords = _index(Flavor.TENSOR, d, _word_array(rows, m))
+    sig = _block_matrix((d**m, len(rows)), mdim, [(coords, np.arange(len(rows)), None)])
+    return rows, pi, sig
 
 
 def _sym_quotient_projection(d, m, mdim):
     """Projection of symmetric cochains onto functionals on the
     sub-quotient (repeat span modulo swap span)."""
     full = d**m
-    i_span = Subspace.from_rows(full, span_matrix(repeat_span_rows(d, m), m, d, m).to_dense())
-    j_span = Subspace.from_rows(full, span_matrix(swap_span_rows(d, m), m, d, m).to_dense())
+    i_span = Subspace.from_rows(full, span_matrix(repeat_span_rows(d, m), m, d, m))
+    j_span = Subspace.from_rows(full, span_matrix(swap_span_rows(d, m), m, d, m))
     qc = QuotientCoords(i_span, j_span)
-    reps = qc.lift_rows().to_dense()
-    sym_rank = monomial_rank(Flavor.SYM, d, m)
-    sdim = basis_dim(Flavor.SYM, d, m)
-    words = _words(d, m)
-    pi = np.zeros((qc.dim * mdim, sdim * mdim), dtype=np.uint8)
-    for t in range(qc.dim):
-        for widx, w in enumerate(words):
-            if reps[t, widx]:
-                mono = sym_rank[tuple(sorted(w))]
-                for k in range(mdim):
-                    pi[t * mdim + k, mono * mdim + k] ^= 1
-    return qc, BitMatrix.from_dense(pi)
+    t, widx = np.nonzero(qc.lift_rows().to_dense())
+    mono = _index(Flavor.SYM, d, _monomials(Flavor.TENSOR, d, m)[widx])
+    pi = _block_matrix((qc.dim, basis_dim(Flavor.SYM, d, m)), mdim, [(t, mono, None)])
+    return qc, pi
 
 
 def build_relative_complex(
@@ -244,7 +243,7 @@ def build_relative_complex(
     _require_pair(pair, table)
     d, mdim = table.dim, coeffs.dim
     m_top = n_rel_max + 2
-    sub_fl, tot_fl = _PAIR_FLAVORS[pair]
+    sub_fl, tot_fl = INCLUSION_FLAVORS[pair]
     sub_tower = build_tower(sub_fl, table, coeffs, m_top, label=f"sub[{sub_fl.value}]")
     total_tower = build_tower(tot_fl, table, coeffs, m_top, label=f"total[{tot_fl.value}]")
 
@@ -402,13 +401,16 @@ def comparison_filtration(pair: InclusionPair, rel: RelativeTower) -> FilteredTo
                 if not gens:
                     chain.append(Subspace.full(rel_dim))
                     continue
-                mat = span_matrix(gens, p + 1, d, m)
-                mu = qc.project_rows(mat).to_dense()
-                constraints = np.kron(mu, np.eye(mdim, dtype=np.uint8))
-                chain.append(kernel_basis(BitMatrix.from_dense(constraints)))
+                mu = qc.project_rows(span_matrix(gens, p + 1, d, m))
+                t, k = np.nonzero(mu.to_dense())
+                constraints = _block_matrix(mu.shape, mdim, [(t, k, None)])
+                chain.append(kernel_basis(constraints))
         else:
             rows = rel.meta["struct"][m]
-            lookup = {w: t for t, (_, w) in enumerate(rows)}
+            # coordinate of each word among the span generators, -1 if none
+            lookup = np.full(d**m, -1)
+            lookup[_index(Flavor.TENSOR, d, _word_array(rows, m))] = np.arange(len(rows))
+            index_fn = lambda words: lookup[_index(Flavor.TENSOR, d, words)]
             if pair is InclusionPair.EXT_IN_TENSOR:
                 gen_rows = lambda p: repeat_span_rows(d, m, p + 1)
             else:
@@ -418,15 +420,8 @@ def comparison_filtration(pair: InclusionPair, rel: RelativeTower) -> FilteredTo
                 if not gens:
                     chain.append(Subspace.full(rel_dim))
                     continue
-                lam = np.zeros((len(gens), len(rows)), dtype=np.uint8)
-                for g, (kind, w) in enumerate(gens):
-                    targets = [w] if kind == "unit" else [w, _sorted_prefix(w, p + 1)]
-                    for ww in targets:
-                        t = lookup.get(ww)
-                        if t is not None:
-                            lam[g, t] ^= 1
-                constraints = np.kron(lam, np.eye(mdim, dtype=np.uint8))
-                chain.append(kernel_basis(BitMatrix.from_dense(constraints)))
+                terms = _span_terms(gens, p + 1, m, index_fn)
+                chain.append(kernel_basis(_block_matrix((len(gens), len(rows)), mdim, terms)))
         if chain[-1].dim != 0:
             chain.append(Subspace.zero(rel_dim))
         filt.append(tuple(chain))
@@ -461,16 +456,11 @@ class CRTower:
 def _insert_pullback(flavor, d, p):
     """Pullback of the product map: scalar (p+2)-cochains c become the
     dual-valued (p+1)-cochains (args; y) -> c(args, y)."""
-    src = basis_tuples(flavor, d, p + 2)
-    dst = basis_tuples(flavor, d, p + 1)
-    srank = monomial_rank(flavor, d, p + 2)
-    out = np.zeros((len(dst) * d, len(src)), dtype=np.uint8)
-    for r, mono in enumerate(dst):
-        for k in range(d):
-            if flavor is Flavor.EXT and k in mono:
-                continue
-            out[r * d + k, srank[tuple(sorted(mono + (k,)))]] ^= 1
-    return BitMatrix.from_dense(out)
+    monos = _monomials(flavor, d, p + 1)
+    rows = np.arange(len(monos) * d)
+    words = np.column_stack([monos[rows // d], rows % d])
+    terms = [_to_columns(flavor, d, rows, words)]
+    return _block_matrix((len(rows), basis_dim(flavor, d, p + 2)), 1, terms)
 
 
 def build_cr_complex(pair: InclusionPair, table: BracketTable, n_cr_max: int) -> CRTower:
@@ -522,6 +512,20 @@ def build_cr_complex(pair: InclusionPair, table: BracketTable, n_cr_max: int) ->
     return CRTower(pair, tower, tuple(mus))
 
 
+def _combined_index(d, words):
+    """Coordinate of each combined word (arguments..., dual slot)."""
+    return _index(Flavor.TENSOR, d, words[:, :-1]) * d + words[:, -1]
+
+
+def _ext_word_pullback(d, m):
+    """Row k: the combined words whose Ext class is the k-th exterior monomial."""
+    words = _monomials(Flavor.TENSOR, d, m)
+    ext = _index(Flavor.EXT, d, words)
+    keep = ext >= 0
+    rows, cols = ext[keep], _combined_index(d, words[keep])
+    return BitMatrix.from_coords(basis_dim(Flavor.EXT, d, m), d**m, rows, cols)
+
+
 def _build_cr_mixed(pair, table: BracketTable, coad, n_cr_max: int) -> CRTower:
     """Mixed-symmetry variant: dual-valued word cochains whose combined
     word (arguments then dual slot) is killed by full adjacent swaps and
@@ -534,26 +538,15 @@ def _build_cr_mixed(pair, table: BracketTable, coad, n_cr_max: int) -> CRTower:
         Flavor.EXT, table, trivial_module(table), n_cr_max + 2, label="scalar"
     )
 
-    def cl_index(w):
-        # coordinate of the combined word (args..., dual slot)
-        return monomial_rank(Flavor.TENSOR, d, len(w) - 1)[w[:-1]] * d + w[-1]
-
+    cl_index = lambda words: _combined_index(d, words)
     a_sub = []
     for p in range(n_cr_max + 2):
         m = p + 2
-        r1 = repeat_span_rows(d, m, m - 1)
-        r2 = swap_span_rows(d, m)
-        blocks = [
-            span_matrix(r1, m - 1, d, m, 1, cl_index).to_dense(),
-            span_matrix(r2, m, d, m, 1, cl_index).to_dense(),
-        ]
-        cons = np.concatenate([b for b in blocks if b.shape[0]], axis=0) if (
-            r1 or r2
-        ) else np.zeros((0, d**m), dtype=np.uint8)
-        if cons.shape[0]:
-            a_sub.append(kernel_basis(BitMatrix.from_dense(cons)))
-        else:
-            a_sub.append(Subspace.full(d**m))
+        cons = BitMatrix.vstack(
+            span_matrix(repeat_span_rows(d, m, m - 1), m - 1, d, m, 1, cl_index),
+            span_matrix(swap_span_rows(d, m), m, d, m, 1, cl_index),
+        )
+        a_sub.append(kernel_basis(cons))
 
     restr = []
     for p in range(n_cr_max + 1):
@@ -567,14 +560,7 @@ def _build_cr_mixed(pair, table: BracketTable, coad, n_cr_max: int) -> CRTower:
     mus = []
     for p in range(n_cr_max + 1):
         m = p + 2
-        ext_rank = monomial_rank(Flavor.EXT, d, m)
-        dense = np.zeros((d**m, max(len(ext_rank), 0)), dtype=np.uint8)
-        for w in _words(d, m):
-            cls = canonical(Flavor.EXT, w)
-            if cls is None:
-                continue
-            dense[cl_index(w), ext_rank[cls]] ^= 1
-        cols = a_sub[p].row_coefficients(BitMatrix.from_dense(dense).transpose())
+        cols = a_sub[p].row_coefficients(_ext_word_pullback(d, m))
         mus.append(cols.transpose())
         if mus[p].rank() != mus[p].cols:
             raise GF2Error(f"product pullback not injective at degree {p}")

@@ -46,7 +46,7 @@ def _pack(dense: np.ndarray) -> np.ndarray:
     if rows == 0 or nw == 0:
         return np.zeros((rows, nw), dtype=np.uint64)
     padded = np.zeros((rows, nw * WORD_BITS), dtype=np.uint8)
-    padded[:, :cols] = dense & 1
+    np.bitwise_and(dense, 1, out=padded[:, :cols])
     packed = np.packbits(padded, axis=1, bitorder="little")
     return np.ascontiguousarray(packed).view(np.uint64)
 
@@ -126,13 +126,34 @@ class BitMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
-        dense = np.eye(n, dtype=np.uint8)
-        return cls.from_dense(dense)
+        diag = np.arange(n)
+        return cls.from_coords(n, n, diag, diag)
 
     @classmethod
     def from_dense(cls, dense) -> "BitMatrix":
-        arr = np.atleast_2d(np.asarray(dense, dtype=np.uint8)) & 1
+        arr = np.atleast_2d(np.asarray(dense, dtype=np.uint8))
         return cls(arr.shape[0], arr.shape[1], _pack(arr))
+
+    @classmethod
+    def from_coords(cls, rows: int, cols: int, r, c) -> "BitMatrix":
+        """rows x cols matrix with a one at each (r[i], c[i]).
+
+        Entries are XOR-scattered into the packed words, so a coordinate
+        listed twice cancels, as two equal terms of a GF(2) sum do.
+        """
+        r = np.asarray(r, dtype=np.int64)
+        c = np.asarray(c, dtype=np.int64)
+        if r.shape != c.shape:
+            raise GF2Error("from_coords: row and column lists differ in length")
+        if r.size and not (
+            0 <= r.min() and r.max() < rows and 0 <= c.min() and c.max() < cols
+        ):
+            raise GF2Error("from_coords: coordinate outside the matrix")
+        nw = _word_count(cols)
+        words = np.zeros((rows, nw), dtype=np.uint64)
+        bits = np.left_shift(np.uint64(1), (c % WORD_BITS).astype(np.uint64))
+        np.bitwise_xor.at(words.reshape(-1), r * nw + c // WORD_BITS, bits)
+        return cls(rows, cols, words)
 
     @classmethod
     def vstack(cls, *mats: "BitMatrix") -> "BitMatrix":

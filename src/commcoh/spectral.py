@@ -32,6 +32,7 @@ from .algebra import (
 from .cochain import (
     ComplexTower,
     Flavor,
+    _block_matrix,
     basis_tuples,
     build_tower,
     derivation_operator_matrix,
@@ -142,11 +143,9 @@ def subalgebra_filtration(
         chain = []
         dim_n = tower.dims[n]
         for p in range(n + 2):
-            keep = np.nonzero(counts <= n - p)[0]
-            rows = np.zeros((len(keep) * mdim, dim_n), dtype=np.uint8)
-            for t, idx in enumerate(keep):
-                for k in range(mdim):
-                    rows[t * mdim + k, idx * mdim + k] = 1
+            keep = np.flatnonzero(counts <= n - p)
+            terms = [(np.arange(len(keep)), keep, None)]
+            rows = _block_matrix((len(keep), len(monos)), mdim, terms)
             chain.append(Subspace.from_rows(dim_n, rows))
         filt.append(tuple(chain))
     ft = FilteredTower(

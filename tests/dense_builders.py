@@ -1,0 +1,261 @@
+"""The dense matrix builders that the coordinate-list builders replaced.
+
+Each loops over monomials in Python, XORs blocks into a dense uint8
+array and packs it at the end.  They are kept as oracles: the package's
+builders must reproduce their matrices bit for bit.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from commcoh.cochain import Flavor, InclusionPair, basis_tuples, monomial_rank
+from commcoh.comparison import repeat_span_rows, swap_span_rows
+from commcoh.gf2 import BitMatrix, QuotientCoords, Subspace
+
+
+def assert_same_matrix(got: BitMatrix, want: BitMatrix):
+    """Equal shape and equal packed words; the padding bits must be zero."""
+    assert got.shape == want.shape
+    assert np.array_equal(got.words, want.words)
+    if got.cols % 64:
+        assert not (got.words[:, -1] >> np.uint64(got.cols % 64)).any()
+
+
+def canonical(flavor: Flavor, word):
+    """Canonical monomial of a word, or None when the Ext class is zero."""
+    if flavor is Flavor.TENSOR:
+        return tuple(word)
+    srt = tuple(sorted(word))
+    if flavor is Flavor.EXT:
+        for a, b in zip(srt, srt[1:]):
+            if a == b:
+                return None
+    return srt
+
+
+def differential(flavor, table, coeffs, n, rep_of=None) -> BitMatrix:
+    d, m = table.dim, coeffs.dim
+    src = basis_tuples(flavor, d, n)
+    dst = basis_tuples(flavor, d, n + 1)
+    srank = monomial_rank(flavor, d, n)
+    rho = coeffs.left
+    eye = np.eye(m, dtype=np.uint8)
+    out = np.zeros((len(dst) * m, len(src) * m), dtype=np.uint8)
+    for r, mono in enumerate(dst):
+        word = mono if rep_of is None else rep_of(mono)
+        r0 = r * m
+        for i in range(n + 1):
+            sub = canonical(flavor, word[:i] + word[i + 1 :])
+            if sub is None:
+                continue
+            c0 = srank[sub] * m
+            out[r0 : r0 + m, c0 : c0 + m] ^= rho[word[i]]
+        for i in range(n + 1):
+            for j in range(i + 1, n + 1):
+                vec = table.c[word[i], word[j]]
+                ks = np.nonzero(vec)[0]
+                if not ks.size:
+                    continue
+                if flavor is Flavor.TENSOR:
+                    base = word[:i] + word[i + 1 :]
+                    for k in ks:
+                        arg = base[: j - 1] + (int(k),) + base[j:]
+                        c0 = srank[arg] * m
+                        out[r0 : r0 + m, c0 : c0 + m] ^= eye
+                else:
+                    rest = word[:i] + word[i + 1 : j] + word[j + 1 :]
+                    for k in ks:
+                        arg = canonical(flavor, (int(k),) + rest)
+                        if arg is None:
+                            continue
+                        c0 = srank[arg] * m
+                        out[r0 : r0 + m, c0 : c0 + m] ^= eye
+    return BitMatrix.from_dense(out)
+
+
+def insertion(flavor, d, mdim, x, n) -> BitMatrix:
+    x = np.asarray(x, dtype=np.uint8) & 1
+    if n == 0:
+        return BitMatrix.zeros(0, len(basis_tuples(flavor, d, 0)) * mdim)
+    src = basis_tuples(flavor, d, n)
+    dst = basis_tuples(flavor, d, n - 1)
+    srank = monomial_rank(flavor, d, n)
+    eye = np.eye(mdim, dtype=np.uint8)
+    out = np.zeros((len(dst) * mdim, len(src) * mdim), dtype=np.uint8)
+    for r, mono in enumerate(dst):
+        r0 = r * mdim
+        for u in np.nonzero(x)[0]:
+            arg = canonical(flavor, (int(u),) + mono)
+            if arg is None:
+                continue
+            c0 = srank[arg] * mdim
+            out[r0 : r0 + mdim, c0 : c0 + mdim] ^= eye
+    return BitMatrix.from_dense(out)
+
+
+def derivation_operator(flavor, d, mdim, value_action, slot_action, n) -> BitMatrix:
+    a = np.asarray(value_action, dtype=np.uint8) & 1
+    b = np.asarray(slot_action, dtype=np.uint8) & 1
+    monos = basis_tuples(flavor, d, n)
+    rank = monomial_rank(flavor, d, n)
+    eye = np.eye(mdim, dtype=np.uint8)
+    out = np.zeros((len(monos) * mdim, len(monos) * mdim), dtype=np.uint8)
+    for r, mono in enumerate(monos):
+        r0 = r * mdim
+        out[r0 : r0 + mdim, r0 : r0 + mdim] ^= a
+        for i in range(n):
+            for k in np.nonzero(b[:, mono[i]])[0]:
+                arg = canonical(flavor, mono[:i] + (int(k),) + mono[i + 1 :])
+                if arg is None:
+                    continue
+                c0 = rank[arg] * mdim
+                out[r0 : r0 + mdim, c0 : c0 + mdim] ^= eye
+    return BitMatrix.from_dense(out)
+
+
+def inclusion(pair, d, mdim, n) -> BitMatrix:
+    if pair is InclusionPair.EXT_IN_TENSOR:
+        big, small = Flavor.TENSOR, Flavor.EXT
+    elif pair is InclusionPair.EXT_IN_SYM:
+        big, small = Flavor.SYM, Flavor.EXT
+    else:
+        big, small = Flavor.TENSOR, Flavor.SYM
+    rows = basis_tuples(big, d, n)
+    srank = monomial_rank(small, d, n)
+    eye = np.eye(mdim, dtype=np.uint8)
+    out = np.zeros((len(rows) * mdim, len(srank) * mdim), dtype=np.uint8)
+    for r, w in enumerate(rows):
+        cls = canonical(small, w)
+        if cls is None:
+            continue
+        c0 = srank[cls] * mdim
+        out[r * mdim : (r + 1) * mdim, c0 : c0 + mdim] ^= eye
+    return BitMatrix.from_dense(out)
+
+
+def _sorted_prefix(word, p):
+    return tuple(sorted(word[:p])) + word[p:]
+
+
+def span(rows, p_sort, d, n, mdim=1, index_fn=None) -> BitMatrix:
+    """index_fn maps one word tuple to its coordinate."""
+    rank = monomial_rank(Flavor.TENSOR, d, n)
+    if index_fn is None:
+        index_fn = lambda w: rank[w]
+    out = np.zeros((len(rows) * mdim, d**n * mdim), dtype=np.uint8)
+    for t, (kind, w) in enumerate(rows):
+        for k in range(mdim):
+            out[t * mdim + k, index_fn(w) * mdim + k] ^= 1
+            if kind == "pair":
+                out[t * mdim + k, index_fn(_sorted_prefix(w, p_sort)) * mdim + k] ^= 1
+    return BitMatrix.from_dense(out)
+
+
+def word_projection(pair, d, m, mdim):
+    rank = monomial_rank(Flavor.TENSOR, d, m)
+    rows = (
+        repeat_span_rows(d, m)
+        if pair is InclusionPair.EXT_IN_TENSOR
+        else swap_span_rows(d, m)
+    )
+    pi = span(rows, m, d, m, mdim)
+    sig = np.zeros((d**m * mdim, len(rows) * mdim), dtype=np.uint8)
+    for t, (_, w) in enumerate(rows):
+        for k in range(mdim):
+            sig[rank[w] * mdim + k, t * mdim + k] = 1
+    return rows, pi, BitMatrix.from_dense(sig)
+
+
+def sym_quotient_projection(d, m, mdim):
+    full = d**m
+    i_span = Subspace.from_rows(full, span(repeat_span_rows(d, m), m, d, m).to_dense())
+    j_span = Subspace.from_rows(full, span(swap_span_rows(d, m), m, d, m).to_dense())
+    qc = QuotientCoords(i_span, j_span)
+    reps = qc.lift_rows().to_dense()
+    sym_rank = monomial_rank(Flavor.SYM, d, m)
+    words = basis_tuples(Flavor.TENSOR, d, m)
+    pi = np.zeros((qc.dim * mdim, len(sym_rank) * mdim), dtype=np.uint8)
+    for t in range(qc.dim):
+        for widx, w in enumerate(words):
+            if reps[t, widx]:
+                mono = sym_rank[tuple(sorted(w))]
+                for k in range(mdim):
+                    pi[t * mdim + k, mono * mdim + k] ^= 1
+    return qc, BitMatrix.from_dense(pi)
+
+
+def insert_pullback(flavor, d, p) -> BitMatrix:
+    src = basis_tuples(flavor, d, p + 2)
+    dst = basis_tuples(flavor, d, p + 1)
+    srank = monomial_rank(flavor, d, p + 2)
+    out = np.zeros((len(dst) * d, len(src)), dtype=np.uint8)
+    for r, mono in enumerate(dst):
+        for k in range(d):
+            if flavor is Flavor.EXT and k in mono:
+                continue
+            out[r * d + k, srank[tuple(sorted(mono + (k,)))]] ^= 1
+    return BitMatrix.from_dense(out)
+
+
+def filtration_constraints(pair, rel, n, p) -> BitMatrix | None:
+    """Constraint matrix whose kernel is step p of the comparison filtration
+    in relative degree n, or None where that step is the full space."""
+    d, mdim, m = rel.table.dim, rel.coeffs.dim, n + 2
+    eye = np.eye(mdim, dtype=np.uint8)
+    if pair is InclusionPair.EXT_IN_SYM:
+        gens = repeat_span_rows(d, m, p + 1)
+        if not gens:
+            return None
+        mu = rel.meta["struct"][m].project_rows(span(gens, p + 1, d, m)).to_dense()
+        return BitMatrix.from_dense(np.kron(mu, eye))
+    rows = rel.meta["struct"][m]
+    lookup = {w: t for t, (_, w) in enumerate(rows)}
+    if pair is InclusionPair.EXT_IN_TENSOR:
+        gens = repeat_span_rows(d, m, p + 1)
+    else:
+        gens = swap_span_rows(d, m, p + 1)
+    if not gens:
+        return None
+    lam = np.zeros((len(gens), len(rows)), dtype=np.uint8)
+    for g, (kind, w) in enumerate(gens):
+        targets = [w] if kind == "unit" else [w, _sorted_prefix(w, p + 1)]
+        for ww in targets:
+            t = lookup.get(ww)
+            if t is not None:
+                lam[g, t] ^= 1
+    return BitMatrix.from_dense(np.kron(lam, eye))
+
+
+def _cl_index(d):
+    def cl_index(w):
+        return monomial_rank(Flavor.TENSOR, d, len(w) - 1)[w[:-1]] * d + w[-1]
+
+    return cl_index
+
+
+def mixed_constraints(d, m) -> BitMatrix:
+    """Constraint stack of the mixed-symmetry cokernel complex at word degree m."""
+    cl_index = _cl_index(d)
+    r1 = repeat_span_rows(d, m, m - 1)
+    r2 = swap_span_rows(d, m)
+    blocks = [
+        span(r1, m - 1, d, m, 1, cl_index).to_dense(),
+        span(r2, m, d, m, 1, cl_index).to_dense(),
+    ]
+    if not (r1 or r2):
+        return BitMatrix.zeros(0, d**m)
+    return BitMatrix.from_dense(np.concatenate([b for b in blocks if b.shape[0]], axis=0))
+
+
+def ext_word_pullback(d, m) -> BitMatrix:
+    """Combined-word pullback of exterior m-cochains, transposed."""
+    cl_index = _cl_index(d)
+    ext_rank = monomial_rank(Flavor.EXT, d, m)
+    dense = np.zeros((d**m, len(ext_rank)), dtype=np.uint8)
+    for w in basis_tuples(Flavor.TENSOR, d, m):
+        cls = canonical(Flavor.EXT, w)
+        if cls is None:
+            continue
+        dense[cl_index(w), ext_rank[cls]] ^= 1
+    return BitMatrix.from_dense(dense).transpose()

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import commcoh.catalog as catalog_module
 from commcoh.algebra import BracketTable, change_basis, classify_algebra
 from commcoh.catalog import (
     AlgebraFileError,
@@ -122,6 +123,16 @@ class TestSurvey:
             assert other.valid_count == base.valid_count
             assert other.orbit_count == base.orbit_count
             assert np.array_equal(other.tables, base.tables)
+
+    def test_block_size_does_not_change_survivors(self, monkeypatch):
+        one_block = {}
+        for d, stop in ((2, 64), (3, 12000)):  # all of d = 2, a part of d = 3
+            monkeypatch.setattr(catalog_module, "SURVEY_BLOCK", stop)
+            one_block[d] = catalog_module._survey_chunk((d, 0, stop))
+        for block in (7, 8192):  # 7 divides neither count, 8192 not 12000
+            monkeypatch.setattr(catalog_module, "SURVEY_BLOCK", block)
+            assert np.array_equal(survey_enumerate(2).tables, one_block[2])
+            assert np.array_equal(catalog_module._survey_chunk((3, 0, 12000)), one_block[3])
 
     def test_against_naive_filter(self):
         # independent reimplementation: triple loop over all candidates
@@ -299,6 +310,30 @@ class TestCLI:
         assert digest(*check)[0] != digest("check", "--algebra", "catalog:a")[0]
         coh = ["cohomology", "--algebra", "catalog:a", "--max-degree", "3"]
         assert digest(*coh)[0] != digest(*coh, "--flavor", "tensor")[0]
+
+    def test_input_digest_covers_file_modules_and_subspaces(self, tmp_path):
+        # one path, two contents: the table and the arguments are equal
+        path = tmp_path / "alg.txt"
+
+        def digest(text, *argv):
+            path.write_text(text)
+            report, code = run([argv[0], "--algebra", str(path), *argv[1:]])
+            assert code == 0
+            return report["input_digest"], report["payload"]
+
+        base = "dim 2\nbasis e f\nbracket f f = e\n"
+        for argv in (
+            ("cohomology", "--module", "m", "--max-degree", "3"),
+            ("check",),
+        ):
+            d2, p2 = digest(base + "module m dim 2\n", *argv)
+            d1, p1 = digest(base + "module m dim 1\n", *argv)
+            assert p2 != p1 and d2 != d1, argv
+        hs = ("hs-ss", "--ideal", "h", "--max-degree", "3")
+        d_e, p_e = digest("dim 2\nbasis e f\nsubspace h = 10\n", *hs)
+        d_f, p_f = digest("dim 2\nbasis e f\nsubspace h = 01\n", *hs)
+        assert p_e != p_f and d_e != d_f
+        assert (d_e, p_e) == digest("dim 2\nbasis e f\nsubspace h = 10\n", *hs)
 
     def test_survey_cli(self):
         report, code = run(["survey", "--dim", "2", "--up-to-iso"])

@@ -1,10 +1,14 @@
 """Tests for relative complexes, long exact sequences, comparison
 filtrations, cokernel complexes, and product-shape checks."""
 
+from collections import Counter
 from math import comb
 
+import numpy as np
 import pytest
 
+import dense_builders as dense
+from commcoh import comparison
 from commcoh.algebra import BracketTable, trivial_module
 from commcoh.cochain import InclusionPair
 from commcoh.cohomology import betti_table
@@ -25,6 +29,7 @@ from commcoh.gf2 import GF2Error, Subspace
 from commcoh.spectral import convergence_check
 
 from conftest import catalog
+from dense_builders import assert_same_matrix
 
 
 class TestSpans:
@@ -61,6 +66,94 @@ class TestSpans:
         s = Subspace.from_rows(4, span_matrix(rows, 2, 2, 2).to_dense())
         assert s.dim == 3
         assert len(swap_span_rows(2, 2)) == 1
+
+
+class TestBuildersMatchDenseOracles:
+    """Every matrix the three comparisons build, checked where it is built
+    against the dense loop it replaced."""
+
+    @pytest.mark.parametrize("name", ["heis3", "abelian3"])
+    def test_comparison_matrices(self, name, monkeypatch):
+        entry = catalog(name)
+        d = entry.table.dim
+        seen = Counter()
+
+        def check(attr, oracle, compare=assert_same_matrix):
+            real = getattr(comparison, attr)
+
+            def checked(*args):
+                got = real(*args)
+                compare(got, oracle(*args))
+                seen[attr] += 1
+                return got
+
+            monkeypatch.setattr(comparison, attr, checked)
+
+        def span_oracle(rows, p_sort, d, n, mdim=1, index_fn=None):
+            if index_fn is not None:
+                word_fn = index_fn
+                index_fn = lambda w: int(word_fn(np.array([w]))[0])
+            return dense.span(rows, p_sort, d, n, mdim, index_fn)
+
+        def same_word_projection(got, want):  # (rows, pi, sigma)
+            assert got[0] == want[0]
+            assert_same_matrix(got[1], want[1])
+            assert_same_matrix(got[2], want[2])
+
+        def same_sym_projection(got, want):  # (quotient coordinates, pi)
+            assert (got[0].sup, got[0].inner, got[0].free) == (
+                want[0].sup,
+                want[0].inner,
+                want[0].free,
+            )
+            assert_same_matrix(got[1], want[1])
+
+        check("span_matrix", span_oracle)
+        check("inclusion_matrix", dense.inclusion)
+        check("_word_projection", dense.word_projection, same_word_projection)
+        check("_sym_quotient_projection", dense.sym_quotient_projection, same_sym_projection)
+        check("_insert_pullback", dense.insert_pullback)
+        check("_ext_word_pullback", dense.ext_word_pullback)
+        # the filtration and mixed cokernel constraint stacks end in kernel_basis
+        stacks = []
+        kernel_basis = comparison.kernel_basis
+        monkeypatch.setattr(
+            comparison, "kernel_basis", lambda m: stacks.append(m) or kernel_basis(m)
+        )
+
+        for module in ("trivial", "adjoint"):
+            for pair in InclusionPair:
+                rel = build_relative_complex(pair, entry.table, entry.modules[module], 3)
+                stacks.clear()
+                comparison_filtration(pair, rel)
+                want = [
+                    dense.filtration_constraints(pair, rel, n, p)
+                    for n in range(rel.tower.n_max + 1)
+                    for p in range(1, n + 2)
+                ]
+                want = [w for w in want if w is not None]
+                assert len(stacks) == len(want)
+                for got, w in zip(stacks, want):
+                    assert_same_matrix(got, w)
+        for pair in InclusionPair:
+            stacks.clear()
+            build_cr_complex(pair, entry.table, 3)
+            want = (
+                [dense.mixed_constraints(d, p + 2) for p in range(5)]
+                if pair is InclusionPair.EXT_IN_SYM
+                else []
+            )
+            assert len(stacks) == len(want)
+            for got, w in zip(stacks, want):
+                assert_same_matrix(got, w)
+        assert set(seen) == {
+            "span_matrix",
+            "inclusion_matrix",
+            "_word_projection",
+            "_sym_quotient_projection",
+            "_insert_pullback",
+            "_ext_word_pullback",
+        }
 
 
 class TestRelativeComplex:
