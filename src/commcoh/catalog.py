@@ -193,6 +193,8 @@ def parse_algebra_file(text: str) -> FileAlgebra:
         if head == "dim":
             if len(toks) != 2 or not toks[1].isdigit():
                 raise AlgebraFileError(line_no, "dim wants one integer")
+            if dim is not None:
+                raise AlgebraFileError(line_no, "dim declared twice")
             dim = int(toks[1])
             if labels is None:
                 labels = [f"b{i}" for i in range(dim)]
@@ -202,6 +204,9 @@ def parse_algebra_file(text: str) -> FileAlgebra:
         if head == "basis":
             if len(toks) != dim + 1:
                 raise AlgebraFileError(line_no, f"basis wants {dim} labels")
+            # a bracket's right side is 0 or labels joined by +
+            if any(tok == "0" or "+" in tok for tok in toks[1:]):
+                raise AlgebraFileError(line_no, "a basis label cannot be 0 or contain +")
             labels = list(toks[1:])
             continue
         if head == "bracket":
@@ -219,6 +224,8 @@ def parse_algebra_file(text: str) -> FileAlgebra:
         if head == "module":
             if len(toks) != 4 or toks[2] != "dim" or not toks[3].isdigit():
                 raise AlgebraFileError(line_no, "module syntax: module NAME dim M")
+            if toks[1] in module_dims:
+                raise AlgebraFileError(line_no, f"module {toks[1]!r} declared twice")
             module_dims[toks[1]] = int(toks[3])
             continue
         if head == "action":
@@ -273,12 +280,10 @@ def serialize_algebra_file(fa: FileAlgebra) -> str:
                 rows = " ".join("".join(str(b) for b in row) for row in spec.rho[i])
                 out.append(f"action {mod} {fa.labels[i]} = {rows}")
     for name in sorted(fa.subspaces):
-        sub = fa.subspaces[name]
-        if sub.dim:
-            vecs = " ".join(
-                "".join(str(b) for b in row) for row in sub.basis.to_dense()
-            )
-            out.append(f"subspace {name} = {vecs}")
+        # the zero subspace is written as its zero vector
+        rows = fa.subspaces[name].basis.to_dense() if fa.subspaces[name].dim else [[0] * d]
+        vecs = " ".join("".join(str(b) for b in row) for row in rows)
+        out.append(f"subspace {name} = {vecs}")
     return "\n".join(out) + "\n"
 
 

@@ -216,7 +216,7 @@ def cmd_hs_ss(entry, args, checks, info):
     n_max = args.max_degree + 2
     ft = subalgebra_filtration(entry.table, h, mod, n_max)
     pages = compute_pages(ft, max(3, stabilization_index(ft)))
-    conv = convergence_check(ft)
+    conv = convergence_check(ft, pages)
     checks.append(("convergence", conv.ok, ""))
     payload = {
         "algebra": entry.name,

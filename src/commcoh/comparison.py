@@ -633,7 +633,7 @@ def verify_e2_product(
     rel = build_relative_complex(pair, table, coeffs, n_rel)
     ft = comparison_filtration(pair, rel)
     pages = compute_pages(ft, max(3, stabilization_index(ft)))
-    conv = convergence_check(ft)
+    conv = convergence_check(ft, pages)
 
     cr = build_cr_complex(pair, table, n_rel)
     hr = cr.hr()

@@ -29,6 +29,9 @@ from __future__ import annotations
 import numpy as np
 
 WORD_BITS = 64
+# rank() converts this many bytes of rows to ints at once; the byte copies
+# of one block, not of the whole matrix, are alive beside the echelon
+RANK_BLOCK_BYTES = 1 << 20
 
 
 class GF2Error(ValueError):
@@ -82,9 +85,12 @@ def _int_words(ints: list, rows: int, cols: int) -> np.ndarray:
     return words
 
 
-def _echelon(rows) -> dict:
-    """Independent rows spanning rows, keyed by the bit length of each (its pivot)."""
-    top = {}
+def _echelon(rows, top=None) -> dict:
+    """Independent rows spanning rows, keyed by the bit length of each (its pivot).
+
+    Given top, the new rows are reduced against it and added to it in place.
+    """
+    top = {} if top is None else top
     for x in rows:
         while x:
             h = x.bit_length()
@@ -240,8 +246,12 @@ class BitMatrix:
     # -- elimination -------------------------------------------------
 
     def rank(self) -> int:
-        """Rank by the forward pass alone."""
-        return len(_echelon(_int_rows(self.words)))
+        """Rank by the forward pass alone, converting RANK_BLOCK_BYTES of rows at a time."""
+        step = max(1, RANK_BLOCK_BYTES // max(1, self.words.shape[1] * 8))
+        top = {}
+        for i in range(0, self.rows, step):
+            _echelon(_int_rows(self.words[i : i + step]), top)
+        return len(top)
 
     def rref(self):
         """Reduced row-echelon form.
@@ -369,30 +379,6 @@ class Subspace:
         return BitMatrix.from_dense(dense[:, list(self.pivots)].reshape(mat.rows, self.dim))
 
 
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    if a.ambient_dim != b.ambient_dim:
-        raise GF2Error("sum: ambient dimension mismatch")
-    if a.dim == 0:
-        return b
-    if b.dim == 0:
-        return a
-    return Subspace.from_rows(a.ambient_dim, BitMatrix.vstack(a.basis, b.basis))
-
-
-def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection via the kernel of the stacked-basis coefficient system."""
-    if a.ambient_dim != b.ambient_dim:
-        raise GF2Error("intersect: ambient dimension mismatch")
-    if a.dim == 0 or b.dim == 0:
-        return Subspace.zero(a.ambient_dim)
-    stacked = BitMatrix.vstack(a.basis, b.basis)
-    left_null = kernel_basis(stacked.transpose())
-    if left_null.dim == 0:
-        return Subspace.zero(a.ambient_dim)
-    coeff_a = BitMatrix.from_dense(left_null.basis.to_dense()[:, : a.dim])
-    return Subspace.from_rows(a.ambient_dim, coeff_a @ a.basis)
-
-
 def kernel_basis(m: BitMatrix) -> Subspace:
     """Right null space {x : m @ x = 0} with canonical basis."""
     red, rank, pivots = m.rref()
@@ -407,11 +393,6 @@ def kernel_basis(m: BitMatrix) -> Subspace:
     return Subspace.from_rows(n, basis)
 
 
-def annihilator(s: Subspace) -> Subspace:
-    """All x with b . x = 0 for every basis row b of s."""
-    return kernel_basis(s.basis)
-
-
 def image(m: BitMatrix) -> Subspace:
     """Column space of m, i.e. the image of x -> m @ x."""
     return Subspace.from_rows(m.rows, m.transpose())
@@ -424,23 +405,6 @@ def apply_to_subspace(m: BitMatrix, s: Subspace) -> Subspace:
     if s.dim == 0:
         return Subspace.zero(m.rows)
     return Subspace.from_rows(m.rows, s.basis @ m.transpose())
-
-
-def preimage(m: BitMatrix, s: Subspace) -> Subspace:
-    """The subspace {x : m @ x lies in s}."""
-    if m.rows != s.ambient_dim:
-        raise GF2Error("preimage: codomain dimension mismatch")
-    ann = annihilator(s)
-    if ann.dim == 0:
-        return kernel_basis(BitMatrix.zeros(0, m.cols))
-    return kernel_basis(ann.basis @ m)
-
-
-def quotient_dim(a: Subspace, b: Subspace) -> int:
-    """dim(a/b); b must be contained in a."""
-    if not a.contains(b):
-        raise GF2Error("quotient_dim: not a subspace")
-    return a.dim - b.dim
 
 
 class QuotientCoords:

@@ -1,19 +1,23 @@
 """Spectral sequences of finitely filtered cochain towers.
 
-Pages are computed from the filtration by the general subspace formulas
-
-    Z_r(p, q) = F^p C^n  intersect  d^{-1}(F^{p+r} C^{n+1}),      n = p + q,
-    E_r(p, q) = Z_r(p, q) / (Z_{r-1}(p+1, q-1) + d Z_{r-1}(p-r+1, q+r-2)),
-
-never by transcribing hand identifications; closed forms are cross
-checks, so a discrepancy with a pencil computation is surfaced rather
-than baked in.  Entries touching the truncation degree are excluded
-from convergence checks.
+Pages are computed from the filtration by one persistence pairing per
+degree, never by transcribing hand identifications.  Each C^n gets a
+basis adapted to its chain, every vector tagged with its filtration
+level f; each differential, written in these bases, is reduced so that
+it pairs sources with targets.  A pair of gap r = f(target) - f(source)
+is d_r: both ends survive to E_r and die on E_{r+1}.  So dim E_r(p, q)
+counts the level-p vectors of C^{p+q} outside pairs of gap below r, and
+E_infinity the unpaired ones.  Closed forms are cross checks, so a
+discrepancy with a pencil computation is surfaced rather than baked in.
+Entries touching the truncation degree are excluded from convergence
+checks.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import groupby, islice
 from math import comb
 
 import numpy as np
@@ -38,17 +42,7 @@ from .cochain import (
     derivation_operator_matrix,
 )
 from .cohomology import betti_table, induced_map_on_cohomology
-from .gf2 import (
-    BitMatrix,
-    GF2Error,
-    Subspace,
-    apply_to_subspace,
-    induced_map,
-    preimage,
-    quotient_dim,
-    subspace_intersect,
-    subspace_sum,
-)
+from .gf2 import BitMatrix, GF2Error, Subspace, _echelon, _int_rows, _int_words
 
 __all__ = [
     "FiltrationError",
@@ -162,71 +156,80 @@ def subalgebra_filtration(
 class Page:
     r: int
     entries: dict  # (p, q) -> dimension
-    differentials: dict  # (p, q) -> BitMatrix into (p + r, q - r + 1)
+    ranks: dict  # (p, q) -> rank of d_r from (p, q) to (p + r, q - r + 1)
     stable: bool
 
 
-class _PageEngine:
-    def __init__(self, ft: FilteredTower):
-        self.ft = ft
-        self._z_cache = {}
-        self._img_cache = {}
+def _adapted_basis(chain) -> tuple:
+    """Adapted basis of one degree: (echelon dict, level of each row).
 
-    def _z(self, r: int, p: int, q: int) -> Subspace:
-        n = p + q
-        ft = self.ft
-        if r <= 0:
-            return ft.step(n, p)
-        chain = ft.filt[n]
-        p_eff = min(max(p, 0), len(chain) - 1)
-        chain_up = ft.filt[n + 1]
-        pr_eff = min(max(p + r, 0), len(chain_up) - 1)
-        key = (n, p_eff, pr_eff)
-        hit = self._z_cache.get(key)
-        if hit is not None:
-            return hit
-        num = subspace_intersect(
-            chain[p_eff], preimage(ft.tower.differential(n), chain_up[pr_eff])
-        )
-        self._z_cache[key] = num
-        return num
+    The steps are reduced from the deepest up; the rows a step adds to
+    the echelon complete a basis of the step below it to one of the step
+    itself, and carry that step as their level f.  F^p is then spanned by
+    the rows of level >= p.  Rows keep their insertion order, deepest
+    first: sources are taken in it, and the k-th row is coordinate bit k
+    of a target, so the highest bit of a target lies at its lowest level.
+    """
+    top, levels = {}, []
+    for p in range(len(chain) - 2, -1, -1):
+        _echelon(_int_rows(chain[p].basis.words), top)
+        levels += [p] * (len(top) - len(levels))
+    return top, levels
 
-    def _boundary_part(self, r: int, p: int, q: int) -> Subspace:
-        """d Z_{r-1}(p - r + 1, q + r - 2), living in degree p + q."""
-        n = p + q
-        if n - 1 < 0:
-            return Subspace.zero(self.ft.tower.dims[n])
-        src = self._z(r - 1, p - r + 1, q + r - 2)
-        key = (n - 1, src)
-        hit = self._img_cache.get(key)
-        if hit is not None:
-            return hit
-        img = apply_to_subspace(self.ft.tower.differential(n - 1), src)
-        self._img_cache[key] = img
-        return img
 
-    def numerator(self, r: int, p: int, q: int) -> Subspace:
-        return self._z(r, p, q)
+def _coordinates(y: int, top: dict, bit: dict) -> int:
+    """Coordinates of y in the basis top; each echelon row is one bit."""
+    c = 0
+    while y:
+        h = y.bit_length()
+        y ^= top[h]
+        c |= bit[h]
+    return c
 
-    def denominator(self, r: int, p: int, q: int) -> Subspace:
-        if r == 0:
-            return self.ft.step(p + q, p + 1)
-        return subspace_sum(
-            self._z(r - 1, p + 1, q - 1), self._boundary_part(r, p, q)
-        )
 
-    def entry_dim(self, r: int, p: int, q: int) -> int:
-        return quotient_dim(self.numerator(r, p, q), self.denominator(r, p, q))
+def _pairing(ft: FilteredTower) -> tuple:
+    """Levels of the adapted basis of each C^n, and the pairs of each d^n.
 
-    def d_matrix(self, r: int, p: int, q: int) -> BitMatrix:
-        n = p + q
-        return induced_map(
-            self.ft.tower.differential(n),
-            self.numerator(r, p, q),
-            self.denominator(r, p, q),
-            self.numerator(r, p + r, q - r + 1),
-            self.denominator(r, p + r, q - r + 1),
-        )
+    sizes[n] counts the basis rows of C^n per level; pairs[n] counts the
+    pairs of d^n per (source level, target level).  Each source image is
+    written in target coordinates and the sources are eliminated by
+    highest bit in decreasing level, so a source is reduced only by
+    sources of its level or deeper and pairs with its image's lowest-level
+    target (Edelsbrunner & Harer, Computational Topology, ch. VII).
+    """
+    bases = [_adapted_basis(chain) for chain in ft.filt]
+    sizes = [Counter(levels) for _, levels in bases]
+    pairs = []
+    for n in range(ft.n_max):
+        (src, src_levels), (tgt, tgt_levels) = bases[n], bases[n + 1]
+        bit = {h: 1 << k for k, h in enumerate(tgt)}
+        dim = ft.tower.dims[n]
+        rows = BitMatrix(dim, dim, _int_words(list(src.values()), dim, dim))
+        images = _int_rows((rows @ ft.tower.differential(n).transpose()).words)
+        top, found = {}, Counter()
+        for f, group in groupby(zip(src_levels, images), key=lambda row: row[0]):
+            size = len(top)
+            _echelon((_coordinates(y, tgt, bit) for _, y in group), top)
+            for h in islice(top, size, None):
+                found[(f, tgt_levels[h - 1])] += 1
+        pairs.append(found)
+    return sizes, pairs
+
+
+def _entries(sizes, pairs, r: int, n_max: int) -> tuple:
+    """E_r entries and d_r ranks for p, q >= 0 with p + q < n_max.
+
+    An entry counts the basis rows of its level and degree not in a pair
+    of gap f(target) - f(source) below r; d_r pairs have gap exactly r.
+    """
+    entries, ranks = {}, {}
+    for n in range(n_max):
+        for p in range(n + 1):
+            out = [(t - s, k) for (s, t), k in pairs[n].items() if s == p]
+            into = [(t - s, k) for (s, t), k in pairs[n - 1].items() if t == p] if n else []
+            entries[(p, n - p)] = sizes[n][p] - sum(k for gap, k in out + into if gap < r)
+            ranks[(p, n - p)] = sum(k for gap, k in out if gap == r)
+    return entries, ranks
 
 
 def stabilization_index(ft: FilteredTower) -> int:
@@ -236,47 +239,23 @@ def stabilization_index(ft: FilteredTower) -> int:
 def compute_pages(ft: FilteredTower, r_max: int | None = None) -> list:
     """Pages E_0 .. E_{r_max}; entries cover p, q >= 0 with p + q < n_max.
 
-    Differentials are attached wherever both source and target stay in
-    the reliable window.  A page is stable once r exceeds the filtration
-    length in every total degree.
+    Each page carries the rank of d_r out of each entry.  A page is
+    stable once r exceeds the filtration length in every total degree.
     """
     r_stab = stabilization_index(ft)
     if r_max is None:
         r_max = max(r_stab, 3)
-    engine = _PageEngine(ft)
-    window = [
-        (p, q)
-        for n in range(ft.n_max)
-        for p in range(n + 1)
-        for q in [n - p]
+    sizes, pairs = _pairing(ft)
+    return [
+        Page(r, *_entries(sizes, pairs, r, ft.n_max), stable=r >= r_stab)
+        for r in range(r_max + 1)
     ]
-    pages = []
-    for r in range(r_max + 1):
-        entries = {}
-        diffs = {}
-        for p, q in window:
-            entries[(p, q)] = engine.entry_dim(r, p, q)
-        if r >= 1:
-            for p, q in window:
-                tp, tq = p + r, q - r + 1
-                if tq < 0 or tp + tq >= ft.n_max:
-                    continue
-                if entries[(p, q)] == 0:
-                    continue
-                diffs[(p, q)] = engine.d_matrix(r, p, q)
-        pages.append(Page(r, entries, diffs, stable=r >= r_stab))
-    return pages
 
 
 def infinity_entries(ft: FilteredTower) -> dict:
-    """Stable page entries, p + q < n_max."""
-    engine = _PageEngine(ft)
-    r = stabilization_index(ft)
-    out = {}
-    for n in range(ft.n_max):
-        for p in range(n + 1):
-            out[(p, n - p)] = engine.entry_dim(r, p, n - p)
-    return out
+    """Stable page entries, p + q < n_max: the unpaired basis rows."""
+    sizes, pairs = _pairing(ft)
+    return _entries(sizes, pairs, stabilization_index(ft), ft.n_max)[0]
 
 
 @dataclass(frozen=True)
@@ -288,9 +267,13 @@ class ConvergenceReport:
         return all(v[2] for v in self.per_degree.values())
 
 
-def convergence_check(ft: FilteredTower) -> ConvergenceReport:
-    """Strong convergence: stable page sums equal cohomology, per degree."""
-    inf = infinity_entries(ft)
+def convergence_check(ft: FilteredTower, pages=None) -> ConvergenceReport:
+    """Strong convergence: stable page sums equal cohomology, per degree.
+
+    pages, from compute_pages(ft), saves redoing the pairing when its last
+    page is stable.
+    """
+    inf = pages[-1].entries if pages and pages[-1].stable else infinity_entries(ft)
     h = betti_table(ft.tower)
     per = {}
     for n in range(ft.n_max - 1):

@@ -23,7 +23,9 @@ from commcoh.algebra import (
     trivial_module,
 )
 from commcoh.catalog import load_catalog, survey_enumerate
-from commcoh.gf2 import BitMatrix, Subspace, annihilator, inverse
+from commcoh.gf2 import BitMatrix, Subspace, inverse
+
+from page_oracle import annihilator
 
 
 @lru_cache(maxsize=None)

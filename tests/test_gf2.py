@@ -1,5 +1,7 @@
 """Tests for the packed GF(2) linear algebra layer."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,22 +11,20 @@ from commcoh.gf2 import (
     GF2Error,
     QuotientCoords,
     Subspace,
-    annihilator,
     apply_to_subspace,
     induced_map,
     inverse,
     kernel_basis,
-    preimage,
-    quotient_dim,
     solve,
-    subspace_intersect,
-    subspace_sum,
 )
 
+from commcoh import cochain, gf2
+from commcoh.algebra import as_coefficients
 from commcoh.catalog import catalog_names
 from commcoh.cochain import Flavor, PreconditionError, build_tower
 
 from conftest import catalog, subspace_vectors
+from page_oracle import annihilator, preimage, quotient_dim, subspace_intersect, subspace_sum
 
 
 def dense_matrices(max_rows=6, max_cols=8):
@@ -214,6 +214,34 @@ class TestEliminationKernel:
                     half = d.rows // 2
                     top = BitMatrix(half, d.cols, d.words[:half].copy())
                     assert_reduce_rows_matches_oracle(Subspace.from_rows(d.cols, top), d)
+
+
+class TestRankBlocks:
+    """rank() converts and eliminates its rows one block at a time."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(elimination_matrix() | tall_deficient_matrix(), st.sampled_from([1, 8, 24, 1000]))
+    def test_block_size_does_not_change_rank(self, arr, block_bytes):
+        m = BitMatrix.from_dense(arr)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gf2, "RANK_BLOCK_BYTES", block_bytes)
+            assert m.rank() == rref_numpy_oracle(m)[1]
+
+    def test_rank_holds_one_block_of_bytes(self):
+        # heis3 adjoint tensor coboundary at degree 7: 19683 x 6561,
+        # 15.5 MiB packed; whole-matrix conversion peaked 30.9 MiB above it
+        entry = catalog("heis3")
+        coeffs = as_coefficients(entry.table, entry.modules["adjoint"])
+        diff = cochain._differential(Flavor.TENSOR, entry.table, coeffs, 7)
+        tracemalloc.start()
+        try:
+            rank = diff.rank()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert diff.shape == (19683, 6561)
+        assert peak < 0.5 * diff.words.nbytes
+        assert rank == rref_numpy_oracle(diff)[1] == 4392
 
 
 class TestRref:
