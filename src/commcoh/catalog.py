@@ -159,6 +159,23 @@ class FileAlgebra:
         )
 
 
+# The parser allocates the bracket table (dim^3 bytes) and each module's
+# actions (dim * M^2 bytes); a file that asks for more is refused first.
+MAX_TABLE_BYTES = 1 << 24
+
+
+def _parse_count(tok, line_no, syntax, table_bytes):
+    """The decimal count tok, refused if table_bytes(count) is over MAX_TABLE_BYTES."""
+    if not (tok.isascii() and tok.isdigit()):
+        raise AlgebraFileError(line_no, syntax)
+    digits = tok.lstrip("0") or "0"
+    # past 12 digits every table is too large, and int() refuses 4300 digits
+    if len(digits) > 12 or table_bytes(int(digits)) > MAX_TABLE_BYTES:
+        shown = digits if len(digits) <= 12 else digits[:12] + "..."
+        raise AlgebraFileError(line_no, f"{shown} asks for a table over {MAX_TABLE_BYTES} bytes")
+    return int(digits)
+
+
 def _parse_bits(tok, width, line_no, what):
     if len(tok) != width or any(ch not in "01" for ch in tok):
         raise AlgebraFileError(line_no, f"{what} must be {width} bits, got {tok!r}")
@@ -191,11 +208,12 @@ def parse_algebra_file(text: str) -> FileAlgebra:
             name = toks[1]
             continue
         if head == "dim":
-            if len(toks) != 2 or not toks[1].isdigit():
+            if len(toks) != 2:
                 raise AlgebraFileError(line_no, "dim wants one integer")
+            count = _parse_count(toks[1], line_no, "dim wants one integer", lambda n: n**3)
             if dim is not None:
                 raise AlgebraFileError(line_no, "dim declared twice")
-            dim = int(toks[1])
+            dim = count
             if labels is None:
                 labels = [f"b{i}" for i in range(dim)]
             continue
@@ -222,11 +240,13 @@ def parse_algebra_file(text: str) -> FileAlgebra:
             brackets[(i, j)] = vec
             continue
         if head == "module":
-            if len(toks) != 4 or toks[2] != "dim" or not toks[3].isdigit():
-                raise AlgebraFileError(line_no, "module syntax: module NAME dim M")
+            syntax = "module syntax: module NAME dim M"
+            if len(toks) != 4 or toks[2] != "dim":
+                raise AlgebraFileError(line_no, syntax)
+            count = _parse_count(toks[3], line_no, syntax, lambda m: max(dim, 1) * m * m)
             if toks[1] in module_dims:
                 raise AlgebraFileError(line_no, f"module {toks[1]!r} declared twice")
-            module_dims[toks[1]] = int(toks[3])
+            module_dims[toks[1]] = count
             continue
         if head == "action":
             if len(toks) < 5 or toks[3] != "=":

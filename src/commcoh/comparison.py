@@ -229,7 +229,7 @@ def _sym_quotient_projection(d, m, mdim):
     i_span = Subspace.from_rows(full, span_matrix(repeat_span_rows(d, m), m, d, m))
     j_span = Subspace.from_rows(full, span_matrix(swap_span_rows(d, m), m, d, m))
     qc = QuotientCoords(i_span, j_span)
-    t, widx = np.nonzero(qc.lift_rows().to_dense())
+    t, widx = qc.lift_rows().coords()
     mono = _index(Flavor.SYM, d, _monomials(Flavor.TENSOR, d, m)[widx])
     pi = _block_matrix((qc.dim, basis_dim(Flavor.SYM, d, m)), mdim, [(t, mono, None)])
     return qc, pi
@@ -402,7 +402,7 @@ def comparison_filtration(pair: InclusionPair, rel: RelativeTower) -> FilteredTo
                     chain.append(Subspace.full(rel_dim))
                     continue
                 mu = qc.project_rows(span_matrix(gens, p + 1, d, m))
-                t, k = np.nonzero(mu.to_dense())
+                t, k = mu.coords()
                 constraints = _block_matrix(mu.shape, mdim, [(t, k, None)])
                 chain.append(kernel_basis(constraints))
         else:

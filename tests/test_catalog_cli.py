@@ -1,6 +1,7 @@
 """Tests for the catalog, algebra files, survey, and CLI reports."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -214,6 +215,21 @@ class TestCLI:
         f.write_text("dim 2\nbroken line\n")
         report, code = run(["check", "--algebra", str(f)])
         assert code == 1 and "line" in report["error"]
+
+    @pytest.mark.parametrize("text", ["dim 3000\n", "dim 2\nmodule m dim 100000\n"])
+    def test_oversized_file_is_refused_before_allocation(self, tmp_path, text):
+        # the bracket table of dim 3000 would take 27 GB, the actions of
+        # module m 20 GB; both are refused before anything is allocated
+        f = tmp_path / "big.alg"
+        f.write_text(text)
+        tracemalloc.start()
+        try:
+            report, code = run(["check", "--algebra", str(f)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and "table over" in report["error"]
+        assert peak < 1 << 20
 
     def test_axiom_violation_is_internal_error(self, tmp_path):
         # the declared module breaks the module axiom; the cohomology

@@ -1,9 +1,9 @@
 """Hypothesis fuzzing of the algebra-file parser and the command line.
 
 Texts are drawn from a grammar of the file format mixed with stray
-tokens, so most are near misses of valid files.  Numbers stay small:
-the parser allocates dim^3 table entries and dim * M^2 action entries,
-and a size budget is not part of what is fuzzed here.
+tokens, so most are near misses of valid files.  Declared dimensions
+are mostly small, and sometimes far too large for the parser's table
+limit, or not ASCII decimals, so those files must be refused.
 """
 
 import pytest
@@ -15,6 +15,8 @@ from commcoh.catalog import AlgebraFileError, parse_algebra_file, serialize_alge
 LABELS = ["x", "y", "z", "e", "0", "a+b", "="]
 NAMES = st.sampled_from(["m", "h", "reg"])
 SMALL = st.sampled_from(["0", "1", "2", "3", "-1", "x", "1.5", "03"])
+# over the table limit as dim or module dim, too long for int(), or no ASCII decimal
+LARGE = st.sampled_from(["300", "3000", "100000", "9" * 5000, "0" * 5000 + "2", "²", "٣"])
 STRAY = st.sampled_from(["=", "+", "dim", "#", "bracket", "0", "11", "", "\t", "é"])
 
 
@@ -29,9 +31,9 @@ def file_texts(draw):
     mdim = st.integers(0, 2)
     lines = st.one_of(
         st.tuples(st.just("algebra"), NAMES),
-        st.tuples(st.just("dim"), SMALL),
+        st.tuples(st.just("dim"), SMALL | LARGE),
         st.tuples(st.just("bracket"), label, label, st.just("="), rhs),
-        st.tuples(st.just("module"), NAMES, st.just("dim"), mdim.map(str)),
+        st.tuples(st.just("module"), NAMES, st.just("dim"), mdim.map(str) | LARGE),
         mdim.flatmap(
             lambda m: st.tuples(
                 st.just("action"), NAMES, label, st.just("="),
@@ -106,6 +108,8 @@ def algebra_files(tmp_path_factory):
         "not_lie.txt": "dim 1\nbasis x\nbracket x x = x\nsubspace h = 1\n",
         "broken.txt": "dim 2\nbracket e f = g\n",
         "empty.txt": "",
+        "huge.txt": "dim 3000\n",
+        "huge_module.txt": "dim 2\nmodule m dim 100000\n",
     }
     for name, text in texts.items():
         (root / name).write_text(text)

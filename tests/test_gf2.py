@@ -157,6 +157,24 @@ def tall_deficient_matrix(draw):
     return arr
 
 
+@st.composite
+def coordinate_matrix(draw):
+    """Matrices around the word boundaries, some with an all-ones row."""
+    rows = draw(st.integers(0, 24))
+    cols = draw(WORD_WIDTHS | st.integers(0, 140))
+    arr = draw(filled_matrix(rows, cols, draw(ELIMINATION_FILLS)))
+    if rows and draw(st.booleans()):
+        arr[draw(st.integers(0, rows - 1))] = 1
+    return arr
+
+
+@st.composite
+def column_takes(draw):
+    arr = draw(coordinate_matrix())
+    order = draw(st.permutations(range(arr.shape[1])))
+    return arr, list(order[: draw(st.integers(0, len(order)))])
+
+
 def assert_rref_matches_oracle(m: BitMatrix):
     red, rank, pivots = m.rref()
     want_words, want_rank, want_pivots = rref_numpy_oracle(m)
@@ -462,6 +480,79 @@ class TestArithmetic:
         s = Subspace.full(3)
         img = apply_to_subspace(m, s)
         assert img.dim == 1 and img.contains_vector(np.array([1, 0]))
+
+
+class TestCoordinates:
+    """coords, transpose and take_columns against dense numpy, and the product's row blocks."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(coordinate_matrix())
+    def test_coords(self, arr):
+        r, c = BitMatrix.from_dense(arr).coords()
+        want_r, want_c = np.nonzero(arr)
+        assert r.dtype == c.dtype == np.int64
+        assert np.array_equal(r, want_r) and np.array_equal(c, want_c)
+
+    @settings(max_examples=80, deadline=None)
+    @given(coordinate_matrix())
+    def test_transpose(self, arr):
+        got = BitMatrix.from_dense(arr).transpose()
+        assert got.shape == arr.T.shape
+        assert np.array_equal(got.to_dense(), arr.T)
+        assert padding_is_zero(got)
+
+    @settings(max_examples=80, deadline=None)
+    @given(column_takes())
+    def test_take_columns(self, arr_cols):
+        arr, cols = arr_cols
+        got = BitMatrix.from_dense(arr).take_columns(cols)
+        assert got.shape == (arr.shape[0], len(cols))
+        assert np.array_equal(got.to_dense(), arr[:, cols])
+        assert padding_is_zero(got)
+
+    @settings(max_examples=60, deadline=None)
+    @given(product_operands(), st.sampled_from([1, 200, 4096]))
+    def test_block_size_does_not_change_results(self, ab, block_bytes):
+        a, b = (BitMatrix.from_dense(x) for x in ab)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gf2, "RANK_BLOCK_BYTES", block_bytes)
+            product, coords, transposed = a @ b, a.coords(), a.transpose()
+        assert np.array_equal(product.words, matmul_column_oracle(a, b))
+        assert all(np.array_equal(x, y) for x, y in zip(coords, np.nonzero(ab[0])))
+        assert np.array_equal(transposed.to_dense(), ab[0].T)
+
+    def test_matmul_dense_left_operand(self):
+        rng = np.random.default_rng(17)
+        a = BitMatrix.from_dense(rng.integers(0, 2, (300, 300), dtype=np.uint8))
+        b = BitMatrix.from_dense(rng.integers(0, 2, (300, 300), dtype=np.uint8))
+        assert np.array_equal((a @ b).words, matmul_column_oracle(a, b))
+
+    def test_product_holds_one_block(self):
+        # the gathered rows of all 2M ones of the left operand would take
+        # 512 MiB; one row block at a time the product stays near its output
+        rng = np.random.default_rng(19)
+        a = BitMatrix.from_dense(rng.integers(0, 2, (2048, 2048), dtype=np.uint8))
+        b = BitMatrix.from_dense(rng.integers(0, 2, (2048, 2048), dtype=np.uint8))
+        tracemalloc.start()
+        try:
+            out = a @ b
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * out.words.nbytes + gf2.RANK_BLOCK_BYTES
+        assert np.array_equal(out.words, matmul_column_oracle(a, b))
+
+    @settings(max_examples=60, deadline=None)
+    @given(kernel_operands(), st.integers(0, 3), st.integers(0, 2**32 - 1))
+    def test_solve_against_ranks(self, arr, k, seed):
+        a = BitMatrix.from_dense(arr)
+        rhs = np.random.default_rng(seed).integers(0, 2, (arr.shape[0], k), dtype=np.uint8)
+        x = solve(a, BitMatrix.from_dense(rhs))
+        consistent = BitMatrix.from_dense(np.concatenate([arr, rhs], axis=1)).rank() == a.rank()
+        assert (x is not None) == consistent
+        if x is not None:
+            assert x.shape == (a.cols, k)
+            assert np.array_equal((a @ x).to_dense(), rhs)
 
 
 class TestQuotientCoords:
