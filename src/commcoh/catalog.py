@@ -314,11 +314,11 @@ def _free_pairs(d):
     return [(i, j) for i in range(d) for j in range(i, d)]
 
 
-def _candidate_block(d, start, stop):
-    """Symmetric bracket tables for candidate indices [start, stop)."""
+def _candidate_block(d, idx):
+    """Symmetric bracket tables for the candidate indices idx."""
     pairs = _free_pairs(d)
     nbits = len(pairs) * d
-    idx = np.arange(start, stop, dtype=np.uint64)
+    idx = np.asarray(idx, dtype=np.uint64)
     bits = (idx[:, None] >> np.arange(nbits, dtype=np.uint64)[None, :]) & 1
     bits = bits.astype(np.uint8).reshape(len(idx), len(pairs), d)
     c = np.zeros((len(idx), d, d, d), dtype=np.uint8)
@@ -326,14 +326,6 @@ def _candidate_block(d, start, stop):
         c[:, i, j] = bits[:, t]
         c[:, j, i] = bits[:, t]
     return c
-
-
-def _jacobi_mask(c):
-    ci = c.astype(np.int32)
-    t1 = np.einsum("njku,nium->nijkm", ci, ci)
-    t2 = np.einsum("nkiu,njum->nijkm", ci, ci)
-    t3 = np.einsum("niju,nkum->nijkm", ci, ci)
-    return ~(((t1 + t2 + t3) % 2).any(axis=(1, 2, 3, 4)))
 
 
 def _gl_group(d):
@@ -354,19 +346,10 @@ def _transform_matrices(d):
     from .gf2 import BitMatrix, inverse
 
     out = []
-    nb = d * d * d
     for g in _gl_group(d):
         ginv = inverse(BitMatrix.from_dense(g)).to_dense()
-        tm = np.zeros((nb, nb), dtype=np.uint8)
-        gi = g.astype(np.int32)
-        gv = ginv.astype(np.int32)
         # c'[a,b,k] = sum_{i,j,l} g[a,i] g[b,j] c[i,j,l] ginv[l,k]
-        for a in range(d):
-            for b in range(d):
-                for k in range(d):
-                    row = np.einsum("i,j,l->ijl", gi[a], gi[b], gv[:, k]) % 2
-                    tm[(a * d + b) * d + k] = row.reshape(-1)
-        out.append(tm)
+        out.append(np.kron(np.kron(g, g), ginv.T).astype(np.uint8))
     return out
 
 
@@ -381,18 +364,32 @@ def _canonical_ints(cands, d, transforms):
     return best.astype(np.uint64)
 
 
-# Candidates per Jacobi evaluation: _jacobi_mask builds three
-# candidates x d^5 int32 cubes, so a block bounds its memory.
-SURVEY_BLOCK = 8192
-
-
 def _survey_chunk(args):
+    """Jacobi survivors among the candidate indices [start, stop).
+
+    Bit-sliced: plane q packs bit q of every index in the range, so each
+    coefficient of the Jacobi identity is a few AND/XOR passes over the
+    planes for all candidates at once.  Tables are built for survivors.
+    """
     d, start, stop = args
-    parts = []
-    for lo in range(start, stop, SURVEY_BLOCK):
-        c = _candidate_block(d, lo, min(lo + SURVEY_BLOCK, stop))
-        parts.append(c[_jacobi_mask(c)])
-    return np.concatenate(parts, axis=0)
+    idx = np.arange(start, stop, dtype=np.uint64)
+    bit = np.empty_like(idx)
+    plane = {}  # (i, j, m) -> packed bits c[i, j, m] of every candidate
+    for t, (i, j) in enumerate(_free_pairs(d)):
+        for m in range(d):
+            np.right_shift(idx, np.uint64(t * d + m), out=bit)
+            bit &= np.uint64(1)
+            plane[i, j, m] = plane[j, i, m] = np.packbits(bit != 0, bitorder="little")
+    bad = np.zeros_like(plane[0, 0, 0])
+    for i, j, k, m in np.ndindex(d, d, d, d):
+        s = np.zeros_like(bad)
+        for u in range(d):
+            s ^= plane[j, k, u] & plane[i, u, m]
+            s ^= plane[k, i, u] & plane[j, u, m]
+            s ^= plane[i, j, u] & plane[k, u, m]
+        bad |= s
+    keep = np.unpackbits(bad, count=stop - start, bitorder="little") == 0
+    return _candidate_block(d, idx[keep])
 
 
 @dataclass(frozen=True)
@@ -415,10 +412,12 @@ SURVEY_MAX_DIM = 3
 def survey_enumerate(d: int, up_to_iso: bool = False, jobs: int = 1) -> SurveyResult:
     """Enumerate symmetric bracket tables and filter by the Jacobi identity.
 
-    Candidates fix c[i][j] = c[j][i]; with up_to_iso the Jacobi survivors
-    are reduced modulo basis changes by canonical orbit representatives.
-    Chunked workers merge in index order, so counts do not depend on the
-    worker count.
+    Candidates fix c[i][j] = c[j][i]; bit t*d + m of a candidate index is
+    c[i, j, m] of free pair t.  The Jacobi filter is bit-sliced over the
+    indices (_survey_chunk), so only survivors become tables.  With
+    up_to_iso the survivors are reduced modulo basis changes by canonical
+    orbit representatives.  Chunked workers merge in index order, so
+    counts do not depend on the worker count.
     """
     if not 1 <= d <= SURVEY_MAX_DIM:
         raise GF2Error(f"enumeration bound: dim from 1 to {SURVEY_MAX_DIM}")

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import commcoh.catalog as catalog_module
 from commcoh.algebra import BracketTable, change_basis, classify_algebra
@@ -22,6 +23,7 @@ from commcoh.cli import main, run
 from commcoh.gf2 import GF2Error
 
 from conftest import catalog, random_invertible
+from survey_oracle import oracle_survivors, transform_matrices_loop
 
 
 class TestCatalog:
@@ -125,15 +127,69 @@ class TestSurvey:
             assert other.orbit_count == base.orbit_count
             assert np.array_equal(other.tables, base.tables)
 
-    def test_block_size_does_not_change_survivors(self, monkeypatch):
-        one_block = {}
-        for d, stop in ((2, 64), (3, 12000)):  # all of d = 2, a part of d = 3
-            monkeypatch.setattr(catalog_module, "SURVEY_BLOCK", stop)
-            one_block[d] = catalog_module._survey_chunk((d, 0, stop))
-        for block in (7, 8192):  # 7 divides neither count, 8192 not 12000
-            monkeypatch.setattr(catalog_module, "SURVEY_BLOCK", block)
-            assert np.array_equal(survey_enumerate(2).tables, one_block[2])
-            assert np.array_equal(catalog_module._survey_chunk((3, 0, 12000)), one_block[3])
+    def test_chunk_splits_do_not_change_survivors(self):
+        chunk = catalog_module._survey_chunk
+        total = 1 << 18
+        whole = chunk((3, 0, total))
+        jobs3 = [int(b) for b in np.linspace(0, total, 4, dtype=np.int64)]
+        for bounds in ([0, 7, total], [0, 12000, total], [0, 7, 12000, total], jobs3):
+            parts = [chunk((3, a, b)) for a, b in zip(bounds, bounds[1:])]
+            assert np.array_equal(np.concatenate(parts, axis=0), whole)
+        # all of d = 2, split inside the first byte of a plane
+        parts = [chunk((2, 0, 7)), chunk((2, 7, 64))]
+        assert np.array_equal(np.concatenate(parts, axis=0), survey_enumerate(2).tables)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_bit_sliced_filter_matches_oracle_on_every_candidate(self, d):
+        total = survey_enumerate(d).candidate_count
+        got = catalog_module._survey_chunk((d, 0, total))
+        assert np.array_equal(got, oracle_survivors(d, 0, total))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, (1 << 18) - 1), st.integers(1, 20000))
+    @example(0, 1)
+    @example(13, 130)  # both ends inside one byte of a plane
+    @example(65, 19990)  # neither end a multiple of 8 or 64
+    @example((1 << 18) - 19997, 19997)  # the last candidate
+    def test_bit_sliced_filter_matches_oracle_on_dim_three_ranges(self, start, length):
+        stop = min(start + length, 1 << 18)
+        got = catalog_module._survey_chunk((3, start, stop))
+        assert np.array_equal(got, oracle_survivors(3, start, stop))
+
+    def test_full_dim_three_survey(self):
+        res = survey_enumerate(3, up_to_iso=True)
+        assert (res.candidate_count, res.valid_count, res.orbit_count) == (262144, 288, 11)
+        for c in res.tables:
+            assert classify_algebra(BracketTable(c)).jacobi
+        # bit t*3 + m of a candidate index is c[i, j, m] of free pair t
+        pairs = catalog_module._free_pairs(3)
+        codes = sum(
+            res.tables[:, i, j, m].astype(np.int64) << (t * 3 + m)
+            for t, (i, j) in enumerate(pairs)
+            for m in range(3)
+        )
+        assert np.array_equal(catalog_module._candidate_block(3, codes), res.tables)
+        rejected = np.setdiff1d(np.arange(1 << 18), codes)
+        sample = np.random.default_rng(8).choice(rejected, size=2000, replace=False)
+        for c in catalog_module._candidate_block(3, sample):
+            assert not classify_algebra(BracketTable(c)).jacobi
+
+    def test_dim_three_survey_memory(self):
+        tracemalloc.start()
+        try:
+            survey_enumerate(3, up_to_iso=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_transform_matrices_match_loop(self, d):
+        got = catalog_module._transform_matrices(d)
+        want = transform_matrices_loop(d)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
     def test_against_naive_filter(self):
         # independent reimplementation: triple loop over all candidates
