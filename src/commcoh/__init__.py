@@ -13,7 +13,7 @@ from .algebra import (
     quotient_algebra,
 )
 from .cochain import ComplexTower, Flavor, InclusionPair, build_tower
-from .cohomology import BettiTable, betti_table
+from .cohomology import BettiTable, betti_table, cochain_betti_table
 from .gf2 import BitMatrix, Subspace
 from .spectral import (
     FilteredTower,
@@ -39,6 +39,7 @@ __all__ = [
     "ModuleSpec",
     "Subspace",
     "betti_table",
+    "cochain_betti_table",
     "build_tower",
     "classify_algebra",
     "compute_pages",

@@ -37,8 +37,8 @@ from .catalog import (
     parse_algebra_file,
     survey_enumerate,
 )
-from .cochain import Flavor, InclusionPair, build_tower
-from .cohomology import betti_table
+from .cochain import Flavor, InclusionPair
+from .cohomology import cochain_betti_table
 from .comparison import (
     build_relative_complex,
     long_exact_sequence_check,
@@ -187,8 +187,8 @@ def cmd_cohomology(entry, args, checks, info):
         if flavor is Flavor.EXT and not cls.is_lie:
             info.append({"flavor": flavor.value, "skipped": "needs a Lie algebra"})
             continue
-        tower = build_tower(flavor, entry.table, mod, args.max_degree + 1)
-        bt = betti_table(tower)  # raises unless d o d = 0
+        # raises unless d o d = 0
+        bt = cochain_betti_table(flavor, entry.table, mod, args.max_degree + 1)
         payload["tables"][flavor.value] = list(bt.dims)
         checks.append((f"dd-zero[{flavor.value}]", True, ""))
         if flavor is Flavor.SYM and entry.ideals:
@@ -239,7 +239,7 @@ def cmd_hs_ss(entry, args, checks, info):
         checks.append(("page-closed-forms", rep.ok, str(rep.mismatches()[:4])))
         payload["subalgebra_cohomology"] = list(rep.hs_sub)
     if entry.name in ("N", "a") and args.module == "trivial":
-        bt = betti_table(build_tower(Flavor.SYM, entry.table, mod, n_max))
+        bt = cochain_betti_table(Flavor.SYM, entry.table, mod, n_max)
         info.append({"closed_form_table": _closed_form_flags(bt.dims)})
     return payload
 
@@ -325,14 +325,14 @@ def cmd_survey(args, checks, info):
             checks.append(
                 ("survey-classification", cls.commutative and cls.jacobi, "")
             )
-            tower = build_tower(
+            bt = cochain_betti_table(
                 Flavor.SYM, table, make_module(table, "trivial"), args.betti_degree + 1
             )
             summaries.append(
                 {
                     "table": table.c.reshape(-1).tolist(),
                     "alternating": cls.alternating,
-                    "betti_sym_trivial": list(betti_table(tower).dims),
+                    "betti_sym_trivial": list(bt.dims),
                     "line_instances": len(line_module_instances(table)),
                 }
             )

@@ -9,6 +9,9 @@ numpy computes one (block row, block column) pair per term of the
 defining formula, and BitMatrix.from_coords XOR-scatters the entries
 into packed words.  A coordinate listed twice therefore cancels, as two
 equal terms of a GF(2) sum do, and no dense matrix is ever allocated.
+A coboundary is built this way one row block of about RANK_BLOCK_BYTES
+packed at a time, so its coordinate lists never span the whole matrix
+and its rank can be taken without ever holding it whole.
 With m-dimensional coefficients each block coordinate expands once, in
 _kron_coords, to the nonzeros of an m x m block: the action matrix
 rho(letter) for the module terms, the identity for the others.
@@ -54,7 +57,8 @@ from .algebra import (
     check_module_axioms,
     classify_algebra,
 )
-from .gf2 import BitMatrix
+from . import gf2
+from .gf2 import BitMatrix, _word_count
 
 __all__ = [
     "Flavor",
@@ -197,32 +201,66 @@ def _require_flavor(flavor: Flavor, table: BracketTable, coeffs: BimoduleSpec):
         raise PreconditionError(f"coefficients fail axiom {check.axiom} at {check.pair}")
 
 
-def _differential(flavor, table, coeffs, n, rep_of=None) -> BitMatrix:
-    """Degree-n coboundary, evaluated on rep_of(monomial) when given."""
+def _differential_blocks(flavor, table, coeffs, n, rep_of=None):
+    """Row blocks of the degree-n coboundary, top to bottom, evaluated on
+    rep_of(monomial) when given.
+
+    A block holds whole monomial rows, about RANK_BLOCK_BYTES of them
+    packed, and computes only its own monomials: the digits of its rank
+    range for TENSOR, its slice of basis_tuples otherwise.
+    """
     d, m = table.dim, coeffs.dim
-    if rep_of is None:
-        words = _monomials(flavor, d, n + 1)
+    n_rows, n_cols = basis_dim(flavor, d, n + 1), basis_dim(flavor, d, n)
+    row_bytes = m * _word_count(n_cols * m) * 8
+    step = max(1, gf2.RANK_BLOCK_BYTES // max(1, row_bytes))
+    slots = np.arange(n + 1)
+    # the other slots of each slot i; the bracketed pairs i < j and the
+    # slots their argument keeps
+    others = np.nonzero(slots != slots[:, None])[1].reshape(n + 1, n)
+    pi, pj = np.triu_indices(n + 1, 1)
+    if flavor is Flavor.TENSOR:
+        pair_rest = others[pi]
     else:
-        reps = [rep_of(mono) for mono in basis_tuples(flavor, d, n + 1)]
-        words = np.array(reps, dtype=np.int64).reshape(len(reps), n + 1)
-    rows = np.arange(len(words))
-    terms = []
-    for i in range(n + 1):
-        # rho(w_i) f(w without w_i)
-        rest = np.delete(words, i, axis=1)
-        terms.append(_to_columns(flavor, d, rows, rest, coeffs.left[words[:, i]]))
-    for i in range(n + 1):
-        for j in range(i + 1, n + 1):
-            hit, k = np.nonzero(table.c[words[:, i], words[:, j]])
-            if flavor is Flavor.TENSOR:
-                # f(..., [w_i, w_j] in the slot of w_j, ...)
-                arg = np.delete(words[hit], i, axis=1)
-                arg[:, j - 1] = k
-            else:
-                # f([w_i, w_j], rest)
-                arg = np.column_stack([k, np.delete(words[hit], [i, j], axis=1)])
-            terms.append(_to_columns(flavor, d, hit, arg))
-    return _block_matrix((len(words), basis_dim(flavor, d, n)), m, terms)
+        keep = (slots != pi[:, None]) & (slots != pj[:, None])
+        pair_rest = np.nonzero(keep)[1].reshape(len(pi), max(n - 1, 0))
+    for start in range(0, n_rows, step):
+        stop = min(n_rows, start + step)
+        if rep_of is not None:
+            monos = basis_tuples(flavor, d, n + 1)[start:stop]
+            words = np.array([rep_of(mono) for mono in monos], dtype=np.int64)
+        elif flavor is Flavor.TENSOR:
+            words = np.arange(start, stop)[:, None] // d ** slots % d
+        else:
+            words = np.array(basis_tuples(flavor, d, n + 1)[start:stop], dtype=np.int64)
+        count = stop - start
+        words = words.reshape(count, n + 1)
+        # rho(w_i) f(w without w_i), one term per (row, i)
+        rows = np.repeat(np.arange(count), n + 1)
+        rest = words[:, others].reshape(count * (n + 1), n)
+        acts = coeffs.left[words].reshape(count * (n + 1), m, m)
+        terms = [_to_columns(flavor, d, rows, rest, acts)]
+        hit, q, k = np.nonzero(table.c[words[:, pi], words[:, pj]])
+        arg = words[hit[:, None], pair_rest[q]]
+        if flavor is Flavor.TENSOR:
+            # f(..., [w_i, w_j] in the slot of w_j, ...)
+            arg[np.arange(len(hit)), pj[q] - 1] = k
+        else:
+            # f([w_i, w_j], rest)
+            arg = np.column_stack([k, arg])
+        terms.append(_to_columns(flavor, d, hit, arg))
+        yield _block_matrix((count, n_cols), m, terms)
+
+
+def _differential(flavor, table, coeffs, n, rep_of=None) -> BitMatrix:
+    """Degree-n coboundary, its row blocks filled into one word array."""
+    d, m = table.dim, coeffs.dim
+    rows, cols = basis_dim(flavor, d, n + 1) * m, basis_dim(flavor, d, n) * m
+    words = np.empty((rows, _word_count(cols)), dtype=np.uint64)
+    start = 0
+    for block in _differential_blocks(flavor, table, coeffs, n, rep_of):
+        words[start : start + block.rows] = block.words
+        start += block.rows
+    return BitMatrix(rows, cols, words)
 
 
 def differential_matrix(

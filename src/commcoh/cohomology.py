@@ -4,12 +4,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cochain import ComplexTower
+from .algebra import BracketTable, as_coefficients
+from .cochain import (
+    ComplexTower,
+    Flavor,
+    _differential,
+    _differential_blocks,
+    _require_flavor,
+    basis_dim,
+)
 from .gf2 import (
     BitMatrix,
     GF2Error,
     QuotientCoords,
     Subspace,
+    _block_rank,
     apply_to_subspace,
     induced_map,
     kernel_basis,
@@ -20,6 +29,7 @@ __all__ = [
     "cycles",
     "boundaries",
     "betti_table",
+    "cochain_betti_table",
     "cocycle_representatives",
     "induced_map_on_cohomology",
 ]
@@ -54,6 +64,28 @@ def boundaries(tower: ComplexTower, n: int) -> Subspace:
     )
 
 
+def _checked(blocks, below, n: int):
+    """The row blocks of d^{n+1}, each checked to vanish on d^n = below (if any)."""
+    for block in blocks:
+        if below is not None and not (block @ below).is_zero():
+            raise GF2Error(f"differentials do not square to zero at degree {n}")
+        yield block
+
+
+def _betti(label, flavor, dims, degrees) -> BettiTable:
+    """Betti table from (row blocks of d^n, d^{n-1} or None) for n = 0, 1, ...
+
+    Each block is checked against d^{n-1} before its rows enter the
+    echelon of d^n, so a failing check names its degree on every route.
+    """
+    betti, prev_rank = [], 0
+    for n, (blocks, below) in enumerate(degrees):
+        rank = _block_rank(_checked(blocks, below, n - 1))
+        betti.append(dims[n] - rank - prev_rank)
+        prev_rank = rank
+    return BettiTable(label, flavor, tuple(betti))
+
+
 def betti_table(tower: ComplexTower) -> BettiTable:
     """Exact cohomology dimensions for degrees 0 .. n_max - 1.
 
@@ -61,15 +93,33 @@ def betti_table(tower: ComplexTower) -> BettiTable:
     A tower whose consecutive differentials do not compose to zero is an
     upstream axiom violation and is rejected.
     """
-    if not tower.check_composition():
-        raise GF2Error("differentials do not square to zero")
-    dims = []
-    prev_rank = 0
-    for n in range(tower.n_max):
-        rank = tower.differential(n).rank()
-        dims.append(tower.dims[n] - rank - prev_rank)
-        prev_rank = rank
-    return BettiTable(tower.label, tower.flavor, tuple(dims))
+    degrees = zip((d.row_blocks() for d in tower.diffs), (None,) + tower.diffs)
+    return _betti(tower.label, tower.flavor, tower.dims, degrees)
+
+
+def cochain_betti_table(
+    flavor: Flavor, table: BracketTable, coeffs, n_max: int, label: str = ""
+) -> BettiTable:
+    """betti_table(build_tower(...)) without holding the tower.
+
+    d^n is kept packed only until the blocks of d^{n+1} have been checked
+    against it, and the top coboundary is never whole: its row blocks go
+    straight from the builder into its echelon.
+    """
+    coeffs = as_coefficients(table, coeffs)
+    _require_flavor(flavor, table, coeffs)
+    dims = tuple(basis_dim(flavor, table.dim, n) * coeffs.dim for n in range(n_max + 1))
+
+    def degrees():
+        below = None
+        for n in range(n_max - 1):
+            diff = _differential(flavor, table, coeffs, n)
+            yield diff.row_blocks(), below
+            below = diff
+        if n_max:
+            yield _differential_blocks(flavor, table, coeffs, n_max - 1), below
+
+    return _betti(label, flavor, dims, degrees())
 
 
 def cocycle_representatives(tower: ComplexTower, n: int) -> BitMatrix:

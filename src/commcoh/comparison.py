@@ -44,7 +44,6 @@ from .cochain import (
     _monomials,
     _to_columns,
     basis_dim,
-    basis_tuples,
     build_tower,
     inclusion_matrix,
 )
@@ -52,6 +51,7 @@ from .cohomology import (
     BettiTable,
     betti_table,
     boundaries,
+    cochain_betti_table,
     cycles,
 )
 from .gf2 import (
@@ -73,6 +73,7 @@ from .spectral import (
 )
 
 __all__ = [
+    "SpanRows",
     "repeat_span_rows",
     "swap_span_rows",
     "span_matrix",
@@ -93,58 +94,63 @@ __all__ = [
 ]
 
 
-def _words(d, n):
-    return basis_tuples(Flavor.TENSOR, d, n)
-
-
-def _word_array(rows, n):
-    """The words of span generators as the rows of an int array."""
-    return np.array([w for _, w in rows], dtype=np.int64).reshape(len(rows), n)
-
-
 def _sort_prefix(words, p):
     out = words.copy()
     out[:, :p] = np.sort(words[:, :p], axis=1)
     return out
 
 
-def _has_repeat(seq) -> bool:
-    return len(set(seq)) != len(seq)
+class SpanRows:
+    """Span generators: row t contributes the coordinate vector of words[t]
+    and, where pair[t], that of its prefix-sorted word too."""
+
+    __slots__ = ("words", "pair")
+
+    def __init__(self, words: np.ndarray, pair: np.ndarray):
+        self.words = words  # int64, one word a row, in colex order
+        self.pair = pair  # bool
+
+    def __len__(self) -> int:
+        return len(self.words)
 
 
-def repeat_span_rows(d: int, n: int, p: int | None = None):
+def _prefix_defects(d: int, n: int, p: int | None):
+    """All words of length n in colex order, and whether the first p letters
+    (all when p is None) repeat a letter, or are out of order."""
+    words = _monomials(Flavor.TENSOR, d, n)
+    prefix = words[:, : n if p is None else p]
+    srt = np.sort(prefix, axis=1)
+    repeat = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
+    unsorted = (prefix[:, 1:] < prefix[:, :-1]).any(axis=1)
+    return words, repeat, unsorted
+
+
+def repeat_span_rows(d: int, n: int, p: int | None = None) -> SpanRows:
     """Independent generators of the repeated-index span on the first p slots.
 
-    Each entry is (kind, word): kind "unit" contributes the coordinate
-    vector of the word, kind "pair" contributes word + prefix-sorted
+    A word whose prefix repeats a letter contributes its coordinate
+    vector; a squarefree unsorted prefix contributes word + prefix-sorted
     word.  p = None means the whole word is in scope.
     """
-    if p is None:
-        p = n
-    rows = []
-    for w in _words(d, n):
-        if _has_repeat(w[:p]):
-            rows.append(("unit", w))
-        elif w[:p] != tuple(sorted(w[:p])):
-            rows.append(("pair", w))
-    return rows
+    words, repeat, unsorted = _prefix_defects(d, n, p)
+    keep = repeat | unsorted
+    return SpanRows(words[keep], ~repeat[keep])
 
 
-def swap_span_rows(d: int, n: int, p: int | None = None):
+def swap_span_rows(d: int, n: int, p: int | None = None) -> SpanRows:
     """Independent generators of the adjacent-swap span on the first p slots."""
-    if p is None:
-        p = n
-    return [("pair", w) for w in _words(d, n) if w[:p] != tuple(sorted(w[:p]))]
+    words, _, unsorted = _prefix_defects(d, n, p)
+    return SpanRows(words[unsorted], np.ones(int(unsorted.sum()), dtype=bool))
 
 
-def _span_terms(rows, p_sort: int, n: int, index_fn):
+def _span_terms(rows, p_sort: int, index_fn):
     """Block terms of span generators: row t has a one at the coordinate of
     its word and, for a pair, of its prefix-sorted word; index_fn maps an
     int array of words to coordinates, and a negative one is dropped."""
-    words = _word_array(rows, n)
-    pair = np.flatnonzero([kind == "pair" for kind, _ in rows])
+    pair = np.flatnonzero(rows.pair)
+    sorted_pairs = _sort_prefix(rows.words[pair], p_sort)
     terms = []
-    for gen, w in ((np.arange(len(rows)), words), (pair, _sort_prefix(words[pair], p_sort))):
+    for gen, w in ((np.arange(len(rows)), rows.words), (pair, sorted_pairs)):
         cols = index_fn(w)
         keep = cols >= 0
         terms.append((gen[keep], cols[keep], None))
@@ -159,7 +165,7 @@ def span_matrix(rows, p_sort: int, d: int, n: int, mdim: int = 1, index_fn=None)
     """
     if index_fn is None:
         index_fn = lambda words: _index(Flavor.TENSOR, d, words)
-    return _block_matrix((len(rows), d**n), mdim, _span_terms(rows, p_sort, n, index_fn))
+    return _block_matrix((len(rows), d**n), mdim, _span_terms(rows, p_sort, index_fn))
 
 
 @dataclass(frozen=True)
@@ -217,7 +223,7 @@ def _word_projection(pair, d, m, mdim):
         else swap_span_rows(d, m)
     )
     pi = span_matrix(rows, m, d, m, mdim)
-    coords = _index(Flavor.TENSOR, d, _word_array(rows, m))
+    coords = _index(Flavor.TENSOR, d, rows.words)
     sig = _block_matrix((d**m, len(rows)), mdim, [(coords, np.arange(len(rows)), None)])
     return rows, pi, sig
 
@@ -409,7 +415,7 @@ def comparison_filtration(pair: InclusionPair, rel: RelativeTower) -> FilteredTo
             rows = rel.meta["struct"][m]
             # coordinate of each word among the span generators, -1 if none
             lookup = np.full(d**m, -1)
-            lookup[_index(Flavor.TENSOR, d, _word_array(rows, m))] = np.arange(len(rows))
+            lookup[_index(Flavor.TENSOR, d, rows.words)] = np.arange(len(rows))
             index_fn = lambda words: lookup[_index(Flavor.TENSOR, d, words)]
             if pair is InclusionPair.EXT_IN_TENSOR:
                 gen_rows = lambda p: repeat_span_rows(d, m, p + 1)
@@ -420,7 +426,7 @@ def comparison_filtration(pair: InclusionPair, rel: RelativeTower) -> FilteredTo
                 if not gens:
                     chain.append(Subspace.full(rel_dim))
                     continue
-                terms = _span_terms(gens, p + 1, m, index_fn)
+                terms = _span_terms(gens, p + 1, index_fn)
                 chain.append(kernel_basis(_block_matrix((len(gens), len(rows)), mdim, terms)))
         if chain[-1].dim != 0:
             chain.append(Subspace.zero(rel_dim))
@@ -637,8 +643,7 @@ def verify_e2_product(
 
     cr = build_cr_complex(pair, table, n_rel)
     hr = cr.hr()
-    partner_tower = build_tower(_PARTNER_FLAVOR[pair], table, coeffs, n_max)
-    partner = betti_table(partner_tower)
+    partner = cochain_betti_table(_PARTNER_FLAVOR[pair], table, coeffs, n_max)
 
     entries = []
     window = min(n_rel - 1, len(hr) - 1)
@@ -710,12 +715,12 @@ def vanishing_propagation_report(table: BracketTable, coeffs, n_max: int):
     """
     coeffs = as_coefficients(table, coeffs)
     cls = classify_algebra(table)
-    hs = betti_table(build_tower(Flavor.SYM, table, coeffs, n_max, label="sym"))
-    hl = betti_table(build_tower(Flavor.TENSOR, table, coeffs, n_max, label="tensor"))
+    hs = cochain_betti_table(Flavor.SYM, table, coeffs, n_max, label="sym")
+    hl = cochain_betti_table(Flavor.TENSOR, table, coeffs, n_max, label="tensor")
     reports = []
     tables = {"sym": hs.dims, "tensor": hl.dims}
     if cls.is_lie:
-        h = betti_table(build_tower(Flavor.EXT, table, coeffs, n_max, label="ext"))
+        h = cochain_betti_table(Flavor.EXT, table, coeffs, n_max, label="ext")
         tables["ext"] = h.dims
         reports.append(_propagate("ext", h, "tensor", hl))
         reports.append(_propagate("ext", h, "sym", hs))
@@ -738,9 +743,9 @@ def full_vanishing_check(table: BracketTable, coeffs, n_max: int) -> FullVanishi
     coeffs = as_coefficients(table, coeffs)
     cls = classify_algebra(table)
     tables = {
-        "sym": betti_table(build_tower(Flavor.SYM, table, coeffs, n_max)).dims,
-        "tensor": betti_table(build_tower(Flavor.TENSOR, table, coeffs, n_max)).dims,
+        "sym": cochain_betti_table(Flavor.SYM, table, coeffs, n_max).dims,
+        "tensor": cochain_betti_table(Flavor.TENSOR, table, coeffs, n_max).dims,
     }
     if cls.is_lie:
-        tables["ext"] = betti_table(build_tower(Flavor.EXT, table, coeffs, n_max)).dims
+        tables["ext"] = cochain_betti_table(Flavor.EXT, table, coeffs, n_max).dims
     return FullVanishingReport(tables)

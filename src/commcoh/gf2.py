@@ -119,6 +119,14 @@ def _echelon(rows, top=None) -> dict:
     return top
 
 
+def _block_rank(blocks) -> int:
+    """Rank of the matrix stacked from row blocks, each converted to ints on its own."""
+    top = {}
+    for block in blocks:
+        _echelon(_int_rows(block.words), top)
+    return len(top)
+
+
 def _reduce(x: int, mask: int, by_length: dict) -> int:
     """Clear the bits of x in mask with the reduced rows keyed by pivot bit length."""
     m = x & mask
@@ -288,13 +296,16 @@ class BitMatrix:
 
     # -- elimination -------------------------------------------------
 
-    def rank(self) -> int:
-        """Rank by the forward pass alone, converting RANK_BLOCK_BYTES of rows at a time."""
+    def row_blocks(self):
+        """Row slices of one row or about RANK_BLOCK_BYTES each, top to bottom."""
         step = max(1, RANK_BLOCK_BYTES // max(1, self.words.shape[1] * 8))
-        top = {}
         for i in range(0, self.rows, step):
-            _echelon(_int_rows(self.words[i : i + step]), top)
-        return len(top)
+            block = self.words[i : i + step]
+            yield BitMatrix(block.shape[0], self.cols, block)
+
+    def rank(self) -> int:
+        """Rank by the forward pass alone, converting one row block at a time."""
+        return _block_rank(self.row_blocks())
 
     def rref(self):
         """Reduced row-echelon form.

@@ -41,7 +41,7 @@ from .cochain import (
     build_tower,
     derivation_operator_matrix,
 )
-from .cohomology import betti_table, induced_map_on_cohomology
+from .cohomology import betti_table, cochain_betti_table, induced_map_on_cohomology
 from .gf2 import BitMatrix, GF2Error, Subspace, _echelon, _int_rows, _int_words
 
 __all__ = [
@@ -390,10 +390,10 @@ def e2_closed_form_check(
         if hs_sub[q] == 0:
             e2_of_p = [0] * (p_top + 1)
         else:
-            q_tower = build_tower(
+            q_betti = cochain_betti_table(
                 Flavor.SYM, split.q_table, hq_module, p_top + 1, label="quot"
             )
-            e2_of_p = list(betti_table(q_tower).dims)
+            e2_of_p = list(q_betti.dims)
         for p in range(p_top + 1):
             e1 = sym_count(dq, p) * hs_sub[q]
             rows.append((1, p, q, pages[1].entries[(p, q)], e1, pages[1].entries[(p, q)] == e1))

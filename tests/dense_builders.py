@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from commcoh.cochain import Flavor, InclusionPair, basis_tuples, monomial_rank
-from commcoh.comparison import repeat_span_rows, swap_span_rows
 from commcoh.gf2 import BitMatrix, QuotientCoords, Subspace
 
 
@@ -32,6 +31,37 @@ def canonical(flavor: Flavor, word):
             if a == b:
                 return None
     return srt
+
+
+def repeat_span_rows(d: int, n: int, p: int | None = None) -> list:
+    """The repeated-index span generators as (kind, word) pairs, one word at a time.
+
+    Kind "unit" stands for the coordinate vector of the word, kind "pair"
+    for word + prefix-sorted word.
+    """
+    if p is None:
+        p = n
+    rows = []
+    for w in basis_tuples(Flavor.TENSOR, d, n):
+        if len(set(w[:p])) != len(w[:p]):
+            rows.append(("unit", w))
+        elif w[:p] != tuple(sorted(w[:p])):
+            rows.append(("pair", w))
+    return rows
+
+
+def swap_span_rows(d: int, n: int, p: int | None = None) -> list:
+    """The adjacent-swap span generators as (kind, word) pairs, one word at a time."""
+    if p is None:
+        p = n
+    words = basis_tuples(Flavor.TENSOR, d, n)
+    return [("pair", w) for w in words if w[:p] != tuple(sorted(w[:p]))]
+
+
+def span_pairs(rows) -> list:
+    """The (kind, word) pairs of a SpanRows, in its order."""
+    kinds = ["pair" if p else "unit" for p in rows.pair.tolist()]
+    return list(zip(kinds, map(tuple, rows.words.tolist())))
 
 
 def differential(flavor, table, coeffs, n, rep_of=None) -> BitMatrix:
@@ -209,7 +239,7 @@ def filtration_constraints(pair, rel, n, p) -> BitMatrix | None:
             return None
         mu = rel.meta["struct"][m].project_rows(span(gens, p + 1, d, m)).to_dense()
         return BitMatrix.from_dense(np.kron(mu, eye))
-    rows = rel.meta["struct"][m]
+    rows = span_pairs(rel.meta["struct"][m])
     lookup = {w: t for t, (_, w) in enumerate(rows)}
     if pair is InclusionPair.EXT_IN_TENSOR:
         gens = repeat_span_rows(d, m, p + 1)

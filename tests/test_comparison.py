@@ -60,6 +60,16 @@ class TestSpans:
                     got = len(swap_span_rows(d, n, p))
                     assert got == d**n - comb(d + p - 1, p) * d ** (n - p)
 
+    def test_rows_match_word_loop(self):
+        # equal generators in equal order, for every prefix length
+        for d in range(4):
+            for n in range(7):
+                for p in (None, *range(n + 1)):
+                    got = dense.span_pairs(repeat_span_rows(d, n, p))
+                    assert got == dense.repeat_span_rows(d, n, p), (d, n, p)
+                    got = dense.span_pairs(swap_span_rows(d, n, p))
+                    assert got == dense.swap_span_rows(d, n, p), (d, n, p)
+
     def test_small_content(self):
         # length-two words over two letters: repeat span has dimension 3
         rows = repeat_span_rows(2, 2)
@@ -93,10 +103,10 @@ class TestBuildersMatchDenseOracles:
             if index_fn is not None:
                 word_fn = index_fn
                 index_fn = lambda w: int(word_fn(np.array([w]))[0])
-            return dense.span(rows, p_sort, d, n, mdim, index_fn)
+            return dense.span(dense.span_pairs(rows), p_sort, d, n, mdim, index_fn)
 
         def same_word_projection(got, want):  # (rows, pi, sigma)
-            assert got[0] == want[0]
+            assert dense.span_pairs(got[0]) == want[0]
             assert_same_matrix(got[1], want[1])
             assert_same_matrix(got[2], want[2])
 
