@@ -154,9 +154,7 @@ class ModuleSpec:
         x = np.asarray(x, dtype=np.int64)
         if x.shape != (self.rho.shape[0],):
             raise GF2Error("action argument must be an algebra coordinate vector")
-        return (np.einsum("i,imn->mn", x, self.rho.astype(np.int64)) & 1).astype(
-            np.uint8
-        )
+        return _act(self.rho, x)
 
 
 @dataclass(frozen=True)
@@ -175,9 +173,7 @@ class BimoduleSpec:
         x = np.asarray(x, dtype=np.int64)
         if x.shape != (self.left.shape[0],):
             raise GF2Error("action argument must be an algebra coordinate vector")
-        return (np.einsum("i,imn->mn", x, self.left.astype(np.int64)) & 1).astype(
-            np.uint8
-        )
+        return _act(self.left, x)
 
 
 def _act(rho: np.ndarray, vec: np.ndarray) -> np.ndarray:

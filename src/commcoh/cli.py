@@ -61,8 +61,9 @@ COMPARISON_NAMES = {
 }
 
 
-# The arguments each command's payload depends on; --format, --output and
-# --jobs change only how a report is written or computed.
+# The arguments each command's payload depends on; --format and --output
+# change only how a report is written, and survey's --jobs only how its
+# candidates are split among workers.
 PAYLOAD_ARGS = {
     "check": ("algebra",),
     "cohomology": ("algebra", "module", "max_degree", "flavor"),
@@ -391,7 +392,6 @@ def build_parser():
         p.add_argument("--max-degree", type=int, default=6)
         p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--output", default=None)
-        p.add_argument("--jobs", type=int, default=1)
 
     common(sub.add_parser("check", help="classification and axiom verdicts"))
     p = sub.add_parser("cohomology", help="Betti tables per flavor")

@@ -140,6 +140,7 @@ def induced_map_on_cohomology(tower: ComplexTower, n: int, op: BitMatrix) -> Bit
     z = cycles(tower, n)
     b = boundaries(tower, n)
     try:
-        return induced_map(op, z, b, z, b)
+        h = QuotientCoords(z, b)
+        return induced_map(op, h, h)
     except GF2Error as exc:
         raise GF2Error(f"operator does not act on H^{n}: {exc}") from exc

@@ -332,54 +332,42 @@ def long_exact_sequence_check(
     qt = rel.quotient_word_tower()
     limit = m_top - 1 if max_degree is None else min(max_degree, m_top - 1)
 
-    zs = {m: cycles(rel.sub_tower, m) for m in range(limit + 1)}
-    bs = {m: boundaries(rel.sub_tower, m) for m in range(limit + 1)}
-    zt = {m: cycles(rel.total_tower, m) for m in range(limit + 1)}
-    bt_ = {m: boundaries(rel.total_tower, m) for m in range(limit + 1)}
-    zq = {m: cycles(qt, m) for m in range(limit + 1)}
-    bq = {m: boundaries(qt, m) for m in range(limit + 1)}
-
-    i_star = {
-        m: induced_map(rel.incl[m], zs[m], bs[m], zt[m], bt_[m])
-        for m in range(limit + 1)
-    }
-    p_star = {
-        m: induced_map(rel.proj[m], zt[m], bt_[m], zq[m], bq[m])
-        for m in range(limit + 1)
-    }
+    degrees = range(limit + 1)
+    h = lambda tower, m: QuotientCoords(cycles(tower, m), boundaries(tower, m))
+    hs = {m: h(rel.sub_tower, m) for m in degrees}
+    ht = {m: h(rel.total_tower, m) for m in degrees}
+    hq = {m: h(qt, m) for m in degrees}
+    i_star = {m: induced_map(rel.incl[m], hs[m], ht[m]) for m in degrees}
+    p_star = {m: induced_map(rel.proj[m], ht[m], hq[m]) for m in degrees}
 
     connecting = {}
     for m in range(limit):
-        reps = QuotientCoords(zq[m], bq[m]).lift_rows()
-        h_next = QuotientCoords(zs[m + 1], bs[m + 1])
+        reps = hq[m].lift_rows()
         if reps.rows == 0:
-            connecting[m] = BitMatrix.zeros(h_next.dim, 0)
+            connecting[m] = BitMatrix.zeros(hs[m + 1].dim, 0)
             continue
         lifted = reps @ rel.section[m].transpose()
         w = lifted @ rel.total_tower.differential(m).transpose()
         u = solve(rel.incl[m + 1], w.transpose())
         if u is None:
             raise GF2Error(f"connecting-map lift failed at word degree {m}")
-        connecting[m] = h_next.project_rows(u.transpose()).transpose()
+        connecting[m] = hs[m + 1].project_rows(u.transpose()).transpose()
 
     nodes = []
-    for m in range(limit + 1):
-        h_t = QuotientCoords(zt[m], bt_[m]).dim
+    for m in degrees:
         ok = (p_star[m] @ i_star[m]).is_zero() and (
-            i_star[m].rank() + p_star[m].rank() == h_t
+            i_star[m].rank() + p_star[m].rank() == ht[m].dim
         )
         nodes.append((f"H^{m}(total)", ok))
     for m in range(limit):
-        h_q = QuotientCoords(zq[m], bq[m]).dim
         ok = (connecting[m] @ p_star[m]).is_zero() and (
-            p_star[m].rank() + connecting[m].rank() == h_q
+            p_star[m].rank() + connecting[m].rank() == hq[m].dim
         )
         nodes.append((f"H^{m}(quotient)", ok))
-    nodes.append(("H^0(sub)", i_star[0].rank() == QuotientCoords(zs[0], bs[0]).dim))
+    nodes.append(("H^0(sub)", i_star[0].rank() == hs[0].dim))
     for m in range(limit):
-        h_s = QuotientCoords(zs[m + 1], bs[m + 1]).dim
         ok = (i_star[m + 1] @ connecting[m]).is_zero() and (
-            connecting[m].rank() + i_star[m + 1].rank() == h_s
+            connecting[m].rank() + i_star[m + 1].rank() == hs[m + 1].dim
         )
         nodes.append((f"H^{m + 1}(sub)", ok))
 
@@ -481,40 +469,34 @@ def build_cr_complex(pair: InclusionPair, table: BracketTable, n_cr_max: int) ->
     d = table.dim
     coad = symmetrize(coadjoint_module(table), table)
     if pair is InclusionPair.EXT_IN_SYM:
-        return _build_cr_mixed(pair, table, coad, n_cr_max)
+        flavor = Flavor.EXT
+        restr, mus = _build_cr_mixed(table, coad, n_cr_max)
+    else:
+        flavor = Flavor.EXT if pair is InclusionPair.EXT_IN_TENSOR else Flavor.SYM
+        a_tower = build_tower(flavor, table, coad, n_cr_max + 1, label="dual-valued")
+        restr = a_tower.diffs[1:]
+        mus = [_insert_pullback(flavor, d, p) for p in range(n_cr_max + 1)]
+    triv = build_tower(flavor, table, trivial_module(table), n_cr_max + 2, label="scalar")
+    return _product_cokernel(pair, table, restr, mus, triv)
 
-    flavor = Flavor.EXT if pair is InclusionPair.EXT_IN_TENSOR else Flavor.SYM
-    m_top = n_cr_max + 2
-    a_tower = build_tower(flavor, table, coad, m_top, label="dual-valued")
-    triv_tower = build_tower(flavor, table, trivial_module(table), m_top, label="scalar")
 
-    mus = [_insert_pullback(flavor, d, p) for p in range(n_cr_max + 1)]
-    for p in range(n_cr_max + 1):
-        if mus[p].rank() != mus[p].cols:
+def _product_cokernel(pair, table, restr, mus, triv) -> CRTower:
+    """The complex whose degree p is the target of mus[p] modulo its image,
+    with the differential induced by restr[p]; mus[p] pulls back the
+    scalar cochains of triv in degree p + 2."""
+    for p, mu in enumerate(mus):
+        if mu.rank() != mu.cols:
             raise GF2Error(f"product pullback not injective at degree {p}")
-    for p in range(n_cr_max):
-        lhs = a_tower.differential(p + 1) @ mus[p]
-        rhs = mus[p + 1] @ triv_tower.differential(p + 2)
-        if lhs != rhs:
+    for p in range(len(mus) - 1):
+        if restr[p] @ mus[p] != mus[p + 1] @ triv.differential(p + 2):
             raise GF2Error(f"product pullback is not a chain map at degree {p}")
-
-    images = [image(mu) for mu in mus]
-    dims = [
-        a_tower.dims[p + 1] - images[p].dim for p in range(n_cr_max + 1)
-    ]
+    quotients = [QuotientCoords(Subspace.full(mu.rows), image(mu)) for mu in mus]
     diffs = [
-        induced_map(
-            a_tower.differential(p + 1),
-            Subspace.full(a_tower.dims[p + 1]),
-            images[p],
-            Subspace.full(a_tower.dims[p + 2]),
-            images[p + 1],
-        )
-        for p in range(n_cr_max)
+        induced_map(restr[p], quotients[p], quotients[p + 1])
+        for p in range(len(mus) - 1)
     ]
-    tower = ComplexTower(
-        tuple(dims), tuple(diffs), None, label=f"cr[{pair.value}]", table=table
-    )
+    dims = tuple(q.dim for q in quotients)
+    tower = ComplexTower(dims, tuple(diffs), None, label=f"cr[{pair.value}]", table=table)
     return CRTower(pair, tower, tuple(mus))
 
 
@@ -532,21 +514,16 @@ def _ext_word_pullback(d, m):
     return BitMatrix.from_coords(basis_dim(Flavor.EXT, d, m), d**m, rows, cols)
 
 
-def _build_cr_mixed(pair, table: BracketTable, coad, n_cr_max: int) -> CRTower:
-    """Mixed-symmetry variant: dual-valued word cochains whose combined
-    word (arguments then dual slot) is killed by full adjacent swaps and
-    by repeats among the argument slots."""
+def _build_cr_mixed(table: BracketTable, coad, n_cr_max: int):
+    """(restr, mus) of the mixed-symmetry variant: dual-valued word
+    cochains whose combined word (arguments then dual slot) is killed by
+    full adjacent swaps and by repeats among the argument slots."""
     d = table.dim
-    ambient = build_tower(
-        Flavor.TENSOR, table, coad, n_cr_max + 2, label="dual-words"
-    )
-    triv = build_tower(
-        Flavor.EXT, table, trivial_module(table), n_cr_max + 2, label="scalar"
-    )
+    ambient = build_tower(Flavor.TENSOR, table, coad, n_cr_max + 1, label="dual-words")
 
     cl_index = lambda words: _combined_index(d, words)
     a_sub = []
-    for p in range(n_cr_max + 2):
+    for p in range(n_cr_max + 1):
         m = p + 2
         cons = BitMatrix.vstack(
             span_matrix(repeat_span_rows(d, m, m - 1), m - 1, d, m, 1, cl_index),
@@ -555,41 +532,18 @@ def _build_cr_mixed(pair, table: BracketTable, coad, n_cr_max: int) -> CRTower:
         a_sub.append(kernel_basis(cons))
 
     restr = []
-    for p in range(n_cr_max + 1):
-        dd = ambient.differential(p + 1)
+    for p in range(n_cr_max):
         if a_sub[p].dim == 0:
             restr.append(BitMatrix.zeros(a_sub[p + 1].dim, 0))
             continue
-        imgs = a_sub[p].basis @ dd.transpose()
+        imgs = a_sub[p].basis @ ambient.differential(p + 1).transpose()
         restr.append(a_sub[p + 1].row_coefficients(imgs).transpose())
 
-    mus = []
-    for p in range(n_cr_max + 1):
-        m = p + 2
-        cols = a_sub[p].row_coefficients(_ext_word_pullback(d, m))
-        mus.append(cols.transpose())
-        if mus[p].rank() != mus[p].cols:
-            raise GF2Error(f"product pullback not injective at degree {p}")
-    for p in range(n_cr_max):
-        if restr[p] @ mus[p] != mus[p + 1] @ triv.differential(p + 2):
-            raise GF2Error(f"product pullback is not a chain map at degree {p}")
-
-    images = [image(mu) for mu in mus]
-    dims = [a_sub[p].dim - images[p].dim for p in range(n_cr_max + 1)]
-    diffs = [
-        induced_map(
-            restr[p],
-            Subspace.full(a_sub[p].dim),
-            images[p],
-            Subspace.full(a_sub[p + 1].dim),
-            images[p + 1],
-        )
-        for p in range(n_cr_max)
+    mus = [
+        a_sub[p].row_coefficients(_ext_word_pullback(d, p + 2)).transpose()
+        for p in range(n_cr_max + 1)
     ]
-    tower = ComplexTower(
-        tuple(dims), tuple(diffs), None, label=f"cr[{pair.value}]", table=table
-    )
-    return CRTower(pair, tower, tuple(mus))
+    return restr, mus
 
 
 _PARTNER_FLAVOR = {
@@ -705,6 +659,19 @@ def _propagate(name_h, bt_h, name_c, bt_c) -> PropagationReport:
     return PropagationReport(name_h, name_c, w, zero_ok, tuple(iso))
 
 
+def _flavor_tables(table: BracketTable, coeffs, n_max: int) -> dict:
+    """Betti tables of the sym and tensor cochains, and of ext for a Lie
+    algebra, keyed by flavor name."""
+    coeffs = as_coefficients(table, coeffs)
+    flavors = [Flavor.SYM, Flavor.TENSOR]
+    if classify_algebra(table).is_lie:
+        flavors.append(Flavor.EXT)
+    return {
+        f.value: cochain_betti_table(f, table, coeffs, n_max, label=f.value)
+        for f in flavors
+    }
+
+
 def vanishing_propagation_report(table: BracketTable, coeffs, n_max: int):
     """All applicable vanishing-propagation statements for one input.
 
@@ -713,20 +680,15 @@ def vanishing_propagation_report(table: BracketTable, coeffs, n_max: int):
     in the next two degrees.  Commutative Lie algebras: the symmetric
     window propagates to the tensor side, and conversely.
     """
-    coeffs = as_coefficients(table, coeffs)
-    cls = classify_algebra(table)
-    hs = cochain_betti_table(Flavor.SYM, table, coeffs, n_max, label="sym")
-    hl = cochain_betti_table(Flavor.TENSOR, table, coeffs, n_max, label="tensor")
+    bts = _flavor_tables(table, coeffs, n_max)
+    hs, hl = bts["sym"], bts["tensor"]
     reports = []
-    tables = {"sym": hs.dims, "tensor": hl.dims}
-    if cls.is_lie:
-        h = cochain_betti_table(Flavor.EXT, table, coeffs, n_max, label="ext")
-        tables["ext"] = h.dims
-        reports.append(_propagate("ext", h, "tensor", hl))
-        reports.append(_propagate("ext", h, "sym", hs))
+    if "ext" in bts:
+        reports.append(_propagate("ext", bts["ext"], "tensor", hl))
+        reports.append(_propagate("ext", bts["ext"], "sym", hs))
     reports.append(_propagate("sym", hs, "tensor", hl))
     reports.append(_propagate("tensor", hl, "sym", hs))
-    return reports, tables
+    return reports, {name: bt.dims for name, bt in bts.items()}
 
 
 @dataclass(frozen=True)
@@ -740,12 +702,5 @@ class FullVanishingReport:
 
 def full_vanishing_check(table: BracketTable, coeffs, n_max: int) -> FullVanishingReport:
     """All defined cohomologies of one coefficient module, for zero checks."""
-    coeffs = as_coefficients(table, coeffs)
-    cls = classify_algebra(table)
-    tables = {
-        "sym": cochain_betti_table(Flavor.SYM, table, coeffs, n_max).dims,
-        "tensor": cochain_betti_table(Flavor.TENSOR, table, coeffs, n_max).dims,
-    }
-    if cls.is_lie:
-        tables["ext"] = cochain_betti_table(Flavor.EXT, table, coeffs, n_max).dims
-    return FullVanishingReport(tables)
+    bts = _flavor_tables(table, coeffs, n_max)
+    return FullVanishingReport({name: bt.dims for name, bt in bts.items()})

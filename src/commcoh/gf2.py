@@ -463,12 +463,13 @@ class QuotientCoords:
     complement, deterministic).
     """
 
-    __slots__ = ("sup", "inner", "free")
+    __slots__ = ("sup", "sub", "inner", "free")
 
     def __init__(self, a: Subspace, b: Subspace):
         if not a.contains(b):
             raise GF2Error("quotient coordinates: not a subspace")
         self.sup = a
+        self.sub = b
         coeffs = a.row_coefficients(b.basis) if b.dim else BitMatrix.zeros(0, a.dim)
         self.inner = Subspace.from_rows(a.dim, coeffs)
         pivot_set = set(self.inner.pivots)
@@ -488,23 +489,19 @@ class QuotientCoords:
         return BitMatrix(self.dim, self.sup.ambient_dim, self.sup.basis.words[self.free])
 
 
-def induced_map(
-    m: BitMatrix, dom_a: Subspace, dom_b: Subspace, cod_c: Subspace, cod_d: Subspace
-) -> BitMatrix:
-    """Matrix of the induced map dom_a/dom_b -> cod_c/cod_d.
+def induced_map(m: BitMatrix, dom: QuotientCoords, cod: QuotientCoords) -> BitMatrix:
+    """Matrix of the induced map a/b -> c/d, for dom = a/b and cod = c/d.
 
-    All four containments are checked; the result is written in the
-    canonical coset coordinates of QuotientCoords on both sides.
+    Both containments, m(a) <= c and m(b) <= d, are checked; the result
+    is written in the canonical coset coordinates of the two quotients.
     """
-    if m.cols != dom_a.ambient_dim or m.rows != cod_c.ambient_dim:
+    if m.cols != dom.sup.ambient_dim or m.rows != cod.sup.ambient_dim:
         raise GF2Error("induced_map: matrix shape does not match ambients")
-    qd = QuotientCoords(dom_a, dom_b)
-    qc = QuotientCoords(cod_c, cod_d)
     mt = m.transpose()
-    if dom_a.dim and not cod_c.reduce_rows(dom_a.basis @ mt).is_zero():
+    if dom.sup.dim and not cod.sup.reduce_rows(dom.sup.basis @ mt).is_zero():
         raise GF2Error("induced_map: m does not map dom_a into cod_c")
-    if dom_b.dim and not cod_d.reduce_rows(dom_b.basis @ mt).is_zero():
+    if dom.sub.dim and not cod.sub.reduce_rows(dom.sub.basis @ mt).is_zero():
         raise GF2Error("induced_map: m does not map dom_b into cod_d")
-    if qd.dim == 0:
-        return BitMatrix.zeros(qc.dim, 0)
-    return qc.project_rows(qd.lift_rows() @ mt).transpose()
+    if dom.dim == 0:
+        return BitMatrix.zeros(cod.dim, 0)
+    return cod.project_rows(dom.lift_rows() @ mt).transpose()

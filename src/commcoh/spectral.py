@@ -18,7 +18,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import groupby, islice
-from math import comb
 
 import numpy as np
 
@@ -37,6 +36,7 @@ from .cochain import (
     ComplexTower,
     Flavor,
     _block_matrix,
+    basis_dim,
     basis_tuples,
     build_tower,
     derivation_operator_matrix,
@@ -313,18 +313,6 @@ def outer_derivative_operator(
     return derivation_operator_matrix(Flavor.SYM, split.h_dim, coeffs.dim, a, b, n)
 
 
-def induced_cohomology_action(
-    split: SubalgebraSplit,
-    coeffs: BimoduleSpec,
-    h_tower: ComplexTower,
-    n: int,
-    x,
-) -> BitMatrix:
-    """Action of an ambient element on H^n of the subalgebra complex."""
-    op = outer_derivative_operator(split, coeffs, x, n)
-    return induced_map_on_cohomology(h_tower, n, op)
-
-
 @dataclass(frozen=True)
 class ClosedFormReport:
     """Per-page comparison of engine entries against closed-form values."""
@@ -362,22 +350,18 @@ def e2_closed_form_check(
     dh, dq = split.h_dim, split.q_dim
     sect = split.section.transpose().to_dense()  # rows: complement vectors
 
-    def sym_count(d, n):
-        return comb(d + n - 1, n) if d else int(n == 0)
-
     rows = []
     for n in range(n_max):
         for p in range(n + 1):
             q = n - p
-            e0 = sym_count(dh, q) * sym_count(dq, p) * mdim
+            e0 = basis_dim(Flavor.SYM, dh, q) * basis_dim(Flavor.SYM, dq, p) * mdim
             rows.append((0, p, q, pages[0].entries[(p, q)], e0, pages[0].entries[(p, q)] == e0))
 
     for q in range(n_max):
         acts = np.zeros((dq, hs_sub[q], hs_sub[q]), dtype=np.uint8)
         for k in range(dq):
-            acts[k] = induced_cohomology_action(
-                split, coeffs, h_tower, q, sect[k]
-            ).to_dense()
+            op = outer_derivative_operator(split, coeffs, sect[k], q)
+            acts[k] = induced_map_on_cohomology(h_tower, q, op).to_dense()
         hq_module = ModuleSpec(hs_sub[q], acts)
         check = check_module_axioms(split.q_table, hq_module)
         if not check.ok:
@@ -395,7 +379,7 @@ def e2_closed_form_check(
             )
             e2_of_p = list(q_betti.dims)
         for p in range(p_top + 1):
-            e1 = sym_count(dq, p) * hs_sub[q]
+            e1 = basis_dim(Flavor.SYM, dq, p) * hs_sub[q]
             rows.append((1, p, q, pages[1].entries[(p, q)], e1, pages[1].entries[(p, q)] == e1))
             e2 = e2_of_p[p]
             rows.append((2, p, q, pages[2].entries[(p, q)], e2, pages[2].entries[(p, q)] == e2))

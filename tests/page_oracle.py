@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from commcoh.gf2 import (
     BitMatrix,
     GF2Error,
+    QuotientCoords,
     Subspace,
     apply_to_subspace,
     induced_map,
@@ -136,10 +137,11 @@ class PageEngine:
         n = p + q
         return induced_map(
             self.ft.tower.differential(n),
-            self.numerator(r, p, q),
-            self.denominator(r, p, q),
-            self.numerator(r, p + r, q - r + 1),
-            self.denominator(r, p + r, q - r + 1),
+            QuotientCoords(self.numerator(r, p, q), self.denominator(r, p, q)),
+            QuotientCoords(
+                self.numerator(r, p + r, q - r + 1),
+                self.denominator(r, p + r, q - r + 1),
+            ),
         )
 
 

@@ -1,6 +1,7 @@
 """Tests for relative complexes, long exact sequences, comparison
 filtrations, cokernel complexes, and product-shape checks."""
 
+import tracemalloc
 from collections import Counter
 from math import comb
 
@@ -9,8 +10,8 @@ import pytest
 
 import dense_builders as dense
 from commcoh import comparison
-from commcoh.algebra import BracketTable, trivial_module
-from commcoh.cochain import InclusionPair
+from commcoh.algebra import BracketTable, coadjoint_module, symmetrize, trivial_module
+from commcoh.cochain import Flavor, InclusionPair, build_tower
 from commcoh.cohomology import betti_table
 from commcoh.comparison import (
     build_cr_complex,
@@ -25,7 +26,7 @@ from commcoh.comparison import (
     vanishing_window,
     verify_e2_product,
 )
-from commcoh.gf2 import GF2Error, Subspace
+from commcoh.gf2 import BitMatrix, GF2Error, Subspace
 from commcoh.spectral import convergence_check
 
 from conftest import catalog
@@ -145,11 +146,12 @@ class TestBuildersMatchDenseOracles:
                 assert len(stacks) == len(want)
                 for got, w in zip(stacks, want):
                     assert_same_matrix(got, w)
+        n_cr_max = 3
         for pair in InclusionPair:
             stacks.clear()
-            build_cr_complex(pair, entry.table, 3)
+            build_cr_complex(pair, entry.table, n_cr_max)
             want = (
-                [dense.mixed_constraints(d, p + 2) for p in range(5)]
+                [dense.mixed_constraints(d, p + 2) for p in range(n_cr_max + 1)]
                 if pair is InclusionPair.EXT_IN_SYM
                 else []
             )
@@ -375,11 +377,48 @@ class TestCRComplexes:
             cr = build_cr_complex(InclusionPair.EXT_IN_SYM, t, 4)
             assert cr.tower.dims == (d, 0, 0, 0, 0)
 
+    def test_mixed_cr_builds_only_the_degrees_its_tower_reads(self):
+        # the tower reads word degrees up to 7; a kernel of the unread
+        # word-degree 8 constraint stack (6561 columns) peaked at 37 MiB
+        heis3 = catalog("heis3")
+        tracemalloc.start()
+        try:
+            cr = build_cr_complex(InclusionPair.EXT_IN_SYM, heis3.table, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cr.tower.dims == (3, 0, 0, 0, 0, 0)
+        assert peak < 16 * 2**20
+
     def test_cr_composition_zero(self):
         a = catalog("a")
         for pair in InclusionPair:
             cr = build_cr_complex(pair, a.table, 4)
             assert cr.tower.check_composition()
+
+    def test_cokernel_checks_name_their_degree(self):
+        # the sym-in-tensor pieces of heis3, fed to the shared cokernel
+        # builder intact, then with one forged entry each
+        t = catalog("heis3").table
+        pair = InclusionPair.SYM_IN_TENSOR
+        coad = symmetrize(coadjoint_module(t), t)
+        restr = list(build_tower(Flavor.SYM, t, coad, 4).diffs[1:])
+        mus = [comparison._insert_pullback(Flavor.SYM, t.dim, p) for p in range(4)]
+        triv = build_tower(Flavor.SYM, t, trivial_module(t), 5)
+        cr = comparison._product_cokernel(pair, t, restr, mus, triv)
+        assert cr.tower.diffs == build_cr_complex(pair, t, 3).tower.diffs
+
+        bad = restr[1].to_dense()
+        bad[0, np.flatnonzero(mus[1].to_dense().any(axis=1))[0]] ^= 1
+        forged = restr[:1] + [BitMatrix.from_dense(bad)] + restr[2:]
+        with pytest.raises(GF2Error, match="not a chain map at degree 1"):
+            comparison._product_cokernel(pair, t, forged, mus, triv)
+
+        bad = mus[2].to_dense()
+        bad[:, 1] = bad[:, 0]
+        forged = mus[:2] + [BitMatrix.from_dense(bad)] + mus[3:]
+        with pytest.raises(GF2Error, match="not injective at degree 2"):
+            comparison._product_cokernel(pair, t, restr, forged, triv)
 
 
 class TestProducts:

@@ -7,7 +7,7 @@ import pytest
 from commcoh.algebra import BracketTable, trivial_module
 from commcoh.cochain import Flavor, build_tower
 from commcoh.cohomology import betti_table
-from commcoh.gf2 import BitMatrix, Subspace, apply_to_subspace, induced_map
+from commcoh.gf2 import BitMatrix, QuotientCoords, Subspace, apply_to_subspace, induced_map
 from commcoh.spectral import (
     compute_pages,
     convergence_check,
@@ -160,13 +160,11 @@ class TestInducedMapFuzz:
                 Subspace.from_rows(n, rng.integers(0, 2, (1, n), dtype=np.uint8)),
             )
             cod_c = subspace_sum(cod_d, apply_to_subspace(m, dom_a))
-            got = induced_map(m, dom_a, dom_b, cod_c, cod_d)
-            # brute force: the image of every domain vector must land in
-            # the coset the matrix predicts
-            from commcoh.gf2 import QuotientCoords
-
             qd = QuotientCoords(dom_a, dom_b)
             qc = QuotientCoords(cod_c, cod_d)
+            got = induced_map(m, qd, qc)
+            # brute force: the image of every domain vector must land in
+            # the coset the matrix predicts
             for v in subspace_vectors(dom_a):
                 vv = np.array(v, dtype=np.uint8)
                 coords = qd.project_rows(BitMatrix.from_dense(vv.reshape(1, -1)))

@@ -397,23 +397,31 @@ class TestQuotient:
 class TestInducedMap:
     def test_identity_full(self):
         m = BitMatrix.identity(3)
-        full = Subspace.full(3)
-        zero = Subspace.zero(3)
-        got = induced_map(m, full, zero, full, zero)
+        q = QuotientCoords(Subspace.full(3), Subspace.zero(3))
+        got = induced_map(m, q, q)
         assert got == BitMatrix.identity(3)
 
     def test_zero_domain(self):
         m = BitMatrix.identity(3)
         a = Subspace.from_rows(3, np.array([[1, 1, 0]], dtype=np.uint8))
-        got = induced_map(m, a, a, Subspace.full(3), a)
+        got = induced_map(m, QuotientCoords(a, a), QuotientCoords(Subspace.full(3), a))
         assert got.shape == (2, 0)
 
     def test_containment_error_names_side(self):
         m = BitMatrix.from_dense([[1, 0], [0, 0]])
-        full = Subspace.full(2)
+        dom = QuotientCoords(Subspace.full(2), Subspace.zero(2))
         tgt = Subspace.from_rows(2, np.array([[0, 1]], dtype=np.uint8))
         with pytest.raises(GF2Error, match="dom_a into cod_c"):
-            induced_map(m, full, Subspace.zero(2), tgt, Subspace.zero(2))
+            induced_map(m, dom, QuotientCoords(tgt, Subspace.zero(2)))
+
+    def test_sub_containment_error_names_side(self):
+        # m maps a into c, but b outside d: only the sub side can fail
+        m = BitMatrix.identity(2)
+        full = Subspace.full(2)
+        b = Subspace.from_rows(2, np.array([[1, 0]], dtype=np.uint8))
+        d = Subspace.from_rows(2, np.array([[0, 1]], dtype=np.uint8))
+        with pytest.raises(GF2Error, match="dom_b into cod_d"):
+            induced_map(m, QuotientCoords(full, b), QuotientCoords(full, d))
 
 
 class TestCanonicality:
