@@ -175,14 +175,17 @@ def cmd_check(entry, args, checks, info):
 
 
 def cmd_cohomology(entry, args, checks, info):
-    mod = _resolve_module(entry, args.module)
-    cls = classify_algebra(entry.table)
     flavors = []
     for f in args.flavor.split(","):
         try:
-            flavors.append(Flavor(f))
+            flavor = Flavor(f)
         except ValueError:
             raise InputError(f"unknown flavor {f!r}")
+        if flavor in flavors:
+            raise InputError(f"--flavor must be distinct flavors ({f!r} repeats)")
+        flavors.append(flavor)
+    mod = _resolve_module(entry, args.module)
+    cls = classify_algebra(entry.table)
     payload = {"algebra": entry.name, "module": args.module, "tables": {}}
     for flavor in flavors:
         if flavor is Flavor.EXT and not cls.is_lie:
@@ -207,12 +210,10 @@ def cmd_cohomology(entry, args, checks, info):
 
 def cmd_hs_ss(entry, args, checks, info):
     mod = _resolve_module(entry, args.module)
-    sub_spec = args.ideal or args.subalgebra
-    if sub_spec is None:
-        raise InputError("hs-ss needs --ideal or --subalgebra")
+    sub_spec = args.subalgebra if args.ideal is None else args.ideal
     h = _resolve_subspace(entry, sub_spec)
     verdict = is_ideal(entry.table, h)
-    if args.ideal and verdict.value != "ideal":
+    if args.ideal is not None and verdict.value != "ideal":
         raise InputError(f"--ideal names a {verdict.value}")
     n_max = args.max_degree + 2
     ft = subalgebra_filtration(entry.table, h, mod, n_max)
@@ -399,8 +400,9 @@ def build_parser():
     p.add_argument("--flavor", default="sym")
     p = sub.add_parser("hs-ss", help="subalgebra filtration pages and checks")
     common(p)
-    p.add_argument("--ideal", default=None)
-    p.add_argument("--subalgebra", default=None)
+    span = p.add_mutually_exclusive_group(required=True)
+    span.add_argument("--ideal", default=None)
+    span.add_argument("--subalgebra", default=None)
     p = sub.add_parser("compare", help="relative complexes and product checks")
     common(p)
     p.add_argument("--comparison", default="all", help="all, " + ", ".join(COMPARISON_NAMES))
@@ -444,8 +446,8 @@ def _file_parts(entry: CatalogEntry, args) -> tuple:
         return mods, subs
     mod = _resolve_module(entry, args.module)
     parts = (mod.dim, mod.left.tobytes(), mod.right.tobytes())
-    if args.command == "hs-ss" and (args.ideal or args.subalgebra):
-        h = _resolve_subspace(entry, args.ideal or args.subalgebra)
+    if args.command == "hs-ss":
+        h = _resolve_subspace(entry, args.subalgebra if args.ideal is None else args.ideal)
         parts += (h.basis.words.tobytes(),)
     return parts
 

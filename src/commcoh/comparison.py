@@ -3,9 +3,8 @@ the cokernel complexes of the product maps, and the product-shape
 checks on the second page.
 
 The quotient complexes are modeled concretely as functionals on the
-kernel of the argument-space surjection, which gives canonical
-coordinates and makes representative independence automatic.  The
-kernels carry hand-picked independent bases:
+kernel of the argument-space surjection.  The kernels carry hand-picked
+independent generators:
 
   repeat span  I_n : coordinate words with a repeated letter, plus
                      w + sort(w) for unsorted squarefree words;
@@ -13,6 +12,16 @@ kernels carry hand-picked independent bases:
 
 and their prefix forms I_{n,p}, J_{n,p} restrict the defect to the
 first p slots (sorting only that prefix).
+
+The quotient coordinates are the generator words, written in the total
+flavor's coordinates: a relative cochain is its value on each
+generator.  For lie-comm (ext in sym) the kernel I_n / J_n is spanned by
+the symmetric monomials with a repeated letter, so those are its
+coordinates.  The filtration steps and the mixed cokernel space are
+class spans: coordinates fall into classes of words, a class dies where
+it reaches no coordinate or holds a unit generator of the prefix span,
+and one indicator a live class is already the reduced echelon basis, so
+nothing is eliminated.
 
 Degree bookkeeping is in word degree throughout; a relative complex in
 its own grading sits two degrees lower, a cokernel-of-products complex
@@ -61,7 +70,6 @@ from .gf2 import (
     Subspace,
     image,
     induced_map,
-    kernel_basis,
     solve,
 )
 from .spectral import (
@@ -143,29 +151,31 @@ def swap_span_rows(d: int, n: int, p: int | None = None) -> SpanRows:
     return SpanRows(words[unsorted], np.ones(int(unsorted.sum()), dtype=bool))
 
 
-def _span_terms(rows, p_sort: int, index_fn):
-    """Block terms of span generators: row t has a one at the coordinate of
-    its word and, for a pair, of its prefix-sorted word; index_fn maps an
-    int array of words to coordinates, and a negative one is dropped."""
+def span_matrix(rows, p_sort: int, d: int, n: int, mdim: int = 1, flavor=Flavor.TENSOR):
+    """Materialize span generators as rows of a packed matrix over the
+    degree-n monomials of flavor (tensor or sym)."""
     pair = np.flatnonzero(rows.pair)
-    sorted_pairs = _sort_prefix(rows.words[pair], p_sort)
-    terms = []
-    for gen, w in ((np.arange(len(rows)), rows.words), (pair, sorted_pairs)):
-        cols = index_fn(w)
-        keep = cols >= 0
-        terms.append((gen[keep], cols[keep], None))
-    return terms
+    terms = [
+        (np.arange(len(rows)), _index(flavor, d, rows.words), None),
+        (pair, _index(flavor, d, _sort_prefix(rows.words[pair], p_sort)), None),
+    ]
+    return _block_matrix((len(rows), basis_dim(flavor, d, n)), mdim, terms)
 
 
-def span_matrix(rows, p_sort: int, d: int, n: int, mdim: int = 1, index_fn=None):
-    """Materialize span generators as rows of a packed matrix.
+def _class_span(cls, dead, mdim: int) -> Subspace:
+    """Span of one indicator row per live class and module coordinate.
 
-    index_fn maps an int array of words, one per row, to the coordinates
-    of their unit vectors; the default is the colexicographic tensor rank.
+    cls[i] is the class of coordinate i, negative where it has none; a
+    class listed in dead spans nothing.  Indicators of disjoint classes,
+    ordered by their smallest members, are already the reduced echelon
+    basis with those members as pivots.
     """
-    if index_fn is None:
-        index_fn = lambda words: _index(Flavor.TENSOR, d, words)
-    return _block_matrix((len(rows), d**n), mdim, _span_terms(rows, p_sort, index_fn))
+    members = np.flatnonzero((cls >= 0) & ~np.isin(cls, dead))
+    _, first, label = np.unique(cls[members], return_index=True, return_inverse=True)
+    pivots, row = np.unique(members[first][label], return_inverse=True)
+    basis = _block_matrix((len(pivots), len(cls)), mdim, [(row, members, None)])
+    pivots = (pivots[:, None] * mdim + np.arange(mdim)).ravel()
+    return Subspace(len(cls) * mdim, basis, tuple(pivots.tolist()))
 
 
 @dataclass(frozen=True)
@@ -175,6 +185,8 @@ class RelativeTower:
     tower is graded so that degree n holds the word-degree n + 2
     quotient; incl, proj, and section are per word degree, with
     proj @ section the identity and ker(proj) the inclusion image.
+    meta["words"][m] holds the generator words, the quotient's
+    coordinates in word degree m.
     """
 
     kind: InclusionPair
@@ -211,34 +223,31 @@ def _require_pair(pair: InclusionPair, table: BracketTable):
         raise GF2Error(f"{pair.value} needs a commutative Lie algebra")
 
 
+def _generator_rows(pair, d, m) -> SpanRows:
+    """Generators of the quotient's kernel at word degree m, one word each."""
+    if pair is InclusionPair.EXT_IN_TENSOR:
+        return repeat_span_rows(d, m)
+    if pair is InclusionPair.SYM_IN_TENSOR:
+        return swap_span_rows(d, m)
+    monos = _monomials(Flavor.SYM, d, m)
+    repeat = (monos[:, 1:] == monos[:, :-1]).any(axis=1)
+    return SpanRows(monos[repeat], np.zeros(int(repeat.sum()), dtype=bool))
+
+
 def _word_projection(pair, d, m, mdim):
-    """(raw rows, pi, sigma) for the tensor quotient model at word degree m.
+    """(generator words, pi, sigma) for the quotient model at word degree m.
 
-    sigma extends a functional on the span by its raw coordinates on the
-    generator words and zero on sorted words: an explicit right inverse.
+    pi evaluates a total-flavor cochain on each generator; sigma extends a
+    functional on the span by its value on each generator's word and zero
+    elsewhere: an explicit right inverse.
     """
-    rows = (
-        repeat_span_rows(d, m)
-        if pair is InclusionPair.EXT_IN_TENSOR
-        else swap_span_rows(d, m)
-    )
-    pi = span_matrix(rows, m, d, m, mdim)
-    coords = _index(Flavor.TENSOR, d, rows.words)
-    sig = _block_matrix((d**m, len(rows)), mdim, [(coords, np.arange(len(rows)), None)])
-    return rows, pi, sig
-
-
-def _sym_quotient_projection(d, m, mdim):
-    """Projection of symmetric cochains onto functionals on the
-    sub-quotient (repeat span modulo swap span)."""
-    full = d**m
-    i_span = Subspace.from_rows(full, span_matrix(repeat_span_rows(d, m), m, d, m))
-    j_span = Subspace.from_rows(full, span_matrix(swap_span_rows(d, m), m, d, m))
-    qc = QuotientCoords(i_span, j_span)
-    t, widx = qc.lift_rows().coords()
-    mono = _index(Flavor.SYM, d, _monomials(Flavor.TENSOR, d, m)[widx])
-    pi = _block_matrix((qc.dim, basis_dim(Flavor.SYM, d, m)), mdim, [(t, mono, None)])
-    return qc, pi
+    total = INCLUSION_FLAVORS[pair][1]
+    rows = _generator_rows(pair, d, m)
+    pi = span_matrix(rows, m, d, m, mdim, total)
+    coords = _index(total, d, rows.words)
+    shape = (basis_dim(total, d, m), len(rows))
+    sig = _block_matrix(shape, mdim, [(coords, np.arange(len(rows)), None)])
+    return rows.words, pi, sig
 
 
 def build_relative_complex(
@@ -253,19 +262,16 @@ def build_relative_complex(
     sub_tower = build_tower(sub_fl, table, coeffs, m_top, label=f"sub[{sub_fl.value}]")
     total_tower = build_tower(tot_fl, table, coeffs, m_top, label=f"total[{tot_fl.value}]")
 
-    incls, projs, sections, struct = [], [], [], []
+    incls, projs, sections, words = [], [], [], []
     rel_dims, rel_diffs = [], []
     for m in range(m_top + 1):
         incls.append(inclusion_matrix(pair, d, mdim, m))
-        if pair is InclusionPair.EXT_IN_SYM:
-            qc, pi = _sym_quotient_projection(d, m, mdim)
-            sig = solve(pi, BitMatrix.identity(pi.rows))
-            if sig is None:
-                raise GF2Error("quotient projection is not surjective")
-            struct.append(qc)
-        else:
-            rows, pi, sig = _word_projection(pair, d, m, mdim)
-            struct.append(rows)
+        gens, pi, sig = _word_projection(pair, d, m, mdim)
+        # lie-comm's pi and sigma are selections, so the product is small;
+        # on the tensor pairs it would be the square of the word space
+        if pair is InclusionPair.EXT_IN_SYM and pi @ sig != BitMatrix.identity(pi.rows):
+            raise GF2Error("quotient projection is not surjective")
+        words.append(gens)
         projs.append(pi)
         sections.append(sig)
         if sub_tower.dims[m] + pi.rows != total_tower.dims[m]:
@@ -299,7 +305,7 @@ def build_relative_complex(
         section=tuple(sections),
         table=table,
         coeffs=coeffs,
-        meta={"struct": struct},
+        meta={"words": tuple(words)},
     )
 
 
@@ -381,43 +387,24 @@ def comparison_filtration(pair: InclusionPair, rel: RelativeTower) -> FilteredTo
     space; the two chains customarily written from index 1 carry
     index_offset 1 so reports can translate back.
     """
-    d = rel.table.dim
-    mdim = rel.coeffs.dim
+    d, mdim = rel.table.dim, rel.coeffs.dim
+    total = INCLUSION_FLAVORS[pair][1]
+    prefix_rows = swap_span_rows if pair is InclusionPair.SYM_IN_TENSOR else repeat_span_rows
     filt = []
     for n in range(rel.tower.n_max + 1):
         m = n + 2
-        rel_dim = rel.tower.dims[n]
-        chain = [Subspace.full(rel_dim)]
-        if pair is InclusionPair.EXT_IN_SYM:
-            qc = rel.meta["struct"][m]
-            for p in range(1, m):
-                gens = repeat_span_rows(d, m, p + 1)
-                if not gens:
-                    chain.append(Subspace.full(rel_dim))
-                    continue
-                mu = qc.project_rows(span_matrix(gens, p + 1, d, m))
-                t, k = mu.coords()
-                constraints = _block_matrix(mu.shape, mdim, [(t, k, None)])
-                chain.append(kernel_basis(constraints))
-        else:
-            rows = rel.meta["struct"][m]
-            # coordinate of each word among the span generators, -1 if none
-            lookup = np.full(d**m, -1)
-            lookup[_index(Flavor.TENSOR, d, rows.words)] = np.arange(len(rows))
-            index_fn = lambda words: lookup[_index(Flavor.TENSOR, d, words)]
-            if pair is InclusionPair.EXT_IN_TENSOR:
-                gen_rows = lambda p: repeat_span_rows(d, m, p + 1)
-            else:
-                gen_rows = lambda p: swap_span_rows(d, m, p + 1)
-            for p in range(1, m):
-                gens = gen_rows(p)
-                if not gens:
-                    chain.append(Subspace.full(rel_dim))
-                    continue
-                terms = _span_terms(gens, p + 1, index_fn)
-                chain.append(kernel_basis(_block_matrix((len(gens), len(rows)), mdim, terms)))
+        words = rel.meta["words"][m]
+        owner = np.full(basis_dim(total, d, m), -1)
+        owner[_index(total, d, words)] = np.arange(len(words))
+        # a word's class: the generator owning its prefix-sorted word, if any
+        cls = lambda w, p: owner[_index(total, d, _sort_prefix(w, p))]
+        chain = [Subspace.full(rel.tower.dims[n])]
+        for p in range(1, m):
+            rows = prefix_rows(d, m, p + 1)
+            dead = cls(rows.words[~rows.pair], p + 1)
+            chain.append(_class_span(cls(words, p + 1), dead, mdim))
         if chain[-1].dim != 0:
-            chain.append(Subspace.zero(rel_dim))
+            chain.append(Subspace.zero(rel.tower.dims[n]))
         filt.append(tuple(chain))
     offset = 0 if pair is InclusionPair.EXT_IN_TENSOR else 1
     ft = FilteredTower(
@@ -521,15 +508,16 @@ def _build_cr_mixed(table: BracketTable, coad, n_cr_max: int):
     d = table.dim
     ambient = build_tower(Flavor.TENSOR, table, coad, n_cr_max + 1, label="dual-words")
 
-    cl_index = lambda words: _combined_index(d, words)
     a_sub = []
     for p in range(n_cr_max + 1):
         m = p + 2
-        cons = BitMatrix.vstack(
-            span_matrix(repeat_span_rows(d, m, m - 1), m - 1, d, m, 1, cl_index),
-            span_matrix(swap_span_rows(d, m), m, d, m, 1, cl_index),
-        )
-        a_sub.append(kernel_basis(cons))
+        # classes of combined words by their full sort; a class dies where a
+        # word of it repeats a letter among the argument slots
+        words = _monomials(Flavor.TENSOR, d, m)
+        cls = np.empty(d**m, dtype=np.int64)
+        cls[_combined_index(d, words)] = _index(Flavor.SYM, d, words)
+        rows = repeat_span_rows(d, m, m - 1)
+        a_sub.append(_class_span(cls, _index(Flavor.SYM, d, rows.words[~rows.pair]), 1))
 
     restr = []
     for p in range(n_cr_max):

@@ -168,12 +168,13 @@ def _sorted_prefix(word, p):
     return tuple(sorted(word[:p])) + word[p:]
 
 
-def span(rows, p_sort, d, n, mdim=1, index_fn=None) -> BitMatrix:
-    """index_fn maps one word tuple to its coordinate."""
-    rank = monomial_rank(Flavor.TENSOR, d, n)
+def span(rows, p_sort, d, n, mdim=1, index_fn=None, flavor=Flavor.TENSOR) -> BitMatrix:
+    """Span generators over the degree-n monomials of flavor; index_fn, when
+    given, maps one word tuple to its coordinate instead."""
+    rank = monomial_rank(flavor, d, n)
     if index_fn is None:
-        index_fn = lambda w: rank[w]
-    out = np.zeros((len(rows) * mdim, d**n * mdim), dtype=np.uint8)
+        index_fn = lambda w: rank[canonical(flavor, w)]
+    out = np.zeros((len(rows) * mdim, len(rank) * mdim), dtype=np.uint8)
     for t, (kind, w) in enumerate(rows):
         for k in range(mdim):
             out[t * mdim + k, index_fn(w) * mdim + k] ^= 1
@@ -182,19 +183,26 @@ def span(rows, p_sort, d, n, mdim=1, index_fn=None) -> BitMatrix:
     return BitMatrix.from_dense(out)
 
 
+def generator_rows(pair, d, m) -> list:
+    """The quotient's kernel generators as (kind, word) pairs: the repeat or
+    swap span, or for ext in sym the sorted words with a repeated letter."""
+    if pair is InclusionPair.EXT_IN_TENSOR:
+        return repeat_span_rows(d, m)
+    if pair is InclusionPair.SYM_IN_TENSOR:
+        return swap_span_rows(d, m)
+    return [("unit", w) for w in basis_tuples(Flavor.SYM, d, m) if len(set(w)) < len(w)]
+
+
 def word_projection(pair, d, m, mdim):
-    rank = monomial_rank(Flavor.TENSOR, d, m)
-    rows = (
-        repeat_span_rows(d, m)
-        if pair is InclusionPair.EXT_IN_TENSOR
-        else swap_span_rows(d, m)
-    )
-    pi = span(rows, m, d, m, mdim)
-    sig = np.zeros((d**m * mdim, len(rows) * mdim), dtype=np.uint8)
+    total = Flavor.SYM if pair is InclusionPair.EXT_IN_SYM else Flavor.TENSOR
+    rank = monomial_rank(total, d, m)
+    rows = generator_rows(pair, d, m)
+    pi = span(rows, m, d, m, mdim, flavor=total)
+    sig = np.zeros((len(rank) * mdim, len(rows) * mdim), dtype=np.uint8)
     for t, (_, w) in enumerate(rows):
         for k in range(mdim):
             sig[rank[w] * mdim + k, t * mdim + k] = 1
-    return rows, pi, BitMatrix.from_dense(sig)
+    return [w for _, w in rows], pi, BitMatrix.from_dense(sig)
 
 
 def sym_quotient_projection(d, m, mdim):
@@ -230,31 +238,31 @@ def insert_pullback(flavor, d, p) -> BitMatrix:
 
 def filtration_constraints(pair, rel, n, p) -> BitMatrix | None:
     """Constraint matrix whose kernel is step p of the comparison filtration
-    in relative degree n, or None where that step is the full space."""
+    in relative degree n, or None where that step is the full space.
+
+    Row g asks a relative cochain to vanish on generator g of the prefix
+    span, written in the quotient's generators: each word of g goes to the
+    generator holding its total-flavor monomial, and a word that no
+    generator holds is dropped (the sorted remainders of a pair cancel).
+    """
     d, mdim, m = rel.table.dim, rel.coeffs.dim, n + 2
-    eye = np.eye(mdim, dtype=np.uint8)
-    if pair is InclusionPair.EXT_IN_SYM:
-        gens = repeat_span_rows(d, m, p + 1)
-        if not gens:
-            return None
-        mu = rel.meta["struct"][m].project_rows(span(gens, p + 1, d, m)).to_dense()
-        return BitMatrix.from_dense(np.kron(mu, eye))
-    rows = span_pairs(rel.meta["struct"][m])
-    lookup = {w: t for t, (_, w) in enumerate(rows)}
-    if pair is InclusionPair.EXT_IN_TENSOR:
-        gens = repeat_span_rows(d, m, p + 1)
-    else:
+    total = Flavor.SYM if pair is InclusionPair.EXT_IN_SYM else Flavor.TENSOR
+    words = [tuple(w) for w in rel.meta["words"][m].tolist()]
+    lookup = {canonical(total, w): t for t, w in enumerate(words)}
+    if pair is InclusionPair.SYM_IN_TENSOR:
         gens = swap_span_rows(d, m, p + 1)
+    else:
+        gens = repeat_span_rows(d, m, p + 1)
     if not gens:
         return None
-    lam = np.zeros((len(gens), len(rows)), dtype=np.uint8)
+    lam = np.zeros((len(gens), len(words)), dtype=np.uint8)
     for g, (kind, w) in enumerate(gens):
         targets = [w] if kind == "unit" else [w, _sorted_prefix(w, p + 1)]
         for ww in targets:
-            t = lookup.get(ww)
+            t = lookup.get(canonical(total, ww))
             if t is not None:
                 lam[g, t] ^= 1
-    return BitMatrix.from_dense(np.kron(lam, eye))
+    return BitMatrix.from_dense(np.kron(lam, np.eye(mdim, dtype=np.uint8)))
 
 
 def _cl_index(d):

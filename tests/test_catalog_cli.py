@@ -341,6 +341,7 @@ class TestCLI:
             ["survey", "--dim", "-1"],
             ["survey", "--dim", "0", "--up-to-iso"],
             ["survey", "--dim", "1", "--up-to-iso", "--betti-degree", "-1"],
+            ["cohomology", "--algebra", "catalog:a", "--flavor", "sym,sym"],
         ],
     )
     def test_out_of_range_argument_is_input_error(self, argv, capsys):
@@ -358,6 +359,8 @@ class TestCLI:
             ["no-such-command"],
             [],
             ["cohomology", "--algebra", "catalog:a", "--jobs", "2"],
+            ["hs-ss", "--algebra", "catalog:a", "--ideal", "e", "--subalgebra", "h"],
+            ["hs-ss", "--algebra", "catalog:a"],
         ],
     )
     def test_usage_error_is_input_error(self, argv, capsys):

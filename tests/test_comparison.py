@@ -10,7 +10,14 @@ import pytest
 
 import dense_builders as dense
 from commcoh import comparison
-from commcoh.algebra import BracketTable, coadjoint_module, symmetrize, trivial_module
+from commcoh.algebra import (
+    BracketTable,
+    classify_algebra,
+    coadjoint_module,
+    symmetrize,
+    trivial_module,
+)
+from commcoh.catalog import catalog_names
 from commcoh.cochain import Flavor, InclusionPair, build_tower
 from commcoh.cohomology import betti_table
 from commcoh.comparison import (
@@ -26,7 +33,7 @@ from commcoh.comparison import (
     vanishing_window,
     verify_e2_product,
 )
-from commcoh.gf2 import BitMatrix, GF2Error, Subspace
+from commcoh.gf2 import BitMatrix, GF2Error, Subspace, kernel_basis
 from commcoh.spectral import convergence_check
 
 from conftest import catalog
@@ -79,9 +86,17 @@ class TestSpans:
         assert len(swap_span_rows(2, 2)) == 1
 
 
+def assert_same_space(got: Subspace, want: Subspace):
+    """Equal ambient, equal RREF basis and equal pivots."""
+    assert got.ambient_dim == want.ambient_dim
+    assert_same_matrix(got.basis, want.basis)
+    assert got.pivots == want.pivots
+
+
 class TestBuildersMatchDenseOracles:
     """Every matrix the three comparisons build, checked where it is built
-    against the dense loop it replaced."""
+    against the dense loop it replaced, and every class span against the
+    kernel of the dense constraint stack it replaced."""
 
     @pytest.mark.parametrize("name", ["heis3", "abelian3"])
     def test_comparison_matrices(self, name, monkeypatch):
@@ -100,72 +115,74 @@ class TestBuildersMatchDenseOracles:
 
             monkeypatch.setattr(comparison, attr, checked)
 
-        def span_oracle(rows, p_sort, d, n, mdim=1, index_fn=None):
-            if index_fn is not None:
-                word_fn = index_fn
-                index_fn = lambda w: int(word_fn(np.array([w]))[0])
-            return dense.span(dense.span_pairs(rows), p_sort, d, n, mdim, index_fn)
+        def span_oracle(rows, p_sort, d, n, mdim=1, flavor=Flavor.TENSOR):
+            return dense.span(dense.span_pairs(rows), p_sort, d, n, mdim, flavor=flavor)
 
-        def same_word_projection(got, want):  # (rows, pi, sigma)
-            assert dense.span_pairs(got[0]) == want[0]
+        def same_word_projection(got, want):  # (generator words, pi, sigma)
+            assert list(map(tuple, got[0].tolist())) == want[0]
             assert_same_matrix(got[1], want[1])
             assert_same_matrix(got[2], want[2])
-
-        def same_sym_projection(got, want):  # (quotient coordinates, pi)
-            assert (got[0].sup, got[0].inner, got[0].free) == (
-                want[0].sup,
-                want[0].inner,
-                want[0].free,
-            )
-            assert_same_matrix(got[1], want[1])
 
         check("span_matrix", span_oracle)
         check("inclusion_matrix", dense.inclusion)
         check("_word_projection", dense.word_projection, same_word_projection)
-        check("_sym_quotient_projection", dense.sym_quotient_projection, same_sym_projection)
         check("_insert_pullback", dense.insert_pullback)
         check("_ext_word_pullback", dense.ext_word_pullback)
-        # the filtration and mixed cokernel constraint stacks end in kernel_basis
-        stacks = []
-        kernel_basis = comparison.kernel_basis
+        # the mixed cokernel spaces are read off the class spans built
+        spans = []
+        class_span = comparison._class_span
         monkeypatch.setattr(
-            comparison, "kernel_basis", lambda m: stacks.append(m) or kernel_basis(m)
+            comparison, "_class_span", lambda *a: spans.append(class_span(*a)) or spans[-1]
         )
 
         for module in ("trivial", "adjoint"):
             for pair in InclusionPair:
                 rel = build_relative_complex(pair, entry.table, entry.modules[module], 3)
-                stacks.clear()
-                comparison_filtration(pair, rel)
-                want = [
-                    dense.filtration_constraints(pair, rel, n, p)
-                    for n in range(rel.tower.n_max + 1)
-                    for p in range(1, n + 2)
-                ]
-                want = [w for w in want if w is not None]
-                assert len(stacks) == len(want)
-                for got, w in zip(stacks, want):
-                    assert_same_matrix(got, w)
+                ft = comparison_filtration(pair, rel)
+                for n in range(rel.tower.n_max + 1):
+                    full = Subspace.full(rel.tower.dims[n])
+                    want = [full]
+                    for p in range(1, n + 2):
+                        cons = dense.filtration_constraints(pair, rel, n, p)
+                        want.append(full if cons is None else kernel_basis(cons))
+                    if want[-1].dim:
+                        want.append(Subspace.zero(full.ambient_dim))
+                    assert len(ft.filt[n]) == len(want)
+                    for got, w in zip(ft.filt[n], want):
+                        assert_same_space(got, w)
         n_cr_max = 3
         for pair in InclusionPair:
-            stacks.clear()
+            spans.clear()
             build_cr_complex(pair, entry.table, n_cr_max)
             want = (
-                [dense.mixed_constraints(d, p + 2) for p in range(n_cr_max + 1)]
+                [kernel_basis(dense.mixed_constraints(d, p + 2)) for p in range(n_cr_max + 1)]
                 if pair is InclusionPair.EXT_IN_SYM
                 else []
             )
-            assert len(stacks) == len(want)
-            for got, w in zip(stacks, want):
-                assert_same_matrix(got, w)
+            assert len(spans) == len(want)
+            for got, w in zip(spans, want):
+                assert_same_space(got, w)
         assert set(seen) == {
             "span_matrix",
             "inclusion_matrix",
             "_word_projection",
-            "_sym_quotient_projection",
             "_insert_pullback",
             "_ext_word_pullback",
         }
+
+    def test_lie_comm_projection_spans_the_eliminated_quotient(self):
+        # the elimination route's coset representatives of repeat span
+        # modulo swap span evaluate the repeated-letter monomials
+        for d in range(1, 4):
+            for m in range(7):
+                for mdim in (1, 2):
+                    pair = InclusionPair.EXT_IN_SYM
+                    _, pi, _ = comparison._word_projection(pair, d, m, mdim)
+                    _, want = dense.sym_quotient_projection(d, m, mdim)
+                    assert pi.shape == want.shape, (d, m, mdim)
+                    assert Subspace.from_rows(pi.cols, pi) == Subspace.from_rows(
+                        want.cols, want
+                    ), (d, m, mdim)
 
 
 class TestRelativeComplex:
@@ -206,14 +223,17 @@ class TestRelativeComplex:
                 )
 
     def test_section_is_right_inverse(self):
-        n = catalog("N")
-        rel = build_relative_complex(
-            InclusionPair.SYM_IN_TENSOR, n.table, n.modules["trivial"], 5
-        )
-        from commcoh.gf2 import BitMatrix
-
-        for m in range(2, 6):
-            assert rel.proj[m] @ rel.section[m] == BitMatrix.identity(rel.proj[m].rows)
+        # the build checks proj @ section only for lie-comm
+        for name in catalog_names():
+            entry = catalog(name)
+            lie = classify_algebra(entry.table).is_lie
+            for module in ("trivial", "adjoint"):
+                for pair in InclusionPair if lie else (InclusionPair.SYM_IN_TENSOR,):
+                    mod = entry.modules[module]
+                    rel = build_relative_complex(pair, entry.table, mod, 3)
+                    for m in range(rel.word_degrees + 1):
+                        want = BitMatrix.identity(rel.proj[m].rows)
+                        assert rel.proj[m] @ rel.section[m] == want, (name, pair, module, m)
 
     def test_relative_differential_squares_to_zero(self):
         for name, pair in (
@@ -319,14 +339,16 @@ class TestComparisonFiltration:
     def test_mixed_filtration_collapses(self):
         # the prefix-repeat condition on symmetric classes kills everything
         # past the first step: symmetry moves any repeat into the prefix
-        a = catalog("a")
-        rel = build_relative_complex(
-            InclusionPair.EXT_IN_SYM, a.table, a.modules["trivial"], 4
-        )
-        ft = comparison_filtration(InclusionPair.EXT_IN_SYM, rel)
-        for n in range(ft.n_max + 1):
-            for p in range(1, len(ft.filt[n])):
-                assert ft.filt[n][p].dim == 0
+        for name, module in (("a", "trivial"), ("heis3", "adjoint")):
+            entry = catalog(name)
+            rel = build_relative_complex(
+                InclusionPair.EXT_IN_SYM, entry.table, entry.modules[module], 4
+            )
+            ft = comparison_filtration(InclusionPair.EXT_IN_SYM, rel)
+            for n in range(ft.n_max + 1):
+                assert ft.filt[n][0].dim == rel.tower.dims[n] > 0, (name, n)
+                for p in range(1, len(ft.filt[n])):
+                    assert ft.filt[n][p].dim == 0, (name, n, p)
 
     def test_convergence(self):
         for name in ("N", "a", "abelian2"):
