@@ -91,6 +91,12 @@ class BracketTable:
             np.uint8
         )
 
+    def brackets(self, xs, ys) -> BitMatrix:
+        """[x, y] for each row x of xs and each row y of ys, x-major, as matrix rows."""
+        xs, ys = np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64)
+        w = np.einsum("bj,ajk->abk", ys, np.tensordot(xs, self.c.astype(np.int64), axes=1)) & 1
+        return BitMatrix.from_dense(w.reshape(len(xs) * len(ys), self.dim))
+
     def __eq__(self, other):
         if not isinstance(other, BracketTable):
             return NotImplemented
@@ -265,6 +271,24 @@ def symmetrize(mod: ModuleSpec, t: BracketTable) -> BimoduleSpec:
     return _validated(t, bim)
 
 
+# A count is refused before its table is allocated if the table would be
+# larger: a bracket table of dim d takes d^3 bytes, module actions d * M^2.
+MAX_TABLE_BYTES = 1 << 24
+
+
+def bounded_count(tok: str, table_bytes, syntax: str) -> int:
+    """The decimal count tok; GF2Error(syntax) unless it is one, GF2Error
+    if table_bytes(count) is over MAX_TABLE_BYTES."""
+    if not (tok.isascii() and tok.isdigit()):
+        raise GF2Error(syntax)
+    digits = tok.lstrip("0") or "0"
+    # past 12 digits every table is too large, and int() refuses 4300 digits
+    if len(digits) > 12 or table_bytes(int(digits)) > MAX_TABLE_BYTES:
+        shown = digits if len(digits) <= 12 else digits[:12] + "..."
+        raise GF2Error(f"{shown} asks for a table over {MAX_TABLE_BYTES} bytes")
+    return int(digits)
+
+
 def make_module(t: BracketTable, spec: str):
     """Build a module from a CLI-style spec string.
 
@@ -274,7 +298,9 @@ def make_module(t: BracketTable, spec: str):
     if spec == "trivial":
         return symmetrize(trivial_module(t, 1), t)
     if spec.startswith("trivial:"):
-        return symmetrize(trivial_module(t, int(spec.split(":", 1)[1])), t)
+        k = bounded_count(spec.removeprefix("trivial:"), lambda k: max(t.dim, 1) * k * k,
+                          "trivial:K wants a decimal K")
+        return symmetrize(trivial_module(t, k), t)
     if spec.startswith("flambda:"):
         bits = spec.split(":", 1)[1]
         if len(bits) != t.dim or any(ch not in "01" for ch in bits):
@@ -326,18 +352,12 @@ class IdealVerdict(Enum):
 def is_ideal(t: BracketTable, h: Subspace) -> IdealVerdict:
     if h.ambient_dim != t.dim:
         raise GF2Error("subspace ambient dimension does not match algebra")
-    hb = h.basis.to_dense()
-    for u in hb:
-        for v in hb:
-            if not h.contains_vector(t.bracket(u, v)):
-                return IdealVerdict.NOT_SUBALGEBRA
-    eye = np.eye(t.dim, dtype=np.uint8)
-    for u in hb:
-        for e in eye:
-            if not h.contains_vector(t.bracket(e, u)):
-                return IdealVerdict.SUBALGEBRA
-            if not h.contains_vector(t.bracket(u, e)):
-                return IdealVerdict.SUBALGEBRA
+    hb, eye = h.basis.to_dense(), np.eye(t.dim, dtype=np.uint8)
+    if not h.reduce_rows(t.brackets(hb, hb)).is_zero():
+        return IdealVerdict.NOT_SUBALGEBRA
+    for xs, ys in ((eye, hb), (hb, eye)):
+        if not h.reduce_rows(t.brackets(xs, ys)).is_zero():
+            return IdealVerdict.SUBALGEBRA
     return IdealVerdict.IDEAL
 
 
@@ -373,52 +393,26 @@ def quotient_algebra(
         raise GF2Error("not a subalgebra")
     if require_ideal and verdict is not IdealVerdict.IDEAL:
         raise GF2Error("not an ideal")
-    d = t.dim
-    h_dim = h.dim
+    d, h_dim = t.dim, h.dim
     q_dim = d - h_dim
-    pivot_set = set(h.pivots)
-    free = [k for k in range(d) if k not in pivot_set]
-    adapted_dense = np.zeros((d, d), dtype=np.uint8)
-    adapted_dense[:h_dim] = h.basis.to_dense()
-    for r, k in enumerate(free):
-        adapted_dense[h_dim + r, k] = 1
-    adapted = BitMatrix.from_dense(adapted_dense)
+    free = sorted(set(range(d)) - set(h.pivots))
+    complement = BitMatrix.from_coords(q_dim, d, np.arange(q_dim), free)
+    adapted = BitMatrix.vstack(h.basis, complement)
+    # row j of proj_t is the complement part of basis vector j reduced modulo h
+    proj_t = h.reduce_rows(BitMatrix.identity(d)).take_columns(free)
+    proj, section = proj_t.transpose(), complement.transpose()
 
-    proj_dense = np.zeros((q_dim, d), dtype=np.uint8)
-    eye = np.eye(d, dtype=np.uint8)
-    for j in range(d):
-        red = h.reduce_rows(BitMatrix.from_dense(eye[j].reshape(1, -1))).to_dense()[0]
-        proj_dense[:, j] = red[free]
-    proj = BitMatrix.from_dense(proj_dense)
-    section = BitMatrix.from_dense(adapted_dense[h_dim:].T)
-
-    hb = h.basis.to_dense()
-    c_h = np.zeros((h_dim, h_dim, h_dim), dtype=np.uint8)
-    for a in range(h_dim):
-        for b in range(h_dim):
-            w = t.bracket(hb[a], hb[b])
-            if not h.contains_vector(w):
-                raise GF2Error("subalgebra closure violated")
-            c_h[a, b] = w[list(h.pivots)]
-    h_table = BracketTable(c_h)
-
-    sect_dense = adapted_dense[h_dim:]
+    hb, sect_dense = h.basis.to_dense(), complement.to_dense()
+    # raises unless h is closed under the bracket
+    c_h = h.row_coefficients(t.brackets(hb, hb)).to_dense()
+    h_table = BracketTable(c_h.reshape(h_dim, h_dim, h_dim))
     q_table = None
-    if verdict is IdealVerdict.IDEAL and q_dim:
-        c_q = np.zeros((q_dim, q_dim, q_dim), dtype=np.uint8)
-        for a in range(q_dim):
-            for b in range(q_dim):
-                w = t.bracket(sect_dense[a], sect_dense[b])
-                c_q[a, b] = proj.mul_vector(w)
-        q_table = BracketTable(c_q)
-    elif verdict is IdealVerdict.IDEAL:
-        q_table = BracketTable.zero(0)
-
-    act = np.zeros((h_dim, q_dim, q_dim), dtype=np.uint8)
-    for a in range(h_dim):
-        for k in range(q_dim):
-            act[a][:, k] = proj.mul_vector(t.bracket(hb[a], sect_dense[k]))
-    h_action_on_q = ModuleSpec(q_dim, act)
+    if verdict is IdealVerdict.IDEAL:
+        c_q = (t.brackets(sect_dense, sect_dense) @ proj_t).to_dense()
+        q_table = BracketTable(c_q.reshape(q_dim, q_dim, q_dim))
+    # act[a][:, k] is the quotient part of [h_a, s_k]
+    act = (t.brackets(hb, sect_dense) @ proj_t).to_dense().reshape(h_dim, q_dim, q_dim)
+    h_action_on_q = ModuleSpec(q_dim, np.ascontiguousarray(act.transpose(0, 2, 1)))
 
     return SubalgebraSplit(
         table=t,

@@ -24,9 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (
+    MAX_TABLE_BYTES,
     BracketTable,
     ModuleSpec,
     adjoint_module,
+    bounded_count,
     coadjoint_module,
     derived_span,
     flambda_module,
@@ -159,21 +161,12 @@ class FileAlgebra:
         )
 
 
-# The parser allocates the bracket table (dim^3 bytes) and each module's
-# actions (dim * M^2 bytes); a file that asks for more is refused first.
-MAX_TABLE_BYTES = 1 << 24
-
-
 def _parse_count(tok, line_no, syntax, table_bytes):
     """The decimal count tok, refused if table_bytes(count) is over MAX_TABLE_BYTES."""
-    if not (tok.isascii() and tok.isdigit()):
-        raise AlgebraFileError(line_no, syntax)
-    digits = tok.lstrip("0") or "0"
-    # past 12 digits every table is too large, and int() refuses 4300 digits
-    if len(digits) > 12 or table_bytes(int(digits)) > MAX_TABLE_BYTES:
-        shown = digits if len(digits) <= 12 else digits[:12] + "..."
-        raise AlgebraFileError(line_no, f"{shown} asks for a table over {MAX_TABLE_BYTES} bytes")
-    return int(digits)
+    try:
+        return bounded_count(tok, table_bytes, syntax)
+    except GF2Error as exc:
+        raise AlgebraFileError(line_no, str(exc)) from None
 
 
 def _parse_bits(tok, width, line_no, what):

@@ -213,8 +213,9 @@ def cmd_hs_ss(entry, args, checks, info):
     sub_spec = args.subalgebra if args.ideal is None else args.ideal
     h = _resolve_subspace(entry, sub_spec)
     verdict = is_ideal(entry.table, h)
-    if args.ideal is not None and verdict.value != "ideal":
-        raise InputError(f"--ideal names a {verdict.value}")
+    flag = "--subalgebra" if args.ideal is None else "--ideal"
+    if verdict.value == "not-subalgebra" or (flag == "--ideal" and verdict.value != "ideal"):
+        raise InputError(f"{flag} names a {verdict.value}")
     n_max = args.max_degree + 2
     ft = subalgebra_filtration(entry.table, h, mod, n_max)
     pages = compute_pages(ft, max(3, stabilization_index(ft)))

@@ -35,8 +35,11 @@ array.  Coordinates and gathered rows are made one row block of about
 RANK_BLOCK_BYTES at a time, so no temporary grows with the ones.
 
 Subspaces are always kept with a reduced-row-echelon basis, so two equal
-subspaces are bit-identical and comparison is a byte compare.  All values
-are immutable after construction; every operation returns fresh objects.
+subspaces are bit-identical and comparison is a byte compare; any other
+basis is refused.  Queries read the pivot columns P of the basis B, the
+identity on P: a row m reduces to m + m[P] @ B with coefficients m[P], and
+b <= a puts the pivots of b among those of a, whose rows at the other
+pivots complete b to a.  Values are immutable; operations return new ones.
 """
 
 from __future__ import annotations
@@ -134,6 +137,23 @@ def _reduce(x: int, mask: int, by_length: dict) -> int:
         x ^= by_length[m.bit_length()]
         m = x & mask
     return x
+
+
+def _is_rref(m: "BitMatrix", pivots: tuple) -> bool:
+    """Whether m is the reduced row-echelon form with these increasing pivots."""
+    c = np.asarray(pivots, dtype=np.int64)
+    if c.size != m.rows or (np.diff(c) <= 0).any() or (c.size and not 0 <= c[0] <= c[-1] < m.cols):
+        return False
+    word, bit = np.divmod(c, WORD_BITS)
+    one = np.left_shift(np.uint64(1), bit.astype(np.uint64))  # each pivot's bit in its word
+    mask = np.zeros(m.words.shape[1], dtype=np.uint64)
+    np.bitwise_or.at(mask, word, one)
+    at = m.words[np.arange(c.size), word]
+    blocks = [b.words for b in m.row_blocks()]  # views: the checks make no copy of m
+    lead = np.concatenate([word[:0]] + [np.argmax(w != 0, axis=1) for w in blocks])
+    ones = np.concatenate([word[:0]] + [np.bitwise_count(w & mask).sum(axis=1) for w in blocks])
+    # the pivot is the lowest one of the row's first nonzero word, and its only pivot one
+    return np.array_equal(lead, word) and np.array_equal(at & -at, one) and bool((ones == 1).all())
 
 
 class BitMatrix:
@@ -261,7 +281,7 @@ class BitMatrix:
             # a block holds whole rows, so each output row is written once
             for r, c in self._coord_blocks(_COORD_BYTES + 16 * nw):
                 if r.size:
-                    starts = np.flatnonzero(np.diff(r, prepend=-1))
+                    starts = np.concatenate(([0], np.flatnonzero(r[1:] != r[:-1]) + 1))
                     out[r[starts]] = np.bitwise_xor.reduceat(other.words[c], starts, axis=0)
         return BitMatrix(self.rows, other.cols, out)
 
@@ -361,6 +381,8 @@ class Subspace:
     __slots__ = ("ambient_dim", "basis", "pivots")
 
     def __init__(self, ambient_dim: int, basis: BitMatrix, pivots: tuple):
+        if basis.cols != ambient_dim or not _is_rref(basis, pivots):
+            raise GF2Error("subspace basis is not reduced row-echelon at its pivots")
         self.ambient_dim = ambient_dim
         self.basis = basis
         self.pivots = pivots
@@ -399,31 +421,25 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
     def reduce_rows(self, mat: BitMatrix) -> BitMatrix:
-        """Reduce every row of mat modulo this subspace."""
+        """Reduce every row of mat modulo this subspace, clearing its pivot columns."""
         if mat.cols != self.ambient_dim:
             raise GF2Error("reduce_rows: ambient dimension mismatch")
-        width = self.basis.words.shape[1] * WORD_BITS
-        by_length = dict(zip((width - p for p in self.pivots), _int_rows(self.basis.words)))
-        mask = sum(1 << (h - 1) for h in by_length)
-        rows = [_reduce(x, mask, by_length) for x in _int_rows(mat.words)]
-        return BitMatrix(mat.rows, mat.cols, _int_words(rows, mat.rows, mat.cols))
+        return mat + mat.take_columns(self.pivots) @ self.basis
 
     def contains_vector(self, vec: np.ndarray) -> bool:
-        rem = self.reduce_rows(BitMatrix.from_dense(np.asarray(vec).reshape(1, -1)))
-        return rem.is_zero()
+        return self.reduce_rows(BitMatrix.from_dense(np.asarray(vec).reshape(1, -1))).is_zero()
 
     def contains(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise GF2Error("containment: ambient dimension mismatch")
-        if other.dim == 0:
-            return True
         return self.reduce_rows(other.basis).is_zero()
 
     def row_coefficients(self, mat: BitMatrix) -> BitMatrix:
         """Coefficients of rows of mat in this RREF basis (rows must lie in it)."""
-        if not self.reduce_rows(mat).is_zero():
+        coeffs = mat.take_columns(self.pivots)
+        if coeffs @ self.basis != mat:
             raise GF2Error("row_coefficients: rows not inside the subspace")
-        return mat.take_columns(self.pivots)
+        return coeffs
 
 
 def kernel_basis(m: BitMatrix) -> Subspace:
@@ -457,23 +473,20 @@ def apply_to_subspace(m: BitMatrix, s: Subspace) -> Subspace:
 class QuotientCoords:
     """Canonical coset coordinates on a/b for a pair b <= a.
 
-    Vectors of a are first written in the coefficients of a's RREF basis;
-    b becomes a subspace of that coefficient space and the coset
-    coordinates are the non-pivot coefficient positions (echelon-pivot
-    complement, deterministic).
+    The pivots of b are among those of a, and a's basis rows at the other
+    pivots complete b to a.  Those rows represent the coset basis, and the
+    coset coordinates of a vector of a are the entries, at their pivot
+    columns, of the vector reduced modulo b.
     """
 
-    __slots__ = ("sup", "sub", "inner", "free")
+    __slots__ = ("sup", "sub", "free")
 
     def __init__(self, a: Subspace, b: Subspace):
         if not a.contains(b):
             raise GF2Error("quotient coordinates: not a subspace")
-        self.sup = a
-        self.sub = b
-        coeffs = a.row_coefficients(b.basis) if b.dim else BitMatrix.zeros(0, a.dim)
-        self.inner = Subspace.from_rows(a.dim, coeffs)
-        pivot_set = set(self.inner.pivots)
-        self.free = [k for k in range(a.dim) if k not in pivot_set]
+        self.sup, self.sub = a, b
+        below = set(b.pivots)
+        self.free = [k for k, c in enumerate(a.pivots) if c not in below]
 
     @property
     def dim(self) -> int:
@@ -481,8 +494,8 @@ class QuotientCoords:
 
     def project_rows(self, mat: BitMatrix) -> BitMatrix:
         """Coset coordinates of ambient row vectors (must lie in a)."""
-        coeffs = self.sup.row_coefficients(mat)
-        return self.inner.reduce_rows(coeffs).take_columns(self.free)
+        self.sup.row_coefficients(mat)  # raises unless the rows lie in a
+        return self.sub.reduce_rows(mat).take_columns(np.take(self.sup.pivots, self.free))
 
     def lift_rows(self) -> BitMatrix:
         """Ambient representatives of the coset coordinate basis."""
@@ -502,6 +515,4 @@ def induced_map(m: BitMatrix, dom: QuotientCoords, cod: QuotientCoords) -> BitMa
         raise GF2Error("induced_map: m does not map dom_a into cod_c")
     if dom.sub.dim and not cod.sub.reduce_rows(dom.sub.basis @ mt).is_zero():
         raise GF2Error("induced_map: m does not map dom_b into cod_d")
-    if dom.dim == 0:
-        return BitMatrix.zeros(cod.dim, 0)
     return cod.project_rows(dom.lift_rows() @ mt).transpose()

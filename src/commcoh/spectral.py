@@ -35,14 +35,13 @@ from .algebra import (
 from .cochain import (
     ComplexTower,
     Flavor,
-    _block_matrix,
     basis_dim,
     basis_tuples,
     build_tower,
     derivation_operator_matrix,
 )
 from .cohomology import betti_table, cochain_betti_table, induced_map_on_cohomology
-from .gf2 import BitMatrix, GF2Error, Subspace, _echelon, _int_rows, _int_words
+from .gf2 import WORD_BITS, BitMatrix, GF2Error, Subspace, _echelon, _int_rows
 
 __all__ = [
     "FiltrationError",
@@ -104,13 +103,8 @@ def validate_filtration(ft: FilteredTower) -> None:
     for n in range(ft.n_max):
         dt = ft.tower.differential(n).transpose()
         for p, sub in enumerate(ft.filt[n]):
-            if sub.dim == 0:
-                continue
-            img = sub.basis @ dt
-            if not ft.step(n + 1, p).reduce_rows(img).is_zero():
-                raise FiltrationError(
-                    f"d F^{p} C^{n} not contained in F^{p} C^{n + 1}"
-                )
+            if not ft.step(n + 1, p).reduce_rows(sub.basis @ dt).is_zero():
+                raise FiltrationError(f"d F^{p} C^{n} not contained in F^{p} C^{n + 1}")
 
 
 def subalgebra_filtration(
@@ -137,10 +131,10 @@ def subalgebra_filtration(
         chain = []
         dim_n = tower.dims[n]
         for p in range(n + 2):
-            keep = np.flatnonzero(counts <= n - p)
-            terms = [(np.arange(len(keep)), keep, None)]
-            rows = _block_matrix((len(keep), len(monos)), mdim, terms)
-            chain.append(Subspace.from_rows(dim_n, rows))
+            # a span of coordinates: its unit rows are already the reduced basis
+            cols = (np.flatnonzero(counts <= n - p)[:, None] * mdim + np.arange(mdim)).ravel()
+            rows = BitMatrix.from_coords(cols.size, dim_n, np.arange(cols.size), cols)
+            chain.append(Subspace(dim_n, rows, tuple(cols.tolist())))
         filt.append(tuple(chain))
     ft = FilteredTower(
         tower,
@@ -161,20 +155,25 @@ class Page:
 
 
 def _adapted_basis(chain) -> tuple:
-    """Adapted basis of one degree: (echelon dict, level of each row).
+    """Adapted basis of one degree: (picks, pivot of each row, level of each row).
 
-    The steps are reduced from the deepest up; the rows a step adds to
-    the echelon complete a basis of the step below it to one of the step
-    itself, and carry that step as their level f.  F^p is then spanned by
-    the rows of level >= p.  Rows keep their insertion order, deepest
-    first: sources are taken in it, and the k-th row is coordinate bit k
-    of a target, so the highest bit of a target lies at its lowest level.
+    Level p takes the rows of F^p at the pivots F^{p+1} lacks, as a pick of
+    a step's basis words and row indices; the rows of level >= p then have
+    distinct leading ones and span F^p.  Rows run deepest level first, the
+    order sources are taken in; the k-th row is coordinate bit k of a
+    target, so the highest bit of a target lies at its lowest level.
     """
-    top, levels = {}, []
+    # the empty first pick keeps the rows of a one-step chain (a zero space) stackable
+    picks, pivots, levels = [(chain[0].basis.words, [])], [], []
     for p in range(len(chain) - 2, -1, -1):
-        _echelon(_int_rows(chain[p].basis.words), top)
-        levels += [p] * (len(top) - len(levels))
-    return top, levels
+        below = set(chain[p + 1].pivots)
+        if not below <= set(chain[p].pivots):
+            raise FiltrationError(f"step {p + 1} is not inside step {p}: its pivots do not nest")
+        k = [i for i, c in enumerate(chain[p].pivots) if c not in below]
+        picks.append((chain[p].basis.words, k))
+        pivots += [chain[p].pivots[i] for i in k]
+        levels += [p] * len(k)
+    return picks, pivots, levels
 
 
 def _coordinates(y: int, top: dict, bit: dict) -> int:
@@ -197,22 +196,27 @@ def _pairing(ft: FilteredTower) -> tuple:
     sources of its level or deeper and pairs with its image's lowest-level
     target (Edelsbrunner & Harer, Computational Topology, ch. VII).
     """
-    bases = [_adapted_basis(chain) for chain in ft.filt]
-    sizes = [Counter(levels) for _, levels in bases]
-    pairs = []
+    bases = map(_adapted_basis, ft.filt)  # built as needed: two degrees are held at a time
+    src, _, src_levels = next(bases)
+    sizes, pairs = [Counter(src_levels)], []
     for n in range(ft.n_max):
-        (src, src_levels), (tgt, tgt_levels) = bases[n], bases[n + 1]
-        bit = {h: 1 << k for k, h in enumerate(tgt)}
-        dim = ft.tower.dims[n]
-        rows = BitMatrix(dim, dim, _int_words(list(src.values()), dim, dim))
-        images = _int_rows((rows @ ft.tower.differential(n).transpose()).words)
+        tgt, tgt_pivots, tgt_levels = next(bases)
+        sizes.append(Counter(tgt_levels))
+        width = tgt[0][0].shape[1] * WORD_BITS
+        keys = [width - c for c in tgt_pivots]  # the bit length of each row's leading one
+        # each pick is converted on its own, so no copy of the whole basis is made
+        rows = dict(zip(keys, (x for words, k in tgt for x in _int_rows(words[k]))))
+        bit = {h: 1 << k for k, h in enumerate(keys)}
+        sources = BitMatrix(len(src_levels), ft.tower.dims[n], np.vstack([w[k] for w, k in src]))
+        images = _int_rows((sources @ ft.tower.differential(n).transpose()).words)
         top, found = {}, Counter()
         for f, group in groupby(zip(src_levels, images), key=lambda row: row[0]):
             size = len(top)
-            _echelon((_coordinates(y, tgt, bit) for _, y in group), top)
+            _echelon((_coordinates(y, rows, bit) for _, y in group), top)
             for h in islice(top, size, None):
                 found[(f, tgt_levels[h - 1])] += 1
         pairs.append(found)
+        src, src_levels = tgt, tgt_levels
     return sizes, pairs
 
 
@@ -302,14 +306,9 @@ def outer_derivative_operator(
     """
     x = np.asarray(x, dtype=np.uint8) & 1
     a = coeffs.action(x)
-    hb = split.h.basis.to_dense()
-    b = np.zeros((split.h_dim, split.h_dim), dtype=np.uint8)
-    pivots = list(split.h.pivots)
-    for idx in range(split.h_dim):
-        w = split.table.bracket(x, hb[idx])
-        if not split.h.contains_vector(w):
-            raise GF2Error("element does not normalize the subalgebra")
-        b[:, idx] = w[pivots]
+    # column k is [x, h_k] in the basis of h; raises unless x normalizes h
+    brackets = split.table.brackets(x[None], split.h.basis.to_dense())
+    b = split.h.row_coefficients(brackets).transpose().to_dense()
     return derivation_operator_matrix(Flavor.SYM, split.h_dim, coeffs.dim, a, b, n)
 
 

@@ -7,6 +7,7 @@ evaluating the coboundary formula on dictionaries of tuples.
 
 from __future__ import annotations
 
+import threading
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
@@ -188,3 +189,20 @@ def subspace_vectors(s: Subspace):
                 v ^= dense[i]
         out.append(tuple(int(x) for x in v))
     return set(out)
+
+
+def raises_promptly(fn, errors, seconds=10.0):
+    """Whether fn raises one of errors within seconds, run on a daemon thread
+    so that a loop fails the test instead of hanging the suite."""
+    caught = []
+
+    def target():
+        try:
+            fn()
+        except errors as exc:
+            caught.append(exc)
+
+    worker = threading.Thread(target=target, daemon=True)
+    worker.start()
+    worker.join(seconds)
+    return not worker.is_alive() and bool(caught)

@@ -450,6 +450,34 @@ class TestCLI:
         )
         assert code == 1 and "subalgebra" in report["error"]
 
+    def test_subalgebra_flag_rejects_non_subalgebra(self):
+        # [x, y] = z leaves the span of x and y
+        report, code = run(
+            ["hs-ss", "--algebra", "catalog:heis3", "--subalgebra", "100,010", "--max-degree", "3"]
+        )
+        assert code == 1
+        assert report["error"] == "--subalgebra names a not-subalgebra"
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["trivial:abc", "trivial:-1", "trivial:", "trivial:1e3", "trivial:2365",
+         "trivial:" + "9" * 5000],
+        ids=["letters", "negative", "empty", "exponent", "over-bound", "5000-digits"],
+    )
+    def test_bad_trivial_dimension_is_input_error(self, spec):
+        # heis3 has dim 3, and 3 * 2365^2 bytes of actions is over MAX_TABLE_BYTES
+        assert 3 * 2364**2 <= catalog_module.MAX_TABLE_BYTES < 3 * 2365**2
+        report, code = run(["cohomology", "--algebra", "catalog:heis3", "--module", spec,
+                            "--max-degree", "2"])
+        assert code == 1
+        assert report["error"].startswith(f"module {spec!r}") and "internal" not in report["error"]
+
+    @pytest.mark.parametrize("k, dims", [(0, [0, 0, 0]), (2, [2, 4, 8])])
+    def test_trivial_dimension_within_bound(self, k, dims):
+        report, code = run(["cohomology", "--algebra", "catalog:heis3", "--module", f"trivial:{k}",
+                            "--max-degree", "2"])
+        assert code == 0 and report["payload"]["tables"]["sym"] == dims
+
     def test_hs_ss_accepts_bit_vector_span(self):
         report, code = run(
             ["hs-ss", "--algebra", "catalog:N", "--ideal", "10", "--max-degree", "5"]

@@ -23,7 +23,7 @@ from commcoh.algebra import as_coefficients
 from commcoh.catalog import catalog_names
 from commcoh.cochain import Flavor, PreconditionError, build_tower
 
-from conftest import catalog, subspace_vectors
+from conftest import catalog, raises_promptly, subspace_vectors
 from page_oracle import annihilator, preimage, quotient_dim, subspace_intersect, subspace_sum
 
 
@@ -72,6 +72,34 @@ def reduce_rows_loop_oracle(s: Subspace, mat: BitMatrix) -> np.ndarray:
     for i, p in enumerate(s.pivots):
         work[_column_mask(work, p)] ^= s.basis.words[i]
     return work
+
+
+class InnerQuotientCoords:
+    """Coset coordinates on a/b by the earlier route, which eliminated twice.
+
+    Vectors of a are written in the coefficients of a's RREF basis; b
+    becomes a subspace of that coefficient space (its own RREF, "inner"),
+    and the coset coordinates are the coefficient positions off the pivots
+    of inner.  Reductions run through reduce_rows_loop_oracle.
+    """
+
+    def __init__(self, a: Subspace, b: Subspace):
+        if reduce_rows_loop_oracle(a, b.basis).any():
+            raise GF2Error("quotient coordinates: not a subspace")
+        self.sup = a
+        self.inner = Subspace.from_rows(a.dim, b.basis.take_columns(a.pivots))
+        pivot_set = set(self.inner.pivots)
+        self.free = [k for k in range(a.dim) if k not in pivot_set]
+
+    def project_rows(self, mat: BitMatrix) -> BitMatrix:
+        if reduce_rows_loop_oracle(self.sup, mat).any():
+            raise GF2Error("project_rows: rows not inside the subspace")
+        coeffs = mat.take_columns(self.sup.pivots)
+        reduced = reduce_rows_loop_oracle(self.inner, coeffs)
+        return BitMatrix(mat.rows, self.sup.dim, reduced).take_columns(self.free)
+
+    def lift_rows(self) -> BitMatrix:
+        return BitMatrix(len(self.free), self.sup.ambient_dim, self.sup.basis.words[self.free])
 
 
 def matmul_column_oracle(a: BitMatrix, b: BitMatrix) -> np.ndarray:
@@ -576,3 +604,78 @@ class TestQuotientCoords:
             qc = QuotientCoords(a, b)
             reps = qc.lift_rows()
             assert qc.project_rows(reps) == BitMatrix.identity(qc.dim)
+
+
+@st.composite
+def nested_pairs(draw):
+    """(a, b, rows of a) with b <= a, both spans of random rows."""
+    span = draw(elimination_matrix() | tall_deficient_matrix())
+    cols = span.shape[1]
+    a = Subspace.from_rows(cols, BitMatrix.from_dense(span))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dense = a.basis.to_dense().astype(np.int64)
+
+    def combos(k):
+        rows = rng.integers(0, 2, (k, a.dim)) @ dense % 2
+        return BitMatrix.from_dense(rows.astype(np.uint8).reshape(k, cols))
+
+    b = Subspace.from_rows(cols, combos(draw(st.integers(0, a.dim + 2))))
+    return a, b, combos(draw(st.integers(0, 12)))
+
+
+class TestPivotColumnRule:
+    """Subspace queries read off the pivot columns, against eliminating routes."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(nested_pairs())
+    def test_quotient_coords_match_inner_oracle(self, case):
+        a, b, rows = case
+        got, want = QuotientCoords(a, b), InnerQuotientCoords(a, b)
+        assert got.free == want.free and got.dim == a.dim - b.dim
+        assert got.lift_rows() == want.lift_rows()
+        assert got.project_rows(rows) == want.project_rows(rows)
+        assert got.project_rows(got.lift_rows()) == BitMatrix.identity(got.dim)
+
+    @settings(max_examples=60, deadline=None)
+    @given(nested_pairs(), st.integers(0, 2**32 - 1))
+    def test_project_rows_refuses_rows_outside(self, case, seed):
+        a, b, _ = case
+        outside = BitMatrix.from_dense(np.random.default_rng(seed).integers(
+            0, 2, (3, a.ambient_dim), dtype=np.uint8))
+        inside = not reduce_rows_loop_oracle(a, outside).any()
+        for qc in (QuotientCoords(a, b), InnerQuotientCoords(a, b)):
+            if inside:
+                qc.project_rows(outside)
+            else:
+                with pytest.raises(GF2Error, match="not inside"):
+                    qc.project_rows(outside)
+
+    @settings(max_examples=120, deadline=None)
+    @given(nested_pairs(), st.integers(0, 2**32 - 1), st.integers(0, 6))
+    def test_row_coefficients_against_loop_oracle(self, case, seed, extra):
+        a, _, rows = case
+        noise = np.random.default_rng(seed).integers(0, 2, (extra, a.ambient_dim), dtype=np.uint8)
+        for mat in (rows, BitMatrix.vstack(rows, BitMatrix.from_dense(noise))):
+            if reduce_rows_loop_oracle(a, mat).any():
+                with pytest.raises(GF2Error, match="not inside"):
+                    a.row_coefficients(mat)
+                continue
+            coeffs = a.row_coefficients(mat)
+            assert coeffs.shape == (mat.rows, a.dim)
+            assert np.array_equal(matmul_column_oracle(coeffs, a.basis), mat.words)
+
+    def test_mismatched_pivots_raise_promptly(self):
+        """A basis whose rows are not the identity at their recorded pivots
+        made reduce_rows loop forever; it is now refused when the subspace is
+        made, so neither contains nor validate_filtration can meet one."""
+        swapped = BitMatrix.from_dense([[0, 1, 0], [1, 0, 0]])  # row k's one is at pivot 1 - k
+        late = BitMatrix.from_dense([[1, 1, 0]])  # leading one left of the recorded pivot
+        shared = BitMatrix.from_dense([[1, 1, 0], [0, 1, 0]])  # row 0 has a one at pivot 1
+        early_word = BitMatrix.from_coords(1, 70, [0, 0], [0, 65])  # a one a word before pivot 65
+        cases = [(swapped, (0, 1)), (late, (1,)), (shared, (0, 1)), (swapped, (1, 0)),
+                 (late, (0, 1)), (late, (3,)), (early_word, (65,))]
+        for basis, pivots in cases:
+            full = Subspace.full(basis.cols)
+            made = lambda: Subspace(basis.cols, basis, pivots)
+            assert raises_promptly(lambda: made().contains(full), GF2Error)
+            assert raises_promptly(lambda: full.contains(made()), GF2Error)

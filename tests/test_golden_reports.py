@@ -3,11 +3,11 @@ module, pinned against a stored copy.
 
 `hs-ss` runs once per catalog subspace, with --ideal for the entry's marked
 ideals and --subalgebra for the other spans.  Each case runs one command at
---max-degree 4 through `cli.run` and compares
-its exit code and `payload` with tests/golden_reports.json.  Only the
-payload is pinned: `generated_at` changes on every run.  Regenerate the
-file with `PYTHONPATH=src python tests/test_golden_reports.py` and review
-the diff: any change in it is a change of a published answer.
+--max-degree 4 through `cli.run` and compares its exit code and `payload`
+with tests/golden_reports.json.  Only the payload is pinned: `generated_at`
+changes on every run.  Regenerate the file with
+`PYTHONPATH=src python tests/test_golden_reports.py` and review the diff:
+any change in it is a change of a published answer.
 """
 
 import json

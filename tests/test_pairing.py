@@ -14,9 +14,11 @@ from commcoh.algebra import IdealVerdict, classify_algebra, is_ideal
 from commcoh.catalog import catalog_names
 from commcoh.cochain import ComplexTower, InclusionPair
 from commcoh.comparison import build_relative_complex, comparison_filtration
-from commcoh.gf2 import BitMatrix, Subspace, inverse
+from commcoh.gf2 import BitMatrix, GF2Error, Subspace, inverse
 from commcoh.spectral import (
+    FiltrationError,
     FilteredTower,
+    _adapted_basis,
     compute_pages,
     convergence_check,
     infinity_entries,
@@ -25,7 +27,7 @@ from commcoh.spectral import (
     validate_filtration,
 )
 
-from conftest import catalog, random_invertible
+from conftest import catalog, raises_promptly, random_invertible
 from page_oracle import oracle_infinity_entries, oracle_pages
 
 
@@ -138,3 +140,46 @@ def test_catalog_comparison_filtrations(pair, name, module):
     n_rel = 4 if module == "trivial" else 3
     rel = build_relative_complex(pair, entry.table, entry.modules[module], n_rel)
     assert_pages_match_oracle(comparison_filtration(pair, rel))
+
+
+@st.composite
+def nested_chains(draw):
+    """full = F^0 >= F^1 >= ... >= 0, each step spanned by random rows of the last."""
+    cols = draw(st.sampled_from([1, 5, 63, 64, 65, 130]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    chain = [Subspace.full(cols)]
+    for _ in range(draw(st.integers(0, 4))):
+        above = chain[-1]
+        k = draw(st.integers(0, above.dim + 1))
+        rows = rng.integers(0, 2, (k, above.dim)) @ above.basis.to_dense().astype(np.int64) % 2
+        chain.append(Subspace.from_rows(cols, BitMatrix.from_dense(rows)))
+    return tuple(chain) + (Subspace.zero(cols),)
+
+
+@settings(max_examples=100, deadline=None)
+@given(nested_chains())
+def test_adapted_basis_levels_span_each_step(chain):
+    picks, pivots, levels = _adapted_basis(chain)
+    cols = chain[0].ambient_dim
+    rows = BitMatrix.vstack(*(BitMatrix(len(k), cols, words[k]) for words, k in picks))
+    assert rows.rows == len(pivots) == len(levels) == cols == rows.rank()
+    # each row's leading one is its pivot, so the rows of level >= p are independent
+    assert [int(np.flatnonzero(row)[0]) for row in rows.to_dense()] == pivots
+    for p, step in enumerate(chain):
+        keep = np.flatnonzero(np.array(levels, dtype=int) >= p)
+        assert Subspace.from_rows(cols, BitMatrix(keep.size, cols, rows.words[keep])) == step
+
+
+def test_non_nesting_steps_raise_promptly():
+    full, zero = Subspace.full(2), Subspace.zero(2)
+    e0, e1 = (Subspace.from_rows(2, BitMatrix.from_dense([row])) for row in ([1, 0], [0, 1]))
+    tower = ComplexTower((2, 2), (BitMatrix.zeros(2, 2),), None)
+    ft = FilteredTower(tower, ((full, e1, e0, zero), (full, zero)))  # e0 is not inside e1
+    assert raises_promptly(lambda: compute_pages(ft), FiltrationError)
+    assert raises_promptly(lambda: infinity_entries(ft), FiltrationError)
+    assert raises_promptly(lambda: validate_filtration(ft), FiltrationError)
+    # a step whose rows are swapped against its recorded pivots is refused when made
+    swapped = BitMatrix.from_dense([[0, 1], [1, 0]])
+    chain = lambda: (Subspace(2, swapped, (0, 1)), zero)
+    bad = lambda: validate_filtration(FilteredTower(tower, (chain(), chain())))
+    assert raises_promptly(bad, (GF2Error, FiltrationError))
