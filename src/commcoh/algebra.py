@@ -81,16 +81,6 @@ class BracketTable:
                     c[i, j, int(k)] ^= 1
         return cls(c)
 
-    def bracket(self, x, y) -> np.ndarray:
-        """[x, y] for dense coordinate vectors x, y."""
-        x = np.asarray(x, dtype=np.int64)
-        y = np.asarray(y, dtype=np.int64)
-        if x.shape != (self.dim,) or y.shape != (self.dim,):
-            raise GF2Error("bracket arguments must be coordinate vectors")
-        return (np.einsum("i,j,ijk->k", x, y, self.c.astype(np.int64)) & 1).astype(
-            np.uint8
-        )
-
     def brackets(self, xs, ys) -> BitMatrix:
         """[x, y] for each row x of xs and each row y of ys, x-major, as matrix rows."""
         xs, ys = np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64)

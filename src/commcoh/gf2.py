@@ -285,17 +285,6 @@ class BitMatrix:
                     out[r[starts]] = np.bitwise_xor.reduceat(other.words[c], starts, axis=0)
         return BitMatrix(self.rows, other.cols, out)
 
-    def mul_vector(self, vec: np.ndarray) -> np.ndarray:
-        """Return self @ vec for a dense {0,1} vector (column convention)."""
-        vec = np.asarray(vec, dtype=np.uint8) & 1
-        if vec.shape != (self.cols,):
-            raise GF2Error("vector length mismatch")
-        vw = _pack(vec.reshape(1, -1))[0]
-        if self.rows == 0:
-            return np.zeros(0, dtype=np.uint8)
-        par = np.bitwise_count(self.words & vw).sum(axis=1)
-        return (par & 1).astype(np.uint8)
-
     def transpose(self) -> "BitMatrix":
         words = np.zeros((self.cols, _word_count(self.rows)), dtype=np.uint64)
         for r, c in self._coord_blocks(_COORD_BYTES):

@@ -92,18 +92,11 @@ def random_subalgebra(rng, table: BracketTable) -> Subspace:
         v[rng.integers(0, d)] = 1
     span = Subspace.from_rows(d, v.reshape(1, -1))
     while True:
-        rows = [span.basis.to_dense()]
-        grew = False
         dense = span.basis.to_dense()
-        for x in dense:
-            for y in dense:
-                w = table.bracket(x, y)
-                if not span.contains_vector(w):
-                    rows.append(w.reshape(1, -1))
-                    grew = True
-        if not grew:
+        closed = Subspace.from_rows(d, BitMatrix.vstack(span.basis, table.brackets(dense, dense)))
+        if closed == span:
             return span
-        span = Subspace.from_rows(d, np.concatenate(rows, axis=0))
+        span = closed
 
 
 # -- independent oracles ------------------------------------------------

@@ -168,7 +168,7 @@ class TestInducedMapFuzz:
             for v in subspace_vectors(dom_a):
                 vv = np.array(v, dtype=np.uint8)
                 coords = qd.project_rows(BitMatrix.from_dense(vv.reshape(1, -1)))
-                img = m.mul_vector(vv)
+                img = m.to_dense().astype(int) @ vv % 2
                 want = qc.project_rows(BitMatrix.from_dense(img.reshape(1, -1)))
                 pred = got @ coords.transpose()
                 assert pred == want.transpose()

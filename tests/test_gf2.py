@@ -340,7 +340,7 @@ class TestKernel:
         _, rank, _ = m.rref()
         assert k.dim == m.cols - rank
         for row in k.basis.to_dense():
-            assert not m.mul_vector(row).any()
+            assert not (arr.astype(int) @ row % 2).any()
         want = kernel_loop_oracle(m)
         assert k.pivots == want.pivots
         assert k.basis.words.tobytes() == want.basis.words.tobytes()
@@ -404,7 +404,7 @@ class TestPreimage:
         s = Subspace.from_rows(m.rows, np.pad(srr, ((0, 0), (0, max(0, m.rows - srr.shape[1]))))[:, : m.rows]) if m.rows else Subspace.zero(0)
         pre = preimage(m, s)
         for row in pre.basis.to_dense():
-            assert s.contains_vector(m.mul_vector(row))
+            assert s.contains_vector(arr.astype(int) @ row % 2)
 
 
 class TestQuotient:
