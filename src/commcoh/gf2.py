@@ -37,9 +37,10 @@ RANK_BLOCK_BYTES at a time, so no temporary grows with the ones.
 Subspaces are always kept with a reduced-row-echelon basis, so two equal
 subspaces are bit-identical and comparison is a byte compare; any other
 basis is refused.  Queries read the pivot columns P of the basis B, the
-identity on P: a row m reduces to m + m[P] @ B with coefficients m[P], and
-b <= a puts the pivots of b among those of a, whose rows at the other
-pivots complete b to a.  Values are immutable; operations return new ones.
+identity on P: a row m reduces to m + m[P] @ B, a row of the span has the
+coefficients m[P], and b <= a puts the pivots of b among those of a, whose
+rows at the other pivots complete b to a.  Values are immutable;
+operations return new ones.
 """
 
 from __future__ import annotations
@@ -141,17 +142,20 @@ def _reduce(x: int, mask: int, by_length: dict) -> int:
 
 def _is_rref(m: "BitMatrix", pivots: tuple) -> bool:
     """Whether m is the reduced row-echelon form with these increasing pivots."""
-    c = np.asarray(pivots, dtype=np.int64)
-    if c.size != m.rows or (np.diff(c) <= 0).any() or (c.size and not 0 <= c[0] <= c[-1] < m.cols):
+    bounds = (-1, *pivots, m.cols)  # the pivots increase inside the columns
+    if len(pivots) != m.rows or any(a >= b for a, b in zip(bounds, bounds[1:])):
         return False
+    if not pivots:
+        return True
+    c = np.asarray(pivots, dtype=np.int64)
     word, bit = np.divmod(c, WORD_BITS)
     one = np.left_shift(np.uint64(1), bit.astype(np.uint64))  # each pivot's bit in its word
     mask = np.zeros(m.words.shape[1], dtype=np.uint64)
     np.bitwise_or.at(mask, word, one)
     at = m.words[np.arange(c.size), word]
     blocks = [b.words for b in m.row_blocks()]  # views: the checks make no copy of m
-    lead = np.concatenate([word[:0]] + [np.argmax(w != 0, axis=1) for w in blocks])
-    ones = np.concatenate([word[:0]] + [np.bitwise_count(w & mask).sum(axis=1) for w in blocks])
+    lead = np.concatenate([np.argmax(w != 0, axis=1) for w in blocks])
+    ones = np.concatenate([np.bitwise_count(w & mask).sum(axis=1) for w in blocks])
     # the pivot is the lowest one of the row's first nonzero word, and its only pivot one
     return np.array_equal(lead, word) and np.array_equal(at & -at, one) and bool((ones == 1).all())
 
