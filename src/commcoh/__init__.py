@@ -2,7 +2,6 @@
 
 from .algebra import (
     AlgebraClass,
-    BimoduleSpec,
     BracketTable,
     IdealVerdict,
     ModuleSpec,
@@ -28,7 +27,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraClass",
     "BettiTable",
-    "BimoduleSpec",
     "BitMatrix",
     "BracketTable",
     "ComplexTower",

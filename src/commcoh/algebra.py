@@ -21,7 +21,6 @@ __all__ = [
     "BracketTable",
     "AlgebraClass",
     "ModuleSpec",
-    "BimoduleSpec",
     "ModuleAxiomError",
     "classify_algebra",
     "check_module_axioms",
@@ -29,7 +28,6 @@ __all__ = [
     "flambda_module",
     "coadjoint_module",
     "adjoint_module",
-    "symmetrize",
     "make_module",
     "leibniz_kernel",
     "derived_span",
@@ -141,35 +139,29 @@ def classify_algebra(t: BracketTable) -> AlgebraClass:
 
 @dataclass(frozen=True)
 class ModuleSpec:
-    """Left module: rho[i] is the m x m action matrix of b_i."""
+    """Left module: rho[i] is the m x m action matrix of b_i.
+
+    The tensor complex reads it as the symmetric Leibniz bimodule of
+    Loday and Pirashvili, whose right action in characteristic 2 is the
+    left one.
+    """
 
     dim: int
     rho: np.ndarray  # (d, m, m) uint8
+
+    @property
+    def left(self) -> np.ndarray:
+        """Read-only alias of rho; the benchmark's tracer keys towers by
+        coeffs.left and coeffs.right."""
+        return self.rho
+
+    right = left
 
     def action(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.int64)
         if x.shape != (self.rho.shape[0],):
             raise GF2Error("action argument must be an algebra coordinate vector")
         return _act(self.rho, x)
-
-
-@dataclass(frozen=True)
-class BimoduleSpec:
-    """Left and right actions; symmetric when right equals left."""
-
-    dim: int
-    left: np.ndarray
-    right: np.ndarray
-
-    @property
-    def is_symmetric(self) -> bool:
-        return np.array_equal(self.left, self.right)
-
-    def action(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.int64)
-        if x.shape != (self.left.shape[0],):
-            raise GF2Error("action argument must be an algebra coordinate vector")
-        return _act(self.left, x)
 
 
 def _act(rho: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -183,43 +175,23 @@ class ModuleCheck:
     pair: tuple | None = None
 
 
-def check_module_axioms(t: BracketTable, mod) -> ModuleCheck:
-    """Verify the module axiom (and, for bimodules, all three of them).
+def check_module_axioms(t: BracketTable, mod: ModuleSpec) -> ModuleCheck:
+    """Verify rho([x, y]) = rho(x) rho(y) + rho(y) rho(x) on basis pairs.
 
-    Returns a verdict carrying the first violating basis pair on failure.
+    With the right action equal to the left, both bimodule axioms reduce
+    to this one.  Returns a verdict carrying the first violating basis
+    pair on failure.
     """
     d = t.dim
-    if isinstance(mod, ModuleSpec):
-        left = mod.rho
-        right = None
-    elif isinstance(mod, BimoduleSpec):
-        left = mod.left
-        right = mod.right
-    else:
-        raise GF2Error("expected ModuleSpec or BimoduleSpec")
-    if left.shape[0] != d:
+    if mod.rho.shape[0] != d:
         raise GF2Error("module has wrong number of action matrices")
-    li = left.astype(np.int64)
+    li = mod.rho.astype(np.int64)
     for i in range(d):
         for j in range(d):
-            lhs = _act(left, t.c[i, j])
+            lhs = _act(mod.rho, t.c[i, j])
             rhs = (li[i] @ li[j] + li[j] @ li[i]) % 2
             if not np.array_equal(lhs, rhs.astype(np.uint8)):
                 return ModuleCheck(False, "left-module", (i, j))
-    if right is not None:
-        ri = right.astype(np.int64)
-        for i in range(d):
-            for j in range(d):
-                # x.(m.y) = (x.m).y + m.[x,y]
-                lhs = (li[i] @ ri[j]) % 2
-                rhs = (ri[j] @ li[i] + _act(right, t.c[i, j]).astype(np.int64)) % 2
-                if not np.array_equal(lhs, rhs):
-                    return ModuleCheck(False, "left-middle", (i, j))
-                # m.[x,y] = (m.x).y + x.(m.y)
-                lhs = _act(right, t.c[i, j]).astype(np.int64)
-                rhs = (ri[j] @ ri[i] + li[i] @ ri[j]) % 2
-                if not np.array_equal(lhs, rhs):
-                    return ModuleCheck(False, "middle-right", (i, j))
     return ModuleCheck(True)
 
 
@@ -255,12 +227,6 @@ def adjoint_module(t: BracketTable) -> ModuleSpec:
     return _validated(t, ModuleSpec(t.dim, rho))
 
 
-def symmetrize(mod: ModuleSpec, t: BracketTable) -> BimoduleSpec:
-    """Read a left module as a symmetric bimodule (right action = left)."""
-    bim = BimoduleSpec(mod.dim, mod.rho, mod.rho)
-    return _validated(t, bim)
-
-
 # A count is refused before its table is allocated if the table would be
 # larger: a bracket table of dim d takes d^3 bytes, module actions d * M^2.
 MAX_TABLE_BYTES = 1 << 24
@@ -279,45 +245,36 @@ def bounded_count(tok: str, table_bytes, syntax: str) -> int:
     return int(digits)
 
 
-def make_module(t: BracketTable, spec: str):
+def make_module(t: BracketTable, spec: str) -> ModuleSpec:
     """Build a module from a CLI-style spec string.
 
     Accepted forms: "trivial", "trivial:K", "flambda:BITS", "adjoint",
-    "coadjoint".  The latter two are returned symmetrized.
+    "coadjoint".
     """
     if spec == "trivial":
-        return symmetrize(trivial_module(t, 1), t)
+        return trivial_module(t, 1)
     if spec.startswith("trivial:"):
         k = bounded_count(spec.removeprefix("trivial:"), lambda k: max(t.dim, 1) * k * k,
                           "trivial:K wants a decimal K")
-        return symmetrize(trivial_module(t, k), t)
+        return trivial_module(t, k)
     if spec.startswith("flambda:"):
         bits = spec.split(":", 1)[1]
         if len(bits) != t.dim or any(ch not in "01" for ch in bits):
             raise GF2Error(f"flambda wants {t.dim} bits, got {bits!r}")
         lam = np.array([int(ch) for ch in bits], dtype=np.uint8)
-        return symmetrize(flambda_module(t, lam), t)
+        return flambda_module(t, lam)
     if spec == "adjoint":
-        return symmetrize(adjoint_module(t), t)
+        return adjoint_module(t)
     if spec == "coadjoint":
-        return symmetrize(coadjoint_module(t), t)
+        return coadjoint_module(t)
     raise GF2Error(f"unknown module spec {spec!r}")
-
-
-def as_coefficients(t: BracketTable, mod) -> BimoduleSpec:
-    """Coerce a module to the symmetric-bimodule form the complexes use."""
-    if isinstance(mod, BimoduleSpec):
-        return mod
-    if isinstance(mod, ModuleSpec):
-        return symmetrize(mod, t)
-    raise GF2Error("expected ModuleSpec or BimoduleSpec")
 
 
 def leibniz_kernel(t: BracketTable) -> Subspace:
     """Span of all squares [x, x], taken over every field extension.
 
-    Generated by the diagonal brackets together with the symmetrized
-    off-diagonal ones (the cross terms of the square expansion).
+    Generated by the diagonal brackets together with the sums
+    [b_i, b_j] + [b_j, b_i] (the cross terms of the square expansion).
     """
     rows = []
     for i in range(t.dim):
@@ -433,12 +390,8 @@ def change_basis(t: BracketTable, p: BitMatrix) -> BracketTable:
     return BracketTable(new_c.astype(np.uint8))
 
 
-def module_change_basis(mod, p: BitMatrix):
+def module_change_basis(mod: ModuleSpec, p: BitMatrix) -> ModuleSpec:
     """Actions of the new basis vectors (rows of p); value space unchanged."""
     pd = p.to_dense()
-    if isinstance(mod, BimoduleSpec):
-        left = np.array([_act(mod.left, row) for row in pd], dtype=np.uint8)
-        right = np.array([_act(mod.right, row) for row in pd], dtype=np.uint8)
-        return BimoduleSpec(mod.dim, left, right)
     rho = np.array([_act(mod.rho, row) for row in pd], dtype=np.uint8)
     return ModuleSpec(mod.dim, rho)

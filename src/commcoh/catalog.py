@@ -34,7 +34,6 @@ from .algebra import (
     flambda_module,
     is_ideal,
     IdealVerdict,
-    symmetrize,
     trivial_module,
 )
 from .gf2 import GF2Error, Subspace
@@ -69,12 +68,12 @@ def _span(dim, rows):
 
 def _standard_modules(table: BracketTable, lam=None) -> dict:
     mods = {
-        "trivial": symmetrize(trivial_module(table), table),
-        "adjoint": symmetrize(adjoint_module(table), table),
-        "coadjoint": symmetrize(coadjoint_module(table), table),
+        "trivial": trivial_module(table),
+        "adjoint": adjoint_module(table),
+        "coadjoint": coadjoint_module(table),
     }
     if lam is not None:
-        mods["flambda"] = symmetrize(flambda_module(table, lam), table)
+        mods["flambda"] = flambda_module(table, lam)
     return mods
 
 

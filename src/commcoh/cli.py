@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .algebra import (
-    as_coefficients,
+    _validated,
     check_module_axioms,
     classify_algebra,
     is_ideal,
@@ -50,7 +50,6 @@ from .spectral import (
     compute_pages,
     convergence_check,
     e2_closed_form_check,
-    stabilization_index,
     subalgebra_filtration,
 )
 
@@ -106,7 +105,7 @@ def _load_algebra(spec: str):
 
 def _resolve_module(entry: CatalogEntry, spec: str):
     if spec in entry.modules:
-        return as_coefficients(entry.table, entry.modules[spec])
+        return _validated(entry.table, entry.modules[spec])
     try:
         return make_module(entry.table, spec)
     except GF2Error as exc:
@@ -218,7 +217,7 @@ def cmd_hs_ss(entry, args, checks, info):
         raise InputError(f"{flag} names a {verdict.value}")
     n_max = args.max_degree + 2
     ft = subalgebra_filtration(entry.table, h, mod, n_max)
-    pages = compute_pages(ft, max(3, stabilization_index(ft)))
+    pages = compute_pages(ft)
     conv = convergence_check(ft, pages)
     checks.append(("convergence", conv.ok, ""))
     payload = {
@@ -446,7 +445,8 @@ def _file_parts(entry: CatalogEntry, args) -> tuple:
         subs = [(k, h.basis.words.tobytes()) for k, h in sorted(entry.subspaces.items())]
         return mods, subs
     mod = _resolve_module(entry, args.module)
-    parts = (mod.dim, mod.left.tobytes(), mod.right.tobytes())
+    # rho twice, where the digest once hashed a left and a right action
+    parts = (mod.dim, mod.rho.tobytes(), mod.rho.tobytes())
     if args.command == "hs-ss":
         h = _resolve_subspace(entry, args.subalgebra if args.ideal is None else args.ideal)
         parts += (h.basis.words.tobytes(),)

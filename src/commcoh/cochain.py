@@ -50,13 +50,7 @@ from math import comb
 
 import numpy as np
 
-from .algebra import (
-    BimoduleSpec,
-    BracketTable,
-    as_coefficients,
-    check_module_axioms,
-    classify_algebra,
-)
+from .algebra import BracketTable, ModuleSpec, check_module_axioms, classify_algebra
 from . import gf2
 from .gf2 import BitMatrix, _word_count
 
@@ -184,7 +178,7 @@ def _to_columns(flavor: Flavor, d: int, rows: np.ndarray, words: np.ndarray, blo
     return rows[keep], cols[keep], None if blocks is None else blocks[keep]
 
 
-def _require_flavor(flavor: Flavor, table: BracketTable, coeffs: BimoduleSpec):
+def _require_flavor(flavor: Flavor, table: BracketTable, coeffs: ModuleSpec):
     cls = classify_algebra(table)
     if flavor is Flavor.SYM and not (cls.commutative and cls.jacobi):
         missing = "commutative" if not cls.commutative else "jacobi"
@@ -194,16 +188,13 @@ def _require_flavor(flavor: Flavor, table: BracketTable, coeffs: BimoduleSpec):
         raise PreconditionError(f"ext flavor needs a Lie table ({missing} fails)")
     if flavor is Flavor.TENSOR and not cls.left_leibniz:
         raise PreconditionError("tensor flavor needs a left Leibniz table")
-    if not coeffs.is_symmetric:
-        raise PreconditionError("coefficients must be a symmetric bimodule")
     check = check_module_axioms(table, coeffs)
     if not check.ok:
         raise PreconditionError(f"coefficients fail axiom {check.axiom} at {check.pair}")
 
 
-def _differential_blocks(flavor, table, coeffs, n, rep_of=None):
-    """Row blocks of the degree-n coboundary, top to bottom, evaluated on
-    rep_of(monomial) when given.
+def _differential_blocks(flavor, table, coeffs, n):
+    """Row blocks of the degree-n coboundary, top to bottom.
 
     A block holds whole monomial rows, about RANK_BLOCK_BYTES of them
     packed, and computes only its own monomials: the digits of its rank
@@ -225,10 +216,7 @@ def _differential_blocks(flavor, table, coeffs, n, rep_of=None):
         pair_rest = np.nonzero(keep)[1].reshape(len(pi), max(n - 1, 0))
     for start in range(0, n_rows, step):
         stop = min(n_rows, start + step)
-        if rep_of is not None:
-            monos = basis_tuples(flavor, d, n + 1)[start:stop]
-            words = np.array([rep_of(mono) for mono in monos], dtype=np.int64)
-        elif flavor is Flavor.TENSOR:
+        if flavor is Flavor.TENSOR:
             words = np.arange(start, stop)[:, None] // d ** slots % d
         else:
             words = np.array(basis_tuples(flavor, d, n + 1)[start:stop], dtype=np.int64)
@@ -237,7 +225,7 @@ def _differential_blocks(flavor, table, coeffs, n, rep_of=None):
         # rho(w_i) f(w without w_i), one term per (row, i)
         rows = np.repeat(np.arange(count), n + 1)
         rest = words[:, others].reshape(count * (n + 1), n)
-        acts = coeffs.left[words].reshape(count * (n + 1), m, m)
+        acts = coeffs.rho[words].reshape(count * (n + 1), m, m)
         terms = [_to_columns(flavor, d, rows, rest, acts)]
         hit, q, k = np.nonzero(table.c[words[:, pi], words[:, pj]])
         arg = words[hit[:, None], pair_rest[q]]
@@ -251,25 +239,24 @@ def _differential_blocks(flavor, table, coeffs, n, rep_of=None):
         yield _block_matrix((count, n_cols), m, terms)
 
 
-def _differential(flavor, table, coeffs, n, rep_of=None) -> BitMatrix:
+def _differential(flavor, table, coeffs, n) -> BitMatrix:
     """Degree-n coboundary, its row blocks filled into one word array."""
     d, m = table.dim, coeffs.dim
     rows, cols = basis_dim(flavor, d, n + 1) * m, basis_dim(flavor, d, n) * m
     words = np.empty((rows, _word_count(cols)), dtype=np.uint64)
     start = 0
-    for block in _differential_blocks(flavor, table, coeffs, n, rep_of):
+    for block in _differential_blocks(flavor, table, coeffs, n):
         words[start : start + block.rows] = block.words
         start += block.rows
     return BitMatrix(rows, cols, words)
 
 
 def differential_matrix(
-    flavor: Flavor, table: BracketTable, coeffs, n: int, _rep_of=None
+    flavor: Flavor, table: BracketTable, coeffs: ModuleSpec, n: int
 ) -> BitMatrix:
     """Matrix of the degree-n coboundary, cochain degree n to n+1."""
-    coeffs = as_coefficients(table, coeffs)
     _require_flavor(flavor, table, coeffs)
-    return _differential(flavor, table, coeffs, n, _rep_of)
+    return _differential(flavor, table, coeffs, n)
 
 
 def insertion_matrix(flavor: Flavor, d: int, mdim: int, x, n: int) -> BitMatrix:
@@ -312,7 +299,6 @@ def lie_derivative_matrix(
     flavor: Flavor, table: BracketTable, coeffs, x, n: int
 ) -> BitMatrix:
     """Lie derivative L_x on degree-n cochains."""
-    coeffs = as_coefficients(table, coeffs)
     _require_flavor(flavor, table, coeffs)
     x = np.asarray(x, dtype=np.uint8) & 1
     a = coeffs.action(x)
@@ -349,7 +335,7 @@ class ComplexTower:
     flavor: Flavor | None
     label: str = ""
     table: BracketTable | None = None
-    coeffs: BimoduleSpec | None = None
+    coeffs: ModuleSpec | None = None
 
     @property
     def n_max(self) -> int:
@@ -369,7 +355,6 @@ def build_tower(
     flavor: Flavor, table: BracketTable, coeffs, n_max: int, label: str = ""
 ) -> ComplexTower:
     """Cochain complex of (table, coeffs) through degree n_max."""
-    coeffs = as_coefficients(table, coeffs)
     _require_flavor(flavor, table, coeffs)
     dims = tuple(basis_dim(flavor, table.dim, n) * coeffs.dim for n in range(n_max + 1))
     diffs = tuple(_differential(flavor, table, coeffs, n) for n in range(n_max))

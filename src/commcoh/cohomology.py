@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import BracketTable, as_coefficients
+from .algebra import BracketTable
 from .cochain import (
     ComplexTower,
     Flavor,
@@ -19,7 +19,7 @@ from .gf2 import (
     QuotientCoords,
     Subspace,
     _block_rank,
-    apply_to_subspace,
+    image,
     induced_map,
     kernel_basis,
 )
@@ -59,9 +59,7 @@ def boundaries(tower: ComplexTower, n: int) -> Subspace:
     """im d^{n-1} as a canonical subspace of the degree-n cochain space."""
     if n == 0:
         return Subspace.zero(tower.dims[0])
-    return apply_to_subspace(
-        tower.differential(n - 1), Subspace.full(tower.dims[n - 1])
-    )
+    return image(tower.differential(n - 1))
 
 
 def _checked(blocks, below, n: int):
@@ -106,7 +104,6 @@ def cochain_betti_table(
     against it, and the top coboundary is never whole: its row blocks go
     straight from the builder into its echelon.
     """
-    coeffs = as_coefficients(table, coeffs)
     _require_flavor(flavor, table, coeffs)
     dims = tuple(basis_dim(flavor, table.dim, n) * coeffs.dim for n in range(n_max + 1))
 

@@ -35,12 +35,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (
-    BimoduleSpec,
     BracketTable,
-    as_coefficients,
+    ModuleSpec,
     classify_algebra,
     coadjoint_module,
-    symmetrize,
     trivial_module,
 )
 from .cochain import (
@@ -76,7 +74,6 @@ from .spectral import (
     FilteredTower,
     compute_pages,
     convergence_check,
-    stabilization_index,
     validate_filtration,
 )
 
@@ -197,7 +194,7 @@ class RelativeTower:
     proj: tuple
     section: tuple
     table: BracketTable
-    coeffs: BimoduleSpec
+    coeffs: ModuleSpec
     meta: dict = field(default_factory=dict, compare=False)
 
     @property
@@ -254,7 +251,6 @@ def build_relative_complex(
     pair: InclusionPair, table: BracketTable, coeffs, n_rel_max: int
 ) -> RelativeTower:
     """Quotient complex of one flavor inclusion, shifted two degrees down."""
-    coeffs = as_coefficients(table, coeffs)
     _require_pair(pair, table)
     d, mdim = table.dim, coeffs.dim
     m_top = n_rel_max + 2
@@ -454,7 +450,7 @@ def build_cr_complex(pair: InclusionPair, table: BracketTable, n_cr_max: int) ->
     """
     _require_pair(pair, table)
     d = table.dim
-    coad = symmetrize(coadjoint_module(table), table)
+    coad = coadjoint_module(table)
     if pair is InclusionPair.EXT_IN_SYM:
         flavor = Flavor.EXT
         restr, mus = _build_cr_mixed(table, coad, n_cr_max)
@@ -534,13 +530,6 @@ def _build_cr_mixed(table: BracketTable, coad, n_cr_max: int):
     return restr, mus
 
 
-_PARTNER_FLAVOR = {
-    InclusionPair.EXT_IN_TENSOR: Flavor.TENSOR,
-    InclusionPair.EXT_IN_SYM: Flavor.SYM,
-    InclusionPair.SYM_IN_TENSOR: Flavor.TENSOR,
-}
-
-
 @dataclass(frozen=True)
 class ProductReport:
     """Second-page entries against the product of the two graded factors.
@@ -576,16 +565,16 @@ def verify_e2_product(
     Mismatches are report entries, not errors; the convergence of the
     filtration toward the relative cohomology is checked as well.
     """
-    coeffs = as_coefficients(table, coeffs)
     n_rel = n_max - 2
     rel = build_relative_complex(pair, table, coeffs, n_rel)
     ft = comparison_filtration(pair, rel)
-    pages = compute_pages(ft, max(3, stabilization_index(ft)))
+    pages = compute_pages(ft)
     conv = convergence_check(ft, pages)
 
     cr = build_cr_complex(pair, table, n_rel)
     hr = cr.hr()
-    partner = cochain_betti_table(_PARTNER_FLAVOR[pair], table, coeffs, n_max)
+    # the total flavor's complex, already built through degree n_max
+    partner = betti_table(rel.total_tower)
 
     entries = []
     window = min(n_rel - 1, len(hr) - 1)
@@ -650,7 +639,6 @@ def _propagate(name_h, bt_h, name_c, bt_c) -> PropagationReport:
 def _flavor_tables(table: BracketTable, coeffs, n_max: int) -> dict:
     """Betti tables of the sym and tensor cochains, and of ext for a Lie
     algebra, keyed by flavor name."""
-    coeffs = as_coefficients(table, coeffs)
     flavors = [Flavor.SYM, Flavor.TENSOR]
     if classify_algebra(table).is_lie:
         flavors.append(Flavor.EXT)

@@ -22,11 +22,9 @@ from itertools import groupby, islice
 import numpy as np
 
 from .algebra import (
-    BimoduleSpec,
     BracketTable,
     ModuleSpec,
     SubalgebraSplit,
-    as_coefficients,
     change_basis,
     check_module_axioms,
     module_change_basis,
@@ -117,7 +115,6 @@ def subalgebra_filtration(
     factors in the h block, i.e. the annihilator of the monomials with at
     least n - p + 1 such factors.  d-compatibility is verified.
     """
-    coeffs = as_coefficients(table, coeffs)
     split = quotient_algebra(table, h, require_ideal=False)
     t_ad = change_basis(table, split.adapted)
     m_ad = module_change_basis(coeffs, split.adapted)
@@ -286,17 +283,17 @@ def convergence_check(ft: FilteredTower, pages=None) -> ConvergenceReport:
     return ConvergenceReport(per)
 
 
-def restrict_coefficients(split: SubalgebraSplit, coeffs: BimoduleSpec) -> BimoduleSpec:
+def restrict_coefficients(split: SubalgebraSplit, coeffs: ModuleSpec) -> ModuleSpec:
     """Coefficients as a module over the subalgebra, in its basis."""
     hb = split.h.basis.to_dense()
     left = np.array([coeffs.action(row) for row in hb], dtype=np.uint8)
     if left.size == 0:
         left = np.zeros((split.h_dim, coeffs.dim, coeffs.dim), dtype=np.uint8)
-    return BimoduleSpec(coeffs.dim, left, left)
+    return ModuleSpec(coeffs.dim, left)
 
 
 def outer_derivative_operator(
-    split: SubalgebraSplit, coeffs: BimoduleSpec, x, n: int
+    split: SubalgebraSplit, coeffs: ModuleSpec, x, n: int
 ) -> BitMatrix:
     """Lie derivative of an ambient element on the subalgebra complex.
 
@@ -337,11 +334,9 @@ def e2_closed_form_check(
     commutative cohomology of the quotient with coefficients in the
     subalgebra cohomology carrying the induced action.
     """
-    coeffs = as_coefficients(table, coeffs)
     split = quotient_algebra(table, h, require_ideal=True)
     if pages is None:
-        ft = subalgebra_filtration(table, h, coeffs, n_max)
-        pages = compute_pages(ft, max(3, stabilization_index(ft)))
+        pages = compute_pages(subalgebra_filtration(table, h, coeffs, n_max))
     h_coeffs = restrict_coefficients(split, coeffs)
     h_tower = build_tower(Flavor.SYM, split.h_table, h_coeffs, n_max, label="sub")
     hs_sub = betti_table(h_tower)

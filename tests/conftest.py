@@ -14,13 +14,11 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from commcoh.algebra import (
-    BimoduleSpec,
     BracketTable,
     ModuleSpec,
     coadjoint_module,
     derived_span,
     flambda_module,
-    symmetrize,
     trivial_module,
 )
 from commcoh.catalog import load_catalog, survey_enumerate
@@ -52,8 +50,8 @@ def random_comm_lie_table(rng, d) -> BracketTable:
     return BracketTable(pool[rng.integers(0, len(pool))])
 
 
-def random_valid_module(rng, table: BracketTable, max_dim=2) -> BimoduleSpec:
-    """A random symmetric coefficient module known to satisfy the axioms."""
+def random_valid_module(rng, table: BracketTable, max_dim=2) -> ModuleSpec:
+    """A random coefficient module known to satisfy the axiom."""
     d = table.dim
     choices = ["trivial1", "trivial2", "flambda"]
     if d <= max_dim:
@@ -81,7 +79,28 @@ def random_valid_module(rng, table: BracketTable, max_dim=2) -> BimoduleSpec:
             [(sd @ r.astype(np.int64) @ si) % 2 for r in mod.rho], dtype=np.uint8
         )
         mod = ModuleSpec(mod.dim, rho)
-    return symmetrize(mod, table)
+    return mod
+
+
+def bimodule_axioms_oracle(table: BracketTable, left, right):
+    """(ok, axiom, pair) of the three Leibniz bimodule axioms, checked in
+    turn over every basis pair, for left and right action tensors."""
+    c, li, ri = (np.asarray(a, dtype=np.int64) for a in (table.c, left, right))
+    act = lambda rho, vec: np.einsum("i,imn->mn", vec, rho) % 2
+    d = table.dim
+    for i in range(d):
+        for j in range(d):
+            if not np.array_equal(act(li, c[i, j]), (li[i] @ li[j] + li[j] @ li[i]) % 2):
+                return False, "left-module", (i, j)
+    for i in range(d):
+        for j in range(d):
+            # x.(m.y) = (x.m).y + m.[x,y]
+            if not np.array_equal((li[i] @ ri[j]) % 2, (ri[j] @ li[i] + act(ri, c[i, j])) % 2):
+                return False, "left-middle", (i, j)
+            # m.[x,y] = (m.x).y + x.(m.y)
+            if not np.array_equal(act(ri, c[i, j]), (ri[j] @ ri[i] + li[i] @ ri[j]) % 2):
+                return False, "middle-right", (i, j)
+    return True, None, None
 
 
 def random_subalgebra(rng, table: BracketTable) -> Subspace:
@@ -152,12 +171,8 @@ def oracle_sym_differential(c, rho, mdim, n):
 def oracle_sym_betti(table: BracketTable, mod, n_max):
     """Betti numbers of the symmetric complex via the bitmask oracle."""
     c = table.c.tolist()
-    if isinstance(mod, BimoduleSpec):
-        rho = mod.left.tolist()
-        mdim = mod.dim
-    else:
-        rho = mod.rho.tolist()
-        mdim = mod.dim
+    rho = mod.rho.tolist()
+    mdim = mod.dim
     dims = []
     prev_rank = 0
     from math import comb

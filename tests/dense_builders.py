@@ -69,7 +69,7 @@ def differential(flavor, table, coeffs, n, rep_of=None) -> BitMatrix:
     src = basis_tuples(flavor, d, n)
     dst = basis_tuples(flavor, d, n + 1)
     srank = monomial_rank(flavor, d, n)
-    rho = coeffs.left
+    rho = coeffs.rho
     eye = np.eye(m, dtype=np.uint8)
     out = np.zeros((len(dst) * m, len(src) * m), dtype=np.uint8)
     for r, mono in enumerate(dst):

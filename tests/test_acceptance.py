@@ -25,7 +25,6 @@ from commcoh.algebra import (
     flambda_module,
     leibniz_kernel,
     quotient_algebra,
-    symmetrize,
 )
 from commcoh.cochain import Flavor, InclusionPair, build_tower, insertion_matrix, lie_derivative_matrix
 from commcoh.cohomology import betti_table
@@ -260,7 +259,7 @@ def test_c07_one_dimensional_vanishing():
         for table in _survey_iso(d).rep_tables():
             for line, lam in line_module_instances(table):
                 instance_count += 1
-                mod = symmetrize(flambda_module(table, lam), table)
+                mod = flambda_module(table, lam)
                 bt = betti_table(build_tower(Flavor.SYM, table, mod, 7))
                 if any(bt[n] != 0 for n in range(7)):
                     failures.append((d, table.c.tolist(), lam.tolist(), bt.dims))
@@ -299,7 +298,7 @@ def test_c08_vanishing_propagation():
         entry = catalog(name)
         for line, lam in line_module_instances(entry.table):
             instances += 1
-            mod = symmetrize(flambda_module(entry.table, lam), entry.table)
+            mod = flambda_module(entry.table, lam)
             report = full_vanishing_check(entry.table, mod, 7)
             if not report.ok:
                 failures.append((name, lam.tolist(), report.tables))

@@ -49,7 +49,7 @@ class TestCatalog:
         # each catalog functional kills the derived span and is nonzero
         for name in catalog_names():
             entry = load_catalog(name)
-            lam = entry.modules["flambda"].left[:, 0, 0]
+            lam = entry.modules["flambda"].rho[:, 0, 0]
             assert lam.any()
 
 
@@ -411,6 +411,22 @@ class TestCLI:
         d_f, p_f = digest("dim 2\nbasis e f\nsubspace h = 01\n", *hs)
         assert p_e != p_f and d_e != d_f
         assert (d_e, p_e) == digest("dim 2\nbasis e f\nsubspace h = 10\n", *hs)
+
+    @pytest.mark.parametrize("algebra, module, digest, tables", [
+        ("catalog:N", "adjoint", "a1ac0deaeaaf53b1", {"sym": [1, 1, 0, 0]}),
+        ("alg.txt", "m", "a17b0ecc28cb0482", {"sym": [1, 1, 0, 0]}),
+    ])
+    def test_input_digest_is_pinned(self, tmp_path, monkeypatch, algebra, module, digest, tables):
+        # values from when a module carried separate left and right
+        # actions; a file module's rho now fills both of their slots
+        monkeypatch.chdir(tmp_path)  # the digest covers the --algebra path
+        (tmp_path / "alg.txt").write_text(
+            "dim 2\nbasis e f\nbracket f f = e\nmodule m dim 2\naction m f = 01 00\n"
+        )
+        report, code = run(["cohomology", "--algebra", algebra, "--module", module,
+                            "--max-degree", "3"])
+        assert code == 0 and report["payload"]["tables"] == tables
+        assert report["input_digest"] == digest
 
     def test_survey_cli(self):
         report, code = run(["survey", "--dim", "2", "--up-to-iso"])

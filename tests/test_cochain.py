@@ -10,14 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 import dense_builders as dense
 from commcoh import cochain
-from commcoh.algebra import (
-    BimoduleSpec,
-    BracketTable,
-    as_coefficients,
-    flambda_module,
-    symmetrize,
-    trivial_module,
-)
+from commcoh.algebra import BracketTable, ModuleSpec, flambda_module, trivial_module
 from commcoh.catalog import catalog_names
 from commcoh.cochain import (
     Flavor,
@@ -70,7 +63,7 @@ class TestDifferential:
 
     def test_abelian_zero(self):
         t = BracketTable.zero(2)
-        triv = symmetrize(trivial_module(t), t)
+        triv = trivial_module(t)
         for flavor in Flavor:
             for n in range(4):
                 assert differential_matrix(flavor, t, triv, n).is_zero()
@@ -112,7 +105,7 @@ class TestDifferential:
             differential_matrix(Flavor.EXT, n.table, n.modules["trivial"], 1)
         t = BracketTable.from_entries(2, {(0, 1): [1]})  # not commutative
         with pytest.raises(PreconditionError, match="commutative"):
-            differential_matrix(Flavor.SYM, t, symmetrize(trivial_module(t), t), 1)
+            differential_matrix(Flavor.SYM, t, trivial_module(t), 1)
 
     def test_representative_independence(self):
         # evaluating on a shuffled representative word gives the same matrix
@@ -128,8 +121,8 @@ class TestDifferential:
                 base = differential_matrix(
                     Flavor.SYM, entry.table, entry.modules["trivial"], n
                 )
-                alt = differential_matrix(
-                    Flavor.SYM, entry.table, entry.modules["trivial"], n, _rep_of=shuffled
+                alt = dense.differential(
+                    Flavor.SYM, entry.table, entry.modules["trivial"], n, rep_of=shuffled
                 )
                 assert base == alt
 
@@ -145,7 +138,7 @@ class TestOperators:
 
     def test_abelian_trivial_derivative_zero(self):
         t = BracketTable.zero(3)
-        triv = symmetrize(trivial_module(t), t)
+        triv = trivial_module(t)
         for n in range(4):
             assert lie_derivative_matrix(Flavor.SYM, t, triv, [1, 1, 0], n).is_zero()
 
@@ -290,10 +283,15 @@ class TestBuildersMatchDenseOracles:
     @given(builder_inputs(), st.booleans())
     def test_differential(self, inputs, reverse):
         d, m, n, c, rho = inputs
-        table, coeffs = BracketTable(c), BimoduleSpec(m, rho, rho)
-        rep_of = (lambda mono: mono[::-1]) if reverse else None
-        for flavor in Flavor:
-            got = cochain._differential(flavor, table, coeffs, n, rep_of)
+        flavors, rep_of = list(Flavor), None
+        if reverse:
+            # a reversed word stands for the same sym or ext monomial once
+            # the table is commutative
+            c = c | c.transpose(1, 0, 2)
+            flavors, rep_of = [Flavor.SYM, Flavor.EXT], lambda mono: mono[::-1]
+        table, coeffs = BracketTable(c), ModuleSpec(m, rho)
+        for flavor in flavors:
+            got = cochain._differential(flavor, table, coeffs, n)
             assert_same_matrix(got, dense.differential(flavor, table, coeffs, n, rep_of))
 
     @settings(max_examples=60, deadline=None)
@@ -322,19 +320,17 @@ class TestBuildersMatchDenseOracles:
                     tower = build_tower(flavor, entry.table, mod, 6)
                 except PreconditionError:
                     continue
-                coeffs = as_coefficients(entry.table, mod)
                 for n, diff in enumerate(tower.diffs):
-                    want = dense.differential(flavor, entry.table, coeffs, n)
+                    want = dense.differential(flavor, entry.table, mod, n)
                     assert_same_matrix(diff, want)
 
     def test_tensor_build_allocates_no_dense_matrix(self):
         # heis3 adjoint at degree 7: 19683 x 6561, 15.5 MiB packed and
         # 123 MiB as a dense uint8 array
         entry = catalog("heis3")
-        coeffs = as_coefficients(entry.table, entry.modules["adjoint"])
         tracemalloc.start()
         try:
-            diff = cochain._differential(Flavor.TENSOR, entry.table, coeffs, 7)
+            diff = cochain._differential(Flavor.TENSOR, entry.table, entry.modules["adjoint"], 7)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

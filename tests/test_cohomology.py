@@ -70,7 +70,7 @@ class TestBetti:
             for mod_name in ("trivial", "adjoint", "flambda"):
                 mod = entry.modules[mod_name]
                 bt = betti_table(build_tower(Flavor.SYM, entry.table, mod, 2))
-                stacked = np.concatenate([m for m in mod.left], axis=0)
+                stacked = np.concatenate([m for m in mod.rho], axis=0)
                 from commcoh.gf2 import kernel_basis
 
                 inv = kernel_basis(BitMatrix.from_dense(stacked))

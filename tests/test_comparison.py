@@ -14,7 +14,6 @@ from commcoh.algebra import (
     BracketTable,
     classify_algebra,
     coadjoint_module,
-    symmetrize,
     trivial_module,
 )
 from commcoh.catalog import catalog_names
@@ -423,7 +422,7 @@ class TestCRComplexes:
         # builder intact, then with one forged entry each
         t = catalog("heis3").table
         pair = InclusionPair.SYM_IN_TENSOR
-        coad = symmetrize(coadjoint_module(t), t)
+        coad = coadjoint_module(t)
         restr = list(build_tower(Flavor.SYM, t, coad, 4).diffs[1:])
         mus = [comparison._insert_pullback(Flavor.SYM, t.dim, p) for p in range(4)]
         triv = build_tower(Flavor.SYM, t, trivial_module(t), 5)

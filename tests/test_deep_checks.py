@@ -36,7 +36,7 @@ def oracle_tensor_betti(table, mod, n_max):
 
     d = table.dim
     c = table.c.tolist()
-    rho = mod.left.tolist()
+    rho = mod.rho.tolist()
     mdim = mod.dim
     dims = []
     prev_rank = 0

@@ -19,7 +19,6 @@ from commcoh.gf2 import (
 )
 
 from commcoh import cochain, gf2
-from commcoh.algebra import as_coefficients
 from commcoh.catalog import catalog_names
 from commcoh.cochain import Flavor, PreconditionError, build_tower
 
@@ -277,8 +276,7 @@ class TestRankBlocks:
         # heis3 adjoint tensor coboundary at degree 7: 19683 x 6561,
         # 15.5 MiB packed; whole-matrix conversion peaked 30.9 MiB above it
         entry = catalog("heis3")
-        coeffs = as_coefficients(entry.table, entry.modules["adjoint"])
-        diff = cochain._differential(Flavor.TENSOR, entry.table, coeffs, 7)
+        diff = cochain._differential(Flavor.TENSOR, entry.table, entry.modules["adjoint"], 7)
         tracemalloc.start()
         try:
             rank = diff.rank()
