@@ -157,6 +157,17 @@ class ModuleSpec:
 
     right = left
 
+    def _key(self) -> tuple:
+        return self.dim, self.rho.astype(np.uint8, copy=False).tobytes()
+
+    def __eq__(self, other):
+        if not isinstance(other, ModuleSpec):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
     def action(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.int64)
         if x.shape != (self.rho.shape[0],):

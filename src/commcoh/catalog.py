@@ -18,7 +18,6 @@ strings over the declared basis.  Parsing and serialization round-trip.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -418,6 +417,8 @@ def survey_enumerate(d: int, up_to_iso: bool = False, jobs: int = 1) -> SurveyRe
     bounds = np.linspace(0, total, chunks + 1, dtype=np.int64)
     args = [(d, int(a), int(b)) for a, b in zip(bounds, bounds[1:]) if a < b]
     if chunks > 1:
+        import multiprocessing  # only a pool needs it; a plain start skips the import
+
         with multiprocessing.Pool(processes=chunks) as pool:
             parts = pool.map(_survey_chunk, args)
     else:

@@ -194,11 +194,12 @@ def _require_flavor(flavor: Flavor, table: BracketTable, coeffs: ModuleSpec):
 
 
 def _differential_blocks(flavor, table, coeffs, n):
-    """Row blocks of the degree-n coboundary, top to bottom.
+    """Row blocks of the degree-n coboundary, bottom to top, as row_blocks gives them.
 
     A block holds whole monomial rows, about RANK_BLOCK_BYTES of them
     packed, and computes only its own monomials: the digits of its rank
-    range for TENSOR, its slice of basis_tuples otherwise.
+    range for TENSOR, its slice of basis_tuples otherwise.  The blocks
+    are cut from the last monomial, so a partial block is the top one.
     """
     d, m = table.dim, coeffs.dim
     n_rows, n_cols = basis_dim(flavor, d, n + 1), basis_dim(flavor, d, n)
@@ -214,8 +215,8 @@ def _differential_blocks(flavor, table, coeffs, n):
     else:
         keep = (slots != pi[:, None]) & (slots != pj[:, None])
         pair_rest = np.nonzero(keep)[1].reshape(len(pi), max(n - 1, 0))
-    for start in range(0, n_rows, step):
-        stop = min(n_rows, start + step)
+    for stop in range(n_rows, 0, -step):
+        start = max(0, stop - step)
         if flavor is Flavor.TENSOR:
             words = np.arange(start, stop)[:, None] // d ** slots % d
         else:
@@ -240,14 +241,14 @@ def _differential_blocks(flavor, table, coeffs, n):
 
 
 def _differential(flavor, table, coeffs, n) -> BitMatrix:
-    """Degree-n coboundary, its row blocks filled into one word array."""
+    """Degree-n coboundary, its row blocks filled into one word array from the bottom."""
     d, m = table.dim, coeffs.dim
     rows, cols = basis_dim(flavor, d, n + 1) * m, basis_dim(flavor, d, n) * m
     words = np.empty((rows, _word_count(cols)), dtype=np.uint64)
-    start = 0
+    stop = rows
     for block in _differential_blocks(flavor, table, coeffs, n):
-        words[start : start + block.rows] = block.words
-        start += block.rows
+        words[stop - block.rows : stop] = block.words
+        stop -= block.rows
     return BitMatrix(rows, cols, words)
 
 

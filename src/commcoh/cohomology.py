@@ -18,7 +18,8 @@ from .gf2 import (
     GF2Error,
     QuotientCoords,
     Subspace,
-    _block_rank,
+    _int_words,
+    _kept_rows,
     image,
     induced_map,
     kernel_basis,
@@ -62,23 +63,32 @@ def boundaries(tower: ComplexTower, n: int) -> Subspace:
     return image(tower.differential(n - 1))
 
 
-def _checked(blocks, below, n: int):
-    """The row blocks of d^{n+1}, each checked to vanish on d^n = below (if any)."""
-    for block in blocks:
-        if below is not None and not (block @ below).is_zero():
-            raise GF2Error(f"differentials do not square to zero at degree {n}")
-        yield block
+def _checked_rank(blocks, below, n: int) -> int:
+    """Rank of d^{n+1} from its row blocks (bottom to top), checked to vanish on d^n = below (if any).
+
+    The check runs on the rows the echelon keeps, a basis of the row
+    space, so they vanish on d^n exactly when every row does.  The rows
+    each block adds are checked right after it.
+    """
+    top = {}
+    for kept in _kept_rows(blocks, top):
+        if below is not None:
+            rows = BitMatrix(len(kept), below.rows, _int_words(kept, len(kept), below.rows))
+            if not (rows @ below).is_zero():
+                raise GF2Error(f"differentials do not square to zero at degree {n}")
+    return len(top)
 
 
 def _betti(label, flavor, dims, degrees) -> BettiTable:
-    """Betti table from (row blocks of d^n, d^{n-1} or None) for n = 0, 1, ...
+    """Betti table from (row blocks of d^n bottom to top, d^{n-1} or None) for n = 0, 1, ...
 
-    Each block is checked against d^{n-1} before its rows enter the
-    echelon of d^n, so a failing check names its degree on every route.
+    d^n d^{n-1} = 0 is checked on the basis rows the echelon of d^n
+    keeps, as each block adds them, so a failing check names its degree
+    on every route.  The echelon is dropped before d^{n+1} is built.
     """
     betti, prev_rank = [], 0
     for n, (blocks, below) in enumerate(degrees):
-        rank = _block_rank(_checked(blocks, below, n - 1))
+        rank = _checked_rank(blocks, below, n - 1)
         betti.append(dims[n] - rank - prev_rank)
         prev_rank = rank
     return BettiTable(label, flavor, tuple(betti))
@@ -100,9 +110,10 @@ def cochain_betti_table(
 ) -> BettiTable:
     """betti_table(build_tower(...)) without holding the tower.
 
-    d^n is kept packed only until the blocks of d^{n+1} have been checked
+    d^n is kept packed only until the echelon of d^{n+1} has been checked
     against it, and the top coboundary is never whole: its row blocks go
-    straight from the builder into its echelon.
+    straight from the builder into its echelon, bottom block first.  The
+    check d^{n+1} d^n = 0 runs on the basis rows that echelon keeps.
     """
     _require_flavor(flavor, table, coeffs)
     dims = tuple(basis_dim(flavor, table.dim, n) * coeffs.dim for n in range(n_max + 1))

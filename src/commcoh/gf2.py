@@ -19,6 +19,18 @@ pass in 0.34 s on a 2-vCPU x86 host.  The forward pass alone gives
 the rank; the RREF back-substitutes in ascending pivot order, clearing
 the pivot bits of each row with the rows already reduced.
 
+Rows enter the echelon from the bottom of the matrix upward: row_blocks
+cuts the blocks from the bottom, yields the bottom block first, and each
+block's rows go in last row first.  Pivots stay on the leftmost column
+and the RREF is unique, so the order changes no result, only the work.
+On the degree-7 tensor coboundary of heis3 with two-term brackets and
+adjoint coefficients (19683 x 6561, the largest matrix of the benchmark)
+the echelon makes 483,814 row XORs bottom-up against 998,788 top-down
+(543,734 against 1,250,136 in another basis), and takes 0.13 s against
+0.19 s on the host above.  Reversing the rows only inside each 1 MiB
+block makes 966,750 XORs: the order has to be reversed across the
+whole matrix.
+
 Products, transposes and column takes work on the coordinates of the
 ones (``coords``), unpacking only the nonzero words.  A product XORs
 row j of the right operand into row i for each one (i, j) of the left,
@@ -45,12 +57,14 @@ operations return new ones.
 
 from __future__ import annotations
 
+from itertools import islice
+
 import numpy as np
 
 WORD_BITS = 64
-# rank() converts this many bytes of rows to ints at once; the byte copies
-# of one block, not of the whole matrix, are alive beside the echelon
-RANK_BLOCK_BYTES = 1 << 20
+# rank() and rref() convert this many bytes of rows to ints at once; the
+# byte copies of one block, not of the whole matrix, are alive beside the echelon
+RANK_BLOCK_BYTES = 1 << 19
 # temporaries per one while coordinates are made: its word unpacked to 64
 # bytes when the word holds no other one, nonzero indices and coordinates
 _COORD_BYTES = 128
@@ -123,12 +137,25 @@ def _echelon(rows, top=None) -> dict:
     return top
 
 
-def _block_rank(blocks) -> int:
-    """Rank of the matrix stacked from row blocks, each converted to ints on its own."""
-    top = {}
+def _kept_rows(blocks, top: dict):
+    """Feed row blocks, given bottom to top, into the echelon top, each block's
+    bottom row first; after each block yield the rows it added (as ints).
+
+    A dict keeps its insertion order and _echelon only adds keys, so the
+    rows a block added are the values past the length before it.
+    """
     for block in blocks:
-        _echelon(_int_rows(block.words), top)
-    return len(top)
+        kept = len(top)
+        _echelon(reversed(_int_rows(block.words)), top)
+        yield list(islice(top.values(), kept, None))
+
+
+def _block_echelon(blocks) -> dict:
+    """Echelon of the matrix stacked from row blocks given bottom to top."""
+    top = {}
+    for _ in _kept_rows(blocks, top):
+        pass
+    return top
 
 
 def _reduce(x: int, mask: int, by_length: dict) -> int:
@@ -153,7 +180,7 @@ def _is_rref(m: "BitMatrix", pivots: tuple) -> bool:
     mask = np.zeros(m.words.shape[1], dtype=np.uint64)
     np.bitwise_or.at(mask, word, one)
     at = m.words[np.arange(c.size), word]
-    blocks = [b.words for b in m.row_blocks()]  # views: the checks make no copy of m
+    blocks = [b.words for b in m.row_blocks()][::-1]  # views, top to bottom: no copy of m
     lead = np.concatenate([np.argmax(w != 0, axis=1) for w in blocks])
     ones = np.concatenate([np.bitwise_count(w & mask).sum(axis=1) for w in blocks])
     # the pivot is the lowest one of the row's first nonzero word, and its only pivot one
@@ -310,15 +337,18 @@ class BitMatrix:
     # -- elimination -------------------------------------------------
 
     def row_blocks(self):
-        """Row slices of one row or about RANK_BLOCK_BYTES each, top to bottom."""
+        """Row slices of one row or about RANK_BLOCK_BYTES each, bottom to top.
+
+        The blocks are cut from the bottom, so a partial block is the top one.
+        """
         step = max(1, RANK_BLOCK_BYTES // max(1, self.words.shape[1] * 8))
-        for i in range(0, self.rows, step):
-            block = self.words[i : i + step]
+        for stop in range(self.rows, 0, -step):
+            block = self.words[max(0, stop - step) : stop]
             yield BitMatrix(block.shape[0], self.cols, block)
 
     def rank(self) -> int:
         """Rank by the forward pass alone, converting one row block at a time."""
-        return _block_rank(self.row_blocks())
+        return len(_block_echelon(self.row_blocks()))
 
     def rref(self):
         """Reduced row-echelon form.
@@ -326,7 +356,7 @@ class BitMatrix:
         Returns (reduced, rank, pivots).  Row space is preserved and the
         result is the unique RREF of the input.
         """
-        top = _echelon(_int_rows(self.words))
+        top = _block_echelon(self.row_blocks())
         mask = 0
         for h in sorted(top):  # pivots from the rightmost column leftwards
             top[h] = _reduce(top[h], mask, top)

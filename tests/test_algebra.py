@@ -23,6 +23,7 @@ from commcoh.algebra import (
     quotient_algebra,
     trivial_module,
 )
+from commcoh.cochain import Flavor, build_tower
 from commcoh.gf2 import GF2Error, Subspace
 
 from conftest import (
@@ -109,6 +110,18 @@ class TestModules:
         t = catalog("N").table
         with pytest.raises(GF2Error):
             check_module_axioms(t, ModuleSpec(1, np.zeros((3, 1, 1), dtype=np.uint8)))
+
+    def test_equal_specs_compare_and_hash(self):
+        t = catalog("heis3").table
+        a, b = make_module(t, "adjoint"), make_module(t, "adjoint")
+        assert a.rho is not b.rho
+        assert a == b and hash(a) == hash(b)
+        assert a != make_module(t, "coadjoint") and a != trivial_module(t, 3)
+        assert len({a, b, trivial_module(t), trivial_module(t)}) == 2
+        # a tower compares and hashes through its coefficients
+        towers = [build_tower(Flavor.TENSOR, t, m, 3) for m in (a, b)]
+        assert towers[0] == towers[1] and hash(towers[0]) == hash(towers[1])
+        assert towers[0] != build_tower(Flavor.TENSOR, t, make_module(t, "coadjoint"), 3)
 
     def test_make_module_dispatch(self):
         t = catalog("a").table

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import dense_builders as dense
-from commcoh import cochain
+from commcoh import cochain, gf2
 from commcoh.algebra import BracketTable, ModuleSpec, flambda_module, trivial_module
 from commcoh.catalog import catalog_names
 from commcoh.cochain import (
@@ -323,6 +323,24 @@ class TestBuildersMatchDenseOracles:
                 for n, diff in enumerate(tower.diffs):
                     want = dense.differential(flavor, entry.table, mod, n)
                     assert_same_matrix(diff, want)
+
+    @pytest.mark.parametrize("block_bytes", [1, 200, 4096])
+    def test_bottom_up_blocks_reassemble(self, block_bytes, monkeypatch):
+        cases = [("heis3", "adjoint", Flavor.TENSOR, 4), ("heis3", "flambda", Flavor.SYM, 5),
+                 ("abelian3", "coadjoint", Flavor.EXT, 2), ("N", "trivial", Flavor.SYM, 6)]
+        want = [cochain._differential(f, catalog(name).table, catalog(name).modules[mod], n)
+                for name, mod, f, n in cases]
+        monkeypatch.setattr(gf2, "RANK_BLOCK_BYTES", block_bytes)
+        for (name, mod_name, flavor, n), diff in zip(cases, want):
+            table, mod = catalog(name).table, catalog(name).modules[mod_name]
+            blocks = list(cochain._differential_blocks(flavor, table, mod, n))
+            # the last monomials come first, and only the top block may be partial
+            sizes = [b.rows for b in blocks]
+            assert all(size == sizes[0] for size in sizes[:-1]) and sizes[-1] <= sizes[0]
+            assert sum(sizes) == diff.rows
+            stacked = np.concatenate([b.words for b in reversed(blocks)])
+            assert stacked.tobytes() == diff.words.tobytes()
+            assert cochain._differential(flavor, table, mod, n) == diff
 
     def test_tensor_build_allocates_no_dense_matrix(self):
         # heis3 adjoint at degree 7: 19683 x 6561, 15.5 MiB packed and

@@ -261,6 +261,40 @@ class TestEliminationKernel:
                     assert_reduce_rows_matches_oracle(Subspace.from_rows(d.cols, top), d)
 
 
+class TestRowOrder:
+    """Rows enter the echelon from the bottom of the matrix upward; no
+    result may depend on the order of the rows."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(elimination_matrix() | tall_deficient_matrix(), st.data())
+    def test_row_permutation_changes_nothing(self, arr, data):
+        perm = data.draw(st.permutations(range(arr.shape[0])))
+        block_bytes = data.draw(st.sampled_from([1, 8, 24, gf2.RANK_BLOCK_BYTES]))
+        want_words, rank, pivots = rref_numpy_oracle(BitMatrix.from_dense(arr))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gf2, "RANK_BLOCK_BYTES", block_bytes)
+            for m in (BitMatrix.from_dense(arr), BitMatrix.from_dense(arr[list(perm)])):
+                red, got_rank, got_pivots = m.rref()
+                assert (got_rank, got_pivots) == (rank, pivots)
+                assert red.words.tobytes() == want_words.tobytes()
+                assert m.rank() == rank
+                kernel = kernel_basis(m)
+                assert kernel.dim == arr.shape[1] - rank
+                assert not (arr.astype(np.int64) @ kernel.basis.to_dense().T % 2).any()
+
+    @pytest.mark.parametrize("rows, block_bytes", [(0, 8), (1, 8), (7, 8), (8, 16), (9, 16)])
+    def test_blocks_are_cut_from_the_bottom(self, rows, block_bytes, monkeypatch):
+        m = BitMatrix.from_dense(np.eye(max(rows, 1), dtype=np.uint8)[:rows])
+        monkeypatch.setattr(gf2, "RANK_BLOCK_BYTES", block_bytes)
+        blocks = list(m.row_blocks())
+        step = block_bytes // 8
+        assert [b.rows for b in blocks[:-1]] == [step] * (len(blocks) - 1)
+        assert all(0 < b.rows <= step for b in blocks)
+        # stacked top to bottom, the blocks give m back
+        stacked = np.concatenate([b.words for b in reversed(blocks)] or [m.words])
+        assert stacked.tobytes() == m.words.tobytes()
+
+
 class TestRankBlocks:
     """rank() converts and eliminates its rows one block at a time."""
 
