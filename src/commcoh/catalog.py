@@ -29,7 +29,6 @@ from .algebra import (
     adjoint_module,
     bounded_count,
     coadjoint_module,
-    derived_span,
     flambda_module,
     is_ideal,
     IdealVerdict,
@@ -447,22 +446,13 @@ def line_module_instances(table: BracketTable):
     subalgebra.  These feed the one-dimensional vanishing checks.
     """
     d = table.dim
-    der = derived_span(table)
+    # every nonzero vector, bit k of its code in coordinate k
+    vecs = ((np.arange(1, 1 << d)[:, None] >> np.arange(d)) & 1).astype(np.uint8)
+    # the functionals that kill every bracket
+    lams = [lam for lam in vecs if not ((table.c.reshape(d * d, d) @ lam) % 2).any()]
     out = []
-    for code in range(1, 1 << d):
-        u = np.array([(code >> k) & 1 for k in range(d)], dtype=np.uint8)
+    for u in vecs:
         line = Subspace.from_rows(d, u.reshape(1, -1))
-        if is_ideal(table, line) is not IdealVerdict.IDEAL:
-            continue
-        for lcode in range(1, 1 << d):
-            lam = np.array([(lcode >> k) & 1 for k in range(d)], dtype=np.uint8)
-            if int(lam @ u) % 2 != 1:
-                continue
-            ok = True
-            for i in range(d):
-                for j in range(d):
-                    if int(lam @ table.c[i, j]) % 2:
-                        ok = False
-            if ok:
-                out.append((line, lam))
+        if is_ideal(table, line) is IdealVerdict.IDEAL:
+            out.extend((line, lam) for lam in lams if int(lam @ u) % 2)
     return out

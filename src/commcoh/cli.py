@@ -37,7 +37,7 @@ from .catalog import (
     parse_algebra_file,
     survey_enumerate,
 )
-from .cochain import Flavor, InclusionPair
+from .cochain import INCLUSION_FLAVORS, Flavor, InclusionPair
 from .cohomology import cochain_betti_table
 from .comparison import (
     build_relative_complex,
@@ -240,7 +240,7 @@ def cmd_hs_ss(entry, args, checks, info):
         rep = e2_closed_form_check(entry.table, h, mod, n_max, pages)
         checks.append(("page-closed-forms", rep.ok, str(rep.mismatches()[:4])))
         payload["subalgebra_cohomology"] = list(rep.hs_sub)
-    if entry.name in ("N", "a") and args.module == "trivial":
+    if args.algebra in ("catalog:N", "catalog:a") and args.module == "trivial":
         bt = cochain_betti_table(Flavor.SYM, entry.table, mod, n_max)
         info.append({"closed_form_table": _closed_form_flags(bt.dims)})
     return payload
@@ -257,7 +257,7 @@ def cmd_compare(entry, args, checks, info):
         pair = COMPARISON_NAMES.get(name)
         if pair is None:
             raise InputError(f"unknown comparison {name!r}")
-        needs_lie = pair in (InclusionPair.EXT_IN_TENSOR, InclusionPair.EXT_IN_SYM)
+        needs_lie = INCLUSION_FLAVORS[pair][0] is Flavor.EXT
         if needs_lie and not cls.is_lie:
             info.append({"comparison": name, "skipped": "needs a Lie algebra"})
             continue
@@ -299,7 +299,7 @@ def cmd_les(entry, args, checks, info):
     cls = classify_algebra(entry.table)
     payload = {"algebra": entry.name, "module": args.module, "sequences": {}}
     for name, pair in COMPARISON_NAMES.items():
-        needs_lie = pair in (InclusionPair.EXT_IN_TENSOR, InclusionPair.EXT_IN_SYM)
+        needs_lie = INCLUSION_FLAVORS[pair][0] is Flavor.EXT
         if needs_lie and not cls.is_lie:
             continue
         rel = build_relative_complex(pair, entry.table, mod, args.max_degree)

@@ -17,11 +17,17 @@ The quotient coordinates are the generator words, written in the total
 flavor's coordinates: a relative cochain is its value on each
 generator.  For lie-comm (ext in sym) the kernel I_n / J_n is spanned by
 the symmetric monomials with a repeated letter, so those are its
-coordinates.  The filtration steps and the mixed cokernel space are
-class spans: coordinates fall into classes of words, a class dies where
-it reaches no coordinate or holds a unit generator of the prefix span,
-and one indicator a live class is already the reduced echelon basis, so
-nothing is eliminated.
+coordinates.  The filtration steps are class spans: coordinates fall
+into classes of words, a class dies where it reaches no coordinate or
+holds a unit generator of the prefix span, and one indicator per live
+class is already the reduced echelon basis, so nothing is eliminated.
+
+Every product cokernel comes from one dual-valued tower with coadjoint
+coefficients (exterior for lie-leibniz, symmetric otherwise) and one
+pullback of the sub flavor's scalar cochains.  lie-comm keeps a class
+span of the symmetric tower: a coordinate (args; y) falls in the class
+of its sorted combined word, and a class dies where one of its
+coordinates repeats a letter among the args.
 
 Degree bookkeeping is in word degree throughout; a relative complex in
 its own grading sits two degrees lower, a cokernel-of-products complex
@@ -213,7 +219,7 @@ class RelativeTower:
 
 def _require_pair(pair: InclusionPair, table: BracketTable):
     cls = classify_algebra(table)
-    if pair in (InclusionPair.EXT_IN_TENSOR, InclusionPair.EXT_IN_SYM):
+    if INCLUSION_FLAVORS[pair][0] is Flavor.EXT:
         if not cls.is_lie:
             raise GF2Error(f"{pair.value} needs a Lie algebra")
     elif not cls.is_commutative_lie:
@@ -424,43 +430,66 @@ class CRTower:
 
     kind: InclusionPair
     tower: ComplexTower
-    pullbacks: tuple
 
     def hr(self) -> BettiTable:
         return betti_table(self.tower)
 
 
-def _insert_pullback(flavor, d, p):
-    """Pullback of the product map: scalar (p+2)-cochains c become the
-    dual-valued (p+1)-cochains (args; y) -> c(args, y)."""
+def _dual_words(flavor, d, p):
+    """The combined word (args..., y) of each dual-valued (p+1)-cochain
+    coordinate of flavor, in coordinate order."""
     monos = _monomials(flavor, d, p + 1)
-    rows = np.arange(len(monos) * d)
-    words = np.column_stack([monos[rows // d], rows % d])
-    terms = [_to_columns(flavor, d, rows, words)]
-    return _block_matrix((len(rows), basis_dim(flavor, d, p + 2)), 1, terms)
+    return np.column_stack([np.repeat(monos, d, axis=0), np.tile(np.arange(d), len(monos))])
+
+
+def _insert_pullback(flavor, scalar, d, p):
+    """Pullback of the product map: scalar (p+2)-cochains c of the scalar
+    flavor become the dual-valued (p+1)-cochains (args; y) -> c(args, y)
+    of flavor."""
+    words = _dual_words(flavor, d, p)
+    terms = [_to_columns(scalar, d, np.arange(len(words)), words)]
+    return _block_matrix((len(words), basis_dim(scalar, d, p + 2)), 1, terms)
 
 
 def build_cr_complex(pair: InclusionPair, table: BracketTable, n_cr_max: int) -> CRTower:
     """Cokernel complex whose cohomology is the product-shape tensor factor.
 
     Coefficients are fixed as the construction demands: trivial scalars
-    on the truncated source, the dual space with the bracket-pullback
-    action on the target.  Injectivity and the chain-map identity of the
-    pullback are verified degreewise.
+    of the pair's sub flavor on the truncated source, the dual space with
+    the bracket-pullback action on the target (for lie-comm, its mixed
+    class spans).  Injectivity and the chain-map identity of the pullback
+    are verified degreewise.
     """
     _require_pair(pair, table)
     d = table.dim
+    scalar = INCLUSION_FLAVORS[pair][0]
+    flavor = Flavor.EXT if pair is InclusionPair.EXT_IN_TENSOR else Flavor.SYM
     coad = coadjoint_module(table)
+    restr = build_tower(flavor, table, coad, n_cr_max + 1, label="dual-valued").diffs[1:]
+    mus = [_insert_pullback(flavor, scalar, d, p) for p in range(n_cr_max + 1)]
     if pair is InclusionPair.EXT_IN_SYM:
-        flavor = Flavor.EXT
-        restr, mus = _build_cr_mixed(table, coad, n_cr_max)
-    else:
-        flavor = Flavor.EXT if pair is InclusionPair.EXT_IN_TENSOR else Flavor.SYM
-        a_tower = build_tower(flavor, table, coad, n_cr_max + 1, label="dual-valued")
-        restr = a_tower.diffs[1:]
-        mus = [_insert_pullback(flavor, d, p) for p in range(n_cr_max + 1)]
-    triv = build_tower(flavor, table, trivial_module(table), n_cr_max + 2, label="scalar")
+        restr, mus = _mixed_classes(d, restr, mus)
+    triv = build_tower(scalar, table, trivial_module(table), n_cr_max + 2, label="scalar")
     return _product_cokernel(pair, table, restr, mus, triv)
+
+
+def _mixed_classes(d, restr, mus):
+    """(restr, mus) of the symmetric dual-valued cochains cut down to the
+    mixed class spans; a class dies where some args repeat a letter."""
+    spans = []
+    for p in range(len(mus)):
+        words = _dual_words(Flavor.SYM, d, p)
+        cls = _index(Flavor.SYM, d, words)
+        repeat = (words[:, 1:-1] == words[:, :-2]).any(axis=1)
+        spans.append(_class_span(cls, cls[repeat], 1))
+    restr = [
+        spans[p + 1].row_coefficients(spans[p].basis @ r.transpose()).transpose()
+        if spans[p].dim
+        else BitMatrix.zeros(spans[p + 1].dim, 0)
+        for p, r in enumerate(restr)
+    ]
+    mus = [s.row_coefficients(mu.transpose()).transpose() for s, mu in zip(spans, mus)]
+    return restr, mus
 
 
 def _product_cokernel(pair, table, restr, mus, triv) -> CRTower:
@@ -480,54 +509,7 @@ def _product_cokernel(pair, table, restr, mus, triv) -> CRTower:
     ]
     dims = tuple(q.dim for q in quotients)
     tower = ComplexTower(dims, tuple(diffs), None, label=f"cr[{pair.value}]", table=table)
-    return CRTower(pair, tower, tuple(mus))
-
-
-def _combined_index(d, words):
-    """Coordinate of each combined word (arguments..., dual slot)."""
-    return _index(Flavor.TENSOR, d, words[:, :-1]) * d + words[:, -1]
-
-
-def _ext_word_pullback(d, m):
-    """Row k: the combined words whose Ext class is the k-th exterior monomial."""
-    words = _monomials(Flavor.TENSOR, d, m)
-    ext = _index(Flavor.EXT, d, words)
-    keep = ext >= 0
-    rows, cols = ext[keep], _combined_index(d, words[keep])
-    return BitMatrix.from_coords(basis_dim(Flavor.EXT, d, m), d**m, rows, cols)
-
-
-def _build_cr_mixed(table: BracketTable, coad, n_cr_max: int):
-    """(restr, mus) of the mixed-symmetry variant: dual-valued word
-    cochains whose combined word (arguments then dual slot) is killed by
-    full adjacent swaps and by repeats among the argument slots."""
-    d = table.dim
-    ambient = build_tower(Flavor.TENSOR, table, coad, n_cr_max + 1, label="dual-words")
-
-    a_sub = []
-    for p in range(n_cr_max + 1):
-        m = p + 2
-        # classes of combined words by their full sort; a class dies where a
-        # word of it repeats a letter among the argument slots
-        words = _monomials(Flavor.TENSOR, d, m)
-        cls = np.empty(d**m, dtype=np.int64)
-        cls[_combined_index(d, words)] = _index(Flavor.SYM, d, words)
-        rows = repeat_span_rows(d, m, m - 1)
-        a_sub.append(_class_span(cls, _index(Flavor.SYM, d, rows.words[~rows.pair]), 1))
-
-    restr = []
-    for p in range(n_cr_max):
-        if a_sub[p].dim == 0:
-            restr.append(BitMatrix.zeros(a_sub[p + 1].dim, 0))
-            continue
-        imgs = a_sub[p].basis @ ambient.differential(p + 1).transpose()
-        restr.append(a_sub[p + 1].row_coefficients(imgs).transpose())
-
-    mus = [
-        a_sub[p].row_coefficients(_ext_word_pullback(d, p + 2)).transpose()
-        for p in range(n_cr_max + 1)
-    ]
-    return restr, mus
+    return CRTower(pair, tower)
 
 
 @dataclass(frozen=True)

@@ -2,14 +2,26 @@
 
 Each loops over monomials in Python, XORs blocks into a dense uint8
 array and packs it at the end.  They are kept as oracles: the package's
-builders must reproduce their matrices bit for bit.
+builders must reproduce their matrices bit for bit.  The tensor-ambient
+route of the mixed cokernel closes the file, an oracle of the same kind
+for the symmetric class spans that replaced it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from commcoh.cochain import Flavor, InclusionPair, basis_tuples, monomial_rank
+from commcoh import comparison
+from commcoh.cochain import (
+    Flavor,
+    InclusionPair,
+    _index,
+    _monomials,
+    basis_dim,
+    basis_tuples,
+    build_tower,
+    monomial_rank,
+)
 from commcoh.gf2 import BitMatrix, QuotientCoords, Subspace
 
 
@@ -223,16 +235,16 @@ def sym_quotient_projection(d, m, mdim):
     return qc, BitMatrix.from_dense(pi)
 
 
-def insert_pullback(flavor, d, p) -> BitMatrix:
-    src = basis_tuples(flavor, d, p + 2)
+def insert_pullback(flavor, scalar, d, p) -> BitMatrix:
+    src = basis_tuples(scalar, d, p + 2)
     dst = basis_tuples(flavor, d, p + 1)
-    srank = monomial_rank(flavor, d, p + 2)
+    srank = monomial_rank(scalar, d, p + 2)
     out = np.zeros((len(dst) * d, len(src)), dtype=np.uint8)
     for r, mono in enumerate(dst):
         for k in range(d):
-            if flavor is Flavor.EXT and k in mono:
-                continue
-            out[r * d + k, srank[tuple(sorted(mono + (k,)))]] ^= 1
+            cls = canonical(scalar, mono + (k,))
+            if cls is not None:
+                out[r * d + k, srank[cls]] ^= 1
     return BitMatrix.from_dense(out)
 
 
@@ -286,14 +298,53 @@ def mixed_constraints(d, m) -> BitMatrix:
     return BitMatrix.from_dense(np.concatenate([b for b in blocks if b.shape[0]], axis=0))
 
 
-def ext_word_pullback(d, m) -> BitMatrix:
-    """Combined-word pullback of exterior m-cochains, transposed."""
-    cl_index = _cl_index(d)
-    ext_rank = monomial_rank(Flavor.EXT, d, m)
-    dense = np.zeros((d**m, len(ext_rank)), dtype=np.uint8)
-    for w in basis_tuples(Flavor.TENSOR, d, m):
-        cls = canonical(Flavor.EXT, w)
-        if cls is None:
+# The tensor-ambient route of the mixed (ext in sym) cokernel, which the
+# class spans of the symmetric dual-valued complex replaced: the same
+# classes, read in the coordinates of combined tensor words.
+
+
+def combined_index(d, words):
+    """Coordinate of each combined word (arguments..., dual slot)."""
+    return _index(Flavor.TENSOR, d, words[:, :-1]) * d + words[:, -1]
+
+
+def ext_word_pullback(d, m):
+    """Row k: the combined words whose Ext class is the k-th exterior monomial."""
+    words = _monomials(Flavor.TENSOR, d, m)
+    ext = _index(Flavor.EXT, d, words)
+    keep = ext >= 0
+    rows, cols = ext[keep], combined_index(d, words[keep])
+    return BitMatrix.from_coords(basis_dim(Flavor.EXT, d, m), d**m, rows, cols)
+
+
+def build_cr_mixed(table, coad, n_cr_max: int):
+    """(restr, mus) of the mixed-symmetry variant: dual-valued word
+    cochains whose combined word (arguments then dual slot) is killed by
+    full adjacent swaps and by repeats among the argument slots."""
+    d = table.dim
+    ambient = build_tower(Flavor.TENSOR, table, coad, n_cr_max + 1, label="dual-words")
+
+    a_sub = []
+    for p in range(n_cr_max + 1):
+        m = p + 2
+        # classes of combined words by their full sort; a class dies where a
+        # word of it repeats a letter among the argument slots
+        words = _monomials(Flavor.TENSOR, d, m)
+        cls = np.empty(d**m, dtype=np.int64)
+        cls[combined_index(d, words)] = _index(Flavor.SYM, d, words)
+        rows = comparison.repeat_span_rows(d, m, m - 1)
+        a_sub.append(comparison._class_span(cls, _index(Flavor.SYM, d, rows.words[~rows.pair]), 1))
+
+    restr = []
+    for p in range(n_cr_max):
+        if a_sub[p].dim == 0:
+            restr.append(BitMatrix.zeros(a_sub[p + 1].dim, 0))
             continue
-        dense[cl_index(w), ext_rank[cls]] ^= 1
-    return BitMatrix.from_dense(dense).transpose()
+        imgs = a_sub[p].basis @ ambient.differential(p + 1).transpose()
+        restr.append(a_sub[p + 1].row_coefficients(imgs).transpose())
+
+    mus = [
+        a_sub[p].row_coefficients(ext_word_pullback(d, p + 2)).transpose()
+        for p in range(n_cr_max + 1)
+    ]
+    return restr, mus

@@ -5,15 +5,18 @@ Jacobi identity with int32 einsum cubes (candidates x d^5 entries each);
 the package's bit-sliced filter must keep exactly the same tables in the
 same order.  The transforms are built one row at a time by an einsum over
 g, g and the inverse of g; the package builds them with Kronecker
-products.
+products.  The line-module search tests "the functional kills every
+bracket" with a loop over the pairs (i, j); the package reads it off one
+product.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from commcoh.algebra import IdealVerdict, is_ideal
 from commcoh.catalog import _free_pairs, _gl_group
-from commcoh.gf2 import BitMatrix, inverse
+from commcoh.gf2 import BitMatrix, Subspace, inverse
 
 ORACLE_BLOCK = 8192  # candidates per einsum evaluation
 
@@ -65,4 +68,27 @@ def transform_matrices_loop(d):
                     row = np.einsum("i,j,l->ijl", gi[a], gi[b], gv[:, k]) % 2
                     tm[(a * d + b) * d + k] = row.reshape(-1)
         out.append(tm)
+    return out
+
+
+def line_module_instances_loop(table):
+    """(ideal line, functional) pairs, the functional tested bracket by bracket."""
+    d = table.dim
+    out = []
+    for code in range(1, 1 << d):
+        u = np.array([(code >> k) & 1 for k in range(d)], dtype=np.uint8)
+        line = Subspace.from_rows(d, u.reshape(1, -1))
+        if is_ideal(table, line) is not IdealVerdict.IDEAL:
+            continue
+        for lcode in range(1, 1 << d):
+            lam = np.array([(lcode >> k) & 1 for k in range(d)], dtype=np.uint8)
+            if int(lam @ u) % 2 != 1:
+                continue
+            ok = True
+            for i in range(d):
+                for j in range(d):
+                    if int(lam @ table.c[i, j]) % 2:
+                        ok = False
+            if ok:
+                out.append((line, lam))
     return out

@@ -22,8 +22,12 @@ from commcoh.catalog import (
 from commcoh.cli import main, run
 from commcoh.gf2 import GF2Error
 
-from conftest import catalog, random_invertible
-from survey_oracle import oracle_survivors, transform_matrices_loop
+from conftest import catalog, random_invertible, survey
+from survey_oracle import (
+    line_module_instances_loop,
+    oracle_survivors,
+    transform_matrices_loop,
+)
 
 
 class TestCatalog:
@@ -239,6 +243,17 @@ class TestSurvey:
         assert line_module_instances(catalog("N").table) == []
         assert len(line_module_instances(catalog("abelian2").table)) > 0
 
+    def test_line_instances_match_bracket_loop(self):
+        # the same pairs in the same order on every survey table
+        for d in (1, 2, 3):
+            for table in survey(d).rep_tables():
+                got = line_module_instances(table)
+                want = line_module_instances_loop(table)
+                assert len(got) == len(want), table.c.tolist()
+                for (line, lam), (wline, wlam) in zip(got, want):
+                    assert line == wline
+                    assert lam.dtype == wlam.dtype and np.array_equal(lam, wlam)
+
 
 def _strip_volatile(report):
     report = dict(report)
@@ -311,6 +326,18 @@ class TestCLI:
         flags = report["informational"][0]["closed_form_table"]
         assert flags[0]["agree"] is True
         assert flags[1]["agree"] is False  # degree one disagrees with the table
+
+    def test_hs_ss_closed_form_flags_need_the_catalog_entry(self, tmp_path):
+        # a file that names its algebra N is not the catalog's N: an abelian
+        # table gets no flags against N's closed-form table
+        f = tmp_path / "n.alg"
+        f.write_text("algebra N\ndim 2\nbasis e f\n")
+        args = ["hs-ss", "--ideal", "10", "--module", "trivial", "--max-degree", "8"]
+        report, code = run([*args, "--algebra", str(f)])
+        assert code == 0 and report["payload"]["algebra"] == "N"
+        assert not any("closed_form_table" in item for item in report["informational"])
+        report, code = run([*args, "--algebra", "catalog:N"])
+        assert any("closed_form_table" in item for item in report["informational"])
 
     def test_compare_report(self):
         report, code = run(

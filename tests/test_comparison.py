@@ -35,7 +35,7 @@ from commcoh.comparison import (
 from commcoh.gf2 import BitMatrix, GF2Error, Subspace, kernel_basis
 from commcoh.spectral import convergence_check
 
-from conftest import catalog
+from conftest import catalog, survey
 from dense_builders import assert_same_matrix
 
 
@@ -126,7 +126,6 @@ class TestBuildersMatchDenseOracles:
         check("inclusion_matrix", dense.inclusion)
         check("_word_projection", dense.word_projection, same_word_projection)
         check("_insert_pullback", dense.insert_pullback)
-        check("_ext_word_pullback", dense.ext_word_pullback)
         # the mixed cokernel spaces are read off the class spans built
         spans = []
         class_span = comparison._class_span
@@ -159,14 +158,17 @@ class TestBuildersMatchDenseOracles:
                 else []
             )
             assert len(spans) == len(want)
-            for got, w in zip(spans, want):
-                assert_same_space(got, w)
+            for p, (got, w) in enumerate(zip(spans, want)):
+                # symmetric coordinate (args; y) -> the sum of the combined
+                # words (w; y) with w sorting to args
+                words = dense.inclusion(InclusionPair.SYM_IN_TENSOR, d, d, p + 1)
+                mapped = got.basis @ words.transpose()
+                assert_same_space(Subspace.from_rows(w.ambient_dim, mapped), w)
         assert set(seen) == {
             "span_matrix",
             "inclusion_matrix",
             "_word_projection",
             "_insert_pullback",
-            "_ext_word_pullback",
         }
 
     def test_lie_comm_projection_spans_the_eliminated_quotient(self):
@@ -411,6 +413,37 @@ class TestCRComplexes:
         assert cr.tower.dims == (3, 0, 0, 0, 0, 0)
         assert peak < 16 * 2**20
 
+    def test_mixed_route_matches_tensor_ambient_oracle(self, monkeypatch):
+        # the class spans of the symmetric dual-valued complex give the
+        # tensor-ambient route's restr and mus bit for bit, and so its
+        # cokernel tower, on every Lie table of the survey
+        built = {}
+        real = comparison._product_cokernel
+
+        def spy(pair, table, restr, mus, triv):
+            built.update(restr=list(restr), mus=mus, triv=triv)
+            return real(pair, table, restr, mus, triv)
+
+        monkeypatch.setattr(comparison, "_product_cokernel", spy)
+        pair = InclusionPair.EXT_IN_SYM
+        lie = [
+            t for d in (1, 2, 3) for t in survey(d).rep_tables() if classify_algebra(t).is_lie
+        ]
+        assert len(lie) == 125
+        for t in lie:
+            restr, mus = dense.build_cr_mixed(t, coadjoint_module(t), 5)
+            for n_cr_max in reversed(range(6)):
+                cr = build_cr_complex(pair, t, n_cr_max)
+                want_restr, want_mus = restr[:n_cr_max], mus[: n_cr_max + 1]
+                assert len(built["restr"]) == len(want_restr)
+                assert len(built["mus"]) == len(want_mus)
+                for got, w in zip(built["restr"] + built["mus"], want_restr + want_mus):
+                    assert_same_matrix(got, w)
+                if n_cr_max == 5:  # the tower the tensor-ambient route built
+                    want = real(pair, t, restr, mus, built["triv"]).tower
+                assert cr.tower.dims == want.dims[: n_cr_max + 1]
+                assert cr.tower.diffs == want.diffs[:n_cr_max]
+
     def test_cr_composition_zero(self):
         a = catalog("a")
         for pair in InclusionPair:
@@ -424,7 +457,7 @@ class TestCRComplexes:
         pair = InclusionPair.SYM_IN_TENSOR
         coad = coadjoint_module(t)
         restr = list(build_tower(Flavor.SYM, t, coad, 4).diffs[1:])
-        mus = [comparison._insert_pullback(Flavor.SYM, t.dim, p) for p in range(4)]
+        mus = [comparison._insert_pullback(Flavor.SYM, Flavor.SYM, t.dim, p) for p in range(4)]
         triv = build_tower(Flavor.SYM, t, trivial_module(t), 5)
         cr = comparison._product_cokernel(pair, t, restr, mus, triv)
         assert cr.tower.diffs == build_cr_complex(pair, t, 3).tower.diffs
