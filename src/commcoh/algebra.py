@@ -5,13 +5,21 @@ ordered basis pair.  Classification (commutative / alternating / Jacobi
 / left Leibniz) is recomputed from the table, never trusted from input.
 Alternativity is checked as c[i][i] = 0 together with commutativity, so
 it is the polynomial identity [x,x] = 0 over every field extension and
-not merely a statement about the finitely many vectors of F_2^d.
+not merely a statement about the finitely many vectors of F_2^d.  The
+table is read-only, so its class is computed once and kept on it.
+
+A grading gives each basis letter and each module basis vector an
+integer weight, with w_k = w_i + w_j wherever c_ijk = 1 and
+w(m_b) = w(b_i) + w(m_a) wherever b_i sends m_a to m_b.  The gradings
+are the rational solutions of that small linear system; weight_grading
+returns a basis of them, exactly, in integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import gcd, lcm
 
 import numpy as np
 
@@ -23,6 +31,7 @@ __all__ = [
     "ModuleSpec",
     "ModuleAxiomError",
     "classify_algebra",
+    "weight_grading",
     "check_module_axioms",
     "trivial_module",
     "flambda_module",
@@ -52,7 +61,7 @@ class ModuleAxiomError(ValueError):
 class BracketTable:
     """A d-dimensional algebra given by c[i, j] = coordinates of [b_i, b_j]."""
 
-    __slots__ = ("dim", "c")
+    __slots__ = ("dim", "c", "algebra_class")
 
     def __init__(self, c):
         c = np.asarray(c, dtype=np.uint8) & 1
@@ -61,6 +70,7 @@ class BracketTable:
         self.dim = c.shape[0]
         self.c = c
         c.setflags(write=False)
+        self.algebra_class = None  # filled by the first classify_algebra call
 
     @classmethod
     def zero(cls, dim: int) -> "BracketTable":
@@ -114,6 +124,13 @@ class AlgebraClass:
 
 
 def classify_algebra(t: BracketTable) -> AlgebraClass:
+    """The class of t, computed on the first call and kept on t."""
+    if t.algebra_class is None:
+        t.algebra_class = _classify(t)
+    return t.algebra_class
+
+
+def _classify(t: BracketTable) -> AlgebraClass:
     c = t.c.astype(np.int64)
     d = t.dim
     commutative = np.array_equal(t.c, t.c.transpose(1, 0, 2))
@@ -135,6 +152,70 @@ def classify_algebra(t: BracketTable) -> AlgebraClass:
                 if not np.array_equal(lhs, rhs):
                     left_leibniz = False
     return AlgebraClass(bool(commutative), bool(alternating), jacobi, left_leibniz)
+
+
+def _rational_kernel(rows, n: int) -> list:
+    """An integer basis of {x in Q^n : r . x = 0 for each row r}, one vector per free column.
+
+    Fraction-free elimination: each pivot row is kept zero at every other
+    pivot column, and a combination of two rows is scaled to integers.
+    """
+
+    def clear(x, y, col):  # x with its entry at col cleared by y, over the integers
+        x = [a * y[col] - b * x[col] for a, b in zip(x, y)]
+        g = gcd(*x)
+        return [a // g for a in x] if g else x
+
+    pivots = {}  # pivot column -> its row
+    for row in rows:
+        x = list(row)
+        for col, p in pivots.items():
+            if x[col]:
+                x = clear(x, p, col)
+        lead = next((j for j, v in enumerate(x) if v), None)
+        if lead is None:
+            continue
+        for col, p in pivots.items():
+            if p[lead]:
+                pivots[col] = clear(p, x, lead)
+        pivots[lead] = x
+    basis = []
+    scale = lcm(*(p[col] for col, p in pivots.items()))  # x_col = -p[free] / p[col]
+    for free in (j for j in range(n) if j not in pivots):
+        v = [0] * n
+        v[free] = scale
+        for col, p in pivots.items():
+            v[col] = -p[free] * scale // p[col]
+        g = gcd(*v)
+        basis.append([a // g for a in v])
+    return basis
+
+
+def weight_grading(t: BracketTable, coeffs: "ModuleSpec"):
+    """The finest integer grading of (t, coeffs) as (letter weights, value weights).
+
+    Column j of the d x r and m x r int arrays is the j-th vector of a
+    basis of the gradings, so r is the grading's rank and two vectors
+    share every weight exactly when their rows are equal.
+    """
+    d, m = t.dim, coeffs.dim
+    equations = set()
+
+    def equation(total, *parts):
+        row = [0] * (d + m)
+        row[total] += 1
+        for part in parts:
+            row[part] -= 1
+        equations.add(tuple(row))
+
+    for i, j, k in zip(*np.nonzero(t.c)):
+        equation(k, i, j)
+    # rho[i][b, a] = 1: b_i sends m_a to m_b
+    for i, b, a in zip(*np.nonzero(coeffs.rho)):
+        equation(d + b, i, d + a)
+    basis = _rational_kernel(sorted(equations), d + m)
+    w = np.array(basis, dtype=np.int64).reshape(len(basis), d + m).T
+    return np.ascontiguousarray(w[:d]), np.ascontiguousarray(w[d:])
 
 
 @dataclass(frozen=True)

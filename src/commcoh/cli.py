@@ -455,7 +455,10 @@ def _file_parts(entry: CatalogEntry, args) -> tuple:
 
 def run(argv=None):
     """Run one command; returns (report dict, exit code)."""
-    args = build_parser().parse_args(argv)
+    return _run(build_parser().parse_args(argv))
+
+
+def _run(args):
     checks: list = []
     info: list = []
     try:
@@ -503,7 +506,7 @@ def run(argv=None):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    report, code = run(argv)
+    report, code = _run(args)
     if code == 1:
         print(json.dumps(report, sort_keys=True), file=sys.stderr)
         return code

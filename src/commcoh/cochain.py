@@ -9,9 +9,10 @@ numpy computes one (block row, block column) pair per term of the
 defining formula, and BitMatrix.from_coords XOR-scatters the entries
 into packed words.  A coordinate listed twice therefore cancels, as two
 equal terms of a GF(2) sum do, and no dense matrix is ever allocated.
-A coboundary is built this way one row block of about RANK_BLOCK_BYTES
-packed at a time, so its coordinate lists never span the whole matrix
-and its rank can be taken without ever holding it whole.
+A coboundary's coordinates are made one row block of about
+RANK_BLOCK_BYTES packed at a time, so its coordinate lists never span
+the whole matrix and its Betti route can scatter them straight into
+its transposed weight blocks.
 With m-dimensional coefficients each block coordinate expands once, in
 _kron_coords, to the nonzeros of an m x m block: the action matrix
 rho(letter) for the module terms, the identity for the others.
@@ -24,6 +25,11 @@ arithmetic rather than lookup (a_0 <= a_1 <= ... are the sorted letters):
   SYM     rank(a) = sum_i C(a_i + i, i+1) (a_i + i strictly increases)
 Canonicalising a word is a sort along its row; for EXT a word with two
 equal letters has a zero class and its term is dropped.
+
+Under a grading of (table, coefficients) (algebra.weight_grading) the
+coordinate (u, m_b) has weight w(m_b) minus the weights of u's letters.
+Every term of the formulas below keeps that weight, so every coboundary
+is block-diagonal by weight class.
 
 Flavors:
   SYM    -- functionals on symmetric powers; monomials are non-decreasing
@@ -163,12 +169,15 @@ def _kron_coords(rows: np.ndarray, cols: np.ndarray, m: int, blocks=None):
     return rows[i] * m + a, cols[i] * m + b
 
 
+def _term_coords(m: int, terms):
+    """Entries (rows, cols) of the block terms (rows, cols, blocks) on a grid of m x m blocks."""
+    rows, cols = zip(*(_kron_coords(r, c, m, b) for r, c, b in terms))
+    return np.concatenate(rows), np.concatenate(cols)
+
+
 def _block_matrix(shape, m: int, terms) -> BitMatrix:
     """Sum of block terms (rows, cols, blocks) on a grid of m x m blocks."""
-    rows, cols = zip(*(_kron_coords(r, c, m, b) for r, c, b in terms))
-    return BitMatrix.from_coords(
-        shape[0] * m, shape[1] * m, np.concatenate(rows), np.concatenate(cols)
-    )
+    return BitMatrix.from_coords(shape[0] * m, shape[1] * m, *_term_coords(m, terms))
 
 
 def _to_columns(flavor: Flavor, d: int, rows: np.ndarray, words: np.ndarray, blocks=None):
@@ -193,13 +202,15 @@ def _require_flavor(flavor: Flavor, table: BracketTable, coeffs: ModuleSpec):
         raise PreconditionError(f"coefficients fail axiom {check.axiom} at {check.pair}")
 
 
-def _differential_blocks(flavor, table, coeffs, n):
-    """Row blocks of the degree-n coboundary, bottom to top, as row_blocks gives them.
+def _differential_coords(flavor, table, coeffs, n):
+    """Coordinates (rows, cols) of the ones of the degree-n coboundary, a row block at a time.
 
     A block holds whole monomial rows, about RANK_BLOCK_BYTES of them
     packed, and computes only its own monomials: the digits of its rank
     range for TENSOR, its slice of basis_tuples otherwise.  The blocks
-    are cut from the last monomial, so a partial block is the top one.
+    are cut from the last monomial and come bottom to top, so a partial
+    block is the top one.  A coordinate listed twice stands for two
+    equal terms, which cancel.
     """
     d, m = table.dim, coeffs.dim
     n_rows, n_cols = basis_dim(flavor, d, n + 1), basis_dim(flavor, d, n)
@@ -224,7 +235,7 @@ def _differential_blocks(flavor, table, coeffs, n):
         count = stop - start
         words = words.reshape(count, n + 1)
         # rho(w_i) f(w without w_i), one term per (row, i)
-        rows = np.repeat(np.arange(count), n + 1)
+        rows = np.repeat(np.arange(start, stop), n + 1)
         rest = words[:, others].reshape(count * (n + 1), n)
         acts = coeffs.rho[words].reshape(count * (n + 1), m, m)
         terms = [_to_columns(flavor, d, rows, rest, acts)]
@@ -236,20 +247,36 @@ def _differential_blocks(flavor, table, coeffs, n):
         else:
             # f([w_i, w_j], rest)
             arg = np.column_stack([k, arg])
-        terms.append(_to_columns(flavor, d, hit, arg))
-        yield _block_matrix((count, n_cols), m, terms)
+        terms.append(_to_columns(flavor, d, hit + start, arg))
+        yield _term_coords(m, terms)
 
 
 def _differential(flavor, table, coeffs, n) -> BitMatrix:
-    """Degree-n coboundary, its row blocks filled into one word array from the bottom."""
+    """Degree-n coboundary, its coordinate blocks scattered into one word array."""
     d, m = table.dim, coeffs.dim
     rows, cols = basis_dim(flavor, d, n + 1) * m, basis_dim(flavor, d, n) * m
-    words = np.empty((rows, _word_count(cols)), dtype=np.uint64)
-    stop = rows
-    for block in _differential_blocks(flavor, table, coeffs, n):
-        words[stop - block.rows : stop] = block.words
-        stop -= block.rows
+    words = np.zeros((rows, _word_count(cols)), dtype=np.uint64)
+    for r, c in _differential_coords(flavor, table, coeffs, n):
+        gf2._xor_scatter(words, r, c)
     return BitMatrix(rows, cols, words)
+
+
+def _coordinate_weights(flavor, letters, values, n) -> np.ndarray:
+    """Weight of each degree-n cochain coordinate (u, m_b): w(m_b) minus the weights of u's letters.
+
+    letters and values are the grading of weight_grading; the rows come
+    in coordinate order, monomial-major.
+    """
+    d = letters.shape[0]
+    if flavor is Flavor.TENSOR:
+        # sum over the digits of each rank, without the words themselves
+        ranks = np.arange(d**n)
+        total = np.zeros((ranks.size, letters.shape[1]), dtype=np.int64)
+        for i in range(n):
+            total += letters[ranks // d**i % d]
+    else:
+        total = letters[_monomials(flavor, d, n)].sum(axis=1)
+    return (values[None, :, :] - total[:, None, :]).reshape(-1, letters.shape[1])
 
 
 def differential_matrix(

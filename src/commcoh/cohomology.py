@@ -1,25 +1,55 @@
-"""Cohomology of a cochain tower: Betti tables, representatives, induced maps."""
+"""Cohomology of a cochain tower: Betti tables, representatives, induced maps.
+
+Betti numbers come from ranks, and every rank is taken on a transposed
+coboundary: row f of T_n is d(e_f), the coboundary of the f-th basis
+cochain of C^n, so T_n is d^n transposed.  Under the finest grading of
+(table, coefficients) (algebra.weight_grading) every coboundary is
+block-diagonal by weight class, and T_n is ranked as its class blocks
+T_n^W, each as wide as one class of C^{n+1}.  A table with no grading is
+one class: the same route with one block.  The builder's coordinate
+blocks of d^n are scattered transposed into the class blocks as they
+come; a coordinate that crosses classes is an internal error naming its
+degree.
+
+Degrees go up, and each clears the next (Chen & Kerber, "Persistent
+homology computation with a twist", 2011).  A kept row of the echelon
+of T_{n-1}^W is a coboundary whose leading column is some f, so once
+d^n d^{n-1} = 0, d(e_f) is a sum of later rows of T_n^W and row f is
+left out of its echelon.  The square is checked first, on every class,
+as K @ T_n^W = 0, where K holds the kept rows of T_{n-1}^W (a basis of
+im d^{n-1} in the class) and T_n^W still has the cleared rows: the
+check is complete and a failure names its degree.  The rows left then
+enter _echelon bottom-up, one row block of ints at a time.
+
+Memory: degree n holds T_n packed, split by class, the kept rows of
+T_{n-1} and the echelon of T_n; T_{n-1} is dropped before T_n is built.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import BracketTable
+import numpy as np
+
+from .algebra import BracketTable, weight_grading
 from .cochain import (
     ComplexTower,
     Flavor,
-    _differential,
-    _differential_blocks,
+    _coordinate_weights,
+    _differential_coords,
     _require_flavor,
     basis_dim,
 )
+from . import gf2
 from .gf2 import (
+    WORD_BITS,
     BitMatrix,
     GF2Error,
     QuotientCoords,
     Subspace,
     _int_words,
-    _kept_rows,
+    _row_echelon,
+    _word_count,
     image,
     induced_map,
     kernel_basis,
@@ -63,45 +93,124 @@ def boundaries(tower: ComplexTower, n: int) -> Subspace:
     return image(tower.differential(n - 1))
 
 
-def _checked_rank(blocks, below, n: int) -> int:
-    """Rank of d^{n+1} from its row blocks (bottom to top), checked to vanish on d^n = below (if any).
+@dataclass(frozen=True)
+class _Classes:
+    """The weight classes of one cochain space."""
 
-    The check runs on the rows the echelon keeps, a basis of the row
-    space, so they vanish on d^n exactly when every row does.  The rows
-    each block adds are checked right after it.
+    ids: dict  # weight tuple -> class
+    label: np.ndarray  # class of each coordinate
+    local: np.ndarray  # index of each coordinate inside its class
+    sizes: np.ndarray
+
+
+def _classes(weights: np.ndarray) -> _Classes:
+    """Classes of the coordinates whose weights are the rows of weights."""
+    label = np.zeros(weights.shape[0], dtype=np.int64)
+    first = label[:1]  # the first coordinate of each class
+    for w in weights.T:  # refine by one weight at a time; the labels stay below the row count
+        w = w - w.min(initial=0)
+        key = label * (int(w.max(initial=0)) + 1) + w
+        _, first, label = np.unique(key, return_index=True, return_inverse=True)
+    sizes = np.bincount(label, minlength=first.size)
+    order = np.argsort(label, kind="stable")
+    local = np.empty_like(label)
+    local[order] = np.arange(label.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return _Classes({tuple(k): i for i, k in enumerate(weights[first].tolist())}, label, local, sizes)
+
+
+def _transposed_blocks(coords, lo: _Classes, hi: _Classes, n: int) -> list:
+    """[(class W' of C^{n+1}, T_n^W)] for each class W of C^n, from d^n's coordinate blocks.
+
+    W' has W's weight, or is -1 with T_n^W zero columns wide.  The blocks
+    are slices of one word buffer, filled one coordinate block at a time.
     """
-    top = {}
-    for kept in _kept_rows(blocks, top):
-        if below is not None:
-            rows = BitMatrix(len(kept), below.rows, _int_words(kept, len(kept), below.rows))
-            if not (rows @ below).is_zero():
-                raise GF2Error(f"differentials do not square to zero at degree {n}")
-    return len(top)
+    match = np.array([hi.ids.get(k, -1) for k in lo.ids], dtype=np.int64)
+    home = np.full(len(hi.ids), -1, dtype=np.int64)  # the class of C^n of each class of C^{n+1}
+    home[match[match >= 0]] = np.flatnonzero(match >= 0)
+    cols = np.append(hi.sizes, 0)[match]
+    nw = (cols + WORD_BITS - 1) // WORD_BITS
+    ends = np.cumsum(lo.sizes * nw)
+    words = np.zeros(int(ends[-1]) if ends.size else 0, dtype=np.uint64)
+    starts = ends - lo.sizes * nw
+    row_word = starts[lo.label] + lo.local * nw[lo.label]  # where the row of each e_f starts
+    for r, c in coords:
+        if not np.array_equal(home[hi.label[r]], lo.label[c]):
+            raise GF2Error(f"coboundary of degree {n} crosses weight classes")
+        col = hi.local[r]
+        bits = np.left_shift(np.uint64(1), (col % WORD_BITS).astype(np.uint64))
+        np.bitwise_xor.at(words, row_word[c] + col // WORD_BITS, bits)
+    return [
+        (int(w), BitMatrix(int(k), int(width), words[a:b].reshape(int(k), int(m))))
+        for w, k, width, m, a, b in zip(match, lo.sizes, cols, nw, starts, ends)
+    ]
+
+
+def _check_square(below: dict, t: BitMatrix, n: int) -> None:
+    """Raise unless d^{n+1} d^n = 0 on a class: below is the echelon of T_n^W, t is T_{n+1}^W."""
+    kept = list(below.values())
+    step = max(1, gf2.RANK_BLOCK_BYTES // max(1, 8 * _word_count(t.rows)))
+    for i in range(0, len(kept), step):
+        rows = kept[i : i + step]
+        k = BitMatrix(len(rows), t.rows, _int_words(rows, len(rows), t.rows))
+        if not (k @ t).is_zero():
+            raise GF2Error(f"differentials do not square to zero at degree {n}")
+
+
+def _class_ranks(blocks, below: dict, n: int):
+    """(rank of d^n, {class of C^{n+1}: echelon of T_n^W}) from the class blocks of T_n.
+
+    below maps each class of C^n to the echelon of T_{n-1} in its columns.
+    """
+    rank, kept = 0, {}
+    for v, (w, t) in enumerate(blocks):
+        live = None
+        if below.get(v):
+            _check_square(below[v], t, n - 1)
+            width = _word_count(t.rows) * WORD_BITS
+            live = np.ones(t.rows, dtype=bool)
+            live[[width - h for h in below[v]]] = False  # the pivot column of each kept row
+        top = _row_echelon(t, live)
+        rank += len(top)
+        if top:
+            kept[w] = top
+    return rank, kept
 
 
 def _betti(label, flavor, dims, degrees) -> BettiTable:
-    """Betti table from (row blocks of d^n bottom to top, d^{n-1} or None) for n = 0, 1, ...
-
-    d^n d^{n-1} = 0 is checked on the basis rows the echelon of d^n
-    keeps, as each block adds them, so a failing check names its degree
-    on every route.  The echelon is dropped before d^{n+1} is built.
-    """
-    betti, prev_rank = [], 0
-    for n, (blocks, below) in enumerate(degrees):
-        rank = _checked_rank(blocks, below, n - 1)
+    """Betti table from the class blocks [(class of C^{n+1}, T_n^W)] of n = 0, 1, ..."""
+    betti, prev_rank, below = [], 0, {}
+    for n, blocks in enumerate(degrees):
+        rank, below = _class_ranks(blocks, below, n)
+        del blocks  # T_n goes before T_{n+1} is built
         betti.append(dims[n] - rank - prev_rank)
         prev_rank = rank
     return BettiTable(label, flavor, tuple(betti))
+
+
+def _graded_degrees(flavor, table, coeffs, n_max: int, coords):
+    """Class blocks of T_0 .. T_{n_max-1} under the finest grading; coords(n) gives d^n's."""
+    letters, values = weight_grading(table, coeffs)
+    hi = _classes(_coordinate_weights(flavor, letters, values, 0))
+    for n in range(n_max):
+        lo, hi = hi, _classes(_coordinate_weights(flavor, letters, values, n + 1))
+        yield _transposed_blocks(coords(n), lo, hi, n)
 
 
 def betti_table(tower: ComplexTower) -> BettiTable:
     """Exact cohomology dimensions for degrees 0 .. n_max - 1.
 
     The final degree is excluded: its outgoing differential is unknown.
-    A tower whose consecutive differentials do not compose to zero is an
+    A tower that carries its flavor, table and coefficients is ranked by
+    weight class; any other is one class, each T_n = d^n transposed.  A
+    tower whose consecutive differentials do not compose to zero is an
     upstream axiom violation and is rejected.
     """
-    degrees = zip((d.row_blocks() for d in tower.diffs), (None,) + tower.diffs)
+    if tower.flavor is None or tower.table is None or tower.coeffs is None:
+        degrees = ([(0, d.transpose())] for d in tower.diffs)
+    else:
+        degrees = _graded_degrees(
+            tower.flavor, tower.table, tower.coeffs, tower.n_max, lambda n: [tower.diffs[n].coords()]
+        )
     return _betti(tower.label, tower.flavor, tower.dims, degrees)
 
 
@@ -110,24 +219,13 @@ def cochain_betti_table(
 ) -> BettiTable:
     """betti_table(build_tower(...)) without holding the tower.
 
-    d^n is kept packed only until the echelon of d^{n+1} has been checked
-    against it, and the top coboundary is never whole: its row blocks go
-    straight from the builder into its echelon, bottom block first.  The
-    check d^{n+1} d^n = 0 runs on the basis rows that echelon keeps.
+    No coboundary is ever held row-major: the builder's coordinate blocks
+    of d^n go straight into the class blocks of T_n.
     """
     _require_flavor(flavor, table, coeffs)
     dims = tuple(basis_dim(flavor, table.dim, n) * coeffs.dim for n in range(n_max + 1))
-
-    def degrees():
-        below = None
-        for n in range(n_max - 1):
-            diff = _differential(flavor, table, coeffs, n)
-            yield diff.row_blocks(), below
-            below = diff
-        if n_max:
-            yield _differential_blocks(flavor, table, coeffs, n_max - 1), below
-
-    return _betti(label, flavor, dims, degrees())
+    coords = lambda n: _differential_coords(flavor, table, coeffs, n)
+    return _betti(label, flavor, dims, _graded_degrees(flavor, table, coeffs, n_max, coords))
 
 
 def cocycle_representatives(tower: ComplexTower, n: int) -> BitMatrix:

@@ -21,8 +21,11 @@ the pivot bits of each row with the rows already reduced.
 
 Rows enter the echelon from the bottom of the matrix upward: row_blocks
 cuts the blocks from the bottom, yields the bottom block first, and each
-block's rows go in last row first.  Pivots stay on the leftmost column
-and the RREF is unique, so the order changes no result, only the work.
+block's rows go in last row first (_row_echelon), converted to ints one
+block at a time.  Pivots stay on the leftmost column and the RREF is
+unique, so the order changes no result, only the work.  The Betti route
+(cohomology.py) ranks transposed coboundaries this way and may leave
+rows out: a row it has cleared never becomes an int.
 On the degree-7 tensor coboundary of heis3 with two-term brackets and
 adjoint coefficients (19683 x 6561, the largest matrix of the benchmark)
 the echelon makes 483,814 row XORs bottom-up against 998,788 top-down
@@ -56,8 +59,6 @@ operations return new ones.
 """
 
 from __future__ import annotations
-
-from itertools import islice
 
 import numpy as np
 
@@ -137,24 +138,19 @@ def _echelon(rows, top=None) -> dict:
     return top
 
 
-def _kept_rows(blocks, top: dict):
-    """Feed row blocks, given bottom to top, into the echelon top, each block's
-    bottom row first; after each block yield the rows it added (as ints).
+def _row_echelon(m: "BitMatrix", live=None) -> dict:
+    """_echelon of the rows of m, or of those where the bool array live is set.
 
-    A dict keeps its insertion order and _echelon only adds keys, so the
-    rows a block added are the values past the length before it.
+    The rows are converted to ints one row block at a time and fed from
+    the bottom of m upward: the bottom block first, each block's last row
+    first.
     """
-    for block in blocks:
-        kept = len(top)
-        _echelon(reversed(_int_rows(block.words)), top)
-        yield list(islice(top.values(), kept, None))
-
-
-def _block_echelon(blocks) -> dict:
-    """Echelon of the matrix stacked from row blocks given bottom to top."""
-    top = {}
-    for _ in _kept_rows(blocks, top):
-        pass
+    top, stop = {}, m.rows
+    for block in m.row_blocks():
+        start = stop - block.rows
+        words = block.words if live is None else block.words[live[start:stop]]
+        _echelon(reversed(_int_rows(words)), top)
+        stop = start
     return top
 
 
@@ -348,7 +344,7 @@ class BitMatrix:
 
     def rank(self) -> int:
         """Rank by the forward pass alone, converting one row block at a time."""
-        return len(_block_echelon(self.row_blocks()))
+        return len(_row_echelon(self))
 
     def rref(self):
         """Reduced row-echelon form.
@@ -356,7 +352,7 @@ class BitMatrix:
         Returns (reduced, rank, pivots).  Row space is preserved and the
         result is the unique RREF of the input.
         """
-        top = _block_echelon(self.row_blocks())
+        top = _row_echelon(self)
         mask = 0
         for h in sorted(top):  # pivots from the rightmost column leftwards
             top[h] = _reduce(top[h], mask, top)

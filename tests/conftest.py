@@ -7,11 +7,15 @@ evaluating the coboundary formula on dictionaries of tuples.
 
 from __future__ import annotations
 
+import importlib.util
 import threading
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from commcoh.algebra import (
     BracketTable,
@@ -21,7 +25,7 @@ from commcoh.algebra import (
     flambda_module,
     trivial_module,
 )
-from commcoh.catalog import load_catalog, survey_enumerate
+from commcoh.catalog import load_catalog, parse_algebra_file, survey_enumerate
 from commcoh.gf2 import BitMatrix, Subspace, inverse
 
 from page_oracle import annihilator
@@ -35,6 +39,37 @@ def catalog(name):
 @lru_cache(maxsize=None)
 def survey(d, up_to_iso=False):
     return survey_enumerate(d, up_to_iso=up_to_iso)
+
+
+@lru_cache(maxsize=None)
+def bench_workloads():
+    """bench/workloads.py, which writes the benchmark's seeded heis3 files."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("commcoh_bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def heis3_tables(z_terms: int) -> list:
+    """heis3 in every basis the benchmark draws from for brackets of z_terms terms."""
+    wl = bench_workloads()
+    bases = [(g, inv) for g, inv in wl.gl3() if sum(inv[2]) == z_terms]
+    return [parse_algebra_file(wl.heis3_file(g, inv)).table for g, inv in bases]
+
+
+def heis3_table(z_terms: int, seed: int = 1) -> BracketTable:
+    """The benchmark's heis3 table of that seed and number of bracket terms."""
+    wl = bench_workloads()
+    return parse_algebra_file(wl.heis3_file(*wl.draw_basis(seed, z_terms))).table
+
+
+@st.composite
+def tables_and_actions(draw):
+    """Arbitrary bracket tables with arbitrary action tensors."""
+    d, m = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    bits = lambda shape: arrays(np.uint8, shape, elements=st.integers(0, 1))
+    return BracketTable(draw(bits((d, d, d)))), ModuleSpec(m, draw(bits((d, m, m))))
 
 
 def random_invertible(rng, n):

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
+from commcoh import algebra
 from commcoh.algebra import (
     BracketTable,
     IdealVerdict,
@@ -23,7 +22,9 @@ from commcoh.algebra import (
     quotient_algebra,
     trivial_module,
 )
-from commcoh.cochain import Flavor, build_tower
+from commcoh.cochain import Flavor, InclusionPair, build_tower
+from commcoh.cohomology import cochain_betti_table
+from commcoh.comparison import build_cr_complex
 from commcoh.gf2 import GF2Error, Subspace
 
 from conftest import (
@@ -32,15 +33,8 @@ from conftest import (
     random_comm_lie_table,
     random_invertible,
     random_valid_module,
+    tables_and_actions,
 )
-
-
-@st.composite
-def tables_and_actions(draw):
-    """Arbitrary bracket tables with arbitrary action tensors."""
-    d, m = draw(st.integers(1, 3)), draw(st.integers(1, 2))
-    bits = lambda shape: arrays(np.uint8, shape, elements=st.integers(0, 1))
-    return BracketTable(draw(bits((d, d, d)))), ModuleSpec(m, draw(bits((d, m, m))))
 
 
 class TestClassify:
@@ -72,6 +66,18 @@ class TestClassify:
         t = BracketTable.from_entries(1, {(0, 0): [1]})
         cls = classify_algebra(t)
         assert cls.commutative and not cls.jacobi
+
+    def test_class_is_computed_once_per_table(self, monkeypatch):
+        t = BracketTable(catalog("heis3").table.c)
+        calls = []
+        fresh = algebra._classify
+        monkeypatch.setattr(algebra, "_classify", lambda t: calls.append(t) or fresh(t))
+        cls = classify_algebra(t)
+        assert classify_algebra(t) is cls and cls == fresh(t)
+        # the builders' precondition checks read the cached class
+        build_cr_complex(InclusionPair.EXT_IN_SYM, t, 3)
+        cochain_betti_table(Flavor.EXT, t, coadjoint_module(t), 3)
+        assert calls == [t]
 
     def test_flags_are_basis_invariant(self):
         rng = np.random.default_rng(1)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import commcoh.catalog as catalog_module
+import commcoh.cli as cli
 from commcoh.algebra import BracketTable, change_basis, classify_algebra
 from commcoh.catalog import (
     AlgebraFileError,
@@ -277,6 +278,25 @@ class TestCLI:
         assert json.dumps(_strip_volatile(r1), sort_keys=True) == json.dumps(
             _strip_volatile(r2), sort_keys=True
         )
+
+    def test_main_parses_argv_once(self, monkeypatch, capsys):
+        parsed = []
+        fresh = cli.build_parser
+
+        def counting_parser():
+            parser = fresh()
+            parse = parser.parse_args
+            parser.parse_args = lambda argv=None: parsed.append(argv) or parse(argv)
+            return parser
+
+        monkeypatch.setattr(cli, "build_parser", counting_parser)
+        argv = ["cohomology", "--algebra", "catalog:N", "--max-degree", "3", "--format", "csv"]
+        assert main(argv) == 0
+        assert parsed == [argv]
+        assert capsys.readouterr().out.startswith("flavor,degree,dim")
+        report, code = run(argv)
+        assert code == 0 and report["payload"]["tables"]["sym"] == [1, 1, 0, 0]
+        assert len(parsed) == 2
 
     def test_unknown_catalog_is_input_error(self, capsys):
         assert main(["check", "--algebra", "catalog:nope"]) == 1

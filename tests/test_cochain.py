@@ -10,7 +10,14 @@ from hypothesis.extra.numpy import arrays
 
 import dense_builders as dense
 from commcoh import cochain, gf2
-from commcoh.algebra import BracketTable, ModuleSpec, flambda_module, trivial_module
+from commcoh.algebra import (
+    BracketTable,
+    ModuleSpec,
+    flambda_module,
+    make_module,
+    trivial_module,
+    weight_grading,
+)
 from commcoh.catalog import catalog_names
 from commcoh.cochain import (
     Flavor,
@@ -27,7 +34,7 @@ from commcoh.cochain import (
 )
 from commcoh.gf2 import BitMatrix
 
-from conftest import catalog, random_comm_lie_table, random_valid_module
+from conftest import catalog, heis3_tables, random_comm_lie_table, random_valid_module
 from dense_builders import assert_same_matrix
 
 
@@ -333,13 +340,18 @@ class TestBuildersMatchDenseOracles:
         monkeypatch.setattr(gf2, "RANK_BLOCK_BYTES", block_bytes)
         for (name, mod_name, flavor, n), diff in zip(cases, want):
             table, mod = catalog(name).table, catalog(name).modules[mod_name]
-            blocks = list(cochain._differential_blocks(flavor, table, mod, n))
-            # the last monomials come first, and only the top block may be partial
-            sizes = [b.rows for b in blocks]
-            assert all(size == sizes[0] for size in sizes[:-1]) and sizes[-1] <= sizes[0]
-            assert sum(sizes) == diff.rows
-            stacked = np.concatenate([b.words for b in reversed(blocks)])
-            assert stacked.tobytes() == diff.words.tobytes()
+            blocks = list(cochain._differential_coords(flavor, table, mod, n))
+            # each block holds whole monomial rows, the last monomials come
+            # first, and only the top block may have fewer monomials
+            step = max(1, block_bytes // (mod.dim * gf2._word_count(diff.cols) * 8))
+            stop = diff.rows
+            for r, c in blocks:
+                start = max(0, stop - step * mod.dim)
+                assert r.size == c.size and ((start <= r) & (r < stop)).all()
+                stop = start
+            assert stop == 0 and len(blocks) == -(-diff.rows // (step * mod.dim))
+            r, c = (np.concatenate(x) for x in zip(*blocks))
+            assert BitMatrix.from_coords(diff.rows, diff.cols, r, c) == diff
             assert cochain._differential(flavor, table, mod, n) == diff
 
     def test_tensor_build_allocates_no_dense_matrix(self):
@@ -354,3 +366,81 @@ class TestBuildersMatchDenseOracles:
             tracemalloc.stop()
         assert diff.shape == (19683, 6561)
         assert peak < 2.5 * diff.words.nbytes
+
+
+def _keeps_weight(flavor, table, coeffs, n) -> bool:
+    """Whether every one of the degree-n coboundary joins coordinates of equal weight."""
+    letters, values = weight_grading(table, coeffs)
+    r, c = cochain._differential(flavor, table, coeffs, n).coords()
+    lo, hi = (cochain._coordinate_weights(flavor, letters, values, k) for k in (n, n + 1))
+    return np.array_equal(hi[r], lo[c])
+
+
+def _letter_rank(table, coeffs=None) -> int:
+    letters, _ = weight_grading(table, coeffs or make_module(table, "trivial"))
+    return int(np.linalg.matrix_rank(letters)) if letters.size else 0
+
+
+class TestWeightGrading:
+    """The finest grading of (table, module) and the weight of each cochain coordinate."""
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_catalog_coboundaries_keep_weight(self, name):
+        entry = catalog(name)
+        for mod_name in ("trivial", "adjoint", "coadjoint", "flambda"):
+            for flavor in Flavor:
+                for n in range(5):
+                    assert _keeps_weight(flavor, entry.table, entry.modules[mod_name], n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(builder_inputs())
+    def test_drawn_coboundaries_keep_weight(self, inputs):
+        # arbitrary tables and actions, so Lie, commutative and Leibniz ones among them
+        d, m, n, c, rho = inputs
+        for flavor in Flavor:
+            assert _keeps_weight(flavor, BracketTable(c), ModuleSpec(m, rho), n)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_valid_coboundaries_keep_weight(self, d, seed):
+        rng = np.random.default_rng(seed)
+        table = random_comm_lie_table(rng, d)
+        mod = random_valid_module(rng, table)
+        for flavor in Flavor:
+            assert all(_keeps_weight(flavor, table, mod, n) for n in range(4))
+
+    @settings(max_examples=60, deadline=None)
+    @given(builder_inputs())
+    def test_weights_solve_exactly_the_grading_equations(self, inputs):
+        d, m, _, c, rho = inputs
+        letters, values = weight_grading(BracketTable(c), ModuleSpec(m, rho))
+        w = np.vstack([letters, values])
+        eqs = []
+        for i, j, k in zip(*np.nonzero(c)):
+            eqs.append(np.bincount([k], minlength=d + m) - np.bincount([i, j], minlength=d + m))
+        for i, b, a in zip(*np.nonzero(rho)):
+            eqs.append(np.bincount([d + b], minlength=d + m) - np.bincount([i, d + a], minlength=d + m))
+        eqs = np.array(eqs, dtype=np.int64).reshape(-1, d + m)
+        assert not (eqs @ w).any()
+        # an integer basis of every rational solution: independent, and as many
+        # vectors as the unknowns less the rank of the system
+        assert np.linalg.matrix_rank(w) == w.shape[1] == d + m - np.linalg.matrix_rank(eqs)
+
+    def test_finest_grading_ranks(self):
+        # the rank of the letter weights; trivial coefficients add a free
+        # value weight, which shifts every coordinate alike
+        ranks = {name: _letter_rank(catalog(name).table) for name in catalog_names()}
+        assert ranks == {"heis3": 2, "N": 1, "a": 1, "abelian1": 1, "abelian2": 2, "abelian3": 3}
+        for d in range(1, 6):
+            assert _letter_rank(BracketTable.zero(d)) == d
+        heis3 = catalog("heis3")
+        assert _letter_rank(heis3.table, heis3.modules["flambda"]) == 1
+
+    @pytest.mark.parametrize("z_terms, rank", [(1, 2), (2, 1), (3, 0)])
+    def test_benchmark_heis3_bases(self, z_terms, rank):
+        # every basis the benchmark may draw; rank 0 is a single weight class
+        for table in heis3_tables(z_terms):
+            assert _letter_rank(table) == rank
+            letters, values = weight_grading(table, make_module(table, "trivial"))
+            weights = cochain._coordinate_weights(Flavor.TENSOR, letters, values, 3)
+            assert (len(np.unique(weights, axis=0)) == 1) == (rank == 0)

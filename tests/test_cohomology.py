@@ -2,18 +2,29 @@
 
 import tracemalloc
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import betti_oracle
 from commcoh import cohomology, gf2
-from commcoh.algebra import BracketTable, change_basis, flambda_module, module_change_basis, trivial_module
+from commcoh.algebra import (
+    BracketTable,
+    change_basis,
+    flambda_module,
+    make_module,
+    module_change_basis,
+    trivial_module,
+    weight_grading,
+)
 from commcoh.catalog import catalog_names
 from commcoh.cochain import (
     ComplexTower,
     Flavor,
     PreconditionError,
+    _coordinate_weights,
     build_tower,
     lie_derivative_matrix,
 )
@@ -25,7 +36,15 @@ from commcoh.cohomology import (
 )
 from commcoh.gf2 import BitMatrix, GF2Error
 
-from conftest import catalog, oracle_sym_betti, random_comm_lie_table, random_invertible, random_valid_module
+from conftest import (
+    catalog,
+    heis3_table,
+    oracle_sym_betti,
+    random_comm_lie_table,
+    random_invertible,
+    random_valid_module,
+    tables_and_actions,
+)
 
 
 class TestBetti:
@@ -168,20 +187,34 @@ class TestStreamedBetti:
         mod = entry.modules["trivial"]
         tower = build_tower(Flavor.TENSOR, entry.table, mod, 5)
         # one extra one in d^3 at a column c where row c of d^2 is nonzero,
-        # so d^3 d^2 != 0 while d^1 d^0 and d^2 d^1 still vanish
-        c = int(np.flatnonzero(tower.diffs[2].words.any(axis=1))[0])
-        diffs = list(tower.diffs)
-        diffs[3] = _flipped(diffs[3], 5, c)
-        forged = ComplexTower(tower.dims, tuple(diffs), Flavor.TENSOR)
-        assert not (forged.diffs[3] @ forged.diffs[2]).is_zero()
-        with pytest.raises(GF2Error, match="do not square to zero at degree 2$"):
-            betti_table(forged)
-        monkeypatch.setattr(cohomology, "_differential", lambda f, t, m, n: forged.diffs[n])
-        monkeypatch.setattr(
-            cohomology, "_differential_blocks", lambda f, t, m, n: forged.diffs[n].row_blocks()
-        )
-        with pytest.raises(GF2Error, match="do not square to zero at degree 2$"):
-            cochain_betti_table(Flavor.TENSOR, entry.table, mod, 5)
+        # so d^3 d^2 != 0 while d^1 d^0 and d^2 d^1 still vanish; a row of
+        # c's weight class keeps d^3 block-diagonal, any other row crosses
+        w3, w4 = (_weights(Flavor.TENSOR, entry.table, mod, n) for n in (3, 4))
+        hit = tower.diffs[2].words.any(axis=1)
+        c = next(c for c in np.flatnonzero(hit) if (w4 == w3[c]).all(axis=1).any())
+        same = (w4 == w3[c]).all(axis=1)
+        cases = [
+            (int(np.flatnonzero(same)[0]), "do not square to zero at degree 2$"),
+            (int(np.flatnonzero(~same)[0]), "coboundary of degree 3 crosses weight classes$"),
+        ]
+        # with 8-byte blocks the kept rows of d^2 are checked one at a time
+        blocks = (8, gf2.RANK_BLOCK_BYTES)
+        for (r, graded_error), block_bytes in product(cases, blocks):
+            monkeypatch.setattr(gf2, "RANK_BLOCK_BYTES", block_bytes)
+            diffs = list(tower.diffs)
+            diffs[3] = _flipped(diffs[3], r, c)
+            assert not (diffs[3] @ diffs[2]).is_zero()
+            plain = ComplexTower(tower.dims, tuple(diffs), Flavor.TENSOR)
+            with pytest.raises(GF2Error, match="do not square to zero at degree 2$"):
+                betti_table(plain)
+            with pytest.raises(GF2Error, match="do not square to zero at degree 2$"):
+                betti_oracle.betti_table(plain)
+            graded = ComplexTower(tower.dims, tuple(diffs), Flavor.TENSOR, "", entry.table, mod)
+            with pytest.raises(GF2Error, match=graded_error):
+                betti_table(graded)
+            monkeypatch.setattr(cohomology, "_differential_coords", _builder(graded))
+            with pytest.raises(GF2Error, match=graded_error):
+                cochain_betti_table(Flavor.TENSOR, entry.table, mod, 5)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -193,38 +226,48 @@ class TestStreamedBetti:
         assume(tower is not None)
         k = data.draw(st.integers(0, len(tower.diffs) - 1))
         assume(tower.diffs[k].rows and tower.diffs[k].cols)
-        r = data.draw(st.integers(0, tower.diffs[k].rows - 1))
+        entry = catalog(name)
+        mod = entry.modules[mod_name]
+        lo, hi = _weights(flavor, entry.table, mod, k), _weights(flavor, entry.table, mod, k + 1)
         c = data.draw(st.integers(0, tower.diffs[k].cols - 1))
+        # half the flips stay inside c's weight class, where they can break d d
+        same = np.flatnonzero((hi == lo[c]).all(axis=1))
+        if same.size and data.draw(st.booleans()):
+            r = int(same[data.draw(st.integers(0, same.size - 1))])
+        else:
+            r = data.draw(st.integers(0, tower.diffs[k].rows - 1))
         diffs = list(tower.diffs)
         diffs[k] = _flipped(diffs[k], r, c)
-        forged = ComplexTower(tower.dims, tuple(diffs), flavor)
+        plain = ComplexTower(tower.dims, tuple(diffs), flavor)
+        graded = ComplexTower(tower.dims, tuple(diffs), flavor, "", entry.table, mod)
         # the first degree n whose square d^{n+1} d^n is nonzero, by dense products
         dense = [d.to_dense().astype(np.int64) for d in diffs]
         bad = [n for n in range(len(dense) - 1) if (dense[n + 1] @ dense[n] % 2).any()]
-        entry = catalog(name)
-        block_bytes = data.draw(st.sampled_from([64, gf2.RANK_BLOCK_BYTES]))
+        square_error = f"do not square to zero at degree {bad[0]}$" if bad else None
+        crosses = not np.array_equal(hi[r], lo[c])
+        graded_error = f"coboundary of degree {k} crosses weight classes$" if crosses else square_error
+        block_bytes = data.draw(st.sampled_from([8, 64, gf2.RANK_BLOCK_BYTES]))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(gf2, "RANK_BLOCK_BYTES", block_bytes)
-            mp.setattr(cohomology, "_differential", lambda f, t, m, n: forged.diffs[n])
-            mp.setattr(
-                cohomology, "_differential_blocks", lambda f, t, m, n: forged.diffs[n].row_blocks()
-            )
+            mp.setattr(cohomology, "_differential_coords", _builder(graded))
             routes = [
-                lambda: betti_table(forged),
-                lambda: cochain_betti_table(flavor, entry.table, entry.modules[mod_name], 5),
+                (lambda: betti_oracle.betti_table(plain), square_error),
+                (lambda: betti_table(plain), square_error),
+                (lambda: betti_table(graded), graded_error),
+                (lambda: cochain_betti_table(flavor, entry.table, mod, 5), graded_error),
             ]
-            for route in routes:
-                if bad:
-                    with pytest.raises(GF2Error, match=f"do not square to zero at degree {bad[0]}$"):
+            for route, error in routes:
+                if error:
+                    with pytest.raises(GF2Error, match=error):
                         route()
                 else:
-                    assert route().dims == _rank_table(forged)
+                    assert route().dims == _rank_table(plain)
 
     def test_holds_no_packed_tower(self):
         # heis3 adjoint tensor through degree 7: the top coboundary is
         # 19683 x 6561, 15.5 MiB packed; building the tower peaked at 28.7 MiB,
-        # the streamed route at 7.8 MiB with the rows fed top-down in 1 MiB
-        # blocks and at 5.8 MiB fed bottom-up in 512 KiB blocks
+        # the row-oriented route at 5.8 MiB (bottom-up in 512 KiB blocks),
+        # the transposed weight blocks with clearing at 2.24 MiB
         entry = catalog("heis3")
         mod = entry.modules["adjoint"]
         tracemalloc.start()
@@ -234,7 +277,96 @@ class TestStreamedBetti:
         finally:
             tracemalloc.stop()
         assert bt.dims == (1, 4, 9, 22, 53, 128, 309, 746)
-        assert peak < 7 * 2**20
+        assert peak < 3 * 2**20
+
+
+def _weights(flavor, table, mod, n) -> np.ndarray:
+    """Weight of each degree-n cochain coordinate under the finest grading."""
+    return _coordinate_weights(flavor, *weight_grading(table, mod), n)
+
+
+def _builder(tower):
+    """A stand-in for the coordinate builder reading the tower's differentials, in three blocks."""
+
+    def coords(flavor, table, coeffs, n):
+        r, c = tower.diffs[n].coords()
+        return zip(np.array_split(r, 3), np.array_split(c, 3))
+
+    return coords
+
+
+def _same_outcome(route, oracle):
+    """route() and oracle() give the same table or raise the same GF2Error message."""
+    try:
+        want = oracle()
+    except GF2Error as exc:
+        with pytest.raises(GF2Error, match=f"^{exc}$"):
+            route()
+        return
+    assert route() == want
+
+
+class TestRowOracle:
+    """The transposed class blocks against the row-oriented route they replaced."""
+
+    @pytest.mark.parametrize("block_bytes", [1, 200, 4096, None])
+    def test_catalog_matches_row_oracle(self, block_bytes, monkeypatch):
+        if block_bytes is not None:
+            monkeypatch.setattr(gf2, "RANK_BLOCK_BYTES", block_bytes)
+        for name in catalog_names():
+            entry = catalog(name)
+            for mod_name in ("trivial", "adjoint", "coadjoint", "flambda"):
+                mod = entry.modules[mod_name]
+                for flavor in Flavor:
+                    try:
+                        tower = build_tower(flavor, entry.table, mod, 5, label="x")
+                    except PreconditionError:
+                        with pytest.raises(PreconditionError):
+                            cochain_betti_table(flavor, entry.table, mod, 5)
+                        continue
+                    want = betti_oracle.betti_table(tower)
+                    assert betti_table(tower) == want, (name, mod_name, flavor)
+                    assert cochain_betti_table(flavor, entry.table, mod, 5, label="x") == want
+                    assert betti_oracle.cochain_betti_table(flavor, entry.table, mod, 5, "x") == want
+
+    @settings(max_examples=80, deadline=None)
+    @given(tables_and_actions(), st.sampled_from(list(Flavor)), st.integers(0, 4),
+           st.sampled_from([1, 200, 4096, None]))
+    def test_drawn_tables_match_row_oracle(self, inputs, flavor, n_max, block_bytes):
+        # no axioms: where d d != 0 both routes must name the same first degree
+        table, coeffs = inputs
+        with pytest.MonkeyPatch.context() as mp:
+            if block_bytes is not None:
+                mp.setattr(gf2, "RANK_BLOCK_BYTES", block_bytes)
+            mp.setattr(cohomology, "_require_flavor", lambda *args: None)
+            mp.setattr(betti_oracle, "_require_flavor", lambda *args: None)
+            _same_outcome(
+                lambda: cochain_betti_table(flavor, table, coeffs, n_max),
+                lambda: betti_oracle.cochain_betti_table(flavor, table, coeffs, n_max),
+            )
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 2**32 - 1), st.sampled_from(list(Flavor)))
+    def test_valid_tables_match_row_oracle(self, d, seed, flavor):
+        rng = np.random.default_rng(seed)
+        table = random_comm_lie_table(rng, d)
+        mod = random_valid_module(rng, table)
+        try:
+            tower = build_tower(flavor, table, mod, 4)
+        except PreconditionError:
+            return
+        want = betti_oracle.betti_table(tower)
+        assert betti_table(tower) == want
+        assert cochain_betti_table(flavor, table, mod, 4) == want
+
+    @pytest.mark.parametrize("z_terms", [1, 2, 3])
+    def test_benchmark_heis3_bases_match_row_oracle(self, z_terms):
+        # grading rank 2, 1 and 0: the last is one class
+        table = heis3_table(z_terms)
+        mod = make_module(table, "adjoint")
+        for flavor in (Flavor.EXT, Flavor.TENSOR):
+            want = betti_oracle.cochain_betti_table(flavor, table, mod, 6)
+            assert cochain_betti_table(flavor, table, mod, 6) == want
 
 
 class TestRepresentatives:
