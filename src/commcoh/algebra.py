@@ -39,7 +39,6 @@ __all__ = [
     "adjoint_module",
     "make_module",
     "leibniz_kernel",
-    "derived_span",
     "IdealVerdict",
     "is_ideal",
     "SubalgebraSplit",
@@ -374,12 +373,6 @@ def leibniz_kernel(t: BracketTable) -> Subspace:
         for j in range(i + 1, t.dim):
             rows.append(t.c[i, j] ^ t.c[j, i])
     return Subspace.from_rows(t.dim, np.array(rows, dtype=np.uint8))
-
-
-def derived_span(t: BracketTable) -> Subspace:
-    """Span of all brackets [b_i, b_j]."""
-    rows = t.c.reshape(t.dim * t.dim, t.dim)
-    return Subspace.from_rows(t.dim, rows)
 
 
 class IdealVerdict(Enum):

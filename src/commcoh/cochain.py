@@ -67,11 +67,9 @@ __all__ = [
     "basis_dim",
     "monomial_rank",
     "PreconditionError",
-    "differential_matrix",
     "insertion_matrix",
     "lie_derivative_matrix",
     "derivation_operator_matrix",
-    "inclusion_matrix",
     "ComplexTower",
     "build_tower",
 ]
@@ -279,14 +277,6 @@ def _coordinate_weights(flavor, letters, values, n) -> np.ndarray:
     return (values[None, :, :] - total[:, None, :]).reshape(-1, letters.shape[1])
 
 
-def differential_matrix(
-    flavor: Flavor, table: BracketTable, coeffs: ModuleSpec, n: int
-) -> BitMatrix:
-    """Matrix of the degree-n coboundary, cochain degree n to n+1."""
-    _require_flavor(flavor, table, coeffs)
-    return _differential(flavor, table, coeffs, n)
-
-
 def insertion_matrix(flavor: Flavor, d: int, mdim: int, x, n: int) -> BitMatrix:
     """Insertion operator (i_x f)(args) = f(x, args): degree n to n-1."""
     x = np.asarray(x, dtype=np.uint8) & 1
@@ -335,19 +325,6 @@ def lie_derivative_matrix(
         np.einsum("u,ujk->jk", x.astype(np.int64), table.c.astype(np.int64)) & 1
     ).T.astype(np.uint8)
     return derivation_operator_matrix(flavor, table.dim, coeffs.dim, a, b, n)
-
-
-def inclusion_matrix(pair: InclusionPair, d: int, mdim: int, n: int) -> BitMatrix:
-    """Pullback matrix of the quotient map of argument spaces.
-
-    Maps sub-flavor cochain coordinates into the bigger flavor's:
-    a functional on the quotient argument space becomes the functional
-    w -> f(class of w).  Each matrix is injective.
-    """
-    small, big = INCLUSION_FLAVORS[pair]
-    words = _monomials(big, d, n)
-    terms = [_to_columns(small, d, np.arange(len(words)), words)]
-    return _block_matrix((len(words), basis_dim(small, d, n)), mdim, terms)
 
 
 @dataclass(frozen=True)

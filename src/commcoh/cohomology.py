@@ -236,17 +236,16 @@ def cocycle_representatives(tower: ComplexTower, n: int) -> BitMatrix:
     return qc.lift_rows()
 
 
-def induced_map_on_cohomology(tower: ComplexTower, n: int, op: BitMatrix) -> BitMatrix:
-    """Matrix induced on H^n by a chain-level operator of degree zero.
+def induced_map_on_cohomology(tower: ComplexTower, n: int, ops) -> list:
+    """Matrices induced on H^n by chain-level operators of degree zero.
 
-    The operator must preserve cocycles and coboundaries (checked); the
-    result lives in the representative coordinates of
-    cocycle_representatives.
+    Each operator must preserve cocycles and coboundaries (checked); the
+    results live in the representative coordinates of
+    cocycle_representatives, which are computed once for all of them.
     """
-    z = cycles(tower, n)
-    b = boundaries(tower, n)
+    z, b = cycles(tower, n), boundaries(tower, n)
     try:
         h = QuotientCoords(z, b)
-        return induced_map(op, h, h)
+        return [induced_map(op, h, h) for op in ops]
     except GF2Error as exc:
         raise GF2Error(f"operator does not act on H^{n}: {exc}") from exc

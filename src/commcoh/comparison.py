@@ -2,32 +2,35 @@
 the cokernel complexes of the product maps, and the product-shape
 checks on the second page.
 
-The quotient complexes are modeled concretely as functionals on the
-kernel of the argument-space surjection.  The kernels carry hand-picked
-independent generators:
+Every quotient here is the cokernel of a pullback along a map of words,
+built by one class map per degree (_class_map).  Each coordinate of a
+word space falls in a class, or in none where its word's class is zero;
+the pullback sends a class to the indicator of its members.  The last
+member of each class represents it, and every other coordinate is a
+generator of the quotient: a quotient cochain is its value on each
+generator word, which is the value on the word plus the value on its
+class's representative (just the value on the word where it has no
+class).  Both constructions use the same builder:
 
-  repeat span  I_n : coordinate words with a repeated letter, plus
-                     w + sort(w) for unsorted squarefree words;
-  swap span    J_n : w + sort(w) for every unsorted word;
+  relative complex  the total flavor's words, classed by the sub flavor's
+                    monomial; colex order puts the sorted word last among
+                    its rearrangements, so the sorted word represents;
+  product cokernel  the dual-valued coordinates (args; y), classed by the
+                    scalar flavor's monomial of the combined word.
 
-and their prefix forms I_{n,p}, J_{n,p} restrict the defect to the
-first p slots (sorting only that prefix).
+The cokernel differential is pi[k+1] @ d[k] @ sigma[k], with sigma the
+selection of the generators.  Every product cokernel comes from one
+dual-valued tower with coadjoint coefficients (exterior for
+lie-leibniz, symmetric otherwise).  lie-comm first keeps a class span of
+the symmetric tower: a coordinate (args; y) falls in the class of its
+sorted combined word, and a class dies where one of its coordinates
+repeats a letter among the args.
 
-The quotient coordinates are the generator words, written in the total
-flavor's coordinates: a relative cochain is its value on each
-generator.  For lie-comm (ext in sym) the kernel I_n / J_n is spanned by
-the symmetric monomials with a repeated letter, so those are its
-coordinates.  The filtration steps are class spans: coordinates fall
-into classes of words, a class dies where it reaches no coordinate or
-holds a unit generator of the prefix span, and one indicator per live
-class is already the reduced echelon basis, so nothing is eliminated.
-
-Every product cokernel comes from one dual-valued tower with coadjoint
-coefficients (exterior for lie-leibniz, symmetric otherwise) and one
-pullback of the sub flavor's scalar cochains.  lie-comm keeps a class
-span of the symmetric tower: a coordinate (args; y) falls in the class
-of its sorted combined word, and a class dies where one of its
-coordinates repeats a letter among the args.
+The filtration steps are class spans too: generator words fall into
+classes by their prefix-sorted word, a class dies where it reaches no
+generator or holds a word whose prefix repeats a letter, and one
+indicator per live class is already the reduced echelon basis, so
+nothing is eliminated.
 
 Degree bookkeeping is in word degree throughout; a relative complex in
 its own grading sits two degrees lower, a cokernel-of-products complex
@@ -55,10 +58,8 @@ from .cochain import (
     _block_matrix,
     _index,
     _monomials,
-    _to_columns,
     basis_dim,
     build_tower,
-    inclusion_matrix,
 )
 from .cohomology import (
     BettiTable,
@@ -72,9 +73,7 @@ from .gf2 import (
     GF2Error,
     QuotientCoords,
     Subspace,
-    image,
     induced_map,
-    solve,
 )
 from .spectral import (
     FilteredTower,
@@ -84,16 +83,11 @@ from .spectral import (
 )
 
 __all__ = [
-    "SpanRows",
-    "repeat_span_rows",
-    "swap_span_rows",
-    "span_matrix",
     "RelativeTower",
     "build_relative_complex",
     "LESReport",
     "long_exact_sequence_check",
     "comparison_filtration",
-    "CRTower",
     "build_cr_complex",
     "ProductReport",
     "verify_e2_product",
@@ -111,58 +105,39 @@ def _sort_prefix(words, p):
     return out
 
 
-class SpanRows:
-    """Span generators: row t contributes the coordinate vector of words[t]
-    and, where pair[t], that of its prefix-sorted word too."""
-
-    __slots__ = ("words", "pair")
-
-    def __init__(self, words: np.ndarray, pair: np.ndarray):
-        self.words = words  # int64, one word a row, in colex order
-        self.pair = pair  # bool
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-
-def _prefix_defects(d: int, n: int, p: int | None):
-    """All words of length n in colex order, and whether the first p letters
-    (all when p is None) repeat a letter, or are out of order."""
+def _prefix_defects(d: int, n: int, p: int):
+    """All words of length n in colex order, and whether their first p
+    letters repeat a letter."""
     words = _monomials(Flavor.TENSOR, d, n)
-    prefix = words[:, : n if p is None else p]
-    srt = np.sort(prefix, axis=1)
-    repeat = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
-    unsorted = (prefix[:, 1:] < prefix[:, :-1]).any(axis=1)
-    return words, repeat, unsorted
+    srt = np.sort(words[:, :p], axis=1)
+    return words, (srt[:, 1:] == srt[:, :-1]).any(axis=1)
 
 
-def repeat_span_rows(d: int, n: int, p: int | None = None) -> SpanRows:
-    """Independent generators of the repeated-index span on the first p slots.
+def _class_map(cls, n_classes: int, mdim: int):
+    """The cokernel of the pullback along a map of words, coordinate by coordinate.
 
-    A word whose prefix repeats a letter contributes its coordinate
-    vector; a squarefree unsorted prefix contributes word + prefix-sorted
-    word.  p = None means the whole word is in scope.
+    cls[i] is the class of word i, -1 where the word's class is zero.
+    Returns (gens, last, pullback, pi, sigma):
+      gens      the generators, in order: every word but the last member
+                of each class;
+      last      the last member of each class, -1 where a class has none;
+      pullback  the class indicators, n_classes blocks to len(cls) blocks;
+      pi        row g is e_g + e_(last of g's class), or e_g where g has no
+                class, so ker(pi) is the pullback's image;
+      sigma     the selection of the generators, with pi @ sigma = 1.
+    The matrices are on a grid of mdim x mdim identity blocks.
     """
-    words, repeat, unsorted = _prefix_defects(d, n, p)
-    keep = repeat | unsorted
-    return SpanRows(words[keep], ~repeat[keep])
-
-
-def swap_span_rows(d: int, n: int, p: int | None = None) -> SpanRows:
-    """Independent generators of the adjacent-swap span on the first p slots."""
-    words, _, unsorted = _prefix_defects(d, n, p)
-    return SpanRows(words[unsorted], np.ones(int(unsorted.sum()), dtype=bool))
-
-
-def span_matrix(rows, p_sort: int, d: int, n: int, mdim: int = 1, flavor=Flavor.TENSOR):
-    """Materialize span generators as rows of a packed matrix over the
-    degree-n monomials of flavor (tensor or sym)."""
-    pair = np.flatnonzero(rows.pair)
-    terms = [
-        (np.arange(len(rows)), _index(flavor, d, rows.words), None),
-        (pair, _index(flavor, d, _sort_prefix(rows.words[pair], p_sort)), None),
-    ]
-    return _block_matrix((len(rows), basis_dim(flavor, d, n)), mdim, terms)
+    live = np.flatnonzero(cls >= 0)
+    last = np.full(n_classes, -1)
+    np.maximum.at(last, cls[live], live)
+    gens = np.setdiff1d(np.arange(len(cls)), last)
+    rows = np.arange(len(gens))
+    tied = np.flatnonzero(cls[gens] >= 0)
+    pullback = _block_matrix((len(cls), n_classes), mdim, [(live, cls[live], None)])
+    pi_terms = [(rows, gens, None), (tied, last[cls[gens[tied]]], None)]
+    pi = _block_matrix((len(gens), len(cls)), mdim, pi_terms)
+    sigma = _block_matrix((len(cls), len(gens)), mdim, [(gens, rows, None)])
+    return gens, last, pullback, pi, sigma
 
 
 def _class_span(cls, dead, mdim: int) -> Subspace:
@@ -189,7 +164,8 @@ class RelativeTower:
     quotient; incl, proj, and section are per word degree, with
     proj @ section the identity and ker(proj) the inclusion image.
     meta["words"][m] holds the generator words, the quotient's
-    coordinates in word degree m.
+    coordinates in word degree m, and meta["last"][m] the coordinate
+    of each sub-flavor cochain's representative among the total's.
     """
 
     kind: InclusionPair
@@ -226,33 +202,6 @@ def _require_pair(pair: InclusionPair, table: BracketTable):
         raise GF2Error(f"{pair.value} needs a commutative Lie algebra")
 
 
-def _generator_rows(pair, d, m) -> SpanRows:
-    """Generators of the quotient's kernel at word degree m, one word each."""
-    if pair is InclusionPair.EXT_IN_TENSOR:
-        return repeat_span_rows(d, m)
-    if pair is InclusionPair.SYM_IN_TENSOR:
-        return swap_span_rows(d, m)
-    monos = _monomials(Flavor.SYM, d, m)
-    repeat = (monos[:, 1:] == monos[:, :-1]).any(axis=1)
-    return SpanRows(monos[repeat], np.zeros(int(repeat.sum()), dtype=bool))
-
-
-def _word_projection(pair, d, m, mdim):
-    """(generator words, pi, sigma) for the quotient model at word degree m.
-
-    pi evaluates a total-flavor cochain on each generator; sigma extends a
-    functional on the span by its value on each generator's word and zero
-    elsewhere: an explicit right inverse.
-    """
-    total = INCLUSION_FLAVORS[pair][1]
-    rows = _generator_rows(pair, d, m)
-    pi = span_matrix(rows, m, d, m, mdim, total)
-    coords = _index(total, d, rows.words)
-    shape = (basis_dim(total, d, m), len(rows))
-    sig = _block_matrix(shape, mdim, [(coords, np.arange(len(rows)), None)])
-    return rows.words, pi, sig
-
-
 def build_relative_complex(
     pair: InclusionPair, table: BracketTable, coeffs, n_rel_max: int
 ) -> RelativeTower:
@@ -264,16 +213,19 @@ def build_relative_complex(
     sub_tower = build_tower(sub_fl, table, coeffs, m_top, label=f"sub[{sub_fl.value}]")
     total_tower = build_tower(tot_fl, table, coeffs, m_top, label=f"total[{tot_fl.value}]")
 
-    incls, projs, sections, words = [], [], [], []
+    incls, projs, sections, words, lasts = [], [], [], [], []
     rel_dims, rel_diffs = [], []
     for m in range(m_top + 1):
-        incls.append(inclusion_matrix(pair, d, mdim, m))
-        gens, pi, sig = _word_projection(pair, d, m, mdim)
+        total_words = _monomials(tot_fl, d, m)
+        cls = _index(sub_fl, d, total_words)
+        gens, last, incl, pi, sig = _class_map(cls, basis_dim(sub_fl, d, m), mdim)
         # lie-comm's pi and sigma are selections, so the product is small;
         # on the tensor pairs it would be the square of the word space
         if pair is InclusionPair.EXT_IN_SYM and pi @ sig != BitMatrix.identity(pi.rows):
             raise GF2Error("quotient projection is not surjective")
-        words.append(gens)
+        incls.append(incl)
+        words.append(total_words[gens])
+        lasts.append((last[:, None] * mdim + np.arange(mdim)).ravel())
         projs.append(pi)
         sections.append(sig)
         if sub_tower.dims[m] + pi.rows != total_tower.dims[m]:
@@ -307,7 +259,7 @@ def build_relative_complex(
         section=tuple(sections),
         table=table,
         coeffs=coeffs,
-        meta={"words": tuple(words)},
+        meta={"words": tuple(words), "last": tuple(lasts)},
     )
 
 
@@ -356,10 +308,11 @@ def long_exact_sequence_check(
             continue
         lifted = reps @ rel.section[m].transpose()
         w = lifted @ rel.total_tower.differential(m).transpose()
-        u = solve(rel.incl[m + 1], w.transpose())
-        if u is None:
+        # incl is injective with one representative per column: read u there
+        u = w.take_columns(rel.meta["last"][m + 1])
+        if rel.incl[m + 1] @ u.transpose() != w.transpose():
             raise GF2Error(f"connecting-map lift failed at word degree {m}")
-        connecting[m] = hs[m + 1].project_rows(u.transpose()).transpose()
+        connecting[m] = hs[m + 1].project_rows(u).transpose()
 
     nodes = []
     for m in degrees:
@@ -391,7 +344,8 @@ def comparison_filtration(pair: InclusionPair, rel: RelativeTower) -> FilteredTo
     """
     d, mdim = rel.table.dim, rel.coeffs.dim
     total = INCLUSION_FLAVORS[pair][1]
-    prefix_rows = swap_span_rows if pair is InclusionPair.SYM_IN_TENSOR else repeat_span_rows
+    # the swap span holds no unit words, so its prefix steps kill no class
+    kills = pair is not InclusionPair.SYM_IN_TENSOR
     filt = []
     for n in range(rel.tower.n_max + 1):
         m = n + 2
@@ -402,8 +356,8 @@ def comparison_filtration(pair: InclusionPair, rel: RelativeTower) -> FilteredTo
         cls = lambda w, p: owner[_index(total, d, _sort_prefix(w, p))]
         chain = [Subspace.full(rel.tower.dims[n])]
         for p in range(1, m):
-            rows = prefix_rows(d, m, p + 1)
-            dead = cls(rows.words[~rows.pair], p + 1)
+            all_words, repeat = _prefix_defects(d, m, p + 1)
+            dead = cls(all_words[repeat & kills], p + 1)
             chain.append(_class_span(cls(words, p + 1), dead, mdim))
         if chain[-1].dim != 0:
             chain.append(Subspace.zero(rel.tower.dims[n]))
@@ -419,22 +373,6 @@ def comparison_filtration(pair: InclusionPair, rel: RelativeTower) -> FilteredTo
     return ft
 
 
-@dataclass(frozen=True)
-class CRTower:
-    """Cokernel of the product-map pullback, shifted one degree down.
-
-    Degree p of the tower is the quotient of the dual-valued cochain
-    space on word degree p + 1 by the pullback image of the scalar
-    cochains of word degree p + 2.
-    """
-
-    kind: InclusionPair
-    tower: ComplexTower
-
-    def hr(self) -> BettiTable:
-        return betti_table(self.tower)
-
-
 def _dual_words(flavor, d, p):
     """The combined word (args..., y) of each dual-valued (p+1)-cochain
     coordinate of flavor, in coordinate order."""
@@ -442,18 +380,11 @@ def _dual_words(flavor, d, p):
     return np.column_stack([np.repeat(monos, d, axis=0), np.tile(np.arange(d), len(monos))])
 
 
-def _insert_pullback(flavor, scalar, d, p):
-    """Pullback of the product map: scalar (p+2)-cochains c of the scalar
-    flavor become the dual-valued (p+1)-cochains (args; y) -> c(args, y)
-    of flavor."""
-    words = _dual_words(flavor, d, p)
-    terms = [_to_columns(scalar, d, np.arange(len(words)), words)]
-    return _block_matrix((len(words), basis_dim(scalar, d, p + 2)), 1, terms)
-
-
-def build_cr_complex(pair: InclusionPair, table: BracketTable, n_cr_max: int) -> CRTower:
+def build_cr_complex(pair: InclusionPair, table: BracketTable, n_cr_max: int) -> ComplexTower:
     """Cokernel complex whose cohomology is the product-shape tensor factor.
 
+    Degree p is the dual-valued cochain space on word degree p + 1
+    modulo the pullback of the scalar cochains of word degree p + 2.
     Coefficients are fixed as the construction demands: trivial scalars
     of the pair's sub flavor on the truncated source, the dual space with
     the bracket-pullback action on the target (for lie-comm, its mixed
@@ -466,21 +397,22 @@ def build_cr_complex(pair: InclusionPair, table: BracketTable, n_cr_max: int) ->
     flavor = Flavor.EXT if pair is InclusionPair.EXT_IN_TENSOR else Flavor.SYM
     coad = coadjoint_module(table)
     restr = build_tower(flavor, table, coad, n_cr_max + 1, label="dual-valued").diffs[1:]
-    mus = [_insert_pullback(flavor, scalar, d, p) for p in range(n_cr_max + 1)]
+    words = [_dual_words(flavor, d, p) for p in range(n_cr_max + 1)]
     if pair is InclusionPair.EXT_IN_SYM:
-        restr, mus = _mixed_classes(d, restr, mus)
+        restr, words = _mixed_classes(d, restr, words)
     triv = build_tower(scalar, table, trivial_module(table), n_cr_max + 2, label="scalar")
-    return _product_cokernel(pair, table, restr, mus, triv)
+    classes = [_index(scalar, d, w) for w in words]
+    return _product_cokernel(pair, table, restr, classes, triv)
 
 
-def _mixed_classes(d, restr, mus):
-    """(restr, mus) of the symmetric dual-valued cochains cut down to the
-    mixed class spans; a class dies where some args repeat a letter."""
+def _mixed_classes(d, restr, words):
+    """restr of the symmetric dual-valued cochains cut down to the mixed
+    class spans, and the combined word of each live class; a class dies
+    where some args repeat a letter."""
     spans = []
-    for p in range(len(mus)):
-        words = _dual_words(Flavor.SYM, d, p)
-        cls = _index(Flavor.SYM, d, words)
-        repeat = (words[:, 1:-1] == words[:, :-2]).any(axis=1)
+    for w in words:
+        cls = _index(Flavor.SYM, d, w)
+        repeat = (w[:, 1:-1] == w[:, :-2]).any(axis=1)
         spans.append(_class_span(cls, cls[repeat], 1))
     restr = [
         spans[p + 1].row_coefficients(spans[p].basis @ r.transpose()).transpose()
@@ -488,28 +420,24 @@ def _mixed_classes(d, restr, mus):
         else BitMatrix.zeros(spans[p + 1].dim, 0)
         for p, r in enumerate(restr)
     ]
-    mus = [s.row_coefficients(mu.transpose()).transpose() for s, mu in zip(spans, mus)]
-    return restr, mus
+    return restr, [w[list(s.pivots)] for w, s in zip(words, spans)]
 
 
-def _product_cokernel(pair, table, restr, mus, triv) -> CRTower:
-    """The complex whose degree p is the target of mus[p] modulo its image,
-    with the differential induced by restr[p]; mus[p] pulls back the
-    scalar cochains of triv in degree p + 2."""
-    for p, mu in enumerate(mus):
-        if mu.rank() != mu.cols:
+def _product_cokernel(pair, table, restr, classes, triv) -> ComplexTower:
+    """The cokernel of the pullback of the scalar cochains of triv in
+    degree p + 2 along the class map classes[p], in degree p, with the
+    differential induced by restr[p]."""
+    maps = [_class_map(cls, triv.dims[p + 2], 1) for p, cls in enumerate(classes)]
+    gens, lasts, mus, pis, sigmas = zip(*maps)
+    for p, last in enumerate(lasts):
+        if (last < 0).any():  # a scalar class with no live member
             raise GF2Error(f"product pullback not injective at degree {p}")
     for p in range(len(mus) - 1):
         if restr[p] @ mus[p] != mus[p + 1] @ triv.differential(p + 2):
             raise GF2Error(f"product pullback is not a chain map at degree {p}")
-    quotients = [QuotientCoords(Subspace.full(mu.rows), image(mu)) for mu in mus]
-    diffs = [
-        induced_map(restr[p], quotients[p], quotients[p + 1])
-        for p in range(len(mus) - 1)
-    ]
-    dims = tuple(q.dim for q in quotients)
-    tower = ComplexTower(dims, tuple(diffs), None, label=f"cr[{pair.value}]", table=table)
-    return CRTower(pair, tower)
+    diffs = tuple(pis[p + 1] @ (restr[p] @ sigmas[p]) for p in range(len(mus) - 1))
+    dims = tuple(len(g) for g in gens)
+    return ComplexTower(dims, diffs, None, label=f"cr[{pair.value}]", table=table)
 
 
 @dataclass(frozen=True)
@@ -553,8 +481,7 @@ def verify_e2_product(
     pages = compute_pages(ft)
     conv = convergence_check(ft, pages)
 
-    cr = build_cr_complex(pair, table, n_rel)
-    hr = cr.hr()
+    hr = betti_table(build_cr_complex(pair, table, n_rel))
     # the total flavor's complex, already built through degree n_max
     partner = betti_table(rel.total_tower)
 

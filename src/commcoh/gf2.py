@@ -480,15 +480,6 @@ def image(m: BitMatrix) -> Subspace:
     return Subspace.from_rows(m.rows, m.transpose())
 
 
-def apply_to_subspace(m: BitMatrix, s: Subspace) -> Subspace:
-    """Image m(s) of a subspace under the column-convention map."""
-    if m.cols != s.ambient_dim:
-        raise GF2Error("apply: dimension mismatch")
-    if s.dim == 0:
-        return Subspace.zero(m.rows)
-    return Subspace.from_rows(m.rows, s.basis @ m.transpose())
-
-
 class QuotientCoords:
     """Canonical coset coordinates on a/b for a pair b <= a.
 

@@ -353,9 +353,9 @@ def e2_closed_form_check(
 
     for q in range(n_max):
         acts = np.zeros((dq, hs_sub[q], hs_sub[q]), dtype=np.uint8)
-        for k in range(dq):
-            op = outer_derivative_operator(split, coeffs, sect[k], q)
-            acts[k] = induced_map_on_cohomology(h_tower, q, op).to_dense()
+        ops = [outer_derivative_operator(split, coeffs, sect[k], q) for k in range(dq)]
+        for k, act in enumerate(induced_map_on_cohomology(h_tower, q, ops)):
+            acts[k] = act.to_dense()
         hq_module = ModuleSpec(hs_sub[q], acts)
         check = check_module_axioms(split.q_table, hq_module)
         if not check.ok:

@@ -21,11 +21,12 @@ from commcoh.algebra import (
     BracketTable,
     ModuleSpec,
     coadjoint_module,
-    derived_span,
     flambda_module,
     trivial_module,
 )
+from commcoh import comparison
 from commcoh.catalog import load_catalog, parse_algebra_file, survey_enumerate
+from commcoh.cochain import INCLUSION_FLAVORS, _index, _monomials, basis_dim
 from commcoh.gf2 import BitMatrix, Subspace, inverse
 
 from page_oracle import annihilator
@@ -64,6 +65,15 @@ def heis3_table(z_terms: int, seed: int = 1) -> BracketTable:
     return parse_algebra_file(wl.heis3_file(*wl.draw_basis(seed, z_terms))).table
 
 
+def inclusion_class_map(pair, d, m, mdim):
+    """The class map of pair's quotient at word degree m, as the relative
+    complex builds it: (generator words, last, incl, pi, sigma)."""
+    sub, total = INCLUSION_FLAVORS[pair]
+    words = _monomials(total, d, m)
+    gens, *rest = comparison._class_map(_index(sub, d, words), basis_dim(sub, d, m), mdim)
+    return (words[gens], *rest)
+
+
 @st.composite
 def tables_and_actions(draw):
     """Arbitrary bracket tables with arbitrary action tensors."""
@@ -99,7 +109,8 @@ def random_valid_module(rng, table: BracketTable, max_dim=2) -> ModuleSpec:
     elif kind == "coadjoint":
         mod = coadjoint_module(table)
     else:
-        ann = annihilator(derived_span(table))
+        # annihilator of the derived span, the span of all brackets
+        ann = annihilator(Subspace.from_rows(table.dim, table.c.reshape(-1, table.dim)))
         if ann.dim == 0:
             mod = trivial_module(table, 1)
         else:

@@ -2,9 +2,10 @@
 
 Each loops over monomials in Python, XORs blocks into a dense uint8
 array and packs it at the end.  They are kept as oracles: the package's
-builders must reproduce their matrices bit for bit.  The tensor-ambient
-route of the mixed cokernel closes the file, an oracle of the same kind
-for the symmetric class spans that replaced it.
+builders must reproduce their matrices bit for bit.  The elimination
+route of the product cokernels and the tensor-ambient route of the mixed
+cokernel close the file, oracles of the same kind for the class maps and
+the symmetric class spans that replaced them.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import numpy as np
 
 from commcoh import comparison
 from commcoh.cochain import (
+    ComplexTower,
     Flavor,
     InclusionPair,
     _index,
@@ -22,7 +24,16 @@ from commcoh.cochain import (
     build_tower,
     monomial_rank,
 )
-from commcoh.gf2 import BitMatrix, QuotientCoords, Subspace
+from commcoh.cohomology import boundaries, cycles
+from commcoh.gf2 import (
+    BitMatrix,
+    GF2Error,
+    QuotientCoords,
+    Subspace,
+    image,
+    induced_map,
+    solve,
+)
 
 
 def assert_same_matrix(got: BitMatrix, want: BitMatrix):
@@ -68,12 +79,6 @@ def swap_span_rows(d: int, n: int, p: int | None = None) -> list:
         p = n
     words = basis_tuples(Flavor.TENSOR, d, n)
     return [("pair", w) for w in words if w[:p] != tuple(sorted(w[:p]))]
-
-
-def span_pairs(rows) -> list:
-    """The (kind, word) pairs of a SpanRows, in its order."""
-    kinds = ["pair" if p else "unit" for p in rows.pair.tolist()]
-    return list(zip(kinds, map(tuple, rows.words.tolist())))
 
 
 def differential(flavor, table, coeffs, n, rep_of=None) -> BitMatrix:
@@ -332,8 +337,8 @@ def build_cr_mixed(table, coad, n_cr_max: int):
         words = _monomials(Flavor.TENSOR, d, m)
         cls = np.empty(d**m, dtype=np.int64)
         cls[combined_index(d, words)] = _index(Flavor.SYM, d, words)
-        rows = comparison.repeat_span_rows(d, m, m - 1)
-        a_sub.append(comparison._class_span(cls, _index(Flavor.SYM, d, rows.words[~rows.pair]), 1))
+        _, repeat = comparison._prefix_defects(d, m, m - 1)
+        a_sub.append(comparison._class_span(cls, _index(Flavor.SYM, d, words[repeat]), 1))
 
     restr = []
     for p in range(n_cr_max):
@@ -348,3 +353,42 @@ def build_cr_mixed(table, coad, n_cr_max: int):
         for p in range(n_cr_max + 1)
     ]
     return restr, mus
+
+
+def product_cokernel(pair, table, restr, mus, triv) -> ComplexTower:
+    """The product cokernel by elimination: degree p is the target of mus[p]
+    modulo its image, in the coset coordinates of its reduced echelon
+    form, with the differential induced by restr[p]."""
+    for p, mu in enumerate(mus):
+        if mu.rank() != mu.cols:
+            raise GF2Error(f"product pullback not injective at degree {p}")
+    for p in range(len(mus) - 1):
+        if restr[p] @ mus[p] != mus[p + 1] @ triv.differential(p + 2):
+            raise GF2Error(f"product pullback is not a chain map at degree {p}")
+    quotients = [QuotientCoords(Subspace.full(mu.rows), image(mu)) for mu in mus]
+    diffs = [
+        induced_map(restr[p], quotients[p], quotients[p + 1])
+        for p in range(len(mus) - 1)
+    ]
+    dims = tuple(q.dim for q in quotients)
+    return ComplexTower(dims, tuple(diffs), None, label=f"cr[{pair.value}]", table=table)
+
+
+def connecting_maps(rel) -> list:
+    """The long exact sequence's connecting maps by the dense lift: u solves
+    incl @ u = w for the coboundary w of each lifted quotient class."""
+    qt = rel.quotient_word_tower()
+    h = lambda tower, m: QuotientCoords(cycles(tower, m), boundaries(tower, m))
+    out = []
+    for m in range(rel.word_degrees - 1):
+        hq, hs = h(qt, m), h(rel.sub_tower, m + 1)
+        reps = hq.lift_rows()
+        if reps.rows == 0:
+            out.append(BitMatrix.zeros(hs.dim, 0))
+            continue
+        lifted = reps @ rel.section[m].transpose()
+        w = lifted @ rel.total_tower.differential(m).transpose()
+        u = solve(rel.incl[m + 1], w.transpose())
+        assert u is not None, f"no lift at word degree {m}"
+        out.append(hs.project_rows(u.transpose()).transpose())
+    return out

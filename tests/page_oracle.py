@@ -20,7 +20,6 @@ from commcoh.gf2 import (
     GF2Error,
     QuotientCoords,
     Subspace,
-    apply_to_subspace,
     induced_map,
     kernel_basis,
 )
@@ -64,6 +63,13 @@ def preimage(m: BitMatrix, s: Subspace) -> Subspace:
     if ann.dim == 0:
         return kernel_basis(BitMatrix.zeros(0, m.cols))
     return kernel_basis(ann.basis @ m)
+
+
+def apply_to_subspace(m: BitMatrix, s: Subspace) -> Subspace:
+    """Image m(s) of a subspace under the column-convention map."""
+    if s.dim == 0:
+        return Subspace.zero(m.rows)
+    return Subspace.from_rows(m.rows, s.basis @ m.transpose())
 
 
 def quotient_dim(a: Subspace, b: Subspace) -> int:

@@ -26,15 +26,19 @@ from commcoh.cochain import (
     basis_dim,
     basis_tuples,
     build_tower,
-    differential_matrix,
-    inclusion_matrix,
     insertion_matrix,
     lie_derivative_matrix,
     monomial_rank,
 )
 from commcoh.gf2 import BitMatrix
 
-from conftest import catalog, heis3_tables, random_comm_lie_table, random_valid_module
+from conftest import (
+    catalog,
+    heis3_tables,
+    inclusion_class_map,
+    random_comm_lie_table,
+    random_valid_module,
+)
 from dense_builders import assert_same_matrix
 
 
@@ -61,7 +65,7 @@ class TestDifferential:
     def test_nilpotent_degree_one(self):
         # only [f,f] = e contributes: d(e*) is the functional dual to f.f
         n = catalog("N")
-        d1 = differential_matrix(Flavor.SYM, n.table, n.modules["trivial"], 1)
+        d1 = build_tower(Flavor.SYM, n.table, n.modules["trivial"], 2).diffs[1]
         assert d1.shape == (3, 2)
         dense = d1.to_dense()
         assert dense.sum() == 1
@@ -73,13 +77,13 @@ class TestDifferential:
         triv = trivial_module(t)
         for flavor in Flavor:
             for n in range(4):
-                assert differential_matrix(flavor, t, triv, n).is_zero()
+                assert build_tower(flavor, t, triv, n + 1).diffs[n].is_zero()
 
     def test_one_dim_nontrivial_module_alternates(self):
         t = BracketTable.zero(1)
         mod = flambda_module(t, [1])
         for n in range(6):
-            d = differential_matrix(Flavor.SYM, t, mod, n)
+            d = build_tower(Flavor.SYM, t, mod, n + 1).diffs[n]
             if n % 2 == 0:
                 assert d == BitMatrix.identity(1)
             else:
@@ -109,10 +113,10 @@ class TestDifferential:
     def test_precondition_errors_name_axiom(self):
         n = catalog("N")
         with pytest.raises(PreconditionError, match="alternating"):
-            differential_matrix(Flavor.EXT, n.table, n.modules["trivial"], 1)
+            build_tower(Flavor.EXT, n.table, n.modules["trivial"], 2)
         t = BracketTable.from_entries(2, {(0, 1): [1]})  # not commutative
         with pytest.raises(PreconditionError, match="commutative"):
-            differential_matrix(Flavor.SYM, t, trivial_module(t), 1)
+            build_tower(Flavor.SYM, t, trivial_module(t), 2)
 
     def test_representative_independence(self):
         # evaluating on a shuffled representative word gives the same matrix
@@ -125,9 +129,8 @@ class TestDifferential:
                     rng.shuffle(word)
                     return tuple(word)
 
-                base = differential_matrix(
-                    Flavor.SYM, entry.table, entry.modules["trivial"], n
-                )
+                tower = build_tower(Flavor.SYM, entry.table, entry.modules["trivial"], n + 1)
+                base = tower.diffs[n]
                 alt = dense.differential(
                     Flavor.SYM, entry.table, entry.modules["trivial"], n, rep_of=shuffled
                 )
@@ -194,6 +197,12 @@ class TestOperators:
                     if z.dim:
                         img = z.basis @ lx.transpose()
                         assert b.reduce_rows(img).is_zero()
+
+
+def inclusion_matrix(pair, d, mdim, n):
+    """Pullback of the quotient map of argument spaces: a sub-flavor cochain
+    becomes the functional w -> f(class of w) on the total flavor's words."""
+    return inclusion_class_map(pair, d, n, mdim)[2]
 
 
 class TestInclusions:

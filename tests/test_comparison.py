@@ -1,9 +1,9 @@
 """Tests for relative complexes, long exact sequences, comparison
 filtrations, cokernel complexes, and product-shape checks."""
 
+import dataclasses
 import tracemalloc
-from collections import Counter
-from math import comb
+from math import comb, perm
 
 import numpy as np
 import pytest
@@ -17,7 +17,7 @@ from commcoh.algebra import (
     trivial_module,
 )
 from commcoh.catalog import catalog_names
-from commcoh.cochain import Flavor, InclusionPair, build_tower
+from commcoh.cochain import INCLUSION_FLAVORS, Flavor, InclusionPair, _index, basis_dim, build_tower
 from commcoh.cohomology import betti_table
 from commcoh.comparison import (
     build_cr_complex,
@@ -25,9 +25,6 @@ from commcoh.comparison import (
     comparison_filtration,
     full_vanishing_check,
     long_exact_sequence_check,
-    repeat_span_rows,
-    span_matrix,
-    swap_span_rows,
     vanishing_propagation_report,
     vanishing_window,
     verify_e2_product,
@@ -35,54 +32,64 @@ from commcoh.comparison import (
 from commcoh.gf2 import BitMatrix, GF2Error, Subspace, kernel_basis
 from commcoh.spectral import convergence_check
 
-from conftest import catalog, survey
+from conftest import catalog, inclusion_class_map, survey
 from dense_builders import assert_same_matrix
 
 
 class TestSpans:
+    """The class maps' generator words are the hand-picked span generators:
+    the repeat span for lie-leibniz, the swap span for comm-leibniz."""
+
     def test_repeat_span_dims(self):
         # complement of the strictly-increasing words
         for d in (1, 2, 3):
             for n in range(6):
-                rows = repeat_span_rows(d, n)
-                assert len(rows) == d**n - comb(d, n)
-                s = Subspace.from_rows(d**n, span_matrix(rows, n, d, n).to_dense())
-                assert s.dim == len(rows)
+                words, _, _, pi, _ = inclusion_class_map(InclusionPair.EXT_IN_TENSOR, d, n, 1)
+                assert len(words) == d**n - comb(d, n)
+                assert Subspace.from_rows(d**n, pi.to_dense()).dim == len(words)
 
     def test_swap_span_dims(self):
         # complement of the sorted words
         for d in (1, 2, 3):
             for n in range(6):
-                rows = swap_span_rows(d, n)
-                assert len(rows) == d**n - comb(d + n - 1, n)
-                s = Subspace.from_rows(d**n, span_matrix(rows, n, d, n).to_dense())
-                assert s.dim == len(rows)
+                words, _, _, pi, _ = inclusion_class_map(InclusionPair.SYM_IN_TENSOR, d, n, 1)
+                assert len(words) == d**n - comb(d + n - 1, n)
+                assert Subspace.from_rows(d**n, pi.to_dense()).dim == len(words)
 
     def test_prefix_span_dims(self):
+        # the words whose first p letters repeat, and the classes of words
+        # by their prefix-sorted word: all of them, and those with no repeat
         for d in (2, 3):
             for n in range(2, 6):
                 for p in range(n + 1):
-                    got = len(repeat_span_rows(d, n, p))
-                    assert got == d**n - comb(d, p) * d ** (n - p)
-                    got = len(swap_span_rows(d, n, p))
-                    assert got == d**n - comb(d + p - 1, p) * d ** (n - p)
+                    words, repeat = comparison._prefix_defects(d, n, p)
+                    assert repeat.sum() == d**n - perm(d, p) * d ** (n - p)
+                    cls = _index(Flavor.TENSOR, d, comparison._sort_prefix(words, p))
+                    assert len(np.unique(cls)) == comb(d + p - 1, p) * d ** (n - p)
+                    assert len(np.unique(cls[~repeat])) == comb(d, p) * d ** (n - p)
 
     def test_rows_match_word_loop(self):
-        # equal generators in equal order, for every prefix length
+        # equal generators in equal order: the class maps' generator words
+        # and, for every prefix length, the words whose prefix repeats
+        spans = {
+            InclusionPair.EXT_IN_TENSOR: dense.repeat_span_rows,
+            InclusionPair.SYM_IN_TENSOR: dense.swap_span_rows,
+        }
         for d in range(4):
             for n in range(7):
-                for p in (None, *range(n + 1)):
-                    got = dense.span_pairs(repeat_span_rows(d, n, p))
-                    assert got == dense.repeat_span_rows(d, n, p), (d, n, p)
-                    got = dense.span_pairs(swap_span_rows(d, n, p))
-                    assert got == dense.swap_span_rows(d, n, p), (d, n, p)
+                for pair, oracle in spans.items():
+                    words = inclusion_class_map(pair, d, n, 1)[0]
+                    assert list(map(tuple, words.tolist())) == [w for _, w in oracle(d, n)]
+                for p in range(n + 1):
+                    words, repeat = comparison._prefix_defects(d, n, p)
+                    want = [w for kind, w in dense.repeat_span_rows(d, n, p) if kind == "unit"]
+                    assert list(map(tuple, words[repeat].tolist())) == want, (d, n, p)
 
     def test_small_content(self):
         # length-two words over two letters: repeat span has dimension 3
-        rows = repeat_span_rows(2, 2)
-        s = Subspace.from_rows(4, span_matrix(rows, 2, 2, 2).to_dense())
-        assert s.dim == 3
-        assert len(swap_span_rows(2, 2)) == 1
+        _, _, _, pi, _ = inclusion_class_map(InclusionPair.EXT_IN_TENSOR, 2, 2, 1)
+        assert Subspace.from_rows(4, pi.to_dense()).dim == 3
+        assert len(inclusion_class_map(InclusionPair.SYM_IN_TENSOR, 2, 2, 1)[0]) == 1
 
 
 def assert_same_space(got: Subspace, want: Subspace):
@@ -92,40 +99,41 @@ def assert_same_space(got: Subspace, want: Subspace):
     assert got.pivots == want.pivots
 
 
+def assert_same_class_map(got, want):
+    """(generator words, pi, sigma) of a class map against the word loop's."""
+    assert list(map(tuple, got[0].tolist())) == want[0]
+    assert_same_matrix(got[1], want[1])
+    assert_same_matrix(got[2], want[2])
+
+
 class TestBuildersMatchDenseOracles:
-    """Every matrix the three comparisons build, checked where it is built
-    against the dense loop it replaced, and every class span against the
-    kernel of the dense constraint stack it replaced."""
+    """Every matrix the three comparisons build against the dense loop it
+    replaced, and every class span against the kernel of the dense
+    constraint stack it replaced."""
+
+    def test_class_maps(self):
+        # the relative complexes' class maps, and the product cokernels'
+        # pullbacks, for every pair through word degree 6
+        for pair in InclusionPair:
+            scalar = INCLUSION_FLAVORS[pair][0]
+            flavor = Flavor.EXT if pair is InclusionPair.EXT_IN_TENSOR else Flavor.SYM
+            for d in (1, 2, 3):
+                for m in range(7):
+                    for mdim in (1, 2):
+                        words, last, incl, pi, sig = inclusion_class_map(pair, d, m, mdim)
+                        assert_same_matrix(incl, dense.inclusion(pair, d, mdim, m))
+                        want = dense.word_projection(pair, d, m, mdim)
+                        assert_same_class_map((words, pi, sig), want)
+                        assert (last >= 0).all()
+                for p in range(5):
+                    cls = _index(scalar, d, comparison._dual_words(flavor, d, p))
+                    mu = comparison._class_map(cls, basis_dim(scalar, d, p + 2), 1)[2]
+                    assert_same_matrix(mu, dense.insert_pullback(flavor, scalar, d, p))
 
     @pytest.mark.parametrize("name", ["heis3", "abelian3"])
     def test_comparison_matrices(self, name, monkeypatch):
         entry = catalog(name)
         d = entry.table.dim
-        seen = Counter()
-
-        def check(attr, oracle, compare=assert_same_matrix):
-            real = getattr(comparison, attr)
-
-            def checked(*args):
-                got = real(*args)
-                compare(got, oracle(*args))
-                seen[attr] += 1
-                return got
-
-            monkeypatch.setattr(comparison, attr, checked)
-
-        def span_oracle(rows, p_sort, d, n, mdim=1, flavor=Flavor.TENSOR):
-            return dense.span(dense.span_pairs(rows), p_sort, d, n, mdim, flavor=flavor)
-
-        def same_word_projection(got, want):  # (generator words, pi, sigma)
-            assert list(map(tuple, got[0].tolist())) == want[0]
-            assert_same_matrix(got[1], want[1])
-            assert_same_matrix(got[2], want[2])
-
-        check("span_matrix", span_oracle)
-        check("inclusion_matrix", dense.inclusion)
-        check("_word_projection", dense.word_projection, same_word_projection)
-        check("_insert_pullback", dense.insert_pullback)
         # the mixed cokernel spaces are read off the class spans built
         spans = []
         class_span = comparison._class_span
@@ -134,8 +142,13 @@ class TestBuildersMatchDenseOracles:
         )
 
         for module in ("trivial", "adjoint"):
+            mdim = entry.modules[module].dim
             for pair in InclusionPair:
                 rel = build_relative_complex(pair, entry.table, entry.modules[module], 3)
+                for m in range(rel.word_degrees + 1):
+                    assert_same_matrix(rel.incl[m], dense.inclusion(pair, d, mdim, m))
+                    got = (rel.meta["words"][m], rel.proj[m], rel.section[m])
+                    assert_same_class_map(got, dense.word_projection(pair, d, m, mdim))
                 ft = comparison_filtration(pair, rel)
                 for n in range(rel.tower.n_max + 1):
                     full = Subspace.full(rel.tower.dims[n])
@@ -164,12 +177,6 @@ class TestBuildersMatchDenseOracles:
                 words = dense.inclusion(InclusionPair.SYM_IN_TENSOR, d, d, p + 1)
                 mapped = got.basis @ words.transpose()
                 assert_same_space(Subspace.from_rows(w.ambient_dim, mapped), w)
-        assert set(seen) == {
-            "span_matrix",
-            "inclusion_matrix",
-            "_word_projection",
-            "_insert_pullback",
-        }
 
     def test_lie_comm_projection_spans_the_eliminated_quotient(self):
         # the elimination route's coset representatives of repeat span
@@ -178,7 +185,7 @@ class TestBuildersMatchDenseOracles:
             for m in range(7):
                 for mdim in (1, 2):
                     pair = InclusionPair.EXT_IN_SYM
-                    _, pi, _ = comparison._word_projection(pair, d, m, mdim)
+                    pi = inclusion_class_map(pair, d, m, mdim)[3]
                     _, want = dense.sym_quotient_projection(d, m, mdim)
                     assert pi.shape == want.shape, (d, m, mdim)
                     assert Subspace.from_rows(pi.cols, pi) == Subspace.from_rows(
@@ -281,6 +288,35 @@ class TestLES:
         )
         assert long_exact_sequence_check(rel, 3).ok
 
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_connecting_maps_match_the_solved_lift(self, name):
+        # reading the lift at each class's representative gives the
+        # connecting maps of the dense solve bit for bit
+        entry = catalog(name)
+        lie = classify_algebra(entry.table).is_lie
+        for module in ("trivial", "adjoint"):
+            for pair in InclusionPair if lie else (InclusionPair.SYM_IN_TENSOR,):
+                rel = build_relative_complex(pair, entry.table, entry.modules[module], 3)
+                got = long_exact_sequence_check(rel).connecting
+                want = dense.connecting_maps(rel)
+                assert len(got) == len(want) == rel.word_degrees - 1
+                for g, w in zip(got, want):
+                    assert_same_matrix(g, w)
+
+    def test_lift_failure_names_its_degree(self):
+        # an inclusion that misses the coboundary of a lifted class
+        heis = catalog("heis3")
+        rel = build_relative_complex(
+            InclusionPair.EXT_IN_TENSOR, heis.table, heis.modules["trivial"], 3
+        )
+        les = long_exact_sequence_check(rel)
+        m = next(k for k, c in enumerate(les.connecting) if not c.is_zero())
+        incl = list(rel.incl)
+        incl[m + 1] = BitMatrix.zeros(*incl[m + 1].shape)
+        forged = dataclasses.replace(rel, incl=tuple(incl))
+        with pytest.raises(GF2Error, match=f"connecting-map lift failed at word degree {m}$"):
+            long_exact_sequence_check(forged)
+
     def test_zero_differentials_split(self):
         t = BracketTable.zero(2)
         rel = build_relative_complex(
@@ -367,11 +403,20 @@ class TestComparisonFiltration:
                 assert convergence_check(ft).ok, (name, pair.value)
 
 
+def lie_survey_tables() -> list:
+    """The Lie tables of the survey in dimensions 1 to 3."""
+    tables = [
+        t for d in (1, 2, 3) for t in survey(d).rep_tables() if classify_algebra(t).is_lie
+    ]
+    assert len(tables) == 125
+    return tables
+
+
 class TestCRComplexes:
     def test_dim_one_sym_cr_vanishes(self):
         t = BracketTable.zero(1)
         cr = build_cr_complex(InclusionPair.SYM_IN_TENSOR, t, 4)
-        assert all(v == 0 for v in cr.tower.dims)
+        assert all(v == 0 for v in cr.dims)
 
     def test_abelian_ext_cr_dims(self):
         # cokernel count: dual-valued space minus scalar source
@@ -381,8 +426,8 @@ class TestCRComplexes:
             want = tuple(
                 d * comb(d, p + 1) - comb(d, p + 2) for p in range(5)
             )
-            assert cr.tower.dims == want
-            assert cr.hr().dims == want[:4]
+            assert cr.dims == want
+            assert betti_table(cr).dims == want[:4]
 
     def test_abelian_sym_cr_dims(self):
         for d in (2, 3):
@@ -391,14 +436,14 @@ class TestCRComplexes:
             want = tuple(
                 d * comb(d + p, p + 1) - comb(d + p + 1, p + 2) for p in range(5)
             )
-            assert cr.tower.dims == want
+            assert cr.dims == want
 
     def test_abelian_mixed_cr_dims(self):
         # the mixed space collapses to the alternating one past degree zero
         for d in (2, 3):
             t = BracketTable.zero(d)
             cr = build_cr_complex(InclusionPair.EXT_IN_SYM, t, 4)
-            assert cr.tower.dims == (d, 0, 0, 0, 0)
+            assert cr.dims == (d, 0, 0, 0, 0)
 
     def test_mixed_cr_builds_only_the_degrees_its_tower_reads(self):
         # the tower reads word degrees up to 7; a kernel of the unread
@@ -410,67 +455,92 @@ class TestCRComplexes:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert cr.tower.dims == (3, 0, 0, 0, 0, 0)
+        assert cr.dims == (3, 0, 0, 0, 0, 0)
         assert peak < 16 * 2**20
 
     def test_mixed_route_matches_tensor_ambient_oracle(self, monkeypatch):
         # the class spans of the symmetric dual-valued complex give the
-        # tensor-ambient route's restr and mus bit for bit, and so its
-        # cokernel tower, on every Lie table of the survey
+        # tensor-ambient route's restr and mus bit for bit, and the class
+        # map gives its eliminated cokernel tower, on every Lie table of
+        # the survey
         built = {}
         real = comparison._product_cokernel
 
-        def spy(pair, table, restr, mus, triv):
-            built.update(restr=list(restr), mus=mus, triv=triv)
-            return real(pair, table, restr, mus, triv)
+        def spy(pair, table, restr, classes, triv):
+            built.update(restr=list(restr), classes=classes, triv=triv)
+            return real(pair, table, restr, classes, triv)
 
         monkeypatch.setattr(comparison, "_product_cokernel", spy)
         pair = InclusionPair.EXT_IN_SYM
-        lie = [
-            t for d in (1, 2, 3) for t in survey(d).rep_tables() if classify_algebra(t).is_lie
-        ]
-        assert len(lie) == 125
-        for t in lie:
+        for t in lie_survey_tables():
             restr, mus = dense.build_cr_mixed(t, coadjoint_module(t), 5)
             for n_cr_max in reversed(range(6)):
                 cr = build_cr_complex(pair, t, n_cr_max)
+                triv = built["triv"]
+                got_mus = [
+                    comparison._class_map(cls, triv.dims[p + 2], 1)[2]
+                    for p, cls in enumerate(built["classes"])
+                ]
                 want_restr, want_mus = restr[:n_cr_max], mus[: n_cr_max + 1]
                 assert len(built["restr"]) == len(want_restr)
-                assert len(built["mus"]) == len(want_mus)
-                for got, w in zip(built["restr"] + built["mus"], want_restr + want_mus):
+                assert len(got_mus) == len(want_mus)
+                for got, w in zip(built["restr"] + got_mus, want_restr + want_mus):
                     assert_same_matrix(got, w)
                 if n_cr_max == 5:  # the tower the tensor-ambient route built
-                    want = real(pair, t, restr, mus, built["triv"]).tower
-                assert cr.tower.dims == want.dims[: n_cr_max + 1]
-                assert cr.tower.diffs == want.diffs[:n_cr_max]
+                    want = dense.product_cokernel(pair, t, restr, mus, triv)
+                assert cr.dims == want.dims[: n_cr_max + 1]
+                assert cr.diffs == want.diffs[:n_cr_max]
+
+    def test_tensor_pair_cokernels_match_the_eliminated_quotient(self):
+        # the class map keeps each class's last coordinate where elimination
+        # keeps its first: other coordinates, the same dims and cohomology
+        n_cr_max = 5
+        for pair in (InclusionPair.EXT_IN_TENSOR, InclusionPair.SYM_IN_TENSOR):
+            scalar = INCLUSION_FLAVORS[pair][0]
+            flavor = Flavor.EXT if pair is InclusionPair.EXT_IN_TENSOR else Flavor.SYM
+            mus = {
+                d: [dense.insert_pullback(flavor, scalar, d, p) for p in range(n_cr_max + 1)]
+                for d in (1, 2, 3)
+            }
+            for t in lie_survey_tables():
+                coad = coadjoint_module(t)
+                restr = build_tower(flavor, t, coad, n_cr_max + 1).diffs[1:]
+                triv = build_tower(scalar, t, trivial_module(t), n_cr_max + 2)
+                want = dense.product_cokernel(pair, t, restr, mus[t.dim], triv)
+                got = build_cr_complex(pair, t, n_cr_max)
+                assert got.dims == want.dims
+                assert betti_table(got).dims == betti_table(want).dims
 
     def test_cr_composition_zero(self):
         a = catalog("a")
         for pair in InclusionPair:
             cr = build_cr_complex(pair, a.table, 4)
-            assert cr.tower.check_composition()
+            assert cr.check_composition()
 
     def test_cokernel_checks_name_their_degree(self):
         # the sym-in-tensor pieces of heis3, fed to the shared cokernel
-        # builder intact, then with one forged entry each
+        # builder intact, then with one forged entry or class each
         t = catalog("heis3").table
         pair = InclusionPair.SYM_IN_TENSOR
         coad = coadjoint_module(t)
         restr = list(build_tower(Flavor.SYM, t, coad, 4).diffs[1:])
-        mus = [comparison._insert_pullback(Flavor.SYM, Flavor.SYM, t.dim, p) for p in range(4)]
+        classes = [
+            _index(Flavor.SYM, t.dim, comparison._dual_words(Flavor.SYM, t.dim, p))
+            for p in range(4)
+        ]
         triv = build_tower(Flavor.SYM, t, trivial_module(t), 5)
-        cr = comparison._product_cokernel(pair, t, restr, mus, triv)
-        assert cr.tower.diffs == build_cr_complex(pair, t, 3).tower.diffs
+        cr = comparison._product_cokernel(pair, t, restr, classes, triv)
+        assert cr.diffs == build_cr_complex(pair, t, 3).diffs
 
         bad = restr[1].to_dense()
-        bad[0, np.flatnonzero(mus[1].to_dense().any(axis=1))[0]] ^= 1
+        bad[0, np.flatnonzero(classes[1] >= 0)[0]] ^= 1
         forged = restr[:1] + [BitMatrix.from_dense(bad)] + restr[2:]
         with pytest.raises(GF2Error, match="not a chain map at degree 1"):
-            comparison._product_cokernel(pair, t, forged, mus, triv)
+            comparison._product_cokernel(pair, t, forged, classes, triv)
 
-        bad = mus[2].to_dense()
-        bad[:, 1] = bad[:, 0]
-        forged = mus[:2] + [BitMatrix.from_dense(bad)] + mus[3:]
+        # class 1 merged into class 0 leaves class 1 with no member
+        bad = np.where(classes[2] == 1, 0, classes[2])
+        forged = classes[:2] + [bad] + classes[3:]
         with pytest.raises(GF2Error, match="not injective at degree 2"):
             comparison._product_cokernel(pair, t, restr, forged, triv)
 

@@ -7,7 +7,7 @@ import pytest
 from commcoh.algebra import BracketTable, trivial_module
 from commcoh.cochain import Flavor, build_tower
 from commcoh.cohomology import betti_table
-from commcoh.gf2 import BitMatrix, QuotientCoords, Subspace, apply_to_subspace, induced_map
+from commcoh.gf2 import BitMatrix, QuotientCoords, Subspace, induced_map
 from commcoh.spectral import (
     compute_pages,
     convergence_check,
@@ -23,7 +23,13 @@ from conftest import (
     random_valid_module,
     subspace_vectors,
 )
-from page_oracle import oracle_pages, quotient_dim, subspace_intersect, subspace_sum
+from page_oracle import (
+    apply_to_subspace,
+    oracle_pages,
+    quotient_dim,
+    subspace_intersect,
+    subspace_sum,
+)
 
 
 def oracle_tensor_betti(table, mod, n_max):

@@ -11,7 +11,6 @@ from commcoh.gf2 import (
     GF2Error,
     QuotientCoords,
     Subspace,
-    apply_to_subspace,
     induced_map,
     inverse,
     kernel_basis,
@@ -23,7 +22,7 @@ from commcoh.catalog import catalog_names
 from commcoh.cochain import Flavor, PreconditionError, build_tower
 
 from conftest import catalog, raises_promptly, subspace_vectors
-from page_oracle import annihilator, preimage, quotient_dim, subspace_intersect, subspace_sum
+from page_oracle import annihilator, apply_to_subspace, preimage, quotient_dim, subspace_intersect, subspace_sum
 
 
 def dense_matrices(max_rows=6, max_cols=8):

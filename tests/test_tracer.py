@@ -2,8 +2,8 @@
 
 bench/tracer.py wraps the package's public functions and the methods
 named in its METHODS table, so renaming or removing one of those breaks
-the benchmark's traced pass.  This runs small spectral commands under it
-and checks that it installs, records and restores.
+the benchmark's traced pass.  This runs small spectral and comparison
+commands under it and checks that it installs, records and restores.
 """
 
 import importlib.util
@@ -47,16 +47,19 @@ def test_tracer_installs_records_and_restores(tmp_path):
     try:
         _, hs_code = cli.run(["hs-ss", "--algebra", "catalog:a", "--ideal", "e", "--max-degree", "3"])
         _, compare_code = cli.run(["compare", "--algebra", "catalog:a", "--max-degree", "3"])
+        _, les_code = cli.run(["les", "--algebra", "catalog:N", "--max-degree", "3"])
     finally:
         tr.restore()
     assert _bindings(tracer) == before
-    assert hs_code == compare_code == 0
+    assert hs_code == compare_code == les_code == 0
     seen = {tr.names[span[0]] for span in tr.spans}
     assert {
         "spectral.compute_pages",
         "spectral.convergence_check",
         "comparison.comparison_filtration",
         "comparison.build_relative_complex",
+        "comparison.build_cr_complex",
+        "comparison.long_exact_sequence_check",
         "cochain.build_tower",
         "gf2.rref",
         "gf2.subspace.Subspace.from_rows",
