@@ -19,7 +19,9 @@ class).  Both constructions use the same builder:
                     scalar flavor's monomial of the combined word.
 
 The cokernel differential is pi[k+1] @ d[k] @ sigma[k], with sigma the
-selection of the generators.  Every product cokernel comes from one
+selection of the generators.  pi and sigma are index arrays (WordMap),
+never packed: d[k] @ sigma[k] takes the generator columns of d[k], and
+pi gathers and adds rows.  Every product cokernel comes from one
 dual-valued tower with coadjoint coefficients (exterior for
 lie-leibniz, symmetric otherwise).  lie-comm first keeps a class span of
 the symmetric tower: a coordinate (args; y) falls in the class of its
@@ -73,6 +75,7 @@ from .gf2 import (
     GF2Error,
     QuotientCoords,
     Subspace,
+    WordMap,
     induced_map,
 )
 from .spectral import (
@@ -113,6 +116,11 @@ def _prefix_defects(d: int, n: int, p: int):
     return words, (srt[:, 1:] == srt[:, :-1]).any(axis=1)
 
 
+def _expand(idx, mdim: int):
+    """The mdim module coordinates of each index, in order; -1 stays -1."""
+    return np.where(idx[:, None] < 0, -1, idx[:, None] * mdim + np.arange(mdim)).ravel()
+
+
 def _class_map(cls, n_classes: int, mdim: int):
     """The cokernel of the pullback along a map of words, coordinate by coordinate.
 
@@ -121,22 +129,28 @@ def _class_map(cls, n_classes: int, mdim: int):
       gens      the generators, in order: every word but the last member
                 of each class;
       last      the last member of each class, -1 where a class has none;
-      pullback  the class indicators, n_classes blocks to len(cls) blocks;
+      pullback  the class indicators, n_classes blocks to len(cls) blocks,
+                packed on a grid of mdim x mdim identity blocks;
       pi        row g is e_g + e_(last of g's class), or e_g where g has no
                 class, so ker(pi) is the pullback's image;
       sigma     the selection of the generators, with pi @ sigma = 1.
-    The matrices are on a grid of mdim x mdim identity blocks.
+    pi and sigma are never packed: they are WordMaps on the coordinates
+    i * mdim + k of word i, and pi.a lists the generators' coordinates.
     """
     live = np.flatnonzero(cls >= 0)
     last = np.full(n_classes, -1)
     np.maximum.at(last, cls[live], live)
     gens = np.setdiff1d(np.arange(len(cls)), last)
-    rows = np.arange(len(gens))
-    tied = np.flatnonzero(cls[gens] >= 0)
     pullback = _block_matrix((len(cls), n_classes), mdim, [(live, cls[live], None)])
-    pi_terms = [(rows, gens, None), (tied, last[cls[gens[tied]]], None)]
-    pi = _block_matrix((len(gens), len(cls)), mdim, pi_terms)
-    sigma = _block_matrix((len(cls), len(gens)), mdim, [(gens, rows, None)])
+    rep = np.append(last, -1)[cls[gens]]  # class -1 reads the appended -1
+    pi = WordMap(len(gens) * mdim, len(cls) * mdim, _expand(gens, mdim), _expand(rep, mdim))
+    pick = np.full(len(cls), -1)
+    pick[gens] = np.arange(len(gens))
+    sigma = WordMap(len(cls) * mdim, len(gens) * mdim, _expand(pick, mdim))
+    # pi @ sigma = 1: generator g's coordinate selects g, its representative nothing
+    picked = sigma.a[pi.b[pi.b >= 0]]
+    if not (np.array_equal(sigma.a[pi.a], np.arange(pi.rows)) and (picked < 0).all()):
+        raise GF2Error("quotient projection is not surjective")
     return gens, last, pullback, pi, sigma
 
 
@@ -152,8 +166,7 @@ def _class_span(cls, dead, mdim: int) -> Subspace:
     _, first, label = np.unique(cls[members], return_index=True, return_inverse=True)
     pivots, row = np.unique(members[first][label], return_inverse=True)
     basis = _block_matrix((len(pivots), len(cls)), mdim, [(row, members, None)])
-    pivots = (pivots[:, None] * mdim + np.arange(mdim)).ravel()
-    return Subspace(len(cls) * mdim, basis, tuple(pivots.tolist()))
+    return Subspace(len(cls) * mdim, basis, tuple(_expand(pivots, mdim).tolist()))
 
 
 @dataclass(frozen=True)
@@ -161,8 +174,8 @@ class RelativeTower:
     """A cokernel complex with its short-exact-sequence witness.
 
     tower is graded so that degree n holds the word-degree n + 2
-    quotient; incl, proj, and section are per word degree, with
-    proj @ section the identity and ker(proj) the inclusion image.
+    quotient; per word degree, incl is packed, proj and section are
+    WordMaps with proj @ section the identity, and ker(proj) = im(incl).
     meta["words"][m] holds the generator words, the quotient's
     coordinates in word degree m, and meta["last"][m] the coordinate
     of each sub-flavor cochain's representative among the total's.
@@ -214,35 +227,30 @@ def build_relative_complex(
     total_tower = build_tower(tot_fl, table, coeffs, m_top, label=f"total[{tot_fl.value}]")
 
     incls, projs, sections, words, lasts = [], [], [], [], []
-    rel_dims, rel_diffs = [], []
     for m in range(m_top + 1):
         total_words = _monomials(tot_fl, d, m)
         cls = _index(sub_fl, d, total_words)
         gens, last, incl, pi, sig = _class_map(cls, basis_dim(sub_fl, d, m), mdim)
-        # lie-comm's pi and sigma are selections, so the product is small;
-        # on the tensor pairs it would be the square of the word space
-        if pair is InclusionPair.EXT_IN_SYM and pi @ sig != BitMatrix.identity(pi.rows):
-            raise GF2Error("quotient projection is not surjective")
         incls.append(incl)
         words.append(total_words[gens])
-        lasts.append((last[:, None] * mdim + np.arange(mdim)).ravel())
+        lasts.append(_expand(last, mdim))
         projs.append(pi)
         sections.append(sig)
         if sub_tower.dims[m] + pi.rows != total_tower.dims[m]:
             raise GF2Error(f"short exact sequence dimensions break at degree {m}")
-        if m >= 2:
-            rel_dims.append(pi.rows)
 
+    rel_diffs = []
     for m in range(2, m_top):
         dd = total_tower.differential(m)
         # functionals vanishing on the kernel span must stay that way
         probe = projs[m + 1] @ (dd @ incls[m])
         if not probe.is_zero():
             raise GF2Error(f"induced differential ill-defined at word degree {m}")
-        rel_diffs.append(projs[m + 1] @ (dd @ sections[m]))
+        # dd @ sigma keeps the generator columns of dd
+        rel_diffs.append(projs[m + 1] @ dd.take_columns(projs[m].a))
 
     rel = ComplexTower(
-        tuple(rel_dims),
+        tuple(pi.rows for pi in projs[2:]),
         tuple(rel_diffs),
         None,
         label=f"rel[{pair.value}]",
@@ -306,7 +314,7 @@ def long_exact_sequence_check(
         if reps.rows == 0:
             connecting[m] = BitMatrix.zeros(hs[m + 1].dim, 0)
             continue
-        lifted = reps @ rel.section[m].transpose()
+        lifted = (rel.section[m] @ reps.transpose()).transpose()  # reps @ section^T
         w = lifted @ rel.total_tower.differential(m).transpose()
         # incl is injective with one representative per column: read u there
         u = w.take_columns(rel.meta["last"][m + 1])
@@ -428,14 +436,14 @@ def _product_cokernel(pair, table, restr, classes, triv) -> ComplexTower:
     degree p + 2 along the class map classes[p], in degree p, with the
     differential induced by restr[p]."""
     maps = [_class_map(cls, triv.dims[p + 2], 1) for p, cls in enumerate(classes)]
-    gens, lasts, mus, pis, sigmas = zip(*maps)
+    gens, lasts, mus, pis, _ = zip(*maps)
     for p, last in enumerate(lasts):
         if (last < 0).any():  # a scalar class with no live member
             raise GF2Error(f"product pullback not injective at degree {p}")
     for p in range(len(mus) - 1):
         if restr[p] @ mus[p] != mus[p + 1] @ triv.differential(p + 2):
             raise GF2Error(f"product pullback is not a chain map at degree {p}")
-    diffs = tuple(pis[p + 1] @ (restr[p] @ sigmas[p]) for p in range(len(mus) - 1))
+    diffs = tuple(pis[p + 1] @ restr[p].take_columns(pis[p].a) for p in range(len(mus) - 1))
     dims = tuple(len(g) for g in gens)
     return ComplexTower(dims, diffs, None, label=f"cr[{pair.value}]", table=table)
 

@@ -364,6 +364,45 @@ class BitMatrix:
         return BitMatrix(self.rows, self.cols, words), len(order), pivots
 
 
+class WordMap:
+    """A rows x cols matrix over GF(2) with at most two ones a row.
+
+    Row i has its ones at columns a[i] and b[i], -1 meaning none (b=None:
+    no second one).  Maps of words, such as a quotient's projection and
+    section, have no more, so two index arrays replace packed rows as
+    wide as the word space.
+    """
+
+    __slots__ = ("rows", "cols", "a", "b")
+
+    def __init__(self, rows: int, cols: int, a, b=None):
+        a = np.asarray(a, dtype=np.int64)
+        b = np.full(rows, -1, dtype=np.int64) if b is None else np.asarray(b, dtype=np.int64)
+        if a.shape != (rows,) or b.shape != (rows,):
+            raise GF2Error("word map: index arrays do not match the row count")
+        if rows and not (-1 <= min(a.min(), b.min()) and max(a.max(), b.max()) < cols):
+            raise GF2Error("word map: column outside the matrix")
+        self.rows, self.cols, self.a, self.b = rows, cols, a, b
+        a.setflags(write=False), b.setflags(write=False)
+
+    @property
+    def shape(self):
+        return (self.rows, self.cols)
+
+    def __matmul__(self, other: BitMatrix) -> BitMatrix:
+        """Product with a packed matrix: row i is row a[i] plus row b[i] of other."""
+        if self.cols != other.rows:
+            raise GF2Error(f"product shape mismatch: {self.shape} @ {other.shape}")
+        out = np.zeros((self.rows, other.words.shape[1]), dtype=np.uint64)
+        step = max(1, RANK_BLOCK_BYTES // max(1, out.shape[1] * 8))
+        for start in range(0, self.rows, step):
+            block = out[start : start + step]  # a view: rows are gathered one block at a time
+            for col in (self.a[start : start + step], self.b[start : start + step]):
+                hit = np.flatnonzero(col >= 0)
+                block[hit] ^= other.words[col[hit]]
+        return BitMatrix(self.rows, other.cols, out)
+
+
 def solve(a: BitMatrix, b: BitMatrix):
     """Solve a @ x = b over GF(2).
 
@@ -512,7 +551,7 @@ class QuotientCoords:
         return BitMatrix(self.dim, self.sup.ambient_dim, self.sup.basis.words[self.free])
 
 
-def induced_map(m: BitMatrix, dom: QuotientCoords, cod: QuotientCoords) -> BitMatrix:
+def induced_map(m: "BitMatrix | WordMap", dom: QuotientCoords, cod: QuotientCoords) -> BitMatrix:
     """Matrix of the induced map a/b -> c/d, for dom = a/b and cod = c/d.
 
     Both containments, m(a) <= c and m(b) <= d, are checked; the result
@@ -520,9 +559,9 @@ def induced_map(m: BitMatrix, dom: QuotientCoords, cod: QuotientCoords) -> BitMa
     """
     if m.cols != dom.sup.ambient_dim or m.rows != cod.sup.ambient_dim:
         raise GF2Error("induced_map: matrix shape does not match ambients")
-    mt = m.transpose()
-    if dom.sup.dim and not cod.sup.reduce_rows(dom.sup.basis @ mt).is_zero():
+    apply_rows = lambda vecs: (m @ vecs.transpose()).transpose()  # vecs @ m^T, through m @ packed
+    if dom.sup.dim and not cod.sup.reduce_rows(apply_rows(dom.sup.basis)).is_zero():
         raise GF2Error("induced_map: m does not map dom_a into cod_c")
-    if dom.sub.dim and not cod.sub.reduce_rows(dom.sub.basis @ mt).is_zero():
+    if dom.sub.dim and not cod.sub.reduce_rows(apply_rows(dom.sub.basis)).is_zero():
         raise GF2Error("induced_map: m does not map dom_b into cod_d")
-    return cod.project_rows(dom.lift_rows() @ mt).transpose()
+    return cod.project_rows(apply_rows(dom.lift_rows())).transpose()

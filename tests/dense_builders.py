@@ -30,6 +30,7 @@ from commcoh.gf2 import (
     GF2Error,
     QuotientCoords,
     Subspace,
+    WordMap,
     image,
     induced_map,
     solve,
@@ -42,6 +43,14 @@ def assert_same_matrix(got: BitMatrix, want: BitMatrix):
     assert np.array_equal(got.words, want.words)
     if got.cols % 64:
         assert not (got.words[:, -1] >> np.uint64(got.cols % 64)).any()
+
+
+def packed(w: WordMap) -> BitMatrix:
+    """The packed form of a word map: a one at (i, a[i]) and at (i, b[i])."""
+    rows = np.arange(w.rows)
+    r = np.concatenate([rows[w.a >= 0], rows[w.b >= 0]])
+    c = np.concatenate([w.a[w.a >= 0], w.b[w.b >= 0]])
+    return BitMatrix.from_coords(w.rows, w.cols, r, c)
 
 
 def canonical(flavor: Flavor, word):
@@ -386,7 +395,7 @@ def connecting_maps(rel) -> list:
         if reps.rows == 0:
             out.append(BitMatrix.zeros(hs.dim, 0))
             continue
-        lifted = reps @ rel.section[m].transpose()
+        lifted = reps @ packed(rel.section[m]).transpose()
         w = lifted @ rel.total_tower.differential(m).transpose()
         u = solve(rel.incl[m + 1], w.transpose())
         assert u is not None, f"no lift at word degree {m}"

@@ -7,6 +7,7 @@ from math import comb, perm
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dense_builders as dense
 from commcoh import comparison
@@ -33,7 +34,7 @@ from commcoh.gf2 import BitMatrix, GF2Error, Subspace, kernel_basis
 from commcoh.spectral import convergence_check
 
 from conftest import catalog, inclusion_class_map, survey
-from dense_builders import assert_same_matrix
+from dense_builders import assert_same_matrix, packed
 
 
 class TestSpans:
@@ -46,7 +47,7 @@ class TestSpans:
             for n in range(6):
                 words, _, _, pi, _ = inclusion_class_map(InclusionPair.EXT_IN_TENSOR, d, n, 1)
                 assert len(words) == d**n - comb(d, n)
-                assert Subspace.from_rows(d**n, pi.to_dense()).dim == len(words)
+                assert Subspace.from_rows(d**n, packed(pi).to_dense()).dim == len(words)
 
     def test_swap_span_dims(self):
         # complement of the sorted words
@@ -54,7 +55,7 @@ class TestSpans:
             for n in range(6):
                 words, _, _, pi, _ = inclusion_class_map(InclusionPair.SYM_IN_TENSOR, d, n, 1)
                 assert len(words) == d**n - comb(d + n - 1, n)
-                assert Subspace.from_rows(d**n, pi.to_dense()).dim == len(words)
+                assert Subspace.from_rows(d**n, packed(pi).to_dense()).dim == len(words)
 
     def test_prefix_span_dims(self):
         # the words whose first p letters repeat, and the classes of words
@@ -88,7 +89,7 @@ class TestSpans:
     def test_small_content(self):
         # length-two words over two letters: repeat span has dimension 3
         _, _, _, pi, _ = inclusion_class_map(InclusionPair.EXT_IN_TENSOR, 2, 2, 1)
-        assert Subspace.from_rows(4, pi.to_dense()).dim == 3
+        assert Subspace.from_rows(4, packed(pi).to_dense()).dim == 3
         assert len(inclusion_class_map(InclusionPair.SYM_IN_TENSOR, 2, 2, 1)[0]) == 1
 
 
@@ -102,8 +103,8 @@ def assert_same_space(got: Subspace, want: Subspace):
 def assert_same_class_map(got, want):
     """(generator words, pi, sigma) of a class map against the word loop's."""
     assert list(map(tuple, got[0].tolist())) == want[0]
-    assert_same_matrix(got[1], want[1])
-    assert_same_matrix(got[2], want[2])
+    assert_same_matrix(packed(got[1]), want[1])
+    assert_same_matrix(packed(got[2]), want[2])
 
 
 class TestBuildersMatchDenseOracles:
@@ -185,12 +186,110 @@ class TestBuildersMatchDenseOracles:
             for m in range(7):
                 for mdim in (1, 2):
                     pair = InclusionPair.EXT_IN_SYM
-                    pi = inclusion_class_map(pair, d, m, mdim)[3]
+                    pi = packed(inclusion_class_map(pair, d, m, mdim)[3])
                     _, want = dense.sym_quotient_projection(d, m, mdim)
                     assert pi.shape == want.shape, (d, m, mdim)
                     assert Subspace.from_rows(pi.cols, pi) == Subspace.from_rows(
                         want.cols, want
                     ), (d, m, mdim)
+
+
+def applicable_pairs(table) -> list:
+    """The inclusion pairs build_relative_complex accepts for table."""
+    lie = classify_algebra(table).is_lie
+    return [p for p in InclusionPair if lie or p is InclusionPair.SYM_IN_TENSOR]
+
+
+def assert_word_maps_match_oracle(pair, d, m, mdim, words, incl, pi, sigma):
+    """One class map's word maps against their packed forms from the word
+    loop, and their products against the packed products."""
+    assert_same_class_map((words, pi, sigma), dense.word_projection(pair, d, m, mdim))
+    assert_same_matrix(incl, dense.inclusion(pair, d, mdim, m))
+    # sigma is the selection of the generators, whose coordinates pi.a lists
+    gens = np.arange(pi.rows)
+    assert_same_matrix(packed(sigma), BitMatrix.from_coords(pi.cols, pi.rows, pi.a, gens))
+    rng = np.random.default_rng(1000 * m + 10 * d + mdim)
+    rand = lambda r, c: BitMatrix.from_dense(rng.integers(0, 2, (r, c), dtype=np.uint8))
+    for w in (pi, sigma):
+        x, y = rand(w.cols, 5), rand(5, w.cols)
+        assert w @ x == packed(w) @ x
+        assert (w @ y.transpose()).transpose() == y @ packed(w).transpose()
+    x = rand(5, pi.cols)
+    assert x.take_columns(pi.a) == x @ packed(sigma)
+
+
+class TestWordMaps:
+    """Each class map's pi and sigma are index arrays equal to the packed
+    matrices of the word loop; the class map reads only the pair, the
+    algebra's dimension and the module's."""
+
+    def test_catalog_class_maps_through_word_degree_7(self):
+        shapes = {
+            (pair, entry.table.dim, entry.modules[module].dim)
+            for entry in map(catalog, catalog_names())
+            for module in ("trivial", "adjoint")
+            for pair in applicable_pairs(entry.table)
+        }
+        for pair, d, mdim in sorted(shapes, key=lambda s: (s[0].value, s[1:])):
+            for m in range(8):
+                words, _, incl, pi, sigma = inclusion_class_map(pair, d, m, mdim)
+                assert_word_maps_match_oracle(pair, d, m, mdim, words, incl, pi, sigma)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(0, 3))
+    def test_relative_complex_word_maps(self, d, seed, mdim, n_rel):
+        pool = survey(d).rep_tables()
+        table = pool[seed % len(pool)]
+        for pair in applicable_pairs(table):
+            rel = build_relative_complex(pair, table, trivial_module(table, mdim), n_rel)
+            for m in range(rel.word_degrees + 1):
+                maps = (rel.incl[m], rel.proj[m], rel.section[m])
+                assert_word_maps_match_oracle(pair, d, m, mdim, rel.meta["words"][m], *maps)
+
+    @pytest.mark.parametrize(
+        "forge, pairs",
+        [
+            # the first generator selects nothing
+            (lambda a: np.where(a == 0, -1, a), list(InclusionPair)),
+            # each representative selects a generator; lie-comm ties no
+            # generator to a representative, so its pi @ sigma stays 1
+            (
+                lambda a: np.where(a < 0, a.max(), a),
+                [InclusionPair.EXT_IN_TENSOR, InclusionPair.SYM_IN_TENSOR],
+            ),
+        ],
+    )
+    def test_section_check_names_its_failure(self, forge, pairs, monkeypatch):
+        # pi @ sigma = 1 is checked on the index arrays, for every class map
+        real = comparison.WordMap
+        forged = lambda rows, cols, a, b=None: real(rows, cols, forge(a) if b is None else a, b)
+        monkeypatch.setattr(comparison, "WordMap", forged)
+        a = catalog("a")
+        for pair in pairs:
+            with pytest.raises(GF2Error, match="^quotient projection is not surjective$"):
+                build_relative_complex(pair, a.table, a.modules["trivial"], 2)
+            with pytest.raises(GF2Error, match="^quotient projection is not surjective$"):
+                build_cr_complex(pair, a.table, 2)
+
+    def test_holds_no_packed_projection(self):
+        # heis3 adjoint lie-leibniz through word degree 7, whose word space
+        # has 6561 coordinates: the packed pi and sigma held 16.8 MiB after
+        # the build and peaked at 20.4 MiB through the long exact sequence;
+        # as index arrays 5.5 MiB and 9.1 MiB
+        entry = catalog("heis3")
+        tracemalloc.start()
+        try:
+            rel = build_relative_complex(
+                InclusionPair.EXT_IN_TENSOR, entry.table, entry.modules["adjoint"], 5
+            )
+            held, _ = tracemalloc.get_traced_memory()
+            les = long_exact_sequence_check(rel, 6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert les.ok and rel.proj[7].shape == (6561, 6561)
+        assert held < 8 * 2**20
+        assert peak < 12 * 2**20
 
 
 class TestRelativeComplex:
@@ -231,7 +330,7 @@ class TestRelativeComplex:
                 )
 
     def test_section_is_right_inverse(self):
-        # the build checks proj @ section only for lie-comm
+        # the build checks proj @ section in index form; this is the packed product
         for name in catalog_names():
             entry = catalog(name)
             lie = classify_algebra(entry.table).is_lie
@@ -241,7 +340,8 @@ class TestRelativeComplex:
                     rel = build_relative_complex(pair, entry.table, mod, 3)
                     for m in range(rel.word_degrees + 1):
                         want = BitMatrix.identity(rel.proj[m].rows)
-                        assert rel.proj[m] @ rel.section[m] == want, (name, pair, module, m)
+                        got = packed(rel.proj[m]) @ packed(rel.section[m])
+                        assert got == want, (name, pair, module, m)
 
     def test_relative_differential_squares_to_zero(self):
         for name, pair in (

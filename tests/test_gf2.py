@@ -11,6 +11,7 @@ from commcoh.gf2 import (
     GF2Error,
     QuotientCoords,
     Subspace,
+    WordMap,
     induced_map,
     inverse,
     kernel_basis,
@@ -22,6 +23,7 @@ from commcoh.catalog import catalog_names
 from commcoh.cochain import Flavor, PreconditionError, build_tower
 
 from conftest import catalog, raises_promptly, subspace_vectors
+from dense_builders import packed
 from page_oracle import annihilator, apply_to_subspace, preimage, quotient_dim, subspace_intersect, subspace_sum
 
 
@@ -620,6 +622,64 @@ class TestCoordinates:
         if x is not None:
             assert x.shape == (a.cols, k)
             assert np.array_equal((a @ x).to_dense(), rhs)
+
+
+@st.composite
+def word_map_operands(draw):
+    """A word map with missing and repeated columns (a[i] == b[i] cancels),
+    a packed right operand and row vectors to apply it to."""
+    rows = draw(st.integers(0, 24))
+    cols = draw(WORD_WIDTHS | st.integers(0, 140))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a, b = rng.integers(-1, cols, (2, rows)) if cols else np.full((2, rows), -1)
+    if rows and draw(st.booleans()):
+        b[: rows // 2] = a[: rows // 2]
+    fill = draw(ELIMINATION_FILLS)
+    x = draw(filled_matrix(cols, draw(WORD_WIDTHS | st.integers(0, 140)), fill))
+    y = draw(filled_matrix(draw(st.integers(0, 24)), cols, fill))
+    return WordMap(rows, cols, a, b), x, y
+
+
+class TestWordMap:
+    """Products of index-array word maps against dense numpy."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(word_map_operands(), st.sampled_from([1, 200, 4096, 1 << 19]))
+    def test_products_match_dense(self, operands, block_bytes):
+        w, x, y = operands
+        dense_w = np.zeros(w.shape, dtype=np.int64)
+        for col in (w.a, w.b):
+            hit = np.flatnonzero(col >= 0)
+            np.add.at(dense_w, (hit, col[hit]), 1)
+        dense_w %= 2
+        assert np.array_equal(packed(w).to_dense(), dense_w)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gf2, "RANK_BLOCK_BYTES", block_bytes)
+            prod = w @ BitMatrix.from_dense(x)
+        assert np.array_equal(prod.to_dense(), dense_w @ x % 2)
+        assert padding_is_zero(prod)
+        # applied to row vectors: y @ w^T = (w @ y^T)^T, as induced_map applies it
+        applied = (w @ BitMatrix.from_dense(y).transpose()).transpose()
+        assert np.array_equal(applied.to_dense(), y.astype(np.int64) @ dense_w.T % 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(word_map_operands())
+    def test_induced_map_reads_the_product(self, operands):
+        # on full/zero quotients the induced map is the map itself
+        w = operands[0]
+        dom = QuotientCoords(Subspace.full(w.cols), Subspace.zero(w.cols))
+        cod = QuotientCoords(Subspace.full(w.rows), Subspace.zero(w.rows))
+        assert induced_map(w, dom, cod) == induced_map(packed(w), dom, cod) == packed(w)
+
+    def test_refuses_bad_indices(self):
+        with pytest.raises(GF2Error, match="row count"):
+            WordMap(2, 3, [0, 1, 2])
+        with pytest.raises(GF2Error, match="outside"):
+            WordMap(2, 3, [0, 3])
+        with pytest.raises(GF2Error, match="outside"):
+            WordMap(2, 3, [0, 1], [-2, 0])
+        with pytest.raises(GF2Error, match="shape mismatch"):
+            WordMap(2, 3, [0, 1]) @ BitMatrix.zeros(2, 2)
 
 
 class TestQuotientCoords:
