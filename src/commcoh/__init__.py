@@ -1,52 +1,33 @@
-"""Exact GF(2) cohomology of commutative Lie and Leibniz algebras."""
+"""Exact GF(2) cohomology of commutative Lie and Leibniz algebras.
 
-from .algebra import (
-    AlgebraClass,
-    BracketTable,
-    IdealVerdict,
-    ModuleSpec,
-    classify_algebra,
-    is_ideal,
-    leibniz_kernel,
-    make_module,
-    quotient_algebra,
-)
-from .cochain import ComplexTower, Flavor, InclusionPair, build_tower
-from .cohomology import BettiTable, betti_table, cochain_betti_table
-from .gf2 import BitMatrix, Subspace
-from .spectral import (
-    FilteredTower,
-    compute_pages,
-    convergence_check,
-    e2_closed_form_check,
-    subalgebra_filtration,
-)
+`import commcoh` loads no submodule, and so not numpy.  The public names
+below and the submodules (`commcoh.comparison`, ...) are imported on
+first access (PEP 562), so a command loads only the modules it runs.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlgebraClass",
-    "BettiTable",
-    "BitMatrix",
-    "BracketTable",
-    "ComplexTower",
-    "FilteredTower",
-    "Flavor",
-    "IdealVerdict",
-    "InclusionPair",
-    "ModuleSpec",
-    "Subspace",
-    "betti_table",
-    "cochain_betti_table",
-    "build_tower",
-    "classify_algebra",
-    "compute_pages",
-    "convergence_check",
-    "e2_closed_form_check",
-    "is_ideal",
-    "leibniz_kernel",
-    "make_module",
-    "quotient_algebra",
-    "subalgebra_filtration",
-    "__version__",
-]
+# submodule -> the public names it defines
+_EXPORTS = {
+    "algebra": ("AlgebraClass", "BracketTable", "IdealVerdict", "ModuleSpec", "classify_algebra",
+                "is_ideal", "leibniz_kernel", "make_module", "quotient_algebra"),
+    "cochain": ("ComplexTower", "Flavor", "InclusionPair", "build_tower"),
+    "cohomology": ("BettiTable", "betti_table", "cochain_betti_table"),
+    "gf2": ("BitMatrix", "Subspace"),
+    "spectral": ("FilteredTower", "compute_pages", "convergence_check", "e2_closed_form_check",
+                 "subalgebra_filtration"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = {*_EXPORTS, "catalog", "cli", "comparison"}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")
+    if name in _HOME:
+        return getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -319,39 +319,33 @@ def _candidate_block(d, idx):
 
 
 def _gl_group(d):
-    from .gf2 import BitMatrix
-
-    mats = []
-    for code in range(1 << (d * d)):
-        m = np.array(
-            [(code >> k) & 1 for k in range(d * d)], dtype=np.uint8
-        ).reshape(d, d)
-        if BitMatrix.from_dense(m).rank() == d:
-            mats.append(m)
-    return mats
+    """GL(d, 2) as an (n, d, d) uint8 array, in the order of the codes
+    whose bit k is entry k."""
+    codes = np.arange(1 << (d * d))
+    mats = ((codes[:, None] >> np.arange(d * d)) & 1).astype(np.uint8).reshape(-1, d, d)
+    # integer determinants of 0/1 matrices this small are exact in floating point
+    return mats[np.rint(np.linalg.det(mats)).astype(np.int64) % 2 == 1]
 
 
 def _transform_matrices(d):
     """GF(2)-linear action of each basis change on flattened tables."""
-    from .gf2 import BitMatrix, inverse
-
-    out = []
-    for g in _gl_group(d):
-        ginv = inverse(BitMatrix.from_dense(g)).to_dense()
-        # c'[a,b,k] = sum_{i,j,l} g[a,i] g[b,j] c[i,j,l] ginv[l,k]
-        out.append(np.kron(np.kron(g, g), ginv.T).astype(np.uint8))
-    return out
+    g = _gl_group(d)
+    # over F2 the inverse is the adjugate, det(g) g^-1, exact at these sizes
+    adj = np.linalg.det(g)[:, None, None] * np.linalg.inv(g)
+    ginv = (np.rint(adj).astype(np.int64) % 2).astype(np.uint8)
+    # c'[a,b,k] = sum_{i,j,l} g[a,i] g[b,j] c[i,j,l] ginv[l,k]
+    return np.einsum("nai,nbj,nlk->nabkijl", g, g, ginv).reshape(len(g), d**3, d**3)
 
 
 def _canonical_ints(cands, d, transforms):
-    bits = cands.reshape(len(cands), -1).astype(np.float64)
-    powers = (1 << np.arange(d * d * d, dtype=np.uint64)).astype(np.float64)
-    best = None
-    for tm in transforms:
-        moved = (bits @ tm.T.astype(np.float64)) % 2
-        ints = moved @ powers
-        best = ints if best is None else np.minimum(best, ints)
-    return best.astype(np.uint64)
+    """Smallest code in each candidate's orbit, all transforms at once; bit k
+    of a code is entry k of the flattened table."""
+    # cols[t, i]: the code of transform t's image of the i-th unit table
+    cols = (transforms.astype(np.uint64) << np.arange(d**3, dtype=np.uint64)[:, None]).sum(axis=1)
+    best = np.zeros((len(cands), len(transforms)), dtype=np.uint64)
+    for i, bit in enumerate(cands.reshape(len(cands), -1).T):
+        best ^= bit[:, None] * cols[:, i]
+    return best.min(axis=1)
 
 
 def _survey_chunk(args):
@@ -428,13 +422,11 @@ def survey_enumerate(d: int, up_to_iso: bool = False, jobs: int = 1) -> SurveyRe
         return result
     transforms = _transform_matrices(d)
     canon = _canonical_ints(valid, d, transforms)
-    uniq = np.unique(canon)
+    uniq, _ = np.unique(canon, return_index=True)  # no numpy.ma check with an index
     # the canonical integer decodes back into the minimal table of the
     # orbit, which is itself a Jacobi survivor
-    nbits = d * d * d
-    reps = np.array(
-        [[(int(v) >> k) & 1 for k in range(nbits)] for v in uniq], dtype=np.uint8
-    ).reshape(len(uniq), d, d, d)
+    shifts = np.arange(d * d * d, dtype=np.uint64)
+    reps = ((uniq[:, None] >> shifts) & 1).astype(np.uint8).reshape(len(uniq), d, d, d)
     return SurveyResult(d, total, len(valid), valid, len(uniq), reps)
 
 

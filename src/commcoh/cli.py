@@ -17,46 +17,16 @@ import json
 import sys
 from datetime import datetime, timezone
 
-import numpy as np
-
 from . import __version__
-from .algebra import (
-    _validated,
-    check_module_axioms,
-    classify_algebra,
-    is_ideal,
-    leibniz_kernel,
-    make_module,
-)
-from .catalog import (
-    SURVEY_MAX_DIM,
-    AlgebraFileError,
-    CatalogEntry,
-    line_module_instances,
-    load_catalog,
-    parse_algebra_file,
-    survey_enumerate,
-)
-from .cochain import INCLUSION_FLAVORS, Flavor, InclusionPair
-from .cohomology import cochain_betti_table
-from .comparison import (
-    build_relative_complex,
-    long_exact_sequence_check,
-    vanishing_propagation_report,
-    verify_e2_product,
-)
-from .gf2 import GF2Error, Subspace
-from .spectral import (
-    compute_pages,
-    convergence_check,
-    e2_closed_form_check,
-    subalgebra_filtration,
-)
 
+# Each command imports the modules it runs inside its handler, so that
+# --version, --help and refused arguments start without numpy.
+
+# command-line name -> cochain.InclusionPair value
 COMPARISON_NAMES = {
-    "lie-leibniz": InclusionPair.EXT_IN_TENSOR,
-    "lie-comm": InclusionPair.EXT_IN_SYM,
-    "comm-leibniz": InclusionPair.SYM_IN_TENSOR,
+    "lie-leibniz": "ext-in-tensor",
+    "lie-comm": "ext-in-sym",
+    "comm-leibniz": "sym-in-tensor",
 }
 
 
@@ -86,6 +56,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_algebra(spec: str):
+    from .catalog import AlgebraFileError, CatalogEntry, load_catalog, parse_algebra_file
+    from .gf2 import GF2Error
+
     if spec.startswith("catalog:"):
         try:
             return load_catalog(spec.split(":", 1)[1])
@@ -103,7 +76,10 @@ def _load_algebra(spec: str):
     return CatalogEntry(fa.name, fa.labels, fa.table, dict(fa.modules), fa.subspaces, ())
 
 
-def _resolve_module(entry: CatalogEntry, spec: str):
+def _resolve_module(entry, spec: str):
+    from .algebra import _validated, make_module
+    from .gf2 import GF2Error
+
     if spec in entry.modules:
         return _validated(entry.table, entry.modules[spec])
     try:
@@ -112,7 +88,11 @@ def _resolve_module(entry: CatalogEntry, spec: str):
         raise InputError(f"module {spec!r}: {exc}") from exc
 
 
-def _resolve_subspace(entry: CatalogEntry, spec: str) -> Subspace:
+def _resolve_subspace(entry, spec: str):
+    import numpy as np
+
+    from .gf2 import Subspace
+
     if spec in entry.subspaces:
         return entry.subspaces[spec]
     d = entry.table.dim
@@ -132,6 +112,15 @@ def _digest(*parts) -> str:
     return h.hexdigest()[:16]
 
 
+def _inclusion(name: str):
+    """The InclusionPair a comparison name stands for, and whether its
+    subcomplex is the exterior one, which needs a Lie algebra."""
+    from .cochain import INCLUSION_FLAVORS, Flavor, InclusionPair
+
+    pair = InclusionPair(COMPARISON_NAMES[name])
+    return pair, INCLUSION_FLAVORS[pair][0] is Flavor.EXT
+
+
 def _closed_form_flags(dims):
     """Agreement flags against the published closed-form table for the
     two-dimensional worked examples (dimension n+1 when 4 divides n)."""
@@ -143,6 +132,8 @@ def _closed_form_flags(dims):
 
 
 def cmd_check(entry, args, checks, info):
+    from .algebra import check_module_axioms, classify_algebra, is_ideal, leibniz_kernel
+
     cls = classify_algebra(entry.table)
     leib = leibniz_kernel(entry.table)
     payload = {
@@ -174,6 +165,10 @@ def cmd_check(entry, args, checks, info):
 
 
 def cmd_cohomology(entry, args, checks, info):
+    from .algebra import classify_algebra
+    from .cochain import Flavor
+    from .cohomology import cochain_betti_table
+
     flavors = []
     for f in args.flavor.split(","):
         try:
@@ -197,6 +192,8 @@ def cmd_cohomology(entry, args, checks, info):
         if flavor is Flavor.SYM and entry.ideals:
             # second route: the stable page of a marked-ideal filtration
             # must reproduce the direct table
+            from .spectral import convergence_check, subalgebra_filtration
+
             h = entry.subspaces[entry.ideals[0]]
             ft = subalgebra_filtration(entry.table, h, mod, args.max_degree + 1)
             conv = convergence_check(ft)
@@ -208,6 +205,11 @@ def cmd_cohomology(entry, args, checks, info):
 
 
 def cmd_hs_ss(entry, args, checks, info):
+    from .algebra import is_ideal
+    from .cochain import Flavor
+    from .cohomology import cochain_betti_table
+    from .spectral import compute_pages, convergence_check, e2_closed_form_check, subalgebra_filtration
+
     mod = _resolve_module(entry, args.module)
     sub_spec = args.subalgebra if args.ideal is None else args.ideal
     h = _resolve_subspace(entry, sub_spec)
@@ -247,6 +249,9 @@ def cmd_hs_ss(entry, args, checks, info):
 
 
 def cmd_compare(entry, args, checks, info):
+    from .algebra import classify_algebra
+    from .comparison import vanishing_propagation_report, verify_e2_product
+
     mod = _resolve_module(entry, args.module)
     cls = classify_algebra(entry.table)
     which = (
@@ -254,10 +259,9 @@ def cmd_compare(entry, args, checks, info):
     )
     payload = {"algebra": entry.name, "module": args.module, "comparisons": {}}
     for name in which:
-        pair = COMPARISON_NAMES.get(name)
-        if pair is None:
+        if name not in COMPARISON_NAMES:
             raise InputError(f"unknown comparison {name!r}")
-        needs_lie = INCLUSION_FLAVORS[pair][0] is Flavor.EXT
+        pair, needs_lie = _inclusion(name)
         if needs_lie and not cls.is_lie:
             info.append({"comparison": name, "skipped": "needs a Lie algebra"})
             continue
@@ -295,11 +299,14 @@ def cmd_compare(entry, args, checks, info):
 
 
 def cmd_les(entry, args, checks, info):
+    from .algebra import classify_algebra
+    from .comparison import build_relative_complex, long_exact_sequence_check
+
     mod = _resolve_module(entry, args.module)
     cls = classify_algebra(entry.table)
     payload = {"algebra": entry.name, "module": args.module, "sequences": {}}
-    for name, pair in COMPARISON_NAMES.items():
-        needs_lie = INCLUSION_FLAVORS[pair][0] is Flavor.EXT
+    for name in COMPARISON_NAMES:
+        pair, needs_lie = _inclusion(name)
         if needs_lie and not cls.is_lie:
             continue
         rel = build_relative_complex(pair, entry.table, mod, args.max_degree)
@@ -313,6 +320,8 @@ def cmd_les(entry, args, checks, info):
 
 
 def cmd_survey(args, checks, info):
+    from .catalog import survey_enumerate
+
     res = survey_enumerate(args.dim, up_to_iso=args.up_to_iso, jobs=args.jobs)
     payload = {
         "dim": args.dim,
@@ -320,6 +329,11 @@ def cmd_survey(args, checks, info):
         "valid": res.valid_count,
     }
     if args.up_to_iso:
+        from .algebra import classify_algebra, make_module
+        from .catalog import line_module_instances
+        from .cochain import Flavor
+        from .cohomology import cochain_betti_table
+
         payload["orbits"] = res.orbit_count
         summaries = []
         for table in res.rep_tables():
@@ -420,6 +434,8 @@ def build_parser():
 def _check_ranges(args):
     """Refuse out-of-range numeric arguments before any work starts."""
     if args.command == "survey":
+        from .catalog import SURVEY_MAX_DIM
+
         if not 1 <= args.dim <= SURVEY_MAX_DIM:
             raise InputError(f"--dim must be from 1 to {SURVEY_MAX_DIM}")
         if args.betti_degree < 0:
@@ -435,7 +451,7 @@ def _payload_args(args) -> dict:
     return {name: getattr(args, name) for name in names}
 
 
-def _file_parts(entry: CatalogEntry, args) -> tuple:
+def _file_parts(entry, args) -> tuple:
     """What an algebra file defines that its table does not, as far as the
     payload reads it; a catalog name already fixes its modules and spans."""
     if args.algebra.startswith("catalog:"):
@@ -484,7 +500,7 @@ def _run(args):
             payload = handler(entry, args, checks, info)
     except InputError as exc:
         return {"error": str(exc)}, 1
-    except (GF2Error, ValueError) as exc:
+    except ValueError as exc:  # gf2.GF2Error among them
         return {"error": f"internal check failed: {exc}"}, 2
 
     all_ok = all(ok for _, ok, _ in checks)
@@ -506,7 +522,13 @@ def _run(args):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    report, code = _run(args)
+    try:
+        if args.output:  # refused before any work; appending leaves an existing file as it is
+            open(args.output, "a").close()
+    except OSError as exc:
+        report, code = {"error": f"cannot write {args.output}: {exc}"}, 1
+    else:
+        report, code = _run(args)
     if code == 1:
         print(json.dumps(report, sort_keys=True), file=sys.stderr)
         return code

@@ -140,7 +140,7 @@ def _class_map(cls, n_classes: int, mdim: int):
     live = np.flatnonzero(cls >= 0)
     last = np.full(n_classes, -1)
     np.maximum.at(last, cls[live], live)
-    gens = np.setdiff1d(np.arange(len(cls)), last)
+    gens = np.flatnonzero(np.bincount(last[last >= 0], minlength=len(cls)) == 0)
     pullback = _block_matrix((len(cls), n_classes), mdim, [(live, cls[live], None)])
     rep = np.append(last, -1)[cls[gens]]  # class -1 reads the appended -1
     pi = WordMap(len(gens) * mdim, len(cls) * mdim, _expand(gens, mdim), _expand(rep, mdim))

@@ -4,8 +4,8 @@ The filter builds every candidate table of a block and evaluates the
 Jacobi identity with int32 einsum cubes (candidates x d^5 entries each);
 the package's bit-sliced filter must keep exactly the same tables in the
 same order.  The transforms are built one row at a time by an einsum over
-g, g and the inverse of g; the package builds them with Kronecker
-products.  The line-module search tests "the functional kills every
+g, g and the inverse of g, for g in GL(d, 2) found by one rank test per
+matrix; the package builds all of them at once from determinants.  The line-module search tests "the functional kills every
 bracket" with a loop over the pairs (i, j); the package reads it off one
 product.
 """
@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from commcoh.algebra import IdealVerdict, is_ideal
-from commcoh.catalog import _free_pairs, _gl_group
+from commcoh.catalog import _free_pairs
 from commcoh.gf2 import BitMatrix, Subspace, inverse
 
 ORACLE_BLOCK = 8192  # candidates per einsum evaluation
@@ -52,11 +52,21 @@ def oracle_survivors(d, start, stop):
     return np.concatenate(parts, axis=0)
 
 
+def gl_group_loop(d):
+    """GL(d, 2) in code order: every d x d matrix of full rank."""
+    mats = []
+    for code in range(1 << (d * d)):
+        m = np.array([(code >> k) & 1 for k in range(d * d)], dtype=np.uint8).reshape(d, d)
+        if BitMatrix.from_dense(m).rank() == d:
+            mats.append(m)
+    return mats
+
+
 def transform_matrices_loop(d):
     """Action of each basis change on flattened tables, row by row."""
     out = []
     nb = d * d * d
-    for g in _gl_group(d):
+    for g in gl_group_loop(d):
         ginv = inverse(BitMatrix.from_dense(g)).to_dense()
         tm = np.zeros((nb, nb), dtype=np.uint8)
         gi = g.astype(np.int32)

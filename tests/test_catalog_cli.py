@@ -488,6 +488,22 @@ class TestCLI:
         data = json.loads(target.read_text())
         assert data["payload"]["algebra"] == "a"
 
+    def test_unwritable_output_is_refused_before_any_work(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_run", lambda args: pytest.fail("the command ran"))
+        target = tmp_path / "missing" / "out.json"
+        argv = ["cohomology", "--algebra", "catalog:N", "--output", str(target)]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and json.loads(err)["error"].startswith(f"cannot write {target}:")
+        assert not target.parent.exists()
+
+    def test_refused_command_keeps_existing_output(self, tmp_path):
+        target = tmp_path / "out.json"
+        target.write_text("kept\n")
+        argv = ["check", "--algebra", "catalog:nope", "--output", str(target)]
+        assert main(argv) == 1
+        assert target.read_text() == "kept\n"
+
     def test_ext_flavor_skipped_for_non_lie(self):
         report, code = run(
             ["cohomology", "--algebra", "catalog:N", "--flavor", "sym,ext"]

@@ -1,0 +1,95 @@
+"""Each command starts with only the modules it runs.
+
+The package exports its names lazily and the CLI imports each command's
+modules inside its handler, so `--version`, `--help` and refused
+arguments start without numpy.  The test session has imported the whole
+package already, so every case runs in a fresh interpreter.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+
+# Runs `commcoh ARGS` as `python -m commcoh.cli` would, then prints its exit
+# code and the modules it loaded as the last line of stdout.
+PROBE = """
+import json, runpy, sys
+sys.argv = ["commcoh", *sys.argv[1:]]
+try:
+    runpy.run_module("commcoh.cli", run_name="__main__")
+    code = 0
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+ALL = {"catalog", "algebra", "cochain", "gf2", "cohomology", "spectral", "comparison"}
+
+
+def _start(args):
+    proc = subprocess.run([sys.executable, "-c", PROBE, *args], capture_output=True, text=True,
+                          cwd=ROOT, env=ENV, timeout=120)
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    return code, set(modules)
+
+
+@pytest.mark.parametrize("args, code", [
+    (["--version"], 0),
+    (["--help"], 0),
+    (["cohomology", "--algebra", "catalog:N", "--no-such-flag"], 1),
+    (["les", "--algebra", "catalog:N", "--max-degree", "-1"], 1),
+])
+def test_refusals_and_version_load_no_numpy(args, code):
+    got, modules = _start(args)
+    assert got == code
+    assert "numpy" not in modules
+    assert not {m for m in modules if m.startswith("commcoh.")}
+
+
+@pytest.mark.parametrize("args, layers", [
+    (["check", "--algebra", "catalog:N"], {"catalog", "algebra", "gf2"}),
+    (["cohomology", "--algebra", "catalog:N", "--flavor", "tensor", "--max-degree", "2"],
+     {"catalog", "algebra", "gf2", "cochain", "cohomology"}),
+    (["cohomology", "--algebra", "catalog:N", "--max-degree", "2"], ALL - {"comparison"}),
+    (["hs-ss", "--algebra", "catalog:a", "--ideal", "e", "--max-degree", "2"], ALL - {"comparison"}),
+    (["compare", "--algebra", "catalog:a", "--max-degree", "2"], ALL),
+    (["les", "--algebra", "catalog:N", "--max-degree", "2"], ALL),
+    (["survey", "--dim", "2"], {"catalog", "algebra", "gf2"}),
+    (["survey", "--dim", "3", "--up-to-iso", "--betti-degree", "1"],
+     {"catalog", "algebra", "gf2", "cochain", "cohomology"}),
+])
+def test_command_loads_only_what_it_runs(args, layers):
+    code, modules = _start(args)
+    assert code == 0
+    assert {m for m in modules if m.startswith("commcoh.")} == {f"commcoh.{m}" for m in layers}
+    assert "numpy.ma" not in modules
+
+
+def test_package_resolves_names_on_first_access():
+    probe = ("import sys, commcoh; assert 'numpy' not in sys.modules; "
+             "from commcoh import BitMatrix, betti_table, compute_pages; "
+             "assert commcoh.comparison.__name__ == 'commcoh.comparison'; "
+             "assert all(hasattr(commcoh, name) for name in commcoh.__all__); "
+             "assert not hasattr(commcoh, 'no_such_name')")
+    subprocess.run([sys.executable, "-c", probe], check=True, cwd=ROOT, env=ENV, timeout=120)
+
+
+@pytest.mark.parametrize("args, layers", [
+    (["les", "--algebra", "catalog:N", "--max-degree", "3"], ALL - {"spectral"}),
+    (["compare", "--algebra", "catalog:a", "--max-degree", "3"], ALL),
+])
+def test_tracer_wraps_every_layer(tmp_path, args, layers):
+    spans = tmp_path / "spans.json"
+    subprocess.run([sys.executable, str(ROOT / "bench" / "tracer.py"), str(spans), "--", *args],
+                   check=True, capture_output=True, cwd=ROOT, env=ENV, timeout=120)
+    dump = json.loads(spans.read_text())
+    # every layer is wrapped; les builds no spectral sequence, so it records none there
+    assert {layer.split(".")[0] for layer in dump["layers"]} == ALL
+    assert {dump["layers"][span[0]].split(".")[0] for span in dump["spans"]} == layers
