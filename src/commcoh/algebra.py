@@ -134,22 +134,16 @@ def _classify(t: BracketTable) -> AlgebraClass:
     d = t.dim
     commutative = np.array_equal(t.c, t.c.transpose(1, 0, 2))
     alternating = commutative and not any(t.c[i, i].any() for i in range(d))
-    jacobi = True
-    left_leibniz = True
+    jacobi = left_leibniz = True
     for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                # [b_i, v] = v @ c[i]  (row u of c[i] is [b_i, b_u])
-                t1 = c[j, k] @ c[i]  # [b_i, [b_j, b_k]]
-                t2 = c[k, i] @ c[j]  # [b_j, [b_k, b_i]]
-                t3 = c[i, j] @ c[k]  # [b_k, [b_i, b_j]]
-                if ((t1 + t2 + t3) % 2).any():
-                    jacobi = False
-                # [[b_i, b_j], b_k] = sum_u c[i,j,u] c[u,k]
-                lhs = t1 % 2
-                rhs = (np.einsum("u,uk->k", c[i, j], c[:, k, :]) + c[i, k] @ c[j]) % 2
-                if not np.array_equal(lhs, rhs):
-                    left_leibniz = False
+        # [b_i, v] = v @ c[i]  (row u of c[i] is [b_i, b_u]); entry [j, k] of each term below
+        t1 = c @ c[i]  # [b_i, [b_j, b_k]]
+        t2 = c[:, i] @ c  # [b_j, [b_k, b_i]]
+        s = c[i] @ c  # at [j, k]: [b_j, [b_i, b_k]]
+        jacobi &= not ((t1 + t2 + s.transpose(1, 0, 2)) % 2).any()
+        # [[b_i, b_j], b_k] = sum_u c[i,j,u] c[u,k]
+        rhs = (c[i] @ c.reshape(d, d * d)).reshape(d, d, d) + s
+        left_leibniz &= not ((t1 + rhs) % 2).any()
     return AlgebraClass(bool(commutative), bool(alternating), jacobi, left_leibniz)
 
 

@@ -2,9 +2,9 @@
 
 Exit codes: 0 when every internal invariant check passes, 1 on input
 errors (argument usage errors included), 2 on an internal invariant
-violation.  Comparisons against published closed-form tables are
-informational flags and never change the exit code; the computed output
-is the arbiter.
+violation, 3 when the computation runs out of memory.  Comparisons
+against published closed-form tables are informational flags and never
+change the exit code; the computed output is the arbiter.
 """
 
 from __future__ import annotations
@@ -502,6 +502,8 @@ def _run(args):
         return {"error": str(exc)}, 1
     except ValueError as exc:  # gf2.GF2Error among them
         return {"error": f"internal check failed: {exc}"}, 2
+    except MemoryError as exc:  # numpy's failed allocations among them
+        return {"error": f"out of memory: {exc}"}, 3
 
     all_ok = all(ok for _, ok, _ in checks)
     report = {
@@ -529,7 +531,7 @@ def main(argv=None):
         report, code = {"error": f"cannot write {args.output}: {exc}"}, 1
     else:
         report, code = _run(args)
-    if code == 1:
+    if code in (1, 3):
         print(json.dumps(report, sort_keys=True), file=sys.stderr)
         return code
     if args.format == "csv" and "payload" in report:

@@ -29,10 +29,10 @@ sorted combined word, and a class dies where one of its coordinates
 repeats a letter among the args.
 
 The filtration steps are class spans too: generator words fall into
-classes by their prefix-sorted word, a class dies where it reaches no
-generator or holds a word whose prefix repeats a letter, and one
-indicator per live class is already the reduced echelon basis, so
-nothing is eliminated.
+classes by their prefix-sorted word, and a class dies where it reaches no
+generator or holds a word whose prefix repeats a letter.  Each step is
+held as its leader array (FilteredTower), so nothing is packed or
+eliminated.
 
 Degree bookkeeping is in word degree throughout; a relative complex in
 its own grading sits two degrees lower, a cokernel-of-products complex
@@ -154,19 +154,14 @@ def _class_map(cls, n_classes: int, mdim: int):
     return gens, last, pullback, pi, sigma
 
 
-def _class_span(cls, dead, mdim: int) -> Subspace:
-    """Span of one indicator row per live class and module coordinate.
-
-    cls[i] is the class of coordinate i, negative where it has none; a
-    class listed in dead spans nothing.  Indicators of disjoint classes,
-    ordered by their smallest members, are already the reduced echelon
-    basis with those members as pivots.
-    """
-    members = np.flatnonzero((cls >= 0) & ~np.isin(cls, dead))
-    _, first, label = np.unique(cls[members], return_index=True, return_inverse=True)
-    pivots, row = np.unique(members[first][label], return_inverse=True)
-    basis = _block_matrix((len(pivots), len(cls)), mdim, [(row, members, None)])
-    return Subspace(len(cls) * mdim, basis, tuple(_expand(pivots, mdim).tolist()))
+def _leaders(cls, dead):
+    """Each coordinate's class relabelled by its first member; -1 where it
+    has no class or its class is listed in dead."""
+    live = np.flatnonzero((cls >= 0) & ~np.isin(cls, dead))
+    _, first, label = np.unique(cls[live], return_index=True, return_inverse=True)
+    lead = np.full(len(cls), -1)
+    lead[live] = live[first][label]
+    return lead
 
 
 @dataclass(frozen=True)
@@ -362,13 +357,13 @@ def comparison_filtration(pair: InclusionPair, rel: RelativeTower) -> FilteredTo
         owner[_index(total, d, words)] = np.arange(len(words))
         # a word's class: the generator owning its prefix-sorted word, if any
         cls = lambda w, p: owner[_index(total, d, _sort_prefix(w, p))]
-        chain = [Subspace.full(rel.tower.dims[n])]
+        chain = [np.arange(rel.tower.dims[n])]
         for p in range(1, m):
             all_words, repeat = _prefix_defects(d, m, p + 1)
             dead = cls(all_words[repeat & kills], p + 1)
-            chain.append(_class_span(cls(words, p + 1), dead, mdim))
-        if chain[-1].dim != 0:
-            chain.append(Subspace.zero(rel.tower.dims[n]))
+            chain.append(_expand(_leaders(cls(words, p + 1), dead), mdim))
+        if (chain[-1] >= 0).any():
+            chain.append(np.full(rel.tower.dims[n], -1))
         filt.append(tuple(chain))
     offset = 0 if pair is InclusionPair.EXT_IN_TENSOR else 1
     ft = FilteredTower(
@@ -421,7 +416,11 @@ def _mixed_classes(d, restr, words):
     for w in words:
         cls = _index(Flavor.SYM, d, w)
         repeat = (w[:, 1:-1] == w[:, :-2]).any(axis=1)
-        spans.append(_class_span(cls, cls[repeat], 1))
+        lead = _leaders(cls, cls[repeat])
+        live = np.flatnonzero(lead >= 0)
+        pivots, row = np.unique(lead[live], return_inverse=True)
+        basis = BitMatrix.from_coords(len(pivots), len(lead), row, live)
+        spans.append(Subspace(len(lead), basis, tuple(pivots.tolist())))
     restr = [
         spans[p + 1].row_coefficients(spans[p].basis @ r.transpose()).transpose()
         if spans[p].dim

@@ -33,13 +33,13 @@ from .algebra import (
 from .cochain import (
     ComplexTower,
     Flavor,
+    _monomials,
     basis_dim,
-    basis_tuples,
     build_tower,
     derivation_operator_matrix,
 )
 from .cohomology import betti_table, cochain_betti_table, induced_map_on_cohomology
-from .gf2 import WORD_BITS, BitMatrix, GF2Error, Subspace, _echelon, _int_rows
+from .gf2 import WORD_BITS, BitMatrix, GF2Error, Subspace, WordMap, _echelon, _int_rows
 
 __all__ = [
     "FiltrationError",
@@ -59,28 +59,47 @@ class FiltrationError(ValueError):
     """A filtration violates boundary conventions or d-compatibility."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FilteredTower:
-    """A cochain tower with a decreasing chain of subspaces per degree.
+    """A cochain tower with a decreasing chain of class spans per degree.
 
-    filt[n] runs from the full space down to the zero space; the chain is
-    bookkept even when consecutive steps coincide.  Chains are always
-    normalized to start at internal index 0; index_offset records the
-    conventional starting index of the same chain (some filtrations are
-    customarily written from index 1).
+    filt[n][p][i] is the leader (smallest member) of coordinate i's class
+    in F^p C^n, or -1 where i lies outside F^p, which one indicator row
+    per class spans.  filt[n] runs from the full space (arange) down to
+    the zero space (all -1), each class a union of classes of the step
+    before; this is checked when the tower is made.  Chains start at
+    internal index 0; index_offset records the conventional starting index
+    of the same chain (some filtrations are customarily written from 1).
     """
 
     tower: ComplexTower
-    filt: tuple  # per degree: tuple of Subspace, filt[n][0] full, last zero
+    filt: tuple  # per degree: tuple of leader arrays, filt[n][0] full, last zero
     label: str = ""
     index_offset: int = 0
-    meta: dict = field(default_factory=dict, compare=False)
+    meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for n, chain in enumerate(self.filt):
+            idx = np.arange(self.tower.dims[n])
+            for p, lead in enumerate(chain):
+                # a leader is its class's smallest member and leads itself
+                ok = lead.shape == idx.shape and ((lead >= -1) & (lead <= idx)).all()
+                if not (ok and np.array_equal(lead, np.where(lead < 0, -1, lead[lead]))):
+                    raise FiltrationError(f"degree {n}: step {p} is not an array of class leaders")
+                lead.setflags(write=False)  # checked once, so never changed
+            if not np.array_equal(chain[0], idx):
+                raise FiltrationError(f"degree {n}: chain does not start at the full space")
+            if (chain[-1] >= 0).any():
+                raise FiltrationError(f"degree {n}: chain does not end at zero")
+            for p, (a, b) in enumerate(zip(chain, chain[1:])):
+                if not np.array_equal(b, np.where(a < 0, -1, b[a])):
+                    raise FiltrationError(f"degree {n}: chain not decreasing at step {p}")
 
     @property
     def n_max(self) -> int:
         return self.tower.n_max
 
-    def step(self, n: int, p: int) -> Subspace:
+    def step(self, n: int, p: int) -> np.ndarray:
         """F^p at degree n, clamped: full below the chain, zero above."""
         chain = self.filt[n]
         return chain[min(max(p, 0), len(chain) - 1)]
@@ -90,18 +109,18 @@ class FilteredTower:
 
 
 def validate_filtration(ft: FilteredTower) -> None:
-    for n, chain in enumerate(ft.filt):
-        if chain[0].dim != ft.tower.dims[n]:
-            raise FiltrationError(f"degree {n}: chain does not start at the full space")
-        if chain[-1].dim != 0:
-            raise FiltrationError(f"degree {n}: chain does not end at zero")
-        for p in range(len(chain) - 1):
-            if not chain[p].contains(chain[p + 1]):
-                raise FiltrationError(f"degree {n}: chain not decreasing at step {p}")
+    """Check that d maps each step into the same step one degree up.
+
+    Column l of images is d of the indicator of the class led by l.  Row i
+    of the WordMap is e_i + e_(leader of i), or e_i outside the classes of
+    F^p C^{n+1}, so it kills exactly the columns that lie in that step.
+    """
     for n in range(ft.n_max):
-        dt = ft.tower.differential(n).transpose()
-        for p, sub in enumerate(ft.filt[n]):
-            if not ft.step(n + 1, p).reduce_rows(sub.basis @ dt).is_zero():
+        r, c = ft.tower.differential(n).coords()
+        for p, lead in enumerate(ft.filt[n]):
+            up, hit = ft.step(n + 1, p), lead[c] >= 0
+            images = BitMatrix.from_coords(len(up), len(lead), r[hit], lead[c[hit]])
+            if not (WordMap(len(up), len(up), np.arange(len(up)), up) @ images).is_zero():
                 raise FiltrationError(f"d F^{p} C^{n} not contained in F^{p} C^{n + 1}")
 
 
@@ -119,20 +138,12 @@ def subalgebra_filtration(
     t_ad = change_basis(table, split.adapted)
     m_ad = module_change_basis(coeffs, split.adapted)
     tower = build_tower(Flavor.SYM, t_ad, m_ad, n_max, label="adapted")
-    mdim = coeffs.dim
-    h_dim = split.h_dim
     filt = []
     for n in range(n_max + 1):
-        monos = basis_tuples(Flavor.SYM, table.dim, n)
-        counts = np.array([sum(1 for i in mono if i < h_dim) for mono in monos])
-        chain = []
-        dim_n = tower.dims[n]
-        for p in range(n + 2):
-            # a span of coordinates: its unit rows are already the reduced basis
-            cols = (np.flatnonzero(counts <= n - p)[:, None] * mdim + np.arange(mdim)).ravel()
-            rows = BitMatrix.from_coords(cols.size, dim_n, np.arange(cols.size), cols)
-            chain.append(Subspace(dim_n, rows, tuple(cols.tolist())))
-        filt.append(tuple(chain))
+        # a span of coordinates, each its own class
+        counts = (_monomials(Flavor.SYM, table.dim, n) < split.h_dim).sum(axis=1)
+        counts, idx = counts.repeat(coeffs.dim), np.arange(counts.size * coeffs.dim)
+        filt.append(tuple(np.where(counts <= n - p, idx, -1) for p in range(n + 2)))
     ft = FilteredTower(
         tower,
         tuple(filt),
@@ -152,35 +163,26 @@ class Page:
 
 
 def _adapted_basis(chain) -> tuple:
-    """Adapted basis of one degree: (picks, pivot of each row, level of each row).
+    """Adapted basis of one degree: (level of each row, basis, coords).
 
-    Level p takes the rows of F^p at the pivots F^{p+1} lacks, as a pick of
-    a step's basis words and row indices; the rows of level >= p then have
-    distinct leading ones and span F^p.  Rows run deepest level first, the
-    order sources are taken in; the k-th row is coordinate bit k of a
-    target, so the highest bit of a target lies at its lowest level.
+    Coordinate l leads one row, the indicator of its class in F^p, the
+    last step it leads in; p is the row's level.  Leaders of F^{p+1} lead
+    in F^p, so the rows of level >= p span F^p.  Rows run by level, then
+    leader; basis holds row k as its column k.  The WordMap coords writes
+    y in this basis: y[l] + y[m] on the row of l, m the leader of l's
+    class in F^{p+1} (y[l] if none), since y without its rows below level
+    p takes y's leader values on F^p's classes.
     """
-    # the empty first pick keeps the rows of a one-step chain (a zero space) stackable
-    picks, pivots, levels = [(chain[0].basis.words, [])], [], []
-    for p in range(len(chain) - 2, -1, -1):
-        below = set(chain[p + 1].pivots)
-        if not below <= set(chain[p].pivots):
-            raise FiltrationError(f"step {p + 1} is not inside step {p}: its pivots do not nest")
-        k = [i for i, c in enumerate(chain[p].pivots) if c not in below]
-        picks.append((chain[p].basis.words, k))
-        pivots += [chain[p].pivots[i] for i in k]
-        levels += [p] * len(k)
-    return picks, pivots, levels
-
-
-def _coordinates(y: int, top: dict, bit: dict) -> int:
-    """Coordinates of y in the basis top; each echelon row is one bit."""
-    c = 0
-    while y:
-        h = y.bit_length()
-        y ^= top[h]
-        c |= bit[h]
-    return c
+    steps, idx = np.stack(chain), np.arange(len(chain[0]))
+    depth = (steps == idx).sum(axis=0) - 1  # the last step each coordinate leads in
+    pivots = np.lexsort((idx, depth))
+    row = np.empty_like(idx)
+    row[pivots] = idx
+    # the members of the classes that level p takes
+    p, i = np.nonzero((steps >= 0) & (depth[steps] == np.arange(len(chain))[:, None]))
+    basis = BitMatrix.from_coords(idx.size, idx.size, i, row[steps[p, i]])
+    up = steps[depth[pivots] + 1, pivots]  # no coordinate leads in the last step
+    return depth[pivots].tolist(), basis, WordMap(idx.size, idx.size, pivots, up)
 
 
 def _pairing(ft: FilteredTower) -> tuple:
@@ -188,30 +190,29 @@ def _pairing(ft: FilteredTower) -> tuple:
 
     sizes[n] counts the basis rows of C^n per level; pairs[n] counts the
     pairs of d^n per (source level, target level).  Each source image is
-    written in target coordinates and the sources are eliminated by
-    highest bit in decreasing level, so a source is reduced only by
-    sources of its level or deeper and pairs with its image's lowest-level
-    target (Edelsbrunner & Harer, Computational Topology, ch. VII).
+    written in target coordinates, the highest bit at the lowest level,
+    and the sources are eliminated by highest bit in decreasing level, so
+    a source is reduced only by sources of its level or deeper and pairs
+    with its image's lowest-level target (Edelsbrunner & Harer,
+    Computational Topology, ch. VII).
     """
     bases = map(_adapted_basis, ft.filt)  # built as needed: two degrees are held at a time
-    src, _, src_levels = next(bases)
+    src_levels, src, _ = next(bases)
     sizes, pairs = [Counter(src_levels)], []
     for n in range(ft.n_max):
-        tgt, tgt_pivots, tgt_levels = next(bases)
+        tgt_levels, tgt, coords = next(bases)
         sizes.append(Counter(tgt_levels))
-        width = tgt[0][0].shape[1] * WORD_BITS
-        keys = [width - c for c in tgt_pivots]  # the bit length of each row's leading one
-        # each pick is converted on its own, so no copy of the whole basis is made
-        rows = dict(zip(keys, (x for words, k in tgt for x in _int_rows(words[k]))))
-        bit = {h: 1 << k for k, h in enumerate(keys)}
-        sources = BitMatrix(len(src_levels), ft.tower.dims[n], np.vstack([w[k] for w, k in src]))
-        images = _int_rows((sources @ ft.tower.differential(n).transpose()).words)
+        images = (coords @ (ft.tower.differential(n) @ src)).transpose()
+        width = images.words.shape[1] * WORD_BITS
         top, found = {}, Counter()
-        for f, group in groupby(zip(src_levels, images), key=lambda row: row[0]):
+        # converted one row block at a time, bottom block first
+        ints = (y for block in images.row_blocks() for y in reversed(_int_rows(block.words)))
+        deepest_first = zip(reversed(src_levels), ints)
+        for f, group in groupby(deepest_first, key=lambda row: row[0]):
             size = len(top)
-            _echelon((_coordinates(y, rows, bit) for _, y in group), top)
+            _echelon((y for _, y in group), top)
             for h in islice(top, size, None):
-                found[(f, tgt_levels[h - 1])] += 1
+                found[(f, tgt_levels[width - h])] += 1
         pairs.append(found)
         src, src_levels = tgt, tgt_levels
     return sizes, pairs

@@ -245,6 +245,20 @@ def subspace_vectors(s: Subspace):
     return set(out)
 
 
+def class_count(lead) -> int:
+    """The dimension of a filtration step: one indicator row per class."""
+    return len(np.unique(lead[lead >= 0]))
+
+
+def class_leaders(labels) -> np.ndarray:
+    """Each entry's label replaced by the first index carrying it; a
+    negative label (no class) becomes -1."""
+    first = {}
+    return np.array(
+        [first.setdefault(x, i) if x >= 0 else -1 for i, x in enumerate(labels)], dtype=np.int64
+    )
+
+
 def raises_promptly(fn, errors, seconds=10.0):
     """Whether fn raises one of errors within seconds, run on a daemon thread
     so that a loop fails the test instead of hanging the suite."""

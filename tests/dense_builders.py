@@ -5,7 +5,9 @@ array and packs it at the end.  They are kept as oracles: the package's
 builders must reproduce their matrices bit for bit.  The elimination
 route of the product cokernels and the tensor-ambient route of the mixed
 cokernel close the file, oracles of the same kind for the class maps and
-the symmetric class spans that replaced them.
+the symmetric class spans that replaced them, followed by the packed
+filtration steps and their pivot-column checks, which the class-leader
+arrays of FilteredTower replaced.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from commcoh.gf2 import (
     induced_map,
     solve,
 )
+from commcoh.spectral import FiltrationError
 
 
 def assert_same_matrix(got: BitMatrix, want: BitMatrix):
@@ -347,7 +350,7 @@ def build_cr_mixed(table, coad, n_cr_max: int):
         cls = np.empty(d**m, dtype=np.int64)
         cls[combined_index(d, words)] = _index(Flavor.SYM, d, words)
         _, repeat = comparison._prefix_defects(d, m, m - 1)
-        a_sub.append(comparison._class_span(cls, _index(Flavor.SYM, d, words[repeat]), 1))
+        a_sub.append(class_span(cls, _index(Flavor.SYM, d, words[repeat]), 1))
 
     restr = []
     for p in range(n_cr_max):
@@ -401,3 +404,94 @@ def connecting_maps(rel) -> list:
         assert u is not None, f"no lift at word degree {m}"
         out.append(hs.project_rows(u.transpose()).transpose())
     return out
+
+
+# The packed filtration steps: each step a Subspace spanned by one
+# indicator row per class, queried through the pivot columns of its basis.
+
+
+def class_span(cls, dead, mdim: int) -> Subspace:
+    """Span of one indicator row per live class and module coordinate.
+
+    cls[i] is the class of coordinate i, negative where it has none; a
+    class listed in dead spans nothing.  Indicators of disjoint classes,
+    ordered by their smallest members, are already the reduced echelon
+    basis with those members as pivots.
+    """
+    members = np.flatnonzero((cls >= 0) & ~np.isin(cls, dead))
+    _, first, label = np.unique(cls[members], return_index=True, return_inverse=True)
+    pivots, row = np.unique(members[first][label], return_inverse=True)
+    basis = comparison._block_matrix((len(pivots), len(cls)), mdim, [(row, members, None)])
+    return Subspace(len(cls) * mdim, basis, tuple(comparison._expand(pivots, mdim).tolist()))
+
+
+def comparison_chains(pair, rel) -> tuple:
+    """The comparison filtration's steps as packed class spans: in word
+    degree m a generator word falls in the class of the generator owning
+    its prefix-sorted word, and a class dies where it holds a word whose
+    prefix repeats a letter (never for the swap span)."""
+    d, mdim = rel.table.dim, rel.coeffs.dim
+    total = Flavor.SYM if pair is InclusionPair.EXT_IN_SYM else Flavor.TENSOR
+    kills = pair is not InclusionPair.SYM_IN_TENSOR
+    chains = []
+    for n in range(rel.tower.n_max + 1):
+        m = n + 2
+        words = rel.meta["words"][m]
+        owner = np.full(basis_dim(total, d, m), -1)
+        owner[_index(total, d, words)] = np.arange(len(words))
+        cls = lambda w, p: owner[_index(total, d, comparison._sort_prefix(w, p))]
+        chain = [Subspace.full(rel.tower.dims[n])]
+        for p in range(1, m):
+            all_words, repeat = comparison._prefix_defects(d, m, p + 1)
+            chain.append(class_span(cls(words, p + 1), cls(all_words[repeat & kills], p + 1), mdim))
+        if chain[-1].dim:
+            chain.append(Subspace.zero(rel.tower.dims[n]))
+        chains.append(tuple(chain))
+    return tuple(chains)
+
+
+def step_span(lead) -> Subspace:
+    """The span of a step's class indicators, by elimination: row k is the
+    indicator of the k-th distinct leader's class."""
+    live = np.flatnonzero(lead >= 0)
+    _, row = np.unique(lead[live], return_inverse=True)
+    rows = BitMatrix.from_coords(row.max(initial=-1) + 1, len(lead), row, live)
+    return Subspace.from_rows(len(lead), rows)
+
+
+def spanned_chains(filt) -> tuple:
+    """Every step of every degree as a Subspace."""
+    return tuple(tuple(step_span(lead) for lead in chain) for chain in filt)
+
+
+def assert_steps_span(ft, chains):
+    """Every step of ft spans the Subspace at its place in chains, with the
+    same RREF basis and its leaders as the pivots; the pivot-column checks
+    pass on chains."""
+    validate_chains(ft.tower, chains)
+    assert [len(c) for c in ft.filt] == [len(c) for c in chains]
+    for n, (chain, want) in enumerate(zip(ft.filt, chains)):
+        for p, (lead, w) in enumerate(zip(chain, want)):
+            got = step_span(lead)
+            assert got == w and got.pivots == w.pivots, (ft.label, n, p)
+            assert tuple(np.unique(lead[lead >= 0]).tolist()) == w.pivots, (ft.label, n, p)
+
+
+def validate_chains(tower, chains) -> None:
+    """The pivot-column check of a chain of Subspaces per degree: full at
+    step 0, zero at the last step, each step inside the one before, and d
+    mapping each step into the same step one degree up."""
+    for n, chain in enumerate(chains):
+        if chain[0].dim != tower.dims[n]:
+            raise FiltrationError(f"degree {n}: chain does not start at the full space")
+        if chain[-1].dim != 0:
+            raise FiltrationError(f"degree {n}: chain does not end at zero")
+        for p in range(len(chain) - 1):
+            if not chain[p].contains(chain[p + 1]):
+                raise FiltrationError(f"degree {n}: chain not decreasing at step {p}")
+    for n in range(tower.n_max):
+        dt = tower.differential(n).transpose()
+        up = chains[n + 1]
+        for p, sub in enumerate(chains[n]):
+            if not up[min(p, len(up) - 1)].reduce_rows(sub.basis @ dt).is_zero():
+                raise FiltrationError(f"d F^{p} C^{n} not contained in F^{p} C^{n + 1}")

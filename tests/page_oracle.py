@@ -7,6 +7,7 @@ with every d_r written out as a matrix on the quotients.  The package
 reads page dimensions from one persistence pairing per degree; this
 engine reaches the same numbers by intersections, preimages and sums of
 subspaces, a route independent of the adapted bases the pairing builds.
+Each filtration step is read as the Subspace its class indicators span.
 The subspace helpers here are used by nothing in the package but this
 engine and the tests.
 """
@@ -24,6 +25,7 @@ from commcoh.gf2 import (
     kernel_basis,
 )
 from commcoh.spectral import FilteredTower, stabilization_index
+from dense_builders import spanned_chains
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
@@ -90,17 +92,23 @@ class OraclePage:
 class PageEngine:
     def __init__(self, ft: FilteredTower):
         self.ft = ft
+        self.filt = spanned_chains(ft.filt)
         self._z_cache = {}
         self._img_cache = {}
+
+    def step(self, n: int, p: int) -> Subspace:
+        """F^p at degree n, clamped: full below the chain, zero above."""
+        chain = self.filt[n]
+        return chain[min(max(p, 0), len(chain) - 1)]
 
     def _z(self, r: int, p: int, q: int) -> Subspace:
         n = p + q
         ft = self.ft
         if r <= 0:
-            return ft.step(n, p)
-        chain = ft.filt[n]
+            return self.step(n, p)
+        chain = self.filt[n]
         p_eff = min(max(p, 0), len(chain) - 1)
-        chain_up = ft.filt[n + 1]
+        chain_up = self.filt[n + 1]
         pr_eff = min(max(p + r, 0), len(chain_up) - 1)
         key = (n, p_eff, pr_eff)
         hit = self._z_cache.get(key)
@@ -131,7 +139,7 @@ class PageEngine:
 
     def denominator(self, r: int, p: int, q: int) -> Subspace:
         if r == 0:
-            return self.ft.step(p + q, p + 1)
+            return self.step(p + q, p + 1)
         return subspace_sum(
             self._z(r - 1, p + 1, q - 1), self._boundary_part(r, p, q)
         )

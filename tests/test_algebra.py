@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from commcoh import algebra
 from commcoh.algebra import (
+    AlgebraClass,
     BracketTable,
     IdealVerdict,
     ModuleAxiomError,
@@ -33,11 +35,59 @@ from conftest import (
     random_comm_lie_table,
     random_invertible,
     random_valid_module,
+    survey,
     tables_and_actions,
 )
 
 
+def classify_loop(t: BracketTable) -> AlgebraClass:
+    """The four flags by one loop over the basis triples, one bracket at a time."""
+    c = t.c.astype(np.int64)
+    d = t.dim
+    commutative = np.array_equal(t.c, t.c.transpose(1, 0, 2))
+    alternating = commutative and not any(t.c[i, i].any() for i in range(d))
+    jacobi = True
+    left_leibniz = True
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                # [b_i, v] = v @ c[i]  (row u of c[i] is [b_i, b_u])
+                t1 = c[j, k] @ c[i]  # [b_i, [b_j, b_k]]
+                t2 = c[k, i] @ c[j]  # [b_j, [b_k, b_i]]
+                t3 = c[i, j] @ c[k]  # [b_k, [b_i, b_j]]
+                if ((t1 + t2 + t3) % 2).any():
+                    jacobi = False
+                # [[b_i, b_j], b_k] = sum_u c[i,j,u] c[u,k]
+                lhs = t1 % 2
+                rhs = (np.einsum("u,uk->k", c[i, j], c[:, k, :]) + c[i, k] @ c[j]) % 2
+                if not np.array_equal(lhs, rhs):
+                    left_leibniz = False
+    return AlgebraClass(bool(commutative), bool(alternating), jacobi, left_leibniz)
+
+
+@st.composite
+def bit_tables(draw):
+    """Arbitrary bracket tables of dimension 1 to 4, half of them commutative."""
+    d = draw(st.integers(1, 4))
+    c = draw(arrays(np.uint8, (d, d, d), elements=st.integers(0, 1)))
+    if draw(st.booleans()):
+        c = np.triu(c.transpose(2, 0, 1)).transpose(1, 2, 0)  # keep [b_j, b_k] for j <= k
+        c = c | c.transpose(1, 0, 2)
+    return BracketTable(c)
+
+
 class TestClassify:
+    def test_matches_the_triple_loop_on_survey_tables(self):
+        tables = [t for d in (1, 2, 3) for t in survey(d).rep_tables()]
+        assert sum(classify_algebra(t).is_lie for t in tables) == 125
+        for t in tables:
+            assert algebra._classify(t) == classify_loop(t)
+
+    @settings(max_examples=300, deadline=None)
+    @given(bit_tables())
+    def test_matches_the_triple_loop_on_drawn_tables(self, t):
+        assert algebra._classify(t) == classify_loop(t)
+
     def test_nilpotent_example(self):
         cls = classify_algebra(catalog("N").table)
         assert cls.commutative and not cls.alternating and cls.jacobi

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import commcoh.catalog as catalog_module
 import commcoh.cli as cli
+import commcoh.cohomology as cohomology_module
 from commcoh.algebra import BracketTable, change_basis, classify_algebra
 from commcoh.catalog import (
     AlgebraFileError,
@@ -334,6 +335,22 @@ class TestCLI:
             ["cohomology", "--algebra", str(f), "--module", "bad"]
         )
         assert code == 2
+
+    def test_out_of_memory_is_its_own_exit_code(self, monkeypatch, capsys):
+        # a failed allocation is neither bad input (1) nor a failed check (2)
+        message = "Unable to allocate 335. MiB for an array with shape (59049, 743) and data type uint64"
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cohomology_module, "cochain_betti_table", exhausted)
+        argv = ["cohomology", "--algebra", "catalog:heis3", "--flavor", "tensor", "--max-degree", "11"]
+        report, code = run(argv)
+        assert code == 3 and report == {"error": f"out of memory: {message}"}
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert json.loads(err) == report
 
     def test_hs_ss_report(self):
         report, code = run(

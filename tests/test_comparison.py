@@ -33,7 +33,7 @@ from commcoh.comparison import (
 from commcoh.gf2 import BitMatrix, GF2Error, Subspace, kernel_basis
 from commcoh.spectral import convergence_check
 
-from conftest import catalog, inclusion_class_map, survey
+from conftest import catalog, class_count, inclusion_class_map, survey
 from dense_builders import assert_same_matrix, packed
 
 
@@ -135,11 +135,11 @@ class TestBuildersMatchDenseOracles:
     def test_comparison_matrices(self, name, monkeypatch):
         entry = catalog(name)
         d = entry.table.dim
-        # the mixed cokernel spaces are read off the class spans built
+        # the mixed cokernel spaces are read off the class leaders found
         spans = []
-        class_span = comparison._class_span
+        leaders = comparison._leaders
         monkeypatch.setattr(
-            comparison, "_class_span", lambda *a: spans.append(class_span(*a)) or spans[-1]
+            comparison, "_leaders", lambda *a: spans.append(leaders(*a)) or spans[-1]
         )
 
         for module in ("trivial", "adjoint"):
@@ -161,7 +161,7 @@ class TestBuildersMatchDenseOracles:
                         want.append(Subspace.zero(full.ambient_dim))
                     assert len(ft.filt[n]) == len(want)
                     for got, w in zip(ft.filt[n], want):
-                        assert_same_space(got, w)
+                        assert_same_space(dense.step_span(got), w)
         n_cr_max = 3
         for pair in InclusionPair:
             spans.clear()
@@ -176,7 +176,7 @@ class TestBuildersMatchDenseOracles:
                 # symmetric coordinate (args; y) -> the sum of the combined
                 # words (w; y) with w sorting to args
                 words = dense.inclusion(InclusionPair.SYM_IN_TENSOR, d, d, p + 1)
-                mapped = got.basis @ words.transpose()
+                mapped = dense.step_span(got).basis @ words.transpose()
                 assert_same_space(Subspace.from_rows(w.ambient_dim, mapped), w)
 
     def test_lie_comm_projection_spans_the_eliminated_quotient(self):
@@ -448,8 +448,8 @@ class TestComparisonFiltration:
             rel = build_relative_complex(pair, a.table, a.modules["trivial"], 4)
             ft = comparison_filtration(pair, rel)
             for n in range(ft.n_max + 1):
-                assert ft.filt[n][0].dim == rel.tower.dims[n]
-                assert ft.filt[n][-1].dim == 0
+                assert class_count(ft.filt[n][0]) == rel.tower.dims[n]
+                assert class_count(ft.filt[n][-1]) == 0
 
     def test_offsets_recorded(self):
         a = catalog("a")
@@ -468,7 +468,7 @@ class TestComparisonFiltration:
             InclusionPair.SYM_IN_TENSOR, n.table, n.modules["trivial"], 4
         )
         ft = comparison_filtration(InclusionPair.SYM_IN_TENSOR, rel)
-        dims = [s.dim for s in ft.filt[3]]
+        dims = [class_count(s) for s in ft.filt[3]]
         assert dims[0] == rel.tower.dims[3] and dims[-1] == 0
         assert all(a >= b for a, b in zip(dims, dims[1:]))
         assert len(set(dims)) > 2
@@ -483,9 +483,44 @@ class TestComparisonFiltration:
             )
             ft = comparison_filtration(InclusionPair.EXT_IN_SYM, rel)
             for n in range(ft.n_max + 1):
-                assert ft.filt[n][0].dim == rel.tower.dims[n] > 0, (name, n)
+                assert class_count(ft.filt[n][0]) == rel.tower.dims[n] > 0, (name, n)
                 for p in range(1, len(ft.filt[n])):
-                    assert ft.filt[n][p].dim == 0, (name, n, p)
+                    assert class_count(ft.filt[n][p]) == 0, (name, n, p)
+
+    @pytest.mark.parametrize("module", ["trivial", "adjoint"])
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_catalog_steps_match_class_spans(self, name, module):
+        entry = catalog(name)
+        for pair in applicable_pairs(entry.table):
+            rel = build_relative_complex(pair, entry.table, entry.modules[module], 4)
+            ft = comparison_filtration(pair, rel)
+            dense.assert_steps_span(ft, dense.comparison_chains(pair, rel))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(0, 3))
+    def test_survey_steps_match_class_spans(self, d, seed, mdim, n_rel):
+        pool = survey(d).rep_tables()
+        table = pool[seed % len(pool)]
+        for pair in applicable_pairs(table):
+            rel = build_relative_complex(pair, table, trivial_module(table, mdim), n_rel)
+            ft = comparison_filtration(pair, rel)
+            dense.assert_steps_span(ft, dense.comparison_chains(pair, rel))
+
+    def test_holds_no_packed_steps(self):
+        # comm-leibniz on heis3 with trivial coefficients through relative
+        # degree 6 (6516 coordinates at the top): the packed class spans
+        # held 14.0 MiB after the build, the leader arrays about 0.6 MiB
+        entry = catalog("heis3")
+        pair = InclusionPair.SYM_IN_TENSOR
+        rel = build_relative_complex(pair, entry.table, entry.modules["trivial"], 6)
+        tracemalloc.start()
+        try:
+            ft = comparison_filtration(pair, rel)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ft.filt[6][0].shape == (rel.tower.dims[6],) == (6516,)
+        assert held < 2 * 2**20
 
     def test_convergence(self):
         for name in ("N", "a", "abelian2"):

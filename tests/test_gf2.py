@@ -758,7 +758,7 @@ class TestPivotColumnRule:
     def test_mismatched_pivots_raise_promptly(self):
         """A basis whose rows are not the identity at their recorded pivots
         made reduce_rows loop forever; it is now refused when the subspace is
-        made, so neither contains nor validate_filtration can meet one."""
+        made, so neither contains nor reduce_rows can meet one."""
         swapped = BitMatrix.from_dense([[0, 1, 0], [1, 0, 0]])  # row k's one is at pivot 1 - k
         late = BitMatrix.from_dense([[1, 1, 0]])  # leading one left of the recorded pivot
         shared = BitMatrix.from_dense([[1, 1, 0], [0, 1, 0]])  # row 0 has a one at pivot 1

@@ -14,7 +14,7 @@ from commcoh.algebra import IdealVerdict, classify_algebra, is_ideal
 from commcoh.catalog import catalog_names
 from commcoh.cochain import ComplexTower, InclusionPair
 from commcoh.comparison import build_relative_complex, comparison_filtration
-from commcoh.gf2 import BitMatrix, GF2Error, Subspace, inverse
+from commcoh.gf2 import BitMatrix, Subspace, inverse
 from commcoh.spectral import (
     FiltrationError,
     FilteredTower,
@@ -27,7 +27,8 @@ from commcoh.spectral import (
     validate_filtration,
 )
 
-from conftest import catalog, raises_promptly, random_invertible
+from conftest import catalog, class_leaders, raises_promptly, random_invertible
+from dense_builders import step_span
 from page_oracle import oracle_infinity_entries, oracle_pages
 
 
@@ -54,14 +55,33 @@ def assert_pages_match_oracle(ft: FilteredTower) -> None:
     assert convergence_check(ft, pages) == convergence_check(ft)
 
 
+def filtered_change(rng, lv) -> BitMatrix:
+    """A random invertible matrix P with P[j, i] = 0 unless lv[j] >= lv[i].
+
+    Such a P maps each coordinate span of the levels >= p onto itself.  It
+    is drawn as B @ U: B invertible on each block of one level and zero
+    across them, U the identity plus random entries where lv[j] > lv[i];
+    every invertible matrix that keeps these spans factors so.
+    """
+    lv = np.asarray(lv, dtype=int)
+    blocks = np.zeros((lv.size, lv.size), dtype=np.uint8)
+    for f in set(lv.tolist()):
+        at = np.flatnonzero(lv == f)
+        blocks[np.ix_(at, at)] = random_invertible(rng, at.size).to_dense()
+    lower = rng.integers(0, 2, (lv.size, lv.size)) * (lv[:, None] > lv[None, :])
+    unipotent = (lower + np.eye(lv.size, dtype=int)).astype(np.uint8)
+    return BitMatrix.from_dense(blocks) @ BitMatrix.from_dense(unipotent)
+
+
 @st.composite
 def interval_complexes(draw) -> FilteredTower:
-    """A filtered complex: a sum of intervals, written in a random basis.
+    """A filtered complex: a sum of intervals, under a random change of basis.
 
     Every filtered complex over a field is a sum of intervals (a pair of
-    basis vectors joined by d, or a lone vector) in some adapted basis,
-    so a random invertible change of basis in each degree reaches every
-    filtered complex with the drawn levels.
+    basis vectors joined by d, or a lone vector) in some adapted basis.
+    Step p is the span of the basis vectors of level >= p, and the change
+    of basis keeps each step, so the draw reaches every filtered complex
+    up to isomorphism.
     """
     n_max = draw(st.integers(1, 4))
     lengths = [draw(st.integers(1, 4)) for _ in range(n_max + 1)]
@@ -84,21 +104,17 @@ def interval_complexes(draw) -> FilteredTower:
             used[n + 1].add(j)
         models.append(model)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    changes = [random_invertible(rng, len(lv)) for lv in levels]
+    changes = [filtered_change(rng, lv) for lv in levels]
     dims = tuple(len(lv) for lv in levels)
     diffs = tuple(
         changes[n + 1] @ BitMatrix.from_dense(models[n]) @ inverse(changes[n])
         for n in range(n_max)
     )
     filt = []
-    for n, lv in enumerate(levels):
-        # column i of the change of basis is the basis vector of level lv[i]
-        vectors = changes[n].transpose().to_dense()
-        chain = [
-            Subspace.from_rows(dims[n], BitMatrix.from_dense(vectors[np.array(lv, dtype=int) >= p]))
-            for p in range(lengths[n])
-        ]
-        filt.append(tuple(chain) + (Subspace.zero(dims[n]),))
+    for lv, length in zip(levels, lengths):
+        lv, idx = np.array(lv, dtype=int), np.arange(len(lv))
+        steps = [np.where(lv >= p, idx, -1) for p in range(length)]
+        filt.append(tuple(steps) + (np.full(len(lv), -1),))
     ft = FilteredTower(ComplexTower(dims, diffs, None), tuple(filt))
     validate_filtration(ft)
     return ft
@@ -143,43 +159,45 @@ def test_catalog_comparison_filtrations(pair, name, module):
 
 
 @st.composite
-def nested_chains(draw):
-    """full = F^0 >= F^1 >= ... >= 0, each step spanned by random rows of the last."""
+def nested_partitions(draw):
+    """Class-leader arrays from full to zero, each step merging classes of
+    the last into fewer and killing some."""
     cols = draw(st.sampled_from([1, 5, 63, 64, 65, 130]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    chain = [Subspace.full(cols)]
+    chain = [np.arange(cols)]
     for _ in range(draw(st.integers(0, 4))):
-        above = chain[-1]
-        k = draw(st.integers(0, above.dim + 1))
-        rows = rng.integers(0, 2, (k, above.dim)) @ above.basis.to_dense().astype(np.int64) % 2
-        chain.append(Subspace.from_rows(cols, BitMatrix.from_dense(rows)))
-    return tuple(chain) + (Subspace.zero(cols),)
+        lead = chain[-1]
+        k = draw(st.integers(1, cols))
+        # each class of the last step joins one of k classes, or dies (label k)
+        label = rng.integers(0, k + 1, cols)[lead]
+        chain.append(class_leaders(np.where((lead < 0) | (label == k), -1, label)))
+    return tuple(chain) + (np.full(cols, -1),)
 
 
 @settings(max_examples=100, deadline=None)
-@given(nested_chains())
+@given(nested_partitions())
 def test_adapted_basis_levels_span_each_step(chain):
-    picks, pivots, levels = _adapted_basis(chain)
-    cols = chain[0].ambient_dim
-    rows = BitMatrix.vstack(*(BitMatrix(len(k), cols, words[k]) for words, k in picks))
-    assert rows.rows == len(pivots) == len(levels) == cols == rows.rank()
+    levels, columns, coords = _adapted_basis(chain)
+    cols = len(chain[0])
+    rows = columns.transpose()
+    assert rows.rows == len(levels) == cols == rows.rank()
     # each row's leading one is its pivot, so the rows of level >= p are independent
-    assert [int(np.flatnonzero(row)[0]) for row in rows.to_dense()] == pivots
+    assert [int(np.flatnonzero(row)[0]) for row in rows.to_dense()] == coords.a.tolist()
     for p, step in enumerate(chain):
         keep = np.flatnonzero(np.array(levels, dtype=int) >= p)
-        assert Subspace.from_rows(cols, BitMatrix(keep.size, cols, rows.words[keep])) == step
+        assert Subspace.from_rows(cols, BitMatrix(keep.size, cols, rows.words[keep])) == step_span(step)
+    # coords writes each row as its own unit vector, so it inverts the basis
+    assert coords @ columns == BitMatrix.identity(cols)
+    assert levels == sorted(levels)
 
 
 def test_non_nesting_steps_raise_promptly():
-    full, zero = Subspace.full(2), Subspace.zero(2)
-    e0, e1 = (Subspace.from_rows(2, BitMatrix.from_dense([row])) for row in ([1, 0], [0, 1]))
+    full, zero = np.arange(2), np.full(2, -1)
+    e0, e1 = np.array([0, -1]), np.array([-1, 1])
     tower = ComplexTower((2, 2), (BitMatrix.zeros(2, 2),), None)
-    ft = FilteredTower(tower, ((full, e1, e0, zero), (full, zero)))  # e0 is not inside e1
-    assert raises_promptly(lambda: compute_pages(ft), FiltrationError)
-    assert raises_promptly(lambda: infinity_entries(ft), FiltrationError)
-    assert raises_promptly(lambda: validate_filtration(ft), FiltrationError)
-    # a step whose rows are swapped against its recorded pivots is refused when made
-    swapped = BitMatrix.from_dense([[0, 1], [1, 0]])
-    chain = lambda: (Subspace(2, swapped, (0, 1)), zero)
-    bad = lambda: validate_filtration(FilteredTower(tower, (chain(), chain())))
-    assert raises_promptly(bad, (GF2Error, FiltrationError))
+    # e0 is not inside e1: the chain is refused when the tower is made
+    make = lambda chain: FilteredTower(tower, (chain, (full, zero)))
+    assert raises_promptly(lambda: make((full, e1, e0, zero)), FiltrationError)
+    # so is a step whose entries are not the smallest members of their classes
+    for bad in ([1, 1], [1, 0], [-1, 0], [0, 0, 1], [-2, 1]):
+        assert raises_promptly(lambda: make((full, np.array(bad), zero)), FiltrationError)

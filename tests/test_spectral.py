@@ -4,11 +4,20 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from commcoh.algebra import BracketTable, change_basis, module_change_basis, trivial_module
-from commcoh.cochain import Flavor, build_tower
+from commcoh.algebra import (
+    BracketTable,
+    IdealVerdict,
+    change_basis,
+    is_ideal,
+    module_change_basis,
+    trivial_module,
+)
+from commcoh.catalog import catalog_names
+from commcoh.cochain import ComplexTower, Flavor, basis_tuples, build_tower
 from commcoh.cohomology import betti_table
-from commcoh.gf2 import Subspace
+from commcoh.gf2 import BitMatrix, Subspace
 from commcoh.spectral import (
     FilteredTower,
     FiltrationError,
@@ -21,7 +30,16 @@ from commcoh.spectral import (
     validate_filtration,
 )
 
-from conftest import catalog, random_comm_lie_table, random_invertible, random_subalgebra, random_valid_module
+from conftest import (
+    catalog,
+    class_count,
+    class_leaders,
+    random_comm_lie_table,
+    random_invertible,
+    random_subalgebra,
+    random_valid_module,
+)
+from dense_builders import assert_steps_span, spanned_chains, validate_chains
 from page_oracle import oracle_pages
 
 
@@ -32,20 +50,66 @@ def _filtration(name, module="trivial", sub="e", n_max=8):
     )
 
 
+def subalgebra_chains(ft) -> tuple:
+    """The subalgebra filtration's steps as packed spans of unit rows, one
+    per coordinate whose monomial has at most n - p factors in h."""
+    d, h_dim = ft.meta["table"].dim, ft.meta["split"].h_dim
+    mdim = ft.meta["coeffs"].dim
+    chains = []
+    for n in range(ft.n_max + 1):
+        monos = basis_tuples(Flavor.SYM, d, n)
+        counts = np.array([sum(1 for i in mono if i < h_dim) for mono in monos])
+        chain = []
+        for p in range(n + 2):
+            cols = (np.flatnonzero(counts <= n - p)[:, None] * mdim + np.arange(mdim)).ravel()
+            rows = BitMatrix.from_coords(cols.size, ft.tower.dims[n], np.arange(cols.size), cols)
+            chain.append(Subspace(ft.tower.dims[n], rows, tuple(cols.tolist())))
+        chains.append(tuple(chain))
+    return tuple(chains)
+
+
+@st.composite
+def forged_chains(draw):
+    """A catalog tower with a chain of class-leader arrays per degree that
+    may fail each check: a forged first or last step, a step that splits a
+    class of the last or holds a coordinate outside it, or classes that d
+    leaves."""
+    entry = catalog(draw(st.sampled_from(["N", "a", "heis3"])))
+    module = draw(st.sampled_from(["trivial", "adjoint"]))
+    tower = build_tower(Flavor.SYM, entry.table, entry.modules[module], draw(st.integers(1, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    filt = []
+    for dim in tower.dims:
+        chain = [np.arange(dim)]
+        for _ in range(draw(st.integers(0, 3))):
+            k = draw(st.integers(1, dim + 1))
+            if draw(st.booleans()):  # merge classes of the last step and kill some
+                label = rng.integers(-1, k, dim)[chain[-1]]
+                chain.append(class_leaders(np.where(chain[-1] < 0, -1, label)))
+            else:  # any classes at all
+                chain.append(class_leaders(rng.integers(-1, k, dim)))
+        chain.append(np.full(dim, -1))
+        if draw(st.integers(0, 5)) == 0:  # forge the first or the last step
+            at = draw(st.sampled_from([0, -1]))
+            chain[at] = class_leaders(rng.integers(-1, dim + 1, dim))
+        filt.append(tuple(chain))
+    return tower, tuple(filt)
+
+
 class TestFiltration:
     def test_boundary_steps(self):
         ft = _filtration("N", n_max=6)
         for n in range(7):
             chain = ft.filt[n]
-            assert chain[0].dim == ft.tower.dims[n]
-            assert chain[-1].dim == 0
+            assert class_count(chain[0]) == ft.tower.dims[n]
+            assert class_count(chain[-1]) == 0
             assert len(chain) == n + 2
 
     def test_nilpotent_degree_two_dims(self):
         # functionals on e.e, e.f, f.f; one subalgebra slot allowed in F^1,
         # none in F^2
         ft = _filtration("N", n_max=4)
-        dims = [s.dim for s in ft.filt[2]]
+        dims = [class_count(s) for s in ft.filt[2]]
         assert dims == [3, 2, 1, 0]
 
     def test_graded_piece_formula(self):
@@ -62,7 +126,7 @@ class TestFiltration:
                 )
                 for n in range(6):
                     for p in range(n + 1):
-                        got = ft.filt[n][p].dim - ft.filt[n][p + 1].dim
+                        got = class_count(ft.filt[n][p]) - class_count(ft.filt[n][p + 1])
                         q = n - p
                         want = (
                             comb(dh + q - 1, q) * comb(dq + p - 1, p) * mdim
@@ -84,13 +148,11 @@ class TestFiltration:
         tower = build_tower(Flavor.SYM, entry.table, entry.modules["trivial"], 3)
         bad = []
         for n in range(4):
-            full = Subspace.full(tower.dims[n])
-            zero = Subspace.zero(tower.dims[n])
+            full = np.arange(tower.dims[n])
+            zero = np.full(tower.dims[n], -1)
             if n == 2:
                 # a line the differential does not respect
-                mid = Subspace.from_rows(
-                    tower.dims[n], np.eye(tower.dims[n], dtype=np.uint8)[:1]
-                )
+                mid = np.where(full == 0, 0, -1)
                 bad.append((full, mid, zero))
             else:
                 bad.append((full, zero))
@@ -106,9 +168,44 @@ class TestFiltration:
             t = random_comm_lie_table(rng, d)
             h = random_subalgebra(rng, t)
             mod = random_valid_module(rng, t)
-            subalgebra_filtration(t, h, mod, 5)  # validates on construction
+            ft = subalgebra_filtration(t, h, mod, 5)  # validates on construction
+            assert_steps_span(ft, subalgebra_chains(ft))
             built += 1
         assert built == 12
+
+    @pytest.mark.parametrize("module", ["trivial", "adjoint", "flambda"])
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_catalog_steps_match_unit_row_spans(self, name, module):
+        entry = catalog(name)
+        checked = 0
+        for h in entry.subspaces.values():
+            if is_ideal(entry.table, h) is IdealVerdict.NOT_SUBALGEBRA:
+                continue
+            ft = subalgebra_filtration(entry.table, h, entry.modules[module], 5)
+            assert_steps_span(ft, subalgebra_chains(ft))
+            checked += 1
+        assert checked
+
+    @settings(max_examples=60, deadline=None)
+    @given(forged_chains())
+    # d sends the one coordinate of C^0 to e_0, which the class {0, 1} of F^1 C^1 lacks
+    @example((ComplexTower((1, 2), (BitMatrix.from_dense([[1], [0]]),), None),
+              ((np.arange(1), np.arange(1), np.full(1, -1)),
+               (np.arange(2), np.zeros(2, dtype=int), np.full(2, -1)))))
+    def test_forged_chains_raise_where_the_oracle_does(self, forged):
+        # the structure is checked when the tower is made, d-compatibility
+        # by validate_filtration; the pivot-column oracle checks both at once
+        tower, filt = forged
+        want = got = None
+        try:
+            validate_chains(tower, spanned_chains(filt))
+        except FiltrationError as exc:
+            want = str(exc)
+        try:
+            validate_filtration(FilteredTower(tower, filt))
+        except FiltrationError as exc:
+            got = str(exc)
+        assert got == want
 
 
 class TestPages:
