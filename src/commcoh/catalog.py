@@ -348,14 +348,13 @@ def _canonical_ints(cands, d, transforms):
     return best.min(axis=1)
 
 
-def _survey_chunk(args):
+def _survey_chunk(d, start, stop):
     """Jacobi survivors among the candidate indices [start, stop).
 
     Bit-sliced: plane q packs bit q of every index in the range, so each
     coefficient of the Jacobi identity is a few AND/XOR passes over the
     planes for all candidates at once.  Tables are built for survivors.
     """
-    d, start, stop = args
     idx = np.arange(start, stop, dtype=np.uint64)
     bit = np.empty_like(idx)
     plane = {}  # (i, j, m) -> packed bits c[i, j, m] of every candidate
@@ -393,30 +392,19 @@ class SurveyResult:
 SURVEY_MAX_DIM = 3
 
 
-def survey_enumerate(d: int, up_to_iso: bool = False, jobs: int = 1) -> SurveyResult:
+def survey_enumerate(d: int, up_to_iso: bool = False) -> SurveyResult:
     """Enumerate symmetric bracket tables and filter by the Jacobi identity.
 
     Candidates fix c[i][j] = c[j][i]; bit t*d + m of a candidate index is
     c[i, j, m] of free pair t.  The Jacobi filter is bit-sliced over the
-    indices (_survey_chunk), so only survivors become tables.  With
-    up_to_iso the survivors are reduced modulo basis changes by canonical
-    orbit representatives.  Chunked workers merge in index order, so
-    counts do not depend on the worker count.
+    indices (_survey_chunk), so only survivors become tables: all 2^18
+    candidates of d = 3 pass in one call.  With up_to_iso the survivors
+    are reduced modulo basis changes by canonical orbit representatives.
     """
     if not 1 <= d <= SURVEY_MAX_DIM:
         raise GF2Error(f"enumeration bound: dim from 1 to {SURVEY_MAX_DIM}")
     total = 1 << (len(_free_pairs(d)) * d)
-    chunks = max(1, min(jobs, 8))
-    bounds = np.linspace(0, total, chunks + 1, dtype=np.int64)
-    args = [(d, int(a), int(b)) for a, b in zip(bounds, bounds[1:]) if a < b]
-    if chunks > 1:
-        import multiprocessing  # only a pool needs it; a plain start skips the import
-
-        with multiprocessing.Pool(processes=chunks) as pool:
-            parts = pool.map(_survey_chunk, args)
-    else:
-        parts = [_survey_chunk(a) for a in args]
-    valid = np.concatenate(parts, axis=0)
+    valid = _survey_chunk(d, 0, total)
     result = SurveyResult(d, total, len(valid), valid)
     if not up_to_iso:
         return result

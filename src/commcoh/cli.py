@@ -31,8 +31,8 @@ COMPARISON_NAMES = {
 
 
 # The arguments each command's payload depends on; --format and --output
-# change only how a report is written, and survey's --jobs only how its
-# candidates are split among workers.
+# change only how a report is written, and survey's --jobs changes nothing:
+# the survey runs in one process, and the option is still accepted.
 PAYLOAD_ARGS = {
     "check": ("algebra",),
     "cohomology": ("algebra", "module", "max_degree", "flavor"),
@@ -250,14 +250,13 @@ def cmd_hs_ss(entry, args, checks, info):
 
 def cmd_compare(entry, args, checks, info):
     from .algebra import classify_algebra
-    from .comparison import vanishing_propagation_report, verify_e2_product
+    from .comparison import flavor_tables, require_pair, vanishing_propagation_report, verify_e2_product
 
     mod = _resolve_module(entry, args.module)
     cls = classify_algebra(entry.table)
-    which = (
-        list(COMPARISON_NAMES) if args.comparison == "all" else [args.comparison]
-    )
-    payload = {"algebra": entry.name, "module": args.module, "comparisons": {}}
+    n_max = args.max_degree + 2
+    which = list(COMPARISON_NAMES) if args.comparison == "all" else [args.comparison]
+    pairs = []  # every selected pair is checked before any table is ranked
     for name in which:
         if name not in COMPARISON_NAMES:
             raise InputError(f"unknown comparison {name!r}")
@@ -265,7 +264,12 @@ def cmd_compare(entry, args, checks, info):
         if needs_lie and not cls.is_lie:
             info.append({"comparison": name, "skipped": "needs a Lie algebra"})
             continue
-        rep = verify_e2_product(pair, entry.table, mod, args.max_degree + 2)
+        require_pair(pair, entry.table)
+        pairs.append((name, pair))
+    tables = flavor_tables(entry.table, mod, n_max)
+    payload = {"algebra": entry.name, "module": args.module, "comparisons": {}}
+    for name, pair in pairs:
+        rep = verify_e2_product(pair, entry.table, mod, n_max, tables)
         checks.append((f"convergence[{name}]", rep.convergence_ok, ""))
         mism = rep.mismatches()
         if mism:
@@ -277,12 +281,9 @@ def cmd_compare(entry, args, checks, info):
             "index_offset": rep.index_offset,
             "product_ok": not mism,
         }
-    reports, tables = vanishing_propagation_report(
-        entry.table, mod, args.max_degree + 2
-    )
-    payload["cohomology"] = {k: list(v) for k, v in tables.items()}
+    payload["cohomology"] = {k: list(bt.dims) for k, bt in tables.items()}
     payload["propagation"] = []
-    for rep in reports:
+    for rep in vanishing_propagation_report(tables):
         payload["propagation"].append(
             {
                 "hypothesis": rep.hypothesis,
@@ -322,7 +323,7 @@ def cmd_les(entry, args, checks, info):
 def cmd_survey(args, checks, info):
     from .catalog import survey_enumerate
 
-    res = survey_enumerate(args.dim, up_to_iso=args.up_to_iso, jobs=args.jobs)
+    res = survey_enumerate(args.dim, up_to_iso=args.up_to_iso)
     payload = {
         "dim": args.dim,
         "candidates": res.candidate_count,
@@ -427,7 +428,7 @@ def build_parser():
     p.add_argument("--betti-degree", type=int, default=4)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--output", default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
     return ap
 
 

@@ -136,10 +136,13 @@ def _monomials(flavor: Flavor, d: int, n: int) -> np.ndarray:
 
 
 def _binom(a: np.ndarray, k: np.ndarray) -> np.ndarray:
-    top = int(a.max(initial=0)) + 1
-    width = int(k.max(initial=0)) + 1
-    table = np.array([[comb(x, y) for y in range(width)] for x in range(top)], dtype=np.int64)
-    return table[a, k]
+    # tabulated by k and a - k, which _index keeps in a narrow band (-1 to d - 2 for SYM):
+    # by a and k the table would hold central binomials past int64 on long words
+    j = a - k
+    lo, hi = int(j.min(initial=0)), int(j.max(initial=0))
+    band = range(lo, hi + 1)
+    table = [[comb(y + x, y) if x >= 0 else 0 for x in band] for y in range(int(k.max(initial=0)) + 1)]
+    return np.array(table, dtype=np.int64)[k, j - lo]
 
 
 def _index(flavor: Flavor, d: int, words: np.ndarray) -> np.ndarray:
@@ -332,7 +335,9 @@ class ComplexTower:
     """A truncated cochain complex: per-degree dims and differentials.
 
     diffs[n] maps degree n to degree n+1; the top degree has no outgoing
-    differential, so cohomology there is never reported.
+    differential, so cohomology there is never reported.  Only the
+    benchmark's tracer reads table and coeffs: build_tower sets them, a
+    relative complex or product cokernel leaves them None.
     """
 
     dims: tuple

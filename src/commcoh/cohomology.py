@@ -6,7 +6,8 @@ cochain of C^n, so T_n is d^n transposed.  Under the finest grading of
 (table, coefficients) (algebra.weight_grading) every coboundary is
 block-diagonal by weight class, and T_n is ranked as its class blocks
 T_n^W, each as wide as one class of C^{n+1}.  A table with no grading is
-one class: the same route with one block.  The builder's coordinate
+one class: the same route with one block, and so is every explicit tower
+given to betti_table.  The builder's coordinate
 blocks of d^n are scattered transposed into the class blocks as they
 come; a coordinate that crosses classes is an internal error naming its
 degree.
@@ -187,30 +188,16 @@ def _betti(label, flavor, dims, degrees) -> BettiTable:
     return BettiTable(label, flavor, tuple(betti))
 
 
-def _graded_degrees(flavor, table, coeffs, n_max: int, coords):
-    """Class blocks of T_0 .. T_{n_max-1} under the finest grading; coords(n) gives d^n's."""
-    letters, values = weight_grading(table, coeffs)
-    hi = _classes(_coordinate_weights(flavor, letters, values, 0))
-    for n in range(n_max):
-        lo, hi = hi, _classes(_coordinate_weights(flavor, letters, values, n + 1))
-        yield _transposed_blocks(coords(n), lo, hi, n)
-
-
 def betti_table(tower: ComplexTower) -> BettiTable:
     """Exact cohomology dimensions for degrees 0 .. n_max - 1.
 
     The final degree is excluded: its outgoing differential is unknown.
-    A tower that carries its flavor, table and coefficients is ranked by
-    weight class; any other is one class, each T_n = d^n transposed.  A
-    tower whose consecutive differentials do not compose to zero is an
+    The tower is ranked as one class, each T_n = d^n transposed; the
+    flavor tables, ranked by weight class, come from cochain_betti_table.
+    A tower whose consecutive differentials do not compose to zero is an
     upstream axiom violation and is rejected.
     """
-    if tower.flavor is None or tower.table is None or tower.coeffs is None:
-        degrees = ([(0, d.transpose())] for d in tower.diffs)
-    else:
-        degrees = _graded_degrees(
-            tower.flavor, tower.table, tower.coeffs, tower.n_max, lambda n: [tower.diffs[n].coords()]
-        )
+    degrees = ([(0, d.transpose())] for d in tower.diffs)
     return _betti(tower.label, tower.flavor, tower.dims, degrees)
 
 
@@ -219,13 +206,17 @@ def cochain_betti_table(
 ) -> BettiTable:
     """betti_table(build_tower(...)) without holding the tower.
 
-    No coboundary is ever held row-major: the builder's coordinate blocks
-    of d^n go straight into the class blocks of T_n.
+    Ranked by weight class under the finest grading.  No coboundary is
+    ever held row-major: the builder's coordinate blocks of d^n go
+    straight into the class blocks of T_n.
     """
     _require_flavor(flavor, table, coeffs)
     dims = tuple(basis_dim(flavor, table.dim, n) * coeffs.dim for n in range(n_max + 1))
+    letters, values = weight_grading(table, coeffs)
+    cls = [_classes(_coordinate_weights(flavor, letters, values, n)) for n in range(n_max + 1)]
     coords = lambda n: _differential_coords(flavor, table, coeffs, n)
-    return _betti(label, flavor, dims, _graded_degrees(flavor, table, coeffs, n_max, coords))
+    degrees = (_transposed_blocks(coords(n), cls[n], cls[n + 1], n) for n in range(n_max))
+    return _betti(label, flavor, dims, degrees)
 
 
 def cocycle_representatives(tower: ComplexTower, n: int) -> BitMatrix:

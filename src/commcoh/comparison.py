@@ -87,12 +87,14 @@ from .spectral import (
 
 __all__ = [
     "RelativeTower",
+    "require_pair",
     "build_relative_complex",
     "LESReport",
     "long_exact_sequence_check",
     "comparison_filtration",
     "build_cr_complex",
     "ProductReport",
+    "flavor_tables",
     "verify_e2_product",
     "vanishing_window",
     "PropagationReport",
@@ -201,7 +203,8 @@ class RelativeTower:
         return ComplexTower(dims, diffs, None, label=f"{self.tower.label}/word")
 
 
-def _require_pair(pair: InclusionPair, table: BracketTable):
+def require_pair(pair: InclusionPair, table: BracketTable):
+    """Raise GF2Error unless table is the kind of algebra pair needs."""
     cls = classify_algebra(table)
     if INCLUSION_FLAVORS[pair][0] is Flavor.EXT:
         if not cls.is_lie:
@@ -214,7 +217,7 @@ def build_relative_complex(
     pair: InclusionPair, table: BracketTable, coeffs, n_rel_max: int
 ) -> RelativeTower:
     """Quotient complex of one flavor inclusion, shifted two degrees down."""
-    _require_pair(pair, table)
+    require_pair(pair, table)
     d, mdim = table.dim, coeffs.dim
     m_top = n_rel_max + 2
     sub_fl, tot_fl = INCLUSION_FLAVORS[pair]
@@ -244,14 +247,7 @@ def build_relative_complex(
         # dd @ sigma keeps the generator columns of dd
         rel_diffs.append(projs[m + 1] @ dd.take_columns(projs[m].a))
 
-    rel = ComplexTower(
-        tuple(pi.rows for pi in projs[2:]),
-        tuple(rel_diffs),
-        None,
-        label=f"rel[{pair.value}]",
-        table=table,
-        coeffs=coeffs,
-    )
+    rel = ComplexTower(tuple(pi.rows for pi in projs[2:]), tuple(rel_diffs), None, f"rel[{pair.value}]")
     return RelativeTower(
         kind=pair,
         tower=rel,
@@ -394,7 +390,7 @@ def build_cr_complex(pair: InclusionPair, table: BracketTable, n_cr_max: int) ->
     class spans).  Injectivity and the chain-map identity of the pullback
     are verified degreewise.
     """
-    _require_pair(pair, table)
+    require_pair(pair, table)
     d = table.dim
     scalar = INCLUSION_FLAVORS[pair][0]
     flavor = Flavor.EXT if pair is InclusionPair.EXT_IN_TENSOR else Flavor.SYM
@@ -444,7 +440,7 @@ def _product_cokernel(pair, table, restr, classes, triv) -> ComplexTower:
             raise GF2Error(f"product pullback is not a chain map at degree {p}")
     diffs = tuple(pis[p + 1] @ restr[p].take_columns(pis[p].a) for p in range(len(mus) - 1))
     dims = tuple(len(g) for g in gens)
-    return ComplexTower(dims, diffs, None, label=f"cr[{pair.value}]", table=table)
+    return ComplexTower(dims, diffs, None, label=f"cr[{pair.value}]")
 
 
 @dataclass(frozen=True)
@@ -474,14 +470,21 @@ class ProductReport:
 
 
 def verify_e2_product(
-    pair: InclusionPair, table: BracketTable, coeffs, n_max: int
+    pair: InclusionPair, table: BracketTable, coeffs, n_max: int, tables: dict
 ) -> ProductReport:
     """Compare engine-computed second-page dimensions with the product of
     the cokernel cohomology and the partner cohomology.
 
-    Mismatches are report entries, not errors; the convergence of the
-    filtration toward the relative cohomology is checked as well.
+    The partner is the cohomology of pair's total flavor, read from
+    tables, the flavor_tables(table, coeffs, n_max) of the same input;
+    a partner of another flavor or length is refused.  Mismatches are
+    report entries, not errors; the convergence of the filtration toward
+    the relative cohomology is checked as well.
     """
+    total = INCLUSION_FLAVORS[pair][1]
+    partner = tables.get(total.value)
+    if partner is None or partner.flavor is not total or len(partner) != n_max:
+        raise GF2Error(f"{pair.value} needs the {total.value} table through degree {n_max - 1}")
     n_rel = n_max - 2
     rel = build_relative_complex(pair, table, coeffs, n_rel)
     ft = comparison_filtration(pair, rel)
@@ -489,8 +492,6 @@ def verify_e2_product(
     conv = convergence_check(ft, pages)
 
     hr = betti_table(build_cr_complex(pair, table, n_rel))
-    # the total flavor's complex, already built through degree n_max
-    partner = betti_table(rel.total_tower)
 
     entries = []
     window = min(n_rel - 1, len(hr) - 1)
@@ -552,9 +553,10 @@ def _propagate(name_h, bt_h, name_c, bt_c) -> PropagationReport:
     return PropagationReport(name_h, name_c, w, zero_ok, tuple(iso))
 
 
-def _flavor_tables(table: BracketTable, coeffs, n_max: int) -> dict:
+def flavor_tables(table: BracketTable, coeffs, n_max: int) -> dict:
     """Betti tables of the sym and tensor cochains, and of ext for a Lie
-    algebra, keyed by flavor name."""
+    algebra, keyed by flavor name: the partners of verify_e2_product and
+    the input of vanishing_propagation_report."""
     flavors = [Flavor.SYM, Flavor.TENSOR]
     if classify_algebra(table).is_lie:
         flavors.append(Flavor.EXT)
@@ -564,15 +566,15 @@ def _flavor_tables(table: BracketTable, coeffs, n_max: int) -> dict:
     }
 
 
-def vanishing_propagation_report(table: BracketTable, coeffs, n_max: int):
-    """All applicable vanishing-propagation statements for one input.
+def vanishing_propagation_report(bts: dict) -> list:
+    """All applicable vanishing-propagation statements between the
+    flavor_tables bts of one input.
 
     Lie algebras: an exterior-cohomology vanishing window forces the same
     window for tensor and symmetric cohomology with matching dimensions
     in the next two degrees.  Commutative Lie algebras: the symmetric
     window propagates to the tensor side, and conversely.
     """
-    bts = _flavor_tables(table, coeffs, n_max)
     hs, hl = bts["sym"], bts["tensor"]
     reports = []
     if "ext" in bts:
@@ -580,7 +582,7 @@ def vanishing_propagation_report(table: BracketTable, coeffs, n_max: int):
         reports.append(_propagate("ext", bts["ext"], "sym", hs))
     reports.append(_propagate("sym", hs, "tensor", hl))
     reports.append(_propagate("tensor", hl, "sym", hs))
-    return reports, {name: bt.dims for name, bt in bts.items()}
+    return reports
 
 
 @dataclass(frozen=True)
@@ -594,5 +596,5 @@ class FullVanishingReport:
 
 def full_vanishing_check(table: BracketTable, coeffs, n_max: int) -> FullVanishingReport:
     """All defined cohomologies of one coefficient module, for zero checks."""
-    bts = _flavor_tables(table, coeffs, n_max)
+    bts = flavor_tables(table, coeffs, n_max)
     return FullVanishingReport({name: bt.dims for name, bt in bts.items()})

@@ -321,8 +321,12 @@ class BitMatrix:
     def take_columns(self, cols) -> "BitMatrix":
         """The distinct columns cols of self, in that order."""
         cols = np.asarray(cols, dtype=np.int64)
+        if cols.size and not (0 <= cols.min() and cols.max() < self.cols):
+            raise GF2Error("take_columns: column outside the matrix")
         slot = np.full(self.cols, -1, dtype=np.int64)  # new position of each column
         slot[cols] = np.arange(cols.size)
+        if np.count_nonzero(slot >= 0) != cols.size:
+            raise GF2Error("take_columns: a column is taken twice")
         words = np.zeros((self.rows, _word_count(cols.size)), dtype=np.uint64)
         for r, c in self._coord_blocks(_COORD_BYTES):
             t = slot[c]

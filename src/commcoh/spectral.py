@@ -111,16 +111,24 @@ class FilteredTower:
 def validate_filtration(ft: FilteredTower) -> None:
     """Check that d maps each step into the same step one degree up.
 
-    Column l of images is d of the indicator of the class led by l.  Row i
-    of the WordMap is e_i + e_(leader of i), or e_i outside the classes of
-    F^p C^{n+1}, so it kills exactly the columns that lie in that step.
+    Read off d's coordinates: each one (r, c) with c in a class of F^p C^n
+    gives the pair (r, leader of c's class), and the pairs of odd
+    multiplicity are the ones of d applied to each class indicator.  Such
+    an image lies in F^p C^{n+1} iff each of its rows is live there and,
+    on each class there, it holds none or all of the class's members.
     """
     for n in range(ft.n_max):
         r, c = ft.tower.differential(n).coords()
+        rows = ft.tower.dims[n + 1]
         for p, lead in enumerate(ft.filt[n]):
             up, hit = ft.step(n + 1, p), lead[c] >= 0
-            images = BitMatrix.from_coords(len(up), len(lead), r[hit], lead[c[hit]])
-            if not (WordMap(len(up), len(up), np.arange(len(up)), up) @ images).is_zero():
+            pairs, mult = np.unique(lead[c[hit]] * rows + r[hit], return_counts=True)
+            src, row = np.divmod(pairs[mult % 2 == 1], rows)
+            tgt = up[row]
+            # the odd rows of each (source class, target class), against the target's size
+            keys, held = np.unique(src * rows + tgt, return_counts=True)
+            size = np.bincount(up[up >= 0], minlength=rows)
+            if not ((tgt >= 0).all() and np.array_equal(held, size[keys % rows])):
                 raise FiltrationError(f"d F^{p} C^{n} not contained in F^{p} C^{n + 1}")
 
 

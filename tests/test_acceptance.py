@@ -15,6 +15,7 @@ sub-check the test asserts the closed forms the proof derives for every
 entry with p+q <= 4, including the mismatch at p = 0, q >= 2.
 """
 
+import json
 from functools import lru_cache
 from math import comb
 
@@ -31,12 +32,14 @@ from commcoh.cohomology import betti_table
 from commcoh.comparison import (
     build_relative_complex,
     comparison_filtration,
+    flavor_tables,
     full_vanishing_check,
     long_exact_sequence_check,
     vanishing_propagation_report,
     verify_e2_product,
 )
 from commcoh.catalog import line_module_instances, survey_enumerate
+from commcoh.cli import run
 from commcoh.spectral import (
     convergence_check,
     e2_closed_form_check,
@@ -83,9 +86,15 @@ def _rel(name, pair, module, n_rel):
 
 
 @lru_cache(maxsize=None)
+def _tables(name, module, n_max):
+    entry = catalog(name)
+    return flavor_tables(entry.table, entry.modules[module], n_max)
+
+
+@lru_cache(maxsize=None)
 def _product_report(name, pair, module, n_max):
     entry = catalog(name)
-    return verify_e2_product(pair, entry.table, entry.modules[module], n_max)
+    return verify_e2_product(pair, entry.table, entry.modules[module], n_max, _tables(name, module, n_max))
 
 
 def _pairs_for(name):
@@ -282,9 +291,7 @@ def test_c08_vanishing_propagation():
         else:
             mods += [("adjoint", 5), ("coadjoint", 5)]
         for module, depth in mods:
-            reports, _ = vanishing_propagation_report(
-                entry.table, entry.modules[module], depth
-            )
+            reports = vanishing_propagation_report(_tables(name, module, depth))
             for rep in reports:
                 if rep.vacuous:
                     continue
@@ -399,8 +406,8 @@ def test_c11_structural_facts():
         failures.append(("survey d=1 candidates", s1.candidate_count))
     if s1.valid_count != 1:
         failures.append(("survey d=1 valid", s1.valid_count))
-    runs = [survey_enumerate(2, up_to_iso=True, jobs=j) for j in (1, 2, 3)]
-    counts = {(r.candidate_count, r.valid_count, r.orbit_count) for r in runs}
-    if len(counts) != 1:
+    runs = [run(["survey", "--dim", "2", "--up-to-iso", "--jobs", j]) for j in ("1", "2", "3")]
+    counts = {json.dumps(report["payload"], sort_keys=True) for report, _ in runs}
+    if len(counts) != 1 or any(code for _, code in runs):
         failures.append(("survey d=2 instability", counts))
     _report(11, "structural facts: kernel, flags, and stable survey counts", failures)

@@ -126,29 +126,32 @@ class TestSurvey:
         assert a.candidate_count == 64
 
     def test_worker_count_invariance(self):
-        base = survey_enumerate(2, up_to_iso=True, jobs=1)
-        for jobs in (2, 3):
-            other = survey_enumerate(2, up_to_iso=True, jobs=jobs)
-            assert other.valid_count == base.valid_count
-            assert other.orbit_count == base.orbit_count
-            assert np.array_equal(other.tables, base.tables)
+        # --jobs is accepted and changes nothing: the survey runs in one process
+        runs = [run(["survey", "--dim", "2", "--up-to-iso", "--jobs", j]) for j in ("1", "2", "3")]
+        assert all(code == 0 for _, code in runs)
+        assert len({json.dumps(r["payload"], sort_keys=True) for r, _ in runs}) == 1
+        assert len({r["input_digest"] for r, _ in runs}) == 1
+        res = survey_enumerate(2, up_to_iso=True)
+        assert runs[0][0]["payload"]["valid"] == res.valid_count
+        assert runs[0][0]["payload"]["orbits"] == res.orbit_count
 
     def test_chunk_splits_do_not_change_survivors(self):
         chunk = catalog_module._survey_chunk
         total = 1 << 18
-        whole = chunk((3, 0, total))
-        jobs3 = [int(b) for b in np.linspace(0, total, 4, dtype=np.int64)]
-        for bounds in ([0, 7, total], [0, 12000, total], [0, 7, 12000, total], jobs3):
-            parts = [chunk((3, a, b)) for a, b in zip(bounds, bounds[1:])]
+        whole = chunk(3, 0, total)
+        thirds = [int(b) for b in np.linspace(0, total, 4, dtype=np.int64)]
+        inside = [0, 8 * 4000 + 3, 8 * 4000 + 6, total]  # two cuts inside one byte of a plane
+        for bounds in ([0, 7, total], [0, 12000, total], [0, 7, 12000, total], thirds, inside):
+            parts = [chunk(3, a, b) for a, b in zip(bounds, bounds[1:])]
             assert np.array_equal(np.concatenate(parts, axis=0), whole)
         # all of d = 2, split inside the first byte of a plane
-        parts = [chunk((2, 0, 7)), chunk((2, 7, 64))]
+        parts = [chunk(2, 0, 7), chunk(2, 7, 64)]
         assert np.array_equal(np.concatenate(parts, axis=0), survey_enumerate(2).tables)
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_bit_sliced_filter_matches_oracle_on_every_candidate(self, d):
         total = survey_enumerate(d).candidate_count
-        got = catalog_module._survey_chunk((d, 0, total))
+        got = catalog_module._survey_chunk(d, 0, total)
         assert np.array_equal(got, oracle_survivors(d, 0, total))
 
     @settings(max_examples=20, deadline=None)
@@ -159,7 +162,7 @@ class TestSurvey:
     @example((1 << 18) - 19997, 19997)  # the last candidate
     def test_bit_sliced_filter_matches_oracle_on_dim_three_ranges(self, start, length):
         stop = min(start + length, 1 << 18)
-        got = catalog_module._survey_chunk((3, start, stop))
+        got = catalog_module._survey_chunk(3, start, stop)
         assert np.array_equal(got, oracle_survivors(3, start, stop))
 
     def test_full_dim_three_survey(self):

@@ -30,6 +30,7 @@ from commcoh.cochain import (
     lie_derivative_matrix,
     monomial_rank,
 )
+from commcoh.cohomology import cochain_betti_table
 from commcoh.gf2 import BitMatrix
 
 from conftest import (
@@ -59,6 +60,16 @@ class TestBases:
 
     def test_colex_order_tensor(self):
         assert basis_tuples(Flavor.TENSOR, 2, 2) == ((0, 0), (1, 0), (0, 1), (1, 1))
+
+    def test_long_symmetric_words_rank_without_overflow(self):
+        # a table of C(a, k) over every a and k would hold C(70, 35) > 2^63
+        words = np.array(basis_tuples(Flavor.SYM, 2, 70))
+        ranks = monomial_rank(Flavor.SYM, 2, 70)
+        assert cochain._index(Flavor.SYM, 2, words).tolist() == [ranks[tuple(w)] for w in words.tolist()]
+        a = catalog("a")
+        bt = cochain_betti_table(Flavor.SYM, a.table, a.modules["trivial"], 69)
+        # the pattern of TestBetti.test_solvable_example_frozen, continued
+        assert bt.dims == tuple(n // 2 + 1 for n in range(69))
 
 
 class TestDifferential:

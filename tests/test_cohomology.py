@@ -209,8 +209,9 @@ class TestStreamedBetti:
                 betti_table(plain)
             with pytest.raises(GF2Error, match="do not square to zero at degree 2$"):
                 betti_oracle.betti_table(plain)
+            # a tower that carries its grading is still ranked as one class
             graded = ComplexTower(tower.dims, tuple(diffs), Flavor.TENSOR, "", entry.table, mod)
-            with pytest.raises(GF2Error, match=graded_error):
+            with pytest.raises(GF2Error, match="do not square to zero at degree 2$"):
                 betti_table(graded)
             monkeypatch.setattr(cohomology, "_differential_coords", _builder(graded))
             with pytest.raises(GF2Error, match=graded_error):
@@ -253,7 +254,7 @@ class TestStreamedBetti:
             routes = [
                 (lambda: betti_oracle.betti_table(plain), square_error),
                 (lambda: betti_table(plain), square_error),
-                (lambda: betti_table(graded), graded_error),
+                (lambda: betti_table(graded), square_error),
                 (lambda: cochain_betti_table(flavor, entry.table, mod, 5), graded_error),
             ]
             for route, error in routes:

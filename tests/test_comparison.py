@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import betti_oracle
 import dense_builders as dense
 from commcoh import comparison
 from commcoh.algebra import (
@@ -24,6 +25,7 @@ from commcoh.comparison import (
     build_cr_complex,
     build_relative_complex,
     comparison_filtration,
+    flavor_tables,
     full_vanishing_check,
     long_exact_sequence_check,
     vanishing_propagation_report,
@@ -680,49 +682,51 @@ class TestCRComplexes:
             comparison._product_cokernel(pair, t, restr, forged, triv)
 
 
+def _product(pair, table, coeffs, n_max):
+    return verify_e2_product(pair, table, coeffs, n_max, flavor_tables(table, coeffs, n_max))
+
+
 class TestProducts:
     def test_dim_one_all_pairs(self):
         t = BracketTable.zero(1)
         for pair in InclusionPair:
-            rep = verify_e2_product(pair, t, trivial_module(t), 8)
+            rep = _product(pair, t, trivial_module(t), 8)
             assert rep.ok, pair
 
     def test_abelian2_product_shapes(self):
         t = BracketTable.zero(2)
         triv = trivial_module(t)
-        assert verify_e2_product(InclusionPair.EXT_IN_TENSOR, t, triv, 8).ok
-        assert verify_e2_product(InclusionPair.SYM_IN_TENSOR, t, triv, 8).ok
+        assert _product(InclusionPair.EXT_IN_TENSOR, t, triv, 8).ok
+        assert _product(InclusionPair.SYM_IN_TENSOR, t, triv, 8).ok
 
     def test_abelian2_mixed_product_fails_dimensionally(self):
         # the relative dimensions (n+3) - C(2, n+2) cannot factor through
         # the symmetric Betti numbers: the first defect is 5 against 6
         t = BracketTable.zero(2)
-        rep = verify_e2_product(InclusionPair.EXT_IN_SYM, t, trivial_module(t), 8)
+        rep = _product(InclusionPair.EXT_IN_SYM, t, trivial_module(t), 8)
         assert not rep.ok
         assert (0, 2, 5, 6, False) in rep.entries
         assert rep.convergence_ok  # the pages still converge correctly
 
     def test_abelian2_mixed_product_with_vanishing_module(self):
         ab2 = catalog("abelian2")
-        rep = verify_e2_product(
-            InclusionPair.EXT_IN_SYM, ab2.table, ab2.modules["flambda"], 8
-        )
+        rep = _product(InclusionPair.EXT_IN_SYM, ab2.table, ab2.modules["flambda"], 8)
         assert rep.ok
 
     def test_worked_examples_informational(self):
         a = catalog("a")
         n = catalog("N")
         reps = {
-            "a/lie-leibniz": verify_e2_product(
+            "a/lie-leibniz": _product(
                 InclusionPair.EXT_IN_TENSOR, a.table, a.modules["trivial"], 7
             ),
-            "a/lie-comm": verify_e2_product(
+            "a/lie-comm": _product(
                 InclusionPair.EXT_IN_SYM, a.table, a.modules["trivial"], 7
             ),
-            "a/comm-leibniz": verify_e2_product(
+            "a/comm-leibniz": _product(
                 InclusionPair.SYM_IN_TENSOR, a.table, a.modules["trivial"], 7
             ),
-            "N/comm-leibniz": verify_e2_product(
+            "N/comm-leibniz": _product(
                 InclusionPair.SYM_IN_TENSOR, n.table, n.modules["trivial"], 7
             ),
         }
@@ -732,6 +736,57 @@ class TestProducts:
         assert reps["a/lie-leibniz"].ok
         assert reps["a/comm-leibniz"].ok
         assert reps["N/comm-leibniz"].ok
+
+
+    def test_compare_ranks_each_flavor_table_once(self, monkeypatch):
+        from commcoh import cli, cohomology, spectral
+
+        ranked, towers = [], []
+        real_cochain, real_betti = cohomology.cochain_betti_table, cohomology.betti_table
+
+        def spy_cochain(flavor, *args, **kwargs):
+            ranked.append(flavor.value)
+            return real_cochain(flavor, *args, **kwargs)
+
+        def spy_betti(tower):
+            towers.append(tower.label)
+            return real_betti(tower)
+
+        for module in (cohomology, comparison, spectral):
+            monkeypatch.setattr(module, "cochain_betti_table", spy_cochain)
+            monkeypatch.setattr(module, "betti_table", spy_betti)
+        report, code = cli.run(["compare", "--algebra", "catalog:heis3", "--max-degree", "4"])
+        assert code == 0
+        assert sorted(ranked) == ["ext", "sym", "tensor"]
+        # the relative towers (convergence) and the product cokernels (hr), nothing else
+        want = [f"{kind}[{pair.value}]" for pair in InclusionPair for kind in ("cr", "rel")]
+        assert sorted(towers) == sorted(want)
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_partner_is_the_total_towers_cohomology(self, name):
+        # the route the partner took before it was read from the flavor tables
+        entry = catalog(name)
+        for mod_name in ("trivial", "adjoint"):
+            mod = entry.modules[mod_name]
+            tables = flavor_tables(entry.table, mod, 6)
+            for pair in applicable_pairs(entry.table):
+                rel = build_relative_complex(pair, entry.table, mod, 4)
+                rep = verify_e2_product(pair, entry.table, mod, 6, tables)
+                assert rep.partner == betti_oracle.betti_table(rel.total_tower).dims, (mod_name, pair)
+
+    def test_partner_of_another_flavor_or_length_is_refused(self):
+        t = BracketTable.zero(2)
+        triv = trivial_module(t)
+        tables = flavor_tables(t, triv, 6)
+        cases = [
+            (InclusionPair.SYM_IN_TENSOR, {**tables, "tensor": tables["sym"]}),
+            (InclusionPair.EXT_IN_SYM, flavor_tables(t, triv, 5)),
+            (InclusionPair.EXT_IN_TENSOR, {"sym": tables["sym"]}),
+        ]
+        for pair, bad in cases:
+            total = INCLUSION_FLAVORS[pair][1].value
+            with pytest.raises(GF2Error, match=f"^{pair.value} needs the {total} table through degree 5$"):
+                verify_e2_product(pair, t, triv, 6, bad)
 
 
 class TestPropagation:
@@ -744,16 +799,15 @@ class TestPropagation:
 
     def test_abelian2_nontrivial_module(self):
         ab2 = catalog("abelian2")
-        reports, tables = vanishing_propagation_report(
-            ab2.table, ab2.modules["flambda"], 8
-        )
+        tables = flavor_tables(ab2.table, ab2.modules["flambda"], 8)
+        reports = vanishing_propagation_report(tables)
         assert all(rep.ok for rep in reports)
         assert any(not rep.vacuous for rep in reports)
-        assert all(v == 0 for v in tables["ext"])
+        assert all(v == 0 for v in tables["ext"].dims)
 
     def test_trivial_module_vacuous(self):
         a = catalog("a")
-        reports, _ = vanishing_propagation_report(a.table, a.modules["trivial"], 6)
+        reports = vanishing_propagation_report(flavor_tables(a.table, a.modules["trivial"], 6))
         assert all(rep.vacuous for rep in reports)
         assert all(rep.ok for rep in reports)
 
@@ -766,8 +820,7 @@ class TestPropagation:
         # tensor and symmetric windows agree degree-for-degree on the
         # nilpotent example with its nontrivial line module
         n = catalog("N")
-        reports, tables = vanishing_propagation_report(
-            n.table, n.modules["flambda"], 7
-        )
+        tables = flavor_tables(n.table, n.modules["flambda"], 7)
+        reports = vanishing_propagation_report(tables)
         for rep in reports:
             assert rep.ok, (rep.hypothesis, rep.conclusion)

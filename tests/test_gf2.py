@@ -579,6 +579,13 @@ class TestCoordinates:
         assert np.array_equal(got.to_dense(), arr[:, cols])
         assert padding_is_zero(got)
 
+    @pytest.mark.parametrize("cols", [[-1], [0, -3], [5], [0, 9], [2, 2], [0, 1, 0]])
+    def test_take_columns_refuses_bad_columns(self, cols):
+        # a negative column once read from the end and a repeated one came out zero
+        m = BitMatrix.from_dense(np.eye(5, dtype=np.uint8))
+        with pytest.raises(GF2Error, match="^take_columns: "):
+            m.take_columns(cols)
+
     @settings(max_examples=60, deadline=None)
     @given(product_operands(), st.sampled_from([1, 200, 4096]))
     def test_block_size_does_not_change_results(self, ab, block_bytes):

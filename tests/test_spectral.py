@@ -96,6 +96,72 @@ def forged_chains(draw):
     return tower, tuple(filt)
 
 
+def _nested(rng, dim: int, depth: int) -> tuple:
+    """Class-leader arrays from full to zero, each step merging classes of
+    the last and killing some."""
+    chain = [np.arange(dim)]
+    for _ in range(depth):
+        k = int(rng.integers(1, dim + 2))
+        # each class of the last step joins one of k classes, or dies (label k)
+        label = rng.integers(0, k + 1, dim)[chain[-1]]
+        chain.append(class_leaders(np.where((chain[-1] < 0) | (label == k), -1, label)))
+    return tuple(chain) + (np.full(dim, -1),)
+
+
+@st.composite
+def compatible_complexes(draw):
+    """Nested chains and differentials that map every step into the same
+    step one degree up, with images that cancel outside a step.
+
+    Column c of d^n is a sum of class indicators of F^q C^{n+1}, q the last
+    step holding c, so each member's image lies in every step that holds
+    it.  Then for two coordinates a, b one indicator of a class of F^q is
+    added to both columns, q the last step where a and b are not in one
+    class (nor both outside it): in the deeper steps the two copies cancel.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dims = draw(st.lists(st.integers(0, 9), min_size=2, max_size=4))
+    filt = [_nested(rng, dim, draw(st.integers(0, 3))) for dim in dims]
+    diffs = []
+    for n in range(len(dims) - 1):
+        lo, hi = np.stack(filt[n]), filt[n + 1]
+        r, c = [], []
+
+        def add(cols, q):  # a random class indicator of F^q C^{n+1} into each of cols
+            step = hi[min(q, len(hi) - 1)]
+            if (step >= 0).any():
+                rows = np.flatnonzero(step == rng.choice(step[step >= 0]))
+                for col in cols:
+                    r.extend(rows.tolist())
+                    c.extend([col] * rows.size)
+
+        last = (lo >= 0).sum(axis=0) - 1  # the last step holding each coordinate
+        for col in range(dims[n]):
+            for _ in range(int(rng.integers(0, 3))):
+                add([col], last[col])
+        for _ in range(int(rng.integers(0, 4)) if dims[n] > 1 else 0):
+            a, b = rng.choice(dims[n], 2, replace=False)
+            add([a, b], int(np.flatnonzero(lo[:, a] != lo[:, b]).max()))
+        diffs.append(BitMatrix.from_coords(dims[n + 1], dims[n], r, c))
+    return ComplexTower(tuple(dims), tuple(diffs), None), tuple(filt)
+
+
+def _verdicts(tower, filt) -> tuple:
+    """The messages validate_filtration and the pivot-column oracle raise
+    on (tower, filt), None where one passes."""
+    out = []
+    for check in (
+        lambda: validate_filtration(FilteredTower(tower, filt)),
+        lambda: validate_chains(tower, spanned_chains(filt)),
+    ):
+        try:
+            check()
+            out.append(None)
+        except FiltrationError as exc:
+            out.append(str(exc))
+    return tuple(out)
+
+
 class TestFiltration:
     def test_boundary_steps(self):
         ft = _filtration("N", n_max=6)
@@ -195,17 +261,40 @@ class TestFiltration:
     def test_forged_chains_raise_where_the_oracle_does(self, forged):
         # the structure is checked when the tower is made, d-compatibility
         # by validate_filtration; the pivot-column oracle checks both at once
-        tower, filt = forged
-        want = got = None
-        try:
-            validate_chains(tower, spanned_chains(filt))
-        except FiltrationError as exc:
-            want = str(exc)
-        try:
-            validate_filtration(FilteredTower(tower, filt))
-        except FiltrationError as exc:
-            got = str(exc)
+        got, want = _verdicts(*forged)
         assert got == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(compatible_complexes(), st.data())
+    def test_coordinate_check_matches_oracle_on_one_bit_flips(self, drawn, data):
+        tower, filt = drawn
+        assert _verdicts(tower, filt) == (None, None)
+        flippable = [n for n, d in enumerate(tower.diffs) if d.rows and d.cols]
+        if not flippable:
+            return
+        n = data.draw(st.sampled_from(flippable))
+        d = tower.diffs[n].to_dense()
+        d[data.draw(st.integers(0, d.shape[0] - 1)), data.draw(st.integers(0, d.shape[1] - 1))] ^= 1
+        diffs = tower.diffs[:n] + (BitMatrix.from_dense(d),) + tower.diffs[n + 1 :]
+        got, want = _verdicts(ComplexTower(tower.dims, diffs, None), filt)
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "d, up, error",
+        [
+            # both members of the class {0, 1} hit row 0, outside F^1 C^1: they cancel
+            ([[1, 1], [0, 0]], [-1, -1], None),
+            # the image e_0 covers half of the class {0, 1} of F^1 C^1
+            ([[1, 0], [0, 0]], [0, 0], "d F^1 C^0 not contained in F^1 C^1"),
+            # the image e_0 has a row in no class of F^1 C^1; row 1 is a class of one
+            ([[1, 0], [0, 0]], [-1, 1], "d F^1 C^0 not contained in F^1 C^1"),
+        ],
+    )
+    def test_coordinate_check_reads_odd_rows_whole_classes_and_live_rows(self, d, up, error):
+        tower = ComplexTower((2, 2), (BitMatrix.from_dense(d),), None)
+        full, zero = np.arange(2), np.full(2, -1)
+        filt = ((full, np.zeros(2, dtype=int), zero), (full, np.array(up), zero))
+        assert _verdicts(tower, filt) == (error, error)
 
 
 class TestPages:
