@@ -11,13 +11,23 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
+import os
 import sys
 from datetime import datetime, timezone
 
 from . import __version__
+
+# CPython's own sha256, as random.py takes its sha512: hashlib would load
+# OpenSSL's libcrypto, several MB of every command's RSS, for one digest
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 # Each command imports the modules it runs inside its handler, so that
 # --version, --help and refused arguments start without numpy.
@@ -106,7 +116,7 @@ def _resolve_subspace(entry, spec: str):
 
 
 def _digest(*parts) -> str:
-    h = hashlib.sha256()
+    h = sha256()
     for p in parts:
         h.update(repr(p).encode())
     return h.hexdigest()[:16]
@@ -524,15 +534,23 @@ def _run(args):
 
 
 def main(argv=None):
+    # No command calls BLAS, so numpy's OpenBLAS worker thread would only
+    # spin; set before any handler imports numpy, and a caller's value is kept
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
+    created = False
     try:
         if args.output:  # refused before any work; appending leaves an existing file as it is
+            existed = os.path.exists(args.output)
             open(args.output, "a").close()
+            created = not existed
     except OSError as exc:
         report, code = {"error": f"cannot write {args.output}: {exc}"}, 1
     else:
         report, code = _run(args)
     if code in (1, 3):
+        if created:  # the probe's empty file is no report
+            os.remove(args.output)
         print(json.dumps(report, sort_keys=True), file=sys.stderr)
         return code
     if args.format == "csv" and "payload" in report:

@@ -21,7 +21,8 @@ class).  Both constructions use the same builder:
 The cokernel differential is pi[k+1] @ d[k] @ sigma[k], with sigma the
 selection of the generators.  pi and sigma are index arrays (WordMap),
 never packed: d[k] @ sigma[k] takes the generator columns of d[k], and
-pi gathers and adds rows.  Every product cokernel comes from one
+pi gathers and adds rows, one row block at a time (product_columns), so
+no full-height copy of d[k] is made.  Every product cokernel comes from one
 dual-valued tower with coadjoint coefficients (exterior for
 lie-leibniz, symmetric otherwise).  lie-comm first keeps a class span of
 the symmetric tower: a coordinate (args; y) falls in the class of its
@@ -245,7 +246,7 @@ def build_relative_complex(
         if not probe.is_zero():
             raise GF2Error(f"induced differential ill-defined at word degree {m}")
         # dd @ sigma keeps the generator columns of dd
-        rel_diffs.append(projs[m + 1] @ dd.take_columns(projs[m].a))
+        rel_diffs.append(projs[m + 1].product_columns(dd, projs[m].a))
 
     rel = ComplexTower(tuple(pi.rows for pi in projs[2:]), tuple(rel_diffs), None, f"rel[{pair.value}]")
     return RelativeTower(
@@ -438,7 +439,7 @@ def _product_cokernel(pair, table, restr, classes, triv) -> ComplexTower:
     for p in range(len(mus) - 1):
         if restr[p] @ mus[p] != mus[p + 1] @ triv.differential(p + 2):
             raise GF2Error(f"product pullback is not a chain map at degree {p}")
-    diffs = tuple(pis[p + 1] @ restr[p].take_columns(pis[p].a) for p in range(len(mus) - 1))
+    diffs = tuple(pis[p + 1].product_columns(restr[p], pis[p].a) for p in range(len(mus) - 1))
     dims = tuple(len(g) for g in gens)
     return ComplexTower(dims, diffs, None, label=f"cr[{pair.value}]")
 

@@ -406,6 +406,19 @@ class WordMap:
                 block[hit] ^= other.words[col[hit]]
         return BitMatrix(self.rows, other.cols, out)
 
+    def product_columns(self, other: BitMatrix, cols) -> BitMatrix:
+        """self @ other.take_columns(cols), made one block of rows at a time:
+        each block gathers its rows of other, then takes their columns, so
+        only the result is held whole, never a full-height copy of other."""
+        cols = np.asarray(cols, dtype=np.int64)
+        out = np.zeros((self.rows, _word_count(cols.size)), dtype=np.uint64)
+        step = max(1, RANK_BLOCK_BYTES // max(1, other.words.shape[1] * 8))
+        for start in range(0, self.rows, step):
+            a, b = self.a[start : start + step], self.b[start : start + step]
+            rows = WordMap(a.size, self.cols, a, b) @ other
+            out[start : start + step] = rows.take_columns(cols).words
+        return BitMatrix(self.rows, cols.size, out)
+
 
 def solve(a: BitMatrix, b: BitMatrix):
     """Solve a @ x = b over GF(2).

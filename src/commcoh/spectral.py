@@ -39,7 +39,8 @@ from .cochain import (
     derivation_operator_matrix,
 )
 from .cohomology import betti_table, cochain_betti_table, induced_map_on_cohomology
-from .gf2 import WORD_BITS, BitMatrix, GF2Error, Subspace, WordMap, _echelon, _int_rows
+from .gf2 import RANK_BLOCK_BYTES, WORD_BITS, BitMatrix, GF2Error, Subspace, WordMap
+from .gf2 import _echelon, _int_rows, _word_count
 
 __all__ = [
     "FiltrationError",
@@ -176,7 +177,8 @@ def _adapted_basis(chain) -> tuple:
     Coordinate l leads one row, the indicator of its class in F^p, the
     last step it leads in; p is the row's level.  Leaders of F^{p+1} lead
     in F^p, so the rows of level >= p span F^p.  Rows run by level, then
-    leader; basis holds row k as its column k.  The WordMap coords writes
+    leader; basis is the int array pair (k, i) of the ones of the rows,
+    row k holding coordinate i, sorted by k.  The WordMap coords writes
     y in this basis: y[l] + y[m] on the row of l, m the leader of l's
     class in F^{p+1} (y[l] if none), since y without its rows below level
     p takes y's leader values on F^p's classes.
@@ -188,9 +190,52 @@ def _adapted_basis(chain) -> tuple:
     row[pivots] = idx
     # the members of the classes that level p takes
     p, i = np.nonzero((steps >= 0) & (depth[steps] == np.arange(len(chain))[:, None]))
-    basis = BitMatrix.from_coords(idx.size, idx.size, i, row[steps[p, i]])
+    k = row[steps[p, i]]
+    order = np.argsort(k, kind="stable")
     up = steps[depth[pivots] + 1, pivots]  # no coordinate leads in the last step
-    return depth[pivots].tolist(), basis, WordMap(idx.size, idx.size, pivots, up)
+    return depth[pivots].tolist(), (k[order], i[order]), WordMap(idx.size, idx.size, pivots, up)
+
+
+def _grouped(keys, values, n: int) -> tuple:
+    """values grouped by key (0 <= key < n, others dropped), as (starts, values):
+    the values of key x are values[starts[x] : starts[x + 1]]."""
+    keep = keys >= 0
+    keys, values = keys[keep], values[keep]
+    starts = np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=n))))
+    return starts, values[np.argsort(keys, kind="stable")]
+
+
+def _gather(grouped: tuple, keys, tags) -> tuple:
+    """(tag, value) for each value grouped under keys[t], tagged tags[t]."""
+    starts, values = grouped
+    counts = starts[keys + 1] - starts[keys]
+    first = np.repeat(starts[keys] - (np.cumsum(counts) - counts), counts)
+    return np.repeat(tags, counts), values[first + np.arange(first.size)]
+
+
+def _images(d: BitMatrix, basis: tuple, coords: WordMap):
+    """The image under d of each basis row, in the target's coordinates
+    coords, as an int (_int_rows), last row first.
+
+    The images are E = coords @ d summed over each row's class.  E is read
+    off d's ones: a one (r, c) lands in the row that r leads and in the
+    rows whose deeper leader is r.  The images are packed one block of
+    rows of about RANK_BLOCK_BYTES at a time, from the last row back, so
+    no image matrix is held whole.
+    """
+    r, c = d.coords()
+    lead = np.empty_like(coords.a)
+    lead[coords.a] = np.arange(coords.rows)  # coords.a is a permutation
+    bc, br = _gather(_grouped(coords.b, np.arange(coords.rows), d.rows), r, c)
+    by_source = _grouped(np.concatenate((c, bc)), np.concatenate((lead[r], br)), d.cols)
+    k, i = basis
+    step = max(1, RANK_BLOCK_BYTES // max(1, _word_count(d.rows) * 8))
+    for stop in range(d.cols, 0, -step):
+        start = max(0, stop - step)
+        lo, hi = np.searchsorted(k, (start, stop))
+        rows, cols = _gather(by_source, i[lo:hi], k[lo:hi] - start)
+        block = BitMatrix.from_coords(stop - start, d.rows, rows, cols)
+        yield from reversed(_int_rows(block.words))
 
 
 def _pairing(ft: FilteredTower) -> tuple:
@@ -210,12 +255,9 @@ def _pairing(ft: FilteredTower) -> tuple:
     for n in range(ft.n_max):
         tgt_levels, tgt, coords = next(bases)
         sizes.append(Counter(tgt_levels))
-        images = (coords @ (ft.tower.differential(n) @ src)).transpose()
-        width = images.words.shape[1] * WORD_BITS
+        width = _word_count(len(tgt_levels)) * WORD_BITS
         top, found = {}, Counter()
-        # converted one row block at a time, bottom block first
-        ints = (y for block in images.row_blocks() for y in reversed(_int_rows(block.words)))
-        deepest_first = zip(reversed(src_levels), ints)
+        deepest_first = zip(reversed(src_levels), _images(ft.tower.differential(n), src, coords))
         for f, group in groupby(deepest_first, key=lambda row: row[0]):
             size = len(top)
             _echelon((y for _, y in group), top)

@@ -495,6 +495,31 @@ class TestCLI:
         assert code == 0 and report["payload"]["tables"] == tables
         assert report["input_digest"] == digest
 
+    @pytest.mark.parametrize("argv, digest", [
+        ("check --algebra catalog:N", "ccd98b1c9a093faa"),
+        ("check --algebra alg.txt", "53b5da65eed7c4d1"),
+        ("cohomology --algebra catalog:a --max-degree 3", "1a5710463196c785"),
+        ("hs-ss --algebra catalog:a --ideal e --max-degree 3", "a6754dcf6932967f"),
+        ("hs-ss --algebra alg.txt --module m --ideal h --max-degree 3", "6b438ed330d35352"),
+        ("compare --algebra catalog:a --max-degree 3", "28a0b24f6a74ed12"),
+        ("compare --algebra alg.txt --module m --max-degree 3", "ea24402e44a83d28"),
+        ("les --algebra catalog:N --max-degree 3", "35ef8af3ce2045df"),
+        ("les --algebra alg.txt --module m --max-degree 3", "d5e3f6dda5ae0943"),
+        ("survey --dim 2", "e5e8683bc98fa2a6"),
+        ("survey --dim 2 --up-to-iso --betti-degree 2", "69228c61f7748401"),
+    ])
+    def test_every_command_digest_is_pinned(self, tmp_path, monkeypatch, argv, digest):
+        # values printed by hashlib's sha256, before the digest took CPython's
+        # own module: the two must agree byte for byte (test_input_digest_is_pinned
+        # holds the file case of cohomology)
+        monkeypatch.chdir(tmp_path)  # the digest covers the --algebra path
+        (tmp_path / "alg.txt").write_text(
+            "dim 2\nbasis e f\nbracket f f = e\nmodule m dim 2\naction m f = 01 00\n"
+            "subspace h = 10\n"
+        )
+        report, code = run(argv.split())
+        assert code == 0 and report["input_digest"] == digest
+
     def test_survey_cli(self):
         report, code = run(["survey", "--dim", "2", "--up-to-iso"])
         assert code == 0
@@ -523,6 +548,24 @@ class TestCLI:
         argv = ["check", "--algebra", "catalog:nope", "--output", str(target)]
         assert main(argv) == 1
         assert target.read_text() == "kept\n"
+
+    def test_refused_command_leaves_no_new_output(self, tmp_path, capsys):
+        target = tmp_path / "new.json"
+        argv = ["les", "--algebra", "catalog:N", "--max-degree", "-1", "--output", str(target)]
+        assert main(argv) == 1
+        assert not target.exists()
+        assert json.loads(capsys.readouterr().err) == {"error": "--max-degree must be at least 0"}
+
+    def test_out_of_memory_leaves_no_new_output(self, tmp_path, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate")
+
+        monkeypatch.setattr(cohomology_module, "cochain_betti_table", exhausted)
+        target = tmp_path / "new.json"
+        argv = ["cohomology", "--algebra", "catalog:N", "--output", str(target)]
+        assert main(argv) == 3
+        assert not target.exists()
+        assert json.loads(capsys.readouterr().err) == {"error": "out of memory: Unable to allocate"}
 
     def test_ext_flavor_skipped_for_non_lie(self):
         report, code = run(

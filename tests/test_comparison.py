@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import betti_oracle
 import dense_builders as dense
-from commcoh import comparison
+from commcoh import comparison, gf2
 from commcoh.algebra import (
     BracketTable,
     classify_algebra,
@@ -292,6 +292,35 @@ class TestWordMaps:
         assert les.ok and rel.proj[7].shape == (6561, 6561)
         assert held < 8 * 2**20
         assert peak < 12 * 2**20
+
+    @pytest.mark.parametrize("block_bytes", [64, gf2.RANK_BLOCK_BYTES])
+    def test_differential_is_the_projected_column_take(self, block_bytes, monkeypatch):
+        # pi[m + 1] @ dd.take_columns(pi[m].a), made whole, is the route the
+        # row blocks replace; 64 bytes gathers one row of dd per block
+        monkeypatch.setattr(gf2, "RANK_BLOCK_BYTES", block_bytes)
+        for entry in map(catalog, catalog_names()):
+            for module in ("trivial", "adjoint"):
+                for pair in applicable_pairs(entry.table):
+                    rel = build_relative_complex(pair, entry.table, entry.modules[module], 4)
+                    for n, got in enumerate(rel.tower.diffs):
+                        pi, dd = rel.proj, rel.total_tower.differential(n + 2)
+                        assert got == pi[n + 3] @ dd.take_columns(pi[n + 2].a), (entry.name, pair, n)
+
+    def test_differential_holds_no_column_take(self):
+        # heis3 adjoint lie-leibniz through word degree 8: the top total
+        # differential is 19683 x 6561; its full-height column take lifted
+        # the peak 17.0 MiB above what the build holds, the row blocks 2.5 MiB
+        entry = catalog("heis3")
+        tracemalloc.start()
+        try:
+            rel = build_relative_complex(
+                InclusionPair.EXT_IN_TENSOR, entry.table, entry.modules["adjoint"], 6
+            )
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rel.tower.diffs[-1].shape == rel.total_tower.diffs[-1].shape == (19683, 6561)
+        assert peak < held + 6 * 2**20
 
 
 class TestRelativeComplex:

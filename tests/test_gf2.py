@@ -669,6 +669,18 @@ class TestWordMap:
         applied = (w @ BitMatrix.from_dense(y).transpose()).transpose()
         assert np.array_equal(applied.to_dense(), y.astype(np.int64) @ dense_w.T % 2)
 
+    @settings(max_examples=80, deadline=None)
+    @given(word_map_operands(), st.sampled_from([1, 200, 4096, 1 << 19]), st.integers(0, 2**32 - 1))
+    def test_product_columns_is_the_product_of_the_take(self, operands, block_bytes, seed):
+        w, x, _ = operands
+        x = BitMatrix.from_dense(x)
+        cols = np.random.default_rng(seed).permutation(x.cols)[: seed % (x.cols + 1)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gf2, "RANK_BLOCK_BYTES", block_bytes)
+            got = w.product_columns(x, cols)
+        assert got == w @ x.take_columns(cols)
+        assert padding_is_zero(got)
+
     @settings(max_examples=40, deadline=None)
     @given(word_map_operands())
     def test_induced_map_reads_the_product(self, operands):

@@ -6,6 +6,8 @@ page_oracle.py, on random filtered complexes and on every filtration
 the package builds from the catalog.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,7 @@ from commcoh.algebra import IdealVerdict, classify_algebra, is_ideal
 from commcoh.catalog import catalog_names
 from commcoh.cochain import ComplexTower, InclusionPair
 from commcoh.comparison import build_relative_complex, comparison_filtration
+from commcoh import spectral
 from commcoh.gf2 import BitMatrix, Subspace, inverse
 from commcoh.spectral import (
     FiltrationError,
@@ -177,9 +180,11 @@ def nested_partitions(draw):
 @settings(max_examples=100, deadline=None)
 @given(nested_partitions())
 def test_adapted_basis_levels_span_each_step(chain):
-    levels, columns, coords = _adapted_basis(chain)
+    levels, (k, i), coords = _adapted_basis(chain)
     cols = len(chain[0])
-    rows = columns.transpose()
+    assert (np.diff(k) >= 0).all()  # the ones are listed row by row
+    rows = BitMatrix.from_coords(cols, cols, k, i)
+    columns = rows.transpose()
     assert rows.rows == len(levels) == cols == rows.rank()
     # each row's leading one is its pivot, so the rows of level >= p are independent
     assert [int(np.flatnonzero(row)[0]) for row in rows.to_dense()] == coords.a.tolist()
@@ -189,6 +194,34 @@ def test_adapted_basis_levels_span_each_step(chain):
     # coords writes each row as its own unit vector, so it inverts the basis
     assert coords @ columns == BitMatrix.identity(cols)
     assert levels == sorted(levels)
+
+
+@pytest.mark.parametrize("pair, name", [
+    (InclusionPair.SYM_IN_TENSOR, "heis3"), (InclusionPair.EXT_IN_TENSOR, "a"),
+])
+def test_pages_match_oracle_one_image_per_block(pair, name, monkeypatch):
+    # 8 bytes packs each source's image as its own block
+    monkeypatch.setattr(spectral, "RANK_BLOCK_BYTES", 8)
+    entry = catalog(name)
+    rel = build_relative_complex(pair, entry.table, entry.modules["adjoint"], 3)
+    assert_pages_match_oracle(comparison_filtration(pair, rel))
+
+
+def test_top_pairing_holds_no_packed_images():
+    # comm-leibniz on heis3 with trivial coefficients through relative
+    # degree 7 (6516 -> 19628 at the top): the packed images and the square
+    # packed target basis peaked at 86.8 MiB, the image blocks at 17.7 MiB
+    entry = catalog("heis3")
+    rel = build_relative_complex(InclusionPair.SYM_IN_TENSOR, entry.table, entry.modules["trivial"], 7)
+    ft = comparison_filtration(InclusionPair.SYM_IN_TENSOR, rel)
+    tracemalloc.start()
+    try:
+        conv = convergence_check(ft, compute_pages(ft))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert conv.ok and ft.tower.dims[-2:] == (6516, 19628)
+    assert peak < 32 * 2**20
 
 
 def test_non_nesting_steps_raise_promptly():

@@ -2,7 +2,8 @@
 
 The package exports its names lazily and the CLI imports each command's
 modules inside its handler, so `--version`, `--help` and refused
-arguments start without numpy.  The test session has imported the whole
+arguments start without numpy.  No command loads OpenSSL (`_hashlib`),
+and numpy starts no OpenBLAS worker thread unless the caller asks.  The test session has imported the whole
 package already, so every case runs in a fresh interpreter.
 """
 
@@ -18,25 +19,31 @@ ROOT = Path(__file__).resolve().parent.parent
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
 
 # Runs `commcoh ARGS` as `python -m commcoh.cli` would, then prints its exit
-# code and the modules it loaded as the last line of stdout.
+# code, the modules it loaded, its thread count (None without /proc) and
+# OPENBLAS_NUM_THREADS as the last line of stdout.
 PROBE = """
-import json, runpy, sys
+import json, os, runpy, sys
 sys.argv = ["commcoh", *sys.argv[1:]]
 try:
     runpy.run_module("commcoh.cli", run_name="__main__")
     code = 0
 except SystemExit as exc:
     code = exc.code
-print(json.dumps([code, sorted(sys.modules)]))
+threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+print(json.dumps([code, sorted(sys.modules), threads, os.environ.get("OPENBLAS_NUM_THREADS")]))
 """
 
 ALL = {"catalog", "algebra", "cochain", "gf2", "cohomology", "spectral", "comparison"}
 
 
-def _start(args):
+def _probe(args, env=ENV):
     proc = subprocess.run([sys.executable, "-c", PROBE, *args], capture_output=True, text=True,
-                          cwd=ROOT, env=ENV, timeout=120)
-    code, modules = json.loads(proc.stdout.splitlines()[-1])
+                          cwd=ROOT, env=env, timeout=120)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _start(args):
+    code, modules, _, _ = _probe(args)
     return code, set(modules)
 
 
@@ -49,7 +56,7 @@ def _start(args):
 def test_refusals_and_version_load_no_numpy(args, code):
     got, modules = _start(args)
     assert got == code
-    assert "numpy" not in modules
+    assert "numpy" not in modules and "_hashlib" not in modules
     assert not {m for m in modules if m.startswith("commcoh.")}
 
 
@@ -70,6 +77,25 @@ def test_command_loads_only_what_it_runs(args, layers):
     assert code == 0
     assert {m for m in modules if m.startswith("commcoh.")} == {f"commcoh.{m}" for m in layers}
     assert "numpy.ma" not in modules
+    assert "_hashlib" not in modules  # the digest's sha256 loads no OpenSSL
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="threads are counted in /proc")
+@pytest.mark.parametrize("caller", [None, "2"])
+def test_command_starts_no_blas_worker_unless_asked(caller):
+    env = {k: v for k, v in ENV.items() if k != "OPENBLAS_NUM_THREADS"}
+    if caller is not None:
+        env["OPENBLAS_NUM_THREADS"] = caller
+    code, modules, threads, setting = _probe(["check", "--algebra", "catalog:N"], env)
+    assert code == 0 and "numpy" in modules
+    if caller is None:
+        assert (threads, setting) == (1, "1")
+    else:
+        # the caller's value is kept and reaches OpenBLAS as in a bare numpy import
+        bare = "import os, numpy; print(len(os.listdir('/proc/self/task')))"
+        proc = subprocess.run([sys.executable, "-c", bare], capture_output=True, text=True,
+                              env=env, timeout=120, check=True)
+        assert (threads, setting) == (int(proc.stdout), caller)
 
 
 def test_package_resolves_names_on_first_access():
