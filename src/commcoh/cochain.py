@@ -9,13 +9,17 @@ numpy computes one (block row, block column) pair per term of the
 defining formula, and BitMatrix.from_coords XOR-scatters the entries
 into packed words.  A coordinate listed twice therefore cancels, as two
 equal terms of a GF(2) sum do, and no dense matrix is ever allocated.
-A coboundary's coordinates are made one row block of about
-RANK_BLOCK_BYTES packed at a time, so its coordinate lists never span
-the whole matrix and its Betti route can scatter them straight into
-its transposed weight blocks.
-With m-dimensional coefficients each block coordinate expands once, in
-_kron_coords, to the nonzeros of an m x m block: the action matrix
-rho(letter) for the module terms, the identity for the others.
+With m-dimensional coefficients each block coordinate expands to the
+nonzeros of an m x m block: the action matrix rho(letter) for the
+module terms, the identity for the others.
+
+A coboundary is generated from the column side (_coboundary_coords):
+given any set of cochain coordinates f, it lists the ones of each
+d(e_f), a chunk of columns at a time, from the letter insertions and
+from the nonzero brackets only (Bauer's implicit coboundary, "Ripser",
+2021).  So the Betti route makes each weight class of T_n = (d^n)^T
+from that class's own coordinates, and build_tower scatters all columns
+into the packed d^n.
 
 Words are held as int arrays, one letter per column, and ranked by
 arithmetic rather than lookup (a_0 <= a_1 <= ... are the sorted letters):
@@ -58,7 +62,7 @@ import numpy as np
 
 from .algebra import BracketTable, ModuleSpec, check_module_axioms, classify_algebra
 from . import gf2
-from .gf2 import BitMatrix, _word_count
+from .gf2 import _COORD_BYTES, BitMatrix, _word_count
 
 __all__ = [
     "Flavor",
@@ -170,22 +174,17 @@ def _kron_coords(rows: np.ndarray, cols: np.ndarray, m: int, blocks=None):
     return rows[i] * m + a, cols[i] * m + b
 
 
-def _term_coords(m: int, terms):
-    """Entries (rows, cols) of the block terms (rows, cols, blocks) on a grid of m x m blocks."""
-    rows, cols = zip(*(_kron_coords(r, c, m, b) for r, c, b in terms))
-    return np.concatenate(rows), np.concatenate(cols)
-
-
 def _block_matrix(shape, m: int, terms) -> BitMatrix:
     """Sum of block terms (rows, cols, blocks) on a grid of m x m blocks."""
-    return BitMatrix.from_coords(shape[0] * m, shape[1] * m, *_term_coords(m, terms))
+    rows, cols = zip(*(_kron_coords(r, c, m, b) for r, c, b in terms))
+    return BitMatrix.from_coords(shape[0] * m, shape[1] * m, np.concatenate(rows), np.concatenate(cols))
 
 
-def _to_columns(flavor: Flavor, d: int, rows: np.ndarray, words: np.ndarray, blocks=None):
-    """Block term from each row to its word's monomial, dropping zero Ext classes."""
+def _to_columns(flavor: Flavor, d: int, rows: np.ndarray, words: np.ndarray):
+    """Identity block term from each row to its word's monomial, dropping zero Ext classes."""
     cols = _index(flavor, d, words)
     keep = cols >= 0
-    return rows[keep], cols[keep], None if blocks is None else blocks[keep]
+    return rows[keep], cols[keep], None
 
 
 def _require_flavor(flavor: Flavor, table: BracketTable, coeffs: ModuleSpec):
@@ -203,61 +202,109 @@ def _require_flavor(flavor: Flavor, table: BracketTable, coeffs: ModuleSpec):
         raise PreconditionError(f"coefficients fail axiom {check.axiom} at {check.pair}")
 
 
-def _differential_coords(flavor, table, coeffs, n):
-    """Coordinates (rows, cols) of the ones of the degree-n coboundary, a row block at a time.
+def _runs(counts: np.ndarray):
+    """(run, offset) of each element of consecutive runs of the given lengths."""
+    run = np.repeat(np.arange(counts.size), counts)
+    return run, np.arange(run.size) - np.repeat(np.cumsum(counts) - counts, counts)
 
-    A block holds whole monomial rows, about RANK_BLOCK_BYTES of them
-    packed, and computes only its own monomials: the digits of its rank
-    range for TENSOR, its slice of basis_tuples otherwise.  The blocks
-    are cut from the last monomial and come bottom to top, so a partial
-    block is the top one.  A coordinate listed twice stands for two
-    equal terms, which cancel.
+
+def _coboundary_coords(flavor, table, coeffs, n, cols):
+    """The ones (i, r) of d(e_f) for the degree-n coordinates f = cols[i], a chunk of cols at a time.
+
+    Each term of the coboundary formula is generated once, from the
+    column side, so d is never scanned row by row:
+      * a letter x inserted into f's monomial u, with the block rho(x);
+      * a letter k of u replaced by a bracket [a, b] = k, with the
+        identity.  Only the nonzero brackets are read.  For TENSOR, b
+        takes k's slot and a goes into any slot up to it.
+    For SYM and EXT the new word is sorted, and one term stands for as
+    many equal terms of the row formula as the word has slots holding x
+    (or slot pairs holding a and b, a <= b): it counts only when that
+    multiplicity is odd, and an Ext word with a repeated letter is zero.
+    A chunk holds as many columns as keep its terms to about
+    RANK_BLOCK_BYTES of temporaries.  A coordinate listed twice stands
+    for two equal terms, which cancel.
     """
     d, m = table.dim, coeffs.dim
-    n_rows, n_cols = basis_dim(flavor, d, n + 1), basis_dim(flavor, d, n)
-    row_bytes = m * _word_count(n_cols * m) * 8
-    step = max(1, gf2.RANK_BLOCK_BYTES // max(1, row_bytes))
-    slots = np.arange(n + 1)
-    # the other slots of each slot i; the bracketed pairs i < j and the
-    # slots their argument keeps
-    others = np.nonzero(slots != slots[:, None])[1].reshape(n + 1, n)
-    pi, pj = np.triu_indices(n + 1, 1)
-    if flavor is Flavor.TENSOR:
-        pair_rest = others[pi]
-    else:
-        keep = (slots != pi[:, None]) & (slots != pj[:, None])
-        pair_rest = np.nonzero(keep)[1].reshape(len(pi), max(n - 1, 0))
-    for stop in range(n_rows, 0, -step):
-        start = max(0, stop - step)
-        if flavor is Flavor.TENSOR:
-            words = np.arange(start, stop)[:, None] // d ** slots % d
-        else:
-            words = np.array(basis_tuples(flavor, d, n + 1)[start:stop], dtype=np.int64)
-        count = stop - start
-        words = words.reshape(count, n + 1)
-        # rho(w_i) f(w without w_i), one term per (row, i)
-        rows = np.repeat(np.arange(start, stop), n + 1)
-        rest = words[:, others].reshape(count * (n + 1), n)
-        acts = coeffs.rho[words].reshape(count * (n + 1), m, m)
-        terms = [_to_columns(flavor, d, rows, rest, acts)]
-        hit, q, k = np.nonzero(table.c[words[:, pi], words[:, pj]])
-        arg = words[hit[:, None], pair_rest[q]]
-        if flavor is Flavor.TENSOR:
-            # f(..., [w_i, w_j] in the slot of w_j, ...)
-            arg[np.arange(len(hit)), pj[q] - 1] = k
-        else:
-            # f([w_i, w_j], rest)
-            arg = np.column_stack([k, arg])
-        terms.append(_to_columns(flavor, d, hit + start, arg))
-        yield _term_coords(m, terms)
+    cols = np.asarray(cols, dtype=np.int64)
+    ba, bb, bk = np.nonzero(table.c)
+    if flavor is not Flavor.TENSOR:
+        ba, bb, bk = (x[ba <= bb] for x in (ba, bb, bk))
+    by_k = np.argsort(bk, kind="stable")
+    brackets = ba[by_k], bb[by_k], np.bincount(bk, minlength=d)
+    # act[x, b] flags the a of each one rho(x)[a, b]
+    act = coeffs.rho.transpose(0, 2, 1).astype(bool)
+    # about the terms of one column (fewer for SYM and EXT): an average
+    # column of rho at each of n + 1 slots, and an average letter's
+    # brackets at each slot pair i <= p (TENSOR) or slot
+    pairs = n * (n + 1) // 2 if flavor is Flavor.TENSOR else n
+    per_col = (n + 1) * act.sum() / max(m, 1) + pairs * bk.size / max(d, 1)
+    step = max(1, int(gf2.RANK_BLOCK_BYTES / (_COORD_BYTES * max(1, per_col))))
+    terms = _tensor_terms if flavor is Flavor.TENSOR else _sorted_terms
+    for start in range(0, cols.size, step):
+        mono, val = np.divmod(cols[start : start + step], m)
+        i, r = (np.concatenate(x) for x in zip(*terms(flavor, d, n, mono, val, act, brackets)))
+        yield i + start, r
+
+
+def _bracket_terms(k: np.ndarray, brackets):
+    """(term, a, b) for each bracket [a, b] = k[term]."""
+    ba, bb, nb = brackets
+    run, off = _runs(nb[k])
+    t = (np.cumsum(nb) - nb)[k[run]] + off
+    return run, ba[t], bb[t]
+
+
+def _tensor_terms(flavor, d, n, mono, val, act, brackets):
+    """Terms (column, row) of the TENSOR coboundary, by rank arithmetic on the digits of mono."""
+    m = act.shape[1]
+    pw = d ** np.arange(n + 2)
+    # x inserted at slot i: the low digits, x, then the high digits one slot up
+    j, x, a = np.nonzero(act[:, val].transpose(1, 0, 2))
+    low, high = mono[j, None] % pw[: n + 1], mono[j, None] // pw[: n + 1]
+    rank = low + x[:, None] * pw[: n + 1] + high * pw[1:]
+    yield np.repeat(j, n + 1), (rank * m + a[:, None]).ravel()
+    # slot p holds k = [a, b]: b replaces it and a goes into a slot i <= p
+    j, p = np.divmod(np.arange(mono.size * n), max(n, 1))
+    k = mono[j] // pw[p] % d
+    run, a, b = _bracket_terms(k, brackets)
+    j, p, k = j[run], p[run], k[run]
+    swapped = mono[j] + (b - k) * pw[p]
+    run, i = _runs(p + 1)
+    j, a, swapped = j[run], a[run], swapped[run]
+    rank = swapped % pw[i] + a * pw[i] + swapped // pw[i] * pw[i + 1]
+    yield j, rank * m + val[j]
+
+
+def _sorted_terms(flavor, d, n, mono, val, act, brackets):
+    """Terms (column, row) of the SYM or EXT coboundary, on the sorted words of mono."""
+    m = act.shape[1]
+    tuples = basis_tuples(flavor, d, n)
+    u = np.array([tuples[c] for c in mono.tolist()], dtype=np.int64).reshape(mono.size, n)
+    # x inserted: the new word holds x once more than u does
+    even = (u[:, :, None] == np.arange(d)).sum(axis=1) % 2 == 0
+    j, x, a = np.nonzero(act[:, val].transpose(1, 0, 2) & even[:, :, None])
+    yield j, _index(flavor, d, np.column_stack([u[j], x])) * m + a
+    # one slot of each distinct letter k of u, replaced by the pair a, b
+    first = np.ones(u.shape, dtype=bool)
+    first[:, 1:] = u[:, 1:] != u[:, :-1]
+    j, p = np.nonzero(first)
+    run, a, b = _bracket_terms(u[j, p], brackets)
+    j, p = j[run], p[run]
+    others = np.nonzero(np.arange(n) != np.arange(n)[:, None])[1].reshape(n, max(n - 1, 0))
+    words = np.column_stack([u[j[:, None], others[p]], a, b])
+    na, nb = ((words == v[:, None]).sum(axis=1) for v in (a, b))
+    odd = np.where(a == b, na * (na - 1) // 2, na * nb) % 2 == 1
+    j, rank = j[odd], _index(flavor, d, words[odd])
+    yield j[rank >= 0], rank[rank >= 0] * m + val[j[rank >= 0]]
 
 
 def _differential(flavor, table, coeffs, n) -> BitMatrix:
-    """Degree-n coboundary, its coordinate blocks scattered into one word array."""
+    """Degree-n coboundary, its columns' ones scattered into one word array a chunk at a time."""
     d, m = table.dim, coeffs.dim
     rows, cols = basis_dim(flavor, d, n + 1) * m, basis_dim(flavor, d, n) * m
     words = np.zeros((rows, _word_count(cols)), dtype=np.uint64)
-    for r, c in _differential_coords(flavor, table, coeffs, n):
+    for c, r in _coboundary_coords(flavor, table, coeffs, n, np.arange(cols)):
         gf2._xor_scatter(words, r, c)
     return BitMatrix(rows, cols, words)
 

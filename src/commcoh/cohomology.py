@@ -7,10 +7,9 @@ cochain of C^n, so T_n is d^n transposed.  Under the finest grading of
 block-diagonal by weight class, and T_n is ranked as its class blocks
 T_n^W, each as wide as one class of C^{n+1}.  A table with no grading is
 one class: the same route with one block, and so is every explicit tower
-given to betti_table.  The builder's coordinate
-blocks of d^n are scattered transposed into the class blocks as they
-come; a coordinate that crosses classes is an internal error naming its
-degree.
+given to betti_table.  The rows of T_n^W are generated directly, from the
+coordinates of W alone (cochain._coboundary_coords); a one that crosses
+classes is an internal error naming its degree.
 
 Degrees go up, and each clears the next (Chen & Kerber, "Persistent
 homology computation with a twist", 2011).  A kept row of the echelon
@@ -22,13 +21,18 @@ im d^{n-1} in the class) and T_n^W still has the cleared rows: the
 check is complete and a failure names its degree.  The rows left then
 enter _echelon bottom-up, one row block of ints at a time.
 
-Memory: degree n holds T_n packed, split by class, the kept rows of
-T_{n-1} and the echelon of T_n; T_{n-1} is dropped before T_n is built.
+Memory: each class of C^n in turn (or a group of consecutive small
+classes, up to RANK_BLOCK_BYTES packed) is generated, checked, cleared,
+ranked and dropped before the next one is made.  Degree n holds the
+weight classes of C^n and C^{n+1}, the kept rows of T_{n-1} not yet
+used, the kept rows of T_n so far (none at the top degree), and one
+group's packed blocks with the echelon of one class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -36,8 +40,8 @@ from .algebra import BracketTable, weight_grading
 from .cochain import (
     ComplexTower,
     Flavor,
+    _coboundary_coords,
     _coordinate_weights,
-    _differential_coords,
     _require_flavor,
     basis_dim,
 )
@@ -105,13 +109,20 @@ class _Classes:
 
 
 def _classes(weights: np.ndarray) -> _Classes:
-    """Classes of the coordinates whose weights are the rows of weights."""
-    label = np.zeros(weights.shape[0], dtype=np.int64)
-    first = label[:1]  # the first coordinate of each class
-    for w in weights.T:  # refine by one weight at a time; the labels stay below the row count
+    """Classes of the coordinates whose weights are the rows of weights.
+
+    The labels follow the weights in lexicographic order: one np.unique
+    over a mixed-radix key, the first weight most significant.  A key
+    that would pass int64 is first replaced by its rank among the keys.
+    """
+    key = np.zeros(weights.shape[0], dtype=np.int64)
+    for w in weights.T:
         w = w - w.min(initial=0)
-        key = label * (int(w.max(initial=0)) + 1) + w
-        _, first, label = np.unique(key, return_index=True, return_inverse=True)
+        radix = int(w.max(initial=0)) + 1
+        if int(key.max(initial=0)) + 1 > np.iinfo(np.int64).max // radix:
+            key = np.unique(key, return_inverse=True)[1]
+        key = key * radix + w
+    _, first, label = np.unique(key, return_index=True, return_inverse=True)
     sizes = np.bincount(label, minlength=first.size)
     order = np.argsort(label, kind="stable")
     local = np.empty_like(label)
@@ -119,31 +130,52 @@ def _classes(weights: np.ndarray) -> _Classes:
     return _Classes({tuple(k): i for i, k in enumerate(weights[first].tolist())}, label, local, sizes)
 
 
-def _transposed_blocks(coords, lo: _Classes, hi: _Classes, n: int) -> list:
-    """[(class W' of C^{n+1}, T_n^W)] for each class W of C^n, from d^n's coordinate blocks.
+def _degree_classes(flavor, letters, values, n_max: int):
+    """(classes of C^n, classes of C^{n+1}) for n = 0 .. n_max - 1, two degrees alive at a time."""
+    lo = _classes(_coordinate_weights(flavor, letters, values, 0))
+    for n in range(n_max):
+        hi = _classes(_coordinate_weights(flavor, letters, values, n + 1))
+        yield lo, hi
+        lo = hi
 
-    W' has W's weight, or is -1 with T_n^W zero columns wide.  The blocks
-    are slices of one word buffer, filled one coordinate block at a time.
+
+def _class_blocks(coords, lo: _Classes, hi: _Classes, n: int):
+    """(class W' of C^{n+1}, T_n^W) for each class W of C^n in turn, made a group of classes at a time.
+
+    W' has W's weight, or is -1 with T_n^W zero columns wide.  coords(f)
+    gives the ones (i, r) of d(e_f) for the coordinates f[i].  A group is
+    one class, or consecutive classes of at most RANK_BLOCK_BYTES packed;
+    its blocks are slices of one word buffer, filled from its own
+    coordinates only, and made when the consumer reaches its first class.
     """
     match = np.array([hi.ids.get(k, -1) for k in lo.ids], dtype=np.int64)
-    home = np.full(len(hi.ids), -1, dtype=np.int64)  # the class of C^n of each class of C^{n+1}
-    home[match[match >= 0]] = np.flatnonzero(match >= 0)
-    cols = np.append(hi.sizes, 0)[match]
-    nw = (cols + WORD_BITS - 1) // WORD_BITS
-    ends = np.cumsum(lo.sizes * nw)
-    words = np.zeros(int(ends[-1]) if ends.size else 0, dtype=np.uint64)
-    starts = ends - lo.sizes * nw
-    row_word = starts[lo.label] + lo.local * nw[lo.label]  # where the row of each e_f starts
-    for r, c in coords:
-        if not np.array_equal(home[hi.label[r]], lo.label[c]):
-            raise GF2Error(f"coboundary of degree {n} crosses weight classes")
-        col = hi.local[r]
-        bits = np.left_shift(np.uint64(1), (col % WORD_BITS).astype(np.uint64))
-        np.bitwise_xor.at(words, row_word[c] + col // WORD_BITS, bits)
-    return [
-        (int(w), BitMatrix(int(k), int(width), words[a:b].reshape(int(k), int(m))))
-        for w, k, width, m, a, b in zip(match, lo.sizes, cols, nw, starts, ends)
-    ]
+    widths = np.append(hi.sizes, 0)[match]
+    nw = (widths + WORD_BITS - 1) // WORD_BITS
+    nbytes = lo.sizes * nw * 8
+    order = np.argsort(lo.label, kind="stable")  # the coordinates class by class
+    bounds = np.append(0, np.cumsum(lo.sizes))
+    v = 0
+    while v < match.size:
+        e, total = v + 1, nbytes[v]
+        while e < match.size and total + nbytes[e] <= gf2.RANK_BLOCK_BYTES:
+            total += nbytes[e]
+            e += 1
+        ends = np.cumsum(lo.sizes[v:e] * nw[v:e])
+        starts = ends - lo.sizes[v:e] * nw[v:e]
+        words = np.zeros(int(ends[-1]), dtype=np.uint64)
+        f = order[bounds[v] : bounds[e]]
+        home = lo.label[f]  # the class of each row
+        row_word = starts[home - v] + lo.local[f] * nw[home]  # where each row starts
+        for i, r in coords(f):
+            if not np.array_equal(match[home[i]], hi.label[r]):
+                raise GF2Error(f"coboundary of degree {n} crosses weight classes")
+            col = hi.local[r]
+            bits = np.left_shift(np.uint64(1), (col % WORD_BITS).astype(np.uint64))
+            np.bitwise_xor.at(words, row_word[i] + col // WORD_BITS, bits)
+        for w, k, width, m, a, b in zip(match[v:e], lo.sizes[v:e], widths[v:e], nw[v:e], starts, ends):
+            yield int(w), BitMatrix(int(k), int(width), words[a:b].reshape(int(k), int(m)))
+        del words  # before the next group's buffer is made
+        v = e
 
 
 def _check_square(below: dict, t: BitMatrix, n: int) -> None:
@@ -157,23 +189,27 @@ def _check_square(below: dict, t: BitMatrix, n: int) -> None:
             raise GF2Error(f"differentials do not square to zero at degree {n}")
 
 
-def _class_ranks(blocks, below: dict, n: int):
-    """(rank of d^n, {class of C^{n+1}: echelon of T_n^W}) from the class blocks of T_n.
+def _class_ranks(blocks, below: dict, n: int, keep: bool):
+    """(rank of d^n, {class of C^{n+1}: echelon of T_n^W}) from the class blocks of T_n, one at a time.
 
-    below maps each class of C^n to the echelon of T_{n-1} in its columns.
+    below maps each class of C^n to the echelon of T_{n-1} in its columns;
+    each entry goes once its class is ranked.  The echelons are kept for
+    the next degree only when keep is set.
     """
-    rank, kept = 0, {}
-    for v, (w, t) in enumerate(blocks):
-        live = None
-        if below.get(v):
-            _check_square(below[v], t, n - 1)
+    rank, kept, v = 0, {}, -1
+    for w, t in blocks:  # not enumerate, whose result tuple would hold t while the next group is made
+        v += 1
+        live, rows = None, below.pop(v, None)
+        if rows:
+            _check_square(rows, t, n - 1)
             width = _word_count(t.rows) * WORD_BITS
             live = np.ones(t.rows, dtype=bool)
-            live[[width - h for h in below[v]]] = False  # the pivot column of each kept row
+            live[[width - h for h in rows]] = False  # the pivot column of each kept row
         top = _row_echelon(t, live)
         rank += len(top)
-        if top:
+        if top and keep:
             kept[w] = top
+        t = rows = top = None  # the block and its echelon go before the next group is made
     return rank, kept
 
 
@@ -181,7 +217,7 @@ def _betti(label, flavor, dims, degrees) -> BettiTable:
     """Betti table from the class blocks [(class of C^{n+1}, T_n^W)] of n = 0, 1, ..."""
     betti, prev_rank, below = [], 0, {}
     for n, blocks in enumerate(degrees):
-        rank, below = _class_ranks(blocks, below, n)
+        rank, below = _class_ranks(blocks, below, n, n + 2 < len(dims))
         del blocks  # T_n goes before T_{n+1} is built
         betti.append(dims[n] - rank - prev_rank)
         prev_rank = rank
@@ -207,15 +243,16 @@ def cochain_betti_table(
     """betti_table(build_tower(...)) without holding the tower.
 
     Ranked by weight class under the finest grading.  No coboundary is
-    ever held row-major: the builder's coordinate blocks of d^n go
-    straight into the class blocks of T_n.
+    ever built whole: each class block of T_n is generated from its own
+    columns, checked, cleared, ranked and dropped before the next.
     """
     _require_flavor(flavor, table, coeffs)
     dims = tuple(basis_dim(flavor, table.dim, n) * coeffs.dim for n in range(n_max + 1))
     letters, values = weight_grading(table, coeffs)
-    cls = [_classes(_coordinate_weights(flavor, letters, values, n)) for n in range(n_max + 1)]
-    coords = lambda n: _differential_coords(flavor, table, coeffs, n)
-    degrees = (_transposed_blocks(coords(n), cls[n], cls[n + 1], n) for n in range(n_max))
+    degrees = (
+        _class_blocks(partial(_coboundary_coords, flavor, table, coeffs, n), lo, hi, n)
+        for n, (lo, hi) in enumerate(_degree_classes(flavor, letters, values, n_max))
+    )
     return _betti(label, flavor, dims, degrees)
 
 

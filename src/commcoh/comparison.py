@@ -292,47 +292,42 @@ def long_exact_sequence_check(
     qt = rel.quotient_word_tower()
     limit = m_top - 1 if max_degree is None else min(max_degree, m_top - 1)
 
-    degrees = range(limit + 1)
-    h = lambda tower, m: QuotientCoords(cycles(tower, m), boundaries(tower, m))
-    hs = {m: h(rel.sub_tower, m) for m in degrees}
-    ht = {m: h(rel.total_tower, m) for m in degrees}
-    hq = {m: h(qt, m) for m in degrees}
-    i_star = {m: induced_map(rel.incl[m], hs[m], ht[m]) for m in degrees}
-    p_star = {m: induced_map(rel.proj[m], ht[m], hq[m]) for m in degrees}
+    def at(m):
+        """(H^m(sub), H^m(total), H^m(quotient), i_*, p_*) at word degree m."""
+        towers = (rel.sub_tower, rel.total_tower, qt)
+        hs, ht, hq = (QuotientCoords(cycles(t, m), boundaries(t, m)) for t in towers)
+        return hs, ht, hq, induced_map(rel.incl[m], hs, ht), induced_map(rel.proj[m], ht, hq)
 
-    connecting = {}
-    for m in range(limit):
-        reps = hq[m].lift_rows()
+    # one sweep up the degrees, holding H^m and H^{m+1} only; the verdicts
+    # are listed by node kind as the report orders them
+    hs, ht, hq, i_star, p_star = at(0)
+    total_ok, quotient_ok, sub_ok = [], [], [i_star.rank() == hs.dim]
+    connecting = []
+    for m in range(limit + 1):
+        total_ok.append((p_star @ i_star).is_zero() and i_star.rank() + p_star.rank() == ht.dim)
+        if m == limit:
+            break
+        hs1, ht1, hq1, i_star1, p_star1 = at(m + 1)
+        reps = hq.lift_rows()
         if reps.rows == 0:
-            connecting[m] = BitMatrix.zeros(hs[m + 1].dim, 0)
-            continue
-        lifted = (rel.section[m] @ reps.transpose()).transpose()  # reps @ section^T
-        w = lifted @ rel.total_tower.differential(m).transpose()
-        # incl is injective with one representative per column: read u there
-        u = w.take_columns(rel.meta["last"][m + 1])
-        if rel.incl[m + 1] @ u.transpose() != w.transpose():
-            raise GF2Error(f"connecting-map lift failed at word degree {m}")
-        connecting[m] = hs[m + 1].project_rows(u).transpose()
+            delta = BitMatrix.zeros(hs1.dim, 0)
+        else:
+            lifted = (rel.section[m] @ reps.transpose()).transpose()  # reps @ section^T
+            w = lifted @ rel.total_tower.differential(m).transpose()
+            # incl is injective with one representative per column: read u there
+            u = w.take_columns(rel.meta["last"][m + 1])
+            if rel.incl[m + 1] @ u.transpose() != w.transpose():
+                raise GF2Error(f"connecting-map lift failed at word degree {m}")
+            delta = hs1.project_rows(u).transpose()
+        connecting.append(delta)
+        quotient_ok.append((delta @ p_star).is_zero() and p_star.rank() + delta.rank() == hq.dim)
+        sub_ok.append((i_star1 @ delta).is_zero() and delta.rank() + i_star1.rank() == hs1.dim)
+        hs, ht, hq, i_star, p_star = hs1, ht1, hq1, i_star1, p_star1
 
-    nodes = []
-    for m in degrees:
-        ok = (p_star[m] @ i_star[m]).is_zero() and (
-            i_star[m].rank() + p_star[m].rank() == ht[m].dim
-        )
-        nodes.append((f"H^{m}(total)", ok))
-    for m in range(limit):
-        ok = (connecting[m] @ p_star[m]).is_zero() and (
-            p_star[m].rank() + connecting[m].rank() == hq[m].dim
-        )
-        nodes.append((f"H^{m}(quotient)", ok))
-    nodes.append(("H^0(sub)", i_star[0].rank() == hs[0].dim))
-    for m in range(limit):
-        ok = (i_star[m + 1] @ connecting[m]).is_zero() and (
-            connecting[m].rank() + i_star[m + 1].rank() == hs[m + 1].dim
-        )
-        nodes.append((f"H^{m + 1}(sub)", ok))
-
-    return LESReport(tuple(nodes), tuple(connecting[m] for m in sorted(connecting)))
+    nodes = [(f"H^{m}(total)", ok) for m, ok in enumerate(total_ok)]
+    nodes += [(f"H^{m}(quotient)", ok) for m, ok in enumerate(quotient_ok)]
+    nodes += [(f"H^{m}(sub)", ok) for m, ok in enumerate(sub_ok)]
+    return LESReport(tuple(nodes), tuple(connecting))
 
 
 def comparison_filtration(pair: InclusionPair, rel: RelativeTower) -> FilteredTower:

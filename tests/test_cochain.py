@@ -1,6 +1,7 @@
 """Tests for cochain bases, differentials, operators, and inclusions."""
 
 import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -352,26 +353,25 @@ class TestBuildersMatchDenseOracles:
                     assert_same_matrix(diff, want)
 
     @pytest.mark.parametrize("block_bytes", [1, 200, 4096])
-    def test_bottom_up_blocks_reassemble(self, block_bytes, monkeypatch):
+    def test_column_chunks_reassemble(self, block_bytes, monkeypatch):
         cases = [("heis3", "adjoint", Flavor.TENSOR, 4), ("heis3", "flambda", Flavor.SYM, 5),
                  ("abelian3", "coadjoint", Flavor.EXT, 2), ("N", "trivial", Flavor.SYM, 6)]
         want = [cochain._differential(f, catalog(name).table, catalog(name).modules[mod], n)
                 for name, mod, f, n in cases]
         monkeypatch.setattr(gf2, "RANK_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(block_bytes)
         for (name, mod_name, flavor, n), diff in zip(cases, want):
             table, mod = catalog(name).table, catalog(name).modules[mod_name]
-            blocks = list(cochain._differential_coords(flavor, table, mod, n))
-            # each block holds whole monomial rows, the last monomials come
-            # first, and only the top block may have fewer monomials
-            step = max(1, block_bytes // (mod.dim * gf2._word_count(diff.cols) * 8))
-            stop = diff.rows
-            for r, c in blocks:
-                start = max(0, stop - step * mod.dim)
-                assert r.size == c.size and ((start <= r) & (r < stop)).all()
-                stop = start
-            assert stop == 0 and len(blocks) == -(-diff.rows // (step * mod.dim))
-            r, c = (np.concatenate(x) for x in zip(*blocks))
-            assert BitMatrix.from_coords(diff.rows, diff.cols, r, c) == diff
+            # every column in order, and a shuffled half of them
+            for cols in (np.arange(diff.cols), rng.permutation(diff.cols)[: diff.cols // 2]):
+                chunks = list(cochain._coboundary_coords(flavor, table, mod, n, cols))
+                # the chunks take the columns in order, whole, and each at least one
+                stop = 0
+                for i, r in chunks:
+                    assert i.size == r.size and (i >= stop).all()
+                    stop = max(stop + 1, int(i.max(initial=-1)) + 1)
+                assert stop <= max(cols.size, 1) and len(chunks) <= max(cols.size, 1)
+                assert _generated(diff.rows, cols, chunks) == _rows_of(diff.transpose(), cols)
             assert cochain._differential(flavor, table, mod, n) == diff
 
     def test_tensor_build_allocates_no_dense_matrix(self):
@@ -386,6 +386,67 @@ class TestBuildersMatchDenseOracles:
             tracemalloc.stop()
         assert diff.shape == (19683, 6561)
         assert peak < 2.5 * diff.words.nbytes
+
+
+def _generated(rows: int, cols, chunks) -> BitMatrix:
+    """The ones (i, r) of the generator's chunks as len(cols) x rows: row i is d(e_f), f = cols[i]."""
+    i, r = (np.concatenate(x) for x in zip(*chunks)) if chunks else ([], [])
+    return BitMatrix.from_coords(len(cols), rows, i, r)
+
+
+def _rows_of(m: BitMatrix, rows) -> BitMatrix:
+    return BitMatrix(len(rows), m.cols, m.words[rows])
+
+
+@lru_cache(maxsize=None)
+def _dense_transposed(name, mod_name, flavor, n) -> BitMatrix:
+    entry = catalog(name)
+    return dense.differential(flavor, entry.table, entry.modules[mod_name], n).transpose()
+
+
+def _column_subset(rng, size: int):
+    """A random subset of range(size) in random order, never empty when size is not."""
+    take = rng.random(size) < 0.5
+    if size:
+        take[rng.integers(size)] = True
+    return rng.permutation(np.flatnonzero(take))
+
+
+class TestColumnGenerator:
+    """d(e_f) from _coboundary_coords against the dense loop over rows, bit for bit."""
+
+    @pytest.mark.parametrize("block_bytes", [1, 64, 4096, None])
+    def test_catalog_matches_dense_oracle(self, block_bytes, monkeypatch):
+        if block_bytes is not None:
+            monkeypatch.setattr(gf2, "RANK_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(7)
+        for name in catalog_names():
+            entry = catalog(name)
+            for mod_name in ("trivial", "adjoint", "coadjoint", "flambda"):
+                mod = entry.modules[mod_name]
+                for flavor in Flavor:
+                    for n in range(4):
+                        want = _dense_transposed(name, mod_name, flavor, n)
+                        for cols in (np.arange(want.rows), _column_subset(rng, want.rows)):
+                            chunks = list(cochain._coboundary_coords(flavor, entry.table, mod, n, cols))
+                            got = _generated(want.cols, cols, chunks)
+                            assert_same_matrix(got, _rows_of(want, cols))
+
+    @settings(max_examples=80, deadline=None)
+    @given(builder_inputs(), st.sampled_from([1, 64, 4096, None]), st.integers(0, 2**32 - 1))
+    def test_drawn_tables_match_dense_oracle(self, inputs, block_bytes, seed):
+        # no axioms: the generator reads any table and any action
+        d, m, n, c, rho = inputs
+        table, coeffs = BracketTable(c), ModuleSpec(m, rho)
+        rng = np.random.default_rng(seed)
+        with pytest.MonkeyPatch.context() as mp:
+            if block_bytes is not None:
+                mp.setattr(gf2, "RANK_BLOCK_BYTES", block_bytes)
+            for flavor in Flavor:
+                want = dense.differential(flavor, table, coeffs, n).transpose()
+                for cols in (np.arange(want.rows), _column_subset(rng, want.rows)):
+                    chunks = list(cochain._coboundary_coords(flavor, table, coeffs, n, cols))
+                    assert_same_matrix(_generated(want.cols, cols, chunks), _rows_of(want, cols))
 
 
 def _keeps_weight(flavor, table, coeffs, n) -> bool:
