@@ -62,7 +62,7 @@ import numpy as np
 
 from .algebra import BracketTable, ModuleSpec, check_module_axioms, classify_algebra
 from . import gf2
-from .gf2 import _COORD_BYTES, BitMatrix, _word_count
+from .gf2 import _COORD_BYTES, BitMatrix, _gather, _grouped, _runs, _word_count
 
 __all__ = [
     "Flavor",
@@ -202,12 +202,6 @@ def _require_flavor(flavor: Flavor, table: BracketTable, coeffs: ModuleSpec):
         raise PreconditionError(f"coefficients fail axiom {check.axiom} at {check.pair}")
 
 
-def _runs(counts: np.ndarray):
-    """(run, offset) of each element of consecutive runs of the given lengths."""
-    run = np.repeat(np.arange(counts.size), counts)
-    return run, np.arange(run.size) - np.repeat(np.cumsum(counts) - counts, counts)
-
-
 def _coboundary_coords(flavor, table, coeffs, n, cols):
     """The ones (i, r) of d(e_f) for the degree-n coordinates f = cols[i], a chunk of cols at a time.
 
@@ -230,8 +224,7 @@ def _coboundary_coords(flavor, table, coeffs, n, cols):
     ba, bb, bk = np.nonzero(table.c)
     if flavor is not Flavor.TENSOR:
         ba, bb, bk = (x[ba <= bb] for x in (ba, bb, bk))
-    by_k = np.argsort(bk, kind="stable")
-    brackets = ba[by_k], bb[by_k], np.bincount(bk, minlength=d)
+    brackets = _grouped(bk, np.column_stack((ba, bb)), d)  # the pairs (a, b) of each k
     # act[x, b] flags the a of each one rho(x)[a, b]
     act = coeffs.rho.transpose(0, 2, 1).astype(bool)
     # about the terms of one column (fewer for SYM and EXT): an average
@@ -247,14 +240,6 @@ def _coboundary_coords(flavor, table, coeffs, n, cols):
         yield i + start, r
 
 
-def _bracket_terms(k: np.ndarray, brackets):
-    """(term, a, b) for each bracket [a, b] = k[term]."""
-    ba, bb, nb = brackets
-    run, off = _runs(nb[k])
-    t = (np.cumsum(nb) - nb)[k[run]] + off
-    return run, ba[t], bb[t]
-
-
 def _tensor_terms(flavor, d, n, mono, val, act, brackets):
     """Terms (column, row) of the TENSOR coboundary, by rank arithmetic on the digits of mono."""
     m = act.shape[1]
@@ -267,7 +252,8 @@ def _tensor_terms(flavor, d, n, mono, val, act, brackets):
     # slot p holds k = [a, b]: b replaces it and a goes into a slot i <= p
     j, p = np.divmod(np.arange(mono.size * n), max(n, 1))
     k = mono[j] // pw[p] % d
-    run, a, b = _bracket_terms(k, brackets)
+    run, ab = _gather(brackets, k, np.arange(k.size))
+    a, b = ab.T
     j, p, k = j[run], p[run], k[run]
     swapped = mono[j] + (b - k) * pw[p]
     run, i = _runs(p + 1)
@@ -289,7 +275,8 @@ def _sorted_terms(flavor, d, n, mono, val, act, brackets):
     first = np.ones(u.shape, dtype=bool)
     first[:, 1:] = u[:, 1:] != u[:, :-1]
     j, p = np.nonzero(first)
-    run, a, b = _bracket_terms(u[j, p], brackets)
+    run, ab = _gather(brackets, u[j, p], np.arange(j.size))
+    a, b = ab.T
     j, p = j[run], p[run]
     others = np.nonzero(np.arange(n) != np.arange(n)[:, None])[1].reshape(n, max(n - 1, 0))
     words = np.column_stack([u[j[:, None], others[p]], a, b])

@@ -54,6 +54,7 @@ from .gf2 import (
     Subspace,
     _int_words,
     _row_echelon,
+    _runs,
     _word_count,
     image,
     induced_map,
@@ -126,7 +127,7 @@ def _classes(weights: np.ndarray) -> _Classes:
     sizes = np.bincount(label, minlength=first.size)
     order = np.argsort(label, kind="stable")
     local = np.empty_like(label)
-    local[order] = np.arange(label.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    local[order] = _runs(sizes)[1]
     return _Classes({tuple(k): i for i, k in enumerate(weights[first].tolist())}, label, local, sizes)
 
 

@@ -79,12 +79,7 @@ from .gf2 import (
     WordMap,
     induced_map,
 )
-from .spectral import (
-    FilteredTower,
-    compute_pages,
-    convergence_check,
-    validate_filtration,
-)
+from .spectral import FilteredTower, compute_pages, convergence_check
 
 __all__ = [
     "RelativeTower",
@@ -109,14 +104,6 @@ def _sort_prefix(words, p):
     out = words.copy()
     out[:, :p] = np.sort(words[:, :p], axis=1)
     return out
-
-
-def _prefix_defects(d: int, n: int, p: int):
-    """All words of length n in colex order, and whether their first p
-    letters repeat a letter."""
-    words = _monomials(Flavor.TENSOR, d, n)
-    srt = np.sort(words[:, :p], axis=1)
-    return words, (srt[:, 1:] == srt[:, :-1]).any(axis=1)
 
 
 def _expand(idx, mdim: int):
@@ -335,7 +322,8 @@ def comparison_filtration(pair: InclusionPair, rel: RelativeTower) -> FilteredTo
 
     All three chains are normalized to start at internal index 0 = full
     space; the two chains customarily written from index 1 carry
-    index_offset 1 so reports can translate back.
+    index_offset 1 so reports can translate back.  d-compatibility is
+    checked when the tower is paired (compute_pages, infinity_entries).
     """
     d, mdim = rel.table.dim, rel.coeffs.dim
     total = INCLUSION_FLAVORS[pair][1]
@@ -350,22 +338,18 @@ def comparison_filtration(pair: InclusionPair, rel: RelativeTower) -> FilteredTo
         # a word's class: the generator owning its prefix-sorted word, if any
         cls = lambda w, p: owner[_index(total, d, _sort_prefix(w, p))]
         chain = [np.arange(rel.tower.dims[n])]
+        # all words of length m in colex order, and whether their first p + 1 letters repeat one
+        all_words = _monomials(Flavor.TENSOR, d, m) if kills else np.zeros((0, m), dtype=np.int64)
+        repeat = np.zeros(len(all_words), dtype=bool)
         for p in range(1, m):
-            all_words, repeat = _prefix_defects(d, m, p + 1)
-            dead = cls(all_words[repeat & kills], p + 1)
+            repeat |= (all_words[:, :p] == all_words[:, p, None]).any(axis=1)
+            dead = cls(all_words[repeat], p + 1)
             chain.append(_expand(_leaders(cls(words, p + 1), dead), mdim))
         if (chain[-1] >= 0).any():
             chain.append(np.full(rel.tower.dims[n], -1))
         filt.append(tuple(chain))
     offset = 0 if pair is InclusionPair.EXT_IN_TENSOR else 1
-    ft = FilteredTower(
-        rel.tower,
-        tuple(filt),
-        label=f"comparison[{pair.value}]",
-        index_offset=offset,
-    )
-    validate_filtration(ft)
-    return ft
+    return FilteredTower(rel.tower, tuple(filt), label=f"comparison[{pair.value}]", index_offset=offset)
 
 
 def _dual_words(flavor, d, p):

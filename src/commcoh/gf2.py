@@ -121,6 +121,28 @@ def _xor_scatter(words: np.ndarray, r: np.ndarray, c: np.ndarray) -> None:
     np.bitwise_xor.at(words.reshape(-1), r * nw + c // WORD_BITS, bits)
 
 
+def _runs(counts: np.ndarray):
+    """(run, offset) of each element of consecutive runs of the given lengths."""
+    run = np.repeat(np.arange(counts.size), counts)
+    return run, np.arange(run.size) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _grouped(keys, values, n: int) -> tuple:
+    """values grouped by key (0 <= key < n, others dropped), as (starts, values):
+    the values of key x are values[starts[x] : starts[x + 1]]."""
+    keep = keys >= 0
+    keys, values = keys[keep], values[keep]
+    starts = np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=n))))
+    return starts, values[np.argsort(keys, kind="stable")]
+
+
+def _gather(grouped: tuple, keys, tags) -> tuple:
+    """(tag, value) for each value grouped under keys[t], tagged tags[t]."""
+    starts, values = grouped
+    run, offset = _runs(starts[keys + 1] - starts[keys])
+    return tags[run], values[starts[keys][run] + offset]
+
+
 def _echelon(rows, top=None) -> dict:
     """Independent rows spanning rows, keyed by the bit length of each (its pivot).
 
@@ -577,8 +599,11 @@ def induced_map(m: "BitMatrix | WordMap", dom: QuotientCoords, cod: QuotientCoor
     if m.cols != dom.sup.ambient_dim or m.rows != cod.sup.ambient_dim:
         raise GF2Error("induced_map: matrix shape does not match ambients")
     apply_rows = lambda vecs: (m @ vecs.transpose()).transpose()  # vecs @ m^T, through m @ packed
-    if dom.sup.dim and not cod.sup.reduce_rows(apply_rows(dom.sup.basis)).is_zero():
+    img = apply_rows(dom.sup.basis)
+    if not cod.sup.reduce_rows(img).is_zero():
         raise GF2Error("induced_map: m does not map dom_a into cod_c")
     if dom.sub.dim and not cod.sub.reduce_rows(apply_rows(dom.sub.basis)).is_zero():
         raise GF2Error("induced_map: m does not map dom_b into cod_d")
-    return cod.project_rows(apply_rows(dom.lift_rows())).transpose()
+    # the lifts are rows of a's basis, so their images are rows of img, inside c
+    lifted = BitMatrix(dom.dim, img.cols, img.words[dom.free])
+    return cod.sub.reduce_rows(lifted).take_columns(np.take(cod.sup.pivots, cod.free)).transpose()

@@ -7,10 +7,12 @@ level f; each differential, written in these bases, is reduced so that
 it pairs sources with targets.  A pair of gap r = f(target) - f(source)
 is d_r: both ends survive to E_r and die on E_{r+1}.  So dim E_r(p, q)
 counts the level-p vectors of C^{p+q} outside pairs of gap below r, and
-E_infinity the unpaired ones.  Closed forms are cross checks, so a
-discrepancy with a pencil computation is surfaced rather than baked in.
-Entries touching the truncation degree are excluded from convergence
-checks.
+E_infinity the unpaired ones.  The same pairing checks that d respects
+the filtration (_pairing), so a filtered tower's structure is checked
+when it is made and its d-compatibility when it is paired.  Closed
+forms are cross checks, so a discrepancy with a pencil computation is
+surfaced rather than baked in.  Entries touching the truncation degree
+are excluded from convergence checks.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .cochain import (
 )
 from .cohomology import betti_table, cochain_betti_table, induced_map_on_cohomology
 from .gf2 import RANK_BLOCK_BYTES, WORD_BITS, BitMatrix, GF2Error, Subspace, WordMap
-from .gf2 import _echelon, _int_rows, _word_count
+from .gf2 import _echelon, _gather, _grouped, _int_rows, _word_count
 
 __all__ = [
     "FiltrationError",
@@ -109,30 +111,6 @@ class FilteredTower:
         return max(len(chain) for chain in self.filt)
 
 
-def validate_filtration(ft: FilteredTower) -> None:
-    """Check that d maps each step into the same step one degree up.
-
-    Read off d's coordinates: each one (r, c) with c in a class of F^p C^n
-    gives the pair (r, leader of c's class), and the pairs of odd
-    multiplicity are the ones of d applied to each class indicator.  Such
-    an image lies in F^p C^{n+1} iff each of its rows is live there and,
-    on each class there, it holds none or all of the class's members.
-    """
-    for n in range(ft.n_max):
-        r, c = ft.tower.differential(n).coords()
-        rows = ft.tower.dims[n + 1]
-        for p, lead in enumerate(ft.filt[n]):
-            up, hit = ft.step(n + 1, p), lead[c] >= 0
-            pairs, mult = np.unique(lead[c[hit]] * rows + r[hit], return_counts=True)
-            src, row = np.divmod(pairs[mult % 2 == 1], rows)
-            tgt = up[row]
-            # the odd rows of each (source class, target class), against the target's size
-            keys, held = np.unique(src * rows + tgt, return_counts=True)
-            size = np.bincount(up[up >= 0], minlength=rows)
-            if not ((tgt >= 0).all() and np.array_equal(held, size[keys % rows])):
-                raise FiltrationError(f"d F^{p} C^{n} not contained in F^{p} C^{n + 1}")
-
-
 def subalgebra_filtration(
     table: BracketTable, h: Subspace, coeffs, n_max: int
 ) -> FilteredTower:
@@ -141,7 +119,8 @@ def subalgebra_filtration(
     The complex is rebuilt in an adapted basis (h first); F^p C^n is then
     the span of coordinate functionals on monomials with at most n - p
     factors in the h block, i.e. the annihilator of the monomials with at
-    least n - p + 1 such factors.  d-compatibility is verified.
+    least n - p + 1 such factors.  d-compatibility is checked when the
+    tower is paired (compute_pages, infinity_entries).
     """
     split = quotient_algebra(table, h, require_ideal=False)
     t_ad = change_basis(table, split.adapted)
@@ -153,14 +132,12 @@ def subalgebra_filtration(
         counts = (_monomials(Flavor.SYM, table.dim, n) < split.h_dim).sum(axis=1)
         counts, idx = counts.repeat(coeffs.dim), np.arange(counts.size * coeffs.dim)
         filt.append(tuple(np.where(counts <= n - p, idx, -1) for p in range(n + 2)))
-    ft = FilteredTower(
+    return FilteredTower(
         tower,
         tuple(filt),
         label=f"subalgebra-filtration[{split.verdict.value}]",
         meta={"split": split, "coeffs": coeffs, "table": table},
     )
-    validate_filtration(ft)
-    return ft
 
 
 @dataclass(frozen=True)
@@ -196,23 +173,6 @@ def _adapted_basis(chain) -> tuple:
     return depth[pivots].tolist(), (k[order], i[order]), WordMap(idx.size, idx.size, pivots, up)
 
 
-def _grouped(keys, values, n: int) -> tuple:
-    """values grouped by key (0 <= key < n, others dropped), as (starts, values):
-    the values of key x are values[starts[x] : starts[x + 1]]."""
-    keep = keys >= 0
-    keys, values = keys[keep], values[keep]
-    starts = np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=n))))
-    return starts, values[np.argsort(keys, kind="stable")]
-
-
-def _gather(grouped: tuple, keys, tags) -> tuple:
-    """(tag, value) for each value grouped under keys[t], tagged tags[t]."""
-    starts, values = grouped
-    counts = starts[keys + 1] - starts[keys]
-    first = np.repeat(starts[keys] - (np.cumsum(counts) - counts), counts)
-    return np.repeat(tags, counts), values[first + np.arange(first.size)]
-
-
 def _images(d: BitMatrix, basis: tuple, coords: WordMap):
     """The image under d of each basis row, in the target's coordinates
     coords, as an int (_int_rows), last row first.
@@ -238,6 +198,16 @@ def _images(d: BitMatrix, basis: tuple, coords: WordMap):
         yield from reversed(_int_rows(block.words))
 
 
+def _within(group, levels: list, width: int, low: list):
+    """The images y of group's (level f, y), noting in low the level t of
+    each one whose highest bit lies at t < f: that image leaves F^f."""
+    for f, y in group:
+        t = levels[width - y.bit_length()] if y else f
+        if t < f:
+            low.append(t)
+        yield y
+
+
 def _pairing(ft: FilteredTower) -> tuple:
     """Levels of the adapted basis of each C^n, and the pairs of each d^n.
 
@@ -248,6 +218,12 @@ def _pairing(ft: FilteredTower) -> tuple:
     a source is reduced only by sources of its level or deeper and pairs
     with its image's lowest-level target (Edelsbrunner & Harer,
     Computational Topology, ch. VII).
+
+    This is also where d-compatibility is checked.  The target rows of
+    level >= p span F^p C^{n+1}, so the raw image of a level-f row lies in
+    F^f exactly when its highest bit is at a level t >= f.  An image with
+    t < f puts d F^p C^n outside F^p C^{n+1} for t < p <= f, and once
+    degree n is paired the smallest such p is raised as a FiltrationError.
     """
     bases = map(_adapted_basis, ft.filt)  # built as needed: two degrees are held at a time
     src_levels, src, _ = next(bases)
@@ -256,13 +232,16 @@ def _pairing(ft: FilteredTower) -> tuple:
         tgt_levels, tgt, coords = next(bases)
         sizes.append(Counter(tgt_levels))
         width = _word_count(len(tgt_levels)) * WORD_BITS
-        top, found = {}, Counter()
+        top, found, low = {}, Counter(), []
         deepest_first = zip(reversed(src_levels), _images(ft.tower.differential(n), src, coords))
         for f, group in groupby(deepest_first, key=lambda row: row[0]):
             size = len(top)
-            _echelon((y for _, y in group), top)
+            _echelon(_within(group, tgt_levels, width, low), top)
             for h in islice(top, size, None):
                 found[(f, tgt_levels[width - h])] += 1
+        if low:
+            p = min(low) + 1
+            raise FiltrationError(f"d F^{p} C^{n} not contained in F^{p} C^{n + 1}")
         pairs.append(found)
         src, src_levels = tgt, tgt_levels
     return sizes, pairs

@@ -85,6 +85,14 @@ def repeat_span_rows(d: int, n: int, p: int | None = None) -> list:
     return rows
 
 
+def prefix_repeats(d: int, n: int, p: int):
+    """All words of length n in colex order, and whether their first p
+    letters repeat a letter, by sorting each prefix."""
+    words = _monomials(Flavor.TENSOR, d, n)
+    srt = np.sort(words[:, :p], axis=1)
+    return words, (srt[:, 1:] == srt[:, :-1]).any(axis=1)
+
+
 def swap_span_rows(d: int, n: int, p: int | None = None) -> list:
     """The adjacent-swap span generators as (kind, word) pairs, one word at a time."""
     if p is None:
@@ -349,7 +357,7 @@ def build_cr_mixed(table, coad, n_cr_max: int):
         words = _monomials(Flavor.TENSOR, d, m)
         cls = np.empty(d**m, dtype=np.int64)
         cls[combined_index(d, words)] = _index(Flavor.SYM, d, words)
-        _, repeat = comparison._prefix_defects(d, m, m - 1)
+        _, repeat = prefix_repeats(d, m, m - 1)
         a_sub.append(class_span(cls, _index(Flavor.SYM, d, words[repeat]), 1))
 
     restr = []
@@ -442,7 +450,7 @@ def comparison_chains(pair, rel) -> tuple:
         cls = lambda w, p: owner[_index(total, d, comparison._sort_prefix(w, p))]
         chain = [Subspace.full(rel.tower.dims[n])]
         for p in range(1, m):
-            all_words, repeat = comparison._prefix_defects(d, m, p + 1)
+            all_words, repeat = prefix_repeats(d, m, p + 1)
             chain.append(class_span(cls(words, p + 1), cls(all_words[repeat & kills], p + 1), mdim))
         if chain[-1].dim:
             chain.append(Subspace.zero(rel.tower.dims[n]))

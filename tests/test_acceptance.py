@@ -41,6 +41,7 @@ from commcoh.comparison import (
 from commcoh.catalog import line_module_instances, survey_enumerate
 from commcoh.cli import run
 from commcoh.spectral import (
+    compute_pages,
     convergence_check,
     e2_closed_form_check,
     infinity_entries,
@@ -152,10 +153,10 @@ def test_c02_cartan_relation():
 
 def test_c03_filtration_compatibility():
     failures = []
-    # subalgebra filtrations validate d-compatibility on construction
+    # pairing a filtered tower checks its d-compatibility
     for name, sub in (("N", "e"), ("a", "e"), ("a", "h"), ("heis3", "z"), ("heis3", "x")):
         try:
-            _hs_filtration(name, sub, "trivial", 5)
+            compute_pages(_hs_filtration(name, sub, "trivial", 5))
         except Exception as exc:  # pragma: no cover - failure reporting
             failures.append((name, sub, exc))
     rng = np.random.default_rng(77)
@@ -165,21 +166,21 @@ def test_c03_filtration_compatibility():
         h = random_subalgebra(rng, t)
         mod = random_valid_module(rng, t)
         try:
-            subalgebra_filtration(t, h, mod, 5)
+            compute_pages(subalgebra_filtration(t, h, mod, 5))
         except Exception as exc:  # pragma: no cover
             failures.append(("random", i, exc))
     # comparison filtrations, all three kinds per algebra class
     for name in ("N", "a", "abelian1", "abelian2"):
         for pair in _pairs_for(name):
             try:
-                comparison_filtration(pair, _rel(name, pair, "trivial", 5))
+                compute_pages(comparison_filtration(pair, _rel(name, pair, "trivial", 5)))
             except Exception as exc:  # pragma: no cover
                 failures.append((name, pair.value, exc))
     try:
-        comparison_filtration(
+        compute_pages(comparison_filtration(
             InclusionPair.SYM_IN_TENSOR,
             _rel("heis3", InclusionPair.SYM_IN_TENSOR, "trivial", 4),
-        )
+        ))
     except Exception as exc:  # pragma: no cover
         failures.append(("heis3", exc))
     _report(3, "filtrations are compatible with the differential, degrees <= 5", failures)

@@ -65,7 +65,7 @@ class TestSpans:
         for d in (2, 3):
             for n in range(2, 6):
                 for p in range(n + 1):
-                    words, repeat = comparison._prefix_defects(d, n, p)
+                    words, repeat = dense.prefix_repeats(d, n, p)
                     assert repeat.sum() == d**n - perm(d, p) * d ** (n - p)
                     cls = _index(Flavor.TENSOR, d, comparison._sort_prefix(words, p))
                     assert len(np.unique(cls)) == comb(d + p - 1, p) * d ** (n - p)
@@ -84,7 +84,7 @@ class TestSpans:
                     words = inclusion_class_map(pair, d, n, 1)[0]
                     assert list(map(tuple, words.tolist())) == [w for _, w in oracle(d, n)]
                 for p in range(n + 1):
-                    words, repeat = comparison._prefix_defects(d, n, p)
+                    words, repeat = dense.prefix_repeats(d, n, p)
                     want = [w for kind, w in dense.repeat_span_rows(d, n, p) if kind == "unit"]
                     assert list(map(tuple, words[repeat].tolist())) == want, (d, n, p)
 

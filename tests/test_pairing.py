@@ -27,7 +27,6 @@ from commcoh.spectral import (
     infinity_entries,
     stabilization_index,
     subalgebra_filtration,
-    validate_filtration,
 )
 
 from conftest import catalog, class_leaders, raises_promptly, random_invertible
@@ -119,7 +118,7 @@ def interval_complexes(draw) -> FilteredTower:
         steps = [np.where(lv >= p, idx, -1) for p in range(length)]
         filt.append(tuple(steps) + (np.full(len(lv), -1),))
     ft = FilteredTower(ComplexTower(dims, diffs, None), tuple(filt))
-    validate_filtration(ft)
+    compute_pages(ft)  # raises unless the construction respects the filtration
     return ft
 
 

@@ -27,7 +27,6 @@ from commcoh.spectral import (
     infinity_entries,
     stabilization_index,
     subalgebra_filtration,
-    validate_filtration,
 )
 
 from conftest import (
@@ -147,11 +146,11 @@ def compatible_complexes(draw):
 
 
 def _verdicts(tower, filt) -> tuple:
-    """The messages validate_filtration and the pivot-column oracle raise
-    on (tower, filt), None where one passes."""
+    """The messages the pairing (FilteredTower, then compute_pages) and the
+    pivot-column oracle raise on (tower, filt), None where one passes."""
     out = []
     for check in (
-        lambda: validate_filtration(FilteredTower(tower, filt)),
+        lambda: compute_pages(FilteredTower(tower, filt)),
         lambda: validate_chains(tower, spanned_chains(filt)),
     ):
         try:
@@ -224,7 +223,28 @@ class TestFiltration:
                 bad.append((full, zero))
         ft = FilteredTower(tower, tuple(bad))
         with pytest.raises(FiltrationError):
-            validate_filtration(ft)
+            compute_pages(ft)
+
+    def test_non_subalgebra_steps_raise_on_every_pairing_route(self):
+        # the subalgebra filtration's steps for span{x, y} of heis3, which
+        # subalgebra_filtration refuses ([x, y] = z): the pages, the stable
+        # entries and the convergence check each pair the tower, and raise
+        # the pivot-column oracle's message
+        heis = catalog("heis3")
+        tower = build_tower(Flavor.SYM, heis.table, heis.modules["trivial"], 4)
+        filt = []
+        for n in range(5):
+            counts = np.array([sum(i < 2 for i in mono) for mono in basis_tuples(Flavor.SYM, 3, n)])
+            idx = np.arange(counts.size)
+            filt.append(tuple(np.where(counts <= n - p, idx, -1) for p in range(n + 2)))
+        with pytest.raises(FiltrationError) as want:
+            validate_chains(tower, spanned_chains(tuple(filt)))
+        assert str(want.value) == "d F^1 C^1 not contained in F^1 C^2"
+        ft = FilteredTower(tower, tuple(filt))
+        for route in (compute_pages, infinity_entries, convergence_check):
+            with pytest.raises(FiltrationError) as got:
+                route(ft)
+            assert str(got.value) == str(want.value), route.__name__
 
     def test_random_subalgebras_compatible(self):
         rng = np.random.default_rng(30)
@@ -234,7 +254,8 @@ class TestFiltration:
             t = random_comm_lie_table(rng, d)
             h = random_subalgebra(rng, t)
             mod = random_valid_module(rng, t)
-            ft = subalgebra_filtration(t, h, mod, 5)  # validates on construction
+            ft = subalgebra_filtration(t, h, mod, 5)
+            compute_pages(ft)  # pairing the tower checks d-compatibility
             assert_steps_span(ft, subalgebra_chains(ft))
             built += 1
         assert built == 12
@@ -260,7 +281,7 @@ class TestFiltration:
                (np.arange(2), np.zeros(2, dtype=int), np.full(2, -1)))))
     def test_forged_chains_raise_where_the_oracle_does(self, forged):
         # the structure is checked when the tower is made, d-compatibility
-        # by validate_filtration; the pivot-column oracle checks both at once
+        # when it is paired; the pivot-column oracle checks both at once
         got, want = _verdicts(*forged)
         assert got == want
 
@@ -295,6 +316,16 @@ class TestFiltration:
         full, zero = np.arange(2), np.full(2, -1)
         filt = ((full, np.zeros(2, dtype=int), zero), (full, np.array(up), zero))
         assert _verdicts(tower, filt) == (error, error)
+
+    def test_smallest_step_left_is_reported(self):
+        # C^0 coordinates 0, 1 at levels 2, 3; C^1 coordinates 0, 1, 2 at
+        # levels 0, 1, 2.  d e_1 = e_1, paired first, leaves F^2 and F^3;
+        # d e_0 = e_0 leaves F^1 and F^2: the smallest step left is 1, not 2
+        tower = ComplexTower((2, 3), (BitMatrix.from_dense([[1, 0], [0, 1], [0, 0]]),), None)
+        lo = (np.arange(2),) * 3 + (np.array([-1, 1]), np.full(2, -1))
+        hi = (np.arange(3), np.array([-1, 1, 2]), np.array([-1, -1, 2]), np.full(3, -1))
+        error = "d F^1 C^0 not contained in F^1 C^1"
+        assert _verdicts(tower, (lo, hi)) == (error, error)
 
 
 class TestPages:
