@@ -495,6 +495,8 @@ def _run(args):
             digest = _digest("survey", _payload_args(args))
         else:
             entry = _load_algebra(args.algebra)
+            if args.algebra.startswith("catalog:"):  # one digest however the name is spelled
+                args.algebra = f"catalog:{entry.name}"
             digest = _digest(
                 args.command,
                 entry.table.c.tobytes(),

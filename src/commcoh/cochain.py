@@ -389,9 +389,12 @@ class ComplexTower:
         return self.diffs[n]
 
     def check_composition(self) -> bool:
+        """True, or GF2Error naming the first n with d^{n+1} d^n != 0.
+
+        Each product is taken one row block of d^{n+1} at a time."""
         for n in range(len(self.diffs) - 1):
-            if not (self.diffs[n + 1] @ self.diffs[n]).is_zero():
-                return False
+            if any(not (b @ self.diffs[n]).is_zero() for b in self.diffs[n + 1].row_blocks()):
+                raise gf2.GF2Error(f"differentials do not square to zero at degree {n}")
         return True
 
 

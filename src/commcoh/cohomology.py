@@ -1,15 +1,17 @@
 """Cohomology of a cochain tower: Betti tables, representatives, induced maps.
 
-Betti numbers come from ranks, and every rank is taken on a transposed
-coboundary: row f of T_n is d(e_f), the coboundary of the f-th basis
-cochain of C^n, so T_n is d^n transposed.  Under the finest grading of
-(table, coefficients) (algebra.weight_grading) every coboundary is
-block-diagonal by weight class, and T_n is ranked as its class blocks
-T_n^W, each as wide as one class of C^{n+1}.  A table with no grading is
-one class: the same route with one block, and so is every explicit tower
-given to betti_table.  The rows of T_n^W are generated directly, from the
-coordinates of W alone (cochain._coboundary_coords); a one that crosses
-classes is an internal error naming its degree.
+Betti numbers come from ranks.  A tower held whole (betti_table) is
+checked by ComplexTower.check_composition and each d^n ranked by rows as
+it is held.  The flavor tables (cochain_betti_table) are ranked on
+generated transposed coboundaries: row f of T_n is d(e_f), the
+coboundary of the f-th basis cochain of C^n, so T_n is d^n transposed.
+Under the finest grading of (table, coefficients) (algebra.weight_grading)
+every coboundary is block-diagonal by weight class, and T_n is ranked as
+its class blocks T_n^W, each as wide as one class of C^{n+1}.  A table
+with no grading is one class: the same route with one block.  The rows of
+T_n^W are generated directly, from the coordinates of W alone
+(cochain._coboundary_coords); a one that crosses classes is an internal
+error naming its degree.
 
 Degrees go up, and each clears the next (Chen & Kerber, "Persistent
 homology computation with a twist", 2011).  A kept row of the echelon
@@ -214,28 +216,19 @@ def _class_ranks(blocks, below: dict, n: int, keep: bool):
     return rank, kept
 
 
-def _betti(label, flavor, dims, degrees) -> BettiTable:
-    """Betti table from the class blocks [(class of C^{n+1}, T_n^W)] of n = 0, 1, ..."""
-    betti, prev_rank, below = [], 0, {}
-    for n, blocks in enumerate(degrees):
-        rank, below = _class_ranks(blocks, below, n, n + 2 < len(dims))
-        del blocks  # T_n goes before T_{n+1} is built
-        betti.append(dims[n] - rank - prev_rank)
-        prev_rank = rank
-    return BettiTable(label, flavor, tuple(betti))
-
-
 def betti_table(tower: ComplexTower) -> BettiTable:
     """Exact cohomology dimensions for degrees 0 .. n_max - 1.
 
     The final degree is excluded: its outgoing differential is unknown.
-    The tower is ranked as one class, each T_n = d^n transposed; the
-    flavor tables, ranked by weight class, come from cochain_betti_table.
-    A tower whose consecutive differentials do not compose to zero is an
-    upstream axiom violation and is rejected.
+    A tower whose differentials do not compose to zero is an upstream
+    axiom violation, rejected by check_composition; then each d^n is
+    ranked by rows as it is held, with no transposed copy.
     """
-    degrees = ([(0, d.transpose())] for d in tower.diffs)
-    return _betti(tower.label, tower.flavor, tower.dims, degrees)
+    tower.check_composition()
+    ranks = [0] + [d.rank() for d in tower.diffs]
+    return BettiTable(tower.label, tower.flavor, tuple(
+        dim - lo - hi for dim, lo, hi in zip(tower.dims, ranks, ranks[1:])
+    ))
 
 
 def cochain_betti_table(
@@ -248,13 +241,14 @@ def cochain_betti_table(
     columns, checked, cleared, ranked and dropped before the next.
     """
     _require_flavor(flavor, table, coeffs)
-    dims = tuple(basis_dim(flavor, table.dim, n) * coeffs.dim for n in range(n_max + 1))
     letters, values = weight_grading(table, coeffs)
-    degrees = (
-        _class_blocks(partial(_coboundary_coords, flavor, table, coeffs, n), lo, hi, n)
-        for n, (lo, hi) in enumerate(_degree_classes(flavor, letters, values, n_max))
-    )
-    return _betti(label, flavor, dims, degrees)
+    betti, prev_rank, below = [], 0, {}
+    for n, (lo, hi) in enumerate(_degree_classes(flavor, letters, values, n_max)):
+        blocks = _class_blocks(partial(_coboundary_coords, flavor, table, coeffs, n), lo, hi, n)
+        rank, below = _class_ranks(blocks, below, n, n + 1 < n_max)
+        betti.append(basis_dim(flavor, table.dim, n) * coeffs.dim - rank - prev_rank)
+        prev_rank = rank
+    return BettiTable(label, flavor, tuple(betti))
 
 
 def cocycle_representatives(tower: ComplexTower, n: int) -> BitMatrix:

@@ -466,8 +466,8 @@ def verify_e2_product(
     if partner is None or partner.flavor is not total or len(partner) != n_max:
         raise GF2Error(f"{pair.value} needs the {total.value} table through degree {n_max - 1}")
     n_rel = n_max - 2
-    rel = build_relative_complex(pair, table, coeffs, n_rel)
-    ft = comparison_filtration(pair, rel)
+    # unbound, the relative complex's sub and total towers go once the filtration exists
+    ft = comparison_filtration(pair, build_relative_complex(pair, table, coeffs, n_rel))
     pages = compute_pages(ft)
     conv = convergence_check(ft, pages)
 

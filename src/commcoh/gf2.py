@@ -23,9 +23,9 @@ Rows enter the echelon from the bottom of the matrix upward: row_blocks
 cuts the blocks from the bottom, yields the bottom block first, and each
 block's rows go in last row first (_row_echelon), converted to ints one
 block at a time.  Pivots stay on the leftmost column and the RREF is
-unique, so the order changes no result, only the work.  The Betti route
-(cohomology.py) ranks transposed coboundaries this way and may leave
-rows out: a row it has cleared never becomes an int.
+unique, so the order changes no result, only the work.  The flavor
+Betti route (cohomology.cochain_betti_table) ranks transposed coboundaries
+this way and may leave rows out: a row it has cleared never becomes an int.
 On the degree-7 tensor coboundary of heis3 with two-term brackets and
 adjoint coefficients (19683 x 6561, the largest matrix of the benchmark)
 the echelon makes 483,814 row XORs bottom-up against 998,788 top-down

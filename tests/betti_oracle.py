@@ -4,7 +4,10 @@ Each coboundary d^n is held row-major and its rows enter one echelon
 from the bottom up, one row block at a time.  The rows each block adds
 to the echelon are checked against d^{n-1} right after it, so a failed
 square d^n d^{n-1} != 0 names degree n - 1, as on the package's route.
-There is no grading and no clearing: it is kept as an oracle for both.
+There is no grading and no clearing: it is kept as the oracle of the
+class route (cochain_betti_table).  Explicit towers, ranked by rows as
+they are held, are checked against that route by
+test_matches_rank_of_built_tower.
 """
 
 from __future__ import annotations

@@ -500,6 +500,9 @@ class TestCLI:
         ("check --algebra alg.txt", "53b5da65eed7c4d1"),
         ("cohomology --algebra catalog:a --max-degree 3", "1a5710463196c785"),
         ("hs-ss --algebra catalog:a --ideal e --max-degree 3", "a6754dcf6932967f"),
+        # load_catalog drops parentheses and colons, so these name the same entry
+        ("hs-ss --algebra catalog:(a) --ideal e --max-degree 3", "a6754dcf6932967f"),
+        ("hs-ss --algebra catalog::a --ideal e --max-degree 3", "a6754dcf6932967f"),
         ("hs-ss --algebra alg.txt --module m --ideal h --max-degree 3", "6b438ed330d35352"),
         ("compare --algebra catalog:a --max-degree 3", "28a0b24f6a74ed12"),
         ("compare --algebra alg.txt --module m --max-degree 3", "ea24402e44a83d28"),
@@ -519,6 +522,8 @@ class TestCLI:
         )
         report, code = run(argv.split())
         assert code == 0 and report["input_digest"] == digest
+        if argv.startswith("hs-ss --algebra catalog:"):  # a's closed forms, however it is spelled
+            assert [list(x) for x in report["informational"]] == [["closed_form_table"]]
 
     def test_survey_cli(self):
         report, code = run(["survey", "--dim", "2", "--up-to-iso"])

@@ -209,7 +209,9 @@ class TestStreamedBetti:
                 betti_table(plain)
             with pytest.raises(GF2Error, match="do not square to zero at degree 2$"):
                 betti_oracle.betti_table(plain)
-            # a tower that carries its grading is still ranked as one class
+            with pytest.raises(GF2Error, match="do not square to zero at degree 2$"):
+                plain.check_composition()
+            # a tower that carries its grading is still ranked as held, by rows
             graded = ComplexTower(tower.dims, tuple(diffs), Flavor.TENSOR, "", entry.table, mod)
             with pytest.raises(GF2Error, match="do not square to zero at degree 2$"):
                 betti_table(graded)
@@ -263,6 +265,12 @@ class TestStreamedBetti:
                         route()
                 else:
                     assert route().dims == _rank_table(plain)
+            mp.setattr(gf2, "RANK_BLOCK_BYTES", 8)  # every row of d^{n+1} is its own block
+            if square_error:
+                with pytest.raises(GF2Error, match=square_error):
+                    plain.check_composition()
+            else:
+                assert plain.check_composition() is True
 
     def test_holds_no_packed_tower(self):
         # heis3 adjoint tensor through degree 7: the top coboundary is

@@ -384,6 +384,24 @@ class TestRelativeComplex:
             rel = build_relative_complex(pair, entry.table, entry.modules["trivial"], 5)
             assert rel.tower.check_composition()
 
+    def test_betti_table_holds_no_transposed_differential(self):
+        # heis3 lie-leibniz with trivial coefficients through relative degree 7:
+        # the top relative differential is 19683 x 6561, 15.5 MiB packed.
+        # Transposing each differential whole for the class route lifted the
+        # peak 25.8 MiB above what the tower holds, ranking it by rows 2.9 MiB
+        entry = catalog("heis3")
+        rel = build_relative_complex(InclusionPair.EXT_IN_TENSOR, entry.table, entry.modules["trivial"], 7)
+        tracemalloc.start()
+        try:
+            held, _ = tracemalloc.get_traced_memory()
+            bt = betti_table(rel.tower)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rel.tower.diffs[-1].shape == (19683, 6561)
+        assert bt.dims == (4, 12, 29, 70, 169, 408, 985)
+        assert peak < held + 8 * 2**20
+
     def test_requires_matching_class(self):
         n = catalog("N")
         with pytest.raises(GF2Error, match="Lie"):
@@ -802,6 +820,23 @@ class TestProducts:
                 rel = build_relative_complex(pair, entry.table, mod, 4)
                 rep = verify_e2_product(pair, entry.table, mod, 6, tables)
                 assert rep.partner == betti_oracle.betti_table(rel.total_tower).dims, (mod_name, pair)
+
+    def test_product_check_drops_the_relative_complex(self):
+        # heis3 lie-leibniz with trivial coefficients through degree 9: with each
+        # relative differential transposed for its Betti table the check peaked
+        # at 65.5 MiB; ranked by rows, 52.3 MiB while the relative complex's sub
+        # and total towers were held through the pages, 45.2 MiB once dropped
+        entry = catalog("heis3")
+        mod = entry.modules["trivial"]
+        tables = flavor_tables(entry.table, mod, 9)
+        tracemalloc.start()
+        try:
+            rep = verify_e2_product(InclusionPair.EXT_IN_TENSOR, entry.table, mod, 9, tables)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.ok
+        assert peak < 50 * 2**20
 
     def test_partner_of_another_flavor_or_length_is_refused(self):
         t = BracketTable.zero(2)

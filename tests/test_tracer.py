@@ -61,6 +61,7 @@ def test_tracer_installs_records_and_restores(tmp_path):
         "comparison.build_cr_complex",
         "comparison.long_exact_sequence_check",
         "cochain.build_tower",
+        "cochain.ComplexTower.check_composition",
         "gf2.rref",
         "gf2.subspace.Subspace.from_rows",
     } <= seen
