@@ -1,10 +1,11 @@
 """Command-line interface producing JSON or CSV reports.
 
 Exit codes: 0 when every internal invariant check passes, 1 on input
-errors (argument usage errors included), 2 on an internal invariant
-violation, 3 when the computation runs out of memory.  Comparisons
-against published closed-form tables are informational flags and never
-change the exit code; the computed output is the arbiter.
+errors (argument usage errors and tables failing a command's axioms
+included), 2 on an internal invariant violation, 3 when the computation
+runs out of memory.  Comparisons against published closed-form tables are
+informational flags and never change the exit code; the computed output
+is the arbiter.
 """
 
 from __future__ import annotations
@@ -514,6 +515,9 @@ def _run(args):
     except InputError as exc:
         return {"error": str(exc)}, 1
     except ValueError as exc:  # gf2.GF2Error among them
+        from .cochain import PreconditionError  # a table failing an axiom is bad input
+        if isinstance(exc, PreconditionError):
+            return {"error": str(exc)}, 1
         return {"error": f"internal check failed: {exc}"}, 2
     except MemoryError as exc:  # numpy's failed allocations among them
         return {"error": f"out of memory: {exc}"}, 3

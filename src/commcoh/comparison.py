@@ -20,9 +20,11 @@ class).  Both constructions use the same builder:
 
 The cokernel differential is pi[k+1] @ d[k] @ sigma[k], with sigma the
 selection of the generators.  pi and sigma are index arrays (WordMap),
-never packed: d[k] @ sigma[k] takes the generator columns of d[k], and
-pi gathers and adds rows, one row block at a time (product_columns), so
-no full-height copy of d[k] is made.  Every product cokernel comes from one
+never packed.  No relative complex holds a total d[k]: each one (c, r)
+of d[k] comes from the coboundary generator (cochain._coboundary_coords)
+and lands on the rows of pi holding r, in column sigma[k].a[c] where c
+is a generator; the small product cokernels take the generator columns
+of their held d[k].  Every product cokernel comes from one
 dual-valued tower with coadjoint coefficients (exterior for
 lie-leibniz, symmetric otherwise).  lie-comm first keeps a class span of
 the symmetric tower: a coordinate (args; y) falls in the class of its
@@ -58,9 +60,12 @@ from .cochain import (
     ComplexTower,
     Flavor,
     InclusionPair,
+    PreconditionError,
     _block_matrix,
+    _coboundary_coords,
     _index,
     _monomials,
+    _require_flavor,
     basis_dim,
     build_tower,
 )
@@ -79,6 +84,7 @@ from .gf2 import (
     WordMap,
     induced_map,
 )
+from .gf2 import _gather, _grouped, _word_count, _xor_scatter
 from .spectral import FilteredTower, compute_pages, convergence_check
 
 __all__ = [
@@ -168,8 +174,6 @@ class RelativeTower:
 
     kind: InclusionPair
     tower: ComplexTower
-    sub_tower: ComplexTower
-    total_tower: ComplexTower
     incl: tuple
     proj: tuple
     section: tuple
@@ -179,7 +183,7 @@ class RelativeTower:
 
     @property
     def word_degrees(self) -> int:
-        return self.total_tower.n_max
+        return len(self.proj) - 1
 
     def quotient_word_tower(self) -> ComplexTower:
         """The quotient complex in word grading (degrees 0, 1 are zero)."""
@@ -192,27 +196,29 @@ class RelativeTower:
 
 
 def require_pair(pair: InclusionPair, table: BracketTable):
-    """Raise GF2Error unless table is the kind of algebra pair needs."""
+    """Raise PreconditionError unless table is the kind of algebra pair needs."""
     cls = classify_algebra(table)
     if INCLUSION_FLAVORS[pair][0] is Flavor.EXT:
         if not cls.is_lie:
-            raise GF2Error(f"{pair.value} needs a Lie algebra")
+            raise PreconditionError(f"{pair.value} needs a Lie algebra")
     elif not cls.is_commutative_lie:
-        raise GF2Error(f"{pair.value} needs a commutative Lie algebra")
+        raise PreconditionError(f"{pair.value} needs a commutative Lie algebra")
 
 
 def build_relative_complex(
     pair: InclusionPair, table: BracketTable, coeffs, n_rel_max: int
 ) -> RelativeTower:
-    """Quotient complex of one flavor inclusion, shifted two degrees down."""
+    """Quotient complex of one flavor inclusion, shifted two degrees down.
+
+    One coboundary-generator pass over word degree m makes pi[m+1] @ d @ sigma[m]
+    and the probe pi[m+1] @ d @ incl[m], which must be zero; no d is held."""
     require_pair(pair, table)
+    sub_fl, tot_fl = INCLUSION_FLAVORS[pair]
+    _require_flavor(sub_fl, table, coeffs)  # the pair's table passes tot_fl's axioms too
     d, mdim = table.dim, coeffs.dim
     m_top = n_rel_max + 2
-    sub_fl, tot_fl = INCLUSION_FLAVORS[pair]
-    sub_tower = build_tower(sub_fl, table, coeffs, m_top, label=f"sub[{sub_fl.value}]")
-    total_tower = build_tower(tot_fl, table, coeffs, m_top, label=f"total[{tot_fl.value}]")
 
-    incls, projs, sections, words, lasts = [], [], [], [], []
+    incls, projs, sections, words, lasts, members = [], [], [], [], [], []
     for m in range(m_top + 1):
         total_words = _monomials(tot_fl, d, m)
         cls = _index(sub_fl, d, total_words)
@@ -220,27 +226,34 @@ def build_relative_complex(
         incls.append(incl)
         words.append(total_words[gens])
         lasts.append(_expand(last, mdim))
+        members.append(_expand(cls, mdim))
         projs.append(pi)
         sections.append(sig)
-        if sub_tower.dims[m] + pi.rows != total_tower.dims[m]:
+        if incl.cols + pi.rows != incl.rows:
             raise GF2Error(f"short exact sequence dimensions break at degree {m}")
 
     rel_diffs = []
     for m in range(2, m_top):
-        dd = total_tower.differential(m)
+        pi, sig = projs[m + 1], sections[m]
+        # the quotient rows whose pi row holds each total coordinate
+        rows = _grouped(np.concatenate((pi.a, pi.b)), np.tile(np.arange(pi.rows), 2), pi.cols)
+        diff = np.zeros((pi.rows, _word_count(sig.cols)), dtype=np.uint64)
+        probe = np.zeros((pi.rows, _word_count(incls[m].cols)), dtype=np.uint64)
+        for c, r in _coboundary_coords(tot_fl, table, coeffs, m, np.arange(sig.rows)):
+            c, g = _gather(rows, r, c)
+            # a generator's ones go to its column of d @ sigma, a class
+            # member's to its class of d @ incl; even multiplicities cancel
+            for out, col in ((diff, sig.a[c]), (probe, members[m][c])):
+                _xor_scatter(out, g[col >= 0], col[col >= 0])
         # functionals vanishing on the kernel span must stay that way
-        probe = projs[m + 1] @ (dd @ incls[m])
-        if not probe.is_zero():
+        if probe.any():
             raise GF2Error(f"induced differential ill-defined at word degree {m}")
-        # dd @ sigma keeps the generator columns of dd
-        rel_diffs.append(projs[m + 1].product_columns(dd, projs[m].a))
+        rel_diffs.append(BitMatrix(pi.rows, sig.cols, diff))
 
     rel = ComplexTower(tuple(pi.rows for pi in projs[2:]), tuple(rel_diffs), None, f"rel[{pair.value}]")
     return RelativeTower(
         kind=pair,
         tower=rel,
-        sub_tower=sub_tower,
-        total_tower=total_tower,
         incl=tuple(incls),
         proj=tuple(projs),
         section=tuple(sections),
@@ -270,18 +283,21 @@ def long_exact_sequence_check(
 ) -> LESReport:
     """Assemble the long exact sequence and verify exactness at every node.
 
-    Exactness at a node is rank arithmetic: the composite of consecutive
-    maps vanishes and the ranks add up to the middle dimension.  A lift
-    failure inside the connecting map is a chain-map bug, not a report
-    entry, and raises.
+    The sub and total towers are built here.  Exactness at a node is rank
+    arithmetic: the composite of consecutive maps vanishes and the ranks
+    add up to the middle dimension.  A lift failure inside the connecting
+    map is a chain-map bug, not a report entry, and raises.
     """
     m_top = rel.word_degrees
+    sub_fl, tot_fl = INCLUSION_FLAVORS[rel.kind]
+    sub = build_tower(sub_fl, rel.table, rel.coeffs, m_top, label=f"sub[{sub_fl.value}]")
+    total = build_tower(tot_fl, rel.table, rel.coeffs, m_top, label=f"total[{tot_fl.value}]")
     qt = rel.quotient_word_tower()
     limit = m_top - 1 if max_degree is None else min(max_degree, m_top - 1)
 
     def at(m):
         """(H^m(sub), H^m(total), H^m(quotient), i_*, p_*) at word degree m."""
-        towers = (rel.sub_tower, rel.total_tower, qt)
+        towers = (sub, total, qt)
         hs, ht, hq = (QuotientCoords(cycles(t, m), boundaries(t, m)) for t in towers)
         return hs, ht, hq, induced_map(rel.incl[m], hs, ht), induced_map(rel.proj[m], ht, hq)
 
@@ -300,7 +316,7 @@ def long_exact_sequence_check(
             delta = BitMatrix.zeros(hs1.dim, 0)
         else:
             lifted = (rel.section[m] @ reps.transpose()).transpose()  # reps @ section^T
-            w = lifted @ rel.total_tower.differential(m).transpose()
+            w = lifted @ total.differential(m).transpose()
             # incl is injective with one representative per column: read u there
             u = w.take_columns(rel.meta["last"][m + 1])
             if rel.incl[m + 1] @ u.transpose() != w.transpose():
@@ -381,7 +397,7 @@ def build_cr_complex(pair: InclusionPair, table: BracketTable, n_cr_max: int) ->
         restr, words = _mixed_classes(d, restr, words)
     triv = build_tower(scalar, table, trivial_module(table), n_cr_max + 2, label="scalar")
     classes = [_index(scalar, d, w) for w in words]
-    return _product_cokernel(pair, table, restr, classes, triv)
+    return _product_cokernel(pair, restr, classes, triv)
 
 
 def _mixed_classes(d, restr, words):
@@ -406,7 +422,7 @@ def _mixed_classes(d, restr, words):
     return restr, [w[list(s.pivots)] for w, s in zip(words, spans)]
 
 
-def _product_cokernel(pair, table, restr, classes, triv) -> ComplexTower:
+def _product_cokernel(pair, restr, classes, triv) -> ComplexTower:
     """The cokernel of the pullback of the scalar cochains of triv in
     degree p + 2 along the class map classes[p], in degree p, with the
     differential induced by restr[p]."""
@@ -418,7 +434,7 @@ def _product_cokernel(pair, table, restr, classes, triv) -> ComplexTower:
     for p in range(len(mus) - 1):
         if restr[p] @ mus[p] != mus[p + 1] @ triv.differential(p + 2):
             raise GF2Error(f"product pullback is not a chain map at degree {p}")
-    diffs = tuple(pis[p + 1].product_columns(restr[p], pis[p].a) for p in range(len(mus) - 1))
+    diffs = tuple(pis[p + 1] @ restr[p].take_columns(pis[p].a) for p in range(len(mus) - 1))
     dims = tuple(len(g) for g in gens)
     return ComplexTower(dims, diffs, None, label=f"cr[{pair.value}]")
 
@@ -466,7 +482,7 @@ def verify_e2_product(
     if partner is None or partner.flavor is not total or len(partner) != n_max:
         raise GF2Error(f"{pair.value} needs the {total.value} table through degree {n_max - 1}")
     n_rel = n_max - 2
-    # unbound, the relative complex's sub and total towers go once the filtration exists
+    # unbound, the relative complex goes once its filtration exists
     ft = comparison_filtration(pair, build_relative_complex(pair, table, coeffs, n_rel))
     pages = compute_pages(ft)
     conv = convergence_check(ft, pages)

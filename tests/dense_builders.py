@@ -16,6 +16,7 @@ import numpy as np
 
 from commcoh import comparison
 from commcoh.cochain import (
+    INCLUSION_FLAVORS,
     ComplexTower,
     Flavor,
     InclusionPair,
@@ -394,20 +395,30 @@ def product_cokernel(pair, table, restr, mus, triv) -> ComplexTower:
     return ComplexTower(dims, tuple(diffs), None, label=f"cr[{pair.value}]", table=table)
 
 
+def flavor_towers(rel) -> tuple:
+    """The sub and total towers of rel's inclusion through its word
+    degrees, built as long_exact_sequence_check builds them."""
+    return tuple(
+        build_tower(flavor, rel.table, rel.coeffs, rel.word_degrees)
+        for flavor in INCLUSION_FLAVORS[rel.kind]
+    )
+
+
 def connecting_maps(rel) -> list:
     """The long exact sequence's connecting maps by the dense lift: u solves
     incl @ u = w for the coboundary w of each lifted quotient class."""
     qt = rel.quotient_word_tower()
+    sub, total = flavor_towers(rel)
     h = lambda tower, m: QuotientCoords(cycles(tower, m), boundaries(tower, m))
     out = []
     for m in range(rel.word_degrees - 1):
-        hq, hs = h(qt, m), h(rel.sub_tower, m + 1)
+        hq, hs = h(qt, m), h(sub, m + 1)
         reps = hq.lift_rows()
         if reps.rows == 0:
             out.append(BitMatrix.zeros(hs.dim, 0))
             continue
         lifted = reps @ packed(rel.section[m]).transpose()
-        w = lifted @ rel.total_tower.differential(m).transpose()
+        w = lifted @ total.differential(m).transpose()
         u = solve(rel.incl[m + 1], w.transpose())
         assert u is not None, f"no lift at word degree {m}"
         out.append(hs.project_rows(u.transpose()).transpose())

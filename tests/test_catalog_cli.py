@@ -339,6 +339,37 @@ class TestCLI:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "dim 1\nbasis x\nbracket x x = x\nsubspace h = 1\n",
+            "dim 3\nbasis x y z\nbracket x y = z\nbracket y x = z\n"
+            "bracket x z = x\nbracket z x = x\nsubspace h = 100\n",
+        ],
+        ids=["dim1", "dim3"],
+    )
+    @pytest.mark.parametrize(
+        "command,message",
+        [
+            (["cohomology"], "sym flavor needs a commutative Jacobi table (jacobi fails)"),
+            (["hs-ss", "--subalgebra", "h"], "sym flavor needs a commutative Jacobi table (jacobi fails)"),
+            (["compare"], "sym-in-tensor needs a commutative Lie algebra"),
+            (["les"], "sym-in-tensor needs a commutative Lie algebra"),
+        ],
+        ids=["cohomology", "hs-ss", "compare", "les"],
+    )
+    def test_table_failing_jacobi_is_input_error(self, tmp_path, capsys, text, command, message):
+        # a commutative table that fails Jacobi is bad input, not a failed
+        # internal check; `check` still reports its verdicts
+        f = tmp_path / "nonjacobi.alg"
+        f.write_text(text)
+        argv = [*command, "--algebra", str(f), "--max-degree", "3"]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and json.loads(err) == {"error": message}
+        report, code = run(["check", "--algebra", str(f)])
+        assert code == 0 and report["payload"]["classification"]["jacobi"] is False
+
     def test_out_of_memory_is_its_own_exit_code(self, monkeypatch, capsys):
         # a failed allocation is neither bad input (1) nor a failed check (2)
         message = "Unable to allocate 335. MiB for an array with shape (59049, 743) and data type uint64"

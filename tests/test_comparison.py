@@ -11,15 +11,24 @@ from hypothesis import given, settings, strategies as st
 
 import betti_oracle
 import dense_builders as dense
-from commcoh import comparison, gf2
+from commcoh import cochain, comparison, gf2
 from commcoh.algebra import (
     BracketTable,
+    ModuleSpec,
     classify_algebra,
     coadjoint_module,
     trivial_module,
 )
 from commcoh.catalog import catalog_names
-from commcoh.cochain import INCLUSION_FLAVORS, Flavor, InclusionPair, _index, basis_dim, build_tower
+from commcoh.cochain import (
+    INCLUSION_FLAVORS,
+    Flavor,
+    InclusionPair,
+    PreconditionError,
+    _index,
+    basis_dim,
+    build_tower,
+)
 from commcoh.cohomology import betti_table
 from commcoh.comparison import (
     build_cr_complex,
@@ -295,21 +304,24 @@ class TestWordMaps:
 
     @pytest.mark.parametrize("block_bytes", [64, gf2.RANK_BLOCK_BYTES])
     def test_differential_is_the_projected_column_take(self, block_bytes, monkeypatch):
-        # pi[m + 1] @ dd.take_columns(pi[m].a), made whole, is the route the
-        # row blocks replace; 64 bytes gathers one row of dd per block
+        # pi[m + 1] @ dd.take_columns(pi[m].a) from the held total tower is
+        # the route the coboundary generator replaces; 64 bytes generates
+        # one column of dd per chunk
         monkeypatch.setattr(gf2, "RANK_BLOCK_BYTES", block_bytes)
         for entry in map(catalog, catalog_names()):
             for module in ("trivial", "adjoint"):
                 for pair in applicable_pairs(entry.table):
                     rel = build_relative_complex(pair, entry.table, entry.modules[module], 4)
+                    _, total = dense.flavor_towers(rel)
                     for n, got in enumerate(rel.tower.diffs):
-                        pi, dd = rel.proj, rel.total_tower.differential(n + 2)
+                        pi, dd = rel.proj, total.differential(n + 2)
                         assert got == pi[n + 3] @ dd.take_columns(pi[n + 2].a), (entry.name, pair, n)
 
     def test_differential_holds_no_column_take(self):
         # heis3 adjoint lie-leibniz through word degree 8: the top total
         # differential is 19683 x 6561; its full-height column take lifted
-        # the peak 17.0 MiB above what the build holds, the row blocks 2.5 MiB
+        # the peak 17.0 MiB above what the build holds, its row blocks
+        # 2.5 MiB, and generating its columns lifts it 1.9 MiB
         entry = catalog("heis3")
         tracemalloc.start()
         try:
@@ -319,8 +331,23 @@ class TestWordMaps:
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert rel.tower.diffs[-1].shape == rel.total_tower.diffs[-1].shape == (19683, 6561)
+        _, total = dense.flavor_towers(rel)
+        assert rel.tower.diffs[-1].shape == total.diffs[-1].shape == (19683, 6561)
         assert peak < held + 6 * 2**20
+
+    @pytest.mark.parametrize("pair", [InclusionPair.EXT_IN_TENSOR, InclusionPair.SYM_IN_TENSOR])
+    def test_holds_no_total_tower(self, pair):
+        # heis3 trivial through word degree 9: with the sub and total towers
+        # the lie-leibniz build held 37.7 MiB, 20.3 MiB over the 17.4 MiB of
+        # its packed relative differentials; without them 20.3 MiB
+        entry = catalog("heis3")
+        tracemalloc.start()
+        try:
+            rel = build_relative_complex(pair, entry.table, entry.modules["trivial"], 7)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < sum(dd.words.nbytes for dd in rel.tower.diffs) + 6 * 2**20
 
 
 class TestRelativeComplex:
@@ -354,11 +381,36 @@ class TestRelativeComplex:
         a = catalog("a")
         for pair in InclusionPair:
             rel = build_relative_complex(pair, a.table, a.modules["trivial"], 5)
+            sub, total = dense.flavor_towers(rel)
             for m in range(rel.word_degrees + 1):
-                assert (
-                    rel.sub_tower.dims[m] + rel.proj[m].rows
-                    == rel.total_tower.dims[m]
-                )
+                assert sub.dims[m] + rel.proj[m].rows == total.dims[m]
+
+    def test_ill_defined_differential_names_its_first_degree(self, monkeypatch):
+        # with the axiom checks off, on every dim-2 table: the build raises
+        # exactly where pi[m + 1] @ d @ incl[m], made dense, is first nonzero
+        monkeypatch.setattr(comparison, "require_pair", lambda *args: None)
+        monkeypatch.setattr(comparison, "_require_flavor", lambda *args: None)
+        monkeypatch.setattr(cochain, "_require_flavor", lambda *args: None)
+        raised = []
+        for bits in range(256):
+            t = BracketTable((bits >> np.arange(8)).reshape(2, 2, 2))
+            for mdim in (1, 2):
+                coeffs = trivial_module(t, mdim)
+                for pair in InclusionPair:
+                    dd = build_tower(INCLUSION_FLAVORS[pair][1], t, coeffs, 4).diffs
+                    probes = [
+                        dense.word_projection(pair, 2, m + 1, mdim)[1] @ dd[m] @ dense.inclusion(pair, 2, mdim, m)
+                        for m in (2, 3)
+                    ]
+                    bad = [m for m, probe in zip((2, 3), probes) if not probe.is_zero()]
+                    if not bad:
+                        build_relative_complex(pair, t, coeffs, 2)
+                        continue
+                    with pytest.raises(GF2Error, match=f"^induced differential ill-defined at word degree {bad[0]}$"):
+                        build_relative_complex(pair, t, coeffs, 2)
+                    raised.append((mdim, bad[0]))
+        assert sorted(set(raised)) == [(1, 2), (2, 2)]
+        assert raised.count((1, 2)) == raised.count((2, 2)) == 684
 
     def test_section_is_right_inverse(self):
         # the build checks proj @ section in index form; this is the packed product
@@ -402,9 +454,16 @@ class TestRelativeComplex:
         assert bt.dims == (4, 12, 29, 70, 169, 408, 985)
         assert peak < held + 8 * 2**20
 
+    def test_refuses_coefficients_failing_their_axioms(self):
+        # catalog N with e acting by 1 on a line: no bimodule
+        n = catalog("N")
+        bad = ModuleSpec(1, np.array([[[1]], [[0]]], dtype=np.uint8))
+        with pytest.raises(PreconditionError, match="^coefficients fail axiom"):
+            build_relative_complex(InclusionPair.SYM_IN_TENSOR, n.table, bad, 3)
+
     def test_requires_matching_class(self):
         n = catalog("N")
-        with pytest.raises(GF2Error, match="Lie"):
+        with pytest.raises(PreconditionError, match="Lie"):
             build_relative_complex(
                 InclusionPair.EXT_IN_TENSOR, n.table, n.modules["trivial"], 3
             )
@@ -483,8 +542,7 @@ class TestLES:
         rel = build_relative_complex(
             InclusionPair.EXT_IN_TENSOR, ab2.table, ab2.modules["flambda"], 5
         )
-        sub = betti_table(rel.sub_tower)
-        total = betti_table(rel.total_tower)
+        sub, total = map(betti_table, dense.flavor_towers(rel))
         quo = betti_table(rel.quotient_word_tower())
         assert all(v == 0 for v in sub.dims)
         assert total.dims[: len(quo.dims)] == quo.dims[: len(quo.dims)]
@@ -650,9 +708,9 @@ class TestCRComplexes:
         built = {}
         real = comparison._product_cokernel
 
-        def spy(pair, table, restr, classes, triv):
+        def spy(pair, restr, classes, triv):
             built.update(restr=list(restr), classes=classes, triv=triv)
-            return real(pair, table, restr, classes, triv)
+            return real(pair, restr, classes, triv)
 
         monkeypatch.setattr(comparison, "_product_cokernel", spy)
         pair = InclusionPair.EXT_IN_SYM
@@ -713,20 +771,20 @@ class TestCRComplexes:
             for p in range(4)
         ]
         triv = build_tower(Flavor.SYM, t, trivial_module(t), 5)
-        cr = comparison._product_cokernel(pair, t, restr, classes, triv)
+        cr = comparison._product_cokernel(pair, restr, classes, triv)
         assert cr.diffs == build_cr_complex(pair, t, 3).diffs
 
         bad = restr[1].to_dense()
         bad[0, np.flatnonzero(classes[1] >= 0)[0]] ^= 1
         forged = restr[:1] + [BitMatrix.from_dense(bad)] + restr[2:]
         with pytest.raises(GF2Error, match="not a chain map at degree 1"):
-            comparison._product_cokernel(pair, t, forged, classes, triv)
+            comparison._product_cokernel(pair, forged, classes, triv)
 
         # class 1 merged into class 0 leaves class 1 with no member
         bad = np.where(classes[2] == 1, 0, classes[2])
         forged = classes[:2] + [bad] + classes[3:]
         with pytest.raises(GF2Error, match="not injective at degree 2"):
-            comparison._product_cokernel(pair, t, restr, forged, triv)
+            comparison._product_cokernel(pair, restr, forged, triv)
 
 
 def _product(pair, table, coeffs, n_max):
@@ -809,6 +867,24 @@ class TestProducts:
         want = [f"{kind}[{pair.value}]" for pair in InclusionPair for kind in ("cr", "rel")]
         assert sorted(towers) == sorted(want)
 
+    def test_compare_builds_no_sub_or_total_tower(self, monkeypatch):
+        # the relative complexes come from the coboundary generator; only
+        # the product cokernels hold a tower
+        from commcoh import cli
+
+        built, real = [], cochain.build_tower
+
+        def spy(flavor, table, coeffs, n_max, label=""):
+            built.append(label)
+            return real(flavor, table, coeffs, n_max, label)
+
+        for module in (cochain, comparison):
+            monkeypatch.setattr(module, "build_tower", spy)
+        report, code = cli.run(["compare", "--algebra", "catalog:heis3", "--max-degree", "4"])
+        assert code == 0
+        # one dual-valued and one scalar tower for each of the three pairs
+        assert sorted(built) == ["dual-valued"] * 3 + ["scalar"] * 3
+
     @pytest.mark.parametrize("name", catalog_names())
     def test_partner_is_the_total_towers_cohomology(self, name):
         # the route the partner took before it was read from the flavor tables
@@ -819,7 +895,8 @@ class TestProducts:
             for pair in applicable_pairs(entry.table):
                 rel = build_relative_complex(pair, entry.table, mod, 4)
                 rep = verify_e2_product(pair, entry.table, mod, 6, tables)
-                assert rep.partner == betti_oracle.betti_table(rel.total_tower).dims, (mod_name, pair)
+                _, total = dense.flavor_towers(rel)
+                assert rep.partner == betti_oracle.betti_table(total).dims, (mod_name, pair)
 
     def test_product_check_drops_the_relative_complex(self):
         # heis3 lie-leibniz with trivial coefficients through degree 9: with each
