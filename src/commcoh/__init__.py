@@ -14,7 +14,7 @@ _EXPORTS = {
     "algebra": ("AlgebraClass", "BracketTable", "IdealVerdict", "ModuleSpec", "classify_algebra",
                 "is_ideal", "leibniz_kernel", "make_module", "quotient_algebra"),
     "cochain": ("ComplexTower", "Flavor", "InclusionPair", "build_tower"),
-    "cohomology": ("BettiTable", "betti_table", "cochain_betti_table"),
+    "cohomology": ("BettiTable", "betti_table"),
     "gf2": ("BitMatrix", "Subspace"),
     "spectral": ("FilteredTower", "compute_pages", "convergence_check", "e2_closed_form_check",
                  "subalgebra_filtration"),

@@ -401,7 +401,6 @@ class SubalgebraSplit:
     proj: BitMatrix  # ambient -> quotient coordinates
     section: BitMatrix  # quotient coordinates -> ambient (proj @ section = id)
     q_table: BracketTable | None  # quotient algebra; ideals only
-    h_action_on_q: ModuleSpec  # adjoint action of h on the complement
 
 
 def quotient_algebra(
@@ -412,7 +411,7 @@ def quotient_algebra(
     The complement is spanned by the standard basis vectors away from the
     echelon pivots of h, so reports are reproducible.  For ideals the
     quotient bracket table is returned as well; for mere subalgebras only
-    the adapted basis and the h-module structure on the complement.
+    the adapted basis and the bracket of h.
     """
     verdict = is_ideal(t, h)
     if verdict is IdealVerdict.NOT_SUBALGEBRA:
@@ -436,9 +435,6 @@ def quotient_algebra(
     if verdict is IdealVerdict.IDEAL:
         c_q = (t.brackets(sect_dense, sect_dense) @ proj_t).to_dense()
         q_table = BracketTable(c_q.reshape(q_dim, q_dim, q_dim))
-    # act[a][:, k] is the quotient part of [h_a, s_k]
-    act = (t.brackets(hb, sect_dense) @ proj_t).to_dense().reshape(h_dim, q_dim, q_dim)
-    h_action_on_q = ModuleSpec(q_dim, np.ascontiguousarray(act.transpose(0, 2, 1)))
 
     return SubalgebraSplit(
         table=t,
@@ -451,7 +447,6 @@ def quotient_algebra(
         proj=proj,
         section=section,
         q_table=q_table,
-        h_action_on_q=h_action_on_q,
     )
 
 

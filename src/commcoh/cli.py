@@ -177,8 +177,8 @@ def cmd_check(entry, args, checks, info):
 
 def cmd_cohomology(entry, args, checks, info):
     from .algebra import classify_algebra
-    from .cochain import Flavor
-    from .cohomology import cochain_betti_table
+    from .cochain import Flavor, build_tower
+    from .cohomology import betti_table
 
     flavors = []
     for f in args.flavor.split(","):
@@ -197,7 +197,7 @@ def cmd_cohomology(entry, args, checks, info):
             info.append({"flavor": flavor.value, "skipped": "needs a Lie algebra"})
             continue
         # raises unless d o d = 0
-        bt = cochain_betti_table(flavor, entry.table, mod, args.max_degree + 1)
+        bt = betti_table(build_tower(flavor, entry.table, mod, args.max_degree + 1))
         payload["tables"][flavor.value] = list(bt.dims)
         checks.append((f"dd-zero[{flavor.value}]", True, ""))
         if flavor is Flavor.SYM and entry.ideals:
@@ -217,8 +217,8 @@ def cmd_cohomology(entry, args, checks, info):
 
 def cmd_hs_ss(entry, args, checks, info):
     from .algebra import is_ideal
-    from .cochain import Flavor
-    from .cohomology import cochain_betti_table
+    from .cochain import Flavor, build_tower
+    from .cohomology import betti_table
     from .spectral import compute_pages, convergence_check, e2_closed_form_check, subalgebra_filtration
 
     mod = _resolve_module(entry, args.module)
@@ -254,7 +254,7 @@ def cmd_hs_ss(entry, args, checks, info):
         checks.append(("page-closed-forms", rep.ok, str(rep.mismatches()[:4])))
         payload["subalgebra_cohomology"] = list(rep.hs_sub)
     if args.algebra in ("catalog:N", "catalog:a") and args.module == "trivial":
-        bt = cochain_betti_table(Flavor.SYM, entry.table, mod, n_max)
+        bt = betti_table(build_tower(Flavor.SYM, entry.table, mod, n_max))
         info.append({"closed_form_table": _closed_form_flags(bt.dims)})
     return payload
 
@@ -343,8 +343,8 @@ def cmd_survey(args, checks, info):
     if args.up_to_iso:
         from .algebra import classify_algebra, make_module
         from .catalog import line_module_instances
-        from .cochain import Flavor
-        from .cohomology import cochain_betti_table
+        from .cochain import Flavor, build_tower
+        from .cohomology import betti_table
 
         payload["orbits"] = res.orbit_count
         summaries = []
@@ -353,9 +353,8 @@ def cmd_survey(args, checks, info):
             checks.append(
                 ("survey-classification", cls.commutative and cls.jacobi, "")
             )
-            bt = cochain_betti_table(
-                Flavor.SYM, table, make_module(table, "trivial"), args.betti_degree + 1
-            )
+            triv = make_module(table, "trivial")
+            bt = betti_table(build_tower(Flavor.SYM, table, triv, args.betti_degree + 1))
             summaries.append(
                 {
                     "table": table.c.reshape(-1).tolist(),

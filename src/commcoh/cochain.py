@@ -17,9 +17,9 @@ A coboundary is generated from the column side (_coboundary_coords):
 given any set of cochain coordinates f, it lists the ones of each
 d(e_f), a chunk of columns at a time, from the letter insertions and
 from the nonzero brackets only (Bauer's implicit coboundary, "Ripser",
-2021).  So the Betti route makes each weight class of T_n = (d^n)^T
-from that class's own coordinates, and build_tower scatters all columns
-into the packed d^n.
+2021).  A tower (ComplexTower) is held as this generator: the Betti route
+makes each weight class of T_n = (d^n)^T from its own coordinates, and
+ComplexTower.differential packs d^n only for a route that asks for it.
 
 Words are held as int arrays, one letter per column, and ranked by
 arithmetic rather than lookup (a_0 <= a_1 <= ... are the sorted letters):
@@ -52,7 +52,7 @@ subcomplex of the tensor one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
@@ -60,7 +60,7 @@ from math import comb
 
 import numpy as np
 
-from .algebra import BracketTable, ModuleSpec, check_module_axioms, classify_algebra
+from .algebra import BracketTable, ModuleSpec, check_module_axioms, classify_algebra, weight_grading
 from . import gf2
 from .gf2 import _COORD_BYTES, BitMatrix, _gather, _grouped, _runs, _word_count
 
@@ -286,16 +286,6 @@ def _sorted_terms(flavor, d, n, mono, val, act, brackets):
     yield j[rank >= 0], rank[rank >= 0] * m + val[j[rank >= 0]]
 
 
-def _differential(flavor, table, coeffs, n) -> BitMatrix:
-    """Degree-n coboundary, its columns' ones scattered into one word array a chunk at a time."""
-    d, m = table.dim, coeffs.dim
-    rows, cols = basis_dim(flavor, d, n + 1) * m, basis_dim(flavor, d, n) * m
-    words = np.zeros((rows, _word_count(cols)), dtype=np.uint64)
-    for c, r in _coboundary_coords(flavor, table, coeffs, n, np.arange(cols)):
-        gf2._xor_scatter(words, r, c)
-    return BitMatrix(rows, cols, words)
-
-
 def _coordinate_weights(flavor, letters, values, n) -> np.ndarray:
     """Weight of each degree-n cochain coordinate (u, m_b): w(m_b) minus the weights of u's letters.
 
@@ -366,43 +356,80 @@ def lie_derivative_matrix(
 
 @dataclass(frozen=True)
 class ComplexTower:
-    """A truncated cochain complex: per-degree dims and differentials.
+    """A truncated cochain complex, held by the column side of its differentials.
 
-    diffs[n] maps degree n to degree n+1; the top degree has no outgoing
-    differential, so cohomology there is never reported.  Only the
-    benchmark's tracer reads table and coeffs: build_tower sets them, a
-    relative complex or product cokernel leaves them None.
-    """
+    d^n maps degree n to n+1 (none at the top, where no cohomology is
+    reported).  ones(n, cols) gives the ones of d^n(e_f) for f in cols, a
+    chunk at a time, and weights(n) each degree-n coordinate's weight: from
+    the flavor's coboundary on (table, coeffs) here, from what a subclass
+    holds otherwise.  differential(n), the only packer, packs d^n once it is
+    asked for; what is packed takes no part in equality."""
 
     dims: tuple
-    diffs: tuple  # length len(dims) - 1
     flavor: Flavor | None
     label: str = ""
     table: BracketTable | None = None
     coeffs: ModuleSpec | None = None
+    _packed: dict = field(default_factory=dict, compare=False, repr=False)
+
+    @classmethod
+    def held(cls, dims, diffs, flavor=None, label: str = "") -> "ComplexTower":
+        """The tower whose d^n is diffs[n]."""
+        diffs = tuple(diffs)
+        return _HeldTower(tuple(dims), flavor, label, _packed=dict(enumerate(diffs)), matrices=diffs)
 
     @property
     def n_max(self) -> int:
         return len(self.dims) - 1
 
+    def ones(self, n: int, cols):
+        return _coboundary_coords(self.flavor, self.table, self.coeffs, n, cols)
+
+    def weights(self, n: int) -> np.ndarray:
+        return _coordinate_weights(self.flavor, *weight_grading(self.table, self.coeffs), n)
+
     def differential(self, n: int) -> BitMatrix:
-        return self.diffs[n]
+        if not 0 <= n < self.n_max:
+            raise gf2.GF2Error(f"no differential d^{n} in a tower through degree {self.n_max}")
+        if n not in self._packed:
+            words = np.zeros((self.dims[n + 1], _word_count(self.dims[n])), dtype=np.uint64)
+            for c, r in self.ones(n, np.arange(self.dims[n])):
+                gf2._xor_scatter(words, r, c)
+            self._packed[n] = BitMatrix(self.dims[n + 1], self.dims[n], words)
+        return self._packed[n]
+
+    @property
+    def diffs(self) -> tuple:
+        return tuple(self.differential(n) for n in range(self.n_max))
 
     def check_composition(self) -> bool:
-        """True, or GF2Error naming the first n with d^{n+1} d^n != 0.
-
-        Each product is taken one row block of d^{n+1} at a time."""
-        for n in range(len(self.diffs) - 1):
-            if any(not (b @ self.diffs[n]).is_zero() for b in self.diffs[n + 1].row_blocks()):
+        """True, or GF2Error naming the first n with d^{n+1} d^n != 0, one
+        row block of d^{n+1} at a time; the routes check it as they rank."""
+        diffs = self.diffs
+        for n in range(len(diffs) - 1):
+            if any(not (b @ diffs[n]).is_zero() for b in diffs[n + 1].row_blocks()):
                 raise gf2.GF2Error(f"differentials do not square to zero at degree {n}")
         return True
+
+
+@dataclass(frozen=True)
+class _HeldTower(ComplexTower):
+    """A tower of held differentials: its ones are read off them, and it is one weight class."""
+
+    matrices: tuple = ()
+
+    def ones(self, n, cols):
+        r, c = self.matrices[n].take_columns(cols).coords()
+        yield c, r
+
+    def weights(self, n):
+        return np.zeros((self.dims[n], 0), dtype=np.int64)
 
 
 def build_tower(
     flavor: Flavor, table: BracketTable, coeffs, n_max: int, label: str = ""
 ) -> ComplexTower:
-    """Cochain complex of (table, coeffs) through degree n_max."""
+    """Cochain complex of (table, coeffs) through degree n_max; nothing is packed."""
     _require_flavor(flavor, table, coeffs)
     dims = tuple(basis_dim(flavor, table.dim, n) * coeffs.dim for n in range(n_max + 1))
-    diffs = tuple(_differential(flavor, table, coeffs, n) for n in range(n_max))
-    return ComplexTower(dims, diffs, flavor, label, table, coeffs)
+    return ComplexTower(dims, flavor, label, table, coeffs)

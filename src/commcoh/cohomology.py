@@ -1,17 +1,16 @@
 """Cohomology of a cochain tower: Betti tables, representatives, induced maps.
 
-Betti numbers come from ranks.  A tower held whole (betti_table) is
-checked by ComplexTower.check_composition and each d^n ranked by rows as
-it is held.  The flavor tables (cochain_betti_table) are ranked on
-generated transposed coboundaries: row f of T_n is d(e_f), the
-coboundary of the f-th basis cochain of C^n, so T_n is d^n transposed.
-Under the finest grading of (table, coefficients) (algebra.weight_grading)
-every coboundary is block-diagonal by weight class, and T_n is ranked as
-its class blocks T_n^W, each as wide as one class of C^{n+1}.  A table
-with no grading is one class: the same route with one block.  The rows of
+Betti numbers come from ranks, on one route for every tower
+(betti_table).  It ranks generated transposed coboundaries: row f of
+T_n is d(e_f), the coboundary of the f-th basis cochain of C^n, so T_n
+is d^n transposed.  Under the finest grading of (table, coefficients)
+(algebra.weight_grading) every coboundary is block-diagonal by weight
+class, and T_n is ranked as its class blocks T_n^W, each as wide as one
+class of C^{n+1}.  A tower with no grading (a table without one, held
+differentials) is one class: the same route with one block.  The rows of
 T_n^W are generated directly, from the coordinates of W alone
-(cochain._coboundary_coords); a one that crosses classes is an internal
-error naming its degree.
+(ComplexTower.ones); a one that crosses classes is an internal error
+naming its degree.
 
 Degrees go up, and each clears the next (Chen & Kerber, "Persistent
 homology computation with a twist", 2011).  A kept row of the echelon
@@ -38,15 +37,7 @@ from functools import partial
 
 import numpy as np
 
-from .algebra import BracketTable, weight_grading
-from .cochain import (
-    ComplexTower,
-    Flavor,
-    _coboundary_coords,
-    _coordinate_weights,
-    _require_flavor,
-    basis_dim,
-)
+from .cochain import ComplexTower
 from . import gf2
 from .gf2 import (
     WORD_BITS,
@@ -68,7 +59,6 @@ __all__ = [
     "cycles",
     "boundaries",
     "betti_table",
-    "cochain_betti_table",
     "cocycle_representatives",
     "induced_map_on_cohomology",
 ]
@@ -88,14 +78,14 @@ class BettiTable:
 
 
 def cycles(tower: ComplexTower, n: int) -> Subspace:
-    """ker d^n as a canonical subspace of the degree-n cochain space."""
-    if not 0 <= n < tower.n_max:
-        raise GF2Error("cycles: degree out of the reliable range")
+    """ker d^n as a canonical subspace of the degree-n cochain space; GF2Error outside the tower."""
     return kernel_basis(tower.differential(n))
 
 
 def boundaries(tower: ComplexTower, n: int) -> Subspace:
     """im d^{n-1} as a canonical subspace of the degree-n cochain space."""
+    if not 0 <= n <= tower.n_max:
+        raise GF2Error(f"no boundaries at degree {n} in a tower through degree {tower.n_max}")
     if n == 0:
         return Subspace.zero(tower.dims[0])
     return image(tower.differential(n - 1))
@@ -131,15 +121,6 @@ def _classes(weights: np.ndarray) -> _Classes:
     local = np.empty_like(label)
     local[order] = _runs(sizes)[1]
     return _Classes({tuple(k): i for i, k in enumerate(weights[first].tolist())}, label, local, sizes)
-
-
-def _degree_classes(flavor, letters, values, n_max: int):
-    """(classes of C^n, classes of C^{n+1}) for n = 0 .. n_max - 1, two degrees alive at a time."""
-    lo = _classes(_coordinate_weights(flavor, letters, values, 0))
-    for n in range(n_max):
-        hi = _classes(_coordinate_weights(flavor, letters, values, n + 1))
-        yield lo, hi
-        lo = hi
 
 
 def _class_blocks(coords, lo: _Classes, hi: _Classes, n: int):
@@ -217,44 +198,22 @@ def _class_ranks(blocks, below: dict, n: int, keep: bool):
 
 
 def betti_table(tower: ComplexTower) -> BettiTable:
-    """Exact cohomology dimensions for degrees 0 .. n_max - 1.
-
-    The final degree is excluded: its outgoing differential is unknown.
-    A tower whose differentials do not compose to zero is an upstream
-    axiom violation, rejected by check_composition; then each d^n is
-    ranked by rows as it is held, with no transposed copy.
-    """
-    tower.check_composition()
-    ranks = [0] + [d.rank() for d in tower.diffs]
-    return BettiTable(tower.label, tower.flavor, tuple(
-        dim - lo - hi for dim, lo, hi in zip(tower.dims, ranks, ranks[1:])
-    ))
-
-
-def cochain_betti_table(
-    flavor: Flavor, table: BracketTable, coeffs, n_max: int, label: str = ""
-) -> BettiTable:
-    """betti_table(build_tower(...)) without holding the tower.
-
-    Ranked by weight class under the finest grading.  No coboundary is
-    ever built whole: each class block of T_n is generated from its own
-    columns, checked, cleared, ranked and dropped before the next.
-    """
-    _require_flavor(flavor, table, coeffs)
-    letters, values = weight_grading(table, coeffs)
+    """Exact cohomology dimensions for degrees 0 .. n_max - 1, class by class
+    (the module docstring); the final degree's outgoing differential is
+    unknown.  No differential is packed, and d d != 0 raises naming its degree."""
     betti, prev_rank, below = [], 0, {}
-    for n, (lo, hi) in enumerate(_degree_classes(flavor, letters, values, n_max)):
-        blocks = _class_blocks(partial(_coboundary_coords, flavor, table, coeffs, n), lo, hi, n)
-        rank, below = _class_ranks(blocks, below, n, n + 1 < n_max)
-        betti.append(basis_dim(flavor, table.dim, n) * coeffs.dim - rank - prev_rank)
-        prev_rank = rank
-    return BettiTable(label, flavor, tuple(betti))
+    lo = _classes(tower.weights(0))
+    for n in range(tower.n_max):
+        hi = _classes(tower.weights(n + 1))
+        blocks = _class_blocks(partial(tower.ones, n), lo, hi, n)
+        rank, below = _class_ranks(blocks, below, n, n + 1 < tower.n_max)
+        betti.append(tower.dims[n] - rank - prev_rank)
+        prev_rank, lo = rank, hi
+    return BettiTable(tower.label, tower.flavor, tuple(betti))
 
 
 def cocycle_representatives(tower: ComplexTower, n: int) -> BitMatrix:
     """Deterministic representatives spanning a complement of im inside ker."""
-    if not 0 <= n < tower.n_max:
-        raise GF2Error("representatives: degree out of range")
     qc = QuotientCoords(cycles(tower, n), boundaries(tower, n))
     return qc.lift_rows()
 

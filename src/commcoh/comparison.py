@@ -20,16 +20,17 @@ class).  Both constructions use the same builder:
 
 The cokernel differential is pi[k+1] @ d[k] @ sigma[k], with sigma the
 selection of the generators.  pi and sigma are index arrays (WordMap),
-never packed.  No relative complex holds a total d[k]: each one (c, r)
-of d[k] comes from the coboundary generator (cochain._coboundary_coords)
-and lands on the rows of pi holding r, in column sigma[k].a[c] where c
-is a generator; the small product cokernels take the generator columns
-of their held d[k].  Every product cokernel comes from one
-dual-valued tower with coadjoint coefficients (exterior for
-lie-leibniz, symmetric otherwise).  lie-comm first keeps a class span of
-the symmetric tower: a coordinate (args; y) falls in the class of its
-sorted combined word, and a class dies where one of its coordinates
-repeats a letter among the args.
+never packed.  A relative complex holds no d[k]: its tower
+(_QuotientTower) reads the ones at a quotient column g off the
+coboundary generator at the total coordinate pi[k].a[g], each one (c, r)
+landing on the rows of pi[k+1] holding r, and it packs a relative
+differential only for the long exact sequence.  The small product
+cokernels hold their differentials, taken from the generator columns of
+the held d[k].  Every product cokernel comes from one dual-valued tower
+with coadjoint coefficients (exterior for lie-leibniz, symmetric
+otherwise).  lie-comm first keeps a class span of the symmetric tower: a
+coordinate (args; y) falls in the class of its sorted combined word, and
+a class dies where one of its coordinates repeats a letter among the args.
 
 The filtration steps are class spans too: generator words fall into
 classes by their prefix-sorted word, and a class dies where it reaches no
@@ -62,7 +63,6 @@ from .cochain import (
     InclusionPair,
     PreconditionError,
     _block_matrix,
-    _coboundary_coords,
     _index,
     _monomials,
     _require_flavor,
@@ -73,7 +73,6 @@ from .cohomology import (
     BettiTable,
     betti_table,
     boundaries,
-    cochain_betti_table,
     cycles,
 )
 from .gf2 import (
@@ -84,7 +83,7 @@ from .gf2 import (
     WordMap,
     induced_map,
 )
-from .gf2 import _gather, _grouped, _word_count, _xor_scatter
+from .gf2 import _gather, _word_count, _xor_scatter
 from .spectral import FilteredTower, compute_pages, convergence_check
 
 __all__ = [
@@ -187,12 +186,9 @@ class RelativeTower:
 
     def quotient_word_tower(self) -> ComplexTower:
         """The quotient complex in word grading (degrees 0, 1 are zero)."""
-        dims = (0, 0) + self.tower.dims
-        diffs = (
-            BitMatrix.zeros(0, 0),
-            BitMatrix.zeros(self.tower.dims[0], 0),
-        ) + self.tower.diffs
-        return ComplexTower(dims, diffs, None, label=f"{self.tower.label}/word")
+        zero = (BitMatrix.zeros(0, 0), BitMatrix.zeros(self.tower.dims[0], 0))
+        label = f"{self.tower.label}/word"
+        return ComplexTower.held((0, 0) + self.tower.dims, zero + self.tower.diffs, label=label)
 
 
 def require_pair(pair: InclusionPair, table: BracketTable):
@@ -205,20 +201,45 @@ def require_pair(pair: InclusionPair, table: BracketTable):
         raise PreconditionError(f"{pair.value} needs a commutative Lie algebra")
 
 
+@dataclass(frozen=True)
+class _QuotientTower(ComplexTower):
+    """A relative complex in degree n = m - 2, held by its generator: the
+    ones of pi[m+1] @ d @ sigma[m] are the total tower's at the generators
+    pi[m].a (whose weights are their class representatives'), each (c, r)
+    landing on the quotient rows whose pi[m+1] row holds r, grouped by r in
+    rows[m+1]; a one listed twice cancels.  proj and rows follow from total
+    and the pair in the label, so they take no part in equality."""
+
+    total: ComplexTower | None = None
+    proj: tuple = field(default=(), compare=False)
+    rows: tuple = field(default=(), compare=False)
+
+    def total_ones(self, m: int, cols):
+        """The ones (i, g) of pi[m+1] @ d(e_c), c = cols[i]."""
+        for c, r in self.total.ones(m, cols):
+            yield _gather(self.rows[m + 1], r, c)
+
+    def ones(self, n: int, cols):
+        return self.total_ones(n + 2, self.proj[n + 2].a[cols])
+
+    def weights(self, n: int):
+        return self.total.weights(n + 2)[self.proj[n + 2].a]
+
+
 def build_relative_complex(
     pair: InclusionPair, table: BracketTable, coeffs, n_rel_max: int
 ) -> RelativeTower:
     """Quotient complex of one flavor inclusion, shifted two degrees down.
 
-    One coboundary-generator pass over word degree m makes pi[m+1] @ d @ sigma[m]
-    and the probe pi[m+1] @ d @ incl[m], which must be zero; no d is held."""
+    Its tower is held by its generator (_QuotientTower); only the probe
+    pi[m+1] @ d @ incl[m], which must be zero, is packed."""
     require_pair(pair, table)
     sub_fl, tot_fl = INCLUSION_FLAVORS[pair]
     _require_flavor(sub_fl, table, coeffs)  # the pair's table passes tot_fl's axioms too
     d, mdim = table.dim, coeffs.dim
     m_top = n_rel_max + 2
 
-    incls, projs, sections, words, lasts, members = [], [], [], [], [], []
+    incls, projs, sections, words, lasts, members, rows = [], [], [], [], [], [], []
     for m in range(m_top + 1):
         total_words = _monomials(tot_fl, d, m)
         cls = _index(sub_fl, d, total_words)
@@ -229,28 +250,22 @@ def build_relative_complex(
         members.append(_expand(cls, mdim))
         projs.append(pi)
         sections.append(sig)
+        rows.append(pi.column_rows())
         if incl.cols + pi.rows != incl.rows:
             raise GF2Error(f"short exact sequence dimensions break at degree {m}")
 
-    rel_diffs = []
+    total = ComplexTower(tuple(pi.cols for pi in projs), tot_fl, "", table, coeffs)  # never packed
+    rel = _QuotientTower(tuple(pi.rows for pi in projs[2:]), None, f"rel[{pair.value}]",
+                         total=total, proj=tuple(projs), rows=tuple(rows))
     for m in range(2, m_top):
-        pi, sig = projs[m + 1], sections[m]
-        # the quotient rows whose pi row holds each total coordinate
-        rows = _grouped(np.concatenate((pi.a, pi.b)), np.tile(np.arange(pi.rows), 2), pi.cols)
-        diff = np.zeros((pi.rows, _word_count(sig.cols)), dtype=np.uint64)
-        probe = np.zeros((pi.rows, _word_count(incls[m].cols)), dtype=np.uint64)
-        for c, r in _coboundary_coords(tot_fl, table, coeffs, m, np.arange(sig.rows)):
-            c, g = _gather(rows, r, c)
-            # a generator's ones go to its column of d @ sigma, a class
-            # member's to its class of d @ incl; even multiplicities cancel
-            for out, col in ((diff, sig.a[c]), (probe, members[m][c])):
-                _xor_scatter(out, g[col >= 0], col[col >= 0])
-        # functionals vanishing on the kernel span must stay that way
+        # functionals vanishing on the kernel span must stay so: incl[m] sums each class's members
+        live = np.flatnonzero(members[m] >= 0)
+        probe = np.zeros((projs[m + 1].rows, _word_count(incls[m].cols)), dtype=np.uint64)
+        for i, g in rel.total_ones(m, live):
+            _xor_scatter(probe, g, members[m][live[i]])
         if probe.any():
             raise GF2Error(f"induced differential ill-defined at word degree {m}")
-        rel_diffs.append(BitMatrix(pi.rows, sig.cols, diff))
 
-    rel = ComplexTower(tuple(pi.rows for pi in projs[2:]), tuple(rel_diffs), None, f"rel[{pair.value}]")
     return RelativeTower(
         kind=pair,
         tower=rel,
@@ -435,8 +450,7 @@ def _product_cokernel(pair, restr, classes, triv) -> ComplexTower:
         if restr[p] @ mus[p] != mus[p + 1] @ triv.differential(p + 2):
             raise GF2Error(f"product pullback is not a chain map at degree {p}")
     diffs = tuple(pis[p + 1] @ restr[p].take_columns(pis[p].a) for p in range(len(mus) - 1))
-    dims = tuple(len(g) for g in gens)
-    return ComplexTower(dims, diffs, None, label=f"cr[{pair.value}]")
+    return ComplexTower.held([len(g) for g in gens], diffs, label=f"cr[{pair.value}]")
 
 
 @dataclass(frozen=True)
@@ -557,7 +571,7 @@ def flavor_tables(table: BracketTable, coeffs, n_max: int) -> dict:
     if classify_algebra(table).is_lie:
         flavors.append(Flavor.EXT)
     return {
-        f.value: cochain_betti_table(f, table, coeffs, n_max, label=f.value)
+        f.value: betti_table(build_tower(f, table, coeffs, n_max, label=f.value))
         for f in flavors
     }
 

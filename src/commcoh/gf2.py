@@ -23,8 +23,8 @@ Rows enter the echelon from the bottom of the matrix upward: row_blocks
 cuts the blocks from the bottom, yields the bottom block first, and each
 block's rows go in last row first (_row_echelon), converted to ints one
 block at a time.  Pivots stay on the leftmost column and the RREF is
-unique, so the order changes no result, only the work.  The flavor
-Betti route (cohomology.cochain_betti_table) ranks transposed coboundaries
+unique, so the order changes no result, only the work.  The Betti
+route (cohomology.betti_table) ranks transposed coboundaries
 this way and may leave rows out: a row it has cleared never becomes an int.
 On the degree-7 tensor coboundary of heis3 with two-term brackets and
 adjoint coefficients (19683 x 6561, the largest matrix of the benchmark)
@@ -414,6 +414,10 @@ class WordMap:
     @property
     def shape(self):
         return (self.rows, self.cols)
+
+    def column_rows(self) -> tuple:
+        """The rows with a one in each column, grouped by column (_grouped)."""
+        return _grouped(np.concatenate((self.a, self.b)), np.tile(np.arange(self.rows), 2), self.cols)
 
     def __matmul__(self, other: BitMatrix) -> BitMatrix:
         """Product with a packed matrix: row i is row a[i] plus row b[i] of other."""

@@ -40,9 +40,9 @@ from .cochain import (
     build_tower,
     derivation_operator_matrix,
 )
-from .cohomology import betti_table, cochain_betti_table, induced_map_on_cohomology
+from .cohomology import betti_table, induced_map_on_cohomology
 from .gf2 import RANK_BLOCK_BYTES, WORD_BITS, BitMatrix, GF2Error, Subspace, WordMap
-from .gf2 import _echelon, _gather, _grouped, _int_rows, _word_count
+from .gf2 import _echelon, _gather, _grouped, _int_rows, _word_count, _xor_scatter
 
 __all__ = [
     "FiltrationError",
@@ -173,29 +173,30 @@ def _adapted_basis(chain) -> tuple:
     return depth[pivots].tolist(), (k[order], i[order]), WordMap(idx.size, idx.size, pivots, up)
 
 
-def _images(d: BitMatrix, basis: tuple, coords: WordMap):
-    """The image under d of each basis row, in the target's coordinates
+def _images(tower: ComplexTower, n: int, basis: tuple, coords: WordMap):
+    """The image under d^n of each basis row, in the target's coordinates
     coords, as an int (_int_rows), last row first.
 
-    The images are E = coords @ d summed over each row's class.  E is read
-    off d's ones: a one (r, c) lands in the row that r leads and in the
-    rows whose deeper leader is r.  The images are packed one block of
-    rows of about RANK_BLOCK_BYTES at a time, from the last row back, so
-    no image matrix is held whole.
+    The images E = coords @ d summed over each row's class are packed one
+    block of rows of about RANK_BLOCK_BYTES at a time, from the last row
+    back; d is never packed.  The unique members of a block's rows are
+    generated (tower.ones), and a one (r, c) lands, in each row holding c,
+    on the target row that r leads and the rows whose deeper leader is r.
     """
-    r, c = d.coords()
-    lead = np.empty_like(coords.a)
-    lead[coords.a] = np.arange(coords.rows)  # coords.a is a permutation
-    bc, br = _gather(_grouped(coords.b, np.arange(coords.rows), d.rows), r, c)
-    by_source = _grouped(np.concatenate((c, bc)), np.concatenate((lead[r], br)), d.cols)
+    width, targets = _word_count(tower.dims[n + 1]), coords.column_rows()
     k, i = basis
-    step = max(1, RANK_BLOCK_BYTES // max(1, _word_count(d.rows) * 8))
-    for stop in range(d.cols, 0, -step):
+    step = max(1, RANK_BLOCK_BYTES // max(1, width * 8))
+    for stop in range(tower.dims[n], 0, -step):
         start = max(0, stop - step)
         lo, hi = np.searchsorted(k, (start, stop))
-        rows, cols = _gather(by_source, i[lo:hi], k[lo:hi] - start)
-        block = BitMatrix.from_coords(stop - start, d.rows, rows, cols)
-        yield from reversed(_int_rows(block.words))
+        members, slot = np.unique(i[lo:hi], return_inverse=True)
+        holders = _grouped(slot, k[lo:hi] - start, members.size)  # the block rows holding each member
+        words = np.zeros((stop - start, width), dtype=np.uint64)
+        for c, r in tower.ones(n, members):
+            c, t = _gather(targets, r, c)  # (member, target row)
+            t, row = _gather(holders, c, t)  # (target row, block row)
+            _xor_scatter(words, row, t)
+        yield from reversed(_int_rows(words))
 
 
 def _within(group, levels: list, width: int, low: list):
@@ -233,7 +234,7 @@ def _pairing(ft: FilteredTower) -> tuple:
         sizes.append(Counter(tgt_levels))
         width = _word_count(len(tgt_levels)) * WORD_BITS
         top, found, low = {}, Counter(), []
-        deepest_first = zip(reversed(src_levels), _images(ft.tower.differential(n), src, coords))
+        deepest_first = zip(reversed(src_levels), _images(ft.tower, n, src, coords))
         for f, group in groupby(deepest_first, key=lambda row: row[0]):
             size = len(top)
             _echelon(_within(group, tgt_levels, width, low), top)
@@ -398,9 +399,7 @@ def e2_closed_form_check(
         if hs_sub[q] == 0:
             e2_of_p = [0] * (p_top + 1)
         else:
-            q_betti = cochain_betti_table(
-                Flavor.SYM, split.q_table, hq_module, p_top + 1, label="quot"
-            )
+            q_betti = betti_table(build_tower(Flavor.SYM, split.q_table, hq_module, p_top + 1, "quot"))
             e2_of_p = list(q_betti.dims)
         for p in range(p_top + 1):
             e1 = basis_dim(Flavor.SYM, dq, p) * hs_sub[q]

@@ -5,18 +5,40 @@ from the bottom up, one row block at a time.  The rows each block adds
 to the echelon are checked against d^{n-1} right after it, so a failed
 square d^n d^{n-1} != 0 names degree n - 1, as on the package's route.
 There is no grading and no clearing: it is kept as the oracle of the
-class route (cochain_betti_table).  Explicit towers, ranked by rows as
-they are held, are checked against that route by
-test_matches_rank_of_built_tower.
+class route (betti_table).  The differentials come from pack_differential,
+the packer that towers used before they were held by their generator; it
+checks no axiom, so it packs any table, as unchecked_tower reads one.
 """
 
 from __future__ import annotations
 
 from itertools import islice
 
-from commcoh.cochain import _differential, _require_flavor, basis_dim
+import numpy as np
+
+from commcoh import gf2
+from commcoh.cochain import ComplexTower, _coboundary_coords, _require_flavor, basis_dim
 from commcoh.cohomology import BettiTable
-from commcoh.gf2 import BitMatrix, GF2Error, _echelon, _int_rows, _int_words
+from commcoh.gf2 import BitMatrix, GF2Error, _echelon, _int_rows, _int_words, _word_count
+
+
+def pack_differential(flavor, table, coeffs, n) -> BitMatrix:
+    """Degree-n coboundary, its columns' ones scattered into one word array a chunk at a time."""
+    d, m = table.dim, coeffs.dim
+    rows, cols = basis_dim(flavor, d, n + 1) * m, basis_dim(flavor, d, n) * m
+    words = np.zeros((rows, _word_count(cols)), dtype=np.uint64)
+    for c, r in _coboundary_coords(flavor, table, coeffs, n, np.arange(cols)):
+        gf2._xor_scatter(words, r, c)
+    return BitMatrix(rows, cols, words)
+
+
+def _dims(flavor, table, coeffs, n_max: int) -> tuple:
+    return tuple(basis_dim(flavor, table.dim, n) * coeffs.dim for n in range(n_max + 1))
+
+
+def unchecked_tower(flavor, table, coeffs, n_max: int, label: str = "") -> ComplexTower:
+    """build_tower without its axiom check: the flavor's generated tower on any table."""
+    return ComplexTower(_dims(flavor, table, coeffs, n_max), flavor, label, table, coeffs)
 
 
 def _checked_rank(diff: BitMatrix, below, n: int) -> int:
@@ -47,8 +69,8 @@ def betti_table(tower) -> BettiTable:
     return row_betti(tower.label, tower.flavor, tower.dims, tower.diffs)
 
 
-def cochain_betti_table(flavor, table, coeffs, n_max: int, label: str = "") -> BettiTable:
+def flavor_table(flavor, table, coeffs, n_max: int, label: str = "") -> BettiTable:
+    """The oracle of betti_table(build_tower(...)), from pack_differential."""
     _require_flavor(flavor, table, coeffs)
-    dims = tuple(basis_dim(flavor, table.dim, n) * coeffs.dim for n in range(n_max + 1))
-    diffs = (_differential(flavor, table, coeffs, n) for n in range(n_max))
-    return row_betti(label, flavor, dims, diffs)
+    diffs = (pack_differential(flavor, table, coeffs, n) for n in range(n_max))
+    return row_betti(label, flavor, _dims(flavor, table, coeffs, n_max), diffs)

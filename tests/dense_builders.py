@@ -392,7 +392,7 @@ def product_cokernel(pair, table, restr, mus, triv) -> ComplexTower:
         for p in range(len(mus) - 1)
     ]
     dims = tuple(q.dim for q in quotients)
-    return ComplexTower(dims, tuple(diffs), None, label=f"cr[{pair.value}]", table=table)
+    return ComplexTower.held(dims, diffs, label=f"cr[{pair.value}]")
 
 
 def flavor_towers(rel) -> tuple:

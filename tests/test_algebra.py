@@ -25,7 +25,7 @@ from commcoh.algebra import (
     trivial_module,
 )
 from commcoh.cochain import Flavor, InclusionPair, build_tower
-from commcoh.cohomology import cochain_betti_table
+from commcoh.cohomology import betti_table
 from commcoh.comparison import build_cr_complex
 from commcoh.gf2 import GF2Error, Subspace
 
@@ -126,7 +126,7 @@ class TestClassify:
         assert classify_algebra(t) is cls and cls == fresh(t)
         # the builders' precondition checks read the cached class
         build_cr_complex(InclusionPair.EXT_IN_SYM, t, 3)
-        cochain_betti_table(Flavor.EXT, t, coadjoint_module(t), 3)
+        betti_table(build_tower(Flavor.EXT, t, coadjoint_module(t), 3))
         assert calls == [t]
 
     def test_flags_are_basis_invariant(self):
@@ -270,8 +270,6 @@ class TestQuotientAlgebra:
         a = catalog("a")
         split = quotient_algebra(a.table, a.subspaces["e"])
         assert split.q_table.dim == 1 and not split.q_table.c.any()
-        # the action of the class of h on the ideal is nontrivial
-        assert split.h_action_on_q.rho.shape == (1, 1, 1)
 
     def test_abelian_plane_quotient(self):
         t = BracketTable.zero(3)
@@ -285,7 +283,6 @@ class TestQuotientAlgebra:
             quotient_algebra(a.table, a.subspaces["h"])
         split = quotient_algebra(a.table, a.subspaces["h"], require_ideal=False)
         assert split.q_table is None
-        assert check_module_axioms(split.h_table, split.h_action_on_q).ok
 
     def test_adapted_basis_invertible(self):
         rng = np.random.default_rng(4)

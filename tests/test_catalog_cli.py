@@ -377,7 +377,7 @@ class TestCLI:
         def exhausted(*args, **kwargs):
             raise MemoryError(message)
 
-        monkeypatch.setattr(cohomology_module, "cochain_betti_table", exhausted)
+        monkeypatch.setattr(cohomology_module, "betti_table", exhausted)
         argv = ["cohomology", "--algebra", "catalog:heis3", "--flavor", "tensor", "--max-degree", "11"]
         report, code = run(argv)
         assert code == 3 and report == {"error": f"out of memory: {message}"}
@@ -596,7 +596,7 @@ class TestCLI:
         def exhausted(*args, **kwargs):
             raise MemoryError("Unable to allocate")
 
-        monkeypatch.setattr(cohomology_module, "cochain_betti_table", exhausted)
+        monkeypatch.setattr(cohomology_module, "betti_table", exhausted)
         target = tmp_path / "new.json"
         argv = ["cohomology", "--algebra", "catalog:N", "--output", str(target)]
         assert main(argv) == 3

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import betti_oracle
 import dense_builders as dense
 from commcoh import cochain, gf2
 from commcoh.algebra import (
@@ -31,7 +32,7 @@ from commcoh.cochain import (
     lie_derivative_matrix,
     monomial_rank,
 )
-from commcoh.cohomology import cochain_betti_table
+from commcoh.cohomology import betti_table
 from commcoh.gf2 import BitMatrix
 
 from conftest import (
@@ -68,7 +69,7 @@ class TestBases:
         ranks = monomial_rank(Flavor.SYM, 2, 70)
         assert cochain._index(Flavor.SYM, 2, words).tolist() == [ranks[tuple(w)] for w in words.tolist()]
         a = catalog("a")
-        bt = cochain_betti_table(Flavor.SYM, a.table, a.modules["trivial"], 69)
+        bt = betti_table(build_tower(Flavor.SYM, a.table, a.modules["trivial"], 69))
         # the pattern of TestBetti.test_solvable_example_frozen, continued
         assert bt.dims == tuple(n // 2 + 1 for n in range(69))
 
@@ -319,7 +320,7 @@ class TestBuildersMatchDenseOracles:
             flavors, rep_of = [Flavor.SYM, Flavor.EXT], lambda mono: mono[::-1]
         table, coeffs = BracketTable(c), ModuleSpec(m, rho)
         for flavor in flavors:
-            got = cochain._differential(flavor, table, coeffs, n)
+            got = betti_oracle.unchecked_tower(flavor, table, coeffs, n + 1).differential(n)
             assert_same_matrix(got, dense.differential(flavor, table, coeffs, n, rep_of))
 
     @settings(max_examples=60, deadline=None)
@@ -356,7 +357,7 @@ class TestBuildersMatchDenseOracles:
     def test_column_chunks_reassemble(self, block_bytes, monkeypatch):
         cases = [("heis3", "adjoint", Flavor.TENSOR, 4), ("heis3", "flambda", Flavor.SYM, 5),
                  ("abelian3", "coadjoint", Flavor.EXT, 2), ("N", "trivial", Flavor.SYM, 6)]
-        want = [cochain._differential(f, catalog(name).table, catalog(name).modules[mod], n)
+        want = [build_tower(f, catalog(name).table, catalog(name).modules[mod], n + 1).differential(n)
                 for name, mod, f, n in cases]
         monkeypatch.setattr(gf2, "RANK_BLOCK_BYTES", block_bytes)
         rng = np.random.default_rng(block_bytes)
@@ -372,7 +373,7 @@ class TestBuildersMatchDenseOracles:
                     stop = max(stop + 1, int(i.max(initial=-1)) + 1)
                 assert stop <= max(cols.size, 1) and len(chunks) <= max(cols.size, 1)
                 assert _generated(diff.rows, cols, chunks) == _rows_of(diff.transpose(), cols)
-            assert cochain._differential(flavor, table, mod, n) == diff
+            assert build_tower(flavor, table, mod, n + 1).differential(n) == diff
 
     def test_tensor_build_allocates_no_dense_matrix(self):
         # heis3 adjoint at degree 7: 19683 x 6561, 15.5 MiB packed and
@@ -380,7 +381,7 @@ class TestBuildersMatchDenseOracles:
         entry = catalog("heis3")
         tracemalloc.start()
         try:
-            diff = cochain._differential(Flavor.TENSOR, entry.table, entry.modules["adjoint"], 7)
+            diff = build_tower(Flavor.TENSOR, entry.table, entry.modules["adjoint"], 8).differential(7)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -452,7 +453,7 @@ class TestColumnGenerator:
 def _keeps_weight(flavor, table, coeffs, n) -> bool:
     """Whether every one of the degree-n coboundary joins coordinates of equal weight."""
     letters, values = weight_grading(table, coeffs)
-    r, c = cochain._differential(flavor, table, coeffs, n).coords()
+    r, c = betti_oracle.pack_differential(flavor, table, coeffs, n).coords()
     lo, hi = (cochain._coordinate_weights(flavor, letters, values, k) for k in (n, n + 1))
     return np.array_equal(hi[r], lo[c])
 

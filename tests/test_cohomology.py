@@ -1,6 +1,7 @@
 """Tests for Betti tables, representatives, and induced maps on cohomology."""
 
 import tracemalloc
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
@@ -30,11 +31,12 @@ from commcoh.cochain import (
 )
 from commcoh.cohomology import (
     betti_table,
-    cochain_betti_table,
+    boundaries,
     cocycle_representatives,
+    cycles,
     induced_map_on_cohomology,
 )
-from commcoh.gf2 import BitMatrix, GF2Error
+from commcoh.gf2 import BitMatrix, GF2Error, image
 
 from conftest import (
     catalog,
@@ -117,7 +119,7 @@ class TestBetti:
     def test_broken_tower_rejected(self):
         d0 = BitMatrix.from_dense([[1], [0]])
         d1 = BitMatrix.from_dense([[1, 0]])
-        tower = ComplexTower((1, 2, 1), (d0, d1), None)
+        tower = ComplexTower.held((1, 2, 1), (d0, d1))
         with pytest.raises(GF2Error, match="square to zero"):
             betti_table(tower)
 
@@ -145,8 +147,8 @@ def _tower(name, mod_name, flavor):
 
 
 class TestStreamedBetti:
-    """cochain_betti_table builds each coboundary in row blocks straight
-    into its echelon; it must give the tables of the whole tower."""
+    """betti_table generates each coboundary by weight class straight into
+    its echelon; it must give the tables of the whole packed tower."""
 
     @pytest.mark.parametrize("name", catalog_names())
     def test_matches_rank_of_built_tower(self, name):
@@ -157,12 +159,10 @@ class TestStreamedBetti:
                 try:
                     tower = build_tower(flavor, entry.table, mod, 6, label="x")
                 except PreconditionError:
-                    with pytest.raises(PreconditionError):
-                        cochain_betti_table(flavor, entry.table, mod, 6)
                     continue
-                got = cochain_betti_table(flavor, entry.table, mod, 6, label="x")
+                got = betti_table(tower)
                 assert got.dims == _rank_table(tower), (mod_name, flavor)
-                assert got == betti_table(tower)
+                assert got == betti_table(ComplexTower.held(tower.dims, tower.diffs, flavor, "x"))
 
     @pytest.mark.parametrize("block_bytes", [1, 200, 4096])
     def test_block_size_does_not_change_tables(self, block_bytes, monkeypatch):
@@ -177,10 +177,10 @@ class TestStreamedBetti:
         for (name, mod_name, flavor, n_max), (dims, diffs) in zip(cases, want):
             entry = catalog(name)
             mod = entry.modules[mod_name]
-            assert cochain_betti_table(flavor, entry.table, mod, n_max).dims == dims
             tower = build_tower(flavor, entry.table, mod, n_max)
-            assert tower.diffs == diffs
             assert betti_table(tower).dims == dims
+            assert tower.diffs == diffs
+            assert betti_table(ComplexTower.held(tower.dims, diffs)).dims == dims
 
     def test_failed_square_names_its_degree_on_both_routes(self, monkeypatch):
         entry = catalog("heis3")
@@ -204,20 +204,15 @@ class TestStreamedBetti:
             diffs = list(tower.diffs)
             diffs[3] = _flipped(diffs[3], r, c)
             assert not (diffs[3] @ diffs[2]).is_zero()
-            plain = ComplexTower(tower.dims, tuple(diffs), Flavor.TENSOR)
+            plain = ComplexTower.held(tower.dims, diffs, Flavor.TENSOR)
             with pytest.raises(GF2Error, match="do not square to zero at degree 2$"):
                 betti_table(plain)
             with pytest.raises(GF2Error, match="do not square to zero at degree 2$"):
                 betti_oracle.betti_table(plain)
             with pytest.raises(GF2Error, match="do not square to zero at degree 2$"):
                 plain.check_composition()
-            # a tower that carries its grading is still ranked as held, by rows
-            graded = ComplexTower(tower.dims, tuple(diffs), Flavor.TENSOR, "", entry.table, mod)
-            with pytest.raises(GF2Error, match="do not square to zero at degree 2$"):
-                betti_table(graded)
-            monkeypatch.setattr(cohomology, "_coboundary_coords", _builder(graded))
             with pytest.raises(GF2Error, match=graded_error):
-                cochain_betti_table(Flavor.TENSOR, entry.table, mod, 5)
+                betti_table(_forged(tower, diffs))
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -241,8 +236,8 @@ class TestStreamedBetti:
             r = data.draw(st.integers(0, tower.diffs[k].rows - 1))
         diffs = list(tower.diffs)
         diffs[k] = _flipped(diffs[k], r, c)
-        plain = ComplexTower(tower.dims, tuple(diffs), flavor)
-        graded = ComplexTower(tower.dims, tuple(diffs), flavor, "", entry.table, mod)
+        plain = ComplexTower.held(tower.dims, diffs, flavor)
+        graded = _forged(tower, diffs)
         # the first degree n whose square d^{n+1} d^n is nonzero, by dense products
         dense = [d.to_dense().astype(np.int64) for d in diffs]
         bad = [n for n in range(len(dense) - 1) if (dense[n + 1] @ dense[n] % 2).any()]
@@ -252,12 +247,10 @@ class TestStreamedBetti:
         block_bytes = data.draw(st.sampled_from([8, 64, gf2.RANK_BLOCK_BYTES]))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(gf2, "RANK_BLOCK_BYTES", block_bytes)
-            mp.setattr(cohomology, "_coboundary_coords", _builder(graded))
             routes = [
                 (lambda: betti_oracle.betti_table(plain), square_error),
                 (lambda: betti_table(plain), square_error),
-                (lambda: betti_table(graded), square_error),
-                (lambda: cochain_betti_table(flavor, entry.table, mod, 5), graded_error),
+                (lambda: betti_table(graded), graded_error),
             ]
             for route, error in routes:
                 if error:
@@ -281,7 +274,7 @@ class TestStreamedBetti:
         mod = entry.modules["adjoint"]
         tracemalloc.start()
         try:
-            bt = cochain_betti_table(Flavor.TENSOR, entry.table, mod, 8)
+            bt = betti_table(build_tower(Flavor.TENSOR, entry.table, mod, 8))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -298,7 +291,7 @@ class TestStreamedBetti:
         mod = make_module(table, "adjoint")
         tracemalloc.start()
         try:
-            bt = cochain_betti_table(Flavor.TENSOR, table, mod, 8)
+            bt = betti_table(build_tower(Flavor.TENSOR, table, mod, 8))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -346,15 +339,21 @@ def _weights(flavor, table, mod, n) -> np.ndarray:
     return _coordinate_weights(flavor, *weight_grading(table, mod), n)
 
 
-def _builder(tower):
-    """A stand-in for the column generator reading the tower's differentials, in three blocks."""
+@dataclass(frozen=True)
+class _Forged(ComplexTower):
+    """A generated tower whose ones are read off forged differentials, in three chunks;
+    its weights stay the flavor's."""
 
-    def coords(flavor, table, coeffs, n, cols):
-        t = tower.diffs[n].transpose()
+    forged: tuple = ()
+
+    def ones(self, n, cols):
+        t = self.forged[n].transpose()
         i, r = BitMatrix(len(cols), t.cols, t.words[cols]).coords()
         return zip(np.array_split(i, 3), np.array_split(r, 3))
 
-    return coords
+
+def _forged(tower, diffs) -> ComplexTower:
+    return _Forged(tower.dims, tower.flavor, "", tower.table, tower.coeffs, forged=tuple(diffs))
 
 
 def _same_outcome(route, oracle):
@@ -384,12 +383,11 @@ class TestRowOracle:
                         tower = build_tower(flavor, entry.table, mod, 5, label="x")
                     except PreconditionError:
                         with pytest.raises(PreconditionError):
-                            cochain_betti_table(flavor, entry.table, mod, 5)
+                            betti_oracle.flavor_table(flavor, entry.table, mod, 5)
                         continue
                     want = betti_oracle.betti_table(tower)
                     assert betti_table(tower) == want, (name, mod_name, flavor)
-                    assert cochain_betti_table(flavor, entry.table, mod, 5, label="x") == want
-                    assert betti_oracle.cochain_betti_table(flavor, entry.table, mod, 5, "x") == want
+                    assert betti_oracle.flavor_table(flavor, entry.table, mod, 5, "x") == want
 
     @settings(max_examples=80, deadline=None)
     @given(tables_and_actions(), st.sampled_from(list(Flavor)), st.integers(0, 4),
@@ -400,11 +398,10 @@ class TestRowOracle:
         with pytest.MonkeyPatch.context() as mp:
             if block_bytes is not None:
                 mp.setattr(gf2, "RANK_BLOCK_BYTES", block_bytes)
-            mp.setattr(cohomology, "_require_flavor", lambda *args: None)
             mp.setattr(betti_oracle, "_require_flavor", lambda *args: None)
             _same_outcome(
-                lambda: cochain_betti_table(flavor, table, coeffs, n_max),
-                lambda: betti_oracle.cochain_betti_table(flavor, table, coeffs, n_max),
+                lambda: betti_table(betti_oracle.unchecked_tower(flavor, table, coeffs, n_max)),
+                lambda: betti_oracle.flavor_table(flavor, table, coeffs, n_max),
             )
 
     @settings(max_examples=40, deadline=None)
@@ -417,9 +414,7 @@ class TestRowOracle:
             tower = build_tower(flavor, table, mod, 4)
         except PreconditionError:
             return
-        want = betti_oracle.betti_table(tower)
-        assert betti_table(tower) == want
-        assert cochain_betti_table(flavor, table, mod, 4) == want
+        assert betti_table(tower) == betti_oracle.betti_table(tower)
 
     @pytest.mark.parametrize("z_terms", [1, 2, 3])
     def test_benchmark_heis3_bases_match_row_oracle(self, z_terms):
@@ -427,8 +422,31 @@ class TestRowOracle:
         table = heis3_table(z_terms)
         mod = make_module(table, "adjoint")
         for flavor in (Flavor.EXT, Flavor.TENSOR):
-            want = betti_oracle.cochain_betti_table(flavor, table, mod, 6)
-            assert cochain_betti_table(flavor, table, mod, 6) == want
+            want = betti_oracle.flavor_table(flavor, table, mod, 6)
+            assert betti_table(build_tower(flavor, table, mod, 6)) == want
+
+
+class TestDegreeRange:
+    @pytest.mark.parametrize("held", [False, True])
+    def test_degrees_outside_the_tower_raise_naming_them(self, held):
+        # diffs[-2] once gave boundaries(tower, -1) the image of d^{n_max - 2},
+        # and boundaries(tower, n_max + 1) raised IndexError
+        entry = catalog("N")
+        tower = build_tower(Flavor.SYM, entry.table, entry.modules["adjoint"], 3)
+        if held:
+            tower = ComplexTower.held(tower.dims, tower.diffs)
+        for n in (-2, -1, 3, 4):
+            with pytest.raises(GF2Error, match=rf"^no differential d\^{n} in a tower through degree 3$"):
+                tower.differential(n)
+        for n in (-2, -1, 4):
+            with pytest.raises(GF2Error, match=f"^no boundaries at degree {n} in a tower through degree 3$"):
+                boundaries(tower, n)
+        for n in (-1, 3):
+            with pytest.raises(GF2Error, match=rf"^no differential d\^{n} in a tower through degree 3$"):
+                cycles(tower, n)
+        assert boundaries(tower, 0).dim == 0
+        for n in (1, 2, 3):
+            assert boundaries(tower, n) == image(tower.differential(n - 1))
 
 
 class TestRepresentatives:

@@ -2,7 +2,9 @@
 filtrations, cokernel complexes, and product-shape checks."""
 
 import dataclasses
+import gc
 import tracemalloc
+import weakref
 from math import comb, perm
 
 import numpy as np
@@ -42,7 +44,7 @@ from commcoh.comparison import (
     verify_e2_product,
 )
 from commcoh.gf2 import BitMatrix, GF2Error, Subspace, kernel_basis
-from commcoh.spectral import convergence_check
+from commcoh.spectral import compute_pages, convergence_check
 
 from conftest import catalog, class_count, inclusion_class_map, survey
 from dense_builders import assert_same_matrix, packed
@@ -349,6 +351,52 @@ class TestWordMaps:
             tracemalloc.stop()
         assert held < sum(dd.words.nbytes for dd in rel.tower.diffs) + 6 * 2**20
 
+    @pytest.mark.parametrize("pair", [InclusionPair.EXT_IN_TENSOR, InclusionPair.SYM_IN_TENSOR])
+    def test_holds_no_packed_relative_differential(self, pair):
+        # heis3 trivial through word degree 9: the packed relative
+        # differentials held 17.4 and 17.2 MiB of the build's 20.3 and
+        # 20.2 MiB; the tower now holds their generator
+        entry = catalog("heis3")
+        tracemalloc.start()
+        try:
+            rel = build_relative_complex(pair, entry.table, entry.modules["trivial"], 7)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rel.tower.dims[-1] > 6000
+        assert held < 8 * 2**20
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_class_route_matches_row_oracle(self, name):
+        # the generated relative tower ranked by weight class, against its
+        # packed differentials ranked by rows
+        entry = catalog(name)
+        for module in ("trivial", "adjoint", "coadjoint", "flambda"):
+            for pair in applicable_pairs(entry.table):
+                rel = build_relative_complex(pair, entry.table, entry.modules[module], 4)
+                tower = rel.tower
+                want = betti_oracle.row_betti(tower.label, tower.flavor, tower.dims, tower.diffs)
+                assert betti_table(tower) == want, (module, pair)
+
+    def test_towers_are_freed_without_the_collector(self):
+        # a tower that held a method of itself would wait for the collector
+        entry = catalog("heis3")
+        gc.collect()
+        gc.disable()
+        try:
+            for pair in InclusionPair:
+                rel = build_relative_complex(pair, entry.table, entry.modules["adjoint"], 3)
+                tower = build_tower(INCLUSION_FLAVORS[pair][1], entry.table, entry.modules["adjoint"], 4)
+                ft = comparison_filtration(pair, rel)
+                convergence_check(ft, compute_pages(ft))
+                long_exact_sequence_check(rel)
+                betti_table(tower), tower.differential(3)
+                refs = [weakref.ref(x) for x in (rel, rel.tower, tower, ft)]
+                del rel, tower, ft
+                assert [r() for r in refs] == [None] * 4, pair
+        finally:
+            gc.enable()
+
 
 class TestRelativeComplex:
     def test_dim_one_swap_quotient_vanishes(self):
@@ -440,7 +488,8 @@ class TestRelativeComplex:
         # heis3 lie-leibniz with trivial coefficients through relative degree 7:
         # the top relative differential is 19683 x 6561, 15.5 MiB packed.
         # Transposing each differential whole for the class route lifted the
-        # peak 25.8 MiB above what the tower holds, ranking it by rows 2.9 MiB
+        # peak 25.8 MiB above what the tower holds, ranking it by rows 2.9 MiB,
+        # generating it class by class 2.1 MiB
         entry = catalog("heis3")
         rel = build_relative_complex(InclusionPair.EXT_IN_TENSOR, entry.table, entry.modules["trivial"], 7)
         tracemalloc.start()
@@ -846,26 +895,42 @@ class TestProducts:
     def test_compare_ranks_each_flavor_table_once(self, monkeypatch):
         from commcoh import cli, cohomology, spectral
 
-        ranked, towers = [], []
-        real_cochain, real_betti = cohomology.cochain_betti_table, cohomology.betti_table
+        towers = []
+        real = cohomology.betti_table
 
-        def spy_cochain(flavor, *args, **kwargs):
-            ranked.append(flavor.value)
-            return real_cochain(flavor, *args, **kwargs)
-
-        def spy_betti(tower):
+        def spy(tower):
             towers.append(tower.label)
-            return real_betti(tower)
+            return real(tower)
 
         for module in (cohomology, comparison, spectral):
-            monkeypatch.setattr(module, "cochain_betti_table", spy_cochain)
-            monkeypatch.setattr(module, "betti_table", spy_betti)
+            monkeypatch.setattr(module, "betti_table", spy)
         report, code = cli.run(["compare", "--algebra", "catalog:heis3", "--max-degree", "4"])
         assert code == 0
-        assert sorted(ranked) == ["ext", "sym", "tensor"]
-        # the relative towers (convergence) and the product cokernels (hr), nothing else
-        want = [f"{kind}[{pair.value}]" for pair in InclusionPair for kind in ("cr", "rel")]
+        # the flavor tables, the relative towers (convergence) and the product
+        # cokernels (hr), each once and all on the one route
+        want = ["ext", "sym", "tensor"] + [f"{kind}[{pair.value}]" for pair in InclusionPair for kind in ("cr", "rel")]
         assert sorted(towers) == sorted(want)
+
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--algebra", "catalog:heis3", "--module", "adjoint", "--max-degree", "4"],
+        ["hs-ss", "--algebra", "catalog:a", "--ideal", "e", "--max-degree", "6"],
+        ["hs-ss", "--algebra", "catalog:heis3", "--subalgebra", "x", "--module", "adjoint", "--max-degree", "4"],
+    ])
+    def test_relative_and_adapted_towers_are_never_packed(self, argv, monkeypatch):
+        # their pairing, ranks and checks read the generator; only the product
+        # cokernels' source towers and the closed-form checks' towers are packed
+        from commcoh import cli
+
+        packed_labels, real = set(), cochain.ComplexTower.differential
+
+        def spy(tower, n):
+            packed_labels.add(tower.label)
+            return real(tower, n)
+
+        monkeypatch.setattr(cochain.ComplexTower, "differential", spy)
+        report, code = cli.run(argv)
+        assert code == 0
+        assert packed_labels <= {"dual-valued", "scalar", "sub"}, packed_labels
 
     def test_compare_builds_no_sub_or_total_tower(self, monkeypatch):
         # the relative complexes come from the coboundary generator; only
@@ -882,8 +947,9 @@ class TestProducts:
             monkeypatch.setattr(module, "build_tower", spy)
         report, code = cli.run(["compare", "--algebra", "catalog:heis3", "--max-degree", "4"])
         assert code == 0
-        # one dual-valued and one scalar tower for each of the three pairs
-        assert sorted(built) == ["dual-valued"] * 3 + ["scalar"] * 3
+        # the flavor tables' towers, and one dual-valued and one scalar tower
+        # for each of the three pairs
+        assert sorted(built) == ["dual-valued"] * 3 + ["ext", "scalar", "scalar", "scalar", "sym", "tensor"]
 
     @pytest.mark.parametrize("name", catalog_names())
     def test_partner_is_the_total_towers_cohomology(self, name):
@@ -902,7 +968,9 @@ class TestProducts:
         # heis3 lie-leibniz with trivial coefficients through degree 9: with each
         # relative differential transposed for its Betti table the check peaked
         # at 65.5 MiB; ranked by rows, 52.3 MiB while the relative complex's sub
-        # and total towers were held through the pages, 45.2 MiB once dropped
+        # and total towers were held through the pages, 45.2 MiB once dropped,
+        # 32.1 MiB with no tower held; 12.6 MiB with no relative differential
+        # packed
         entry = catalog("heis3")
         mod = entry.modules["trivial"]
         tables = flavor_tables(entry.table, mod, 9)
@@ -913,7 +981,7 @@ class TestProducts:
         finally:
             tracemalloc.stop()
         assert rep.ok
-        assert peak < 50 * 2**20
+        assert peak < 20 * 2**20
 
     def test_partner_of_another_flavor_or_length_is_refused(self):
         t = BracketTable.zero(2)

@@ -18,7 +18,7 @@ from commcoh.gf2 import (
     solve,
 )
 
-from commcoh import cochain, gf2
+from commcoh import gf2
 from commcoh.catalog import catalog_names
 from commcoh.cochain import Flavor, PreconditionError, build_tower
 
@@ -311,7 +311,7 @@ class TestRankBlocks:
         # heis3 adjoint tensor coboundary at degree 7: 19683 x 6561,
         # 15.5 MiB packed; whole-matrix conversion peaked 30.9 MiB above it
         entry = catalog("heis3")
-        diff = cochain._differential(Flavor.TENSOR, entry.table, entry.modules["adjoint"], 7)
+        diff = build_tower(Flavor.TENSOR, entry.table, entry.modules["adjoint"], 8).differential(7)
         tracemalloc.start()
         try:
             rank = diff.rank()

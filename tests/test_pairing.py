@@ -117,7 +117,7 @@ def interval_complexes(draw) -> FilteredTower:
         lv, idx = np.array(lv, dtype=int), np.arange(len(lv))
         steps = [np.where(lv >= p, idx, -1) for p in range(length)]
         filt.append(tuple(steps) + (np.full(len(lv), -1),))
-    ft = FilteredTower(ComplexTower(dims, diffs, None), tuple(filt))
+    ft = FilteredTower(ComplexTower.held(dims, diffs), tuple(filt))
     compute_pages(ft)  # raises unless the construction respects the filtration
     return ft
 
@@ -226,7 +226,7 @@ def test_top_pairing_holds_no_packed_images():
 def test_non_nesting_steps_raise_promptly():
     full, zero = np.arange(2), np.full(2, -1)
     e0, e1 = np.array([0, -1]), np.array([-1, 1])
-    tower = ComplexTower((2, 2), (BitMatrix.zeros(2, 2),), None)
+    tower = ComplexTower.held((2, 2), (BitMatrix.zeros(2, 2),))
     # e0 is not inside e1: the chain is refused when the tower is made
     make = lambda chain: FilteredTower(tower, (chain, (full, zero)))
     assert raises_promptly(lambda: make((full, e1, e0, zero)), FiltrationError)

@@ -142,7 +142,7 @@ def compatible_complexes(draw):
             a, b = rng.choice(dims[n], 2, replace=False)
             add([a, b], int(np.flatnonzero(lo[:, a] != lo[:, b]).max()))
         diffs.append(BitMatrix.from_coords(dims[n + 1], dims[n], r, c))
-    return ComplexTower(tuple(dims), tuple(diffs), None), tuple(filt)
+    return ComplexTower.held(dims, diffs), tuple(filt)
 
 
 def _verdicts(tower, filt) -> tuple:
@@ -276,7 +276,7 @@ class TestFiltration:
     @settings(max_examples=60, deadline=None)
     @given(forged_chains())
     # d sends the one coordinate of C^0 to e_0, which the class {0, 1} of F^1 C^1 lacks
-    @example((ComplexTower((1, 2), (BitMatrix.from_dense([[1], [0]]),), None),
+    @example((ComplexTower.held((1, 2), (BitMatrix.from_dense([[1], [0]]),)),
               ((np.arange(1), np.arange(1), np.full(1, -1)),
                (np.arange(2), np.zeros(2, dtype=int), np.full(2, -1)))))
     def test_forged_chains_raise_where_the_oracle_does(self, forged):
@@ -297,7 +297,7 @@ class TestFiltration:
         d = tower.diffs[n].to_dense()
         d[data.draw(st.integers(0, d.shape[0] - 1)), data.draw(st.integers(0, d.shape[1] - 1))] ^= 1
         diffs = tower.diffs[:n] + (BitMatrix.from_dense(d),) + tower.diffs[n + 1 :]
-        got, want = _verdicts(ComplexTower(tower.dims, diffs, None), filt)
+        got, want = _verdicts(ComplexTower.held(tower.dims, diffs), filt)
         assert got == want
 
     @pytest.mark.parametrize(
@@ -312,7 +312,7 @@ class TestFiltration:
         ],
     )
     def test_coordinate_check_reads_odd_rows_whole_classes_and_live_rows(self, d, up, error):
-        tower = ComplexTower((2, 2), (BitMatrix.from_dense(d),), None)
+        tower = ComplexTower.held((2, 2), (BitMatrix.from_dense(d),))
         full, zero = np.arange(2), np.full(2, -1)
         filt = ((full, np.zeros(2, dtype=int), zero), (full, np.array(up), zero))
         assert _verdicts(tower, filt) == (error, error)
@@ -321,7 +321,7 @@ class TestFiltration:
         # C^0 coordinates 0, 1 at levels 2, 3; C^1 coordinates 0, 1, 2 at
         # levels 0, 1, 2.  d e_1 = e_1, paired first, leaves F^2 and F^3;
         # d e_0 = e_0 leaves F^1 and F^2: the smallest step left is 1, not 2
-        tower = ComplexTower((2, 3), (BitMatrix.from_dense([[1, 0], [0, 1], [0, 0]]),), None)
+        tower = ComplexTower.held((2, 3), (BitMatrix.from_dense([[1, 0], [0, 1], [0, 0]]),))
         lo = (np.arange(2),) * 3 + (np.array([-1, 1]), np.full(2, -1))
         hi = (np.arange(3), np.array([-1, 1, 2]), np.array([-1, -1, 2]), np.full(3, -1))
         error = "d F^1 C^0 not contained in F^1 C^1"

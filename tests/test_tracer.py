@@ -48,6 +48,9 @@ def test_tracer_installs_records_and_restores(tmp_path):
         _, hs_code = cli.run(["hs-ss", "--algebra", "catalog:a", "--ideal", "e", "--max-degree", "3"])
         _, compare_code = cli.run(["compare", "--algebra", "catalog:a", "--max-degree", "3"])
         _, les_code = cli.run(["les", "--algebra", "catalog:N", "--max-degree", "3"])
+        # no route calls check_composition; the benchmark still wraps it
+        entry = commcoh.catalog.load_catalog("N")
+        commcoh.build_tower(commcoh.Flavor.SYM, entry.table, entry.modules["trivial"], 3).check_composition()
     finally:
         tr.restore()
     assert _bindings(tracer) == before
