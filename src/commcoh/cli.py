@@ -514,8 +514,9 @@ def _run(args):
     except InputError as exc:
         return {"error": str(exc)}, 1
     except ValueError as exc:  # gf2.GF2Error among them
-        from .cochain import PreconditionError  # a table failing an axiom is bad input
-        if isinstance(exc, PreconditionError):
+        from .algebra import ModuleAxiomError
+        from .cochain import PreconditionError  # a table or module failing an axiom is bad input
+        if isinstance(exc, (PreconditionError, ModuleAxiomError)):
             return {"error": str(exc)}, 1
         return {"error": f"internal check failed: {exc}"}, 2
     except MemoryError as exc:  # numpy's failed allocations among them

@@ -168,7 +168,7 @@ def _check_square(below: dict, t: BitMatrix, n: int) -> None:
     step = max(1, gf2.RANK_BLOCK_BYTES // max(1, 8 * _word_count(t.rows)))
     for i in range(0, len(kept), step):
         rows = kept[i : i + step]
-        k = BitMatrix(len(rows), t.rows, _int_words(rows, len(rows), t.rows))
+        k = BitMatrix(len(rows), t.rows, _int_words(rows, t.rows))
         if not (k @ t).is_zero():
             raise GF2Error(f"differentials do not square to zero at degree {n}")
 

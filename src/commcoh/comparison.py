@@ -23,8 +23,8 @@ selection of the generators.  pi and sigma are index arrays (WordMap),
 never packed.  A relative complex holds no d[k]: its tower
 (_QuotientTower) reads the ones at a quotient column g off the
 coboundary generator at the total coordinate pi[k].a[g], each one (c, r)
-landing on the rows of pi[k+1] holding r, and it packs a relative
-differential only for the long exact sequence.  The small product
+landing on the rows of pi[k+1] holding r, and no route packs a whole
+relative differential.  The small product
 cokernels hold their differentials, taken from the generator columns of
 the held d[k].  Every product cokernel comes from one dual-valued tower
 with coadjoint coefficients (exterior for lie-leibniz, symmetric
@@ -37,6 +37,17 @@ classes by their prefix-sorted word, and a class dies where it reaches no
 generator or holds a word whose prefix repeats a letter.  Each step is
 held as its leader array (FilteredTower), so nothing is packed or
 eliminated.
+
+The long exact sequence of a relative complex is swept one weight part
+at a time.  Every map in it keeps the torus weight (algebra.weight_grading;
+Fuks, "Cohomology of Infinite-Dimensional Lie Algebras", 1986), so it is
+the direct sum of its restrictions to the weight classes.  A part is one
+class, or a run of consecutive classes whose part-local differentials stay
+within RANK_BLOCK_BYTES packed (_weight_parts); a table with no grading
+is one part.  In each part and degree the sub, total and quotient
+differentials are packed on the part's coordinates from their generators,
+and incl, proj, section and meta["last"] are read there by index, so no
+whole-width differential, cycle or boundary basis is held.
 
 Degree bookkeeping is in word degree throughout; a relative complex in
 its own grading sits two degrees lower, a cokernel-of-products complex
@@ -69,13 +80,10 @@ from .cochain import (
     basis_dim,
     build_tower,
 )
-from .cohomology import (
-    BettiTable,
-    betti_table,
-    boundaries,
-    cycles,
-)
+from .cohomology import BettiTable, _classes, betti_table, boundaries, cycles
+from . import gf2
 from .gf2 import (
+    WORD_BITS,
     BitMatrix,
     GF2Error,
     QuotientCoords,
@@ -184,12 +192,6 @@ class RelativeTower:
     def word_degrees(self) -> int:
         return len(self.proj) - 1
 
-    def quotient_word_tower(self) -> ComplexTower:
-        """The quotient complex in word grading (degrees 0, 1 are zero)."""
-        zero = (BitMatrix.zeros(0, 0), BitMatrix.zeros(self.tower.dims[0], 0))
-        label = f"{self.tower.label}/word"
-        return ComplexTower.held((0, 0) + self.tower.dims, zero + self.tower.diffs, label=label)
-
 
 def require_pair(pair: InclusionPair, table: BracketTable):
     """Raise PreconditionError unless table is the kind of algebra pair needs."""
@@ -293,59 +295,165 @@ class LESReport:
         return [desc for desc, ok in self.nodes if not ok]
 
 
+def _weight_parts(weights, top: int):
+    """The coordinates of each part of the weight partition, one part at a time.
+
+    weights(m) gives the weights of the sub, total and quotient coordinates
+    of word degree m.  A part is one weight class, or a run of consecutive
+    classes (in the order of their weight vectors) whose part-local
+    differentials d^0 .. d^{top-1} of the three complexes are each at most
+    RANK_BLOCK_BYTES packed.  A part is yielded as co[v][m], the increasing
+    coordinates of complex v in word degree m inside it.
+    """
+    classes = [[_classes(w) for w in weights(m)] for m in range(top + 1)]
+    keys = sorted(set().union(*(c.ids for row in classes for c in row)))
+    ids = {k: i for i, k in enumerate(keys)}
+    cum = np.zeros((3, top + 1, len(keys) + 1), dtype=np.int64)  # coordinates of the classes before each
+    order = [[None] * (top + 1) for _ in range(3)]  # the coordinates sorted by class
+    for m, row in enumerate(classes):
+        for v, c in enumerate(row):
+            label = np.array([ids[k] for k in c.ids], dtype=np.int64)[c.label]
+            cum[v, m, 1:] = np.cumsum(np.bincount(label, minlength=len(keys)))
+            order[v][m] = np.argsort(label, kind="stable")
+    del classes
+    lo = 0
+    while lo < len(keys):
+        rows = cum[:, 1:, lo + 1 :] - cum[:, 1:, lo, None]
+        cols = cum[:, :-1, lo + 1 :] - cum[:, :-1, lo, None]
+        nbytes = (rows * ((cols + WORD_BITS - 1) // WORD_BITS) * 8).max(axis=(0, 1))  # grows with the run
+        hi = lo + max(1, int(np.searchsorted(nbytes, gf2.RANK_BLOCK_BYTES, "right")))
+        yield [[np.sort(o[cum[v, m, lo] : cum[v, m, hi]]) for m, o in enumerate(order[v])] for v in range(3)]
+        lo = hi
+
+
+def _part_index(coords, idx, m: int):
+    """The position of each index of idx among the increasing coords, -1 where it is -1;
+    GF2Error naming word degree m where one lies outside them."""
+    pos = np.searchsorted(coords, idx)
+    if not ((np.append(coords, -2)[pos] == idx) | (idx < 0)).all():
+        raise GF2Error(f"long exact sequence leaves its weight part at word degree {m}")
+    return np.where(idx < 0, -1, pos)
+
+
+def _part_differential(ones, m: int, cols, rows) -> BitMatrix:
+    """d^m from the part's coordinates cols of degree m to its coordinates rows of degree m + 1."""
+    words = np.zeros((rows.size, _word_count(cols.size)), dtype=np.uint64)
+    for i, r in ones(m, cols):
+        _xor_scatter(words, _part_index(rows, r, m + 1), i)
+    return BitMatrix(rows.size, cols.size, words)
+
+
+def _part_matrix(mat: BitMatrix, rows, cols, m: int) -> BitMatrix:
+    """mat at the part's rows and cols; a one of those rows must lie in cols."""
+    r, c = BitMatrix(rows.size, mat.cols, mat.words[rows]).coords()
+    return BitMatrix.from_coords(rows.size, cols.size, r, _part_index(cols, c, m))
+
+
+def _pivot_coords(h: QuotientCoords, coords):
+    """The coordinate in coords of the pivot column of each coset coordinate of h."""
+    return coords[np.asarray(h.sup.pivots, dtype=np.int64)[h.free]]
+
+
+def _direct_sum(blocks) -> BitMatrix:
+    """The direct sum of blocks (row keys, column keys, block), its rows and
+    columns in increasing key order."""
+    rows, cols = (np.sort(np.concatenate([b[k] for b in blocks])) for k in (0, 1))
+    r, c = (np.concatenate(x) for x in zip(*[(rk[i], ck[j]) for rk, ck, b in blocks for i, j in [b.coords()]]))
+    return BitMatrix.from_coords(rows.size, cols.size, np.searchsorted(rows, r), np.searchsorted(cols, c))
+
+
+def _part_sequence(rel: RelativeTower, ones, co, limit: int):
+    """The long exact sequence on one weight part, whose coordinates are co.
+
+    Returns the part's node verdicts, in the order of the report's nodes,
+    and for each word degree m < limit the connecting map's block with the
+    coordinate of the pivot column behind each of its rows and columns.  A
+    degree where the part has no coordinates is skipped: its cohomology is
+    zero.
+    """
+    s, t, q = co
+    held = [None] * 3  # d^{m-1} of each complex, for the boundaries of degree m
+    zero, empty = QuotientCoords(Subspace.zero(0), Subspace.zero(0)), BitMatrix.zeros(0, 0)
+
+    def at(m):
+        """(H^m(sub), H^m(total), H^m(quotient), i_*, p_*, incl) at word degree m."""
+        if not (s[m].size or t[m].size or q[m].size):
+            held[:] = [None] * 3  # d^m has no columns
+            return zero, zero, zero, empty, empty, empty
+        h = []
+        for v in range(3):
+            d = _part_differential(ones[v], m, co[v][m], co[v][m + 1])
+            below = BitMatrix.zeros(d.cols, 0) if held[v] is None else held[v]
+            tower = ComplexTower.held((below.cols, d.cols, d.rows), (below, d))  # degree 1 is m
+            h.append(QuotientCoords(cycles(tower, 1), boundaries(tower, 1)))
+            held[v] = d
+        incl = _part_matrix(rel.incl[m], t[m], s[m], m)
+        pi = rel.proj[m]
+        proj = WordMap(q[m].size, t[m].size, *(_part_index(t[m], x[q[m]], m) for x in (pi.a, pi.b)))
+        return (*h, induced_map(incl, h[0], h[1]), induced_map(proj, h[1], h[2]), incl)
+
+    # one sweep up the degrees, holding H^m and H^{m+1} only
+    hs, ht, hq, i_star, p_star, _ = at(0)
+    total_ok, quotient_ok, sub_ok, blocks = [], [], [i_star.rank() == hs.dim], []
+    for m in range(limit + 1):
+        total_ok.append((p_star @ i_star).is_zero() and i_star.rank() + p_star.rank() == ht.dim)
+        if m == limit:
+            break
+        dt = held[1]  # the total d^m
+        hs1, ht1, hq1, i_star1, p_star1, incl1 = at(m + 1)
+        reps = hq.lift_rows()
+        if reps.rows == 0:
+            delta = BitMatrix.zeros(hs1.dim, 0)
+        else:
+            section = WordMap(t[m].size, q[m].size, _part_index(q[m], rel.section[m].a[t[m]], m))
+            lifted = (section @ reps.transpose()).transpose()  # reps @ section^T
+            w = lifted @ dt.transpose()
+            # incl is injective with one representative per column: read u there
+            u = w.take_columns(_part_index(t[m + 1], rel.meta["last"][m + 1][s[m + 1]], m + 1))
+            if incl1 @ u.transpose() != w.transpose():
+                raise GF2Error(f"connecting-map lift failed at word degree {m}")
+            delta = hs1.project_rows(u).transpose()
+        blocks.append((_pivot_coords(hs1, s[m + 1]), _pivot_coords(hq, q[m]), delta))
+        quotient_ok.append((delta @ p_star).is_zero() and p_star.rank() + delta.rank() == hq.dim)
+        sub_ok.append((i_star1 @ delta).is_zero() and delta.rank() + i_star1.rank() == hs1.dim)
+        hs, ht, hq, i_star, p_star = hs1, ht1, hq1, i_star1, p_star1
+    return total_ok + quotient_ok + sub_ok, blocks
+
+
 def long_exact_sequence_check(
     rel: RelativeTower, max_degree: int | None = None
 ) -> LESReport:
     """Assemble the long exact sequence and verify exactness at every node.
 
-    The sub and total towers are built here.  Exactness at a node is rank
-    arithmetic: the composite of consecutive maps vanishes and the ranks
-    add up to the middle dimension.  A lift failure inside the connecting
-    map is a chain-map bug, not a report entry, and raises.
+    The sequence is swept one weight part at a time (the module docstring,
+    _part_sequence); a one that leaves its part raises, naming its word
+    degree.  Exactness at a node is rank arithmetic, in every part: the
+    composite of consecutive maps vanishes and the ranks add up to the
+    middle dimension.  Each connecting map is the direct sum of its part
+    blocks, in the coset coordinates the whole sequence would have.  A lift
+    failure inside the connecting map is a chain-map bug, not a report
+    entry, and raises.
     """
     m_top = rel.word_degrees
-    sub_fl, tot_fl = INCLUSION_FLAVORS[rel.kind]
-    sub = build_tower(sub_fl, rel.table, rel.coeffs, m_top, label=f"sub[{sub_fl.value}]")
-    total = build_tower(tot_fl, rel.table, rel.coeffs, m_top, label=f"total[{tot_fl.value}]")
-    qt = rel.quotient_word_tower()
+    sub = build_tower(INCLUSION_FLAVORS[rel.kind][0], rel.table, rel.coeffs, m_top)
+    total, proj = rel.tower.total, rel.proj
     limit = m_top - 1 if max_degree is None else min(max_degree, m_top - 1)
+    # the ones of d^m(e_f) of the sub, total and quotient complexes in word degree m
+    ones = (sub.ones, total.ones, lambda m, cols: rel.tower.total_ones(m, proj[m].a[cols]))
 
-    def at(m):
-        """(H^m(sub), H^m(total), H^m(quotient), i_*, p_*) at word degree m."""
-        towers = (sub, total, qt)
-        hs, ht, hq = (QuotientCoords(cycles(t, m), boundaries(t, m)) for t in towers)
-        return hs, ht, hq, induced_map(rel.incl[m], hs, ht), induced_map(rel.proj[m], ht, hq)
+    def weights(m):
+        w = total.weights(m)
+        return sub.weights(m), w, w[proj[m].a]
 
-    # one sweep up the degrees, holding H^m and H^{m+1} only; the verdicts
-    # are listed by node kind as the report orders them
-    hs, ht, hq, i_star, p_star = at(0)
-    total_ok, quotient_ok, sub_ok = [], [], [i_star.rank() == hs.dim]
-    connecting = []
-    for m in range(limit + 1):
-        total_ok.append((p_star @ i_star).is_zero() and i_star.rank() + p_star.rank() == ht.dim)
-        if m == limit:
-            break
-        hs1, ht1, hq1, i_star1, p_star1 = at(m + 1)
-        reps = hq.lift_rows()
-        if reps.rows == 0:
-            delta = BitMatrix.zeros(hs1.dim, 0)
-        else:
-            lifted = (rel.section[m] @ reps.transpose()).transpose()  # reps @ section^T
-            w = lifted @ total.differential(m).transpose()
-            # incl is injective with one representative per column: read u there
-            u = w.take_columns(rel.meta["last"][m + 1])
-            if rel.incl[m + 1] @ u.transpose() != w.transpose():
-                raise GF2Error(f"connecting-map lift failed at word degree {m}")
-            delta = hs1.project_rows(u).transpose()
-        connecting.append(delta)
-        quotient_ok.append((delta @ p_star).is_zero() and p_star.rank() + delta.rank() == hq.dim)
-        sub_ok.append((i_star1 @ delta).is_zero() and delta.rank() + i_star1.rank() == hs1.dim)
-        hs, ht, hq, i_star, p_star = hs1, ht1, hq1, i_star1, p_star1
-
-    nodes = [(f"H^{m}(total)", ok) for m, ok in enumerate(total_ok)]
-    nodes += [(f"H^{m}(quotient)", ok) for m, ok in enumerate(quotient_ok)]
-    nodes += [(f"H^{m}(sub)", ok) for m, ok in enumerate(sub_ok)]
-    return LESReport(tuple(nodes), tuple(connecting))
+    names = [f"H^{m}(total)" for m in range(limit + 1)] + [f"H^{m}(quotient)" for m in range(limit)]
+    names += [f"H^{m}(sub)" for m in range(limit + 1)]
+    ok, blocks = [True] * len(names), [[] for _ in range(limit)]
+    for co in _weight_parts(weights, limit + 1):
+        part_ok, part_blocks = _part_sequence(rel, ones, co, limit)
+        ok = [a and b for a, b in zip(ok, part_ok)]
+        for m, block in enumerate(part_blocks):
+            blocks[m].append(block)
+    return LESReport(tuple(zip(names, ok)), tuple(_direct_sum(b) for b in blocks))
 
 
 def comparison_filtration(pair: InclusionPair, rel: RelativeTower) -> FilteredTower:

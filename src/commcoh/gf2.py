@@ -104,14 +104,13 @@ def _int_rows(words: np.ndarray) -> list:
     return [int.from_bytes(buf[i : i + nb], "big") for i in range(0, len(buf), nb)]
 
 
-def _int_words(ints: list, rows: int, cols: int) -> np.ndarray:
-    """Word buffer of rows x cols whose leading rows are ints; the rest are zero."""
+def _int_words(ints: list, cols: int) -> np.ndarray:
+    """Word buffer of len(ints) x cols whose rows are ints."""
     nw = _word_count(cols)
-    words = np.zeros((rows, nw), dtype=np.uint64)
-    if ints and nw:
-        buf = b"".join(x.to_bytes(nw * 8, "big") for x in ints).translate(_BIT_REVERSE)
-        words[: len(ints)] = np.frombuffer(buf, dtype="<u8").reshape(len(ints), nw)
-    return words
+    if not (ints and nw):
+        return np.zeros((len(ints), nw), dtype=np.uint64)
+    buf = b"".join(x.to_bytes(nw * 8, "big") for x in ints).translate(_BIT_REVERSE)
+    return np.frombuffer(buf, dtype="<u8").astype(np.uint64, copy=False).reshape(len(ints), nw)
 
 
 def _xor_scatter(words: np.ndarray, r: np.ndarray, c: np.ndarray) -> None:
@@ -375,8 +374,8 @@ class BitMatrix:
     def rref(self):
         """Reduced row-echelon form.
 
-        Returns (reduced, rank, pivots).  Row space is preserved and the
-        result is the unique RREF of the input.
+        Returns (reduced, rank, pivots): reduced holds the rank nonzero rows
+        of the unique RREF of the input, which span its row space.
         """
         top = _row_echelon(self)
         mask = 0
@@ -384,10 +383,10 @@ class BitMatrix:
             top[h] = _reduce(top[h], mask, top)
             mask |= 1 << (h - 1)
         order = sorted(top, reverse=True)
-        words = _int_words([top[h] for h in order], self.rows, self.cols)
+        words = _int_words([top[h] for h in order], self.cols)
         width = self.words.shape[1] * WORD_BITS
         pivots = tuple(width - h for h in order)
-        return BitMatrix(self.rows, self.cols, words), len(order), pivots
+        return BitMatrix(len(order), self.cols, words), len(order), pivots
 
 
 class WordMap:
@@ -481,9 +480,8 @@ class Subspace:
             rows = BitMatrix.from_dense(rows.reshape(-1, ambient_dim))
         if rows.cols != ambient_dim:
             raise GF2Error("spanning rows have wrong ambient dimension")
-        red, rank, pivots = rows.rref()
-        words = red.words[:rank].copy()
-        return cls(ambient_dim, BitMatrix(rank, ambient_dim, words), pivots)
+        red, _, pivots = rows.rref()
+        return cls(ambient_dim, red, pivots)
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":

@@ -49,7 +49,7 @@ def _checked_rank(diff: BitMatrix, below, n: int) -> int:
         _echelon(reversed(_int_rows(block.words)), top)
         new = list(islice(top.values(), kept, None))
         if below is not None and new:
-            rows = BitMatrix(len(new), below.rows, _int_words(new, len(new), below.rows))
+            rows = BitMatrix(len(new), below.rows, _int_words(new, below.rows))
             if not (rows @ below).is_zero():
                 raise GF2Error(f"differentials do not square to zero at degree {n}")
     return len(top)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import importlib.util
 import threading
+import tracemalloc
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from pathlib import Path
@@ -257,6 +258,18 @@ def class_leaders(labels) -> np.ndarray:
     return np.array(
         [first.setdefault(x, i) if x >= 0 else -1 for i, x in enumerate(labels)], dtype=np.int64
     )
+
+
+def traced(fn):
+    """(fn(), bytes it left allocated, its peak bytes), counting only what
+    fn allocates, as tracemalloc traces it."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held, peak
 
 
 def raises_promptly(fn, errors, seconds=10.0):

@@ -5,9 +5,10 @@ array and packs it at the end.  They are kept as oracles: the package's
 builders must reproduce their matrices bit for bit.  The elimination
 route of the product cokernels and the tensor-ambient route of the mixed
 cokernel close the file, oracles of the same kind for the class maps and
-the symmetric class spans that replaced them, followed by the packed
-filtration steps and their pivot-column checks, which the class-leader
-arrays of FilteredTower replaced.
+the symmetric class spans that replaced them, the long exact sequence at
+full width, which the sweep by weight part replaced, followed by the
+packed filtration steps and their pivot-column checks, which the
+class-leader arrays of FilteredTower replaced.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from commcoh.cochain import (
     monomial_rank,
 )
 from commcoh.cohomology import boundaries, cycles
+from commcoh.comparison import LESReport
 from commcoh.gf2 import (
     BitMatrix,
     GF2Error,
@@ -396,18 +398,67 @@ def product_cokernel(pair, table, restr, mus, triv) -> ComplexTower:
 
 
 def flavor_towers(rel) -> tuple:
-    """The sub and total towers of rel's inclusion through its word
-    degrees, built as long_exact_sequence_check builds them."""
+    """The sub and total towers of rel's inclusion through its word degrees."""
     return tuple(
         build_tower(flavor, rel.table, rel.coeffs, rel.word_degrees)
         for flavor in INCLUSION_FLAVORS[rel.kind]
     )
 
 
+def quotient_word_tower(rel) -> ComplexTower:
+    """rel's quotient complex in word grading (degrees 0, 1 are zero), its
+    differentials packed from the relative tower."""
+    zero = (BitMatrix.zeros(0, 0), BitMatrix.zeros(rel.tower.dims[0], 0))
+    label = f"{rel.tower.label}/word"
+    return ComplexTower.held((0, 0) + rel.tower.dims, zero + rel.tower.diffs, label=label)
+
+
+def full_width_les(rel, max_degree=None) -> LESReport:
+    """The long exact sequence swept at full width, every space in one piece:
+    the route the sweep by weight part replaced, with the same checks,
+    verdicts and connecting maps."""
+    m_top = rel.word_degrees
+    sub, total = flavor_towers(rel)
+    qt = quotient_word_tower(rel)
+    limit = m_top - 1 if max_degree is None else min(max_degree, m_top - 1)
+
+    def at(m):
+        hs, ht, hq = (QuotientCoords(cycles(t, m), boundaries(t, m)) for t in (sub, total, qt))
+        return hs, ht, hq, induced_map(rel.incl[m], hs, ht), induced_map(rel.proj[m], ht, hq)
+
+    hs, ht, hq, i_star, p_star = at(0)
+    total_ok, quotient_ok, sub_ok = [], [], [i_star.rank() == hs.dim]
+    connecting = []
+    for m in range(limit + 1):
+        total_ok.append((p_star @ i_star).is_zero() and i_star.rank() + p_star.rank() == ht.dim)
+        if m == limit:
+            break
+        hs1, ht1, hq1, i_star1, p_star1 = at(m + 1)
+        reps = hq.lift_rows()
+        if reps.rows == 0:
+            delta = BitMatrix.zeros(hs1.dim, 0)
+        else:
+            lifted = (rel.section[m] @ reps.transpose()).transpose()
+            w = lifted @ total.differential(m).transpose()
+            u = w.take_columns(rel.meta["last"][m + 1])
+            if rel.incl[m + 1] @ u.transpose() != w.transpose():
+                raise GF2Error(f"connecting-map lift failed at word degree {m}")
+            delta = hs1.project_rows(u).transpose()
+        connecting.append(delta)
+        quotient_ok.append((delta @ p_star).is_zero() and p_star.rank() + delta.rank() == hq.dim)
+        sub_ok.append((i_star1 @ delta).is_zero() and delta.rank() + i_star1.rank() == hs1.dim)
+        hs, ht, hq, i_star, p_star = hs1, ht1, hq1, i_star1, p_star1
+
+    nodes = [(f"H^{m}(total)", ok) for m, ok in enumerate(total_ok)]
+    nodes += [(f"H^{m}(quotient)", ok) for m, ok in enumerate(quotient_ok)]
+    nodes += [(f"H^{m}(sub)", ok) for m, ok in enumerate(sub_ok)]
+    return LESReport(tuple(nodes), tuple(connecting))
+
+
 def connecting_maps(rel) -> list:
     """The long exact sequence's connecting maps by the dense lift: u solves
     incl @ u = w for the coboundary w of each lifted quotient class."""
-    qt = rel.quotient_word_tower()
+    qt = quotient_word_tower(rel)
     sub, total = flavor_towers(rel)
     h = lambda tower, m: QuotientCoords(cycles(tower, m), boundaries(tower, m))
     out = []

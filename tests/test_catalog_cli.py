@@ -1,7 +1,6 @@
 """Tests for the catalog, algebra files, survey, and CLI reports."""
 
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +23,7 @@ from commcoh.catalog import (
 from commcoh.cli import main, run
 from commcoh.gf2 import GF2Error
 
-from conftest import catalog, random_invertible, survey
+from conftest import catalog, random_invertible, survey, traced
 from survey_oracle import (
     line_module_instances_loop,
     oracle_survivors,
@@ -184,12 +183,7 @@ class TestSurvey:
             assert not classify_algebra(BracketTable(c)).jacobi
 
     def test_dim_three_survey_memory(self):
-        tracemalloc.start()
-        try:
-            survey_enumerate(3, up_to_iso=True)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, _, peak = traced(lambda: survey_enumerate(3, up_to_iso=True))
         assert peak < 8 << 20
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -317,27 +311,30 @@ class TestCLI:
         # module m 20 GB; both are refused before anything is allocated
         f = tmp_path / "big.alg"
         f.write_text(text)
-        tracemalloc.start()
-        try:
-            report, code = run(["check", "--algebra", str(f)])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        (report, code), _, peak = traced(lambda: run(["check", "--algebra", str(f)]))
         assert code == 1 and "table over" in report["error"]
         assert peak < 1 << 20
 
-    def test_axiom_violation_is_internal_error(self, tmp_path):
-        # the declared module breaks the module axiom; the cohomology
-        # command must refuse with the invariant-violation exit code
+    @pytest.mark.parametrize(
+        "command",
+        [["cohomology"], ["compare"], ["les"], ["hs-ss", "--ideal", "h"]],
+        ids=["cohomology", "compare", "les", "hs-ss"],
+    )
+    def test_bad_file_module_is_input_error(self, tmp_path, capsys, command):
+        # a module declared in the file that breaks the module axiom is bad
+        # input, refused with exit 1 like a table failing its axioms; `check`
+        # still reports the failed axiom
         f = tmp_path / "badmod.alg"
         f.write_text(
-            "dim 2\nbasis e f\nbracket f f = e\n"
-            "module bad dim 1\naction bad e = 1\n"
+            "dim 3\nbasis x y z\nbracket x y = z\nbracket y x = z\nsubspace h = 001\n"
+            "module m dim 1\naction m z = 1\n"
         )
-        report, code = run(
-            ["cohomology", "--algebra", str(f), "--module", "bad"]
-        )
-        assert code == 2
+        assert main([*command, "--algebra", str(f), "--module", "m", "--max-degree", "3"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and json.loads(err) == {"error": "axiom left-module fails on basis pair (0, 1)"}
+        report, _ = run(["check", "--algebra", str(f)])
+        failed = [c["name"] for c in report["checks"] if not c["passed"]]
+        assert failed == ["module-axioms[m]"]
 
     @pytest.mark.parametrize(
         "text",

@@ -1,6 +1,5 @@
 """Tests for cochain bases, differentials, operators, and inclusions."""
 
-import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -41,6 +40,7 @@ from conftest import (
     inclusion_class_map,
     random_comm_lie_table,
     random_valid_module,
+    traced,
 )
 from dense_builders import assert_same_matrix
 
@@ -379,12 +379,7 @@ class TestBuildersMatchDenseOracles:
         # heis3 adjoint at degree 7: 19683 x 6561, 15.5 MiB packed and
         # 123 MiB as a dense uint8 array
         entry = catalog("heis3")
-        tracemalloc.start()
-        try:
-            diff = build_tower(Flavor.TENSOR, entry.table, entry.modules["adjoint"], 8).differential(7)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        diff, _, peak = traced(lambda: build_tower(Flavor.TENSOR, entry.table, entry.modules["adjoint"], 8).differential(7))
         assert diff.shape == (19683, 6561)
         assert peak < 2.5 * diff.words.nbytes
 

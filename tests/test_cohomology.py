@@ -1,6 +1,5 @@
 """Tests for Betti tables, representatives, and induced maps on cohomology."""
 
-import tracemalloc
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -46,6 +45,7 @@ from conftest import (
     random_invertible,
     random_valid_module,
     tables_and_actions,
+    traced,
 )
 
 
@@ -272,12 +272,7 @@ class TestStreamedBetti:
         # the transposed weight blocks with clearing at 2.24 MiB
         entry = catalog("heis3")
         mod = entry.modules["adjoint"]
-        tracemalloc.start()
-        try:
-            bt = betti_table(build_tower(Flavor.TENSOR, entry.table, mod, 8))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        bt, _, peak = traced(lambda: betti_table(build_tower(Flavor.TENSOR, entry.table, mod, 8)))
         assert bt.dims == (1, 4, 9, 22, 53, 128, 309, 746)
         assert peak < 3 * 2**20
 
@@ -289,12 +284,7 @@ class TestStreamedBetti:
         # ranking and dropping one group at a time peaks at 3.3 MiB
         table = heis3_table(2)
         mod = make_module(table, "adjoint")
-        tracemalloc.start()
-        try:
-            bt = betti_table(build_tower(Flavor.TENSOR, table, mod, 8))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        bt, _, peak = traced(lambda: betti_table(build_tower(Flavor.TENSOR, table, mod, 8)))
         assert bt.dims == (1, 4, 9, 22, 53, 128, 309, 746)
         assert peak < 3.5 * 2**20
 

@@ -3,13 +3,12 @@ filtrations, cokernel complexes, and product-shape checks."""
 
 import dataclasses
 import gc
-import tracemalloc
 import weakref
 from math import comb, perm
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import betti_oracle
 import dense_builders as dense
@@ -19,6 +18,7 @@ from commcoh.algebra import (
     ModuleSpec,
     classify_algebra,
     coadjoint_module,
+    make_module,
     trivial_module,
 )
 from commcoh.catalog import catalog_names
@@ -46,7 +46,15 @@ from commcoh.comparison import (
 from commcoh.gf2 import BitMatrix, GF2Error, Subspace, kernel_basis
 from commcoh.spectral import compute_pages, convergence_check
 
-from conftest import catalog, class_count, inclusion_class_map, survey
+from conftest import (
+    catalog,
+    class_count,
+    heis3_table,
+    inclusion_class_map,
+    random_valid_module,
+    survey,
+    traced,
+)
 from dense_builders import assert_same_matrix, packed
 
 
@@ -290,19 +298,12 @@ class TestWordMaps:
         # the build and peaked at 20.4 MiB through the long exact sequence;
         # as index arrays 5.5 MiB and 9.1 MiB
         entry = catalog("heis3")
-        tracemalloc.start()
-        try:
-            rel = build_relative_complex(
-                InclusionPair.EXT_IN_TENSOR, entry.table, entry.modules["adjoint"], 5
-            )
-            held, _ = tracemalloc.get_traced_memory()
-            les = long_exact_sequence_check(rel, 6)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        build = lambda: build_relative_complex(InclusionPair.EXT_IN_TENSOR, entry.table, entry.modules["adjoint"], 5)
+        rel, held, build_peak = traced(build)
+        les, _, les_peak = traced(lambda: long_exact_sequence_check(rel, 6))
         assert les.ok and rel.proj[7].shape == (6561, 6561)
         assert held < 8 * 2**20
-        assert peak < 12 * 2**20
+        assert max(build_peak, held + les_peak) < 12 * 2**20
 
     @pytest.mark.parametrize("block_bytes", [64, gf2.RANK_BLOCK_BYTES])
     def test_differential_is_the_projected_column_take(self, block_bytes, monkeypatch):
@@ -325,14 +326,8 @@ class TestWordMaps:
         # the peak 17.0 MiB above what the build holds, its row blocks
         # 2.5 MiB, and generating its columns lifts it 1.9 MiB
         entry = catalog("heis3")
-        tracemalloc.start()
-        try:
-            rel = build_relative_complex(
-                InclusionPair.EXT_IN_TENSOR, entry.table, entry.modules["adjoint"], 6
-            )
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        build = lambda: build_relative_complex(InclusionPair.EXT_IN_TENSOR, entry.table, entry.modules["adjoint"], 6)
+        rel, held, peak = traced(build)
         _, total = dense.flavor_towers(rel)
         assert rel.tower.diffs[-1].shape == total.diffs[-1].shape == (19683, 6561)
         assert peak < held + 6 * 2**20
@@ -343,12 +338,7 @@ class TestWordMaps:
         # the lie-leibniz build held 37.7 MiB, 20.3 MiB over the 17.4 MiB of
         # its packed relative differentials; without them 20.3 MiB
         entry = catalog("heis3")
-        tracemalloc.start()
-        try:
-            rel = build_relative_complex(pair, entry.table, entry.modules["trivial"], 7)
-            held, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        rel, held, _ = traced(lambda: build_relative_complex(pair, entry.table, entry.modules["trivial"], 7))
         assert held < sum(dd.words.nbytes for dd in rel.tower.diffs) + 6 * 2**20
 
     @pytest.mark.parametrize("pair", [InclusionPair.EXT_IN_TENSOR, InclusionPair.SYM_IN_TENSOR])
@@ -357,12 +347,7 @@ class TestWordMaps:
         # differentials held 17.4 and 17.2 MiB of the build's 20.3 and
         # 20.2 MiB; the tower now holds their generator
         entry = catalog("heis3")
-        tracemalloc.start()
-        try:
-            rel = build_relative_complex(pair, entry.table, entry.modules["trivial"], 7)
-            held, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        rel, held, _ = traced(lambda: build_relative_complex(pair, entry.table, entry.modules["trivial"], 7))
         assert rel.tower.dims[-1] > 6000
         assert held < 8 * 2**20
 
@@ -492,16 +477,10 @@ class TestRelativeComplex:
         # generating it class by class 2.1 MiB
         entry = catalog("heis3")
         rel = build_relative_complex(InclusionPair.EXT_IN_TENSOR, entry.table, entry.modules["trivial"], 7)
-        tracemalloc.start()
-        try:
-            held, _ = tracemalloc.get_traced_memory()
-            bt = betti_table(rel.tower)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        bt, _, peak = traced(lambda: betti_table(rel.tower))
         assert rel.tower.diffs[-1].shape == (19683, 6561)
         assert bt.dims == (4, 12, 29, 70, 169, 408, 985)
-        assert peak < held + 8 * 2**20
+        assert peak < 8 * 2**20
 
     def test_refuses_coefficients_failing_their_axioms(self):
         # catalog N with e acting by 1 on a line: no bimodule
@@ -571,8 +550,11 @@ class TestLES:
         incl = list(rel.incl)
         incl[m + 1] = BitMatrix.zeros(*incl[m + 1].shape)
         forged = dataclasses.replace(rel, incl=tuple(incl))
-        with pytest.raises(GF2Error, match=f"connecting-map lift failed at word degree {m}$"):
-            long_exact_sequence_check(forged)
+        for block_bytes in (1, gf2.RANK_BLOCK_BYTES):  # one part per weight class, and runs of them
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(gf2, "RANK_BLOCK_BYTES", block_bytes)
+                with pytest.raises(GF2Error, match=f"connecting-map lift failed at word degree {m}$"):
+                    long_exact_sequence_check(forged)
 
     def test_zero_differentials_split(self):
         t = BracketTable.zero(2)
@@ -592,9 +574,128 @@ class TestLES:
             InclusionPair.EXT_IN_TENSOR, ab2.table, ab2.modules["flambda"], 5
         )
         sub, total = map(betti_table, dense.flavor_towers(rel))
-        quo = betti_table(rel.quotient_word_tower())
+        quo = betti_table(dense.quotient_word_tower(rel))
         assert all(v == 0 for v in sub.dims)
         assert total.dims[: len(quo.dims)] == quo.dims[: len(quo.dims)]
+
+
+def assert_les_matches_full_width(rel, max_degree=None):
+    """The sweep by weight part gives the full-width sweep's node verdicts
+    and connecting maps, bit for bit, with RANK_BLOCK_BYTES at 1 (every
+    weight class its own part, unless a run of classes has no block between
+    them) and at its real value; returns the oracle's report."""
+    want = dense.full_width_les(rel, max_degree)
+    for block_bytes in (1, gf2.RANK_BLOCK_BYTES):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gf2, "RANK_BLOCK_BYTES", block_bytes)
+            got = long_exact_sequence_check(rel, max_degree)
+        assert got.nodes == want.nodes, block_bytes
+        assert len(got.connecting) == len(want.connecting)
+        for g, w in zip(got.connecting, want.connecting):
+            assert_same_matrix(g, w)
+    return want
+
+
+def count_parts(monkeypatch) -> list:
+    """The number of weight parts of each long exact sequence run from now on."""
+    counts, parts = [], comparison._weight_parts
+
+    def counted(*args):
+        counts.append(0)
+        for co in parts(*args):
+            counts[-1] += 1
+            yield co
+
+    monkeypatch.setattr(comparison, "_weight_parts", counted)
+    return counts
+
+
+class TestLESParts:
+    """long_exact_sequence_check, swept one weight part at a time, against
+    the full-width sweep it replaced (dense_builders.full_width_les)."""
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_catalog_matches_full_width(self, name):
+        entry = catalog(name)
+        for module in ("trivial", "adjoint", "coadjoint", "flambda"):
+            for pair in applicable_pairs(entry.table):
+                rel = build_relative_complex(pair, entry.table, entry.modules[module], 3)
+                assert_les_matches_full_width(rel)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_spectral_files_match_full_width(self, seed, monkeypatch):
+        # the benchmark's `les --module adjoint --max-degree 5` on its seeded
+        # heis3 files: 70 or 71 weight classes, in two parts at the real
+        # block size (lie-comm in one)
+        table = heis3_table(1, seed)
+        counts = count_parts(monkeypatch)
+        for pair in InclusionPair:
+            rel = build_relative_complex(pair, table, make_module(table, "adjoint"), 5)
+            assert assert_les_matches_full_width(rel, 6).ok
+        assert min(counts[::2]) >= 70 and counts[1::2] == [2, 1, 2]
+
+    def test_ungraded_basis_is_one_part(self, monkeypatch):
+        # brackets all x + y + z: every coordinate has the same weight
+        table = heis3_table(3)
+        counts = count_parts(monkeypatch)
+        for module in ("trivial", "adjoint"):
+            for pair in InclusionPair:
+                rel = build_relative_complex(pair, table, make_module(table, module), 4)
+                assert_les_matches_full_width(rel)
+        assert counts == [1] * 12
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 2**32 - 1), st.booleans(), st.integers(0, 3))
+    def test_drawn_tables_match_full_width(self, d, seed, lie, n_rel):
+        pool = [t for t in survey(d).rep_tables() if classify_algebra(t).is_lie == lie]
+        assume(pool)
+        rng = np.random.default_rng(seed)
+        table = pool[rng.integers(len(pool))]
+        coeffs = random_valid_module(rng, table)
+        for pair in applicable_pairs(table):
+            assert_les_matches_full_width(build_relative_complex(pair, table, coeffs, n_rel))
+
+    def test_a_node_failing_in_one_part_fails(self, monkeypatch):
+        # i_* forged to miss one sub cochain of degree 0: the nodes it breaks
+        # fail in one part and hold in the others, so the verdicts are the
+        # AND over the parts
+        entry = catalog("heis3")
+        rel = build_relative_complex(InclusionPair.EXT_IN_TENSOR, entry.table, entry.modules["adjoint"], 2)
+        counts = count_parts(monkeypatch)
+        failed = []
+        for j in range(rel.incl[0].cols):
+            dense_incl = rel.incl[0].to_dense()
+            dense_incl[:, j] = 0
+            forged = dataclasses.replace(rel, incl=(BitMatrix.from_dense(dense_incl), *rel.incl[1:]))
+            want = assert_les_matches_full_width(forged)
+            failed += want.failures()
+        assert failed == ["H^0(total)", "H^0(sub)"]
+        assert counts[0] > 1
+
+    def test_a_one_leaving_its_part_names_its_degree(self, monkeypatch):
+        # incl[2] forged with a one from the symmetric cochain of y^2 to the
+        # tensor word x x, of another weight
+        entry = catalog("heis3")
+        rel = build_relative_complex(InclusionPair.SYM_IN_TENSOR, entry.table, entry.modules["trivial"], 2)
+        sub, total = dense.flavor_towers(rel)
+        t, s = 0, 2  # the words (0, 0) and (1, 1) in colex order
+        assert not rel.incl[2].get(t, s) and not np.array_equal(total.weights(2)[t], sub.weights(2)[s])
+        dense_incl = rel.incl[2].to_dense()
+        dense_incl[t, s] = 1
+        forged = dataclasses.replace(rel, incl=(*rel.incl[:2], BitMatrix.from_dense(dense_incl), *rel.incl[3:]))
+        monkeypatch.setattr(gf2, "RANK_BLOCK_BYTES", 1)
+        with pytest.raises(GF2Error, match="^long exact sequence leaves its weight part at word degree 2$"):
+            long_exact_sequence_check(forged)
+
+    def test_sweep_holds_one_part(self):
+        # heis3 adjoint lie-leibniz through word degree 7, the benchmark's
+        # size: the full-width sweep peaked 7.63 MiB above its start, the
+        # sweep by weight part 2.84 MiB
+        entry = catalog("heis3")
+        rel = build_relative_complex(InclusionPair.EXT_IN_TENSOR, entry.table, entry.modules["adjoint"], 5)
+        les, _, peak = traced(lambda: long_exact_sequence_check(rel, 6))
+        assert les.ok
+        assert peak < 4 * 2**20
 
 
 class TestComparisonFiltration:
@@ -669,12 +770,7 @@ class TestComparisonFiltration:
         entry = catalog("heis3")
         pair = InclusionPair.SYM_IN_TENSOR
         rel = build_relative_complex(pair, entry.table, entry.modules["trivial"], 6)
-        tracemalloc.start()
-        try:
-            ft = comparison_filtration(pair, rel)
-            held, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        ft, held, _ = traced(lambda: comparison_filtration(pair, rel))
         assert ft.filt[6][0].shape == (rel.tower.dims[6],) == (6516,)
         assert held < 2 * 2**20
 
@@ -740,12 +836,7 @@ class TestCRComplexes:
         # the tower reads word degrees up to 7; a kernel of the unread
         # word-degree 8 constraint stack (6561 columns) peaked at 37 MiB
         heis3 = catalog("heis3")
-        tracemalloc.start()
-        try:
-            cr = build_cr_complex(InclusionPair.EXT_IN_SYM, heis3.table, 5)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        cr, _, peak = traced(lambda: build_cr_complex(InclusionPair.EXT_IN_SYM, heis3.table, 5))
         assert cr.dims == (3, 0, 0, 0, 0, 0)
         assert peak < 16 * 2**20
 
@@ -974,12 +1065,7 @@ class TestProducts:
         entry = catalog("heis3")
         mod = entry.modules["trivial"]
         tables = flavor_tables(entry.table, mod, 9)
-        tracemalloc.start()
-        try:
-            rep = verify_e2_product(InclusionPair.EXT_IN_TENSOR, entry.table, mod, 9, tables)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        rep, _, peak = traced(lambda: verify_e2_product(InclusionPair.EXT_IN_TENSOR, entry.table, mod, 9, tables))
         assert rep.ok
         assert peak < 20 * 2**20
 

@@ -1,7 +1,5 @@
 """Tests for the packed GF(2) linear algebra layer."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +20,7 @@ from commcoh import gf2
 from commcoh.catalog import catalog_names
 from commcoh.cochain import Flavor, PreconditionError, build_tower
 
-from conftest import catalog, raises_promptly, subspace_vectors
+from conftest import catalog, raises_promptly, subspace_vectors, traced
 from dense_builders import packed
 from page_oracle import annihilator, apply_to_subspace, preimage, quotient_dim, subspace_intersect, subspace_sum
 
@@ -207,8 +205,10 @@ def assert_rref_matches_oracle(m: BitMatrix):
     red, rank, pivots = m.rref()
     want_words, want_rank, want_pivots = rref_numpy_oracle(m)
     assert (rank, pivots) == (want_rank, want_pivots)
-    assert red.shape == m.shape
-    assert red.words.tobytes() == want_words.tobytes()
+    # the rank rows only: the oracle's leading rows, and its remaining rows are zero
+    assert red.shape == (rank, m.cols)
+    assert red.words.tobytes() == want_words[:rank].tobytes()
+    assert not want_words[rank:].any()
     assert padding_is_zero(red)
     assert m.rank() == rank
 
@@ -277,7 +277,7 @@ class TestRowOrder:
             for m in (BitMatrix.from_dense(arr), BitMatrix.from_dense(arr[list(perm)])):
                 red, got_rank, got_pivots = m.rref()
                 assert (got_rank, got_pivots) == (rank, pivots)
-                assert red.words.tobytes() == want_words.tobytes()
+                assert red.words.tobytes() == want_words[:rank].tobytes()
                 assert m.rank() == rank
                 kernel = kernel_basis(m)
                 assert kernel.dim == arr.shape[1] - rank
@@ -312,12 +312,7 @@ class TestRankBlocks:
         # 15.5 MiB packed; whole-matrix conversion peaked 30.9 MiB above it
         entry = catalog("heis3")
         diff = build_tower(Flavor.TENSOR, entry.table, entry.modules["adjoint"], 8).differential(7)
-        tracemalloc.start()
-        try:
-            rank = diff.rank()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        rank, _, peak = traced(diff.rank)
         assert diff.shape == (19683, 6561)
         assert peak < 0.5 * diff.words.nbytes
         assert rank == rref_numpy_oracle(diff)[1] == 4392
@@ -609,12 +604,7 @@ class TestCoordinates:
         rng = np.random.default_rng(19)
         a = BitMatrix.from_dense(rng.integers(0, 2, (2048, 2048), dtype=np.uint8))
         b = BitMatrix.from_dense(rng.integers(0, 2, (2048, 2048), dtype=np.uint8))
-        tracemalloc.start()
-        try:
-            out = a @ b
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        out, _, peak = traced(lambda: a @ b)
         assert peak < 2 * out.words.nbytes + gf2.RANK_BLOCK_BYTES
         assert np.array_equal(out.words, matmul_column_oracle(a, b))
 

@@ -6,8 +6,6 @@ page_oracle.py, on random filtered complexes and on every filtration
 the package builds from the catalog.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,7 +27,7 @@ from commcoh.spectral import (
     subalgebra_filtration,
 )
 
-from conftest import catalog, class_leaders, raises_promptly, random_invertible
+from conftest import catalog, class_leaders, raises_promptly, random_invertible, traced
 from dense_builders import step_span
 from page_oracle import oracle_infinity_entries, oracle_pages
 
@@ -213,12 +211,7 @@ def test_top_pairing_holds_no_packed_images():
     entry = catalog("heis3")
     rel = build_relative_complex(InclusionPair.SYM_IN_TENSOR, entry.table, entry.modules["trivial"], 7)
     ft = comparison_filtration(InclusionPair.SYM_IN_TENSOR, rel)
-    tracemalloc.start()
-    try:
-        conv = convergence_check(ft, compute_pages(ft))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    conv, _, peak = traced(lambda: convergence_check(ft, compute_pages(ft)))
     assert conv.ok and ft.tower.dims[-2:] == (6516, 19628)
     assert peak < 32 * 2**20
 
