@@ -203,6 +203,8 @@ def parse_algebra_file(text: str) -> FileAlgebra:
             count = _parse_count(toks[1], line_no, "dim wants one integer", lambda n: n**3)
             if dim is not None:
                 raise AlgebraFileError(line_no, "dim declared twice")
+            if count == 0:
+                raise AlgebraFileError(line_no, "dim must be at least 1")
             dim = count
             if labels is None:
                 labels = [f"b{i}" for i in range(dim)]

@@ -18,8 +18,8 @@ given any set of cochain coordinates f, it lists the ones of each
 d(e_f), a chunk of columns at a time, from the letter insertions and
 from the nonzero brackets only (Bauer's implicit coboundary, "Ripser",
 2021).  A tower (ComplexTower) is held as this generator: the Betti route
-makes each weight class of T_n = (d^n)^T from its own coordinates, and
-ComplexTower.differential packs d^n only for a route that asks for it.
+and the long exact sequence make T_n = (d^n)^T a weight part at a time
+(cohomology._part_block), and differential packs d^n whole on request.
 
 Words are held as int arrays, one letter per column, and ranked by
 arithmetic rather than lookup (a_0 <= a_1 <= ... are the sorted letters):
@@ -362,8 +362,8 @@ class ComplexTower:
     reported).  ones(n, cols) gives the ones of d^n(e_f) for f in cols, a
     chunk at a time, and weights(n) each degree-n coordinate's weight: from
     the flavor's coboundary on (table, coeffs) here, from what a subclass
-    holds otherwise.  differential(n), the only packer, packs d^n once it is
-    asked for; what is packed takes no part in equality."""
+    holds otherwise.  differential(n) packs d^n whole on request, where the
+    Betti route packs T_n by part; what is packed takes no part in equality."""
 
     dims: tuple
     flavor: Flavor | None

@@ -4,36 +4,37 @@ Betti numbers come from ranks, on one route for every tower
 (betti_table).  It ranks generated transposed coboundaries: row f of
 T_n is d(e_f), the coboundary of the f-th basis cochain of C^n, so T_n
 is d^n transposed.  Under the finest grading of (table, coefficients)
-(algebra.weight_grading) every coboundary is block-diagonal by weight
-class, and T_n is ranked as its class blocks T_n^W, each as wide as one
-class of C^{n+1}.  A tower with no grading (a table without one, held
-differentials) is one class: the same route with one block.  The rows of
-T_n^W are generated directly, from the coordinates of W alone
-(ComplexTower.ones); a one that crosses classes is an internal error
-naming its degree.
+(algebra.weight_grading) every coboundary keeps the weight, so a tower
+is the direct sum of its weight classes (Fuks, "Cohomology of
+Infinite-Dimensional Lie Algebras", 1986).  _weight_parts cuts the
+classes of all degrees into parts: one class, or a run of consecutive
+classes whose blocks of T_n each fit RANK_BLOCK_BYTES packed.  A tower
+with no grading (a table without one, held differentials) is one part
+on the same route.  _part_block generates T_n on a part from the part's
+coordinates alone (ComplexTower.ones); a one outside its row's class is
+an internal error naming its degree.  The long exact sequence
+(comparison) reads the same parts and blocks.
 
-Degrees go up, and each clears the next (Chen & Kerber, "Persistent
-homology computation with a twist", 2011).  A kept row of the echelon
-of T_{n-1}^W is a coboundary whose leading column is some f, so once
-d^n d^{n-1} = 0, d(e_f) is a sum of later rows of T_n^W and row f is
-left out of its echelon.  The square is checked first, on every class,
-as K @ T_n^W = 0, where K holds the kept rows of T_{n-1}^W (a basis of
-im d^{n-1} in the class) and T_n^W still has the cleared rows: the
-check is complete and a failure names its degree.  The rows left then
-enter _echelon bottom-up, one row block of ints at a time.
+betti_table sweeps each part up the degrees, and each degree clears the
+next (Chen & Kerber, "Persistent homology computation with a twist",
+2011).  A kept row of the echelon of T_{n-1} is a coboundary whose
+leading column is some f, so once d^n d^{n-1} = 0, d(e_f) is a sum of
+later rows of T_n and row f is left out of its echelon.  The square is
+checked first, as K @ T_n = 0 with K the kept rows of T_{n-1} (a basis
+of im d^{n-1} on the part), so the check is complete.  A part stops at
+its first failed square, and the table raises after the sweep, naming
+the lowest failed degree.  The rows left enter _echelon bottom-up, one
+row block of ints at a time.
 
-Memory: each class of C^n in turn (or a group of consecutive small
-classes, up to RANK_BLOCK_BYTES packed) is generated, checked, cleared,
-ranked and dropped before the next one is made.  Degree n holds the
-weight classes of C^n and C^{n+1}, the kept rows of T_{n-1} not yet
-used, the kept rows of T_n so far (none at the top degree), and one
-group's packed blocks with the echelon of one class.
+Memory: a part's T_n is generated, checked, cleared, ranked and dropped
+before the next block is made.  The sweep holds the class, part order
+and position of every coordinate as int32, one part's block, and its
+echelons of T_{n-1} and T_n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -47,8 +48,8 @@ from .gf2 import (
     Subspace,
     _int_words,
     _row_echelon,
-    _runs,
     _word_count,
+    _xor_scatter,
     image,
     induced_map,
     kernel_basis,
@@ -91,22 +92,12 @@ def boundaries(tower: ComplexTower, n: int) -> Subspace:
     return image(tower.differential(n - 1))
 
 
-@dataclass(frozen=True)
-class _Classes:
-    """The weight classes of one cochain space."""
+def _classes(weights: np.ndarray):
+    """(keys, label): the distinct rows of weights as tuples, in lexicographic
+    order, and the int32 class of each row, its index among the keys.
 
-    ids: dict  # weight tuple -> class
-    label: np.ndarray  # class of each coordinate
-    local: np.ndarray  # index of each coordinate inside its class
-    sizes: np.ndarray
-
-
-def _classes(weights: np.ndarray) -> _Classes:
-    """Classes of the coordinates whose weights are the rows of weights.
-
-    The labels follow the weights in lexicographic order: one np.unique
-    over a mixed-radix key, the first weight most significant.  A key
-    that would pass int64 is first replaced by its rank among the keys.
+    One np.unique over a mixed-radix key, the first weight most significant.
+    A key that would pass int64 is first replaced by its rank among the keys.
     """
     key = np.zeros(weights.shape[0], dtype=np.int64)
     for w in weights.T:
@@ -116,99 +107,102 @@ def _classes(weights: np.ndarray) -> _Classes:
             key = np.unique(key, return_inverse=True)[1]
         key = key * radix + w
     _, first, label = np.unique(key, return_index=True, return_inverse=True)
-    sizes = np.bincount(label, minlength=first.size)
-    order = np.argsort(label, kind="stable")
-    local = np.empty_like(label)
-    local[order] = _runs(sizes)[1]
-    return _Classes({tuple(k): i for i, k in enumerate(weights[first].tolist())}, label, local, sizes)
+    return [tuple(k) for k in weights[first].tolist()], label.astype(np.int32)
 
 
-def _class_blocks(coords, lo: _Classes, hi: _Classes, n: int):
-    """(class W' of C^{n+1}, T_n^W) for each class W of C^n in turn, made a group of classes at a time.
+def _weight_parts(weights, top: int):
+    """The weight parts of one or more towers in degrees 0 .. top, one part at a time.
 
-    W' has W's weight, or is -1 with T_n^W zero columns wide.  coords(f)
-    gives the ones (i, r) of d(e_f) for the coordinates f[i].  A group is
-    one class, or consecutive classes of at most RANK_BLOCK_BYTES packed;
-    its blocks are slices of one word buffer, filled from its own
-    coordinates only, and made when the consumer reaches its first class.
+    weights(m) gives the weights of the degree-m coordinates of each tower.
+    The weight classes of all of them are ordered by their weight vectors,
+    and a part is one class, or a run of consecutive classes whose
+    part-local T_0 .. T_{top-1} are each at most RANK_BLOCK_BYTES packed in
+    every tower.  A part is yielded as co[v][m], tower v in degree m:
+    (coords, label, pos), the part's coordinates in increasing order, then
+    the class and the position inside its part of every coordinate of the
+    degree, int32 arrays shared by all parts.
     """
-    match = np.array([hi.ids.get(k, -1) for k in lo.ids], dtype=np.int64)
-    widths = np.append(hi.sizes, 0)[match]
-    nw = (widths + WORD_BITS - 1) // WORD_BITS
-    nbytes = lo.sizes * nw * 8
-    order = np.argsort(lo.label, kind="stable")  # the coordinates class by class
-    bounds = np.append(0, np.cumsum(lo.sizes))
-    v = 0
-    while v < match.size:
-        e, total = v + 1, nbytes[v]
-        while e < match.size and total + nbytes[e] <= gf2.RANK_BLOCK_BYTES:
-            total += nbytes[e]
-            e += 1
-        ends = np.cumsum(lo.sizes[v:e] * nw[v:e])
-        starts = ends - lo.sizes[v:e] * nw[v:e]
-        words = np.zeros(int(ends[-1]), dtype=np.uint64)
-        f = order[bounds[v] : bounds[e]]
-        home = lo.label[f]  # the class of each row
-        row_word = starts[home - v] + lo.local[f] * nw[home]  # where each row starts
-        for i, r in coords(f):
-            if not np.array_equal(match[home[i]], hi.label[r]):
-                raise GF2Error(f"coboundary of degree {n} crosses weight classes")
-            col = hi.local[r]
-            bits = np.left_shift(np.uint64(1), (col % WORD_BITS).astype(np.uint64))
-            np.bitwise_xor.at(words, row_word[i] + col // WORD_BITS, bits)
-        for w, k, width, m, a, b in zip(match[v:e], lo.sizes[v:e], widths[v:e], nw[v:e], starts, ends):
-            yield int(w), BitMatrix(int(k), int(width), words[a:b].reshape(int(k), int(m)))
-        del words  # before the next group's buffer is made
-        v = e
+    labels = [[_classes(w) for w in weights(m)] for m in range(top + 1)]
+    keys = sorted(set().union(*(k for row in labels for k, _ in row)))
+    ids = {k: i for i, k in enumerate(keys)}
+    labels = [[np.array([ids[k] for k in ks], dtype=np.int32)[lab] for ks, lab in row] for row in labels]
+    # cum[m, v, k]: the coordinates of tower v in degree m in the classes before class k
+    cum = np.array([[np.append(0, np.cumsum(np.bincount(lab, minlength=len(keys)))) for lab in row] for row in labels])
+    bounds = [0]
+    while bounds[-1] < len(keys):
+        lo = bounds[-1]
+        rows, cols = (cum[a:b, :, lo + 1 :] - cum[a:b, :, lo, None] for a, b in ((0, top), (1, top + 1)))
+        nbytes = (rows * ((cols + WORD_BITS - 1) // WORD_BITS) * 8).max(axis=(0, 1), initial=0)  # grows with the run
+        bounds.append(lo + max(1, int(np.searchsorted(nbytes, gf2.RANK_BLOCK_BYTES, "right"))))
+    part = np.repeat(np.arange(len(bounds) - 1, dtype=np.int32), np.diff(bounds))  # the part of each class
+    spans = [[] for _ in range(cum.shape[1])]  # [v][m]: (label, order, pos)
+    for m, row in enumerate(labels):
+        for v, lab in enumerate(row):
+            order = np.argsort(part[lab], kind="stable").astype(np.int32)  # part by part, increasing inside
+            starts = cum[m, v, bounds]
+            pos = np.empty_like(order)
+            pos[order] = np.arange(lab.size) - np.repeat(starts[:-1], np.diff(starts))
+            spans[v].append((lab, order, pos))
+    for j in range(len(bounds) - 1):
+        yield [[(order[cum[m, v, bounds[j]] : cum[m, v, bounds[j + 1]]], lab, pos)
+                for m, (lab, order, pos) in enumerate(row)] for v, row in enumerate(spans)]
 
 
-def _check_square(below: dict, t: BitMatrix, n: int) -> None:
-    """Raise unless d^{n+1} d^n = 0 on a class: below is the echelon of T_n^W, t is T_{n+1}^W."""
+def _part_block(ones, n: int, lo, hi) -> BitMatrix:
+    """T_n = (d^n)^T on one part, from its degree-n and degree-(n+1) entries
+    lo and hi of _weight_parts: row i is d(e_f), f = lo coords[i], read off
+    ones(n, cols), in the part's columns of degree n + 1.  A one outside its
+    row's class is an internal error naming n."""
+    (f, label, _), (cols, hi_label, hi_pos) = lo, hi
+    home = label[f]
+    words = np.zeros((f.size, _word_count(cols.size)), dtype=np.uint64)
+    for i, r in ones(n, f):
+        if not np.array_equal(hi_label[r], home[i]):
+            raise GF2Error(f"coboundary of degree {n} crosses weight classes")
+        _xor_scatter(words, i, hi_pos[r])
+    return BitMatrix(f.size, cols.size, words)
+
+
+def _squares_to_zero(below: dict, t: BitMatrix) -> bool:
+    """Whether d^{n+1} d^n = 0 on a part: below is the echelon of T_n there, t is T_{n+1}."""
     kept = list(below.values())
-    step = max(1, gf2.RANK_BLOCK_BYTES // max(1, 8 * _word_count(t.rows)))
-    for i in range(0, len(kept), step):
-        rows = kept[i : i + step]
-        k = BitMatrix(len(rows), t.rows, _int_words(rows, t.rows))
-        if not (k @ t).is_zero():
-            raise GF2Error(f"differentials do not square to zero at degree {n}")
+    step = max(1, gf2.RANK_BLOCK_BYTES // max(1, 8 * _word_count(t.rows)))  # rows of K at a time
+    blocks = (kept[i : i + step] for i in range(0, len(kept), step))
+    return all((BitMatrix(len(k), t.rows, _int_words(k, t.rows)) @ t).is_zero() for k in blocks)
 
 
-def _class_ranks(blocks, below: dict, n: int, keep: bool):
-    """(rank of d^n, {class of C^{n+1}: echelon of T_n^W}) from the class blocks of T_n, one at a time.
-
-    below maps each class of C^n to the echelon of T_{n-1} in its columns;
-    each entry goes once its class is ranked.  The echelons are kept for
-    the next degree only when keep is set.
-    """
-    rank, kept, v = 0, {}, -1
-    for w, t in blocks:  # not enumerate, whose result tuple would hold t while the next group is made
-        v += 1
-        live, rows = None, below.pop(v, None)
-        if rows:
-            _check_square(rows, t, n - 1)
-            width = _word_count(t.rows) * WORD_BITS
+def _part_ranks(ones, deg, top: int):
+    """(rank of d^n on one part for n < top, and the lowest n with
+    d^{n+1} d^n != 0 there, or None), from its entries deg of
+    _weight_parts; the sweep stops at the first failed square."""
+    ranks, below = [], {}  # below: the echelon of T_{n-1}
+    for n in range(top):
+        t, live = _part_block(ones, n, deg[n], deg[n + 1]), None
+        if below:
+            if not _squares_to_zero(below, t):
+                return ranks, n - 1
             live = np.ones(t.rows, dtype=bool)
-            live[[width - h for h in rows]] = False  # the pivot column of each kept row
-        top = _row_echelon(t, live)
-        rank += len(top)
-        if top and keep:
-            kept[w] = top
-        t = rows = top = None  # the block and its echelon go before the next group is made
-    return rank, kept
+            live[[_word_count(t.rows) * WORD_BITS - h for h in below]] = False  # each kept row's pivot column
+        below = _row_echelon(t, live)
+        ranks.append(len(below))
+        del t  # before the next block is made
+    return ranks, None
 
 
 def betti_table(tower: ComplexTower) -> BettiTable:
-    """Exact cohomology dimensions for degrees 0 .. n_max - 1, class by class
+    """Exact cohomology dimensions for degrees 0 .. n_max - 1, part by part
     (the module docstring); the final degree's outgoing differential is
-    unknown.  No differential is packed, and d d != 0 raises naming its degree."""
-    betti, prev_rank, below = [], 0, {}
-    lo = _classes(tower.weights(0))
-    for n in range(tower.n_max):
-        hi = _classes(tower.weights(n + 1))
-        blocks = _class_blocks(partial(tower.ones, n), lo, hi, n)
-        rank, below = _class_ranks(blocks, below, n, n + 1 < tower.n_max)
-        betti.append(tower.dims[n] - rank - prev_rank)
-        prev_rank, lo = rank, hi
+    unknown.  Only part blocks are packed, and d d != 0 raises naming its
+    lowest degree."""
+    rank, failed = [0] * (tower.n_max + 1), []  # rank[n + 1]: the rank of d^n
+    for (deg,) in _weight_parts(lambda n: (tower.weights(n),), tower.n_max):
+        ranks, bad = _part_ranks(tower.ones, deg, tower.n_max)
+        for n, r in enumerate(ranks, 1):
+            rank[n] += r
+        failed += [] if bad is None else [bad]
+    if failed:
+        raise GF2Error(f"differentials do not square to zero at degree {min(failed)}")
+    betti = [tower.dims[n] - rank[n] - rank[n + 1] for n in range(tower.n_max)]
     return BettiTable(tower.label, tower.flavor, tuple(betti))
 
 

@@ -39,15 +39,15 @@ held as its leader array (FilteredTower), so nothing is packed or
 eliminated.
 
 The long exact sequence of a relative complex is swept one weight part
-at a time.  Every map in it keeps the torus weight (algebra.weight_grading;
+at a time: every map in it keeps the torus weight (algebra.weight_grading;
 Fuks, "Cohomology of Infinite-Dimensional Lie Algebras", 1986), so it is
-the direct sum of its restrictions to the weight classes.  A part is one
-class, or a run of consecutive classes whose part-local differentials stay
-within RANK_BLOCK_BYTES packed (_weight_parts); a table with no grading
-is one part.  In each part and degree the sub, total and quotient
-differentials are packed on the part's coordinates from their generators,
-and incl, proj, section and meta["last"] are read there by index, so no
-whole-width differential, cycle or boundary basis is held.
+the direct sum of its restrictions to betti_table's parts
+(cohomology._weight_parts) of the sub, total and quotient coordinates.
+In each part and degree T_m = (d^m)^T of each complex is packed from its
+generator (cohomology._part_block): its rows span the boundaries of
+degree m + 1, its left kernel is the cycles, and the total T_m lifts the
+connecting map.  incl, proj, section and meta["last"] are read there by
+index, so no whole-width differential, cycle or boundary basis is held.
 
 Degree bookkeeping is in word degree throughout; a relative complex in
 its own grading sits two degrees lower, a cokernel-of-products complex
@@ -80,16 +80,15 @@ from .cochain import (
     basis_dim,
     build_tower,
 )
-from .cohomology import BettiTable, _classes, betti_table, boundaries, cycles
-from . import gf2
+from .cohomology import BettiTable, _part_block, _weight_parts, betti_table
 from .gf2 import (
-    WORD_BITS,
     BitMatrix,
     GF2Error,
     QuotientCoords,
     Subspace,
     WordMap,
     induced_map,
+    kernel_basis,
 )
 from .gf2 import _gather, _word_count, _xor_scatter
 from .spectral import FilteredTower, compute_pages, convergence_check
@@ -295,37 +294,6 @@ class LESReport:
         return [desc for desc, ok in self.nodes if not ok]
 
 
-def _weight_parts(weights, top: int):
-    """The coordinates of each part of the weight partition, one part at a time.
-
-    weights(m) gives the weights of the sub, total and quotient coordinates
-    of word degree m.  A part is one weight class, or a run of consecutive
-    classes (in the order of their weight vectors) whose part-local
-    differentials d^0 .. d^{top-1} of the three complexes are each at most
-    RANK_BLOCK_BYTES packed.  A part is yielded as co[v][m], the increasing
-    coordinates of complex v in word degree m inside it.
-    """
-    classes = [[_classes(w) for w in weights(m)] for m in range(top + 1)]
-    keys = sorted(set().union(*(c.ids for row in classes for c in row)))
-    ids = {k: i for i, k in enumerate(keys)}
-    cum = np.zeros((3, top + 1, len(keys) + 1), dtype=np.int64)  # coordinates of the classes before each
-    order = [[None] * (top + 1) for _ in range(3)]  # the coordinates sorted by class
-    for m, row in enumerate(classes):
-        for v, c in enumerate(row):
-            label = np.array([ids[k] for k in c.ids], dtype=np.int64)[c.label]
-            cum[v, m, 1:] = np.cumsum(np.bincount(label, minlength=len(keys)))
-            order[v][m] = np.argsort(label, kind="stable")
-    del classes
-    lo = 0
-    while lo < len(keys):
-        rows = cum[:, 1:, lo + 1 :] - cum[:, 1:, lo, None]
-        cols = cum[:, :-1, lo + 1 :] - cum[:, :-1, lo, None]
-        nbytes = (rows * ((cols + WORD_BITS - 1) // WORD_BITS) * 8).max(axis=(0, 1))  # grows with the run
-        hi = lo + max(1, int(np.searchsorted(nbytes, gf2.RANK_BLOCK_BYTES, "right")))
-        yield [[np.sort(o[cum[v, m, lo] : cum[v, m, hi]]) for m, o in enumerate(order[v])] for v in range(3)]
-        lo = hi
-
-
 def _part_index(coords, idx, m: int):
     """The position of each index of idx among the increasing coords, -1 where it is -1;
     GF2Error naming word degree m where one lies outside them."""
@@ -333,14 +301,6 @@ def _part_index(coords, idx, m: int):
     if not ((np.append(coords, -2)[pos] == idx) | (idx < 0)).all():
         raise GF2Error(f"long exact sequence leaves its weight part at word degree {m}")
     return np.where(idx < 0, -1, pos)
-
-
-def _part_differential(ones, m: int, cols, rows) -> BitMatrix:
-    """d^m from the part's coordinates cols of degree m to its coordinates rows of degree m + 1."""
-    words = np.zeros((rows.size, _word_count(cols.size)), dtype=np.uint64)
-    for i, r in ones(m, cols):
-        _xor_scatter(words, _part_index(rows, r, m + 1), i)
-    return BitMatrix(rows.size, cols.size, words)
 
 
 def _part_matrix(mat: BitMatrix, rows, cols, m: int) -> BitMatrix:
@@ -356,14 +316,17 @@ def _pivot_coords(h: QuotientCoords, coords):
 
 def _direct_sum(blocks) -> BitMatrix:
     """The direct sum of blocks (row keys, column keys, block), its rows and
-    columns in increasing key order."""
+    columns in increasing key order; 0 x 0 for no blocks."""
+    if not blocks:
+        return BitMatrix.zeros(0, 0)
     rows, cols = (np.sort(np.concatenate([b[k] for b in blocks])) for k in (0, 1))
     r, c = (np.concatenate(x) for x in zip(*[(rk[i], ck[j]) for rk, ck, b in blocks for i, j in [b.coords()]]))
     return BitMatrix.from_coords(rows.size, cols.size, np.searchsorted(rows, r), np.searchsorted(cols, c))
 
 
 def _part_sequence(rel: RelativeTower, ones, co, limit: int):
-    """The long exact sequence on one weight part, whose coordinates are co.
+    """The long exact sequence on one weight part, co[v][m] its entries of
+    _weight_parts for the sub, total and quotient complexes (v = 0, 1, 2).
 
     Returns the part's node verdicts, in the order of the report's nodes,
     and for each word degree m < limit the connecting map's block with the
@@ -371,22 +334,21 @@ def _part_sequence(rel: RelativeTower, ones, co, limit: int):
     degree where the part has no coordinates is skipped: its cohomology is
     zero.
     """
-    s, t, q = co
-    held = [None] * 3  # d^{m-1} of each complex, for the boundaries of degree m
+    s, t, q = ([c for c, _, _ in deg] for deg in co)
+    held = [None] * 3  # T_{m-1} of each complex, whose rows span the boundaries of degree m
     zero, empty = QuotientCoords(Subspace.zero(0), Subspace.zero(0)), BitMatrix.zeros(0, 0)
 
     def at(m):
         """(H^m(sub), H^m(total), H^m(quotient), i_*, p_*, incl) at word degree m."""
         if not (s[m].size or t[m].size or q[m].size):
-            held[:] = [None] * 3  # d^m has no columns
+            held[:] = [None] * 3  # T_m has no rows
             return zero, zero, zero, empty, empty, empty
         h = []
         for v in range(3):
-            d = _part_differential(ones[v], m, co[v][m], co[v][m + 1])
-            below = BitMatrix.zeros(d.cols, 0) if held[v] is None else held[v]
-            tower = ComplexTower.held((below.cols, d.cols, d.rows), (below, d))  # degree 1 is m
-            h.append(QuotientCoords(cycles(tower, 1), boundaries(tower, 1)))
-            held[v] = d
+            tm = _part_block(ones[v], m, co[v][m], co[v][m + 1])
+            below = Subspace.zero(tm.rows) if held[v] is None else Subspace.from_rows(tm.rows, held[v])
+            h.append(QuotientCoords(kernel_basis(tm.transpose()), below))
+            held[v] = tm
         incl = _part_matrix(rel.incl[m], t[m], s[m], m)
         pi = rel.proj[m]
         proj = WordMap(q[m].size, t[m].size, *(_part_index(t[m], x[q[m]], m) for x in (pi.a, pi.b)))
@@ -399,7 +361,7 @@ def _part_sequence(rel: RelativeTower, ones, co, limit: int):
         total_ok.append((p_star @ i_star).is_zero() and i_star.rank() + p_star.rank() == ht.dim)
         if m == limit:
             break
-        dt = held[1]  # the total d^m
+        tt = held[1]  # the total T_m
         hs1, ht1, hq1, i_star1, p_star1, incl1 = at(m + 1)
         reps = hq.lift_rows()
         if reps.rows == 0:
@@ -407,7 +369,7 @@ def _part_sequence(rel: RelativeTower, ones, co, limit: int):
         else:
             section = WordMap(t[m].size, q[m].size, _part_index(q[m], rel.section[m].a[t[m]], m))
             lifted = (section @ reps.transpose()).transpose()  # reps @ section^T
-            w = lifted @ dt.transpose()
+            w = lifted @ tt
             # incl is injective with one representative per column: read u there
             u = w.take_columns(_part_index(t[m + 1], rel.meta["last"][m + 1][s[m + 1]], m + 1))
             if incl1 @ u.transpose() != w.transpose():
@@ -426,8 +388,8 @@ def long_exact_sequence_check(
     """Assemble the long exact sequence and verify exactness at every node.
 
     The sequence is swept one weight part at a time (the module docstring,
-    _part_sequence); a one that leaves its part raises, naming its word
-    degree.  Exactness at a node is rank arithmetic, in every part: the
+    _part_sequence); a one of a differential outside its row's class, or
+    of a map outside its part, raises, naming its word degree.  Exactness at a node is rank arithmetic, in every part: the
     composite of consecutive maps vanishes and the ranks add up to the
     middle dimension.  Each connecting map is the direct sum of its part
     blocks, in the coset coordinates the whole sequence would have.  A lift

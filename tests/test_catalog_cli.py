@@ -337,6 +337,27 @@ class TestCLI:
         assert failed == ["module-axioms[m]"]
 
     @pytest.mark.parametrize(
+        "command",
+        [["check"], ["cohomology"], ["compare"], ["les", "--module", "adjoint"], ["hs-ss", "--ideal", "h"]],
+        ids=["check", "cohomology", "compare", "les", "hs-ss"],
+    )
+    def test_zero_dimensional_algebra_is_input_error(self, tmp_path, command):
+        # a file of dim 0 is refused as it is read, by every file command
+        f = tmp_path / "zero.alg"
+        f.write_text("dim 0\n")
+        report, code = run([*command, "--algebra", str(f)])
+        assert code == 1 and report["error"].endswith("line 1: dim must be at least 1")
+
+    def test_les_on_zero_dimensional_module(self, tmp_path):
+        # a module with no coordinates has no weight part: every node is exact
+        f = tmp_path / "zmod.alg"
+        f.write_text("dim 2\nbasis x y\nbracket x x = y\nmodule z dim 0\n")
+        report, code = run(["les", "--algebra", str(f), "--module", "z", "--max-degree", "2"])
+        assert code == 0 and all(c["passed"] for c in report["checks"])
+        nodes = report["payload"]["sequences"]["comm-leibniz"]["nodes"]
+        assert len(nodes) == 11 and all(ok for _, ok in nodes)
+
+    @pytest.mark.parametrize(
         "text",
         [
             "dim 1\nbasis x\nbracket x x = x\nsubspace h = 1\n",

@@ -214,6 +214,40 @@ class TestStreamedBetti:
             with pytest.raises(GF2Error, match=graded_error):
                 betti_table(_forged(tower, diffs))
 
+    def test_lowest_failed_square_is_named_after_the_sweep(self, monkeypatch):
+        # two ones forged inside their column's weight class: one breaks
+        # d^4 d^3 in a class swept first, the other d^3 d^2 in a later one.
+        # Each part stops at its own failure, and the table names degree 2
+        entry = catalog("heis3")
+        mod = entry.modules["trivial"]
+        tower = build_tower(Flavor.TENSOR, entry.table, mod, 5)
+        w = [tuple(map(tuple, _weights(Flavor.TENSOR, entry.table, mod, n).tolist())) for n in range(6)]
+
+        def flips(k):
+            """(weight, row, column) of each one of d^{k+1} in its column's class that breaks d^{k+1} d^k."""
+            hit = np.flatnonzero(tower.diffs[k].words.any(axis=1))
+            return [(w[k + 1][c], w[k + 2].index(w[k + 1][c]), int(c)) for c in hit if w[k + 1][c] in w[k + 2]]
+
+        first, later = min(flips(3)), max(flips(2))
+        assert first[0] < later[0]  # classes are swept in the order of their weights
+        diffs = list(tower.diffs)
+        for k, (_, r, c) in ((3, first), (2, later)):
+            diffs[k + 1] = _flipped(diffs[k + 1], r, c)
+        monkeypatch.setattr(gf2, "RANK_BLOCK_BYTES", 1)  # every class its own part
+        failed, part_ranks = [], cohomology._part_ranks
+
+        def spy(*args):
+            ranks, bad = part_ranks(*args)
+            failed.extend([] if bad is None else [bad])
+            return ranks, bad
+
+        monkeypatch.setattr(cohomology, "_part_ranks", spy)
+        with pytest.raises(GF2Error, match="do not square to zero at degree 2$"):
+            betti_table(_forged(tower, diffs))
+        assert failed == [3, 2]
+        with pytest.raises(GF2Error, match="do not square to zero at degree 2$"):
+            betti_oracle.betti_table(ComplexTower.held(tower.dims, diffs))
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_one_bit_forgeries_raise_exactly_when_square_is_nonzero(self, data):
@@ -288,18 +322,24 @@ class TestStreamedBetti:
         assert bt.dims == (1, 4, 9, 22, 53, 128, 309, 746)
         assert peak < 3.5 * 2**20
 
+    def test_holds_one_part_echelon_between_degrees(self):
+        # heis3 trivial tensor through degree 10: holding the kept rows of
+        # every class of T_{n-1} through degree n peaked at 6.01 MiB; sweeping
+        # the degrees one part at a time, holding one part's echelon, 4.70 MiB
+        entry = catalog("heis3")
+        tower = build_tower(Flavor.TENSOR, entry.table, entry.modules["trivial"], 10)
+        bt, _, peak = traced(lambda: betti_table(tower))
+        assert bt.dims == (1, 2, 5, 12, 29, 70, 169, 408, 985, 2378)
+        assert peak < 5.5 * 2**20
+
 
 def _classes_by_column(weights: np.ndarray):
-    """(label, local, sizes) refined one weight column at a time, as the classes were first built."""
+    """The class of each row, refined one weight column at a time, as the classes were first built."""
     label = np.zeros(weights.shape[0], dtype=np.int64)
     for w in weights.T:
         w = w - w.min(initial=0)
         _, label = np.unique(label * (int(w.max(initial=0)) + 1) + w, return_inverse=True)
-    sizes = np.bincount(label, minlength=int(label.max(initial=-1)) + 1)
-    order = np.argsort(label, kind="stable")
-    local = np.empty_like(label)
-    local[order] = np.arange(label.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    return label, local, sizes
+    return label
 
 
 class TestClasses:
@@ -314,14 +354,11 @@ class TestClasses:
         weights = rng.integers(-spread, spread + 1, size=(rows, cols))
         if rows:
             weights[rng.integers(rows, size=rows)] = weights[rng.integers(rows, size=rows)]
-        got = cohomology._classes(weights)
-        label, local, sizes = _classes_by_column(weights)
-        assert np.array_equal(got.label, label)
-        assert np.array_equal(got.local, local)
-        assert np.array_equal(got.sizes, sizes)
-        assert list(got.ids) == sorted(set(map(tuple, weights.tolist())))
-        assert all(tuple(weights[c]) in got.ids and got.ids[tuple(weights[c])] == label[c]
-                   for c in range(rows))
+        keys, label = cohomology._classes(weights)
+        assert label.dtype == np.int32
+        assert np.array_equal(label, _classes_by_column(weights))
+        assert keys == sorted(set(map(tuple, weights.tolist())))
+        assert all(keys[label[c]] == tuple(weights[c]) for c in range(rows))
 
 
 def _weights(flavor, table, mod, n) -> np.ndarray:

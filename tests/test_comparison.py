@@ -610,6 +610,20 @@ def count_parts(monkeypatch) -> list:
     return counts
 
 
+@dataclasses.dataclass(frozen=True)
+class _ExtraOne(comparison._QuotientTower):
+    """A relative tower whose generator also gives the one (c, g) at word degree m, extra = (m, c, g)."""
+
+    extra: tuple = ()
+
+    def total_ones(self, m, cols):
+        yield from super().total_ones(m, cols)
+        at, c, g = self.extra
+        i = np.flatnonzero(np.asarray(cols) == c)
+        if m == at and i.size:
+            yield i, np.full(i.size, g)
+
+
 class TestLESParts:
     """long_exact_sequence_check, swept one weight part at a time, against
     the full-width sweep it replaced (dense_builders.full_width_les)."""
@@ -686,6 +700,33 @@ class TestLESParts:
         monkeypatch.setattr(gf2, "RANK_BLOCK_BYTES", 1)
         with pytest.raises(GF2Error, match="^long exact sequence leaves its weight part at word degree 2$"):
             long_exact_sequence_check(forged)
+
+    def test_zero_dimensional_module_is_an_empty_sweep(self, monkeypatch):
+        # no coordinate in any degree, so no weight part: every node is
+        # exact and every connecting map is 0 x 0, as in the full-width sweep
+        table = BracketTable.from_entries(2, {(0, 0): [1]})
+        rel = build_relative_complex(InclusionPair.SYM_IN_TENSOR, table, ModuleSpec(0, np.zeros((2, 0, 0), dtype=np.uint8)), 2)
+        counts = count_parts(monkeypatch)
+        want = assert_les_matches_full_width(rel)
+        assert want.ok and len(want.nodes) == 11
+        assert [c.shape for c in want.connecting] == [(0, 0)] * 3
+        assert counts == [0, 0]
+
+    def test_a_one_crossing_classes_inside_a_part_raises(self, monkeypatch):
+        # the quotient generator forged with a one from the word-degree-2
+        # coordinate 0 to a word-degree-3 coordinate of another weight; at
+        # the real block size both classes lie in the sequence's one part
+        entry = catalog("heis3")
+        rel = build_relative_complex(InclusionPair.EXT_IN_TENSOR, entry.table, entry.modules["trivial"], 2)
+        w2, w3 = rel.tower.weights(0), rel.tower.weights(1)
+        g = int(np.flatnonzero((w3 != w2[0]).any(axis=1))[0])
+        forged = dataclasses.replace(rel, tower=_ExtraOne(
+            rel.tower.dims, None, rel.tower.label, total=rel.tower.total, proj=rel.tower.proj,
+            rows=rel.tower.rows, extra=(2, int(rel.proj[2].a[0]), g)))
+        counts = count_parts(monkeypatch)
+        with pytest.raises(GF2Error, match="^coboundary of degree 2 crosses weight classes$"):
+            long_exact_sequence_check(forged)
+        assert counts == [1]
 
     def test_sweep_holds_one_part(self):
         # heis3 adjoint lie-leibniz through word degree 7, the benchmark's
