@@ -322,7 +322,7 @@ def cmd_les(entry, args, checks, info):
         if needs_lie and not cls.is_lie:
             continue
         rel = build_relative_complex(pair, entry.table, mod, args.max_degree)
-        les = long_exact_sequence_check(rel, args.max_degree + 1)
+        les = long_exact_sequence_check(rel)
         checks.append((f"les[{name}]", les.ok, str(les.failures()[:3])))
         payload["sequences"][name] = {
             "nodes": [[desc, ok] for desc, ok in les.nodes],

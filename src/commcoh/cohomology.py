@@ -46,6 +46,7 @@ from .gf2 import (
     GF2Error,
     QuotientCoords,
     Subspace,
+    _block_rows,
     _int_words,
     _row_echelon,
     _word_count,
@@ -166,7 +167,7 @@ def _part_block(ones, n: int, lo, hi) -> BitMatrix:
 def _squares_to_zero(below: dict, t: BitMatrix) -> bool:
     """Whether d^{n+1} d^n = 0 on a part: below is the echelon of T_n there, t is T_{n+1}."""
     kept = list(below.values())
-    step = max(1, gf2.RANK_BLOCK_BYTES // max(1, 8 * _word_count(t.rows)))  # rows of K at a time
+    step = _block_rows(_word_count(t.rows))  # rows of K at a time
     blocks = (kept[i : i + step] for i in range(0, len(kept), step))
     return all((BitMatrix(len(k), t.rows, _int_words(k, t.rows)) @ t).is_zero() for k in blocks)
 

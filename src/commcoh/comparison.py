@@ -19,18 +19,20 @@ class).  Both constructions use the same builder:
                     scalar flavor's monomial of the combined word.
 
 The cokernel differential is pi[k+1] @ d[k] @ sigma[k], with sigma the
-selection of the generators.  pi and sigma are index arrays (WordMap),
-never packed.  A relative complex holds no d[k]: its tower
-(_QuotientTower) reads the ones at a quotient column g off the
-coboundary generator at the total coordinate pi[k].a[g], each one (c, r)
-landing on the rows of pi[k+1] holding r, and no route packs a whole
-relative differential.  The small product
-cokernels hold their differentials, taken from the generator columns of
-the held d[k].  Every product cokernel comes from one dual-valued tower
-with coadjoint coefficients (exterior for lie-leibniz, symmetric
-otherwise).  lie-comm first keeps a class span of the symmetric tower: a
-coordinate (args; y) falls in the class of its sorted combined word, and
-a class dies where one of its coordinates repeats a letter among the args.
+selection of the generators.  Every map of words is held as index arrays,
+never packed: pi as a WordMap, the pullback as the class of each
+coordinate, sigma as the inverse of pi.a (_section).  A relative complex
+(RelativeTower) holds no d[k]: it reads the ones at a quotient column g
+off the total coboundary generator at the total coordinate pi[k].a[g],
+each one (c, r) landing on the rows of pi[k+1] holding r, and no route
+packs a whole relative differential.  The small product cokernels hold
+their differentials, taken from the generator columns of the held d[k],
+and pack their pullbacks for the chain-map check.  Every product cokernel
+comes from one dual-valued tower with coadjoint coefficients (exterior
+for lie-leibniz, symmetric otherwise).  lie-comm first keeps a class span
+of the symmetric tower: a coordinate (args; y) falls in the class of its
+sorted combined word, and a class dies where one of its coordinates
+repeats a letter among the args.
 
 The filtration steps are class spans too: generator words fall into
 classes by their prefix-sorted word, and a class dies where it reaches no
@@ -46,8 +48,10 @@ the direct sum of its restrictions to betti_table's parts
 In each part and degree T_m = (d^m)^T of each complex is packed from its
 generator (cohomology._part_block): its rows span the boundaries of
 degree m + 1, its left kernel is the cycles, and the total T_m lifts the
-connecting map.  incl, proj, section and meta["last"] are read there by
-index, so no whole-width differential, cycle or boundary basis is held.
+connecting map.  The inclusion, projection and section are WordMaps made
+there from the relative complex's index arrays, and the lift is read at
+the class representatives, so no whole-width differential, map, cycle or
+boundary basis is held.
 
 Degree bookkeeping is in word degree throughout; a relative complex in
 its own grading sits two degrees lower, a cokernel-of-products complex
@@ -62,7 +66,6 @@ import numpy as np
 
 from .algebra import (
     BracketTable,
-    ModuleSpec,
     classify_algebra,
     coadjoint_module,
     trivial_module,
@@ -73,7 +76,6 @@ from .cochain import (
     Flavor,
     InclusionPair,
     PreconditionError,
-    _block_matrix,
     _index,
     _monomials,
     _require_flavor,
@@ -126,34 +128,36 @@ def _expand(idx, mdim: int):
 def _class_map(cls, n_classes: int, mdim: int):
     """The cokernel of the pullback along a map of words, coordinate by coordinate.
 
-    cls[i] is the class of word i, -1 where the word's class is zero.
-    Returns (gens, last, pullback, pi, sigma):
-      gens      the generators, in order: every word but the last member
-                of each class;
-      last      the last member of each class, -1 where a class has none;
-      pullback  the class indicators, n_classes blocks to len(cls) blocks,
-                packed on a grid of mdim x mdim identity blocks;
-      pi        row g is e_g + e_(last of g's class), or e_g where g has no
-                class, so ker(pi) is the pullback's image;
-      sigma     the selection of the generators, with pi @ sigma = 1.
-    pi and sigma are never packed: they are WordMaps on the coordinates
-    i * mdim + k of word i, and pi.a lists the generators' coordinates.
+    cls[i] is the class of word i, -1 where the word's class is zero; the
+    pullback puts the one of row i * mdim + k at column cls[i] * mdim + k.
+    Returns (last, pi):
+      last  the last member of each class, -1 where a class has none;
+      pi    row g is e_g + e_(last of g's class), or e_g where g has no
+            class, for each generator g (every word but the last member of
+            each class) in order, so ker(pi) is the pullback's image.
+    pi is a WordMap on the coordinates i * mdim + k of word i, and pi.a
+    lists the generators' coordinates; pi @ _section(pi) = 1 is checked.
     """
     live = np.flatnonzero(cls >= 0)
     last = np.full(n_classes, -1)
     np.maximum.at(last, cls[live], live)
     gens = np.flatnonzero(np.bincount(last[last >= 0], minlength=len(cls)) == 0)
-    pullback = _block_matrix((len(cls), n_classes), mdim, [(live, cls[live], None)])
     rep = np.append(last, -1)[cls[gens]]  # class -1 reads the appended -1
     pi = WordMap(len(gens) * mdim, len(cls) * mdim, _expand(gens, mdim), _expand(rep, mdim))
-    pick = np.full(len(cls), -1)
-    pick[gens] = np.arange(len(gens))
-    sigma = WordMap(len(cls) * mdim, len(gens) * mdim, _expand(pick, mdim))
     # pi @ sigma = 1: generator g's coordinate selects g, its representative nothing
+    sigma = _section(pi)
     picked = sigma.a[pi.b[pi.b >= 0]]
     if not (np.array_equal(sigma.a[pi.a], np.arange(pi.rows)) and (picked < 0).all()):
         raise GF2Error("quotient projection is not surjective")
-    return gens, last, pullback, pi, sigma
+    return last, pi
+
+
+def _section(pi: WordMap) -> WordMap:
+    """sigma, the selection of pi's generators: sigma.a inverts pi.a and is
+    -1 at every other coordinate."""
+    pick = np.full(pi.cols, -1)
+    pick[pi.a] = np.arange(pi.rows)
+    return WordMap(pi.cols, pi.rows, pick)
 
 
 def _leaders(cls, dead):
@@ -164,32 +168,6 @@ def _leaders(cls, dead):
     lead = np.full(len(cls), -1)
     lead[live] = live[first][label]
     return lead
-
-
-@dataclass(frozen=True)
-class RelativeTower:
-    """A cokernel complex with its short-exact-sequence witness.
-
-    tower is graded so that degree n holds the word-degree n + 2
-    quotient; per word degree, incl is packed, proj and section are
-    WordMaps with proj @ section the identity, and ker(proj) = im(incl).
-    meta["words"][m] holds the generator words, the quotient's
-    coordinates in word degree m, and meta["last"][m] the coordinate
-    of each sub-flavor cochain's representative among the total's.
-    """
-
-    kind: InclusionPair
-    tower: ComplexTower
-    incl: tuple
-    proj: tuple
-    section: tuple
-    table: BracketTable
-    coeffs: ModuleSpec
-    meta: dict = field(default_factory=dict, compare=False)
-
-    @property
-    def word_degrees(self) -> int:
-        return len(self.proj) - 1
 
 
 def require_pair(pair: InclusionPair, table: BracketTable):
@@ -203,28 +181,47 @@ def require_pair(pair: InclusionPair, table: BracketTable):
 
 
 @dataclass(frozen=True)
-class _QuotientTower(ComplexTower):
-    """A relative complex in degree n = m - 2, held by its generator: the
-    ones of pi[m+1] @ d @ sigma[m] are the total tower's at the generators
-    pi[m].a (whose weights are their class representatives'), each (c, r)
-    landing on the quotient rows whose pi[m+1] row holds r, grouped by r in
-    rows[m+1]; a one listed twice cancels.  proj and rows follow from total
-    and the pair in the label, so they take no part in equality."""
+class RelativeTower(ComplexTower):
+    """The quotient complex of one flavor inclusion, with the index arrays
+    of its short exact sequence 0 -> sub -> total -> quotient -> 0.
 
-    total: ComplexTower | None = None
+    Degree n holds the word-degree n + 2 quotient.  flavor is the total
+    flavor, so the base generator (ComplexTower.ones at word degree m) is
+    the total coboundary.  Per word degree m, on the total coordinates:
+      classes[m]  the sub coordinate of each total coordinate's class, -1
+                  where it has none: the inclusion is the WordMap whose
+                  row i has its one at classes[m][i], and its image is
+                  ker(proj[m]);
+      proj[m]     pi of _class_map, its rows grouped by column in rows[m];
+      reps[m]     the total coordinate representing each sub coordinate,
+                  the last member of its class.
+    The ones of pi[m+1] @ d @ sigma[m] are the total coboundary's at the
+    generators pi[m].a (whose weights are their class representatives'),
+    each (c, r) landing on the rows holding r; a one listed twice cancels.
+    The index arrays follow from the pair and the dimensions, so they take
+    no part in equality.
+    """
+
+    kind: InclusionPair | None = None
+    classes: tuple = field(default=(), compare=False)
     proj: tuple = field(default=(), compare=False)
     rows: tuple = field(default=(), compare=False)
+    reps: tuple = field(default=(), compare=False)
+
+    @property
+    def word_degrees(self) -> int:
+        return len(self.proj) - 1
 
     def total_ones(self, m: int, cols):
-        """The ones (i, g) of pi[m+1] @ d(e_c), c = cols[i]."""
-        for c, r in self.total.ones(m, cols):
+        """The ones (i, g) of pi[m+1] @ d(e_c), c = cols[i], d the total coboundary."""
+        for c, r in super().ones(m, cols):
             yield _gather(self.rows[m + 1], r, c)
 
     def ones(self, n: int, cols):
         return self.total_ones(n + 2, self.proj[n + 2].a[cols])
 
     def weights(self, n: int):
-        return self.total.weights(n + 2)[self.proj[n + 2].a]
+        return super().weights(n + 2)[self.proj[n + 2].a]
 
 
 def build_relative_complex(
@@ -232,51 +229,38 @@ def build_relative_complex(
 ) -> RelativeTower:
     """Quotient complex of one flavor inclusion, shifted two degrees down.
 
-    Its tower is held by its generator (_QuotientTower); only the probe
-    pi[m+1] @ d @ incl[m], which must be zero, is packed."""
+    It is held by the total coboundary's generator (RelativeTower); only
+    the probe pi[m+1] @ d @ incl[m], which must be zero, is packed."""
     require_pair(pair, table)
     sub_fl, tot_fl = INCLUSION_FLAVORS[pair]
     _require_flavor(sub_fl, table, coeffs)  # the pair's table passes tot_fl's axioms too
     d, mdim = table.dim, coeffs.dim
     m_top = n_rel_max + 2
 
-    incls, projs, sections, words, lasts, members, rows = [], [], [], [], [], [], []
+    classes, projs, reps = [], [], []
     for m in range(m_top + 1):
-        total_words = _monomials(tot_fl, d, m)
-        cls = _index(sub_fl, d, total_words)
-        gens, last, incl, pi, sig = _class_map(cls, basis_dim(sub_fl, d, m), mdim)
-        incls.append(incl)
-        words.append(total_words[gens])
-        lasts.append(_expand(last, mdim))
-        members.append(_expand(cls, mdim))
+        cls = _index(sub_fl, d, _monomials(tot_fl, d, m))
+        last, pi = _class_map(cls, basis_dim(sub_fl, d, m), mdim)
+        classes.append(_expand(cls, mdim))
         projs.append(pi)
-        sections.append(sig)
-        rows.append(pi.column_rows())
-        if incl.cols + pi.rows != incl.rows:
+        reps.append(_expand(last, mdim))
+        if reps[m].size + pi.rows != pi.cols:
             raise GF2Error(f"short exact sequence dimensions break at degree {m}")
 
-    total = ComplexTower(tuple(pi.cols for pi in projs), tot_fl, "", table, coeffs)  # never packed
-    rel = _QuotientTower(tuple(pi.rows for pi in projs[2:]), None, f"rel[{pair.value}]",
-                         total=total, proj=tuple(projs), rows=tuple(rows))
+    rel = RelativeTower(
+        tuple(pi.rows for pi in projs[2:]), tot_fl, f"rel[{pair.value}]", table, coeffs,
+        kind=pair, classes=tuple(classes), proj=tuple(projs),
+        rows=tuple(pi.column_rows() for pi in projs), reps=tuple(reps),
+    )
     for m in range(2, m_top):
         # functionals vanishing on the kernel span must stay so: incl[m] sums each class's members
-        live = np.flatnonzero(members[m] >= 0)
-        probe = np.zeros((projs[m + 1].rows, _word_count(incls[m].cols)), dtype=np.uint64)
+        live = np.flatnonzero(classes[m] >= 0)
+        probe = np.zeros((projs[m + 1].rows, _word_count(reps[m].size)), dtype=np.uint64)
         for i, g in rel.total_ones(m, live):
-            _xor_scatter(probe, g, members[m][live[i]])
+            _xor_scatter(probe, g, classes[m][live[i]])
         if probe.any():
             raise GF2Error(f"induced differential ill-defined at word degree {m}")
-
-    return RelativeTower(
-        kind=pair,
-        tower=rel,
-        incl=tuple(incls),
-        proj=tuple(projs),
-        section=tuple(sections),
-        table=table,
-        coeffs=coeffs,
-        meta={"words": tuple(words), "last": tuple(lasts)},
-    )
+    return rel
 
 
 @dataclass(frozen=True)
@@ -303,12 +287,6 @@ def _part_index(coords, idx, m: int):
     return np.where(idx < 0, -1, pos)
 
 
-def _part_matrix(mat: BitMatrix, rows, cols, m: int) -> BitMatrix:
-    """mat at the part's rows and cols; a one of those rows must lie in cols."""
-    r, c = BitMatrix(rows.size, mat.cols, mat.words[rows]).coords()
-    return BitMatrix.from_coords(rows.size, cols.size, r, _part_index(cols, c, m))
-
-
 def _pivot_coords(h: QuotientCoords, coords):
     """The coordinate in coords of the pivot column of each coset coordinate of h."""
     return coords[np.asarray(h.sup.pivots, dtype=np.int64)[h.free]]
@@ -324,9 +302,10 @@ def _direct_sum(blocks) -> BitMatrix:
     return BitMatrix.from_coords(rows.size, cols.size, np.searchsorted(rows, r), np.searchsorted(cols, c))
 
 
-def _part_sequence(rel: RelativeTower, ones, co, limit: int):
+def _part_sequence(rel: RelativeTower, ones, sections, co, limit: int):
     """The long exact sequence on one weight part, co[v][m] its entries of
-    _weight_parts for the sub, total and quotient complexes (v = 0, 1, 2).
+    _weight_parts for the sub, total and quotient complexes (v = 0, 1, 2),
+    and sections[m] the section's index array sigma.a in word degree m.
 
     Returns the part's node verdicts, in the order of the report's nodes,
     and for each word degree m < limit the connecting map's block with the
@@ -349,7 +328,7 @@ def _part_sequence(rel: RelativeTower, ones, co, limit: int):
             below = Subspace.zero(tm.rows) if held[v] is None else Subspace.from_rows(tm.rows, held[v])
             h.append(QuotientCoords(kernel_basis(tm.transpose()), below))
             held[v] = tm
-        incl = _part_matrix(rel.incl[m], t[m], s[m], m)
+        incl = WordMap(t[m].size, s[m].size, _part_index(s[m], rel.classes[m][t[m]], m))
         pi = rel.proj[m]
         proj = WordMap(q[m].size, t[m].size, *(_part_index(t[m], x[q[m]], m) for x in (pi.a, pi.b)))
         return (*h, induced_map(incl, h[0], h[1]), induced_map(proj, h[1], h[2]), incl)
@@ -367,11 +346,11 @@ def _part_sequence(rel: RelativeTower, ones, co, limit: int):
         if reps.rows == 0:
             delta = BitMatrix.zeros(hs1.dim, 0)
         else:
-            section = WordMap(t[m].size, q[m].size, _part_index(q[m], rel.section[m].a[t[m]], m))
+            section = WordMap(t[m].size, q[m].size, _part_index(q[m], sections[m][t[m]], m))
             lifted = (section @ reps.transpose()).transpose()  # reps @ section^T
             w = lifted @ tt
             # incl is injective with one representative per column: read u there
-            u = w.take_columns(_part_index(t[m + 1], rel.meta["last"][m + 1][s[m + 1]], m + 1))
+            u = w.take_columns(_part_index(t[m + 1], rel.reps[m + 1][s[m + 1]], m + 1))
             if incl1 @ u.transpose() != w.transpose():
                 raise GF2Error(f"connecting-map lift failed at word degree {m}")
             delta = hs1.project_rows(u).transpose()
@@ -382,26 +361,27 @@ def _part_sequence(rel: RelativeTower, ones, co, limit: int):
     return total_ok + quotient_ok + sub_ok, blocks
 
 
-def long_exact_sequence_check(
-    rel: RelativeTower, max_degree: int | None = None
-) -> LESReport:
+def long_exact_sequence_check(rel: RelativeTower) -> LESReport:
     """Assemble the long exact sequence and verify exactness at every node.
 
     The sequence is swept one weight part at a time (the module docstring,
-    _part_sequence); a one of a differential outside its row's class, or
-    of a map outside its part, raises, naming its word degree.  Exactness at a node is rank arithmetic, in every part: the
-    composite of consecutive maps vanishes and the ranks add up to the
-    middle dimension.  Each connecting map is the direct sum of its part
-    blocks, in the coset coordinates the whole sequence would have.  A lift
+    _part_sequence) through word degree rel.word_degrees - 1, the last
+    with a cohomology; a one of a differential outside its row's class,
+    or of a map outside its part, raises, naming its word degree.
+    Exactness at a node is rank arithmetic, in every part: the composite
+    of consecutive maps vanishes and the ranks add up to the middle
+    dimension.  Each connecting map is the direct sum of its part blocks,
+    in the coset coordinates the whole sequence would have.  A lift
     failure inside the connecting map is a chain-map bug, not a report
     entry, and raises.
     """
-    m_top = rel.word_degrees
+    m_top, proj = rel.word_degrees, rel.proj
     sub = build_tower(INCLUSION_FLAVORS[rel.kind][0], rel.table, rel.coeffs, m_top)
-    total, proj = rel.tower.total, rel.proj
-    limit = m_top - 1 if max_degree is None else min(max_degree, m_top - 1)
+    total = ComplexTower(tuple(pi.cols for pi in proj), rel.flavor, "", rel.table, rel.coeffs)  # never packed
+    limit = m_top - 1
     # the ones of d^m(e_f) of the sub, total and quotient complexes in word degree m
-    ones = (sub.ones, total.ones, lambda m, cols: rel.tower.total_ones(m, proj[m].a[cols]))
+    ones = (sub.ones, total.ones, lambda m, cols: rel.total_ones(m, proj[m].a[cols]))
+    sections = [_section(pi).a for pi in proj]
 
     def weights(m):
         w = total.weights(m)
@@ -411,7 +391,7 @@ def long_exact_sequence_check(
     names += [f"H^{m}(sub)" for m in range(limit + 1)]
     ok, blocks = [True] * len(names), [[] for _ in range(limit)]
     for co in _weight_parts(weights, limit + 1):
-        part_ok, part_blocks = _part_sequence(rel, ones, co, limit)
+        part_ok, part_blocks = _part_sequence(rel, ones, sections, co, limit)
         ok = [a and b for a, b in zip(ok, part_ok)]
         for m, block in enumerate(part_blocks):
             blocks[m].append(block)
@@ -431,14 +411,15 @@ def comparison_filtration(pair: InclusionPair, rel: RelativeTower) -> FilteredTo
     # the swap span holds no unit words, so its prefix steps kill no class
     kills = pair is not InclusionPair.SYM_IN_TENSOR
     filt = []
-    for n in range(rel.tower.n_max + 1):
+    for n in range(rel.n_max + 1):
         m = n + 2
-        words = rel.meta["words"][m]
+        gens = rel.proj[m].a[:: max(mdim, 1)] // max(mdim, 1)  # pi.a lists the generators' coordinates
+        words = _monomials(total, d, m)[gens]
         owner = np.full(basis_dim(total, d, m), -1)
-        owner[_index(total, d, words)] = np.arange(len(words))
+        owner[gens] = np.arange(gens.size)
         # a word's class: the generator owning its prefix-sorted word, if any
         cls = lambda w, p: owner[_index(total, d, _sort_prefix(w, p))]
-        chain = [np.arange(rel.tower.dims[n])]
+        chain = [np.arange(rel.dims[n])]
         # all words of length m in colex order, and whether their first p + 1 letters repeat one
         all_words = _monomials(Flavor.TENSOR, d, m) if kills else np.zeros((0, m), dtype=np.int64)
         repeat = np.zeros(len(all_words), dtype=bool)
@@ -447,10 +428,10 @@ def comparison_filtration(pair: InclusionPair, rel: RelativeTower) -> FilteredTo
             dead = cls(all_words[repeat], p + 1)
             chain.append(_expand(_leaders(cls(words, p + 1), dead), mdim))
         if (chain[-1] >= 0).any():
-            chain.append(np.full(rel.tower.dims[n], -1))
+            chain.append(np.full(rel.dims[n], -1))
         filt.append(tuple(chain))
     offset = 0 if pair is InclusionPair.EXT_IN_TENSOR else 1
-    return FilteredTower(rel.tower, tuple(filt), label=f"comparison[{pair.value}]", index_offset=offset)
+    return FilteredTower(rel, tuple(filt), label=f"comparison[{pair.value}]", index_offset=offset)
 
 
 def _dual_words(flavor, d, p):
@@ -511,16 +492,16 @@ def _product_cokernel(pair, restr, classes, triv) -> ComplexTower:
     """The cokernel of the pullback of the scalar cochains of triv in
     degree p + 2 along the class map classes[p], in degree p, with the
     differential induced by restr[p]."""
-    maps = [_class_map(cls, triv.dims[p + 2], 1) for p, cls in enumerate(classes)]
-    gens, lasts, mus, pis, _ = zip(*maps)
+    lasts, pis = zip(*(_class_map(cls, triv.dims[p + 2], 1) for p, cls in enumerate(classes)))
     for p, last in enumerate(lasts):
         if (last < 0).any():  # a scalar class with no live member
             raise GF2Error(f"product pullback not injective at degree {p}")
+    mus = [BitMatrix.from_coords(c.size, triv.dims[p + 2], np.flatnonzero(c >= 0), c[c >= 0]) for p, c in enumerate(classes)]
     for p in range(len(mus) - 1):
         if restr[p] @ mus[p] != mus[p + 1] @ triv.differential(p + 2):
             raise GF2Error(f"product pullback is not a chain map at degree {p}")
-    diffs = tuple(pis[p + 1] @ restr[p].take_columns(pis[p].a) for p in range(len(mus) - 1))
-    return ComplexTower.held([len(g) for g in gens], diffs, label=f"cr[{pair.value}]")
+    diffs = tuple(pis[p + 1] @ restr[p].take_columns(pis[p].a) for p in range(len(pis) - 1))
+    return ComplexTower.held([pi.rows for pi in pis], diffs, label=f"cr[{pair.value}]")
 
 
 @dataclass(frozen=True)

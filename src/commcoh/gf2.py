@@ -120,6 +120,11 @@ def _xor_scatter(words: np.ndarray, r: np.ndarray, c: np.ndarray) -> None:
     np.bitwise_xor.at(words.reshape(-1), r * nw + c // WORD_BITS, bits)
 
 
+def _block_rows(words: int) -> int:
+    """The rows of that many words each in one block of about RANK_BLOCK_BYTES, at least one."""
+    return max(1, RANK_BLOCK_BYTES // max(1, words * 8))
+
+
 def _runs(counts: np.ndarray):
     """(run, offset) of each element of consecutive runs of the given lengths."""
     run = np.repeat(np.arange(counts.size), counts)
@@ -362,7 +367,7 @@ class BitMatrix:
 
         The blocks are cut from the bottom, so a partial block is the top one.
         """
-        step = max(1, RANK_BLOCK_BYTES // max(1, self.words.shape[1] * 8))
+        step = _block_rows(self.words.shape[1])
         for stop in range(self.rows, 0, -step):
             block = self.words[max(0, stop - step) : stop]
             yield BitMatrix(block.shape[0], self.cols, block)
@@ -423,7 +428,7 @@ class WordMap:
         if self.cols != other.rows:
             raise GF2Error(f"product shape mismatch: {self.shape} @ {other.shape}")
         out = np.zeros((self.rows, other.words.shape[1]), dtype=np.uint64)
-        step = max(1, RANK_BLOCK_BYTES // max(1, out.shape[1] * 8))
+        step = _block_rows(out.shape[1])
         for start in range(0, self.rows, step):
             block = out[start : start + step]  # a view: rows are gathered one block at a time
             for col in (self.a[start : start + step], self.b[start : start + step]):

@@ -41,8 +41,8 @@ from .cochain import (
     derivation_operator_matrix,
 )
 from .cohomology import betti_table, induced_map_on_cohomology
-from .gf2 import RANK_BLOCK_BYTES, WORD_BITS, BitMatrix, GF2Error, Subspace, WordMap
-from .gf2 import _echelon, _gather, _grouped, _int_rows, _word_count, _xor_scatter
+from .gf2 import WORD_BITS, BitMatrix, GF2Error, Subspace, WordMap
+from .gf2 import _block_rows, _echelon, _gather, _grouped, _int_rows, _word_count, _xor_scatter
 
 __all__ = [
     "FiltrationError",
@@ -185,7 +185,7 @@ def _images(tower: ComplexTower, n: int, basis: tuple, coords: WordMap):
     """
     width, targets = _word_count(tower.dims[n + 1]), coords.column_rows()
     k, i = basis
-    step = max(1, RANK_BLOCK_BYTES // max(1, width * 8))
+    step = _block_rows(width)
     for stop in range(tower.dims[n], 0, -step):
         start = max(0, stop - step)
         lo, hi = np.searchsorted(k, (start, stop))
@@ -268,19 +268,18 @@ def stabilization_index(ft: FilteredTower) -> int:
     return ft.max_length() + 1
 
 
-def compute_pages(ft: FilteredTower, r_max: int | None = None) -> list:
-    """Pages E_0 .. E_{r_max}; entries cover p, q >= 0 with p + q < n_max.
+def compute_pages(ft: FilteredTower) -> list:
+    """Pages E_0 .. E_r for r = max(3, stabilization_index(ft)); entries
+    cover p, q >= 0 with p + q < n_max.
 
     Each page carries the rank of d_r out of each entry.  A page is
     stable once r exceeds the filtration length in every total degree.
     """
     r_stab = stabilization_index(ft)
-    if r_max is None:
-        r_max = max(r_stab, 3)
     sizes, pairs = _pairing(ft)
     return [
         Page(r, *_entries(sizes, pairs, r, ft.n_max), stable=r >= r_stab)
-        for r in range(r_max + 1)
+        for r in range(max(r_stab, 3) + 1)
     ]
 
 

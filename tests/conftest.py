@@ -28,8 +28,9 @@ from commcoh.algebra import (
 from commcoh import comparison
 from commcoh.catalog import load_catalog, parse_algebra_file, survey_enumerate
 from commcoh.cochain import INCLUSION_FLAVORS, _index, _monomials, basis_dim
-from commcoh.gf2 import BitMatrix, Subspace, inverse
+from commcoh.gf2 import BitMatrix, Subspace, WordMap, inverse
 
+from dense_builders import packed
 from page_oracle import annihilator
 
 
@@ -68,11 +69,14 @@ def heis3_table(z_terms: int, seed: int = 1) -> BracketTable:
 
 def inclusion_class_map(pair, d, m, mdim):
     """The class map of pair's quotient at word degree m, as the relative
-    complex builds it: (generator words, last, incl, pi, sigma)."""
+    complex builds it: (generator words, last, incl, pi, sigma), with incl
+    packed from the class array and the generator words read off pi.a."""
     sub, total = INCLUSION_FLAVORS[pair]
-    words = _monomials(total, d, m)
-    gens, *rest = comparison._class_map(_index(sub, d, words), basis_dim(sub, d, m), mdim)
-    return (words[gens], *rest)
+    words, n_sub = _monomials(total, d, m), basis_dim(sub, d, m)
+    cls = _index(sub, d, words)
+    last, pi = comparison._class_map(cls, n_sub, mdim)
+    incl = packed(WordMap(cls.size * mdim, n_sub * mdim, comparison._expand(cls, mdim)))
+    return words[pi.a[::mdim] // mdim], last, incl, pi, comparison._section(pi)
 
 
 @st.composite

@@ -21,6 +21,7 @@ from commcoh.cochain import (
     ComplexTower,
     Flavor,
     InclusionPair,
+    _block_matrix,
     _index,
     _monomials,
     basis_dim,
@@ -57,6 +58,19 @@ def packed(w: WordMap) -> BitMatrix:
     r = np.concatenate([rows[w.a >= 0], rows[w.b >= 0]])
     c = np.concatenate([w.a[w.a >= 0], w.b[w.b >= 0]])
     return BitMatrix.from_coords(w.rows, w.cols, r, c)
+
+
+def inclusion_map(rel, m: int) -> WordMap:
+    """rel's inclusion in word degree m, read off its class array: row i
+    has its one at rel.classes[m][i], none where that is -1."""
+    return WordMap(rel.classes[m].size, rel.reps[m].size, rel.classes[m])
+
+
+def generator_words(rel, m: int):
+    """The total-flavor word of each generator of rel in word degree m,
+    read off its projection (pi.a lists the generators' coordinates)."""
+    mdim = rel.coeffs.dim
+    return _monomials(rel.flavor, rel.table.dim, m)[rel.proj[m].a[::mdim] // mdim]
 
 
 def canonical(flavor: Flavor, word):
@@ -287,7 +301,7 @@ def filtration_constraints(pair, rel, n, p) -> BitMatrix | None:
     """
     d, mdim, m = rel.table.dim, rel.coeffs.dim, n + 2
     total = Flavor.SYM if pair is InclusionPair.EXT_IN_SYM else Flavor.TENSOR
-    words = [tuple(w) for w in rel.meta["words"][m].tolist()]
+    words = [tuple(w) for w in generator_words(rel, m).tolist()]
     lookup = {canonical(total, w): t for t, w in enumerate(words)}
     if pair is InclusionPair.SYM_IN_TENSOR:
         gens = swap_span_rows(d, m, p + 1)
@@ -408,23 +422,22 @@ def flavor_towers(rel) -> tuple:
 def quotient_word_tower(rel) -> ComplexTower:
     """rel's quotient complex in word grading (degrees 0, 1 are zero), its
     differentials packed from the relative tower."""
-    zero = (BitMatrix.zeros(0, 0), BitMatrix.zeros(rel.tower.dims[0], 0))
-    label = f"{rel.tower.label}/word"
-    return ComplexTower.held((0, 0) + rel.tower.dims, zero + rel.tower.diffs, label=label)
+    zero = (BitMatrix.zeros(0, 0), BitMatrix.zeros(rel.dims[0], 0))
+    return ComplexTower.held((0, 0) + rel.dims, zero + rel.diffs, label=f"{rel.label}/word")
 
 
-def full_width_les(rel, max_degree=None) -> LESReport:
+def full_width_les(rel) -> LESReport:
     """The long exact sequence swept at full width, every space in one piece:
     the route the sweep by weight part replaced, with the same checks,
     verdicts and connecting maps."""
     m_top = rel.word_degrees
     sub, total = flavor_towers(rel)
     qt = quotient_word_tower(rel)
-    limit = m_top - 1 if max_degree is None else min(max_degree, m_top - 1)
+    limit = m_top - 1
 
     def at(m):
         hs, ht, hq = (QuotientCoords(cycles(t, m), boundaries(t, m)) for t in (sub, total, qt))
-        return hs, ht, hq, induced_map(rel.incl[m], hs, ht), induced_map(rel.proj[m], ht, hq)
+        return hs, ht, hq, induced_map(inclusion_map(rel, m), hs, ht), induced_map(rel.proj[m], ht, hq)
 
     hs, ht, hq, i_star, p_star = at(0)
     total_ok, quotient_ok, sub_ok = [], [], [i_star.rank() == hs.dim]
@@ -438,10 +451,10 @@ def full_width_les(rel, max_degree=None) -> LESReport:
         if reps.rows == 0:
             delta = BitMatrix.zeros(hs1.dim, 0)
         else:
-            lifted = (rel.section[m] @ reps.transpose()).transpose()
+            lifted = (comparison._section(rel.proj[m]) @ reps.transpose()).transpose()
             w = lifted @ total.differential(m).transpose()
-            u = w.take_columns(rel.meta["last"][m + 1])
-            if rel.incl[m + 1] @ u.transpose() != w.transpose():
+            u = w.take_columns(rel.reps[m + 1])
+            if inclusion_map(rel, m + 1) @ u.transpose() != w.transpose():
                 raise GF2Error(f"connecting-map lift failed at word degree {m}")
             delta = hs1.project_rows(u).transpose()
         connecting.append(delta)
@@ -468,9 +481,9 @@ def connecting_maps(rel) -> list:
         if reps.rows == 0:
             out.append(BitMatrix.zeros(hs.dim, 0))
             continue
-        lifted = reps @ packed(rel.section[m]).transpose()
+        lifted = reps @ packed(comparison._section(rel.proj[m])).transpose()
         w = lifted @ total.differential(m).transpose()
-        u = solve(rel.incl[m + 1], w.transpose())
+        u = solve(packed(inclusion_map(rel, m + 1)), w.transpose())
         assert u is not None, f"no lift at word degree {m}"
         out.append(hs.project_rows(u.transpose()).transpose())
     return out
@@ -491,7 +504,7 @@ def class_span(cls, dead, mdim: int) -> Subspace:
     members = np.flatnonzero((cls >= 0) & ~np.isin(cls, dead))
     _, first, label = np.unique(cls[members], return_index=True, return_inverse=True)
     pivots, row = np.unique(members[first][label], return_inverse=True)
-    basis = comparison._block_matrix((len(pivots), len(cls)), mdim, [(row, members, None)])
+    basis = _block_matrix((len(pivots), len(cls)), mdim, [(row, members, None)])
     return Subspace(len(cls) * mdim, basis, tuple(comparison._expand(pivots, mdim).tolist()))
 
 
@@ -504,18 +517,18 @@ def comparison_chains(pair, rel) -> tuple:
     total = Flavor.SYM if pair is InclusionPair.EXT_IN_SYM else Flavor.TENSOR
     kills = pair is not InclusionPair.SYM_IN_TENSOR
     chains = []
-    for n in range(rel.tower.n_max + 1):
+    for n in range(rel.n_max + 1):
         m = n + 2
-        words = rel.meta["words"][m]
+        words = generator_words(rel, m)
         owner = np.full(basis_dim(total, d, m), -1)
         owner[_index(total, d, words)] = np.arange(len(words))
         cls = lambda w, p: owner[_index(total, d, comparison._sort_prefix(w, p))]
-        chain = [Subspace.full(rel.tower.dims[n])]
+        chain = [Subspace.full(rel.dims[n])]
         for p in range(1, m):
             all_words, repeat = prefix_repeats(d, m, p + 1)
             chain.append(class_span(cls(words, p + 1), cls(all_words[repeat & kills], p + 1), mdim))
         if chain[-1].dim:
-            chain.append(Subspace.zero(rel.tower.dims[n]))
+            chain.append(Subspace.zero(rel.dims[n]))
         chains.append(tuple(chain))
     return tuple(chains)
 

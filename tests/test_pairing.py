@@ -14,7 +14,7 @@ from commcoh.algebra import IdealVerdict, classify_algebra, is_ideal
 from commcoh.catalog import catalog_names
 from commcoh.cochain import ComplexTower, InclusionPair
 from commcoh.comparison import build_relative_complex, comparison_filtration
-from commcoh import spectral
+from commcoh import gf2, spectral
 from commcoh.gf2 import BitMatrix, Subspace, inverse
 from commcoh.spectral import (
     FiltrationError,
@@ -33,9 +33,8 @@ from page_oracle import oracle_infinity_entries, oracle_pages
 
 
 def assert_pages_match_oracle(ft: FilteredTower) -> None:
-    r_max = max(3, stabilization_index(ft))
-    pages = compute_pages(ft, r_max)
-    want = oracle_pages(ft, r_max)
+    pages = compute_pages(ft)
+    want = oracle_pages(ft, max(3, stabilization_index(ft)))
     assert [p.r for p in pages] == [p.r for p in want]
     for page, ref in zip(pages, want):
         assert page.entries == ref.entries, page.r
@@ -197,11 +196,15 @@ def test_adapted_basis_levels_span_each_step(chain):
     (InclusionPair.SYM_IN_TENSOR, "heis3"), (InclusionPair.EXT_IN_TENSOR, "a"),
 ])
 def test_pages_match_oracle_one_image_per_block(pair, name, monkeypatch):
-    # 8 bytes packs each source's image as its own block
-    monkeypatch.setattr(spectral, "RANK_BLOCK_BYTES", 8)
+    # 8 bytes packs each source's image as its own block; the pairing
+    # reads the block size from gf2, as every other layer does
+    monkeypatch.setattr(gf2, "RANK_BLOCK_BYTES", 8)
+    blocks, real = [], spectral._int_rows
+    monkeypatch.setattr(spectral, "_int_rows", lambda words: blocks.append(words.shape[0]) or real(words))
     entry = catalog(name)
     rel = build_relative_complex(pair, entry.table, entry.modules["adjoint"], 3)
     assert_pages_match_oracle(comparison_filtration(pair, rel))
+    assert blocks and set(blocks) == {1}
 
 
 def test_top_pairing_holds_no_packed_images():
