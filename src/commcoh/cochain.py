@@ -301,7 +301,7 @@ def _coordinate_weights(flavor, letters, values, n) -> np.ndarray:
             total += letters[ranks // d**i % d]
     else:
         total = letters[_monomials(flavor, d, n)].sum(axis=1)
-    return (values[None, :, :] - total[:, None, :]).reshape(-1, letters.shape[1])
+    return (values[None, :, :] - total[:, None, :]).reshape(total.shape[0] * values.shape[0], letters.shape[1])
 
 
 def insertion_matrix(flavor: Flavor, d: int, mdim: int, x, n: int) -> BitMatrix:

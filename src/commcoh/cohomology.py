@@ -13,7 +13,8 @@ with no grading (a table without one, held differentials) is one part
 on the same route.  _part_block generates T_n on a part from the part's
 coordinates alone (ComplexTower.ones); a one outside its row's class is
 an internal error naming its degree.  The long exact sequence
-(comparison) reads the same parts and blocks.
+(comparison) and the spectral pairing (spectral) read the same parts
+and blocks.
 
 betti_table sweeps each part up the degrees, and each degree clears the
 next (Chen & Kerber, "Persistent homology computation with a twist",

@@ -7,19 +7,24 @@ level f; each differential, written in these bases, is reduced so that
 it pairs sources with targets.  A pair of gap r = f(target) - f(source)
 is d_r: both ends survive to E_r and die on E_{r+1}.  So dim E_r(p, q)
 counts the level-p vectors of C^{p+q} outside pairs of gap below r, and
-E_infinity the unpaired ones.  The same pairing checks that d respects
-the filtration (_pairing), so a filtered tower's structure is checked
-when it is made and its d-compatibility when it is paired.  Closed
-forms are cross checks, so a discrepancy with a pencil computation is
-surfaced rather than baked in.  Entries touching the truncation degree
-are excluded from convergence checks.
+E_infinity the unpaired ones.  The pairing is swept over betti_table's
+weight parts (cohomology._weight_parts): each class of a step lies in
+one weight class, so a filtered tower is the direct sum of its parts
+and the pair counts, rank invariants, add over them.  A filtration with
+a class across weight classes is paired as one part.  The images of a
+part are packed by cohomology._part_block, one block of class members
+at a time, so no whole degree is packed.  The same pairing checks that
+d respects the filtration (_pairing), so a filtered tower's structure is
+checked when it is made and its d-compatibility when it is paired.
+Closed forms are cross checks, so a discrepancy with a pencil
+computation is surfaced rather than baked in.  Entries touching the
+truncation degree are excluded from convergence checks.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import groupby, islice
 
 import numpy as np
 
@@ -40,9 +45,9 @@ from .cochain import (
     build_tower,
     derivation_operator_matrix,
 )
-from .cohomology import betti_table, induced_map_on_cohomology
+from .cohomology import _part_block, _weight_parts, betti_table, induced_map_on_cohomology
 from .gf2 import WORD_BITS, BitMatrix, GF2Error, Subspace, WordMap
-from .gf2 import _block_rows, _echelon, _gather, _grouped, _int_rows, _word_count, _xor_scatter
+from .gf2 import _block_rows, _int_rows, _word_count
 
 __all__ = [
     "FiltrationError",
@@ -101,14 +106,6 @@ class FilteredTower:
     @property
     def n_max(self) -> int:
         return self.tower.n_max
-
-    def step(self, n: int, p: int) -> np.ndarray:
-        """F^p at degree n, clamped: full below the chain, zero above."""
-        chain = self.filt[n]
-        return chain[min(max(p, 0), len(chain) - 1)]
-
-    def max_length(self) -> int:
-        return max(len(chain) for chain in self.filt)
 
 
 def subalgebra_filtration(
@@ -173,40 +170,49 @@ def _adapted_basis(chain) -> tuple:
     return depth[pivots].tolist(), (k[order], i[order]), WordMap(idx.size, idx.size, pivots, up)
 
 
-def _images(tower: ComplexTower, n: int, basis: tuple, coords: WordMap):
-    """The image under d^n of each basis row, in the target's coordinates
-    coords, as an int (_int_rows), last row first.
+def _part_pairs(ft: FilteredTower, deg, sizes: list, pairs: list) -> list:
+    """Add the levels and pairs of one part, deg its entries of _weight_parts,
+    to sizes and pairs (_pairing); [(n, p)] where d F^p C^n first leaves
+    F^p C^{n+1} there, p the smallest, and the part stops; else [].
 
-    The images E = coords @ d summed over each row's class are packed one
-    block of rows of about RANK_BLOCK_BYTES at a time, from the last row
-    back; d is never packed.  The unique members of a block's rows are
-    generated (tower.ones), and a one (r, c) lands, in each row holding c,
-    on the target row that r leads and the rows whose deeper leader is r.
+    The image of a basis row is the sum of the rows of T_n (_part_block)
+    over its class, written in the target's adapted basis by coords; they
+    are made from the last row back, for at most a row block of class
+    members at a time.  The highest bit of the raw image of a level-f row
+    is at its lowest target level t, and t < f puts it outside F^f.
     """
-    width, targets = _word_count(tower.dims[n + 1]), coords.column_rows()
-    k, i = basis
-    step = _block_rows(width)
-    for stop in range(tower.dims[n], 0, -step):
-        start = max(0, stop - step)
-        lo, hi = np.searchsorted(k, (start, stop))
-        members, slot = np.unique(i[lo:hi], return_inverse=True)
-        holders = _grouped(slot, k[lo:hi] - start, members.size)  # the block rows holding each member
-        words = np.zeros((stop - start, width), dtype=np.uint64)
-        for c, r in tower.ones(n, members):
-            c, t = _gather(targets, r, c)  # (member, target row)
-            t, row = _gather(holders, c, t)  # (target row, block row)
-            _xor_scatter(words, row, t)
-        yield from reversed(_int_rows(words))
-
-
-def _within(group, levels: list, width: int, low: list):
-    """The images y of group's (level f, y), noting in low the level t of
-    each one whose highest bit lies at t < f: that image leaves F^f."""
-    for f, y in group:
-        t = levels[width - y.bit_length()] if y else f
-        if t < f:
-            low.append(t)
-        yield y
+    # each degree's steps on the part, leaders remapped to their positions in it
+    part_steps = ([np.where(s[c] < 0, -1, pos[s[c]]) for s in chain] for chain, (c, _, pos) in zip(ft.filt, deg))
+    bases = map(_adapted_basis, part_steps)
+    src_levels, (k, i), _ = next(bases)
+    sizes[0].update(src_levels)
+    for n in range(ft.n_max):
+        tgt_levels, tgt, coords = next(bases)
+        sizes[n + 1].update(tgt_levels)
+        words, top, low = _word_count(coords.rows), {}, []
+        width = words * WORD_BITS
+        ends = np.searchsorted(k, np.arange(len(src_levels) + 1))  # row r holds the ones ends[r]:ends[r + 1]
+        stop = len(src_levels) if words else 0  # no target coordinate: every image is zero
+        while stop:
+            start = min(stop - 1, int(np.searchsorted(ends, ends[stop] - _block_rows(words))))
+            members, slot = np.unique(i[ends[start] : ends[stop]], return_inverse=True)
+            block = _part_block(ft.tower.ones, n, (deg[n][0][members], *deg[n][1:]), deg[n + 1])
+            sums = BitMatrix.from_coords(stop - start, members.size, k[ends[start] : ends[stop]] - start, slot)
+            images = (coords @ (sums @ block).transpose()).transpose()
+            for f, y in zip(reversed(src_levels[start:stop]), reversed(_int_rows(images.words))):
+                t = tgt_levels[width - y.bit_length()] if y else f
+                if t < f:
+                    low.append(t)
+                while y and (h := y.bit_length()) in top:
+                    y ^= top[h]
+                if y:
+                    top[h] = y
+                    pairs[n][(f, tgt_levels[width - h])] += 1
+            stop = start
+        if low:
+            return [(n, min(low) + 1)]
+        src_levels, (k, i) = tgt_levels, tgt
+    return []
 
 
 def _pairing(ft: FilteredTower) -> tuple:
@@ -218,33 +224,25 @@ def _pairing(ft: FilteredTower) -> tuple:
     and the sources are eliminated by highest bit in decreasing level, so
     a source is reduced only by sources of its level or deeper and pairs
     with its image's lowest-level target (Edelsbrunner & Harer,
-    Computational Topology, ch. VII).
+    Computational Topology, ch. VII).  The counts are summed over the
+    weight parts (the module docstring, _part_pairs).
 
     This is also where d-compatibility is checked.  The target rows of
     level >= p span F^p C^{n+1}, so the raw image of a level-f row lies in
     F^f exactly when its highest bit is at a level t >= f.  An image with
-    t < f puts d F^p C^n outside F^p C^{n+1} for t < p <= f, and once
-    degree n is paired the smallest such p is raised as a FiltrationError.
+    t < f puts d F^p C^n outside F^p C^{n+1} for t < p <= f; after the
+    sweep the lowest such degree is raised as a FiltrationError, with
+    the smallest p of all its parts.
     """
-    bases = map(_adapted_basis, ft.filt)  # built as needed: two degrees are held at a time
-    src_levels, src, _ = next(bases)
-    sizes, pairs = [Counter(src_levels)], []
-    for n in range(ft.n_max):
-        tgt_levels, tgt, coords = next(bases)
-        sizes.append(Counter(tgt_levels))
-        width = _word_count(len(tgt_levels)) * WORD_BITS
-        top, found, low = {}, Counter(), []
-        deepest_first = zip(reversed(src_levels), _images(ft.tower, n, src, coords))
-        for f, group in groupby(deepest_first, key=lambda row: row[0]):
-            size = len(top)
-            _echelon(_within(group, tgt_levels, width, low), top)
-            for h in islice(top, size, None):
-                found[(f, tgt_levels[width - h])] += 1
-        if low:
-            p = min(low) + 1
-            raise FiltrationError(f"d F^{p} C^{n} not contained in F^{p} C^{n + 1}")
-        pairs.append(found)
-        src, src_levels = tgt, tgt_levels
+    weights = [ft.tower.weights(n) for n in range(ft.n_max + 1)]
+    if any((w[lead[lead >= 0]] != w[lead >= 0]).any() for w, chain in zip(weights, ft.filt) for lead in chain):
+        weights = [w[:, :0] for w in weights]  # one class a degree: one part
+    sizes, pairs, failed = [Counter() for _ in ft.filt], [Counter() for _ in ft.filt[1:]], []
+    for (deg,) in _weight_parts(lambda n: (weights[n],), ft.n_max):
+        failed += _part_pairs(ft, deg, sizes, pairs)
+    if failed:
+        n, p = min(failed)
+        raise FiltrationError(f"d F^{p} C^{n} not contained in F^{p} C^{n + 1}")
     return sizes, pairs
 
 
@@ -265,7 +263,7 @@ def _entries(sizes, pairs, r: int, n_max: int) -> tuple:
 
 
 def stabilization_index(ft: FilteredTower) -> int:
-    return ft.max_length() + 1
+    return max(len(chain) for chain in ft.filt) + 1
 
 
 def compute_pages(ft: FilteredTower) -> list:

@@ -23,7 +23,7 @@ from commcoh.catalog import (
 from commcoh.cli import main, run
 from commcoh.gf2 import GF2Error
 
-from conftest import catalog, random_invertible, survey, traced
+from conftest import bench_workloads, catalog, random_invertible, survey, traced
 from survey_oracle import (
     line_module_instances_loop,
     oracle_survivors,
@@ -356,6 +356,22 @@ class TestCLI:
         assert code == 0 and all(c["passed"] for c in report["checks"])
         nodes = report["payload"]["sequences"]["comm-leibniz"]["nodes"]
         assert len(nodes) == 11 and all(ok for _, ok in nodes)
+
+    @pytest.mark.parametrize(
+        "command",
+        [["hs-ss", "--subalgebra", "000"], ["hs-ss", "--ideal", "000"], ["cohomology"], ["compare"], ["les"]],
+        ids=["hs-ss-subalgebra", "hs-ss-ideal", "cohomology", "compare", "les"],
+    )
+    def test_rank_zero_grading_with_no_coefficients(self, tmp_path, command):
+        # an all-zero span, or the ungraded heis3 basis, has a grading of rank
+        # 0; with a module of dim 0 every coordinate weight array is empty,
+        # and each command answers the empty sweep with every check passed
+        wl = bench_workloads()
+        f = tmp_path / "ungraded.alg"
+        f.write_text(wl.heis3_file(*wl.draw_basis(1, 3)))
+        algebra = "catalog:heis3" if command[0] == "hs-ss" else str(f)
+        report, code = run([*command, "--algebra", algebra, "--module", "trivial:0", "--max-degree", "3"])
+        assert code == 0 and report["checks"] and all(c["passed"] for c in report["checks"])
 
     @pytest.mark.parametrize(
         "text",

@@ -80,14 +80,16 @@ def argvs(draw, algebra_files):
         argv += ["--algebra", algebra, "--max-degree", draw(st.sampled_from("0123") | SMALL)]
         options = {
             "--module": st.sampled_from(["trivial", "adjoint", "coadjoint", "flambda", "m", "reg",
-                                         "trivial:2", "flambda:01", "flambda:1", "nope"]),
+                                         "trivial:2", "trivial:0", "flambda:01", "flambda:1", "nope"]),
             "--format": st.sampled_from(["json", "csv", "xml"]),
         }
         if command == "cohomology":
             options["--flavor"] = st.sampled_from(["sym", "ext", "tensor", "sym,ext,tensor", "bad"])
         if command == "hs-ss":
-            options["--ideal"] = st.sampled_from(["e", "z", "h", "f", "x", "001", "10", "1,0"])
-            options["--subalgebra"] = st.sampled_from(["e", "z", "h", "x", "010", "11"])
+            # the all-zero spans have a grading of rank 0, as trivial:0 has no coordinates
+            zero = ["0", "00", "000"]
+            options["--ideal"] = st.sampled_from(["e", "z", "h", "f", "x", "001", "10", "1,0", *zero])
+            options["--subalgebra"] = st.sampled_from(["e", "z", "h", "x", "010", "11", *zero])
         if command == "compare":
             options["--comparison"] = st.sampled_from(
                 ["all", "ext-in-tensor", "ext-in-sym", "sym-in-tensor", "bad"]
@@ -126,6 +128,8 @@ def test_cli_exits_cleanly(algebra_files):
             code = exc.code
         else:
             assert isinstance(report, dict)
+            # exit 2 comes from a failed named check, never from an internal error
+            assert code != 2 or "error" not in report, (argv, report)
         assert code in (0, 1, 2), argv
 
     check()

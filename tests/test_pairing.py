@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from commcoh.algebra import IdealVerdict, classify_algebra, is_ideal
-from commcoh.catalog import catalog_names
-from commcoh.cochain import ComplexTower, InclusionPair
+from commcoh.algebra import IdealVerdict, classify_algebra, is_ideal, trivial_module
+from commcoh.catalog import catalog_names, parse_algebra_file
+from commcoh.cochain import ComplexTower, Flavor, InclusionPair, build_tower
 from commcoh.comparison import build_relative_complex, comparison_filtration
 from commcoh import gf2, spectral
 from commcoh.gf2 import BitMatrix, Subspace, inverse
@@ -27,12 +27,13 @@ from commcoh.spectral import (
     subalgebra_filtration,
 )
 
-from conftest import catalog, class_leaders, raises_promptly, random_invertible, traced
-from dense_builders import step_span
+from conftest import bench_workloads, catalog, class_leaders, raises_promptly, random_invertible, survey, traced
+from dense_builders import spanned_chains, step_span, validate_chains
 from page_oracle import oracle_infinity_entries, oracle_pages
 
 
-def assert_pages_match_oracle(ft: FilteredTower) -> None:
+def assert_pages_match_oracle(ft: FilteredTower) -> list:
+    """The pages of ft against the oracle's, entry by entry; returns them."""
     pages = compute_pages(ft)
     want = oracle_pages(ft, max(3, stabilization_index(ft)))
     assert [p.r for p in pages] == [p.r for p in want]
@@ -52,6 +53,15 @@ def assert_pages_match_oracle(ft: FilteredTower) -> None:
                 assert nxt.entries[(p, q)] == dim - page.ranks[(p, q)] - into, (r, p, q)
     assert infinity_entries(ft) == oracle_infinity_entries(ft)
     assert convergence_check(ft, pages) == convergence_check(ft)
+    return pages
+
+
+def pages_one_class_per_part(ft: FilteredTower) -> list:
+    """compute_pages(ft) at RANK_BLOCK_BYTES 1, where every weight class is
+    its own part and every image block one basis row."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gf2, "RANK_BLOCK_BYTES", 1)
+        return compute_pages(ft)
 
 
 def filtered_change(rng, lv) -> BitMatrix:
@@ -133,7 +143,8 @@ def test_catalog_subalgebra_filtrations(name, module):
     for h in entry.subspaces.values():
         if is_ideal(entry.table, h) is IdealVerdict.NOT_SUBALGEBRA:
             continue
-        assert_pages_match_oracle(subalgebra_filtration(entry.table, h, entry.modules[module], 5))
+        ft = subalgebra_filtration(entry.table, h, entry.modules[module], 5)
+        assert pages_one_class_per_part(ft) == assert_pages_match_oracle(ft)
         checked += 1
     assert checked
 
@@ -153,8 +164,37 @@ def test_catalog_comparison_filtrations(pair, name, module):
     pair = InclusionPair(pair)
     # degree 4 with adjoint coefficients takes the oracle about a second per case
     n_rel = 4 if module == "trivial" else 3
-    rel = build_relative_complex(pair, entry.table, entry.modules[module], n_rel)
-    assert_pages_match_oracle(comparison_filtration(pair, rel))
+    ft = comparison_filtration(pair, build_relative_complex(pair, entry.table, entry.modules[module], n_rel))
+    assert pages_one_class_per_part(ft) == assert_pages_match_oracle(ft)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_spectral_files_match_oracle(seed):
+    # the benchmark's seeded heis3 files (one-term brackets): each
+    # comparison, and the filtration by the file's ideal h
+    wl = bench_workloads()
+    entry = parse_algebra_file(wl.heis3_file(*wl.draw_basis(seed, 1)))
+    table, coeffs = entry.table, trivial_module(entry.table)
+    fts = [comparison_filtration(p, build_relative_complex(p, table, coeffs, 3)) for p in InclusionPair]
+    fts.append(subalgebra_filtration(table, entry.subspaces["h"], coeffs, 5))
+    for ft in fts:
+        assert pages_one_class_per_part(ft) == assert_pages_match_oracle(ft)
+
+
+def test_dimension_three_corpus_matches_oracle():
+    # every orbit representative of the survey in dimensions 1 to 3 (1, 3
+    # and 11 orbits), each applicable comparison with trivial coefficients
+    checked = 0
+    for d in (1, 2, 3):
+        for table in survey(d, up_to_iso=True).rep_tables():
+            lie = classify_algebra(table).is_lie
+            for pair in InclusionPair:
+                if lie or pair is InclusionPair.SYM_IN_TENSOR:
+                    rel = build_relative_complex(pair, table, trivial_module(table), 3)
+                    ft = comparison_filtration(pair, rel)
+                    assert pages_one_class_per_part(ft) == assert_pages_match_oracle(ft)
+                    checked += 1
+    assert checked == 35  # 10 of the 15 orbits are Lie algebras
 
 
 @st.composite
@@ -210,13 +250,39 @@ def test_pages_match_oracle_one_image_per_block(pair, name, monkeypatch):
 def test_top_pairing_holds_no_packed_images():
     # comm-leibniz on heis3 with trivial coefficients through relative
     # degree 7 (6516 -> 19628 at the top): the packed images and the square
-    # packed target basis peaked at 86.8 MiB, the image blocks at 17.7 MiB
+    # packed target basis peaked at 86.8 MiB, the image blocks at 17.7 MiB;
+    # the pages alone took 10.3 MiB paired a whole degree at a time, and
+    # about 3.2 MiB a weight part at a time
     entry = catalog("heis3")
     rel = build_relative_complex(InclusionPair.SYM_IN_TENSOR, entry.table, entry.modules["trivial"], 7)
     ft = comparison_filtration(InclusionPair.SYM_IN_TENSOR, rel)
-    conv, _, peak = traced(lambda: convergence_check(ft, compute_pages(ft)))
+    pages, _, peak = traced(lambda: compute_pages(ft))
+    assert peak < 6 * 2**20
+    conv, _, peak = traced(lambda: convergence_check(ft, pages))
     assert conv.ok and ft.tower.dims[-2:] == (6516, 19628)
     assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("block_bytes", [None, 1])
+def test_lowest_degree_and_smallest_step_over_parts(block_bytes, monkeypatch):
+    # heis3 with adjoint coefficients, by weight class (at 1 byte each
+    # class is its own part, in the order of the weights): in degree 0 the
+    # part of weight (0, 1, 0) leaves F^3, the later part (1, 0, 0) leaves
+    # F^1, and the part (1, 1, -1), later still, leaves F^1 in degree 1
+    if block_bytes:
+        monkeypatch.setattr(gf2, "RANK_BLOCK_BYTES", block_bytes)
+    entry = catalog("heis3")
+    tower = build_tower(Flavor.SYM, entry.table, entry.modules["adjoint"], 2)
+    levels = [{(0, 1, 0): 3, (1, 0, 0): 3}, {(0, 1, 0): 2, (1, 1, -1): 1}, {}]
+    filt = []
+    for n, at in enumerate(levels):
+        lv = np.array([at.get(tuple(w), 0) for w in tower.weights(n).tolist()])
+        filt.append(tuple(np.where(lv >= p, np.arange(lv.size), -1) for p in range(5)))
+    with pytest.raises(FiltrationError) as want:
+        validate_chains(tower, spanned_chains(tuple(filt)))
+    with pytest.raises(FiltrationError) as got:
+        compute_pages(FilteredTower(tower, tuple(filt)))
+    assert str(got.value) == str(want.value) == "d F^1 C^0 not contained in F^1 C^1"
 
 
 def test_non_nesting_steps_raise_promptly():
