@@ -24,8 +24,12 @@ later rows of T_n and row f is left out of its echelon.  The square is
 checked first, as K @ T_n = 0 with K the kept rows of T_{n-1} (a basis
 of im d^{n-1} on the part), so the check is complete.  A part stops at
 its first failed square, and the table raises after the sweep, naming
-the lowest failed degree.  The rows left enter _echelon bottom-up, one
-row block of ints at a time.
+the lowest failed degree.  The rows left are reduced bottom-up
+(_part_reduce).  The long exact sequence runs the same reduction with
+each row carrying its combination (de Silva, Morozov &
+Vejdemo-Johansson, "Dualities in persistent (co)homology", 2011): the
+rows whose own bits cancel leave cycles, and with the kept rows of
+T_{n-1} these are a basis of the cycles (_Classes).
 
 Memory: a part's T_n is generated, checked, cleared, ranked and dropped
 before the next block is made.  The sweep holds the class, part order
@@ -41,26 +45,11 @@ import numpy as np
 
 from .cochain import ComplexTower
 from . import gf2
-from .gf2 import (
-    WORD_BITS,
-    BitMatrix,
-    GF2Error,
-    QuotientCoords,
-    Subspace,
-    _block_rows,
-    _int_words,
-    _row_echelon,
-    _word_count,
-    _xor_scatter,
-    image,
-    induced_map,
-    kernel_basis,
-)
+from .gf2 import WORD_BITS, BitMatrix, GF2Error
+from .gf2 import _block_rows, _int_rows, _int_words, _reduce, _rows_up, _word_count, _xor_scatter
 
 __all__ = [
     "BettiTable",
-    "cycles",
-    "boundaries",
     "betti_table",
     "cocycle_representatives",
     "induced_map_on_cohomology",
@@ -78,20 +67,6 @@ class BettiTable:
 
     def __len__(self) -> int:
         return len(self.dims)
-
-
-def cycles(tower: ComplexTower, n: int) -> Subspace:
-    """ker d^n as a canonical subspace of the degree-n cochain space; GF2Error outside the tower."""
-    return kernel_basis(tower.differential(n))
-
-
-def boundaries(tower: ComplexTower, n: int) -> Subspace:
-    """im d^{n-1} as a canonical subspace of the degree-n cochain space."""
-    if not 0 <= n <= tower.n_max:
-        raise GF2Error(f"no boundaries at degree {n} in a tower through degree {tower.n_max}")
-    if n == 0:
-        return Subspace.zero(tower.dims[0])
-    return image(tower.differential(n - 1))
 
 
 def _classes(weights: np.ndarray):
@@ -173,19 +148,49 @@ def _squares_to_zero(below: dict, t: BitMatrix) -> bool:
     return all((BitMatrix(len(k), t.rows, _int_words(k, t.rows)) @ t).is_zero() for k in blocks)
 
 
+def _part_reduce(t: BitMatrix, below: dict, carry: bool = False):
+    """(top, zero): the echelon of T_n's rows on a part by bit length, entered
+    bottom-up as in gf2._row_echelon, each row at a pivot column of below
+    (the echelon of T_{n-1}) left out.  With carry, row f carries e_f in
+    the w = 64 * words low bits, and zero holds by bit length w - f the
+    cycle e_f + (later rows) of each row whose own bits cancel."""
+    width = _word_count(t.rows) * WORD_BITS
+    live = np.ones(t.rows, dtype=bool)
+    live[[width - h for h in below]] = False  # each kept row's pivot column
+    lim = 1 << width if carry else 1  # a row at or above lim has bits of its own left
+    top, zero, stop = {}, {}, t.rows
+    for block in t.row_blocks():
+        start = stop - block.rows
+        keep = live[start:stop]
+        index = (np.flatnonzero(keep) + start).tolist() if carry else range(block.rows)
+        for x, f in zip(_rows_up(block.words[keep]), reversed(index)):
+            if carry:
+                x = x << width | 1 << (width - 1 - f)
+            while x >= lim:
+                h = x.bit_length()
+                y = top.get(h)
+                if y is None:
+                    top[h] = x
+                    break
+                x ^= y
+            else:  # without carry x is 0 here, and zero is not read
+                zero[x.bit_length()] = x
+        stop = start
+    if carry:  # each combination dropped as its row is cut from it
+        top = {h - width: top.pop(h) >> width for h in list(top)}
+    return top, zero
+
+
 def _part_ranks(ones, deg, top: int):
     """(rank of d^n on one part for n < top, and the lowest n with
     d^{n+1} d^n != 0 there, or None), from its entries deg of
     _weight_parts; the sweep stops at the first failed square."""
     ranks, below = [], {}  # below: the echelon of T_{n-1}
     for n in range(top):
-        t, live = _part_block(ones, n, deg[n], deg[n + 1]), None
-        if below:
-            if not _squares_to_zero(below, t):
-                return ranks, n - 1
-            live = np.ones(t.rows, dtype=bool)
-            live[[_word_count(t.rows) * WORD_BITS - h for h in below]] = False  # each kept row's pivot column
-        below = _row_echelon(t, live)
+        t = _part_block(ones, n, deg[n], deg[n + 1])
+        if not _squares_to_zero(below, t):
+            return ranks, n - 1
+        below, _ = _part_reduce(t, below)
         ranks.append(len(below))
         del t  # before the next block is made
     return ranks, None
@@ -208,10 +213,74 @@ def betti_table(tower: ComplexTower) -> BettiTable:
     return BettiTable(tower.label, tower.flavor, tuple(betti))
 
 
+class _Classes:
+    """H^n on one part from one reduction of T_n (_part_reduce, carrying),
+    below the echelon of T_{n-1} (the boundaries B) and top that of T_n.
+    free lists, increasing, the pivots of the cycles Z outside B, and
+    lifts holds, by bit length, Z's reduced echelon row at each, its
+    class's canonical lift.  A row reduced at B's pivots (reduce) is a
+    cycle when lifts reduce it to zero, a boundary when it is zero, and
+    has its coset coordinates at free."""
+
+    def __init__(self, t: BitMatrix, below: dict):
+        self.n, self.below = t.rows, below
+        self.top, zero = _part_reduce(t, below, carry=True)
+        self.bmask = mask = sum(1 << (h - 1) for h in below)
+        rows, self.lifts = dict(below), {}
+        for h in sorted(zero):  # from the rightmost leading column leftwards
+            self.lifts[h] = rows[h] = _reduce(zero[h], mask, rows)
+            mask |= 1 << (h - 1)
+        self.fmask = mask ^ self.bmask
+        self.free = _word_count(t.rows) * WORD_BITS - np.array(sorted(zero, reverse=True), dtype=np.int64)
+
+    @property
+    def dim(self) -> int:
+        return self.free.size
+
+    def rows(self, ints) -> BitMatrix:
+        return BitMatrix(len(ints), self.n, _int_words(ints, self.n))
+
+    def lift_rows(self) -> BitMatrix:
+        """The lifts, a row per coset coordinate."""
+        return self.rows([self.lifts[h] for h in sorted(self.lifts, reverse=True)])
+
+    def reduce(self, x: BitMatrix) -> list:
+        return [_reduce(y, self.bmask, self.below) for y in _int_rows(x.words)]
+
+    def cycles(self, reduced) -> bool:
+        return not any(_reduce(y, self.fmask, self.lifts) for y in reduced)
+
+    def coords(self, reduced) -> BitMatrix:
+        return self.rows(reduced).take_columns(self.free)
+
+
+def _induced(apply, dom: _Classes, cod: _Classes) -> BitMatrix:
+    """The matrix, in coset coordinates, of the map from dom's cohomology to
+    cod's that apply (rows to rows) induces; apply must carry cycles to
+    cycles and boundaries to boundaries (checked, a row block at a time)."""
+    basis = [*dom.below.values(), *(dom.lifts[h] for h in sorted(dom.lifts, reverse=True))]
+    step = _block_rows(_word_count(max(dom.n, cod.n)))
+    img = [y for i in range(0, len(basis), step) for y in cod.reduce(apply(dom.rows(basis[i : i + step])))]
+    if not cod.cycles(img):
+        raise GF2Error("induced_map: m does not map dom_a into cod_c")
+    if any(img[: len(dom.below)]):
+        raise GF2Error("induced_map: m does not map dom_b into cod_d")
+    return cod.coords(img[len(dom.below) :]).transpose()
+
+
+def _tower_classes(tower: ComplexTower, n: int) -> _Classes:
+    """_Classes of a whole tower in degree n, as one part; GF2Error outside it."""
+    t = tower.differential(n).transpose()
+    below = _part_reduce(tower.differential(n - 1).transpose(), {})[0] if n else {}
+    if not _squares_to_zero(below, t):
+        raise GF2Error("quotient coordinates: not a subspace")
+    return _Classes(t, below)
+
+
 def cocycle_representatives(tower: ComplexTower, n: int) -> BitMatrix:
-    """Deterministic representatives spanning a complement of im inside ker."""
-    qc = QuotientCoords(cycles(tower, n), boundaries(tower, n))
-    return qc.lift_rows()
+    """Deterministic representatives spanning a complement of im inside ker:
+    the rows of ker's reduced echelon basis at its pivots outside im's."""
+    return _tower_classes(tower, n).lift_rows()
 
 
 def induced_map_on_cohomology(tower: ComplexTower, n: int, ops) -> list:
@@ -221,9 +290,9 @@ def induced_map_on_cohomology(tower: ComplexTower, n: int, ops) -> list:
     results live in the representative coordinates of
     cocycle_representatives, which are computed once for all of them.
     """
-    z, b = cycles(tower, n), boundaries(tower, n)
+    tower.differential(n)  # outside the tower: raised unwrapped
     try:
-        h = QuotientCoords(z, b)
-        return [induced_map(op, h, h) for op in ops]
+        h = _tower_classes(tower, n)
+        return [_induced(lambda x: x @ op.transpose(), h, h) for op in ops]
     except GF2Error as exc:
         raise GF2Error(f"operator does not act on H^{n}: {exc}") from exc

@@ -46,12 +46,15 @@ Fuks, "Cohomology of Infinite-Dimensional Lie Algebras", 1986), so it is
 the direct sum of its restrictions to betti_table's parts
 (cohomology._weight_parts) of the sub, total and quotient coordinates.
 In each part and degree T_m = (d^m)^T of each complex is packed from its
-generator (cohomology._part_block): its rows span the boundaries of
-degree m + 1, its left kernel is the cycles, and the total T_m lifts the
-connecting map.  The inclusion, projection and section are WordMaps made
-there from the relative complex's index arrays, and the lift is read at
-the class representatives, so no whole-width differential, map, cycle or
-boundary basis is held.
+generator (cohomology._part_block), d^m d^{m-1} = 0 is checked, and T_m
+is reduced once, carrying combinations (cohomology._Classes): the
+boundaries, cycles, class lifts and coset coordinates all come from
+that reduction.  The inclusion, projection and section are WordMaps made
+there from the relative complex's index arrays and applied to rows
+(WordMap.apply_rows), each induced map checks that cycles and boundaries
+go to cycles and boundaries, and the lift is read at the class
+representatives, so no whole-width differential, map, cycle or boundary
+basis is held and no subspace is eliminated.
 
 Degree bookkeeping is in word degree throughout; a relative complex in
 its own grading sits two degrees lower, a cokernel-of-products complex
@@ -82,16 +85,8 @@ from .cochain import (
     basis_dim,
     build_tower,
 )
-from .cohomology import BettiTable, _part_block, _weight_parts, betti_table
-from .gf2 import (
-    BitMatrix,
-    GF2Error,
-    QuotientCoords,
-    Subspace,
-    WordMap,
-    induced_map,
-    kernel_basis,
-)
+from .cohomology import BettiTable, _Classes, _induced, _part_block, _squares_to_zero, _weight_parts, betti_table
+from .gf2 import BitMatrix, GF2Error, Subspace, WordMap
 from .gf2 import _gather, _word_count, _xor_scatter
 from .spectral import FilteredTower, compute_pages, convergence_check
 
@@ -287,11 +282,6 @@ def _part_index(coords, idx, m: int):
     return np.where(idx < 0, -1, pos)
 
 
-def _pivot_coords(h: QuotientCoords, coords):
-    """The coordinate in coords of the pivot column of each coset coordinate of h."""
-    return coords[np.asarray(h.sup.pivots, dtype=np.int64)[h.free]]
-
-
 def _direct_sum(blocks) -> BitMatrix:
     """The direct sum of blocks (row keys, column keys, block), its rows and
     columns in increasing key order; 0 x 0 for no blocks."""
@@ -314,50 +304,60 @@ def _part_sequence(rel: RelativeTower, ones, sections, co, limit: int):
     zero.
     """
     s, t, q = ([c for c, _, _ in deg] for deg in co)
-    held = [None] * 3  # T_{m-1} of each complex, whose rows span the boundaries of degree m
-    zero, empty = QuotientCoords(Subspace.zero(0), Subspace.zero(0)), BitMatrix.zeros(0, 0)
+    below = [{}] * 3  # the echelon of T_{m-1} of each complex, a basis of the boundaries of degree m
+    empty, none = WordMap(0, 0, []), _Classes(BitMatrix.zeros(0, 0), {})
 
     def at(m):
-        """(H^m(sub), H^m(total), H^m(quotient), i_*, p_*, incl) at word degree m."""
+        """(H^m(sub), H^m(total), H^m(quotient), i_*, p_*, incl, w) at word
+        degree m, w the total coboundaries of the quotient classes' lifts."""
         if not (s[m].size or t[m].size or q[m].size):
-            held[:] = [None] * 3  # T_m has no rows
-            return zero, zero, zero, empty, empty, empty
+            below[:] = [{}] * 3  # T_m has no rows
+            return none, none, none, BitMatrix.zeros(0, 0), BitMatrix.zeros(0, 0), empty, None
         h = []
         for v in range(3):
             tm = _part_block(ones[v], m, co[v][m], co[v][m + 1])
-            below = Subspace.zero(tm.rows) if held[v] is None else Subspace.from_rows(tm.rows, held[v])
-            h.append(QuotientCoords(kernel_basis(tm.transpose()), below))
-            held[v] = tm
+            if not _squares_to_zero(below[v], tm):
+                raise GF2Error(f"differentials do not square to zero at word degree {m - 1}")
+            h.append(_Classes(tm, below[v]))
+            below[v] = h[v].top
+            if v == 1:
+                tt = tm  # the total T_m, which lifts the connecting map
+        del tm
         incl = WordMap(t[m].size, s[m].size, _part_index(s[m], rel.classes[m][t[m]], m))
         pi = rel.proj[m]
         proj = WordMap(q[m].size, t[m].size, *(_part_index(t[m], x[q[m]], m) for x in (pi.a, pi.b)))
-        return (*h, induced_map(incl, h[0], h[1]), induced_map(proj, h[1], h[2]), incl)
+        i_star, p_star = _induced(incl.apply_rows, h[0], h[1]), _induced(proj.apply_rows, h[1], h[2])
+        w = None
+        if h[2].dim:
+            section = WordMap(t[m].size, q[m].size, _part_index(q[m], sections[m][t[m]], m))
+            w = section.apply_rows(h[2].lift_rows()) @ tt
+        return (*h, i_star, p_star, incl, w)
 
     # one sweep up the degrees, holding H^m and H^{m+1} only
-    hs, ht, hq, i_star, p_star, _ = at(0)
+    hs, ht, hq, i_star, p_star, _, w = at(0)
     total_ok, quotient_ok, sub_ok, blocks = [], [], [i_star.rank() == hs.dim], []
     for m in range(limit + 1):
         total_ok.append((p_star @ i_star).is_zero() and i_star.rank() + p_star.rank() == ht.dim)
         if m == limit:
             break
-        tt = held[1]  # the total T_m
-        hs1, ht1, hq1, i_star1, p_star1, incl1 = at(m + 1)
-        reps = hq.lift_rows()
-        if reps.rows == 0:
-            delta = BitMatrix.zeros(hs1.dim, 0)
+        q_free = hq.free
+        del hs, ht, hq  # the rest of degree m is read no further
+        hs, ht, hq, i_star1, p_star1, incl1, w1 = at(m + 1)
+        if w is None:
+            delta = BitMatrix.zeros(hs.dim, 0)
         else:
-            section = WordMap(t[m].size, q[m].size, _part_index(q[m], sections[m][t[m]], m))
-            lifted = (section @ reps.transpose()).transpose()  # reps @ section^T
-            w = lifted @ tt
             # incl is injective with one representative per column: read u there
             u = w.take_columns(_part_index(t[m + 1], rel.reps[m + 1][s[m + 1]], m + 1))
-            if incl1 @ u.transpose() != w.transpose():
+            if incl1.apply_rows(u) != w:
                 raise GF2Error(f"connecting-map lift failed at word degree {m}")
-            delta = hs1.project_rows(u).transpose()
-        blocks.append((_pivot_coords(hs1, s[m + 1]), _pivot_coords(hq, q[m]), delta))
-        quotient_ok.append((delta @ p_star).is_zero() and p_star.rank() + delta.rank() == hq.dim)
-        sub_ok.append((i_star1 @ delta).is_zero() and delta.rank() + i_star1.rank() == hs1.dim)
-        hs, ht, hq, i_star, p_star = hs1, ht1, hq1, i_star1, p_star1
+            u = hs.reduce(u)
+            if not hs.cycles(u):
+                raise GF2Error("row_coefficients: rows not inside the subspace")
+            delta = hs.coords(u).transpose()
+        blocks.append((s[m + 1][hs.free], q[m][q_free], delta))
+        quotient_ok.append((delta @ p_star).is_zero() and p_star.rank() + delta.rank() == q_free.size)
+        sub_ok.append((i_star1 @ delta).is_zero() and delta.rank() + i_star1.rank() == hs.dim)
+        i_star, p_star, w = i_star1, p_star1, w1
     return total_ok + quotient_ok + sub_ok, blocks
 
 

@@ -21,8 +21,8 @@ the pivot bits of each row with the rows already reduced.
 
 Rows enter the echelon from the bottom of the matrix upward: row_blocks
 cuts the blocks from the bottom, yields the bottom block first, and each
-block's rows go in last row first (_row_echelon), converted to ints one
-block at a time.  Pivots stay on the leftmost column and the RREF is
+block's rows go in last row first (_row_echelon), each converted to an
+int as it goes in (_rows_up).  Pivots stay on the leftmost column and the RREF is
 unique, so the order changes no result, only the work.  The Betti
 route (cohomology.betti_table) ranks transposed coboundaries
 this way and may leave rows out: a row it has cleared never becomes an int.
@@ -34,8 +34,8 @@ the echelon makes 483,814 row XORs bottom-up against 998,788 top-down
 block makes 966,750 XORs: the order has to be reversed across the
 whole matrix.
 
-Products, transposes and column takes work on the coordinates of the
-ones (``coords``), unpacking only the nonzero words.  A product XORs
+Products, transposes, column takes and WordMap.apply_rows work on the
+coordinates of the ones (``coords``), unpacking only the nonzero words.  A product XORs
 row j of the right operand into row i for each one (i, j) of the left,
 by one gather and one ``bitwise_xor.reduceat``, so it costs the ones of
 the left operand times the words of the right.  The left operands on
@@ -102,6 +102,12 @@ def _int_rows(words: np.ndarray) -> list:
         return [0] * words.shape[0]
     buf = words.astype("<u8", copy=False).tobytes().translate(_BIT_REVERSE)
     return [int.from_bytes(buf[i : i + nb], "big") for i in range(0, len(buf), nb)]
+
+
+def _rows_up(words: np.ndarray):
+    """_int_rows last row first, each int made only when it is taken."""
+    nb, buf = words.shape[1] * 8, words.astype("<u8", copy=False).tobytes().translate(_BIT_REVERSE)
+    return (int.from_bytes(buf[i - nb : i], "big") for i in range(len(buf), 0, -nb)) if nb else iter([0] * len(words))
 
 
 def _int_words(ints: list, cols: int) -> np.ndarray:
@@ -175,7 +181,7 @@ def _row_echelon(m: "BitMatrix", live=None) -> dict:
     for block in m.row_blocks():
         start = stop - block.rows
         words = block.words if live is None else block.words[live[start:stop]]
-        _echelon(reversed(_int_rows(words)), top)
+        _echelon(_rows_up(words), top)
         stop = start
     return top
 
@@ -436,35 +442,29 @@ class WordMap:
                 block[hit] ^= other.words[col[hit]]
         return BitMatrix(self.rows, other.cols, out)
 
-
-def solve(a: BitMatrix, b: BitMatrix):
-    """Solve a @ x = b over GF(2).
-
-    Returns the pivot-based particular solution, or None if the system
-    is inconsistent.  When a has full column rank the solution is unique.
-    """
-    if a.rows != b.rows:
-        raise GF2Error("solve: row count mismatch")
-    aug = BitMatrix.from_dense(
-        np.concatenate([a.to_dense(), b.to_dense()], axis=1)
-    )
-    red, _, pivots = aug.rref()
-    if any(p >= a.cols for p in pivots):
-        return None
-    dense = red.to_dense()
-    x = np.zeros((a.cols, b.cols), dtype=np.uint8)
-    for i, p in enumerate(pivots):
-        x[p] = dense[i, a.cols:]
-    return BitMatrix.from_dense(x) if a.cols else BitMatrix.zeros(0, b.cols)
+    def apply_rows(self, x: BitMatrix) -> BitMatrix:
+        """x @ self^T: column i is column a[i] plus column b[i] of x.  Each one
+        (r, c) of x is scattered to the columns that read c, a block of ones
+        at a time, so the product is written once and nothing is transposed."""
+        if x.cols != self.cols:
+            raise GF2Error(f"product shape mismatch: {x.shape} @ {self.shape}^T")
+        out = np.zeros((x.rows, _word_count(self.rows)), dtype=np.uint64)
+        readers = self.column_rows()
+        fanout = max(1, -(-readers[1].size // max(1, self.cols)))  # readers per column, rounded up
+        for r, c in x._coord_blocks(_COORD_BYTES * fanout):
+            _xor_scatter(out, *_gather(readers, c, r))
+        return BitMatrix(x.rows, self.rows, out)
 
 
 def inverse(a: BitMatrix) -> BitMatrix:
-    if a.rows != a.cols:
+    """a^-1, read off the reduced row-echelon form of [a | 1]."""
+    n = a.rows
+    if a.cols != n:
         raise GF2Error("inverse needs a square matrix")
-    x = solve(a, BitMatrix.identity(a.rows))
-    if x is None:
+    red, _, pivots = BitMatrix.from_dense(np.hstack([a.to_dense(), np.eye(n, dtype=np.uint8)])).rref()
+    if any(p >= n for p in pivots):
         raise GF2Error("matrix is singular")
-    return x
+    return red.take_columns(np.arange(n, 2 * n))
 
 
 class Subspace:
@@ -531,73 +531,3 @@ class Subspace:
         if coeffs @ self.basis != mat:
             raise GF2Error("row_coefficients: rows not inside the subspace")
         return coeffs
-
-
-def kernel_basis(m: BitMatrix) -> Subspace:
-    """Right null space {x : m @ x = 0} with canonical basis."""
-    red, _, pivots = m.rref()
-    n = m.cols
-    free = np.delete(np.arange(n), pivots)
-    if free.size == 0:
-        return Subspace.zero(n)
-    # free variable t set to one: pivot variable i takes red[i, free[t]]
-    i, t = red.take_columns(free).coords()
-    rows = np.concatenate([np.arange(free.size), t])
-    cols = np.concatenate([free, np.asarray(pivots, dtype=np.int64)[i]])
-    return Subspace.from_rows(n, BitMatrix.from_coords(free.size, n, rows, cols))
-
-
-def image(m: BitMatrix) -> Subspace:
-    """Column space of m, i.e. the image of x -> m @ x."""
-    return Subspace.from_rows(m.rows, m.transpose())
-
-
-class QuotientCoords:
-    """Canonical coset coordinates on a/b for a pair b <= a.
-
-    The pivots of b are among those of a, and a's basis rows at the other
-    pivots complete b to a.  Those rows represent the coset basis, and the
-    coset coordinates of a vector of a are the entries, at their pivot
-    columns, of the vector reduced modulo b.
-    """
-
-    __slots__ = ("sup", "sub", "free")
-
-    def __init__(self, a: Subspace, b: Subspace):
-        if not a.contains(b):
-            raise GF2Error("quotient coordinates: not a subspace")
-        self.sup, self.sub = a, b
-        below = set(b.pivots)
-        self.free = [k for k, c in enumerate(a.pivots) if c not in below]
-
-    @property
-    def dim(self) -> int:
-        return len(self.free)
-
-    def project_rows(self, mat: BitMatrix) -> BitMatrix:
-        """Coset coordinates of ambient row vectors (must lie in a)."""
-        self.sup.row_coefficients(mat)  # raises unless the rows lie in a
-        return self.sub.reduce_rows(mat).take_columns(np.take(self.sup.pivots, self.free))
-
-    def lift_rows(self) -> BitMatrix:
-        """Ambient representatives of the coset coordinate basis."""
-        return BitMatrix(self.dim, self.sup.ambient_dim, self.sup.basis.words[self.free])
-
-
-def induced_map(m: "BitMatrix | WordMap", dom: QuotientCoords, cod: QuotientCoords) -> BitMatrix:
-    """Matrix of the induced map a/b -> c/d, for dom = a/b and cod = c/d.
-
-    Both containments, m(a) <= c and m(b) <= d, are checked; the result
-    is written in the canonical coset coordinates of the two quotients.
-    """
-    if m.cols != dom.sup.ambient_dim or m.rows != cod.sup.ambient_dim:
-        raise GF2Error("induced_map: matrix shape does not match ambients")
-    apply_rows = lambda vecs: (m @ vecs.transpose()).transpose()  # vecs @ m^T, through m @ packed
-    img = apply_rows(dom.sup.basis)
-    if not cod.sup.reduce_rows(img).is_zero():
-        raise GF2Error("induced_map: m does not map dom_a into cod_c")
-    if dom.sub.dim and not cod.sub.reduce_rows(apply_rows(dom.sub.basis)).is_zero():
-        raise GF2Error("induced_map: m does not map dom_b into cod_d")
-    # the lifts are rows of a's basis, so their images are rows of img, inside c
-    lifted = BitMatrix(dom.dim, img.cols, img.words[dom.free])
-    return cod.sub.reduce_rows(lifted).take_columns(np.take(cod.sup.pivots, cod.free)).transpose()

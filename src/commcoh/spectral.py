@@ -198,7 +198,7 @@ def _part_pairs(ft: FilteredTower, deg, sizes: list, pairs: list) -> list:
             members, slot = np.unique(i[ends[start] : ends[stop]], return_inverse=True)
             block = _part_block(ft.tower.ones, n, (deg[n][0][members], *deg[n][1:]), deg[n + 1])
             sums = BitMatrix.from_coords(stop - start, members.size, k[ends[start] : ends[stop]] - start, slot)
-            images = (coords @ (sums @ block).transpose()).transpose()
+            images = coords.apply_rows(sums @ block)
             for f, y in zip(reversed(src_levels[start:stop]), reversed(_int_rows(images.words))):
                 t = tgt_levels[width - y.bit_length()] if y else f
                 if t < f:

@@ -2,7 +2,10 @@
 
 Each loops over monomials in Python, XORs blocks into a dense uint8
 array and packs it at the end.  They are kept as oracles: the package's
-builders must reproduce their matrices bit for bit.  The elimination
+builders must reproduce their matrices bit for bit.  They open with the
+subspace route to cohomology (solve, kernels, images, cycles, boundaries
+and quotient coordinates), which the package left for one reduction per
+degree (cohomology._Classes) and which the oracles below use.  The elimination
 route of the product cokernels and the tensor-ambient route of the mixed
 cokernel close the file, oracles of the same kind for the class maps and
 the symmetric class spans that replaced them, the long exact sequence at
@@ -29,19 +32,114 @@ from commcoh.cochain import (
     build_tower,
     monomial_rank,
 )
-from commcoh.cohomology import boundaries, cycles
 from commcoh.comparison import LESReport
-from commcoh.gf2 import (
-    BitMatrix,
-    GF2Error,
-    QuotientCoords,
-    Subspace,
-    WordMap,
-    image,
-    induced_map,
-    solve,
-)
+from commcoh.gf2 import BitMatrix, GF2Error, Subspace, WordMap
 from commcoh.spectral import FiltrationError
+
+
+def solve(a: BitMatrix, b: BitMatrix):
+    """Solve a @ x = b over GF(2).
+
+    Returns the pivot-based particular solution, or None if the system
+    is inconsistent.  When a has full column rank the solution is unique.
+    """
+    if a.rows != b.rows:
+        raise GF2Error("solve: row count mismatch")
+    aug = BitMatrix.from_dense(
+        np.concatenate([a.to_dense(), b.to_dense()], axis=1)
+    )
+    red, _, pivots = aug.rref()
+    if any(p >= a.cols for p in pivots):
+        return None
+    dense = red.to_dense()
+    x = np.zeros((a.cols, b.cols), dtype=np.uint8)
+    for i, p in enumerate(pivots):
+        x[p] = dense[i, a.cols:]
+    return BitMatrix.from_dense(x) if a.cols else BitMatrix.zeros(0, b.cols)
+
+
+def kernel_basis(m: BitMatrix) -> Subspace:
+    """Right null space {x : m @ x = 0} with canonical basis."""
+    red, _, pivots = m.rref()
+    n = m.cols
+    free = np.delete(np.arange(n), pivots)
+    if free.size == 0:
+        return Subspace.zero(n)
+    # free variable t set to one: pivot variable i takes red[i, free[t]]
+    i, t = red.take_columns(free).coords()
+    rows = np.concatenate([np.arange(free.size), t])
+    cols = np.concatenate([free, np.asarray(pivots, dtype=np.int64)[i]])
+    return Subspace.from_rows(n, BitMatrix.from_coords(free.size, n, rows, cols))
+
+
+def image(m: BitMatrix) -> Subspace:
+    """Column space of m, i.e. the image of x -> m @ x."""
+    return Subspace.from_rows(m.rows, m.transpose())
+
+
+def cycles(tower: ComplexTower, n: int) -> Subspace:
+    """ker d^n as a canonical subspace of the degree-n cochain space; GF2Error outside the tower."""
+    return kernel_basis(tower.differential(n))
+
+
+def boundaries(tower: ComplexTower, n: int) -> Subspace:
+    """im d^{n-1} as a canonical subspace of the degree-n cochain space."""
+    if not 0 <= n <= tower.n_max:
+        raise GF2Error(f"no boundaries at degree {n} in a tower through degree {tower.n_max}")
+    if n == 0:
+        return Subspace.zero(tower.dims[0])
+    return image(tower.differential(n - 1))
+
+
+class QuotientCoords:
+    """Canonical coset coordinates on a/b for a pair b <= a.
+
+    The pivots of b are among those of a, and a's basis rows at the other
+    pivots complete b to a.  Those rows represent the coset basis, and the
+    coset coordinates of a vector of a are the entries, at their pivot
+    columns, of the vector reduced modulo b.
+    """
+
+    __slots__ = ("sup", "sub", "free")
+
+    def __init__(self, a: Subspace, b: Subspace):
+        if not a.contains(b):
+            raise GF2Error("quotient coordinates: not a subspace")
+        self.sup, self.sub = a, b
+        below = set(b.pivots)
+        self.free = [k for k, c in enumerate(a.pivots) if c not in below]
+
+    @property
+    def dim(self) -> int:
+        return len(self.free)
+
+    def project_rows(self, mat: BitMatrix) -> BitMatrix:
+        """Coset coordinates of ambient row vectors (must lie in a)."""
+        self.sup.row_coefficients(mat)  # raises unless the rows lie in a
+        return self.sub.reduce_rows(mat).take_columns(np.take(self.sup.pivots, self.free))
+
+    def lift_rows(self) -> BitMatrix:
+        """Ambient representatives of the coset coordinate basis."""
+        return BitMatrix(self.dim, self.sup.ambient_dim, self.sup.basis.words[self.free])
+
+
+def induced_map(m: "BitMatrix | WordMap", dom: QuotientCoords, cod: QuotientCoords) -> BitMatrix:
+    """Matrix of the induced map a/b -> c/d, for dom = a/b and cod = c/d.
+
+    Both containments, m(a) <= c and m(b) <= d, are checked; the result
+    is written in the canonical coset coordinates of the two quotients.
+    """
+    if m.cols != dom.sup.ambient_dim or m.rows != cod.sup.ambient_dim:
+        raise GF2Error("induced_map: matrix shape does not match ambients")
+    apply_rows = lambda vecs: (m @ vecs.transpose()).transpose()  # vecs @ m^T, through m @ packed
+    img = apply_rows(dom.sup.basis)
+    if not cod.sup.reduce_rows(img).is_zero():
+        raise GF2Error("induced_map: m does not map dom_a into cod_c")
+    if dom.sub.dim and not cod.sub.reduce_rows(apply_rows(dom.sub.basis)).is_zero():
+        raise GF2Error("induced_map: m does not map dom_b into cod_d")
+    # the lifts are rows of a's basis, so their images are rows of img, inside c
+    lifted = BitMatrix(dom.dim, img.cols, img.words[dom.free])
+    return cod.sub.reduce_rows(lifted).take_columns(np.take(cod.sup.pivots, cod.free)).transpose()
 
 
 def assert_same_matrix(got: BitMatrix, want: BitMatrix):

@@ -16,16 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from commcoh.gf2 import (
-    BitMatrix,
-    GF2Error,
-    QuotientCoords,
-    Subspace,
-    induced_map,
-    kernel_basis,
-)
+from commcoh.gf2 import BitMatrix, GF2Error, Subspace
 from commcoh.spectral import FilteredTower, stabilization_index
-from dense_builders import spanned_chains
+from dense_builders import QuotientCoords, induced_map, kernel_basis, spanned_chains
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:

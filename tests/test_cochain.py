@@ -195,7 +195,7 @@ class TestOperators:
 
     def test_derivative_kills_cohomology(self):
         # L_x maps cocycles into coboundaries
-        from commcoh.cohomology import boundaries, cycles
+        from dense_builders import boundaries, cycles
 
         for name in ("N", "a"):
             entry = catalog(name)

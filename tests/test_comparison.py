@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import betti_oracle
 import dense_builders as dense
-from commcoh import cochain, comparison, gf2
+from commcoh import cochain, cohomology, comparison, gf2
 from commcoh.algebra import (
     BracketTable,
     ModuleSpec,
@@ -43,7 +43,7 @@ from commcoh.comparison import (
     vanishing_window,
     verify_e2_product,
 )
-from commcoh.gf2 import BitMatrix, GF2Error, Subspace, WordMap, kernel_basis
+from commcoh.gf2 import BitMatrix, GF2Error, Subspace, WordMap
 from commcoh.spectral import compute_pages, convergence_check
 
 from conftest import (
@@ -55,7 +55,7 @@ from conftest import (
     survey,
     traced,
 )
-from dense_builders import assert_same_matrix, packed
+from dense_builders import assert_same_matrix, kernel_basis, packed
 
 
 class TestSpans:
@@ -619,6 +619,16 @@ def assert_les_matches_full_width(rel):
     return want
 
 
+def les_outcome(run, rel):
+    """The error text run(rel) raises, or the node verdicts and the shape and
+    entries of each connecting map of its report."""
+    try:
+        les = run(rel)
+    except GF2Error as exc:
+        return str(exc)
+    return les.nodes, [(c.shape, c.to_dense().tobytes()) for c in les.connecting]
+
+
 def count_parts(monkeypatch) -> list:
     """The number of weight parts of each long exact sequence run from now on."""
     counts, parts = [], comparison._weight_parts
@@ -748,6 +758,113 @@ class TestLESParts:
         with pytest.raises(GF2Error, match="^coboundary of degree 2 crosses weight classes$"):
             long_exact_sequence_check(forged)
         assert counts == [1]
+
+    def test_dimension_three_corpus_matches_full_width(self):
+        # every orbit representative of the survey in dimensions 1 to 3 (1, 3
+        # and 11 orbits), trivial and adjoint coefficients, each applicable pair
+        checked = 0
+        for d in (1, 2, 3):
+            for table in survey(d, up_to_iso=True).rep_tables():
+                for module in ("trivial", "adjoint"):
+                    coeffs = make_module(table, module)
+                    for pair in applicable_pairs(table):
+                        assert_les_matches_full_width(build_relative_complex(pair, table, coeffs, 3))
+                        checked += 1
+        assert checked == 70  # 10 of the 15 orbits are Lie algebras
+
+    def test_a_square_broken_in_one_part_names_its_degree(self, monkeypatch):
+        # the quotient generator forged with one more one (or one less) from
+        # a word-degree-3 coordinate that d^2 reaches to a word-degree-4
+        # coordinate of the same weight: d^3 d^2 != 0 in that weight's part alone
+        entry = catalog("heis3")
+        rel = build_relative_complex(InclusionPair.EXT_IN_TENSOR, entry.table, entry.modules["adjoint"], 3)
+        w3, w4 = rel.weights(1), rel.weights(2)
+        same = [np.flatnonzero((w4 == w3[c]).all(axis=1)) for c in range(w3.shape[0])]
+        c = next(c for c in np.flatnonzero(rel.diffs[0].words.any(axis=1)) if same[c].size)
+        g = int(same[c][0])
+        fields = {f.name: getattr(rel, f.name) for f in dataclasses.fields(rel) if f.name != "_packed"}
+        forged = _ExtraOne(**fields, extra=(3, int(rel.proj[3].a[c]), g))
+        d2, d3 = dense.quotient_word_tower(forged).diffs[2:4]
+        assert not (d3 @ d2).is_zero()
+        for block_bytes in (1, gf2.RANK_BLOCK_BYTES):
+            monkeypatch.setattr(gf2, "RANK_BLOCK_BYTES", block_bytes)
+            with pytest.raises(GF2Error, match="^differentials do not square to zero at word degree 2$"):
+                long_exact_sequence_check(forged)
+
+    def test_forged_inclusions_raise_where_full_width_does(self):
+        # every total coordinate of word degree 0 to 2 taken out of its
+        # class, or moved to another sub coordinate of its weight, one at a
+        # time: the sweep raises the full-width sweep's error, or gives its
+        # verdicts and connecting maps
+        entry = catalog("heis3")
+        raised, held = set(), 0
+        for pair in InclusionPair:
+            rel = build_relative_complex(pair, entry.table, entry.modules["adjoint"], 1)
+            sub, total = dense.flavor_towers(rel)
+            for m in range(3):
+                ws, wt = sub.weights(m), total.weights(m)
+                for i, j in enumerate(rel.classes[m]):
+                    same = np.flatnonzero((ws == wt[i]).all(axis=1))
+                    moved = same[same != j][:1].tolist()
+                    for k in moved if j < 0 else [-1, *moved]:
+                        classes = list(rel.classes)
+                        classes[m] = np.where(np.arange(classes[m].size) == i, k, classes[m])
+                        forged = dataclasses.replace(rel, classes=tuple(classes))
+                        want = les_outcome(dense.full_width_les, forged)
+                        for block_bytes in (1, gf2.RANK_BLOCK_BYTES):
+                            with pytest.MonkeyPatch.context() as mp:
+                                mp.setattr(gf2, "RANK_BLOCK_BYTES", block_bytes)
+                                got = les_outcome(long_exact_sequence_check, forged)
+                            assert got == want, (pair, m, i, k, block_bytes)
+                        if isinstance(want, str):
+                            raised.add(want)
+                        else:
+                            held += 1
+        assert held and raised == {
+            "induced_map: m does not map dom_a into cod_c",
+            "induced_map: m does not map dom_b into cod_d",
+        }
+
+    @pytest.mark.parametrize("block_bytes", [1, gf2.RANK_BLOCK_BYTES])
+    def test_no_subspace_layer_and_one_block_per_part_and_degree(self, block_bytes, monkeypatch):
+        # the sweep reduces each complex's T_m once per part and degree and
+        # reads every cohomology and map off that reduction
+        monkeypatch.setattr(gf2, "RANK_BLOCK_BYTES", block_bytes)
+        entry = catalog("heis3")
+        rel = build_relative_complex(InclusionPair.EXT_IN_TENSOR, entry.table, entry.modules["adjoint"], 4)
+        calls = []
+
+        def forbidden(name):
+            def spy(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"{name} called")
+            return spy
+
+        monkeypatch.setattr(gf2.BitMatrix, "rref", forbidden("rref"))
+        monkeypatch.setattr(gf2.Subspace, "from_rows", classmethod(forbidden("Subspace.from_rows")))
+        # kernels and quotient coordinates of subspaces are left to the test oracles
+        for mod in (gf2, cohomology, comparison):
+            assert not any(hasattr(mod, name) for name in ("kernel_basis", "QuotientCoords", "induced_map"))
+        parts, blocks, part_block, weight_parts = [], [], comparison._part_block, comparison._weight_parts
+
+        def each_part(*args):
+            for co in weight_parts(*args):
+                parts.append(co)
+                yield co
+
+        def block(ones, n, lo, hi):
+            blocks.append((len(parts) - 1, n, lo[0].tobytes(), hi[0].tobytes()))
+            return part_block(ones, n, lo, hi)
+
+        monkeypatch.setattr(comparison, "_weight_parts", each_part)
+        monkeypatch.setattr(comparison, "_part_block", block)
+        assert long_exact_sequence_check(rel).ok
+        assert calls == []
+        # a part's degree is skipped where none of the three complexes has a coordinate
+        want = [(p, m, co[v][m][0].tobytes(), co[v][m + 1][0].tobytes())
+                for p, co in enumerate(parts) for m in range(rel.word_degrees)
+                if any(co[u][m][0].size for u in range(3)) for v in range(3)]
+        assert len(parts) == (1 if block_bytes > 1 else 55) and blocks == want
 
     def test_sweep_holds_one_part(self):
         # heis3 adjoint lie-leibniz through word degree 7, the benchmark's

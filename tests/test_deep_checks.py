@@ -7,7 +7,7 @@ import pytest
 from commcoh.algebra import BracketTable, trivial_module
 from commcoh.cochain import Flavor, build_tower
 from commcoh.cohomology import betti_table
-from commcoh.gf2 import BitMatrix, QuotientCoords, Subspace, induced_map
+from commcoh.gf2 import BitMatrix, Subspace
 from commcoh.spectral import (
     compute_pages,
     convergence_check,
@@ -23,6 +23,7 @@ from conftest import (
     random_valid_module,
     subspace_vectors,
 )
+from dense_builders import QuotientCoords, induced_map
 from page_oracle import (
     apply_to_subspace,
     oracle_pages,
@@ -142,7 +143,7 @@ class TestRandomFiltrations:
     def test_quotient_dimension_example(self):
         # cocycles modulo coboundaries in degree one of the nilpotent
         # example: a single class
-        from commcoh.cohomology import boundaries, cycles
+        from dense_builders import boundaries, cycles
 
         n = catalog("N")
         tower = build_tower(Flavor.SYM, n.table, n.modules["trivial"], 4)

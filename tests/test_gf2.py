@@ -7,13 +7,9 @@ from hypothesis import given, settings, strategies as st
 from commcoh.gf2 import (
     BitMatrix,
     GF2Error,
-    QuotientCoords,
     Subspace,
     WordMap,
-    induced_map,
     inverse,
-    kernel_basis,
-    solve,
 )
 
 from commcoh import gf2
@@ -21,7 +17,7 @@ from commcoh.catalog import catalog_names
 from commcoh.cochain import Flavor, PreconditionError, build_tower
 
 from conftest import catalog, raises_promptly, subspace_vectors, traced
-from dense_builders import packed
+from dense_builders import QuotientCoords, induced_map, kernel_basis, packed, solve
 from page_oracle import annihilator, apply_to_subspace, preimage, quotient_dim, subspace_intersect, subspace_sum
 
 
