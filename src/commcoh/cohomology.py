@@ -24,12 +24,12 @@ later rows of T_n and row f is left out of its echelon.  The square is
 checked first, as K @ T_n = 0 with K the kept rows of T_{n-1} (a basis
 of im d^{n-1} on the part), so the check is complete.  A part stops at
 its first failed square, and the table raises after the sweep, naming
-the lowest failed degree.  The rows left are reduced bottom-up
-(_part_reduce).  The long exact sequence runs the same reduction with
-each row carrying its combination (de Silva, Morozov &
-Vejdemo-Johansson, "Dualities in persistent (co)homology", 2011): the
-rows whose own bits cancel leave cycles, and with the kept rows of
-T_{n-1} these are a basis of the cycles (_Classes).
+the lowest failed degree.  The rows left go bottom-up through gf2's one
+kernel (_cleared, gf2._rows_up, gf2._echelon).  The long exact sequence
+runs the same reduction with each row carrying its combination (de
+Silva, Morozov & Vejdemo-Johansson, "Dualities in persistent
+(co)homology", 2011): the rows whose own bits cancel leave cycles below
+lim; with the kept rows of T_{n-1} they are a basis of the cycles (_Classes).
 
 Memory: a part's T_n is generated, checked, cleared, ranked and dropped
 before the next block is made.  The sweep holds the class, part order
@@ -46,7 +46,7 @@ import numpy as np
 from .cochain import ComplexTower
 from . import gf2
 from .gf2 import WORD_BITS, BitMatrix, GF2Error
-from .gf2 import _block_rows, _int_rows, _int_words, _reduce, _rows_up, _word_count, _xor_scatter
+from .gf2 import _block_rows, _echelon, _int_words, _reduce, _row_echelon, _rows_up, _substitute, _word_count, _xor_scatter
 
 __all__ = [
     "BettiTable",
@@ -148,37 +148,11 @@ def _squares_to_zero(below: dict, t: BitMatrix) -> bool:
     return all((BitMatrix(len(k), t.rows, _int_words(k, t.rows)) @ t).is_zero() for k in blocks)
 
 
-def _part_reduce(t: BitMatrix, below: dict, carry: bool = False):
-    """(top, zero): the echelon of T_n's rows on a part by bit length, entered
-    bottom-up as in gf2._row_echelon, each row at a pivot column of below
-    (the echelon of T_{n-1}) left out.  With carry, row f carries e_f in
-    the w = 64 * words low bits, and zero holds by bit length w - f the
-    cycle e_f + (later rows) of each row whose own bits cancel."""
-    width = _word_count(t.rows) * WORD_BITS
+def _cleared(t: BitMatrix, below: dict) -> np.ndarray:
+    """The rows of T_n to reduce: all but those at the pivots of below, the echelon of T_{n-1}."""
     live = np.ones(t.rows, dtype=bool)
-    live[[width - h for h in below]] = False  # each kept row's pivot column
-    lim = 1 << width if carry else 1  # a row at or above lim has bits of its own left
-    top, zero, stop = {}, {}, t.rows
-    for block in t.row_blocks():
-        start = stop - block.rows
-        keep = live[start:stop]
-        index = (np.flatnonzero(keep) + start).tolist() if carry else range(block.rows)
-        for x, f in zip(_rows_up(block.words[keep]), reversed(index)):
-            if carry:
-                x = x << width | 1 << (width - 1 - f)
-            while x >= lim:
-                h = x.bit_length()
-                y = top.get(h)
-                if y is None:
-                    top[h] = x
-                    break
-                x ^= y
-            else:  # without carry x is 0 here, and zero is not read
-                zero[x.bit_length()] = x
-        stop = start
-    if carry:  # each combination dropped as its row is cut from it
-        top = {h - width: top.pop(h) >> width for h in list(top)}
-    return top, zero
+    live[[_word_count(t.rows) * WORD_BITS - h for h in below]] = False
+    return live
 
 
 def _part_ranks(ones, deg, top: int):
@@ -190,7 +164,7 @@ def _part_ranks(ones, deg, top: int):
         t = _part_block(ones, n, deg[n], deg[n + 1])
         if not _squares_to_zero(below, t):
             return ranks, n - 1
-        below, _ = _part_reduce(t, below)
+        below = _row_echelon(t, _cleared(t, below))
         ranks.append(len(below))
         del t  # before the next block is made
     return ranks, None
@@ -214,7 +188,7 @@ def betti_table(tower: ComplexTower) -> BettiTable:
 
 
 class _Classes:
-    """H^n on one part from one reduction of T_n (_part_reduce, carrying),
+    """H^n on one part from one reduction of T_n (gf2._echelon, carrying),
     below the echelon of T_{n-1} (the boundaries B) and top that of T_n.
     free lists, increasing, the pivots of the cycles Z outside B, and
     lifts holds, by bit length, Z's reduced echelon row at each, its
@@ -223,15 +197,14 @@ class _Classes:
     has its coset coordinates at free."""
 
     def __init__(self, t: BitMatrix, below: dict):
-        self.n, self.below = t.rows, below
-        self.top, zero = _part_reduce(t, below, carry=True)
-        self.bmask = mask = sum(1 << (h - 1) for h in below)
-        rows, self.lifts = dict(below), {}
-        for h in sorted(zero):  # from the rightmost leading column leftwards
-            self.lifts[h] = rows[h] = _reduce(zero[h], mask, rows)
-            mask |= 1 << (h - 1)
-        self.fmask = mask ^ self.bmask
-        self.free = _word_count(t.rows) * WORD_BITS - np.array(sorted(zero, reverse=True), dtype=np.int64)
+        self.n, self.below, w = t.rows, below, _word_count(t.rows) * WORD_BITS
+        carried = (x << w | 1 << (w - 1 - f) for f, x in _rows_up(t, _cleared(t, below)))
+        top, lim = {}, 1 << w  # row f carries e_f in its w low bits
+        self.lifts = {x.bit_length(): x for x in _echelon(carried, top, lim) if x < lim}
+        self.top = {h - w: top.pop(h) >> w for h in list(top)}  # each combination dropped as its row is cut from it
+        self.bmask = sum(1 << (h - 1) for h in below)
+        self.fmask = _substitute(self.lifts, dict(below), self.bmask) ^ self.bmask
+        self.free = w - np.array(sorted(self.lifts, reverse=True), dtype=np.int64)
 
     @property
     def dim(self) -> int:
@@ -245,7 +218,7 @@ class _Classes:
         return self.rows([self.lifts[h] for h in sorted(self.lifts, reverse=True)])
 
     def reduce(self, x: BitMatrix) -> list:
-        return [_reduce(y, self.bmask, self.below) for y in _int_rows(x.words)]
+        return [_reduce(y, self.bmask, self.below) for _, y in _rows_up(x)][::-1]
 
     def cycles(self, reduced) -> bool:
         return not any(_reduce(y, self.fmask, self.lifts) for y in reduced)
@@ -271,9 +244,9 @@ def _induced(apply, dom: _Classes, cod: _Classes) -> BitMatrix:
 def _tower_classes(tower: ComplexTower, n: int) -> _Classes:
     """_Classes of a whole tower in degree n, as one part; GF2Error outside it."""
     t = tower.differential(n).transpose()
-    below = _part_reduce(tower.differential(n - 1).transpose(), {})[0] if n else {}
+    below = _row_echelon(tower.differential(n - 1).transpose()) if n else {}
     if not _squares_to_zero(below, t):
-        raise GF2Error("quotient coordinates: not a subspace")
+        raise GF2Error(f"differentials do not square to zero at degree {n - 1}")
     return _Classes(t, below)
 
 

@@ -86,7 +86,8 @@ from .cochain import (
     build_tower,
 )
 from .cohomology import BettiTable, _Classes, _induced, _part_block, _squares_to_zero, _weight_parts, betti_table
-from .gf2 import BitMatrix, GF2Error, Subspace, WordMap
+from . import gf2
+from .gf2 import _COORD_BYTES, BitMatrix, GF2Error, Subspace, WordMap
 from .gf2 import _gather, _word_count, _xor_scatter
 from .spectral import FilteredTower, compute_pages, convergence_check
 
@@ -208,9 +209,15 @@ class RelativeTower(ComplexTower):
         return len(self.proj) - 1
 
     def total_ones(self, m: int, cols):
-        """The ones (i, g) of pi[m+1] @ d(e_c), c = cols[i], d the total coboundary."""
+        """The ones (i, g) of pi[m+1] @ d(e_c), c = cols[i], d the total coboundary, a generator
+        chunk cut to land about RANK_BLOCK_BYTES / _COORD_BYTES ones a piece (one column stays whole)."""
+        starts, budget = self.rows[m + 1][0], max(1, gf2.RANK_BLOCK_BYTES // _COORD_BYTES)
         for c, r in super().ones(m, cols):
-            yield _gather(self.rows[m + 1], r, c)
+            landed = np.cumsum(starts[r + 1] - starts[r])  # the ones gathered up to each one
+            stops = np.arange(budget, landed.max(initial=0), budget) if (c != c[:1]).any() else []
+            cuts = np.searchsorted(landed, stops, "right")
+            for piece in zip(np.split(r, cuts), np.split(c, cuts)):
+                yield _gather(self.rows[m + 1], *piece)
 
     def ones(self, n: int, cols):
         return self.total_ones(n + 2, self.proj[n + 2].a[cols])

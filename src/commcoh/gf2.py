@@ -8,30 +8,33 @@ operation, otherwise ranks silently corrupt.
 Elimination runs on Python ints, one per row, so one XOR adds whole
 rows.  The bits of a row are reversed on the way in: column 0 is the
 highest of its 64 * words bits and column c is bit 64 * words - 1 - c.
-Pivots are taken on the highest set bit, which is the leftmost column,
-so one forward pass gives a row-echelon form.  The highest bit is the
-cheap one: ``bit_length()`` finds it without building an int and keys
-the pivot dict by a small int, while the lowest bit needs ``x & -x``
-(two new ints) and a dict key as wide as the row.  On the degree-8
-tensor coboundary of the catalog heis3 (19683 x 6561, trivial
+Every route reduces through one kernel, _echelon: a row is reduced by
+its highest set bit, the leftmost column, against an echelon keyed by
+bit length, so one forward pass gives a row-echelon form.  The highest
+bit is the cheap one: ``bit_length()`` finds it without building an int
+and keys the pivot dict by a small int, while the lowest bit needs
+``x & -x`` (two new ints) and a dict key as wide as the row.  On the
+degree-8 tensor coboundary of the catalog heis3 (19683 x 6561, trivial
 coefficients) the highest-bit pass ranks in 0.02 s and the lowest-bit
-pass in 0.34 s on a 2-vCPU x86 host.  The forward pass alone gives
-the rank; the RREF back-substitutes in ascending pivot order, clearing
-the pivot bits of each row with the rows already reduced.
+pass in 0.34 s on a 2-vCPU x86 host.  rank() and the Betti route read
+the echelon alone; the spectral pairing reads the pivot of each stored
+row, and the long exact sequence what is left below lim of a row that
+carries its combination in its low bits, a cycle (cohomology._Classes).
+One back-substitution (_substitute) serves rref() and the class lifts.
 
-Rows enter the echelon from the bottom of the matrix upward: row_blocks
-cuts the blocks from the bottom, yields the bottom block first, and each
-block's rows go in last row first (_row_echelon), each converted to an
-int as it goes in (_rows_up).  Pivots stay on the leftmost column and the RREF is
-unique, so the order changes no result, only the work.  The Betti
-route (cohomology.betti_table) ranks transposed coboundaries
-this way and may leave rows out: a row it has cleared never becomes an int.
-On the degree-7 tensor coboundary of heis3 with two-term brackets and
-adjoint coefficients (19683 x 6561, the largest matrix of the benchmark)
-the echelon makes 483,814 row XORs bottom-up against 998,788 top-down
-(543,734 against 1,250,136 in another basis), and takes 0.13 s against
-0.19 s on the host above.  Reversing the rows only inside each 1 MiB
-block makes 966,750 XORs: the order has to be reversed across the
+Rows enter the echelon from the bottom of the matrix upward, through one
+walk (_rows_up): row_blocks cuts the blocks from the bottom and yields
+the bottom block first, each block's rows go in last row first, and each
+row becomes an int only when it is taken.  Pivots stay on the leftmost
+column and the RREF is unique, so the order changes no result, only the
+work.  The Betti route (cohomology.betti_table) ranks transposed
+coboundaries this way and masks rows out: a cleared row never becomes an
+int.  On the degree-7 tensor coboundary of heis3 with two-term brackets
+and adjoint coefficients (19683 x 6561, the largest matrix of the
+benchmark) the echelon makes 483,814 row XORs bottom-up against 998,788
+top-down (543,734 against 1,250,136 in another basis), and takes 0.13 s
+against 0.19 s on the host above.  Reversing the rows only inside each
+1 MiB block makes 966,750 XORs: the order has to be reversed across the
 whole matrix.
 
 Products, transposes, column takes and WordMap.apply_rows work on the
@@ -60,11 +63,13 @@ operations return new ones.
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
 WORD_BITS = 64
-# rank() and rref() convert this many bytes of rows to ints at once; the
-# byte copies of one block, not of the whole matrix, are alive beside the echelon
+# the size of every block: the rows _rows_up turns into ints at once, the
+# temporaries of a product or transpose, a weight part, a generator chunk
 RANK_BLOCK_BYTES = 1 << 19
 # temporaries per one while coordinates are made: its word unpacked to 64
 # bytes when the word holds no other one, nonzero indices and coordinates
@@ -93,21 +98,6 @@ def _pack(dense: np.ndarray) -> np.ndarray:
 
 # _BIT_REVERSE[b] is the byte b with its eight bits in reverse order
 _BIT_REVERSE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
-
-
-def _int_rows(words: np.ndarray) -> list:
-    """Each row as an int whose highest of 64 * words bits is column 0."""
-    nb = words.shape[1] * 8
-    if nb == 0:
-        return [0] * words.shape[0]
-    buf = words.astype("<u8", copy=False).tobytes().translate(_BIT_REVERSE)
-    return [int.from_bytes(buf[i : i + nb], "big") for i in range(0, len(buf), nb)]
-
-
-def _rows_up(words: np.ndarray):
-    """_int_rows last row first, each int made only when it is taken."""
-    nb, buf = words.shape[1] * 8, words.astype("<u8", copy=False).tobytes().translate(_BIT_REVERSE)
-    return (int.from_bytes(buf[i - nb : i], "big") for i in range(len(buf), 0, -nb)) if nb else iter([0] * len(words))
 
 
 def _int_words(ints: list, cols: int) -> np.ndarray:
@@ -153,36 +143,43 @@ def _gather(grouped: tuple, keys, tags) -> tuple:
     return tags[run], values[starts[keys][run] + offset]
 
 
-def _echelon(rows, top=None) -> dict:
-    """Independent rows spanning rows, keyed by the bit length of each (its pivot).
+def _rows_up(m: "BitMatrix", live=None):
+    """(i, row i of m as an int, column 0 its highest of 64 * words bits) for
+    each row where the bool array live is set (all without it), last row first,
+    the rows of one row block copied at a time, each int made when it is taken."""
+    nb, stop = m.words.shape[1] * 8, m.rows
+    for block in m.row_blocks():
+        start = stop - block.rows
+        up = range(stop - 1, start - 1, -1)
+        index = up if live is None else (i for i, keep in zip(up, live[start:stop][::-1]) if keep)
+        buf = block.words if live is None else block.words[live[start:stop]]
+        buf = buf.astype("<u8", copy=False).tobytes().translate(_BIT_REVERSE)  # only the bytes stay
+        end = len(buf)
+        for i in index:
+            yield i, int.from_bytes(buf[end - nb : end], "big")
+            end -= nb
+        stop = start
 
-    Given top, the new rows are reduced against it and added to it in place.
-    """
-    top = {} if top is None else top
+
+def _echelon(rows, top: dict, lim: int = 1):
+    """Reduce each int of rows by its highest bit, while it is at least lim, against the
+    echelon top keyed by bit length (the pivot), and yield its result: the row as stored
+    in top once it leads at a new pivot, or what is left of it below lim (0 for lim 1)."""
     for x in rows:
-        while x:
+        while x >= lim:
             h = x.bit_length()
             y = top.get(h)
             if y is None:
                 top[h] = x
                 break
             x ^= y
-    return top
+        yield x
 
 
 def _row_echelon(m: "BitMatrix", live=None) -> dict:
-    """_echelon of the rows of m, or of those where the bool array live is set.
-
-    The rows are converted to ints one row block at a time and fed from
-    the bottom of m upward: the bottom block first, each block's last row
-    first.
-    """
-    top, stop = {}, m.rows
-    for block in m.row_blocks():
-        start = stop - block.rows
-        words = block.words if live is None else block.words[live[start:stop]]
-        _echelon(_rows_up(words), top)
-        stop = start
+    """The echelon of the rows of m (_rows_up), where no row's result is read."""
+    top = {}
+    deque(_echelon((x for _, x in _rows_up(m, live)), top), 0)
     return top
 
 
@@ -193,6 +190,15 @@ def _reduce(x: int, mask: int, by_length: dict) -> int:
         x ^= by_length[m.bit_length()]
         m = x & mask
     return x
+
+
+def _substitute(rows: dict, by: dict, mask: int = 0) -> int:
+    """Back-substitute the echelon rows in place, lowest pivot first, clearing the pivots
+    in mask (those of by) and of the rows before, and add each to by; returns the mask."""
+    for h in sorted(rows):  # pivots from the rightmost column leftwards
+        rows[h] = by[h] = _reduce(rows[h], mask, by)
+        mask |= 1 << (h - 1)
+    return mask
 
 
 def _is_rref(m: "BitMatrix", pivots: tuple) -> bool:
@@ -389,10 +395,7 @@ class BitMatrix:
         of the unique RREF of the input, which span its row space.
         """
         top = _row_echelon(self)
-        mask = 0
-        for h in sorted(top):  # pivots from the rightmost column leftwards
-            top[h] = _reduce(top[h], mask, top)
-            mask |= 1 << (h - 1)
+        _substitute(top, {})
         order = sorted(top, reverse=True)
         words = _int_words([top[h] for h in order], self.cols)
         width = self.words.shape[1] * WORD_BITS

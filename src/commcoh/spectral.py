@@ -13,7 +13,9 @@ one weight class, so a filtered tower is the direct sum of its parts
 and the pair counts, rank invariants, add over them.  A filtration with
 a class across weight classes is paired as one part.  The images of a
 part are packed by cohomology._part_block, one block of class members
-at a time, so no whole degree is packed.  The same pairing checks that
+at a time, so no whole degree is packed, and reduced by gf2._echelon,
+the kernel of betti_table and of the long exact sequence, which reports
+the pivot each image is stored at.  The same pairing checks that
 d respects the filtration (_pairing), so a filtered tower's structure is
 checked when it is made and its d-compatibility when it is paired.
 Closed forms are cross checks, so a discrepancy with a pencil
@@ -47,7 +49,7 @@ from .cochain import (
 )
 from .cohomology import _part_block, _weight_parts, betti_table, induced_map_on_cohomology
 from .gf2 import WORD_BITS, BitMatrix, GF2Error, Subspace, WordMap
-from .gf2 import _block_rows, _int_rows, _word_count
+from .gf2 import _block_rows, _echelon, _rows_up, _word_count
 
 __all__ = [
     "FiltrationError",
@@ -199,15 +201,13 @@ def _part_pairs(ft: FilteredTower, deg, sizes: list, pairs: list) -> list:
             block = _part_block(ft.tower.ones, n, (deg[n][0][members], *deg[n][1:]), deg[n + 1])
             sums = BitMatrix.from_coords(stop - start, members.size, k[ends[start] : ends[stop]] - start, slot)
             images = coords.apply_rows(sums @ block)
-            for f, y in zip(reversed(src_levels[start:stop]), reversed(_int_rows(images.words))):
+            ys = [y for _, y in _rows_up(images)]
+            for f, y, x in zip(reversed(src_levels[start:stop]), ys, _echelon(ys, top)):
                 t = tgt_levels[width - y.bit_length()] if y else f
                 if t < f:
                     low.append(t)
-                while y and (h := y.bit_length()) in top:
-                    y ^= top[h]
-                if y:
-                    top[h] = y
-                    pairs[n][(f, tgt_levels[width - h])] += 1
+                if x:  # stored at its pivot
+                    pairs[n][(f, tgt_levels[width - x.bit_length()])] += 1
             stop = start
         if low:
             return [(n, min(low) + 1)]

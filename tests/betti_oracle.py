@@ -12,6 +12,7 @@ checks no axiom, so it packs any table, as unchecked_tower reads one.
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import islice
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 from commcoh import gf2
 from commcoh.cochain import ComplexTower, _coboundary_coords, _require_flavor, basis_dim
 from commcoh.cohomology import BettiTable
-from commcoh.gf2 import BitMatrix, GF2Error, _echelon, _int_rows, _int_words, _word_count
+from commcoh.gf2 import BitMatrix, GF2Error, _echelon, _int_words, _rows_up, _word_count
 
 
 def pack_differential(flavor, table, coeffs, n) -> BitMatrix:
@@ -46,7 +47,7 @@ def _checked_rank(diff: BitMatrix, below, n: int) -> int:
     top = {}
     for block in diff.row_blocks():
         kept = len(top)
-        _echelon(reversed(_int_rows(block.words)), top)
+        deque(_echelon((x for _, x in _rows_up(block)), top), 0)
         new = list(islice(top.values(), kept, None))
         if below is not None and new:
             rows = BitMatrix(len(new), below.rows, _int_words(new, below.rows))

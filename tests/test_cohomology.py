@@ -495,6 +495,17 @@ class TestRepresentatives:
         with pytest.raises(GF2Error):
             cocycle_representatives(tower, 4)
 
+    def test_failed_square_names_its_degree(self):
+        # d^1 d^0 = 1: both routes name the degree, in betti_table's words
+        tower = ComplexTower.held((1, 1, 1), [BitMatrix.identity(1)] * 2)
+        want = "differentials do not square to zero at degree 0"
+        with pytest.raises(GF2Error, match=f"^{want}$"):
+            betti_table(tower)
+        with pytest.raises(GF2Error, match=f"^{want}$"):
+            cocycle_representatives(tower, 1)
+        with pytest.raises(GF2Error, match=rf"^operator does not act on H\^1: {want}$"):
+            induced_map_on_cohomology(tower, 1, [BitMatrix.identity(1)])
+
 
 class TestInducedMaps:
     def test_inner_element_acts_trivially(self):

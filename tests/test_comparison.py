@@ -432,6 +432,17 @@ class TestRelativeComplex:
             )
             assert rel.dims[0] == mdim
 
+    def test_build_gathers_a_block_of_ones_at_a_time(self):
+        # sym-in-tensor on heis3 with adjoint coefficients through relative
+        # degree 7 (59049 total coordinates at the top): gathering whole
+        # generator chunks onto every quotient row holding each one peaked
+        # at 10.88 MiB, with 4.08 MiB held after
+        entry = catalog("heis3")
+        build = lambda: build_relative_complex(InclusionPair.SYM_IN_TENSOR, entry.table, entry.modules["adjoint"], 7)
+        rel, held, peak = traced(build)
+        assert rel.word_degrees == 9 and held < 5 * 2**20
+        assert peak < 10 * 2**20
+
     def test_ses_dimensions(self):
         a = catalog("a")
         for pair in InclusionPair:
@@ -1261,6 +1272,50 @@ class TestProducts:
             total = INCLUSION_FLAVORS[pair][1].value
             with pytest.raises(GF2Error, match=f"^{pair.value} needs the {total} table through degree 5$"):
                 verify_e2_product(pair, t, triv, 6, bad)
+
+
+T, F = True, False
+LT, LC, CT = InclusionPair.EXT_IN_TENSOR, InclusionPair.EXT_IN_SYM, InclusionPair.SYM_IN_TENSOR
+# (d, k): orbit representative k of survey(d, up_to_iso=True), with trivial
+# coefficients at relative degree 3; per applicable pair: verify_e2_product's
+# convergence_ok, hr and product verdict, and long_exact_sequence_check's ok
+SURVEY_VERDICTS = {
+    (1, 0): {LT: (T, (1, 0, 0), T, T), LC: (T, (1, 0, 0), T, T), CT: (T, (0, 0, 0), T, T)},
+    (2, 0): {LT: (T, (3, 2, 0), T, T), LC: (T, (2, 0, 0), F, T), CT: (T, (1, 2, 3), T, T)},
+    (2, 1): {CT: (T, (1, 1, 0), T, T)},
+    (2, 2): {LT: (T, (2, 1, 0), T, T), LC: (T, (2, 0, 0), F, T), CT: (T, (0, 1, 1), T, T)},
+    (3, 0): {LT: (T, (6, 8, 3), T, T), LC: (T, (3, 0, 0), F, T), CT: (T, (3, 8, 15), T, T)},
+    (3, 1): {CT: (T, (2, 3, 2), T, T)},
+    (3, 2): {LT: (T, (4, 4, 1), T, T), LC: (T, (3, 0, 0), F, T), CT: (T, (1, 4, 7), T, T)},
+    (3, 3): {CT: (T, (0, 1, 0), T, T)},
+    (3, 4): {CT: (T, (1, 2, 1), T, T)},
+    (3, 5): {LT: (T, (4, 4, 1), T, T), LC: (T, (3, 0, 0), F, T), CT: (T, (1, 4, 7), T, T)},
+    (3, 6): {CT: (T, (1, 2, 1), T, T)},
+    (3, 7): {LT: (T, (3, 2, 0), T, T), LC: (T, (3, 0, 0), F, T), CT: (T, (0, 2, 3), T, T)},
+    (3, 8): {LT: (T, (3, 2, 0), T, T), LC: (T, (3, 0, 0), F, T), CT: (T, (0, 2, 3), T, T)},
+    (3, 9): {LT: (T, (3, 2, 0), T, T), LC: (T, (3, 0, 0), F, T), CT: (T, (0, 2, 3), T, T)},
+    (3, 10): {LT: (T, (3, 2, 0), T, T), LC: (T, (3, 0, 0), F, T), CT: (T, (0, 2, 3), T, T)},
+}
+
+
+class TestSurveyCorpus:
+    """The 15 orbit representatives of dimension 1 to 3 through every route
+    that reduces over GF(2): the pairing, the Betti route and the long exact
+    sequence.  lie-comm's product verdict fails on every Lie orbit of
+    dimension 2 and 3 (README, "The lie-comm mismatch on abelian(2)")."""
+
+    def test_pinned_verdicts(self):
+        got = {}
+        for d in (1, 2, 3):
+            for k, table in enumerate(survey(d, True).rep_tables()):
+                coeffs = trivial_module(table)
+                tables = flavor_tables(table, coeffs, 5)
+                got[(d, k)] = verdicts = {}
+                for pair in applicable_pairs(table):
+                    rep = verify_e2_product(pair, table, coeffs, 5, tables)
+                    les = long_exact_sequence_check(build_relative_complex(pair, table, coeffs, 3))
+                    verdicts[pair] = (rep.convergence_ok, rep.hr, not rep.mismatches(), les.ok)
+        assert got == SURVEY_VERDICTS
 
 
 class TestPropagation:

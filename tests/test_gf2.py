@@ -1,5 +1,8 @@
 """Tests for the packed GF(2) linear algebra layer."""
 
+from functools import reduce
+from operator import xor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,12 +12,17 @@ from commcoh.gf2 import (
     GF2Error,
     Subspace,
     WordMap,
+    _echelon,
+    _rows_up,
     inverse,
 )
 
-from commcoh import gf2
+from commcoh import cohomology, gf2, spectral
 from commcoh.catalog import catalog_names
-from commcoh.cochain import Flavor, PreconditionError, build_tower
+from commcoh.cochain import Flavor, InclusionPair, PreconditionError, build_tower
+from commcoh.cohomology import betti_table
+from commcoh.comparison import build_relative_complex, comparison_filtration, long_exact_sequence_check
+from commcoh.spectral import compute_pages
 
 from conftest import catalog, raises_promptly, subspace_vectors, traced
 from dense_builders import QuotientCoords, induced_map, kernel_basis, packed, solve
@@ -256,6 +264,46 @@ class TestEliminationKernel:
                     half = d.rows // 2
                     top = BitMatrix(half, d.cols, d.words[:half].copy())
                     assert_reduce_rows_matches_oracle(Subspace.from_rows(d.cols, top), d)
+
+    @settings(max_examples=80, deadline=None)
+    @given(elimination_matrix() | tall_deficient_matrix(), st.integers(1, 3))
+    def test_carried_echelon_reports_each_row(self, arr, spare):
+        # row f carries e_f in the w low bits, as the long exact sequence feeds it
+        m = BitMatrix.from_dense(arr)
+        w = m.rows + spare
+        rows, top, lim = dict(_rows_up(m)), {}, 1 << w
+        results = list(_echelon((x << w | 1 << f for f, x in rows.items()), top, lim))
+        assert len(results) == m.rows and sum(x >= lim for x in results) == len(top)
+        for x in results:
+            if x >= lim:  # stored at its own bit length
+                assert top[x.bit_length()] is x
+            else:  # left below lim: its own bit survives, and the rows it carries sum to zero
+                assert x >> w == 0 and x and not reduce(xor, (rows[f] for f in range(w) if x >> f & 1), 0)
+        # the stored rows, their carried bits cut, span the rows of m
+        span = BitMatrix(len(top), m.cols, gf2._int_words([y >> w for y in top.values()], m.cols))
+        got_words, got_rank, got_pivots = rref_numpy_oracle(span)
+        want_words, rank, pivots = rref_numpy_oracle(m)
+        assert (got_rank, got_pivots) == (rank, pivots) == (len(top), pivots)
+        assert got_words[:rank].tobytes() == want_words[:rank].tobytes()
+
+    def test_routes_reach_the_kernel_at_its_import_sites(self, monkeypatch):
+        sites = []
+        for module in (gf2, cohomology, spectral):
+            spy = lambda *args, site=module.__name__: sites.append(site) or _echelon(*args)
+            monkeypatch.setattr(module, "_echelon", spy)
+        entry = catalog("heis3")
+        tower = build_tower(Flavor.SYM, entry.table, entry.modules["adjoint"], 3)
+        rel = build_relative_complex(InclusionPair.SYM_IN_TENSOR, entry.table, entry.modules["trivial"], 3)
+        routes = [
+            (lambda: tower.differential(2).rank(), "commcoh.gf2"),
+            (lambda: betti_table(tower), "commcoh.gf2"),
+            (lambda: long_exact_sequence_check(rel), "commcoh.cohomology"),
+            (lambda: compute_pages(comparison_filtration(InclusionPair.SYM_IN_TENSOR, rel)), "commcoh.spectral"),
+        ]
+        for run, site in routes:
+            sites.clear()
+            run()
+            assert site in sites
 
 
 class TestRowOrder:

@@ -239,8 +239,8 @@ def test_pages_match_oracle_one_image_per_block(pair, name, monkeypatch):
     # 8 bytes packs each source's image as its own block; the pairing
     # reads the block size from gf2, as every other layer does
     monkeypatch.setattr(gf2, "RANK_BLOCK_BYTES", 8)
-    blocks, real = [], spectral._int_rows
-    monkeypatch.setattr(spectral, "_int_rows", lambda words: blocks.append(words.shape[0]) or real(words))
+    blocks, real = [], spectral._rows_up
+    monkeypatch.setattr(spectral, "_rows_up", lambda m: blocks.append(m.rows) or real(m))
     entry = catalog(name)
     rel = build_relative_complex(pair, entry.table, entry.modules["adjoint"], 3)
     assert_pages_match_oracle(comparison_filtration(pair, rel))
