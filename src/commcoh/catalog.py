@@ -30,8 +30,6 @@ from .algebra import (
     bounded_count,
     coadjoint_module,
     flambda_module,
-    is_ideal,
-    IdealVerdict,
     trivial_module,
 )
 from .gf2 import GF2Error, Subspace
@@ -320,21 +318,36 @@ def _candidate_block(d, idx):
     return c
 
 
+def _det2(mats):
+    """Determinants mod 2 of a stack of square 0/1 matrices, by expansion
+    along the first row; over F2 the determinant is the permanent."""
+    k = mats.shape[-1]
+    if k == 0:
+        return np.ones(len(mats), dtype=np.uint8)
+    rest = mats[:, 1:]
+    det = np.zeros(len(mats), dtype=np.uint8)
+    for j in range(k):
+        det ^= mats[:, 0, j] & _det2(np.delete(rest, j, axis=2))
+    return det
+
+
 def _gl_group(d):
-    """GL(d, 2) as an (n, d, d) uint8 array, in the order of the codes
-    whose bit k is entry k."""
+    """GL(d, 2) and the inverse of each element, two (n, d, d) uint8 arrays
+    in the order of the codes whose bit k is entry k."""
     codes = np.arange(1 << (d * d))
     mats = ((codes[:, None] >> np.arange(d * d)) & 1).astype(np.uint8).reshape(-1, d, d)
-    # integer determinants of 0/1 matrices this small are exact in floating point
-    return mats[np.rint(np.linalg.det(mats)).astype(np.int64) % 2 == 1]
+    g = mats[_det2(mats) == 1]
+    # over F2 with det g = 1 the inverse is the adjugate: ginv[l, k] is the
+    # determinant of g without row k and column l
+    ginv = np.empty_like(g)
+    for k, l in np.ndindex(d, d):
+        ginv[:, l, k] = _det2(np.delete(np.delete(g, k, axis=1), l, axis=2))
+    return g, ginv
 
 
 def _transform_matrices(d):
     """GF(2)-linear action of each basis change on flattened tables."""
-    g = _gl_group(d)
-    # over F2 the inverse is the adjugate, det(g) g^-1, exact at these sizes
-    adj = np.linalg.det(g)[:, None, None] * np.linalg.inv(g)
-    ginv = (np.rint(adj).astype(np.int64) % 2).astype(np.uint8)
+    g, ginv = _gl_group(d)
     # c'[a,b,k] = sum_{i,j,l} g[a,i] g[b,j] c[i,j,l] ginv[l,k]
     return np.einsum("nai,nbj,nlk->nabkijl", g, g, ginv).reshape(len(g), d**3, d**3)
 
@@ -342,11 +355,13 @@ def _transform_matrices(d):
 def _canonical_ints(cands, d, transforms):
     """Smallest code in each candidate's orbit, all transforms at once; bit k
     of a code is entry k of the flattened table."""
-    # cols[t, i]: the code of transform t's image of the i-th unit table
-    cols = (transforms.astype(np.uint64) << np.arange(d**3, dtype=np.uint64)[:, None]).sum(axis=1)
+    # cols[t, i]: the code of transform t's image of the i-th unit table,
+    # assembled from the bytes of its packed column
+    packed = np.packbits(transforms, axis=1, bitorder="little")
+    cols = sum(packed[:, b].astype(np.uint64) << np.uint64(8 * b) for b in range(packed.shape[1]))
     best = np.zeros((len(cands), len(transforms)), dtype=np.uint64)
     for i, bit in enumerate(cands.reshape(len(cands), -1).T):
-        best ^= bit[:, None] * cols[:, i]
+        np.bitwise_xor(best, cols[:, i], out=best, where=bit[:, None] == 1)
     return best.min(axis=1)
 
 
@@ -355,17 +370,23 @@ def _survey_chunk(d, start, stop):
 
     Bit-sliced: plane q packs bit q of every index in the range, so each
     coefficient of the Jacobi identity is a few AND/XOR passes over the
-    planes for all candidates at once.  Tables are built for survivors.
+    planes for all candidates at once.  A plane is made byte by byte: the
+    range starts at start rounded down to a multiple of 8, so bits 0-2 of
+    an index repeat one byte and bit q >= 3 is bit q - 3 of the byte's
+    index.  Tables are built for survivors only.
     """
-    idx = np.arange(start, stop, dtype=np.uint64)
-    bit = np.empty_like(idx)
+    lo = start >> 3
+    byte = np.arange(lo, (stop + 7) >> 3, dtype=np.int32)
     plane = {}  # (i, j, m) -> packed bits c[i, j, m] of every candidate
     for t, (i, j) in enumerate(_free_pairs(d)):
         for m in range(d):
-            np.right_shift(idx, np.uint64(t * d + m), out=bit)
-            bit &= np.uint64(1)
-            plane[i, j, m] = plane[j, i, m] = np.packbits(bit != 0, bitorder="little")
-    bad = np.zeros_like(plane[0, 0, 0])
+            q = t * d + m
+            if q < 3:
+                bits = np.full(len(byte), (0xAA, 0xCC, 0xF0)[q], dtype=np.uint8)
+            else:
+                bits = ((byte >> (q - 3)) & 1).astype(np.uint8) * np.uint8(0xFF)
+            plane[i, j, m] = plane[j, i, m] = bits
+    bad = np.zeros(len(byte), dtype=np.uint8)
     for i, j, k, m in np.ndindex(d, d, d, d):
         s = np.zeros_like(bad)
         for u in range(d):
@@ -373,8 +394,10 @@ def _survey_chunk(d, start, stop):
             s ^= plane[k, i, u] & plane[j, u, m]
             s ^= plane[i, j, u] & plane[k, u, m]
         bad |= s
-    keep = np.unpackbits(bad, count=stop - start, bitorder="little") == 0
-    return _candidate_block(d, idx[keep])
+    # drop the candidates below start that the rounding added
+    skip = start - (lo << 3)
+    keep = np.flatnonzero(np.unpackbits(bad, count=stop - (lo << 3), bitorder="little")[skip:] == 0)
+    return _candidate_block(d, keep + start)
 
 
 @dataclass(frozen=True)
@@ -401,7 +424,9 @@ def survey_enumerate(d: int, up_to_iso: bool = False) -> SurveyResult:
     c[i, j, m] of free pair t.  The Jacobi filter is bit-sliced over the
     indices (_survey_chunk), so only survivors become tables: all 2^18
     candidates of d = 3 pass in one call.  With up_to_iso the survivors
-    are reduced modulo basis changes by canonical orbit representatives.
+    are reduced modulo basis changes by canonical orbit representatives;
+    the basis changes and their inverses come from determinants and
+    adjugates mod 2 (_gl_group), so every step is integer arithmetic.
     """
     if not 1 <= d <= SURVEY_MAX_DIM:
         raise GF2Error(f"enumeration bound: dim from 1 to {SURVEY_MAX_DIM}")
@@ -427,14 +452,17 @@ def line_module_instances(table: BracketTable):
     value 1 on the line generator, so the line cannot meet the derived
     subalgebra.  These feed the one-dimensional vanishing checks.
     """
-    d = table.dim
+    d, c = table.dim, table.c
     # every nonzero vector, bit k of its code in coordinate k
     vecs = ((np.arange(1, 1 << d)[:, None] >> np.arange(d)) & 1).astype(np.uint8)
     # the functionals that kill every bracket
-    lams = [lam for lam in vecs if not ((table.c.reshape(d * d, d) @ lam) % 2).any()]
+    lams = vecs[~((c.reshape(d * d, d) @ vecs.T) % 2).any(axis=0)]
+    # u spans an ideal when its brackets with the basis, on both sides, are each 0 or u
+    sides = np.concatenate([np.einsum("ui,ijk->ujk", vecs, c), np.einsum("uj,ijk->uik", vecs, c)], 1) % 2
+    ideal = ((sides == 0).all(axis=2) | (sides == vecs[:, None]).all(axis=2)).all(axis=1)
+    value = (lams @ vecs.T) % 2  # value[l, u]: functional l at vector u
     out = []
-    for u in vecs:
-        line = Subspace.from_rows(d, u.reshape(1, -1))
-        if is_ideal(table, line) is IdealVerdict.IDEAL:
-            out.extend((line, lam) for lam in lams if int(lam @ u) % 2)
+    for u in np.flatnonzero(ideal):
+        line = Subspace.from_rows(d, vecs[u].reshape(1, -1))
+        out.extend((line, lam) for lam in lams[value[:, u] == 1])
     return out

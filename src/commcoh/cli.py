@@ -11,12 +11,8 @@ is the arbiter.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import os
 import sys
-from datetime import datetime, timezone
 
 from . import __version__
 
@@ -30,8 +26,10 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-# Each command imports the modules it runs inside its handler, so that
-# --version, --help and refused arguments start without numpy.
+# Each command imports the modules it runs inside its handler, and the
+# report's json, csv and datetime are imported where it is built and
+# written, so that --version, --help and refused arguments start without
+# numpy or them.
 
 # command-line name -> cochain.InclusionPair value
 COMPARISON_NAMES = {
@@ -368,6 +366,10 @@ def cmd_survey(args, checks, info):
 
 
 def _flatten_csv(command, payload):
+    import csv
+    import io
+    import json
+
     buf = io.StringIO()
     w = csv.writer(buf)
     if command == "cohomology":
@@ -522,6 +524,8 @@ def _run(args):
     except MemoryError as exc:  # numpy's failed allocations among them
         return {"error": f"out of memory: {exc}"}, 3
 
+    from datetime import datetime, timezone
+
     all_ok = all(ok for _, ok, _ in checks)
     report = {
         "schema_version": 1,
@@ -554,6 +558,8 @@ def main(argv=None):
         report, code = {"error": f"cannot write {args.output}: {exc}"}, 1
     else:
         report, code = _run(args)
+    import json
+
     if code in (1, 3):
         if created:  # the probe's empty file is no report
             os.remove(args.output)

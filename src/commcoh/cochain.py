@@ -227,12 +227,13 @@ def _coboundary_coords(flavor, table, coeffs, n, cols):
     brackets = _grouped(bk, np.column_stack((ba, bb)), d)  # the pairs (a, b) of each k
     # act[x, b] flags the a of each one rho(x)[a, b]
     act = coeffs.rho.transpose(0, 2, 1).astype(bool)
-    # about the terms of one column (fewer for SYM and EXT): an average
-    # column of rho at each of n + 1 slots, and an average letter's
-    # brackets at each slot pair i <= p (TENSOR) or slot
+    # about the terms of one column (fewer for SYM and EXT), times m * d, in
+    # integers: an average column of rho at each of n + 1 slots, and an
+    # average letter's brackets at each slot pair i <= p (TENSOR) or slot
     pairs = n * (n + 1) // 2 if flavor is Flavor.TENSOR else n
-    per_col = (n + 1) * act.sum() / max(m, 1) + pairs * bk.size / max(d, 1)
-    step = max(1, int(gf2.RANK_BLOCK_BYTES / (_COORD_BYTES * max(1, per_col))))
+    md = max(m, 1) * max(d, 1)
+    per_col = max(md, (n + 1) * int(act.sum()) * max(d, 1) + pairs * bk.size * max(m, 1))
+    step = max(1, gf2.RANK_BLOCK_BYTES * md // (_COORD_BYTES * per_col))
     terms = _tensor_terms if flavor is Flavor.TENSOR else _sorted_terms
     for start in range(0, cols.size, step):
         mono, val = np.divmod(cols[start : start + step], m)

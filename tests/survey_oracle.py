@@ -5,9 +5,11 @@ Jacobi identity with int32 einsum cubes (candidates x d^5 entries each);
 the package's bit-sliced filter must keep exactly the same tables in the
 same order.  The transforms are built one row at a time by an einsum over
 g, g and the inverse of g, for g in GL(d, 2) found by one rank test per
-matrix; the package builds all of them at once from determinants.  The line-module search tests "the functional kills every
-bracket" with a loop over the pairs (i, j); the package reads it off one
-product.
+matrix and inverted by elimination; the package builds all of them at
+once from determinants mod 2 and takes each inverse as the adjugate.
+The line-module search tests "the functional kills every bracket" with a
+loop over the pairs (i, j) and each line with `is_ideal`; the package
+reads both off batched products.
 """
 
 from __future__ import annotations

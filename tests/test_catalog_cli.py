@@ -159,6 +159,7 @@ class TestSurvey:
     @example(13, 130)  # both ends inside one byte of a plane
     @example(65, 19990)  # neither end a multiple of 8 or 64
     @example((1 << 18) - 19997, 19997)  # the last candidate
+    @example(3647, 1)  # a survivor, the last of its byte: start rounds down by 7
     def test_bit_sliced_filter_matches_oracle_on_dim_three_ranges(self, start, length):
         stop = min(start + length, 1 << 18)
         got = catalog_module._survey_chunk(3, start, stop)
@@ -183,8 +184,27 @@ class TestSurvey:
             assert not classify_algebra(BracketTable(c)).jacobi
 
     def test_dim_three_survey_memory(self):
+        # the planes are made from byte indices, so no array holds all 2^18 indices
         _, _, peak = traced(lambda: survey_enumerate(3, up_to_iso=True))
-        assert peak < 8 << 20
+        assert peak < 2 << 20
+
+    def test_survey_calls_no_float_linear_algebra(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("float LAPACK called")
+
+        monkeypatch.setattr(np.linalg, "det", refuse)
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+        for d, orbits in ((1, 1), (2, 3), (3, 11)):
+            assert survey_enumerate(d, up_to_iso=True).orbit_count == orbits
+
+    @pytest.mark.parametrize("d, order", [(1, 1), (2, 6), (3, 168)])
+    def test_gl_group_and_inverses(self, d, order):
+        g, ginv = catalog_module._gl_group(d)
+        assert len(g) == len(ginv) == order
+        eye = np.eye(d, dtype=np.int64)
+        for a, b in zip(g, ginv):
+            assert np.array_equal(a.astype(np.int64) @ b % 2, eye)
+            assert np.array_equal(b.astype(np.int64) @ a % 2, eye)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_transform_matrices_match_loop(self, d):
@@ -243,15 +263,15 @@ class TestSurvey:
         assert len(line_module_instances(catalog("abelian2").table)) > 0
 
     def test_line_instances_match_bracket_loop(self):
-        # the same pairs in the same order on every survey table
-        for d in (1, 2, 3):
-            for table in survey(d).rep_tables():
-                got = line_module_instances(table)
-                want = line_module_instances_loop(table)
-                assert len(got) == len(want), table.c.tolist()
-                for (line, lam), (wline, wlam) in zip(got, want):
-                    assert line == wline
-                    assert lam.dtype == wlam.dtype and np.array_equal(lam, wlam)
+        # the same pairs in the same order on every survey table and the catalog
+        tables = [t for d in (1, 2, 3) for t in survey(d).rep_tables()]
+        for table in tables + [catalog(name).table for name in catalog_names()]:
+            got = line_module_instances(table)
+            want = line_module_instances_loop(table)
+            assert len(got) == len(want), table.c.tolist()
+            for (line, lam), (wline, wlam) in zip(got, want):
+                assert line == wline
+                assert lam.dtype == wlam.dtype and np.array_equal(lam, wlam)
 
 
 def _strip_volatile(report):

@@ -58,6 +58,8 @@ def test_refusals_and_version_load_no_numpy(args, code):
     assert got == code
     assert "numpy" not in modules and "_hashlib" not in modules
     assert not {m for m in modules if m.startswith("commcoh.")}
+    # the report's writers load with the report; the probe imports json itself
+    assert "csv" not in modules and "datetime" not in modules
 
 
 @pytest.mark.parametrize("args, layers", [
