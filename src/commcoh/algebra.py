@@ -391,10 +391,10 @@ def is_ideal(t: BracketTable, h: Subspace) -> IdealVerdict:
 class SubalgebraSplit:
     """Adapted-basis data for a subalgebra (or ideal) h of an algebra."""
 
-    table: BracketTable
     h: Subspace
     verdict: IdealVerdict
     adapted: BitMatrix  # rows: h basis first, then echelon-complement vectors
+    adapted_table: BracketTable  # the bracket in the basis of adapted's rows
     h_dim: int
     q_dim: int
     h_table: BracketTable  # bracket of h in its own basis coordinates
@@ -409,44 +409,35 @@ def quotient_algebra(
     """Split the algebra along a subalgebra with a deterministic complement.
 
     The complement is spanned by the standard basis vectors away from the
-    echelon pivots of h, so reports are reproducible.  For ideals the
-    quotient bracket table is returned as well; for mere subalgebras only
-    the adapted basis and the bracket of h.
+    echelon pivots of h, so reports are reproducible.  The bracket is
+    rewritten once in this adapted basis (h's k vectors first), and the
+    other tables are its blocks: h's bracket is c[:k, :k, :k], as h is
+    closed, and for an ideal the quotient's is c[k:, k:, k:], since a
+    vector reduced modulo h has the complement coordinates of its coset.
     """
     verdict = is_ideal(t, h)
     if verdict is IdealVerdict.NOT_SUBALGEBRA:
         raise GF2Error("not a subalgebra")
     if require_ideal and verdict is not IdealVerdict.IDEAL:
         raise GF2Error("not an ideal")
-    d, h_dim = t.dim, h.dim
-    q_dim = d - h_dim
+    d, k = t.dim, h.dim
     free = sorted(set(range(d)) - set(h.pivots))
-    complement = BitMatrix.from_coords(q_dim, d, np.arange(q_dim), free)
+    complement = BitMatrix.from_coords(d - k, d, np.arange(d - k), free)
     adapted = BitMatrix.vstack(h.basis, complement)
-    # row j of proj_t is the complement part of basis vector j reduced modulo h
-    proj_t = h.reduce_rows(BitMatrix.identity(d)).take_columns(free)
-    proj, section = proj_t.transpose(), complement.transpose()
-
-    hb, sect_dense = h.basis.to_dense(), complement.to_dense()
-    # raises unless h is closed under the bracket
-    c_h = h.row_coefficients(t.brackets(hb, hb)).to_dense()
-    h_table = BracketTable(c_h.reshape(h_dim, h_dim, h_dim))
-    q_table = None
-    if verdict is IdealVerdict.IDEAL:
-        c_q = (t.brackets(sect_dense, sect_dense) @ proj_t).to_dense()
-        q_table = BracketTable(c_q.reshape(q_dim, q_dim, q_dim))
-
+    # row j of proj^T is the complement part of basis vector j reduced modulo h
+    proj = h.reduce_rows(BitMatrix.identity(d)).take_columns(free).transpose()
+    t_ad = change_basis(t, adapted)
     return SubalgebraSplit(
-        table=t,
         h=h,
         verdict=verdict,
         adapted=adapted,
-        h_dim=h_dim,
-        q_dim=q_dim,
-        h_table=h_table,
+        adapted_table=t_ad,
+        h_dim=k,
+        q_dim=d - k,
+        h_table=BracketTable(t_ad.c[:k, :k, :k]),
         proj=proj,
-        section=section,
-        q_table=q_table,
+        section=complement.transpose(),
+        q_table=BracketTable(t_ad.c[k:, k:, k:]) if verdict is IdealVerdict.IDEAL else None,
     )
 
 

@@ -248,7 +248,7 @@ def cmd_hs_ss(entry, args, checks, info):
         },
     }
     if verdict.value == "ideal":
-        rep = e2_closed_form_check(entry.table, h, mod, n_max, pages)
+        rep = e2_closed_form_check(ft, pages)
         checks.append(("page-closed-forms", rep.ok, str(rep.mismatches()[:4])))
         payload["subalgebra_cohomology"] = list(rep.hs_sub)
     if args.algebra in ("catalog:N", "catalog:a") and args.module == "trivial":

@@ -359,7 +359,7 @@ def _part_sequence(rel: RelativeTower, ones, sections, co, limit: int):
                 raise GF2Error(f"connecting-map lift failed at word degree {m}")
             u = hs.reduce(u)
             if not hs.cycles(u):
-                raise GF2Error("row_coefficients: rows not inside the subspace")
+                raise GF2Error(f"connecting-map lift is not a cycle at word degree {m}")
             delta = hs.coords(u).transpose()
         blocks.append((s[m + 1][hs.free], q[m][q_free], delta))
         quotient_ok.append((delta @ p_star).is_zero() and p_star.rank() + delta.rank() == q_free.size)
@@ -434,8 +434,7 @@ def comparison_filtration(pair: InclusionPair, rel: RelativeTower) -> FilteredTo
             repeat |= (all_words[:, :p] == all_words[:, p, None]).any(axis=1)
             dead = cls(all_words[repeat], p + 1)
             chain.append(_expand(_leaders(cls(words, p + 1), dead), mdim))
-        if (chain[-1] >= 0).any():
-            chain.append(np.full(rel.dims[n], -1))
+        # the last step is zero: a sorted word is a representative, not a generator, or repeats a letter and dies
         filt.append(tuple(chain))
     offset = 0 if pair is InclusionPair.EXT_IN_TENSOR else 1
     return FilteredTower(rel, tuple(filt), label=f"comparison[{pair.value}]", index_offset=offset)

@@ -20,7 +20,11 @@ d respects the filtration (_pairing), so a filtered tower's structure is
 checked when it is made and its d-compatibility when it is paired.
 Closed forms are cross checks, so a discrepancy with a pencil
 computation is surfaced rather than baked in.  Entries touching the
-truncation degree are excluded from convergence checks.
+truncation degree are excluded from convergence checks.  The
+Hochschild-Serre route works in one basis: a subalgebra filtration's
+tower is built in the split's adapted basis, and the E_2 check reads
+h's table, the quotient's, h's module and each outer action as blocks
+of that tower's table and module.
 """
 
 from __future__ import annotations
@@ -30,15 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import (
-    BracketTable,
-    ModuleSpec,
-    SubalgebraSplit,
-    change_basis,
-    check_module_axioms,
-    module_change_basis,
-    quotient_algebra,
-)
+from .algebra import BracketTable, ModuleSpec, check_module_axioms, module_change_basis, quotient_algebra
 from .cochain import (
     ComplexTower,
     Flavor,
@@ -115,16 +111,16 @@ def subalgebra_filtration(
 ) -> FilteredTower:
     """Filtration of the symmetric complex by the count of subalgebra slots.
 
-    The complex is rebuilt in an adapted basis (h first); F^p C^n is then
+    The complex is built in the adapted basis of the split (meta["split"]),
+    h's basis first, so its table is the split's adapted_table; F^p C^n is then
     the span of coordinate functionals on monomials with at most n - p
     factors in the h block, i.e. the annihilator of the monomials with at
     least n - p + 1 such factors.  d-compatibility is checked when the
     tower is paired (compute_pages, infinity_entries).
     """
     split = quotient_algebra(table, h, require_ideal=False)
-    t_ad = change_basis(table, split.adapted)
     m_ad = module_change_basis(coeffs, split.adapted)
-    tower = build_tower(Flavor.SYM, t_ad, m_ad, n_max, label="adapted")
+    tower = build_tower(Flavor.SYM, split.adapted_table, m_ad, n_max, label="adapted")
     filt = []
     for n in range(n_max + 1):
         # a span of coordinates, each its own class
@@ -135,7 +131,7 @@ def subalgebra_filtration(
         tower,
         tuple(filt),
         label=f"subalgebra-filtration[{split.verdict.value}]",
-        meta={"split": split, "coeffs": coeffs, "table": table},
+        meta={"split": split},
     )
 
 
@@ -311,32 +307,6 @@ def convergence_check(ft: FilteredTower, pages=None) -> ConvergenceReport:
     return ConvergenceReport(per)
 
 
-def restrict_coefficients(split: SubalgebraSplit, coeffs: ModuleSpec) -> ModuleSpec:
-    """Coefficients as a module over the subalgebra, in its basis."""
-    hb = split.h.basis.to_dense()
-    left = np.array([coeffs.action(row) for row in hb], dtype=np.uint8)
-    if left.size == 0:
-        left = np.zeros((split.h_dim, coeffs.dim, coeffs.dim), dtype=np.uint8)
-    return ModuleSpec(coeffs.dim, left)
-
-
-def outer_derivative_operator(
-    split: SubalgebraSplit, coeffs: ModuleSpec, x, n: int
-) -> BitMatrix:
-    """Lie derivative of an ambient element on the subalgebra complex.
-
-    The element acts on values through the ambient module and on
-    arguments through the projected adjoint action; for ideals every
-    bracket [x, h] falls back into the subalgebra, which is checked.
-    """
-    x = np.asarray(x, dtype=np.uint8) & 1
-    a = coeffs.action(x)
-    # column k is [x, h_k] in the basis of h; raises unless x normalizes h
-    brackets = split.table.brackets(x[None], split.h.basis.to_dense())
-    b = split.h.row_coefficients(brackets).transpose().to_dense()
-    return derivation_operator_matrix(Flavor.SYM, split.h_dim, coeffs.dim, a, b, n)
-
-
 @dataclass(frozen=True)
 class ClosedFormReport:
     """Per-page comparison of engine entries against closed-form values."""
@@ -352,38 +322,39 @@ class ClosedFormReport:
         return [row for row in self.rows if not row[5]]
 
 
-def e2_closed_form_check(
-    table: BracketTable, h: Subspace, coeffs, n_max: int, pages=None
-) -> ClosedFormReport:
+def e2_closed_form_check(ft: FilteredTower, pages) -> ClosedFormReport:
     """Check E_0, E_1, E_2 of an ideal filtration against closed forms.
 
-    E_0 entries are graded Hom-space dimension counts; E_1 pairs the
-    quotient monomials with the subalgebra cohomology; E_2 is the
-    commutative cohomology of the quotient with coefficients in the
-    subalgebra cohomology carrying the induced action.
+    ft is a subalgebra_filtration by an ideal h of dimension k and pages
+    its compute_pages.  E_0 entries are graded Hom-space dimension counts;
+    E_1 pairs the quotient monomials with the subalgebra cohomology; E_2
+    is the commutative cohomology of the quotient with coefficients in the
+    subalgebra cohomology carrying the induced action (Hochschild and
+    Serre).  Everything is read off the adapted tower's table c and module
+    rho: h acts on the values by rho[:k], and complement letter j acts on
+    C(h) by rho[k + j] on the values and by c[k + j, :k, :k]^T on the
+    arguments, since an ideal keeps [x, h] inside h.
     """
-    split = quotient_algebra(table, h, require_ideal=True)
-    if pages is None:
-        pages = compute_pages(subalgebra_filtration(table, h, coeffs, n_max))
-    h_coeffs = restrict_coefficients(split, coeffs)
-    h_tower = build_tower(Flavor.SYM, split.h_table, h_coeffs, n_max, label="sub")
+    split = ft.meta["split"]
+    if split.q_table is None:
+        raise GF2Error("not an ideal")
+    c, rho, n_max = ft.tower.table.c, ft.tower.coeffs.rho, ft.n_max
+    mdim, k, dq = ft.tower.coeffs.dim, split.h_dim, split.q_dim
+    h_tower = build_tower(Flavor.SYM, split.h_table, ModuleSpec(mdim, rho[:k]), n_max, label="sub")
     hs_sub = betti_table(h_tower)
-    mdim = coeffs.dim
-    dh, dq = split.h_dim, split.q_dim
-    sect = split.section.transpose().to_dense()  # rows: complement vectors
 
     rows = []
     for n in range(n_max):
         for p in range(n + 1):
             q = n - p
-            e0 = basis_dim(Flavor.SYM, dh, q) * basis_dim(Flavor.SYM, dq, p) * mdim
+            e0 = basis_dim(Flavor.SYM, k, q) * basis_dim(Flavor.SYM, dq, p) * mdim
             rows.append((0, p, q, pages[0].entries[(p, q)], e0, pages[0].entries[(p, q)] == e0))
 
     for q in range(n_max):
         acts = np.zeros((dq, hs_sub[q], hs_sub[q]), dtype=np.uint8)
-        ops = [outer_derivative_operator(split, coeffs, sect[k], q) for k in range(dq)]
-        for k, act in enumerate(induced_map_on_cohomology(h_tower, q, ops)):
-            acts[k] = act.to_dense()
+        ops = [derivation_operator_matrix(Flavor.SYM, k, mdim, rho[k + j], c[k + j, :k, :k].T, q) for j in range(dq)]
+        for j, act in enumerate(induced_map_on_cohomology(h_tower, q, ops)):
+            acts[j] = act.to_dense()
         hq_module = ModuleSpec(hs_sub[q], acts)
         check = check_module_axioms(split.q_table, hq_module)
         if not check.ok:

@@ -11,7 +11,7 @@ import importlib.util
 import threading
 import tracemalloc
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from pathlib import Path
 
 import numpy as np
@@ -248,6 +248,13 @@ def subspace_vectors(s: Subspace):
                 v ^= dense[i]
         out.append(tuple(int(x) for x in v))
     return set(out)
+
+
+def all_spans(d: int) -> set:
+    """Every subspace of F_2^d, once each."""
+    vecs = [np.array(v, dtype=np.uint8) for v in product((0, 1), repeat=d)][1:]
+    rows = (np.array(r) for k in range(1, d + 1) for r in combinations(vecs, k))
+    return {Subspace.zero(d), *(Subspace.from_rows(d, r) for r in rows)}
 
 
 def class_count(lead) -> int:

@@ -554,6 +554,8 @@ def full_width_les(rel) -> LESReport:
             u = w.take_columns(rel.reps[m + 1])
             if inclusion_map(rel, m + 1) @ u.transpose() != w.transpose():
                 raise GF2Error(f"connecting-map lift failed at word degree {m}")
+            if not hs1.sup.reduce_rows(u).is_zero():
+                raise GF2Error(f"connecting-map lift is not a cycle at word degree {m}")
             delta = hs1.project_rows(u).transpose()
         connecting.append(delta)
         quotient_ok.append((delta @ p_star).is_zero() and p_star.rank() + delta.rank() == hq.dim)

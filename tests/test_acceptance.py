@@ -191,9 +191,8 @@ def test_c04_page_identifications():
     for name in ("N", "a", "abelian2", "abelian3"):
         entry = catalog(name)
         for module in ("trivial", "flambda"):
-            rep = e2_closed_form_check(
-                entry.table, entry.subspaces[entry.ideals[0]], entry.modules[module], 7
-            )
+            ft = subalgebra_filtration(entry.table, entry.subspaces[entry.ideals[0]], entry.modules[module], 7)
+            rep = e2_closed_form_check(ft, compute_pages(ft))
             for row in rep.mismatches():
                 if row[1] + row[2] <= 5:
                     failures.append((name, module, row))

@@ -24,12 +24,14 @@ from commcoh.algebra import (
     quotient_algebra,
     trivial_module,
 )
+from commcoh.catalog import catalog_names
 from commcoh.cochain import Flavor, InclusionPair, build_tower
 from commcoh.cohomology import betti_table
 from commcoh.comparison import build_cr_complex
-from commcoh.gf2 import GF2Error, Subspace
+from commcoh.gf2 import BitMatrix, GF2Error, Subspace
 
 from conftest import (
+    all_spans,
     bimodule_axioms_oracle,
     catalog,
     random_comm_lie_table,
@@ -307,6 +309,40 @@ class TestQuotientAlgebra:
             assert cls.commutative and cls.jacobi
             count += 1
         assert count > 0
+
+
+def split_blocks_hold(t: BracketTable, h: Subspace) -> IdealVerdict:
+    """Assert the split's blocks satisfy their defining identities in the
+    original basis, by the brackets of basis vectors; returns the verdict."""
+    verdict = is_ideal(t, h)
+    if verdict is IdealVerdict.NOT_SUBALGEBRA:
+        return verdict
+    split = quotient_algebra(t, h, require_ideal=False)
+    assert split.adapted_table == change_basis(t, split.adapted)
+    d, k, q = t.dim, split.h_dim, split.q_dim
+    hb, s = h.basis.to_dense(), split.section.transpose().to_dense()
+    combine = lambda table, basis: np.einsum("abc,cj->abj", table.c.astype(np.int64), basis) & 1
+    # [h_a, h_b] = sum_c h_table[a, b, c] h_c
+    assert np.array_equal(t.brackets(hb, hb).to_dense().reshape(k, k, d), combine(split.h_table, hb))
+    if verdict is IdealVerdict.IDEAL:
+        # [s_a, s_b] = sum_c q_table[a, b, c] s_c modulo h
+        diff = t.brackets(s, s).to_dense().reshape(q, q, d) ^ combine(split.q_table, s)
+        assert h.reduce_rows(BitMatrix.from_dense(diff.reshape(q * q, d))).is_zero()
+    else:
+        assert split.q_table is None
+    return verdict
+
+
+class TestSplitBlocks:
+    def test_catalog_spans(self):
+        verdicts = [split_blocks_hold(catalog(n).table, h) for n in catalog_names() for h in catalog(n).subspaces.values()]
+        assert IdealVerdict.IDEAL in verdicts and IdealVerdict.SUBALGEBRA in verdicts
+
+    def test_every_span_of_the_dim_three_orbits(self):
+        spans = all_spans(3)
+        assert len(spans) == 16
+        verdicts = [split_blocks_hold(t, h) for t in survey(3, True).rep_tables() for h in spans]
+        assert len(verdicts) == 16 * 11 and len(set(verdicts)) == 3
 
 
 class TestChangeBasis:

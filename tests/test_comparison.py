@@ -1302,7 +1302,7 @@ class TestSurveyCorpus:
     """The 15 orbit representatives of dimension 1 to 3 through every route
     that reduces over GF(2): the pairing, the Betti route and the long exact
     sequence.  lie-comm's product verdict fails on every Lie orbit of
-    dimension 2 and 3 (README, "The lie-comm mismatch on abelian(2)")."""
+    dimension 2 and 3 (README, "The lie-comm mismatch")."""
 
     def test_pinned_verdicts(self):
         got = {}
@@ -1316,6 +1316,58 @@ class TestSurveyCorpus:
                     les = long_exact_sequence_check(build_relative_complex(pair, table, coeffs, 3))
                     verdicts[pair] = (rep.convergence_ok, rep.hr, not rep.mismatches(), les.ok)
         assert got == SURVEY_VERDICTS
+
+    def test_lie_comm_mismatch_shape(self):
+        """lie-comm's second page and product prediction, exactly, on the 9 Lie
+        orbits of dimension 2 and 3 with trivial coefficients, relative degree
+        4.  C10's proof for abelian(2) (test_acceptance) generalises to every
+        commutative Lie algebra g of dimension d:
+
+        1. Degree p of the CR complex is the mixed class span of the g*-valued
+           symmetric (p+1)-cochains modulo the pulled-back alternating scalar
+           (p+2)-cochains.  A class, the multiset of a combined word (args, y),
+           dies when one of its members repeats a letter among its args, so
+           the live classes are the (p+2)-sets and, at p = 0 only, the d
+           doubles {a, a}.  The sets are the pulled-back coordinates, so the
+           cokernel is d-dimensional at p = 0 and zero above, whatever the
+           bracket: hr = (d, 0, 0, ...).
+        2. The relative complex in word degree m is spanned by the monomials
+           with a repeated letter, and step p >= 1 of the prefix filtration
+           kills every word whose first p + 1 letters repeat one.  Each such
+           monomial can be written with its repeated letter first, twice, so
+           F^1 = 0 and E_0 is the column p = 0: E_2^{p,q} = 0 for p > 0 and
+           E_2^{0,q} = dim H^q_rel = dim H^{q+2}(C_sym / C_ext).  C_ext is zero
+           above word degree d, so the long exact sequence of 0 -> C_ext ->
+           C_sym -> C_sym / C_ext -> 0 gives E_2^{0,q} = dim H^{q+2}_sym for
+           q >= d - 1.
+        3. The prediction is hr[p] * dim H^q_sym: d * dim H^q_sym at p = 0 and
+           0 above.  Both sides vanish off p = 0; at p = 0 and q >= d - 1 the
+           identity reads dim H^{q+2}_sym = d * dim H^q_sym, which fails at
+           q = 2 on every orbit here.
+        """
+        pair, count = InclusionPair.EXT_IN_SYM, 0
+        for d in (2, 3):
+            for table in survey(d, True).rep_tables():
+                if not classify_algebra(table).is_lie:
+                    continue
+                coeffs = trivial_module(table)
+                tables = flavor_tables(table, coeffs, 6)
+                sym = tables["sym"].dims
+                rel = betti_table(build_relative_complex(pair, table, coeffs, 4)).dims
+                assert not any(tables["ext"].dims[d + 1 :])
+                assert all(rel[q] == sym[q + 2] for q in range(d - 1, 4))
+                want = []
+                for n in range(4):
+                    for p in range(n + 1):
+                        q = n - p
+                        computed, predicted = (rel[q], d * sym[q]) if p == 0 else (0, 0)
+                        want.append((p, q, computed, predicted, computed == predicted))
+                rep = verify_e2_product(pair, table, coeffs, 6, tables)
+                assert rep.hr == (d, 0, 0, 0)
+                assert rep.entries == tuple(want)
+                assert rep.convergence_ok and (0, 2) in [e[:2] for e in rep.mismatches()]
+                count += 1
+        assert count == 9
 
 
 class TestPropagation:

@@ -1,23 +1,27 @@
 """Tests for the filtration, page engine, and closed-form cross-checks."""
 
+from collections import Counter
 from math import comb
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from commcoh import algebra, spectral
 from commcoh.algebra import (
     BracketTable,
     IdealVerdict,
+    adjoint_module,
     change_basis,
     is_ideal,
     module_change_basis,
     trivial_module,
 )
 from commcoh.catalog import catalog_names
+from commcoh.cli import run
 from commcoh.cochain import ComplexTower, Flavor, basis_tuples, build_tower
 from commcoh.cohomology import betti_table
-from commcoh.gf2 import BitMatrix, Subspace
+from commcoh.gf2 import BitMatrix, GF2Error, Subspace
 from commcoh.spectral import (
     FilteredTower,
     FiltrationError,
@@ -30,6 +34,7 @@ from commcoh.spectral import (
 )
 
 from conftest import (
+    all_spans,
     catalog,
     class_count,
     class_leaders,
@@ -37,6 +42,7 @@ from conftest import (
     random_invertible,
     random_subalgebra,
     random_valid_module,
+    survey,
 )
 from dense_builders import assert_steps_span, spanned_chains, validate_chains
 from page_oracle import oracle_pages
@@ -52,8 +58,7 @@ def _filtration(name, module="trivial", sub="e", n_max=8):
 def subalgebra_chains(ft) -> tuple:
     """The subalgebra filtration's steps as packed spans of unit rows, one
     per coordinate whose monomial has at most n - p factors in h."""
-    d, h_dim = ft.meta["table"].dim, ft.meta["split"].h_dim
-    mdim = ft.meta["coeffs"].dim
+    d, h_dim, mdim = ft.tower.table.dim, ft.meta["split"].h_dim, ft.tower.coeffs.dim
     chains = []
     for n in range(ft.n_max + 1):
         monos = basis_tuples(Flavor.SYM, d, n)
@@ -398,19 +403,53 @@ class TestClosedForms:
     def test_catalog_ideal_cases(self, name, module):
         entry = catalog(name)
         sub = entry.ideals[0]
-        report = e2_closed_form_check(
-            entry.table, entry.subspaces[sub], entry.modules[module], 7
-        )
+        ft = subalgebra_filtration(entry.table, entry.subspaces[sub], entry.modules[module], 7)
+        report = e2_closed_form_check(ft, compute_pages(ft))
         assert report.ok, report.mismatches()[:4]
 
     def test_vanishing_coefficients_zero_page(self):
         # a one-dimensional ideal acting by one kills every second-page entry
         entry = catalog("abelian2")
-        report = e2_closed_form_check(
-            entry.table, entry.subspaces["e0"], entry.modules["flambda"], 6
-        )
+        ft = subalgebra_filtration(entry.table, entry.subspaces["e0"], entry.modules["flambda"], 6)
+        report = e2_closed_form_check(ft, compute_pages(ft))
         assert report.ok
         assert all(v == 0 for v in report.hs_sub)
+
+    def test_ideals_of_the_dim_three_orbits(self):
+        # h's module, the quotient and the outer actions are blocks of the adapted table and module
+        count = 0
+        for t in survey(3, True).rep_tables():
+            for h in (h for h in all_spans(3) if is_ideal(t, h) is IdealVerdict.IDEAL):
+                for mod in (trivial_module(t), adjoint_module(t)):
+                    ft = subalgebra_filtration(t, h, mod, 4)
+                    report = e2_closed_form_check(ft, compute_pages(ft))
+                    assert report.ok, report.mismatches()[:4]
+                    count += 1
+        assert count == 2 * 67  # 67 of the 11 x 16 spans are ideals
+
+    def test_subalgebra_filtration_is_refused(self):
+        ft = _filtration("a", sub="h", n_max=5)
+        with pytest.raises(GF2Error, match="^not an ideal$"):
+            e2_closed_form_check(ft, compute_pages(ft))
+
+    def test_hs_ss_splits_the_algebra_once(self, monkeypatch):
+        # the verdict, then one split, whose adapted table the filtration and the E_2 check share
+        calls = Counter()
+
+        def spy(fn):
+            def counted(*args, **kwargs):
+                calls[fn.__name__] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+        monkeypatch.setattr(algebra, "is_ideal", spy(algebra.is_ideal))
+        split = spy(algebra.quotient_algebra)
+        for module in (algebra, spectral):
+            monkeypatch.setattr(module, "quotient_algebra", split)
+        report, code = run(["hs-ss", "--algebra", "catalog:heis3", "--ideal", "z", "--max-degree", "4"])
+        assert code == 0 and report["payload"]["subalgebra_cohomology"]
+        assert calls == {"quotient_algebra": 1, "is_ideal": 2}
 
     def test_solvable_action_alternates(self):
         # the quotient generator acts on the subalgebra cohomology by the
