@@ -33,8 +33,12 @@ lim; with the kept rows of T_{n-1} they are a basis of the cycles (_Classes).
 
 Memory: a part's T_n is generated, checked, cleared, ranked and dropped
 before the next block is made.  The sweep holds the class, part order
-and position of every coordinate as int32, one part's block, and its
-echelons of T_{n-1} and T_n.
+and position of every coordinate as int32, one part's block, and one
+echelon.  The square check packs K a row block at a time, each block and
+its product with T_n within RANK_BLOCK_BYTES.  After it only the pivots
+of T_{n-1}'s echelon are read, as the cleared mask, so that echelon is
+dropped before T_n's is built, and T_n's rows become ints one piece of
+RANK_BLOCK_BYTES >> 3 at a time (gf2._rows_up).
 """
 
 from __future__ import annotations
@@ -143,7 +147,7 @@ def _part_block(ones, n: int, lo, hi) -> BitMatrix:
 def _squares_to_zero(below: dict, t: BitMatrix) -> bool:
     """Whether d^{n+1} d^n = 0 on a part: below is the echelon of T_n there, t is T_{n+1}."""
     kept = list(below.values())
-    step = _block_rows(_word_count(t.rows))  # rows of K at a time
+    step = _block_rows(max(_word_count(t.rows), _word_count(t.cols)))  # rows of K, and of K @ T, at a time
     blocks = (kept[i : i + step] for i in range(0, len(kept), step))
     return all((BitMatrix(len(k), t.rows, _int_words(k, t.rows)) @ t).is_zero() for k in blocks)
 
@@ -164,7 +168,8 @@ def _part_ranks(ones, deg, top: int):
         t = _part_block(ones, n, deg[n], deg[n + 1])
         if not _squares_to_zero(below, t):
             return ranks, n - 1
-        below = _row_echelon(t, _cleared(t, below))
+        live, below = _cleared(t, below), None  # T_{n-1}'s echelon goes before T_n's is built
+        below = _row_echelon(t, live)
         ranks.append(len(below))
         del t  # before the next block is made
     return ranks, None

@@ -380,10 +380,16 @@ def long_exact_sequence_check(rel: RelativeTower) -> LESReport:
     dimension.  Each connecting map is the direct sum of its part blocks,
     in the coset coordinates the whole sequence would have.  A lift
     failure inside the connecting map is a chain-map bug, not a report
-    entry, and raises.
+    entry, and raises.  A tower that is not rel.kind's (its total flavor,
+    or its sub coordinates in some word degree) is refused first, naming
+    the lowest word degree where it breaks.
     """
     m_top, proj = rel.word_degrees, rel.proj
-    sub = build_tower(INCLUSION_FLAVORS[rel.kind][0], rel.table, rel.coeffs, m_top)
+    sub_fl, tot_fl = INCLUSION_FLAVORS[rel.kind]
+    for m in range(m_top + 1):
+        if tot_fl is not rel.flavor or len(rel.reps[m]) != basis_dim(sub_fl, rel.table.dim, m) * rel.coeffs.dim:
+            raise GF2Error(f"relative tower is not the {rel.kind.value} quotient at word degree {m}")
+    sub = build_tower(sub_fl, rel.table, rel.coeffs, m_top)
     total = ComplexTower(tuple(pi.cols for pi in proj), rel.flavor, "", rel.table, rel.coeffs)  # never packed
     limit = m_top - 1
     # the ones of d^m(e_f) of the sub, total and quotient complexes in word degree m

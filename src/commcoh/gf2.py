@@ -23,9 +23,13 @@ carries its combination in its low bits, a cycle (cohomology._Classes).
 One back-substitution (_substitute) serves rref() and the class lifts.
 
 Rows enter the echelon from the bottom of the matrix upward, through one
-walk (_rows_up): row_blocks cuts the blocks from the bottom and yields
-the bottom block first, each block's rows go in last row first, and each
-row becomes an int only when it is taken.  Pivots stay on the leftmost
+walk (_rows_up): the matrix is cut from the bottom into pieces of at
+most RANK_BLOCK_BYTES >> 3 bytes of rows (one row if wider), the bottom
+piece first, each piece's rows go in last row first, and each row
+becomes an int only when it is taken.  Only one piece's bytes,
+bit-reversed, are held beside the echelon, and a masked-out row is
+skipped inside its piece, never copied.  _int_words, the way back, fills
+its word array one piece of ints at a time.  Pivots stay on the leftmost
 column and the RREF is unique, so the order changes no result, only the
 work.  The Betti route (cohomology.betti_table) ranks transposed
 coboundaries this way and masks rows out: a cleared row never becomes an
@@ -68,8 +72,9 @@ from collections import deque
 import numpy as np
 
 WORD_BITS = 64
-# the size of every block: the rows _rows_up turns into ints at once, the
-# temporaries of a product or transpose, a weight part, a generator chunk
+# the size of every block: the temporaries of a product or transpose, a
+# weight part, a generator chunk; the int conversions (_rows_up, _int_words)
+# work in pieces of an eighth of it
 RANK_BLOCK_BYTES = 1 << 19
 # temporaries per one while coordinates are made: its word unpacked to 64
 # bytes when the word holds no other one, nonzero indices and coordinates
@@ -101,12 +106,14 @@ _BIT_REVERSE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 def _int_words(ints: list, cols: int) -> np.ndarray:
-    """Word buffer of len(ints) x cols whose rows are ints."""
+    """Word buffer of len(ints) x cols whose rows are ints, filled a piece of rows at a time."""
     nw = _word_count(cols)
-    if not (ints and nw):
-        return np.zeros((len(ints), nw), dtype=np.uint64)
-    buf = b"".join(x.to_bytes(nw * 8, "big") for x in ints).translate(_BIT_REVERSE)
-    return np.frombuffer(buf, dtype="<u8").astype(np.uint64, copy=False).reshape(len(ints), nw)
+    out = np.zeros((len(ints), nw), dtype=np.uint64)
+    step = _piece_rows(nw)
+    for start in range(0, len(ints) if nw else 0, step):
+        piece = b"".join(x.to_bytes(nw * 8, "big") for x in ints[start : start + step])
+        out[start : start + step] = np.frombuffer(piece.translate(_BIT_REVERSE), dtype="<u8").reshape(-1, nw)
+    return out
 
 
 def _xor_scatter(words: np.ndarray, r: np.ndarray, c: np.ndarray) -> None:
@@ -119,6 +126,11 @@ def _xor_scatter(words: np.ndarray, r: np.ndarray, c: np.ndarray) -> None:
 def _block_rows(words: int) -> int:
     """The rows of that many words each in one block of about RANK_BLOCK_BYTES, at least one."""
     return max(1, RANK_BLOCK_BYTES // max(1, words * 8))
+
+
+def _piece_rows(words: int) -> int:
+    """The rows of that many words each in one piece of RANK_BLOCK_BYTES >> 3, at least one."""
+    return max(1, (RANK_BLOCK_BYTES >> 3) // max(1, words * 8))
 
 
 def _runs(counts: np.ndarray):
@@ -146,19 +158,22 @@ def _gather(grouped: tuple, keys, tags) -> tuple:
 def _rows_up(m: "BitMatrix", live=None):
     """(i, row i of m as an int, column 0 its highest of 64 * words bits) for
     each row where the bool array live is set (all without it), last row first,
-    the rows of one row block copied at a time, each int made when it is taken."""
-    nb, stop = m.words.shape[1] * 8, m.rows
-    for block in m.row_blocks():
-        start = stop - block.rows
-        up = range(stop - 1, start - 1, -1)
-        index = up if live is None else (i for i, keep in zip(up, live[start:stop][::-1]) if keep)
-        buf = block.words if live is None else block.words[live[start:stop]]
-        buf = buf.astype("<u8", copy=False).tobytes().translate(_BIT_REVERSE)  # only the bytes stay
-        end = len(buf)
-        for i in index:
-            yield i, int.from_bytes(buf[end - nb : end], "big")
-            end -= nb
-        stop = start
+    the bytes of one piece of rows (_piece_rows) made at a time, each int made
+    when it is taken."""
+    nb = m.words.shape[1] * 8
+    step = _piece_rows(m.words.shape[1])
+    for stop in range(m.rows, 0, -step):
+        start = max(0, stop - step)
+        index = range(stop - 1, start - 1, -1)
+        if live is not None:
+            index = start + np.flatnonzero(live[start:stop])[::-1]  # 8 bytes a live row, no row copied
+            if not index.size:
+                continue
+        buf = m.words[start:stop].astype("<u8", copy=False).tobytes().translate(_BIT_REVERSE)
+        for i in map(int, index):
+            at = (i - start) * nb
+            yield i, int.from_bytes(buf[at : at + nb], "big")
+        del buf  # before the next piece's bytes are made
 
 
 def _echelon(rows, top: dict, lim: int = 1):

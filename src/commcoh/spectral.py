@@ -333,7 +333,8 @@ def e2_closed_form_check(ft: FilteredTower, pages) -> ClosedFormReport:
     Serre).  Everything is read off the adapted tower's table c and module
     rho: h acts on the values by rho[:k], and complement letter j acts on
     C(h) by rho[k + j] on the values and by c[k + j, :k, :k]^T on the
-    arguments, since an ideal keeps [x, h] inside h.
+    arguments, since an ideal keeps [x, h] inside h.  Each distinct
+    H^q(h)-module's quotient cohomology is ranked once, at its first q.
     """
     split = ft.meta["split"]
     if split.q_table is None:
@@ -350,6 +351,7 @@ def e2_closed_form_check(ft: FilteredTower, pages) -> ClosedFormReport:
             e0 = basis_dim(Flavor.SYM, k, q) * basis_dim(Flavor.SYM, dq, p) * mdim
             rows.append((0, p, q, pages[0].entries[(p, q)], e0, pages[0].entries[(p, q)] == e0))
 
+    quotients = {}  # the Betti table of each distinct H^q(h)-module, ranked at its first q
     for q in range(n_max):
         acts = np.zeros((dq, hs_sub[q], hs_sub[q]), dtype=np.uint8)
         ops = [derivation_operator_matrix(Flavor.SYM, k, mdim, rho[k + j], c[k + j, :k, :k].T, q) for j in range(dq)]
@@ -362,13 +364,13 @@ def e2_closed_form_check(ft: FilteredTower, pages) -> ClosedFormReport:
                 f"induced action on H^{q} is not a quotient module (pair {check.pair})"
             )
         p_top = n_max - 1 - q
-        if p_top < 0:
-            continue
         if hs_sub[q] == 0:
             e2_of_p = [0] * (p_top + 1)
         else:
-            q_betti = betti_table(build_tower(Flavor.SYM, split.q_table, hq_module, p_top + 1, "quot"))
-            e2_of_p = list(q_betti.dims)
+            if hq_module not in quotients:  # p_top falls with q: later rows read a prefix
+                quot = build_tower(Flavor.SYM, split.q_table, hq_module, p_top + 1, "quot")
+                quotients[hq_module] = betti_table(quot).dims
+            e2_of_p = quotients[hq_module]
         for p in range(p_top + 1):
             e1 = basis_dim(Flavor.SYM, dq, p) * hs_sub[q]
             rows.append((1, p, q, pages[1].entries[(p, q)], e1, pages[1].entries[(p, q)] == e1))

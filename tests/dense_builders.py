@@ -11,7 +11,9 @@ cokernel close the file, oracles of the same kind for the class maps and
 the symmetric class spans that replaced them, the long exact sequence at
 full width, which the sweep by weight part replaced, followed by the
 packed filtration steps and their pivot-column checks, which the
-class-leader arrays of FilteredTower replaced.
+class-leader arrays of FilteredTower replaced.  Last comes the row walk
+that turned whole row blocks into ints before gf2._rows_up cut them into
+pieces.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from commcoh.cochain import (
     monomial_rank,
 )
 from commcoh.comparison import LESReport
-from commcoh.gf2 import BitMatrix, GF2Error, Subspace, WordMap
+from commcoh.gf2 import _BIT_REVERSE, BitMatrix, GF2Error, Subspace, WordMap
 from commcoh.spectral import FiltrationError
 
 
@@ -678,3 +680,21 @@ def validate_chains(tower, chains) -> None:
         for p, sub in enumerate(chains[n]):
             if not up[min(p, len(up) - 1)].reduce_rows(sub.basis @ dt).is_zero():
                 raise FiltrationError(f"d F^{p} C^{n} not contained in F^{p} C^{n + 1}")
+
+
+def rows_up_by_blocks(m: BitMatrix, live=None):
+    """(i, row i of m as an int, column 0 its highest bit) for each row where
+    live is set (all without it), last row first: each row block of m
+    (BitMatrix.row_blocks) masked, copied and bit-reversed whole."""
+    nb, stop = m.words.shape[1] * 8, m.rows
+    for block in m.row_blocks():
+        start = stop - block.rows
+        up = range(stop - 1, start - 1, -1)
+        index = up if live is None else (i for i, keep in zip(up, live[start:stop][::-1]) if keep)
+        buf = block.words if live is None else block.words[live[start:stop]]
+        buf = buf.astype("<u8", copy=False).tobytes().translate(_BIT_REVERSE)
+        end = len(buf)
+        for i in index:
+            yield i, int.from_bytes(buf[end - nb : end], "big")
+            end -= nb
+        stop = start

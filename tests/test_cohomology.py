@@ -298,24 +298,27 @@ class TestStreamedBetti:
         # heis3 adjoint tensor through degree 7: the top coboundary is
         # 19683 x 6561, 15.5 MiB packed; building the tower peaked at 28.7 MiB,
         # the row-oriented route at 5.8 MiB (bottom-up in 512 KiB blocks),
-        # the transposed weight blocks with clearing at 2.24 MiB
+        # the transposed weight blocks with clearing at 2.29 MiB, and
+        # converting rows in 64 KiB pieces, with one echelon held across a
+        # degree, at 1.57 MiB
         entry = catalog("heis3")
         mod = entry.modules["adjoint"]
         bt, _, peak = traced(lambda: betti_table(build_tower(Flavor.TENSOR, entry.table, mod, 8)))
         assert bt.dims == (1, 4, 9, 22, 53, 128, 309, 746)
-        assert peak < 3 * 2**20
+        assert peak < 2 * 2**20
 
     def test_holds_one_class_group_at_a_time(self):
         # the benchmark's coarser basis (seed 1: [x, y] = [x, z] = [y, x] =
         # [z, x] = y + z), adjoint tensor through degree 8: the class blocks of
         # the top coboundary hold 2.96 MiB together and 1.07 MiB at most.
         # Building them all before ranking any peaked at 6.46 MiB; generating,
-        # ranking and dropping one group at a time peaks at 3.3 MiB
+        # ranking and dropping one group at a time at 3.03 MiB, and with rows
+        # converted in 64 KiB pieces, one echelon held at a time, 2.23 MiB
         table = heis3_table(2)
         mod = make_module(table, "adjoint")
         bt, _, peak = traced(lambda: betti_table(build_tower(Flavor.TENSOR, table, mod, 8)))
         assert bt.dims == (1, 4, 9, 22, 53, 128, 309, 746)
-        assert peak < 3.5 * 2**20
+        assert peak < 2.5 * 2**20
 
     def test_holds_one_part_echelon_between_degrees(self):
         # heis3 trivial tensor through degree 10: holding the kept rows of

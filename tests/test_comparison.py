@@ -887,6 +887,39 @@ class TestLESParts:
         assert les.ok
         assert peak < 4 * 2**20
 
+    @pytest.mark.parametrize("pair", [InclusionPair.EXT_IN_TENSOR, InclusionPair.SYM_IN_TENSOR])
+    def test_spectral_file_sweep_converts_rows_in_pieces(self, pair):
+        # the benchmark's `les --module adjoint --max-degree 5` on its seed-1
+        # heis3 file: converting each 512 KiB row block whole peaked at 2.53
+        # MiB (lie-leibniz) and 2.46 MiB (comm-leibniz), 64 KiB pieces at
+        # 2.30 and 2.24 MiB
+        table = heis3_table(1)
+        rel = build_relative_complex(pair, table, make_module(table, "adjoint"), 5)
+        les, _, peak = traced(lambda: long_exact_sequence_check(rel))
+        assert les.ok
+        assert peak < 2.4 * 2**20
+
+    def test_swapped_kind_is_refused_at_entry(self):
+        # a tower whose kind was swapped for another pair's: the total
+        # flavor, or the sub coordinates in some word degree, no longer
+        # match, and the check names the lowest word degree where they break
+        raised = []
+        for name in catalog_names():
+            entry = catalog(name)
+            for mod in entry.modules.values():
+                for pair in applicable_pairs(entry.table):
+                    rel = build_relative_complex(pair, entry.table, mod, 2)
+                    for kind in (k for k in InclusionPair if k is not pair):
+                        sub, total = INCLUSION_FLAVORS[kind]
+                        dims = [basis_dim(sub, entry.table.dim, m) * mod.dim for m in range(len(rel.reps))]
+                        m = next(m for m, r in enumerate(rel.reps) if total is not rel.flavor or len(r) != dims[m])
+                        with pytest.raises(GF2Error, match=f"not the {kind.value} quotient at word degree {m}$"):
+                            long_exact_sequence_check(dataclasses.replace(rel, kind=kind))
+                        raised.append(m)
+        # before the entry check: 22 IndexErrors, 8 PreconditionErrors, 46
+        # GF2Errors from deeper stages and 52 reports
+        assert len(raised) == 128 and set(raised) == {0, 2}
+
 
 class TestComparisonFiltration:
     def test_boundaries(self):

@@ -13,6 +13,7 @@ from commcoh.gf2 import (
     Subspace,
     WordMap,
     _echelon,
+    _int_words,
     _rows_up,
     inverse,
 )
@@ -25,7 +26,7 @@ from commcoh.comparison import build_relative_complex, comparison_filtration, lo
 from commcoh.spectral import compute_pages
 
 from conftest import catalog, raises_promptly, subspace_vectors, traced
-from dense_builders import QuotientCoords, induced_map, kernel_basis, packed, solve
+from dense_builders import QuotientCoords, induced_map, kernel_basis, packed, rows_up_by_blocks, solve
 from page_oracle import annihilator, apply_to_subspace, preimage, quotient_dim, subspace_intersect, subspace_sum
 
 
@@ -360,6 +361,58 @@ class TestRankBlocks:
         assert diff.shape == (19683, 6561)
         assert peak < 0.5 * diff.words.nbytes
         assert rank == rref_numpy_oracle(diff)[1] == 4392
+
+
+@st.composite
+def masked_matrix(draw):
+    """(m, live): a matrix of elimination_matrix's shapes and fills, and
+    None or a drawn bool array over its rows."""
+    m = BitMatrix.from_dense(draw(elimination_matrix()))
+    live = draw(st.none() | st.lists(st.booleans(), min_size=m.rows, max_size=m.rows))
+    return m, None if live is None else np.array(live, dtype=bool)
+
+
+# a piece of one row (8 and 64), of 16 one-word rows (1024), of every row
+PIECE_BLOCK_BYTES = st.sampled_from([8, 64, 1024, gf2.RANK_BLOCK_BYTES])
+
+
+class TestIntRows:
+    """Rows become ints (_rows_up) and ints rows (_int_words) one piece of
+    RANK_BLOCK_BYTES >> 3 at a time."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(masked_matrix(), PIECE_BLOCK_BYTES)
+    def test_walk_matches_the_block_walk(self, case, block_bytes):
+        m, live = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gf2, "RANK_BLOCK_BYTES", block_bytes)
+            got = list(_rows_up(m, live))
+            assert got == list(rows_up_by_blocks(m, live))
+        assert [i for i, _ in got] == [i for i in reversed(range(m.rows)) if live is None or live[i]]
+
+    @settings(max_examples=80, deadline=None)
+    @given(masked_matrix(), PIECE_BLOCK_BYTES)
+    def test_int_words_inverts_the_walk(self, case, block_bytes):
+        m, live = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gf2, "RANK_BLOCK_BYTES", block_bytes)
+            ints = [x for _, x in _rows_up(m, live)][::-1]
+            words = _int_words(ints, m.cols)
+        want = m.words if live is None else m.words[live]
+        assert words.dtype == np.uint64 and words.shape == want.shape
+        assert words.tobytes() == want.tobytes()
+        assert all(x < 1 << (64 * m.words.shape[1]) for x in ints)
+
+    def test_walk_holds_its_ints_and_two_pieces(self):
+        # 4096 x 2048, 1 MiB packed, about half its rows live: masking,
+        # copying and bit-reversing each 512 KiB row block whole peaked
+        # 384 KiB above the yielded ints; one 64 KiB piece at a time, 81 KiB
+        rng = np.random.default_rng(23)
+        m = BitMatrix.from_dense(rng.integers(0, 2, (4096, 2048), dtype=np.uint8))
+        live = rng.random(m.rows) < 0.5
+        rows, held, peak = traced(lambda: list(_rows_up(m, live)))
+        assert m.words.nbytes == 2**20 and len(rows) == np.count_nonzero(live)
+        assert peak < held + 2 * (gf2.RANK_BLOCK_BYTES >> 3) + 2**14
 
 
 class TestRref:

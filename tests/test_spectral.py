@@ -35,6 +35,7 @@ from commcoh.spectral import (
 
 from conftest import (
     all_spans,
+    bench_workloads,
     catalog,
     class_count,
     class_leaders,
@@ -450,6 +451,20 @@ class TestClosedForms:
         report, code = run(["hs-ss", "--algebra", "catalog:heis3", "--ideal", "z", "--max-degree", "4"])
         assert code == 0 and report["payload"]["subalgebra_cohomology"]
         assert calls == {"quotient_algebra": 1, "is_ideal": 2}
+
+    def test_each_quotient_module_is_ranked_once(self, monkeypatch, tmp_path):
+        # the benchmark's `hs-ss --ideal h --max-degree 8` on its seed-1 heis3
+        # file: H^q(h) is one module for every q > 0, so the E_2 check ranks
+        # one quotient tower, beside h's tower and the convergence check's;
+        # one quotient tower per q made 12 calls
+        calls, real = [], betti_table
+        monkeypatch.setattr(spectral, "betti_table", lambda tower: calls.append(tower.label) or real(tower))
+        wl = bench_workloads()
+        f = tmp_path / "heis3.alg"
+        f.write_text(wl.heis3_file(*wl.draw_basis(1, 1)))
+        report, code = run(["hs-ss", "--algebra", str(f), "--ideal", "h", "--max-degree", "8"])
+        assert code == 0 and all(c["passed"] for c in report["checks"])
+        assert sorted(calls) == ["adapted", "quot", "sub"]
 
     def test_solvable_action_alternates(self):
         # the quotient generator acts on the subalgebra cohomology by the
