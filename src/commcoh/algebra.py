@@ -391,21 +391,16 @@ def is_ideal(t: BracketTable, h: Subspace) -> IdealVerdict:
 class SubalgebraSplit:
     """Adapted-basis data for a subalgebra (or ideal) h of an algebra."""
 
-    h: Subspace
     verdict: IdealVerdict
     adapted: BitMatrix  # rows: h basis first, then echelon-complement vectors
     adapted_table: BracketTable  # the bracket in the basis of adapted's rows
     h_dim: int
     q_dim: int
     h_table: BracketTable  # bracket of h in its own basis coordinates
-    proj: BitMatrix  # ambient -> quotient coordinates
-    section: BitMatrix  # quotient coordinates -> ambient (proj @ section = id)
     q_table: BracketTable | None  # quotient algebra; ideals only
 
 
-def quotient_algebra(
-    t: BracketTable, h: Subspace, require_ideal: bool = True
-) -> SubalgebraSplit:
+def quotient_algebra(t: BracketTable, h: Subspace) -> SubalgebraSplit:
     """Split the algebra along a subalgebra with a deterministic complement.
 
     The complement is spanned by the standard basis vectors away from the
@@ -418,25 +413,18 @@ def quotient_algebra(
     verdict = is_ideal(t, h)
     if verdict is IdealVerdict.NOT_SUBALGEBRA:
         raise GF2Error("not a subalgebra")
-    if require_ideal and verdict is not IdealVerdict.IDEAL:
-        raise GF2Error("not an ideal")
     d, k = t.dim, h.dim
     free = sorted(set(range(d)) - set(h.pivots))
     complement = BitMatrix.from_coords(d - k, d, np.arange(d - k), free)
     adapted = BitMatrix.vstack(h.basis, complement)
-    # row j of proj^T is the complement part of basis vector j reduced modulo h
-    proj = h.reduce_rows(BitMatrix.identity(d)).take_columns(free).transpose()
     t_ad = change_basis(t, adapted)
     return SubalgebraSplit(
-        h=h,
         verdict=verdict,
         adapted=adapted,
         adapted_table=t_ad,
         h_dim=k,
         q_dim=d - k,
         h_table=BracketTable(t_ad.c[:k, :k, :k]),
-        proj=proj,
-        section=complement.transpose(),
         q_table=BracketTable(t_ad.c[k:, k:, k:]) if verdict is IdealVerdict.IDEAL else None,
     )
 

@@ -201,11 +201,11 @@ def cmd_cohomology(entry, args, checks, info):
         if flavor is Flavor.SYM and entry.ideals:
             # second route: the stable page of a marked-ideal filtration
             # must reproduce the direct table
-            from .spectral import convergence_check, subalgebra_filtration
+            from .spectral import compute_pages, convergence_check, subalgebra_filtration
 
             h = entry.subspaces[entry.ideals[0]]
             ft = subalgebra_filtration(entry.table, h, mod, args.max_degree + 1)
-            conv = convergence_check(ft)
+            conv = convergence_check(ft, compute_pages(ft))
             ok = all(
                 conv.per_degree[n][0] == bt[n] for n in sorted(conv.per_degree)
             )

@@ -376,8 +376,7 @@ class ComplexTower:
     @classmethod
     def held(cls, dims, diffs, flavor=None, label: str = "") -> "ComplexTower":
         """The tower whose d^n is diffs[n]."""
-        diffs = tuple(diffs)
-        return _HeldTower(tuple(dims), flavor, label, _packed=dict(enumerate(diffs)), matrices=diffs)
+        return _HeldTower(tuple(dims), flavor, label, _packed=dict(enumerate(diffs)))
 
     @property
     def n_max(self) -> int:
@@ -413,14 +412,11 @@ class ComplexTower:
         return True
 
 
-@dataclass(frozen=True)
 class _HeldTower(ComplexTower):
     """A tower of held differentials: its ones are read off them, and it is one weight class."""
 
-    matrices: tuple = ()
-
     def ones(self, n, cols):
-        r, c = self.matrices[n].take_columns(cols).coords()
+        r, c = self._packed[n].take_columns(cols).coords()
         yield c, r
 
     def weights(self, n):

@@ -105,8 +105,6 @@ __all__ = [
     "vanishing_window",
     "PropagationReport",
     "vanishing_propagation_report",
-    "FullVanishingReport",
-    "full_vanishing_check",
 ]
 
 
@@ -417,7 +415,7 @@ def comparison_filtration(pair: InclusionPair, rel: RelativeTower) -> FilteredTo
     All three chains are normalized to start at internal index 0 = full
     space; the two chains customarily written from index 1 carry
     index_offset 1 so reports can translate back.  d-compatibility is
-    checked when the tower is paired (compute_pages, infinity_entries).
+    checked when the tower is paired (compute_pages).
     """
     d, mdim = rel.table.dim, rel.coeffs.dim
     total = INCLUSION_FLAVORS[pair][1]
@@ -657,17 +655,3 @@ def vanishing_propagation_report(bts: dict) -> list:
     reports.append(_propagate("tensor", hl, "sym", hs))
     return reports
 
-
-@dataclass(frozen=True)
-class FullVanishingReport:
-    tables: dict
-
-    @property
-    def ok(self) -> bool:
-        return all(all(v == 0 for v in dims) for dims in self.tables.values())
-
-
-def full_vanishing_check(table: BracketTable, coeffs, n_max: int) -> FullVanishingReport:
-    """All defined cohomologies of one coefficient module, for zero checks."""
-    bts = flavor_tables(table, coeffs, n_max)
-    return FullVanishingReport({name: bt.dims for name, bt in bts.items()})

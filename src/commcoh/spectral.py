@@ -53,7 +53,6 @@ __all__ = [
     "Page",
     "subalgebra_filtration",
     "compute_pages",
-    "infinity_entries",
     "ConvergenceReport",
     "convergence_check",
     "ClosedFormReport",
@@ -116,9 +115,9 @@ def subalgebra_filtration(
     the span of coordinate functionals on monomials with at most n - p
     factors in the h block, i.e. the annihilator of the monomials with at
     least n - p + 1 such factors.  d-compatibility is checked when the
-    tower is paired (compute_pages, infinity_entries).
+    tower is paired (compute_pages).
     """
-    split = quotient_algebra(table, h, require_ideal=False)
+    split = quotient_algebra(table, h)
     m_ad = module_change_basis(coeffs, split.adapted)
     tower = build_tower(Flavor.SYM, split.adapted_table, m_ad, n_max, label="adapted")
     filt = []
@@ -267,7 +266,8 @@ def compute_pages(ft: FilteredTower) -> list:
     cover p, q >= 0 with p + q < n_max.
 
     Each page carries the rank of d_r out of each entry.  A page is
-    stable once r exceeds the filtration length in every total degree.
+    stable once r exceeds the filtration length in every total degree,
+    so the last page is stable.
     """
     r_stab = stabilization_index(ft)
     sizes, pairs = _pairing(ft)
@@ -275,12 +275,6 @@ def compute_pages(ft: FilteredTower) -> list:
         Page(r, *_entries(sizes, pairs, r, ft.n_max), stable=r >= r_stab)
         for r in range(max(r_stab, 3) + 1)
     ]
-
-
-def infinity_entries(ft: FilteredTower) -> dict:
-    """Stable page entries, p + q < n_max: the unpaired basis rows."""
-    sizes, pairs = _pairing(ft)
-    return _entries(sizes, pairs, stabilization_index(ft), ft.n_max)[0]
 
 
 @dataclass(frozen=True)
@@ -292,13 +286,15 @@ class ConvergenceReport:
         return all(v[2] for v in self.per_degree.values())
 
 
-def convergence_check(ft: FilteredTower, pages=None) -> ConvergenceReport:
+def convergence_check(ft: FilteredTower, pages) -> ConvergenceReport:
     """Strong convergence: stable page sums equal cohomology, per degree.
 
-    pages, from compute_pages(ft), saves redoing the pairing when its last
-    page is stable.
+    pages is compute_pages(ft), whose last page is stable; a list that
+    does not end on a stable page is refused.
     """
-    inf = pages[-1].entries if pages and pages[-1].stable else infinity_entries(ft)
+    if not (pages and pages[-1].stable):
+        raise GF2Error("convergence needs the pages of compute_pages, ending on a stable page")
+    inf = pages[-1].entries
     h = betti_table(ft.tower)
     per = {}
     for n in range(ft.n_max - 1):
@@ -364,13 +360,10 @@ def e2_closed_form_check(ft: FilteredTower, pages) -> ClosedFormReport:
                 f"induced action on H^{q} is not a quotient module (pair {check.pair})"
             )
         p_top = n_max - 1 - q
-        if hs_sub[q] == 0:
-            e2_of_p = [0] * (p_top + 1)
-        else:
-            if hq_module not in quotients:  # p_top falls with q: later rows read a prefix
-                quot = build_tower(Flavor.SYM, split.q_table, hq_module, p_top + 1, "quot")
-                quotients[hq_module] = betti_table(quot).dims
-            e2_of_p = quotients[hq_module]
+        if hq_module not in quotients:  # p_top falls with q: later rows read a prefix
+            quot = build_tower(Flavor.SYM, split.q_table, hq_module, p_top + 1, "quot")
+            quotients[hq_module] = betti_table(quot).dims
+        e2_of_p = quotients[hq_module]
         for p in range(p_top + 1):
             e1 = basis_dim(Flavor.SYM, dq, p) * hs_sub[q]
             rows.append((1, p, q, pages[1].entries[(p, q)], e1, pages[1].entries[(p, q)] == e1))

@@ -37,7 +37,6 @@ from commcoh.comparison import (
     build_relative_complex,
     comparison_filtration,
     flavor_tables,
-    full_vanishing_check,
     long_exact_sequence_check,
     vanishing_propagation_report,
     vanishing_window,
@@ -1010,7 +1009,7 @@ class TestComparisonFiltration:
                     pair, entry.table, entry.modules["trivial"], 5
                 )
                 ft = comparison_filtration(pair, rel)
-                assert convergence_check(ft).ok, (name, pair.value)
+                assert convergence_check(ft, compute_pages(ft)).ok, (name, pair.value)
 
 
 def lie_survey_tables() -> list:
@@ -1427,8 +1426,9 @@ class TestPropagation:
 
     def test_full_vanishing_instance(self):
         ab2 = catalog("abelian2")
-        report = full_vanishing_check(ab2.table, ab2.modules["flambda"], 7)
-        assert report.ok and set(report.tables) == {"sym", "tensor", "ext"}
+        tables = flavor_tables(ab2.table, ab2.modules["flambda"], 7)
+        assert set(tables) == {"sym", "tensor", "ext"}
+        assert all(not any(bt.dims) for bt in tables.values())
 
     def test_nilpotent_windows_observed(self):
         # tensor and symmetric windows agree degree-for-degree on the

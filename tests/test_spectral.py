@@ -28,7 +28,6 @@ from commcoh.spectral import (
     compute_pages,
     convergence_check,
     e2_closed_form_check,
-    infinity_entries,
     stabilization_index,
     subalgebra_filtration,
 )
@@ -247,10 +246,9 @@ class TestFiltration:
             validate_chains(tower, spanned_chains(tuple(filt)))
         assert str(want.value) == "d F^1 C^1 not contained in F^1 C^2"
         ft = FilteredTower(tower, tuple(filt))
-        for route in (compute_pages, infinity_entries, convergence_check):
-            with pytest.raises(FiltrationError) as got:
-                route(ft)
-            assert str(got.value) == str(want.value), route.__name__
+        with pytest.raises(FiltrationError) as got:
+            compute_pages(ft)
+        assert str(got.value) == str(want.value)
 
     def test_random_subalgebras_compatible(self):
         rng = np.random.default_rng(30)
@@ -381,7 +379,7 @@ class TestConvergence:
     @pytest.mark.parametrize("name", ["N", "a"])
     def test_worked_examples(self, name):
         ft = _filtration(name, n_max=8)
-        report = convergence_check(ft)
+        report = convergence_check(ft, compute_pages(ft))
         assert report.ok
         direct = betti_table(ft.tower)
         for n, (total, hn, ok) in report.per_degree.items():
@@ -389,13 +387,14 @@ class TestConvergence:
 
     def test_subalgebra_case_converges(self):
         ft = _filtration("a", sub="h", n_max=7)
-        assert convergence_check(ft).ok
+        assert convergence_check(ft, compute_pages(ft)).ok
 
-    def test_infinity_matches_stable_page(self):
+    def test_pages_not_ending_stable_are_refused(self):
+        # the stable page is read as the last page, never paired again
         ft = _filtration("N", n_max=6)
-        pages = compute_pages(ft)
-        inf = infinity_entries(ft)
-        assert all(pages[-1].entries[pq] == dim for pq, dim in inf.items())
+        for pages in (compute_pages(ft)[:1], []):
+            with pytest.raises(GF2Error, match="stable page"):
+                convergence_check(ft, pages)
 
 
 class TestClosedForms:

@@ -4,13 +4,16 @@ The package exports its names lazily and the CLI imports each command's
 modules inside its handler, so `--version`, `--help` and refused
 arguments start without numpy.  No command loads OpenSSL (`_hashlib`),
 and numpy starts no OpenBLAS worker thread unless the caller asks.  The test session has imported the whole
-package already, so every case runs in a fresh interpreter.
+package already, so every start-up case runs in a fresh interpreter.  Every
+name a submodule exports resolves, and README's library sketch runs as written.
 """
 
 import json
 import os
+import re
 import subprocess
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -107,6 +110,20 @@ def test_package_resolves_names_on_first_access():
              "assert all(hasattr(commcoh, name) for name in commcoh.__all__); "
              "assert not hasattr(commcoh, 'no_such_name')")
     subprocess.run([sys.executable, "-c", probe], check=True, cwd=ROOT, env=ENV, timeout=120)
+
+
+@pytest.mark.parametrize("module", sorted(ALL - {"gf2"}))  # gf2 declares no __all__
+def test_submodule_exports_resolve(module):
+    mod = import_module(f"commcoh.{module}")
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def test_readme_library_sketch_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    sketch = re.search(r"## Library sketch\s+```python\n(.*?)```", readme, re.S).group(1)
+    proc = subprocess.run([sys.executable, "-c", sketch], capture_output=True, text=True,
+                          cwd=tmp_path, env=ENV, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("args, layers", [
