@@ -1,7 +1,9 @@
 """Built-in example algebras, the algebra-file format, and the survey
 enumeration of small commutative Lie algebras.
 
-The file format is line oriented:
+The catalog is one table of six named algebras (catalog_names()); any
+other name is refused.  A catalog entry and a parsed file are one type,
+CatalogEntry.  The file format is line oriented:
 
     # comment
     algebra NAME
@@ -13,7 +15,8 @@ The file format is line oriented:
     subspace h = 10
 
 Unlisted brackets and actions are zero; vectors and matrix rows are bit
-strings over the declared basis.  Parsing and serialization round-trip.
+strings over the declared basis.  Parsing and serialization round-trip;
+a file marks no ideals.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ __all__ = [
     "catalog_names",
     "load_catalog",
     "AlgebraFileError",
-    "FileAlgebra",
     "parse_algebra_file",
     "serialize_algebra_file",
     "SurveyResult",
@@ -50,31 +52,32 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """An algebra with its named modules (name -> ModuleSpec), named spans
+    (name -> Subspace) and marked ideals (names of spans)."""
+
     name: str
     labels: tuple
     table: BracketTable
-    modules: dict
-    subspaces: dict
-    ideals: tuple
+    modules: dict = field(default_factory=dict)
+    subspaces: dict = field(default_factory=dict)
+    ideals: tuple = ()
 
 
-def _span(dim, rows):
-    return Subspace.from_rows(dim, np.array(rows, dtype=np.uint8))
-
-
-def _standard_modules(table: BracketTable, lam=None) -> dict:
-    mods = {
-        "trivial": trivial_module(table),
-        "adjoint": adjoint_module(table),
-        "coadjoint": coadjoint_module(table),
-    }
-    if lam is not None:
-        mods["flambda"] = flambda_module(table, lam)
-    return mods
+# name -> (basis labels, brackets {(i, j): indices of [b_i, b_j]}, the
+# flambda functional, named spans, marked ideals); each named span is the
+# line of the basis vector with that label
+_CATALOG = {
+    "N": (("e", "f"), {(1, 1): [0]}, [0, 1], ("e", "f"), ("e",)),
+    "a": (("h", "e"), {(0, 1): [1], (1, 0): [1]}, [1, 0], ("e", "h"), ("e",)),
+    "abelian1": (("e0",), {}, [1], ("e0",), ("e0",)),
+    "abelian2": (("e0", "e1"), {}, [1, 0], ("e0", "e1"), ("e0", "e1")),
+    "abelian3": (("e0", "e1", "e2"), {}, [1, 0, 0], ("e0", "e1", "e2"), ("e0", "e1", "e2")),
+    "heis3": (("x", "y", "z"), {(0, 1): [2], (1, 0): [2]}, [1, 0, 0], ("z", "x"), ("z",)),
+}
 
 
 def catalog_names():
-    return ("N", "a", "abelian1", "abelian2", "abelian3", "heis3")
+    return tuple(_CATALOG)
 
 
 def load_catalog(name: str) -> CatalogEntry:
@@ -82,78 +85,28 @@ def load_catalog(name: str) -> CatalogEntry:
 
     flambda is the nontrivial one-dimensional module in each case where
     a consistent one exists (the functional must kill every bracket).
+    Parentheses and colons in the name are ignored.
     """
     key = name.replace("(", "").replace(")", "").replace(":", "")
-    if key == "N":
-        t = BracketTable.from_entries(2, {(1, 1): [0]})
-        return CatalogEntry(
-            "N",
-            ("e", "f"),
-            t,
-            _standard_modules(t, lam=[0, 1]),
-            {"e": _span(2, [[1, 0]]), "f": _span(2, [[0, 1]])},
-            ("e",),
-        )
-    if key == "a":
-        t = BracketTable.from_entries(2, {(0, 1): [1], (1, 0): [1]})
-        return CatalogEntry(
-            "a",
-            ("h", "e"),
-            t,
-            _standard_modules(t, lam=[1, 0]),
-            {"e": _span(2, [[0, 1]]), "h": _span(2, [[1, 0]])},
-            ("e",),
-        )
-    if key.startswith("abelian"):
-        d = int(key[len("abelian"):])
-        t = BracketTable.zero(d)
-        lam = [1] + [0] * (d - 1)
-        labels = tuple(f"e{i}" for i in range(d))
-        subs = {f"e{i}": _span(d, [np.eye(d, dtype=np.uint8)[i]]) for i in range(d)}
-        return CatalogEntry(
-            f"abelian{d}", labels, t, _standard_modules(t, lam=lam), subs,
-            tuple(f"e{i}" for i in range(d)),
-        )
-    if key == "heis3":
-        t = BracketTable.from_entries(3, {(0, 1): [2], (1, 0): [2]})
-        return CatalogEntry(
-            "heis3",
-            ("x", "y", "z"),
-            t,
-            _standard_modules(t, lam=[1, 0, 0]),
-            {"z": _span(3, [[0, 0, 1]]), "x": _span(3, [[1, 0, 0]])},
-            ("z",),
-        )
-    raise GF2Error(f"unknown catalog algebra {name!r}; known: {', '.join(catalog_names())}")
+    if key not in _CATALOG:
+        raise GF2Error(f"unknown catalog algebra {name!r}; known: {', '.join(catalog_names())}")
+    labels, brackets, lam, spans, ideals = _CATALOG[key]
+    t = BracketTable.from_entries(len(labels), brackets)
+    modules = {
+        "trivial": trivial_module(t),
+        "adjoint": adjoint_module(t),
+        "coadjoint": coadjoint_module(t),
+        "flambda": flambda_module(t, lam),
+    }
+    lines = np.eye(t.dim, dtype=np.uint8)
+    subspaces = {s: Subspace.from_rows(t.dim, lines[[labels.index(s)]]) for s in spans}
+    return CatalogEntry(key, labels, t, modules, subspaces, ideals)
 
 
 class AlgebraFileError(ValueError):
     def __init__(self, line_no, msg):
         self.line_no = line_no
         super().__init__(f"line {line_no}: {msg}")
-
-
-@dataclass
-class FileAlgebra:
-    name: str
-    labels: tuple
-    table: BracketTable
-    modules: dict = field(default_factory=dict)  # name -> ModuleSpec
-    subspaces: dict = field(default_factory=dict)  # name -> Subspace
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FileAlgebra)
-            and self.name == other.name
-            and self.labels == other.labels
-            and self.table == other.table
-            and self.modules.keys() == other.modules.keys()
-            and all(
-                np.array_equal(self.modules[k].rho, other.modules[k].rho)
-                for k in self.modules
-            )
-            and self.subspaces == other.subspaces
-        )
 
 
 def _parse_count(tok, line_no, syntax, table_bytes):
@@ -170,7 +123,7 @@ def _parse_bits(tok, width, line_no, what):
     return np.array([int(ch) for ch in tok], dtype=np.uint8)
 
 
-def parse_algebra_file(text: str) -> FileAlgebra:
+def parse_algebra_file(text: str) -> CatalogEntry:
     name = "anon"
     dim = None
     labels = None
@@ -269,29 +222,30 @@ def parse_algebra_file(text: str) -> FileAlgebra:
         for i, mat in actions.get(mod, {}).items():
             rho[i] = mat
         modules[mod] = ModuleSpec(m, rho)
-    return FileAlgebra(name, tuple(labels), table, modules, subspaces)
+    return CatalogEntry(name, tuple(labels), table, modules, subspaces)
 
 
-def serialize_algebra_file(fa: FileAlgebra) -> str:
-    """Canonical text form; parse(serialize(x)) == x."""
-    d = fa.table.dim
-    out = [f"algebra {fa.name}", f"dim {d}", "basis " + " ".join(fa.labels)]
+def serialize_algebra_file(entry: CatalogEntry) -> str:
+    """Canonical text form; parse(serialize(x)) == x for an entry with no
+    marked ideals, which the format does not hold."""
+    d = entry.table.dim
+    out = [f"algebra {entry.name}", f"dim {d}", "basis " + " ".join(entry.labels)]
     for i in range(d):
         for j in range(d):
-            vec = fa.table.c[i, j]
+            vec = entry.table.c[i, j]
             if vec.any():
-                rhs = "+".join(fa.labels[k] for k in np.nonzero(vec)[0])
-                out.append(f"bracket {fa.labels[i]} {fa.labels[j]} = {rhs}")
-    for mod in sorted(fa.modules):
-        spec = fa.modules[mod]
+                rhs = "+".join(entry.labels[k] for k in np.nonzero(vec)[0])
+                out.append(f"bracket {entry.labels[i]} {entry.labels[j]} = {rhs}")
+    for mod in sorted(entry.modules):
+        spec = entry.modules[mod]
         out.append(f"module {mod} dim {spec.dim}")
         for i in range(d):
             if spec.rho[i].any():
                 rows = " ".join("".join(str(b) for b in row) for row in spec.rho[i])
-                out.append(f"action {mod} {fa.labels[i]} = {rows}")
-    for name in sorted(fa.subspaces):
+                out.append(f"action {mod} {entry.labels[i]} = {rows}")
+    for name in sorted(entry.subspaces):
         # the zero subspace is written as its zero vector
-        rows = fa.subspaces[name].basis.to_dense() if fa.subspaces[name].dim else [[0] * d]
+        rows = entry.subspaces[name].basis.to_dense() if entry.subspaces[name].dim else [[0] * d]
         vecs = " ".join("".join(str(b) for b in row) for row in rows)
         out.append(f"subspace {name} = {vecs}")
     return "\n".join(out) + "\n"

@@ -65,7 +65,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_algebra(spec: str):
-    from .catalog import AlgebraFileError, CatalogEntry, load_catalog, parse_algebra_file
+    from .catalog import AlgebraFileError, load_catalog, parse_algebra_file
     from .gf2 import GF2Error
 
     if spec.startswith("catalog:"):
@@ -73,16 +73,15 @@ def _load_algebra(spec: str):
             return load_catalog(spec.split(":", 1)[1])
         except GF2Error as exc:
             raise InputError(str(exc)) from exc
+    # file modules stay raw here so `check` can report axiom verdicts;
+    # they are validated when a command actually uses them
     try:
         with open(spec) as fh:
-            fa = parse_algebra_file(fh.read())
+            return parse_algebra_file(fh.read())
     except OSError as exc:
         raise InputError(f"cannot read {spec}: {exc}") from exc
     except AlgebraFileError as exc:
         raise InputError(f"{spec}: {exc}") from exc
-    # file modules stay raw here so `check` can report axiom verdicts;
-    # they are validated when a command actually uses them
-    return CatalogEntry(fa.name, fa.labels, fa.table, dict(fa.modules), fa.subspaces, ())
 
 
 def _resolve_module(entry, spec: str):
@@ -140,7 +139,7 @@ def _closed_form_flags(dims):
     return out
 
 
-def cmd_check(entry, args, checks, info):
+def cmd_check(entry, mod, h, args, checks, info):
     from .algebra import check_module_axioms, classify_algebra, is_ideal, leibniz_kernel
 
     cls = classify_algebra(entry.table)
@@ -173,7 +172,7 @@ def cmd_check(entry, args, checks, info):
     return payload
 
 
-def cmd_cohomology(entry, args, checks, info):
+def cmd_cohomology(entry, mod, h, args, checks, info):
     from .algebra import classify_algebra
     from .cochain import Flavor, build_tower
     from .cohomology import betti_table
@@ -187,7 +186,6 @@ def cmd_cohomology(entry, args, checks, info):
         if flavor in flavors:
             raise InputError(f"--flavor must be distinct flavors ({f!r} repeats)")
         flavors.append(flavor)
-    mod = _resolve_module(entry, args.module)
     cls = classify_algebra(entry.table)
     payload = {"algebra": entry.name, "module": args.module, "tables": {}}
     for flavor in flavors:
@@ -213,15 +211,13 @@ def cmd_cohomology(entry, args, checks, info):
     return payload
 
 
-def cmd_hs_ss(entry, args, checks, info):
+def cmd_hs_ss(entry, mod, h, args, checks, info):
     from .algebra import is_ideal
     from .cochain import Flavor, build_tower
     from .cohomology import betti_table
     from .spectral import compute_pages, convergence_check, e2_closed_form_check, subalgebra_filtration
 
-    mod = _resolve_module(entry, args.module)
     sub_spec = args.subalgebra if args.ideal is None else args.ideal
-    h = _resolve_subspace(entry, sub_spec)
     verdict = is_ideal(entry.table, h)
     flag = "--subalgebra" if args.ideal is None else "--ideal"
     if verdict.value == "not-subalgebra" or (flag == "--ideal" and verdict.value != "ideal"):
@@ -257,11 +253,10 @@ def cmd_hs_ss(entry, args, checks, info):
     return payload
 
 
-def cmd_compare(entry, args, checks, info):
+def cmd_compare(entry, mod, h, args, checks, info):
     from .algebra import classify_algebra
     from .comparison import flavor_tables, require_pair, vanishing_propagation_report, verify_e2_product
 
-    mod = _resolve_module(entry, args.module)
     cls = classify_algebra(entry.table)
     n_max = args.max_degree + 2
     which = list(COMPARISON_NAMES) if args.comparison == "all" else [args.comparison]
@@ -308,11 +303,10 @@ def cmd_compare(entry, args, checks, info):
     return payload
 
 
-def cmd_les(entry, args, checks, info):
+def cmd_les(entry, mod, h, args, checks, info):
     from .algebra import classify_algebra
     from .comparison import build_relative_complex, long_exact_sequence_check
 
-    mod = _resolve_module(entry, args.module)
     cls = classify_algebra(entry.table)
     payload = {"algebra": entry.name, "module": args.module, "sequences": {}}
     for name in COMPARISON_NAMES:
@@ -413,10 +407,9 @@ def build_parser():
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, module=True):
+    def common(p):
         p.add_argument("--algebra", required=True, help="catalog:NAME or a file path")
-        if module:
-            p.add_argument("--module", default="trivial")
+        p.add_argument("--module", default="trivial")
         p.add_argument("--max-degree", type=int, default=6)
         p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--output", default=None)
@@ -464,20 +457,18 @@ def _payload_args(args) -> dict:
     return {name: getattr(args, name) for name in names}
 
 
-def _file_parts(entry, args) -> tuple:
+def _file_parts(entry, args, mod, h) -> tuple:
     """What an algebra file defines that its table does not, as far as the
     payload reads it; a catalog name already fixes its modules and spans."""
     if args.algebra.startswith("catalog:"):
         return ()
     if args.command == "check":  # reports every module and subspace
         mods = [(k, m.dim, m.rho.tobytes()) for k, m in sorted(entry.modules.items())]
-        subs = [(k, h.basis.words.tobytes()) for k, h in sorted(entry.subspaces.items())]
+        subs = [(k, sub.basis.words.tobytes()) for k, sub in sorted(entry.subspaces.items())]
         return mods, subs
-    mod = _resolve_module(entry, args.module)
     # rho twice, where the digest once hashed a left and a right action
     parts = (mod.dim, mod.rho.tobytes(), mod.rho.tobytes())
-    if args.command == "hs-ss":
-        h = _resolve_subspace(entry, args.subalgebra if args.ideal is None else args.ideal)
+    if h is not None:
         parts += (h.basis.words.tobytes(),)
     return parts
 
@@ -498,12 +489,20 @@ def _run(args):
         else:
             entry = _load_algebra(args.algebra)
             if args.algebra.startswith("catalog:"):  # one digest however the name is spelled
-                args.algebra = f"catalog:{entry.name}"
+                args.algebra = named = f"catalog:{entry.name}"
+            else:  # a file is named by its algebra line, not by the path it was read from
+                named = entry.name
+            # each input is resolved once, before the digest that covers it
+            mod = h = None
+            if "module" in PAYLOAD_ARGS[args.command]:
+                mod = _resolve_module(entry, args.module)
+            if args.command == "hs-ss":
+                h = _resolve_subspace(entry, args.subalgebra if args.ideal is None else args.ideal)
             digest = _digest(
                 args.command,
                 entry.table.c.tobytes(),
-                _payload_args(args),
-                *_file_parts(entry, args),
+                {**_payload_args(args), "algebra": named},
+                *_file_parts(entry, args, mod, h),
             )
             handler = {
                 "check": cmd_check,
@@ -512,7 +511,7 @@ def _run(args):
                 "compare": cmd_compare,
                 "les": cmd_les,
             }[args.command]
-            payload = handler(entry, args, checks, info)
+            payload = handler(entry, mod, h, args, checks, info)
     except InputError as exc:
         return {"error": str(exc)}, 1
     except ValueError as exc:  # gf2.GF2Error among them

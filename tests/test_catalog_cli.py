@@ -12,7 +12,7 @@ import commcoh.cohomology as cohomology_module
 from commcoh.algebra import BracketTable, change_basis, classify_algebra
 from commcoh.catalog import (
     AlgebraFileError,
-    FileAlgebra,
+    CatalogEntry,
     catalog_names,
     line_module_instances,
     load_catalog,
@@ -49,6 +49,13 @@ class TestCatalog:
     def test_unknown_name_lists_catalog(self):
         with pytest.raises(GF2Error, match="abelian2"):
             load_catalog("nope")
+
+    @pytest.mark.parametrize("name", ["abelian0", "abelianx", "abelian-1", "abelian4", "abelian100000"])
+    def test_names_outside_the_six_are_refused(self, name, capsys):
+        # no number is parsed out of a name: abelian1..3 are three entries
+        assert main(["check", "--algebra", f"catalog:{name}"]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err.startswith(f"unknown catalog algebra {name!r}")
 
     def test_flambda_modules_valid(self):
         # each catalog functional kills the derived span and is nonzero
@@ -102,7 +109,7 @@ subspace k = 10 01
     def test_round_trip_catalog_algebras(self):
         for name in ("N", "a", "heis3"):
             entry = catalog(name)
-            fa = FileAlgebra(entry.name, entry.labels, entry.table, {}, dict(entry.subspaces))
+            fa = CatalogEntry(entry.name, entry.labels, entry.table, {}, dict(entry.subspaces))
             assert parse_algebra_file(serialize_algebra_file(fa)) == fa
 
 
@@ -315,6 +322,31 @@ class TestCLI:
         report, code = run(argv)
         assert code == 0 and report["payload"]["tables"]["sym"] == [1, 1, 0, 0]
         assert len(parsed) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("cohomology",),
+        ("hs-ss", "--ideal", "h"),
+        ("compare",),
+        ("les",),
+    ], ids=lambda argv: argv[0])
+    def test_each_input_is_resolved_once(self, tmp_path, monkeypatch, argv):
+        # the digest and the handler share the module and span the command resolves
+        path = tmp_path / "alg.txt"
+        path.write_text("dim 2\nbasis e f\nbracket f f = e\nmodule m dim 2\n"
+                        "action m f = 01 00\nsubspace h = 10\n")
+        calls = {"_resolve_module": 0, "_resolve_subspace": 0}
+        for name in calls:
+            resolve = getattr(cli, name)
+
+            def counted(*a, name=name, resolve=resolve):
+                calls[name] += 1
+                return resolve(*a)
+
+            monkeypatch.setattr(cli, name, counted)
+        report, code = run([argv[0], "--algebra", str(path), "--module", "m",
+                            "--max-degree", "3", *argv[1:]])
+        assert code == 0, report
+        assert calls == {"_resolve_module": 1, "_resolve_subspace": int(argv[0] == "hs-ss")}
 
     def test_unknown_catalog_is_input_error(self, capsys):
         assert main(["check", "--algebra", "catalog:nope"]) == 1
@@ -564,14 +596,43 @@ class TestCLI:
         assert p_e != p_f and d_e != d_f
         assert (d_e, p_e) == digest("dim 2\nbasis e f\nsubspace h = 10\n", *hs)
 
+    FILE_ARGVS = [
+        ("check",),
+        ("cohomology", "--module", "m", "--max-degree", "3"),
+        ("hs-ss", "--module", "m", "--ideal", "h", "--max-degree", "3"),
+    ]
+    DEMO = ("algebra demo\ndim 2\nbasis e f\nbracket f f = e\nmodule m dim 2\n"
+            "action m f = 01 00\nsubspace h = 10\n")
+
+    @staticmethod
+    def _file_digest(path, text, argv):
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(text)
+        report, code = run([argv[0], "--algebra", str(path), *argv[1:]])
+        assert code == 0
+        return report["input_digest"], report["payload"]
+
+    @pytest.mark.parametrize("argv", FILE_ARGVS, ids=lambda argv: argv[0])
+    def test_input_digest_is_one_for_a_file_at_two_paths(self, tmp_path, argv):
+        one = self._file_digest(tmp_path / "one" / "alg.txt", self.DEMO, argv)
+        assert one == self._file_digest(tmp_path / "two" / "copy.txt", self.DEMO, argv)
+
+    @pytest.mark.parametrize("argv", FILE_ARGVS, ids=lambda argv: argv[0])
+    def test_input_digest_covers_a_file_algebra_name(self, tmp_path, argv):
+        # one path, two files that differ only in their algebra line
+        demo = self._file_digest(tmp_path / "alg.txt", self.DEMO, argv)
+        other = self._file_digest(tmp_path / "alg.txt", self.DEMO.replace("demo", "other"), argv)
+        assert demo[1] != other[1] and demo[0] != other[0]
+
     @pytest.mark.parametrize("algebra, module, digest, tables", [
         ("catalog:N", "adjoint", "a1ac0deaeaaf53b1", {"sym": [1, 1, 0, 0]}),
-        ("alg.txt", "m", "a17b0ecc28cb0482", {"sym": [1, 1, 0, 0]}),
+        ("alg.txt", "m", "49404cfa5e9672f4", {"sym": [1, 1, 0, 0]}),
     ])
     def test_input_digest_is_pinned(self, tmp_path, monkeypatch, algebra, module, digest, tables):
         # values from when a module carried separate left and right
-        # actions; a file module's rho now fills both of their slots
-        monkeypatch.chdir(tmp_path)  # the digest covers the --algebra path
+        # actions; a file module's rho now fills both of their slots.  A
+        # file enters by its algebra name (here the default, anon), not its path
+        monkeypatch.chdir(tmp_path)
         (tmp_path / "alg.txt").write_text(
             "dim 2\nbasis e f\nbracket f f = e\nmodule m dim 2\naction m f = 01 00\n"
         )
@@ -582,17 +643,17 @@ class TestCLI:
 
     @pytest.mark.parametrize("argv, digest", [
         ("check --algebra catalog:N", "ccd98b1c9a093faa"),
-        ("check --algebra alg.txt", "53b5da65eed7c4d1"),
+        ("check --algebra alg.txt", "598240bd834fcef7"),
         ("cohomology --algebra catalog:a --max-degree 3", "1a5710463196c785"),
         ("hs-ss --algebra catalog:a --ideal e --max-degree 3", "a6754dcf6932967f"),
         # load_catalog drops parentheses and colons, so these name the same entry
         ("hs-ss --algebra catalog:(a) --ideal e --max-degree 3", "a6754dcf6932967f"),
         ("hs-ss --algebra catalog::a --ideal e --max-degree 3", "a6754dcf6932967f"),
-        ("hs-ss --algebra alg.txt --module m --ideal h --max-degree 3", "6b438ed330d35352"),
+        ("hs-ss --algebra alg.txt --module m --ideal h --max-degree 3", "ab924090d8ac8a5c"),
         ("compare --algebra catalog:a --max-degree 3", "28a0b24f6a74ed12"),
-        ("compare --algebra alg.txt --module m --max-degree 3", "ea24402e44a83d28"),
+        ("compare --algebra alg.txt --module m --max-degree 3", "71386f73fe904213"),
         ("les --algebra catalog:N --max-degree 3", "35ef8af3ce2045df"),
-        ("les --algebra alg.txt --module m --max-degree 3", "d5e3f6dda5ae0943"),
+        ("les --algebra alg.txt --module m --max-degree 3", "0b20b923d03cf791"),
         ("survey --dim 2", "e5e8683bc98fa2a6"),
         ("survey --dim 2 --up-to-iso --betti-degree 2", "69228c61f7748401"),
     ])
@@ -600,7 +661,7 @@ class TestCLI:
         # values printed by hashlib's sha256, before the digest took CPython's
         # own module: the two must agree byte for byte (test_input_digest_is_pinned
         # holds the file case of cohomology)
-        monkeypatch.chdir(tmp_path)  # the digest covers the --algebra path
+        monkeypatch.chdir(tmp_path)
         (tmp_path / "alg.txt").write_text(
             "dim 2\nbasis e f\nbracket f f = e\nmodule m dim 2\naction m f = 01 00\n"
             "subspace h = 10\n"

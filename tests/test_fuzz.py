@@ -75,6 +75,9 @@ def argvs(draw, algebra_files):
         algebra = draw(
             st.sampled_from(["catalog:N", "catalog:a", "catalog:heis3", "catalog:abelian2"])
             | st.sampled_from(["catalog:nope", "missing.txt"] + algebra_files)
+            # names outside the six entries; none is read as a dimension
+            | st.sampled_from(["catalog:abelian0", "catalog:abelianx", "catalog:abelian-1",
+                               "catalog:abelian100000"])
         )
         # the default --max-degree 6 makes compare on heis3 take seconds
         argv += ["--algebra", algebra, "--max-degree", draw(st.sampled_from("0123") | SMALL)]

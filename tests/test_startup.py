@@ -5,7 +5,8 @@ modules inside its handler, so `--version`, `--help` and refused
 arguments start without numpy.  No command loads OpenSSL (`_hashlib`),
 and numpy starts no OpenBLAS worker thread unless the caller asks.  The test session has imported the whole
 package already, so every start-up case runs in a fresh interpreter.  Every
-name a submodule exports resolves, and README's library sketch runs as written.
+name a submodule exports resolves, and README's library sketch and its
+command lines run as written.
 """
 
 import json
@@ -63,6 +64,19 @@ def test_refusals_and_version_load_no_numpy(args, code):
     assert not {m for m in modules if m.startswith("commcoh.")}
     # the report's writers load with the report; the probe imports json itself
     assert "csv" not in modules and "datetime" not in modules
+
+
+README_COMMANDS = re.search(r"## Command line\s+```\n(.*?)```", (ROOT / "README.md").read_text(),
+                            re.S).group(1).splitlines()
+
+
+@pytest.mark.parametrize("line", README_COMMANDS, ids=lambda line: line.split()[1])
+def test_readme_command_line_runs(line):
+    from commcoh import cli
+
+    assert line.startswith("commcoh ")
+    report, code = cli.run(line.split()[1:])
+    assert code == 0, report
 
 
 @pytest.mark.parametrize("args, layers", [
